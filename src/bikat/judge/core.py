@@ -1,24 +1,30 @@
 """Judgment data and enumerable views of pair relations.
 
-`PairSpec` turns a bitest into something the oracles can iterate: it analyses
-conjunctions of one-sided conditions and expression-equality atoms so that,
-on structured spaces, the right state is assembled from forced fields instead
-of filtering the full pair space.  Anything outside that fragment falls back
-to full-product filtering, which is refused above a size cap rather than
-allowed to run forever.
+`PairSpec` turns a bitest into something the oracles can iterate.  It
+analyses conjunctions of one-sided conditions and expression comparisons
+whose right side reads one state field.  On a structured space it computes a
+field layout once per spec: the offsets of the fields an equality pins to a
+left-state value, the value lists of compared fields, one list of bit
+patterns for the free fields, and byte tables for the one-sided conditions.
+A right candidate is then a template ORed with a pattern; the patterns that
+pass the right-side conditions are found once per template.  Anything outside
+that fragment falls back to full-product filtering, which is refused above a
+size cap rather than allowed to run forever.
+
+`PostMap` memoizes per-state images of a program term; `fill` computes the
+missing images of a whole batch of states in one walk of the compiled term.
 """
 
 from __future__ import annotations
 
-import itertools
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from ..bi.terms import (BAnd, BEmbLTest, BEmbRTest, BiTestTerm, BNot, BOne,
                         BOr, BPrim, BZero)
-from ..kat.terms import KatTerm
-from ..models.bmodel import BiModel, BitestSem, bitest_holds
-from ..models.imp import EArr, EConst, EVar, ImpEnv
-from ..models.kmodel import kat_post, kat_pre, test_holds, test_mask
+from ..kat.terms import KatTerm, tand
+from ..models.bmodel import BiModel, BitestSem
+from ..models.imp import CMP_OPS, ImpEnv
+from ..models.kmodel import image, kat_post, kat_pre, test_table
 from ..models.rel import Rel
 
 PAIR_ENUM_CAP = 4_000_000
@@ -29,16 +35,10 @@ class EnumRefused(Exception):
     pass
 
 
-import operator
-
-_OPS = {"==": operator.eq, "!=": operator.ne, "<": operator.lt,
-        "<=": operator.le, ">": operator.gt, ">=": operator.ge}
-
-
 class ExprBitest(BitestSem):
     """Bitest comparing a left-state expression with a right-state one.
-    Expression values are cached per state, so repeated membership tests cost
-    two array lookups."""
+    The per-state value lists of both sides are filled on first use, so a
+    membership test costs two list lookups."""
 
     def __init__(self, env: ImpEnv, lexpr, op: str, rexpr):
         super().__init__(env.space, pred=self._holds)
@@ -46,44 +46,31 @@ class ExprBitest(BitestSem):
         self.lexpr = lexpr
         self.op = op
         self.rexpr = rexpr
-        self._cmp = _OPS[op]
+        self.cmp = CMP_OPS[op]
         self._lvals: list[int] | None = None
         self._rvals: list[int] | None = None
 
     def lvals(self) -> list[int]:
         if self._lvals is None:
-            ev = self.env.eval
-            self._lvals = [ev(self.lexpr, s) for s in range(self.env.space.size)]
+            self._lvals = self.env.values(self.lexpr)
         return self._lvals
 
     def rvals(self) -> list[int]:
         if self._rvals is None:
-            ev = self.env.eval
-            self._rvals = [ev(self.rexpr, s) for s in range(self.env.space.size)]
+            self._rvals = self.env.values(self.rexpr)
         return self._rvals
 
     def _holds(self, s: int, s2: int) -> bool:
-        return self._cmp(self.lvals()[s], self.rvals()[s2])
+        return self.cmp(self.lvals()[s], self.rvals()[s2])
 
-    def forced_right_field(self):
-        """(field, value_fn) when this atom pins one right field to a
-        left-state value; None otherwise."""
-        if self.op != "==":
-            return None
-        r = self.rexpr
-        if isinstance(r, EVar):
-            return (r.name, lambda s: self.lvals()[s])
-        if isinstance(r, EArr) and isinstance(r.index, EConst):
-            decl = self.env.space.array_decl(r.name)
-            if decl is not None:
-                return ((r.name, r.index.value % decl.length),
-                        lambda s: self.lvals()[s])
-        return None
+    def right_field(self):
+        """The one field the right expression reads, or None."""
+        return self.env.field_of(self.rexpr)
 
 
 def compile_pred(bm: BiModel, t: BiTestTerm):
     """Compile a bitest to a pair predicate closure; membership tests become
-    array lookups and mask probes instead of term walks."""
+    list and byte-table lookups instead of term walks."""
     if isinstance(t, BZero):
         return lambda a, b: False
     if isinstance(t, BOne):
@@ -91,33 +78,28 @@ def compile_pred(bm: BiModel, t: BiTestTerm):
     if isinstance(t, BPrim):
         sem = bm.bitest(t.name)
         if isinstance(sem, ExprBitest):
-            lv, rv, cmp = sem.lvals(), sem.rvals(), sem._cmp
+            lv, rv, cmp = sem.lvals(), sem.rvals(), sem.cmp
             return lambda a, b: cmp(lv[a], rv[b])
         return sem.holds
     if isinstance(t, BEmbLTest):
-        mask = test_mask(bm.base, t.test)
-        return lambda a, b: bool(mask >> a & 1)
+        table = test_table(bm.base, t.test)
+        return lambda a, b: table[a] == 1
     if isinstance(t, BEmbRTest):
-        mask = test_mask(bm.base, t.test)
-        return lambda a, b: bool(mask >> b & 1)
+        table = test_table(bm.base, t.test)
+        return lambda a, b: table[b] == 1
     if isinstance(t, BNot):
         inner = compile_pred(bm, t.arg)
         return lambda a, b: not inner(a, b)
     subs = [compile_pred(bm, x) for x in t.args]
     if isinstance(t, BOr):
         return lambda a, b: any(p(a, b) for p in subs)
-    return lambda a, b: all(p(a, b) for p in subs)
 
-
-def _single_right_field(space, expr):
-    """The state field an expression reads, when it is one plain read."""
-    if isinstance(expr, EVar) and space.has_field(expr.name):
-        return expr.name
-    if isinstance(expr, EArr) and isinstance(expr.index, EConst):
-        decl = space.array_decl(expr.name)
-        if decl is not None:
-            return (expr.name, expr.index.value % decl.length)
-    return None
+    def conj(a: int, b: int) -> bool:
+        for p in subs:
+            if not p(a, b):
+                return False
+        return True
+    return conj
 
 
 @dataclass(frozen=True)
@@ -154,9 +136,16 @@ class PostMap:
         got = self._cache.get(state)
         if got is None:
             f = kat_pre if self.backward else kat_post
-            got = f(self.model, self.term, frozenset((state,)))
+            got = f(self.model, self.term, (state,))
             self._cache[state] = got
         return got
+
+    def fill(self, states) -> None:
+        """Compute the missing images of a batch of states together."""
+        cache = self._cache
+        missing = [s for s in dict.fromkeys(states) if s not in cache]
+        if missing:
+            cache.update(image(self.model, self.term, missing, self.backward))
 
 
 def post_map(model, term: KatTerm, backward: bool = False) -> PostMap:
@@ -173,6 +162,19 @@ def post_map(model, term: KatTerm, backward: bool = False) -> PostMap:
     return got
 
 
+@dataclass
+class _Layout:
+    """How to enumerate the right partners of a left state."""
+
+    left: bytes | None  # one-sided left conditions, or None for none
+    right: bytes | None  # one-sided right conditions, or None for none
+    forced: list[tuple[int, int, list[int]]]  # (offset, width, left values)
+    pinned: list[tuple[int, int, object, list[int]]]  # comparisons on forced fields
+    compared: list[tuple[int, int, list]]  # (offset, width, [(cmp, left values)])
+    patterns: list[int]  # every value of the free fields, as bits
+    preds: list  # residual pair predicates
+
+
 class PairSpec:
     """Enumerable view of a bitest's pair relation in a model."""
 
@@ -183,6 +185,8 @@ class PairSpec:
         self._pairs: list[tuple[int, int]] | None = None
         self._left_index: dict[int, list[int]] | None = None
         self._analysis = self._analyse()
+        self._layout: _Layout | None = None
+        self._filtered: dict[int, list[int]] = {}
         self._pred = None
 
     def holds(self, s: int, s2: int) -> bool:
@@ -193,107 +197,110 @@ class PairSpec:
     # --- conjunction analysis -------------------------------------------
 
     def _analyse(self):
-        """Split a conjunction into left filters, right filters, forced right
-        fields, and residual pair filters.  Returns None if the term is not a
-        conjunction of supported atoms over a structured space."""
+        """Split a conjunction into left tests, right tests, residual pair
+        atoms, the expression bitests that pin a right field (first `==` per
+        field), and the other comparisons against one right field.  None if
+        the term is not a conjunction of supported atoms over a structured
+        space; `forced` is None if the relation is provably empty."""
         space = self.bm.space
         if not (space.vars or space.arrays):
             return None
         atoms = self.term.args if isinstance(self.term, BAnd) else (self.term,)
         left_f, right_f, pair_f, forced = [], [], [], {}
-        constraints: list[tuple] = []  # (field, cmp, lvals): per-field ranges
+        compared: list[tuple] = []  # (field, ExprBitest)
         for a in atoms:
             if isinstance(a, BOne):
                 continue
             if isinstance(a, BZero):
-                return ([], [], [], None, [])  # empty relation
+                return ([], [], [], None, [])
             if isinstance(a, BEmbLTest):
                 left_f.append(a.test)
             elif isinstance(a, BEmbRTest):
                 right_f.append(a.test)
             elif isinstance(a, BPrim):
                 sem = self.bm.bitest(a.name)
-                if not isinstance(sem, ExprBitest):
+                key = sem.right_field() if isinstance(sem, ExprBitest) else None
+                if key is None:
                     pair_f.append(a)
-                    continue
-                field = sem.forced_right_field()
-                if field is not None and field[0] not in forced:
-                    forced[field[0]] = field[1]
-                    continue
-                rfield = _single_right_field(space, sem.rexpr)
-                if rfield is not None:
-                    constraints.append((rfield, sem._cmp, sem.lvals()))
+                elif sem.op == "==" and key not in forced:
+                    forced[key] = sem
                 else:
-                    pair_f.append(a)
+                    compared.append((key, sem))
             elif isinstance(a, (BNot, BOr)):
                 pair_f.append(a)
             else:
                 return None
-        return (left_f, right_f, pair_f, forced, constraints)
+        return (left_f, right_f, pair_f, forced, compared)
 
-    def _masks(self):
-        """(left mask, right mask) for the one-sided filter conjuncts."""
-        if not hasattr(self, "_mask_cache"):
-            left_f, right_f = self._analysis[0], self._analysis[1]
-            lm = rm = (1 << self.n) - 1
-            for t in left_f:
-                lm &= test_mask(self.bm.base, t)
-            for t in right_f:
-                rm &= test_mask(self.bm.base, t)
-            self._mask_cache = (lm, rm)
-        return self._mask_cache
+    def _get_layout(self) -> _Layout:
+        if self._layout is None:
+            space, base = self.bm.space, self.bm.base
+            left_f, right_f, pair_f, forced, compared = self._analysis
 
-    def _pair_preds(self):
-        if not hasattr(self, "_pair_pred_cache"):
-            self._pair_pred_cache = [compile_pred(self.bm, p)
-                                     for p in self._analysis[2]]
-        return self._pair_pred_cache
+            def conj_table(tests) -> bytes | None:
+                return test_table(base, tand(*tests)) if tests else None
+
+            by_field: dict = {}
+            pinned = []
+            for key, sem in compared:
+                off, width = space.field(key)
+                if key in forced:
+                    pinned.append((off, width, sem.cmp, sem.lvals()))
+                else:
+                    by_field.setdefault(key, (off, width, []))[2].append(
+                        (sem.cmp, sem.lvals()))
+            patterns = [0]
+            for key in space.fields():
+                if key not in forced and key not in by_field:
+                    off, width = space.field(key)
+                    patterns = [p | v << off for v in range(1 << width)
+                                for p in patterns]
+            self._layout = _Layout(
+                conj_table(left_f), conj_table(right_f),
+                [space.field(k) + (sem.lvals(),) for k, sem in forced.items()],
+                pinned, list(by_field.values()), sorted(patterns),
+                [compile_pred(self.bm, p) for p in pair_f])
+        return self._layout
 
     def _right_candidates(self, s: int) -> list[int]:
         """Right states paired with `s`: forced fields are pinned, compared
-        fields enumerate restricted value sets, the rest enumerate freely."""
-        left_f, right_f, pair_f, forced, constraints = self._analysis
-        space = self.bm.space
-        lm, rm = self._masks()
-        if not lm >> s & 1:
+        fields take their allowed values, the free fields every pattern."""
+        lay = self._get_layout()
+        if lay.left is not None and not lay.left[s]:
             return []
         tmpl = 0
-        for fname, fn in forced.items():
-            v = fn(s)
-            if v >= (1 << space.width_of(fname)):
+        for off, width, vals in lay.forced:
+            v = vals[s]
+            if v >> width:
                 return []
-            tmpl = space.set(tmpl, fname, v)
-        by_field: dict = {}
-        for (field, cmp, lvals) in constraints:
-            lv = lvals[s]
-            vals = [u for u in range(1 << space.width_of(field)) if cmp(lv, u)]
-            if field in by_field:
-                by_field[field] = [u for u in by_field[field] if u in set(vals)]
-            else:
-                by_field[field] = vals
-            if not by_field[field]:
+            tmpl |= v << off
+        for off, width, cmp, vals in lay.pinned:
+            if not cmp(vals[s], tmpl >> off & ((1 << width) - 1)):
                 return []
-        for fname in list(by_field):
-            if fname in forced:  # pinned value must satisfy the constraint
-                if space.get(tmpl, fname) not in by_field[fname]:
-                    return []
-                del by_field[fname]
-        all_fields = [v.name for v in space.vars] + [
-            (a.name, i) for a in space.arrays for i in range(a.length)]
-        free = [f for f in all_fields if f not in forced]
-        free_ranges = [by_field.get(f, range(1 << space.width_of(f))) for f in free]
-        preds = self._pair_preds()
-        sets = space.set
-        out = []
-        for combo in itertools.product(*free_ranges):
-            s2 = tmpl
-            for fname, v in zip(free, combo):
-                s2 = sets(s2, fname, v)
-            if not rm >> s2 & 1:
-                continue
-            if all(p(s, s2) for p in preds):
-                out.append(s2)
+        bases = [tmpl]
+        for off, width, conds in lay.compared:
+            allowed = [u for u in range(1 << width)
+                       if all(cmp(vals[s], u) for cmp, vals in conds)]
+            bases = [b | u << off for b in bases for u in allowed]
+        if lay.right is None:
+            out = [b | p for b in bases for p in lay.patterns]
+        else:
+            out = [b | p for b in bases for p in self._right_patterns(b)]
+        for pred in lay.preds:
+            out = [c for c in out if pred(s, c)]
         return out
+
+    def _right_patterns(self, base: int) -> list[int]:
+        """The free-field patterns p with base | p passing the right tests;
+        many left states share a base, so each base is filtered once."""
+        lay = self._layout
+        if len(lay.patterns) == 1:
+            return lay.patterns if lay.right[base] else []
+        got = self._filtered.get(base)
+        if got is None:
+            right = lay.right
+            got = self._filtered[base] = [p for p in lay.patterns if right[base | p]]
+        return got
 
     def pairs(self) -> list[tuple[int, int]]:
         if self._pairs is not None:
@@ -304,15 +311,9 @@ class PairSpec:
             if self._analysis[3] is None:  # provably empty
                 self._pairs = []
                 return self._pairs
-            space = self.bm.space
-            constrained = set(self._analysis[3]) | {f for (f, _, _) in self._analysis[4]}
-            free_bits = sum(space.width_of(f) for f in
-                            ([v.name for v in space.vars]
-                             + [(a.name, i) for a in space.arrays
-                                for i in range(a.length)])
-                            if f not in constrained)
-            lm, _ = self._masks()
-            estimated = lm.bit_count() << free_bits
+            lay = self._get_layout()
+            lefts = n if lay.left is None else lay.left.count(1)
+            estimated = lefts * len(lay.patterns)
             if estimated > PAIR_ENUM_CAP:
                 raise EnumRefused(
                     f"pair enumeration of ~{estimated} pairs exceeds the cap "

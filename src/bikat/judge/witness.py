@@ -12,7 +12,8 @@ Validity conditions, with hav the full relation of the ambient full model:
   backward (WCb) W;S <= R;W;S     (WOb) <c];S <= [hav>;W   (WUb) W;S <= <hav|d>
 
 Passing forward (backward) validity entails the forward (backward) simulation
-judgment; the checker asserts that entailment on every invocation.
+judgment; the checker checks that entailment on every invocation and raises
+`RouteDisagreement` if the oracle disagrees.
 """
 
 from __future__ import annotations
@@ -25,7 +26,7 @@ from ..models.bmodel import BiModel, bitest_holds
 from ..models.kmodel import kat_post, kat_pre
 from .core import (Counterexample, Judgment, PairSpec, PostMap, RelSpec,
                    pair_spec, post_map)
-from .oracles import JudgeResult, check_bsim, check_fsim
+from .oracles import JudgeResult, RouteDisagreement, check_bsim, check_fsim
 
 Pair = tuple[int, int]
 ImageMap = dict[Pair, frozenset[Pair]]
@@ -189,7 +190,8 @@ def check_fvalid(bm: BiModel, w: Witness, j: Judgment) -> WitnessReport:
     if report.valid:
         oracle = check_fsim(bm, Judgment("fsim", j.left, j.right, j.spec))
         report.oracle = oracle
-        assert oracle.holds, "f-valid witness but forward simulation fails: unsound"
+        if not oracle.holds:
+            raise RouteDisagreement("f-valid witness but forward simulation fails")
     return report
 
 
@@ -238,7 +240,8 @@ def check_bvalid(bm: BiModel, w: Witness, j: Judgment) -> WitnessReport:
     if report.valid:
         oracle = check_bsim(bm, Judgment("bsim", j.left, j.right, j.spec))
         report.oracle = oracle
-        assert oracle.holds, "b-valid witness but backward simulation fails: unsound"
+        if not oracle.holds:
+            raise RouteDisagreement("b-valid witness but backward simulation fails")
     return report
 
 

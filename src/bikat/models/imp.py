@@ -4,16 +4,22 @@ Arithmetic wraps at the problem width (unsigned, modulo 2^width); stores
 additionally wrap at the target's declared width.  Array indices wrap at the
 array length.  `x := any` is nondeterministic choice over the variable's
 range.  Programs compile to KAT terms whose primitive actions are the
-assignment statements and whose primitive tests are the branch conditions,
-each bound to its exact interpretation; a direct set-valued interpreter
-provides an independent semantics for cross-checking.  Loops that fail to
-terminate from a state simply contribute no final state there.
+assignment statements and whose primitive tests are the branch conditions.
+Each primitive is bound to a closure over the state's bit offsets, which
+also fills its successor table or test table on first use.  Names, arrays
+and function tables are resolved when a closure is built; `check_block`
+builds them for a whole program, so `load_problem` refuses a bad program
+before any check runs.  `eval`, `holds`, `step` and `run`
+are a direct set-valued interpreter kept as the independent semantics that
+the compiled one is cross-checked against.  Loops that fail to terminate
+from a state simply contribute no final state there.
 """
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass
-from typing import Iterable, Union
+from typing import Callable, Iterable, Union
 
 from ..kat.terms import KatTerm, kact, kplus, kseq, kstar, ktest, tnot, tprim
 from .kmodel import FnAction, KatModel, TestSem
@@ -186,6 +192,10 @@ def block_str(stmts: Iterable[Stmt]) -> str:
     return " ".join(stmt_str(s) + ";" for s in stmts)
 
 
+CMP_OPS = {"==": operator.eq, "!=": operator.ne, "<": operator.lt,
+           "<=": operator.le, ">": operator.gt, ">=": operator.ge}
+
+
 # --- evaluation ----------------------------------------------------------------
 
 class ImpEnv:
@@ -198,6 +208,9 @@ class ImpEnv:
         self.width = width
         self.mask = (1 << width) - 1
         self.ftables = dict(ftables or {})
+        for fname, table in self.ftables.items():
+            if not table:
+                raise SpaceError(f"function table {fname!r} is empty")
         self.acts: dict[str, FnAction] = {}
         self.tests: dict[str, TestSem] = {}
 
@@ -292,18 +305,145 @@ class ImpEnv:
                 break
         return cur
 
+    # compilation to closures over bit fields ------------------------------
+
+    def _array(self, name: str) -> ArrayDecl:
+        decl = self.space.array_decl(name)
+        if decl is None:
+            raise SpaceError(f"undeclared array {name!r}")
+        return decl
+
+    def _cells(self, decl: ArrayDecl) -> tuple[int, ...]:
+        return tuple(self.space.field((decl.name, i))[0] for i in range(decl.length))
+
+    def field_of(self, e: Expr):
+        """The field `e` reads when it is one plain read: a variable, or an
+        array cell at a constant index (wrapped as `eval` wraps it).  None for
+        any other expression.  `compile_expr` reads fields through this."""
+        if isinstance(e, EVar):
+            self.space.field(e.name)
+            return e.name
+        if isinstance(e, EArr) and isinstance(e.index, EConst):
+            decl = self._array(e.name)
+            return (e.name, (e.index.value & self.mask) % decl.length)
+        return None
+
+    def compile_expr(self, e: Expr) -> Callable[[int], int]:
+        """`e` as a function of the state; agrees with `eval`."""
+        key = self.field_of(e)
+        if key is not None:
+            off, width = self.space.field(key)
+            m = (1 << width) - 1
+            return lambda s: s >> off & m
+        mask = self.mask
+        if isinstance(e, EConst):
+            v = e.value & mask
+            return lambda s: v
+        if isinstance(e, EArr):
+            decl = self._array(e.name)
+            idx, offs = self.compile_expr(e.index), self._cells(decl)
+            n, m = decl.length, (1 << decl.width) - 1
+            return lambda s: s >> offs[idx(s) % n] & m
+        if isinstance(e, ECall):
+            args = [self.compile_expr(a) for a in e.args]
+            if e.fn in ("min", "max"):
+                pick = min if e.fn == "min" else max
+                return lambda s: pick([a(s) for a in args])
+            table = self.ftables.get(e.fn)
+            if table is None:
+                raise SpaceError(f"unknown function {e.fn!r} (no table declared)")
+            vals, arg = tuple(v & mask for v in table), args[0]
+            n = len(vals)
+            return lambda s: vals[arg(s) % n]
+        a, b = self.compile_expr(e.left), self.compile_expr(e.right)
+        if e.op == "+":
+            return lambda s: (a(s) + b(s)) & mask
+        if e.op == "-":
+            return lambda s: (a(s) - b(s)) & mask
+        if e.op == "*":
+            return lambda s: (a(s) * b(s)) & mask
+
+        def mod(s: int) -> int:
+            x, y = a(s), b(s)
+            return x % y if y else x
+        return mod
+
+    def values(self, e: Expr) -> list[int]:
+        """The value of `e` in every state, in state order."""
+        key = self.field_of(e)
+        if key is None:
+            return list(map(self.compile_expr(e), range(self.space.size)))
+        # a plain field read is a staircase: each value held for 2^off states
+        off, width = self.space.field(key)
+        period = [v for v in range(1 << width) for _ in range(1 << off)]
+        return period * (self.space.size >> (off + width))
+
+    def compile_cond(self, b: BoolExpr) -> Callable[[int], bool]:
+        """`b` as a predicate on states; agrees with `holds`."""
+        if isinstance(b, BConst):
+            v = b.value
+            return lambda s: v
+        if isinstance(b, BCmp):
+            x, y = self.compile_expr(b.left), self.compile_expr(b.right)
+            cmp = CMP_OPS[b.op]
+            return lambda s: cmp(x(s), y(s))
+        if isinstance(b, BNotE):
+            inner = self.compile_cond(b.arg)
+            return lambda s: not inner(s)
+        parts = [self.compile_cond(a) for a in b.args]
+        if isinstance(b, BAndE):
+            return lambda s: all(p(s) for p in parts)
+        return lambda s: any(p(s) for p in parts)
+
+    def compile_action(self, s: Stmt) -> FnAction:
+        """An assignment as an action; agrees with `step`."""
+        if isinstance(s, SArrAssign):
+            decl = self._array(s.name)
+            idx, val = self.compile_expr(s.index), self.compile_expr(s.value)
+            offs, n, m = self._cells(decl), decl.length, (1 << decl.width) - 1
+
+            def store(st: int) -> int:
+                off = offs[idx(st) % n]
+                return (st & ~(m << off)) | ((val(st) & m) << off)
+            return FnAction(self.space, store, det=True)
+        off, width = self.space.field(s.var)
+        m = (1 << width) - 1
+        keep = ~(m << off)
+        if isinstance(s, SHavoc):
+            return FnAction(self.space, lambda st: tuple(
+                (st & keep) | (v << off) for v in range(m + 1)))
+        val = self.compile_expr(s.expr)
+        return FnAction(self.space, lambda st: (st & keep) | ((val(st) & m) << off),
+                        det=True)
+
+    def check_block(self, stmts: Iterable[Stmt]) -> None:
+        """Resolve every name, array and function table a program uses,
+        raising SpaceError for the first that is not declared."""
+        for s in stmts:
+            if isinstance(s, (SAssign, SHavoc, SArrAssign)):
+                self.compile_action(s)
+            elif isinstance(s, SAssume):
+                self.compile_cond(s.cond)
+            elif isinstance(s, SIf):
+                self.compile_cond(s.cond)
+                self.check_block(s.then)
+                self.check_block(s.els)
+            elif isinstance(s, SWhile):
+                self.compile_cond(s.cond)
+                self.check_block(s.body)
+
     # compilation to KAT --------------------------------------------------
 
     def compile_bool(self, b: BoolExpr):
         name = bool_str(b)
         if name not in self.tests:
-            self.tests[name] = TestSem(self.space, pred=lambda st, bb=b: self.holds(bb, st))
+            self.tests[name] = TestSem(self.space, pred=self.compile_cond(b))
         return tprim(name)
 
     def _register_act(self, s: Stmt) -> KatTerm:
         name = stmt_str(s)
         if name not in self.acts:
-            self.acts[name] = FnAction(self.space, lambda st, ss=s: self.step(ss, st))
+            self.acts[name] = self.compile_action(s)
         return kact(name)
 
     def compile_stmt(self, s: Stmt) -> KatTerm:

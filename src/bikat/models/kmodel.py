@@ -2,17 +2,23 @@
 
 Action interpretations are either explicit relation matrices (random models,
 small spaces) or successor functions (compiled programs on larger structured
-spaces).  `interp_kat` is the matrix route; `kat_post` is the worklist image
-route that never materializes a matrix and scales to larger spaces.
+spaces).  `interp_kat` is the matrix route.  The image route never
+materializes a matrix: each action gets a successor table and each test a
+table with one byte per state, both built on first use, and a term is
+compiled once per model into nested closures over those tables.  One walk
+then carries a whole batch of sources, each state tagged with the bitmask of
+the sources that reach it, so sources that meet share the rest of the walk.
+`image` returns per-source images; `kat_post`/`kat_pre` are the image and
+preimage of a state set.
 """
 
 from __future__ import annotations
 
 import random
+from array import array
 from dataclasses import dataclass, field
 from typing import Callable, Iterable
 
-from ..kat.guarded import eval_test
 from ..kat.terms import (Alphabet, KAct, KatTerm, KPlus, KSeq, KStar, KTest,
                          TAnd, TestTerm, TNot, TOne, TOr, TPrim, TZero)
 from .rel import Rel
@@ -25,8 +31,24 @@ class ModelError(Exception):
     pass
 
 
+def state_array(size: int, states: Iterable[int]) -> array:
+    """A flat array of states (or -1) over a space of `size` states, two
+    bytes an entry when the states fit."""
+    return array("h" if size <= 1 << 15 else "i", states)
+
+
 class ActionSem:
-    """Interpretation of one primitive action."""
+    """Interpretation of one primitive action on `size` states.
+
+    `succ_table` is built on first use: a flat `state_array` with -1 for "no
+    successor" when every state has at most one successor, otherwise one
+    tuple of successors per state.  `pred_table` is its converse, one tuple
+    per state, built by one sweep over the successor table."""
+
+    def __init__(self, size: int):
+        self.size = size
+        self._succ: array | list[tuple[int, ...]] | None = None
+        self._preds: list[tuple[int, ...]] | None = None
 
     def succ(self, state: int) -> Iterable[int]:
         raise NotImplementedError
@@ -34,14 +56,38 @@ class ActionSem:
     def rel(self) -> Rel:
         raise NotImplementedError
 
+    def succ_table(self) -> array | list[tuple[int, ...]]:
+        if self._succ is None:
+            rows = [tuple(self.succ(s)) for s in range(self.size)]
+            if all(len(r) <= 1 for r in rows):
+                self._succ = state_array(self.size, [r[0] if r else -1 for r in rows])
+            else:
+                self._succ = rows
+        return self._succ
+
+    def pred_table(self) -> list[tuple[int, ...]]:
+        if self._preds is None:
+            preds: list[list[int]] = [[] for _ in range(self.size)]
+            table = self.succ_table()
+            if isinstance(table, array):
+                for s, t in enumerate(table):
+                    if t >= 0:
+                        preds[t].append(s)
+            else:
+                for s, ts in enumerate(table):
+                    for t in ts:
+                        preds[t].append(s)
+            self._preds = [tuple(p) for p in preds]
+        return self._preds
+
     def pred(self, state: int) -> Iterable[int]:
-        raise NotImplementedError
+        return self.pred_table()[state]
 
 
 class RelAction(ActionSem):
     def __init__(self, r: Rel):
+        super().__init__(r.n)
         self._rel = r
-        self._conv: Rel | None = None
 
     def succ(self, state: int):
         return self._rel.succ(state)
@@ -49,68 +95,79 @@ class RelAction(ActionSem):
     def rel(self) -> Rel:
         return self._rel
 
-    def pred(self, state: int):
-        if self._conv is None:
-            self._conv = self._rel.converse()
-        return self._conv.succ(state)
-
 
 class FnAction(ActionSem):
-    """Successor-function action; converse maps are built by one forward sweep."""
+    """Successor-function action.  `fn` maps a state to an iterable of
+    successors, or with `det` to its one successor."""
 
-    def __init__(self, space: StateSpace, fn: Callable[[int], Iterable[int]]):
+    def __init__(self, space: StateSpace, fn: Callable, det: bool = False):
+        super().__init__(space.size)
         self.space = space
         self.fn = fn
+        self.det = det
         self._rel: Rel | None = None
-        self._preds: dict[int, list[int]] | None = None
 
     def succ(self, state: int):
-        return self.fn(state)
+        return (self.fn(state),) if self.det else self.fn(state)
+
+    def succ_table(self):
+        if self._succ is None and self.det:
+            self._succ = state_array(self.size, map(self.fn, range(self.size)))
+        return super().succ_table()
 
     def rel(self) -> Rel:
         if self._rel is None:
-            n = self.space.size
+            n = self.size
             if n > REL_MATRIX_CAP:
                 raise ModelError(
                     f"relation matrix over {n} states exceeds cap {REL_MATRIX_CAP}")
-            rows = [0] * n
-            for s in range(n):
-                for t in self.fn(s):
-                    rows[s] |= 1 << t
-            self._rel = Rel(n, tuple(rows))
+            table = self.succ_table()
+            if isinstance(table, array):
+                rows = tuple(1 << t if t >= 0 else 0 for t in table)
+            else:
+                rows = tuple(sum(1 << t for t in ts) for ts in table)
+            self._rel = Rel(n, rows)
         return self._rel
 
-    def pred(self, state: int):
-        if self._preds is None:
-            preds: dict[int, list[int]] = {}
-            for s in range(self.space.size):
-                for t in self.fn(s):
-                    preds.setdefault(t, []).append(s)
-            self._preds = preds
-        return self._preds.get(state, ())
+
+_BYTE_BITS = bytes.maketrans(b"\x00\x01", b"01")
+_BIT_BYTES = bytes.maketrans(b"01", b"\x00\x01")
+_FLIP = bytes.maketrans(b"\x00\x01", b"\x01\x00")
+
+
+def table_mask(table: bytes) -> int:
+    """The bitmask (bit s for state s) of a one-byte-per-state table."""
+    return int(table[::-1].translate(_BYTE_BITS) or b"0", 2)
 
 
 class TestSem:
-    """Interpretation of one primitive test: a subset of the state space."""
+    """Interpretation of one primitive test: a subset of the state space,
+    given by a predicate or a bitmask.  `table` holds one byte (0 or 1) per
+    state and is built on first use."""
 
     def __init__(self, space: StateSpace, pred: Callable[[int], bool] | None = None,
                  mask: int | None = None):
         self.space = space
         self._pred = pred
         self._mask = mask
+        self._table: bytes | None = None
+
+    def table(self) -> bytes:
+        if self._table is None:
+            n = self.space.size
+            if self._mask is not None:
+                bits = bin(self._mask)[2:].zfill(n)[::-1][:n]
+                self._table = bits.encode().translate(_BIT_BYTES)
+            else:
+                self._table = bytes(map(self._pred, range(n)))
+        return self._table
 
     def holds(self, state: int) -> bool:
-        if self._mask is not None:
-            return bool(self._mask >> state & 1)
-        return self._pred(state)
+        return self.table()[state] == 1
 
     def mask(self) -> int:
         if self._mask is None:
-            m = 0
-            for s in range(self.space.size):
-                if self._pred(s):
-                    m |= 1 << s
-            self._mask = m
+            self._mask = table_mask(self.table())
         return self._mask
 
 
@@ -120,6 +177,8 @@ class KatModel:
     acts: dict[str, ActionSem]
     tests: dict[str, TestSem]
     meta: dict = field(default_factory=dict)
+    _walkers: dict = field(default_factory=dict, init=False, repr=False,
+                           compare=False)
 
     def act(self, name: str) -> ActionSem:
         try:
@@ -139,25 +198,27 @@ def havoc(space: StateSpace) -> Rel:
     return Rel.full(space.size)
 
 
-def test_mask(m: KatModel, t: TestTerm) -> int:
-    full = (1 << m.space.size) - 1
+def test_table(m: KatModel, t: TestTerm) -> bytes:
+    """One byte (0 or 1) per state: where the test holds."""
+    n = m.space.size
     if isinstance(t, TZero):
-        return 0
+        return bytes(n)
     if isinstance(t, TOne):
-        return full
+        return b"\x01" * n
     if isinstance(t, TPrim):
-        return m.test(t.name).mask()
+        return m.test(t.name).table()
     if isinstance(t, TNot):
-        return full & ~test_mask(m, t.arg)
-    if isinstance(t, TOr):
-        out = 0
-        for a in t.args:
-            out |= test_mask(m, a)
-        return out
-    out = full
-    for a in t.args:
-        out &= test_mask(m, a)
-    return out
+        return test_table(m, t.arg).translate(_FLIP)
+    # bytes are 0 or 1, so bitwise and/or of whole tables works bytewise
+    vals = [int.from_bytes(test_table(m, a), "little") for a in t.args]
+    acc = vals[0]
+    for v in vals[1:]:
+        acc = acc | v if isinstance(t, TOr) else acc & v
+    return acc.to_bytes(n, "little")
+
+
+def test_mask(m: KatModel, t: TestTerm) -> int:
+    return table_mask(test_table(m, t))
 
 
 def test_holds(m: KatModel, t: TestTerm, state: int) -> bool:
@@ -196,67 +257,127 @@ def interp_kat(m: KatModel, t: KatTerm) -> Rel:
     return interp_kat(m, t.arg).star()
 
 
-def kat_post(m: KatModel, t: KatTerm, states: frozenset[int] | set[int]) -> frozenset[int]:
-    """Image of a state set under a term, by structural worklist evaluation."""
-    cur = frozenset(states)
+# A walk maps each reached state to the bitmask of the sources reaching it.
+Tagged = dict[int, int]
+
+# sources per walk: bounds the size of the tag integers
+WALK_SOURCES = 1024
+
+
+def _compile(m: KatModel, t: KatTerm, backward: bool) -> Callable[[Tagged], Tagged]:
     if isinstance(t, KTest):
-        return frozenset(s for s in cur if test_holds(m, t.test, s))
+        table = test_table(m, t.test)
+        return lambda cur: {s: g for s, g in cur.items() if table[s]}
     if isinstance(t, KAct):
         sem = m.act(t.name)
-        out: set[int] = set()
-        for s in cur:
-            out.update(sem.succ(s))
-        return frozenset(out)
+        succ = sem.pred_table() if backward else sem.succ_table()
+        if isinstance(succ, array):
+            def det(cur: Tagged) -> Tagged:
+                out: Tagged = {}
+                get = out.get
+                for s, g in cur.items():
+                    s2 = succ[s]
+                    if s2 >= 0:
+                        out[s2] = get(s2, 0) | g
+                return out
+            return det
+
+        def rel(cur: Tagged) -> Tagged:
+            out: Tagged = {}
+            get = out.get
+            for s, g in cur.items():
+                for s2 in succ[s]:
+                    out[s2] = get(s2, 0) | g
+            return out
+        return rel
     if isinstance(t, KPlus):
-        out = set()
-        for a in t.args:
-            out |= kat_post(m, a, cur)
-        return frozenset(out)
+        parts = [_compile(m, a, backward) for a in t.args]
+
+        def plus(cur: Tagged) -> Tagged:
+            out: Tagged = {}
+            get = out.get
+            for f in parts:
+                for s, g in f(cur).items():
+                    out[s] = get(s, 0) | g
+            return out
+        return plus
     if isinstance(t, KSeq):
-        for a in t.args:
-            cur = kat_post(m, a, cur)
-            if not cur:
-                break
-        return cur
-    # star: worklist closure
-    seen = set(cur)
-    frontier = cur
-    while frontier:
-        nxt = kat_post(m, t.arg, frontier) - seen
-        seen |= nxt
-        frontier = nxt
-    return frozenset(seen)
+        parts = [_compile(m, a, backward)
+                 for a in (reversed(t.args) if backward else t.args)]
+
+        def seq(cur: Tagged) -> Tagged:
+            for f in parts:
+                cur = f(cur)
+                if not cur:
+                    break
+            return cur
+        return seq
+    body = _compile(m, t.arg, backward)
+
+    def star(cur: Tagged) -> Tagged:
+        seen = dict(cur)
+        frontier = cur
+        while frontier:
+            nxt: Tagged = {}
+            for s, g in body(frontier).items():
+                old = seen.get(s, 0)
+                new = g & ~old
+                if new:
+                    seen[s] = old | new
+                    nxt[s] = new
+            frontier = nxt
+        return seen
+    return star
 
 
-def kat_pre(m: KatModel, t: KatTerm, states: frozenset[int] | set[int]) -> frozenset[int]:
+def _walker(m: KatModel, t: KatTerm, backward: bool = False) -> Callable[[Tagged], Tagged]:
+    """The term compiled over the model's tables, once per model."""
+    key = (t, backward)
+    got = m._walkers.get(key)
+    if got is None:
+        got = m._walkers[key] = _compile(m, t, backward)
+    return got
+
+
+def image(m: KatModel, t: KatTerm, sources: Iterable[int],
+          backward: bool = False) -> dict[int, frozenset[int]]:
+    """Per-source images (preimages if `backward`) of distinct sources, from
+    one walk of the term per WALK_SOURCES sources."""
+    walk = _walker(m, t, backward)
+    sources = list(sources)
+    out: dict[int, frozenset[int]] = {}
+    singles: dict[int, frozenset[int]] = {}  # shared one-state images
+    for k in range(0, len(sources), WALK_SOURCES):
+        batch = sources[k:k + WALK_SOURCES]
+        found: list[list[int]] = [[] for _ in batch]
+        for s2, tags in walk({s: 1 << i for i, s in enumerate(batch)}).items():
+            if not tags & (tags - 1):
+                found[tags.bit_length() - 1].append(s2)
+                continue
+            bits = bin(tags)[:1:-1]  # bit i at position i
+            i = bits.find("1")
+            while i >= 0:
+                found[i].append(s2)
+                i = bits.find("1", i + 1)
+        for s, f in zip(batch, found):
+            if len(f) == 1:
+                img = singles.get(f[0])
+                if img is None:
+                    img = singles[f[0]] = frozenset(f)
+                out[s] = img
+            else:
+                out[s] = frozenset(f)
+    return out
+
+
+def kat_post(m: KatModel, t: KatTerm, states: Iterable[int]) -> frozenset[int]:
+    """Image of a state set under a term."""
+    return frozenset(_walker(m, t)(dict.fromkeys(states, 1)))
+
+
+def kat_pre(m: KatModel, t: KatTerm, states: Iterable[int]) -> frozenset[int]:
     """Preimage of a state set under a term (image under the converse)."""
-    cur = frozenset(states)
-    if isinstance(t, KTest):
-        return frozenset(s for s in cur if test_holds(m, t.test, s))
-    if isinstance(t, KAct):
-        sem = m.act(t.name)
-        out: set[int] = set()
-        for s in cur:
-            out.update(sem.pred(s))
-        return frozenset(out)
-    if isinstance(t, KPlus):
-        out = set()
-        for a in t.args:
-            out |= kat_pre(m, a, cur)
-        return frozenset(out)
-    if isinstance(t, KSeq):
-        for a in reversed(t.args):
-            cur = kat_pre(m, a, cur)
-            if not cur:
-                break
-        return cur
-    seen = set(cur)
-    frontier = cur
-    while frontier:
-        nxt = kat_pre(m, t.arg, frontier) - seen
-        seen |= nxt
-        frontier = nxt
-    return frozenset(seen)
+    return frozenset(_walker(m, t, True)(dict.fromkeys(states, 1)))
 
 
 def random_kat_model(

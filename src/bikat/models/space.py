@@ -83,6 +83,17 @@ class StateSpace:
     def width_of(self, name) -> int:
         return self._offsets[name][1]
 
+    def field(self, name) -> tuple[int, int]:
+        """(bit offset, width) of a declared variable or array cell."""
+        try:
+            return self._offsets[name]
+        except KeyError:
+            raise SpaceError(f"undeclared variable or cell {name!r}") from None
+
+    def fields(self) -> list:
+        """Every variable and array-cell key, in bit order."""
+        return list(self._offsets)
+
     def has_field(self, name) -> bool:
         return name in self._offsets
 

@@ -531,25 +531,28 @@ class Problem:
         )
 
 
+_BLOCK_MARK = re.compile(r"[#{}]")
+
+
 def _grab_block(c: Cur) -> str:
     c.expect("{")
     depth = 1
     start = c.i
-    while c.i < len(c.text):
-        ch = c.text[c.i]
-        if ch == "#":
-            nl = c.text.find("\n", c.i)
-            c.i = len(c.text) if nl < 0 else nl
-            continue
-        if ch == "{":
+    m = _BLOCK_MARK.search(c.text, start)
+    while m:
+        pos = m.end()
+        if m.group() == "#":
+            pos = c.text.find("\n", pos)
+            if pos < 0:
+                break
+        elif m.group() == "{":
             depth += 1
-        elif ch == "}":
+        else:
             depth -= 1
             if depth == 0:
-                blob = c.text[start:c.i]
-                c.i += 1
-                return blob
-        c.i += 1
+                c.i = pos
+                return c.text[start:m.start()]
+        m = _BLOCK_MARK.search(c.text, pos)
     raise ParseError("unclosed '{'", start)
 
 
@@ -673,6 +676,12 @@ def load_problem(text: str, name: str = "<problem>",
             prob.selectors[key[-1]] = parser.bitest(entry[1])
         else:
             raise ParseError(f"unknown problem block {key!r}")
+    # a bad program is refused here rather than in the middle of a check
+    programs = [prob.left, prob.right]
+    for h in prob.rel_hyps.values():
+        programs += [h.judgment.left, h.judgment.right]
+    for program in programs:
+        env.check_block(program)
     return prob
 
 

@@ -1,6 +1,11 @@
 """Relational judgment oracles, witnesses, and the triple-space route."""
 
+import os
 import random
+import subprocess
+import sys
+import textwrap
+from pathlib import Path
 
 import pytest
 
@@ -256,6 +261,52 @@ class TestWitnesses:
             if removed[0] not in lefts_rest:
                 assert not rep.conditions["WO"]
             made += 1
+
+
+# Run under `python -O`: a valid witness whose simulation oracle is made to
+# fail must still be refused, because the guard is not an assert.
+_UNSOUND_WITNESS_SCRIPT = textwrap.dedent("""
+    import sys
+    from bikat.bi.terms import BPrim
+    from bikat.judge import JudgeResult, Judgment, RelSpec, RouteDisagreement
+    from bikat.judge import witness
+    from bikat.kat import Alphabet, parse_term
+    from bikat.models import random_bimodel
+
+    kind = sys.argv[1]
+    check, construct, validate = {
+        "fsim": ("check_fsim", witness.construct_fwitness, witness.check_fvalid),
+        "bsim": ("check_bsim", witness.construct_bwitness, witness.check_bvalid),
+    }[kind]
+    alph = Alphabet.make([], ["a", "b"])
+    j = Judgment(kind, parse_term("a", alph), parse_term("b", alph),
+                 RelSpec(BPrim("P"), BPrim("Q")))
+    seed = 0
+    while True:
+        bm = random_bimodel(seed, 4, alph, ("P", "Q"), density=0.5)
+        if getattr(witness, check)(bm, j).holds:
+            break
+        seed += 1
+    w = construct(bm, j)
+    setattr(witness, check, lambda bm, j: JudgeResult(kind, False))
+    try:
+        validate(bm, w, j)
+    except RouteDisagreement as e:
+        print("refused:", e)
+        sys.exit(0)
+    print("accepted")
+    sys.exit(3)
+""")
+
+
+@pytest.mark.parametrize("kind", ["fsim", "bsim"])
+def test_unsound_witness_refused_under_optimize(kind):
+    src = Path(__file__).resolve().parent.parent / "src"
+    env = dict(os.environ, PYTHONPATH=str(src))
+    proc = subprocess.run([sys.executable, "-O", "-c", _UNSOUND_WITNESS_SCRIPT, kind],
+                          env=env, capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stdout + proc.stderr
+    assert "refused: " in proc.stdout
 
 
 class TestTrikat:
