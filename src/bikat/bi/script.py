@@ -12,6 +12,7 @@ from dataclasses import dataclass, field
 from typing import Callable
 
 from ..kat.decide import ZeroHypothesis, kat_equiv
+from ..kat.parse import ParseError
 from ..kat.terms import KatTerm, KPlus, KSeq, KStar, KTest, kplus, kseq, kstar, ktest
 from .laws import LawInstance, expand_conditional, expand_lockstep
 from .rewrite import distribute_embeddings, term_side
@@ -20,6 +21,8 @@ from .terms import (B0, B1, BAnd, BEmbL, BEmbLTest, BEmbR, BEmbRTest,
                     BStar, BTest, BZero, bembl, bembr, bis_one, bisimplify,
                     bplus, bseq, bstar, btest, seq_chain)
 from ..kat.terms import T0, T1, tand, tnot, tor
+from ..models.kmodel import KatModel, kat_post, kat_pre
+from ..models.space import SpaceError
 
 
 def _strip_bitest(t: BiTestTerm):
@@ -60,12 +63,36 @@ class AlignmentScript:
 
 @dataclass
 class ScriptContext:
-    """Name resolution for steps: zero-hypotheses and a KAT term parser."""
+    """Name resolution for steps: zero-hypotheses and a KAT term parser.
+
+    With a `model`, each zero-hypothesis is checked on it when a step first
+    uses it: the term's image of the whole state space must be empty.
+    Without one, a step that uses a hypothesis records it as a proviso."""
 
     hypotheses: dict[str, ZeroHypothesis] = field(default_factory=dict)
     parse_kat: Callable[[str], KatTerm] | None = None
     parse_bitest: Callable[[str], object] | None = None
     parse_test: Callable[[str], object] | None = None
+    model: KatModel | None = None
+    _checked: set[str] = field(default_factory=set, init=False, repr=False)
+
+    def hypothesis(self, name: str) -> ZeroHypothesis:
+        """The named hypothesis, checked on the model on first use."""
+        h = self.hypotheses.get(name)
+        if h is None:
+            raise ScriptError(f"hyp: unknown hypothesis {name!r}")
+        m = self.model
+        if m is not None and name not in self._checked:
+            ends = kat_post(m, h.term, range(m.space.size))
+            if ends:
+                end = min(ends)
+                start = min(kat_pre(m, h.term, (end,)))
+                raise ScriptError(
+                    f"hyp: hypothesis {name!r} is not zero in the model: a run "
+                    f"from {m.space.state_str(start)} reaches "
+                    f"{m.space.state_str(end)}")
+            self._checked.add(name)
+        return h
 
 
 @dataclass(frozen=True)
@@ -87,7 +114,7 @@ class ScriptResult:
 
 
 def child_at(t: BiKatTerm, i: int) -> BiKatTerm:
-    if isinstance(t, (BSeq, BPlus)):
+    if isinstance(t, (BSeq, BPlus)) and 0 <= i < len(t.args):
         return t.args[i]
     if isinstance(t, BStar) and i == 0:
         return t.arg
@@ -104,7 +131,7 @@ def replace_at(t: BiKatTerm, path: tuple[int, ...], new: BiKatTerm) -> BiKatTerm
     if not path:
         return new
     i, rest = path[0], path[1:]
-    if isinstance(t, (BSeq, BPlus)):
+    if isinstance(t, (BSeq, BPlus)) and 0 <= i < len(t.args):
         args = list(t.args)
         args[i] = replace_at(args[i], rest, new)
         return (bseq if isinstance(t, BSeq) else bplus)(*args)
@@ -113,9 +140,24 @@ def replace_at(t: BiKatTerm, path: tuple[int, ...], new: BiKatTerm) -> BiKatTerm
     raise ScriptError(f"path component {i} does not address a child of {t}")
 
 
+def _param(step: Step, key: str) -> str:
+    try:
+        return step.params[key]
+    except KeyError:
+        raise ScriptError(f"missing parameter {key!r}") from None
+
+
+def _int_param(step: Step, key: str, default: int) -> int:
+    raw = step.params.get(key, default)
+    try:
+        return int(raw)
+    except ValueError:
+        raise ScriptError(f"parameter {key!r} is not an integer: {raw!r}") from None
+
+
 def _chain_and_at(t: BiKatTerm, step: Step) -> tuple[tuple[BiKatTerm, ...], int]:
     chain = seq_chain(t)
-    at = int(step.params.get("at", 0))
+    at = _int_param(step, "at", 0)
     if not 0 <= at < len(chain):
         raise ScriptError(f"segment index {at} out of range for chain of {len(chain)}")
     return chain, at
@@ -228,7 +270,7 @@ def apply_step(t: BiKatTerm, step: Step, ctx: ScriptContext) -> tuple[BiKatTerm,
                 instance = LawInstance(law, node, new)
             else:  # hom-seq rev folds a run of same-side factors
                 chain, at = _chain_and_at(node, step)
-                n = int(step.params.get("count", 2))
+                n = _int_param(step, "count", 2)
                 seg = chain[at:at + n]
                 if len(seg) < 2:
                     raise ScriptError("hom-seq rev: segment must have at least two factors")
@@ -273,7 +315,7 @@ def apply_step(t: BiKatTerm, step: Step, ctx: ScriptContext) -> tuple[BiKatTerm,
             target = chain[at]
             if not isinstance(target, BPlus):
                 raise ScriptError(f"{law} rev: factor at {at} is not a sum: {target}")
-            n = int(step.params.get("count", 1))
+            n = _int_param(step, "count", 1)
             arms = [seq_chain(a) for a in target.args]
             if law == "distrib-left":
                 common = arms[0][:n]
@@ -349,17 +391,17 @@ def apply_step(t: BiKatTerm, step: Step, ctx: ScriptContext) -> tuple[BiKatTerm,
     elif law in ("expand-lockstep", "expand-cond"):
         if ctx.parse_test is None or ctx.parse_kat is None:
             raise ScriptError(f"{law}: no term parser available in this context")
-        e = ctx.parse_test(step.params["e"])
-        c = ctx.parse_kat(step.params["c"])
-        e2 = ctx.parse_test(step.params["e2"])
-        c2 = ctx.parse_kat(step.params["c2"])
+        e = ctx.parse_test(_param(step, "e"))
+        c = ctx.parse_kat(_param(step, "c"))
+        e2 = ctx.parse_test(_param(step, "e2"))
+        c2 = ctx.parse_kat(_param(step, "c2"))
         if law == "expand-lockstep":
             instance = expand_lockstep(e, c, e2, c2)
         else:
             if ctx.parse_bitest is None:
                 raise ScriptError("expand-cond: no bitest parser available")
-            q = ctx.parse_bitest(step.params["q"])
-            r = ctx.parse_bitest(step.params["r"])
+            q = ctx.parse_bitest(_param(step, "q"))
+            r = ctx.parse_bitest(_param(step, "r"))
             instance = expand_conditional(e, c, e2, c2, q, r)
         chain, at = _chain_and_at(node, step)
         lhs_chain = seq_chain(bisimplify(instance.lhs))
@@ -369,11 +411,9 @@ def apply_step(t: BiKatTerm, step: Step, ctx: ScriptContext) -> tuple[BiKatTerm,
 
     elif law == "hyp":
         name = step.params.get("name")
-        if name not in ctx.hypotheses:
-            raise ScriptError(f"hyp: unknown hypothesis {name!r}")
+        hterm = ctx.hypothesis(name).term
         side = step.params.get("side", "L")
         emb = bembl if side == "L" else bembr
-        hterm = ctx.hypotheses[name].term
         expected = seq_chain(bisimplify(distribute_embeddings(emb(hterm))))
         chain, at = _chain_and_at(node, step)
         _match_segment(chain, at, expected, f"hyp {name}")
@@ -386,7 +426,7 @@ def apply_step(t: BiKatTerm, step: Step, ctx: ScriptContext) -> tuple[BiKatTerm,
             raise ScriptError(f"kat-subterm: path must address an embedding, found {node}")
         if ctx.parse_kat is None:
             raise ScriptError("kat-subterm: no term parser available in this context")
-        to = ctx.parse_kat(step.params["to"])
+        to = ctx.parse_kat(_param(step, "to"))
         verdict = kat_equiv(node.arg, to)
         if not verdict.is_equal:
             raise ScriptError(
@@ -411,7 +451,7 @@ def check_script(script: AlignmentScript, ctx: ScriptContext) -> ScriptResult:
         before = cur
         try:
             cur, instance = apply_step(cur, step, ctx)
-        except ScriptError as e:
+        except (ScriptError, ParseError, SpaceError) as e:  # a bad step or term
             return ScriptResult(
                 False, before, trace,
                 error=f"step {i + 1} ({step.law} @ {'.'.join(map(str, step.path)) or 'root'}): {e}\n"
@@ -420,6 +460,9 @@ def check_script(script: AlignmentScript, ctx: ScriptContext) -> ScriptResult:
         if instance is not None and instance.star_continuous_only:
             provisos.append(
                 f"step {i + 1} uses {instance.name}, valid in *-continuous models only")
+        if step.law == "hyp" and ctx.model is None:
+            provisos.append(
+                f"step {i + 1} trusts hypothesis {step.params.get('name')!r} unchecked")
         trace.append(StepTrace(step, before, cur, instance))
     goal = bisimplify(script.goal)
     if cur != goal:

@@ -140,12 +140,14 @@ class PostMap:
             self._cache[state] = got
         return got
 
-    def fill(self, states) -> None:
-        """Compute the missing images of a batch of states together."""
+    def fill(self, states) -> dict[int, frozenset[int]]:
+        """Compute the missing images of a batch of states together; the
+        returned cache then holds the image of each of `states`."""
         cache = self._cache
         missing = [s for s in dict.fromkeys(states) if s not in cache]
         if missing:
             cache.update(image(self.model, self.term, missing, self.backward))
+        return cache
 
 
 def post_map(model, term: KatTerm, backward: bool = False) -> PostMap:

@@ -14,7 +14,7 @@ from ..bi.terms import BiKatTerm, bnot, emb_pair
 from ..kat.terms import KatTerm
 from ..models.birel import BiRel, DENSE_SIDE_CAP, pack
 from ..models.bmodel import BiModel, bitest_subid, interp_bikat
-from ..models.kmodel import REL_MATRIX_CAP, interp_kat
+from ..models.kmodel import REL_MATRIX_CAP, WALK_SOURCES, interp_kat
 from ..models.rel import Rel
 from .core import (Counterexample, EnumRefused, Judgment, PairSpec,
                    PostMap, pair_spec, post_map)
@@ -39,18 +39,24 @@ def _spec_views(bm: BiModel, j: Judgment) -> tuple[PairSpec, PairSpec]:
     return pair_spec(bm, j.spec.pre), pair_spec(bm, j.spec.post)
 
 
-def _pre_pairs(r: PairSpec, cpost: PostMap, dpost: PostMap):
-    """The pre pairs in order.  The images of their states are computed a
-    chunk at a time, the chunks doubling from 64 pairs, so that a check that
-    stops at an early counterexample computes few images."""
+def _pre_chunks(r: PairSpec, cpost: PostMap, dpost: PostMap,
+                most: int | None = None):
+    """The pre pairs in order, a chunk at a time, with the images of their
+    states computed.  Chunks double from 64 pairs (up to `most`), so that a
+    check that stops at an early counterexample computes few images."""
     pairs, i, size = r.pairs(), 0, 64
     while i < len(pairs):
         chunk = pairs[i:i + size]
         cpost.fill(a for a, _ in chunk)
         dpost.fill(b for a, b in chunk if cpost[a])
-        yield from chunk
+        yield chunk
         i += size
-        size *= 2
+        size = size * 2 if most is None else min(size * 2, most)
+
+
+def _pre_pairs(r: PairSpec, cpost: PostMap, dpost: PostMap):
+    for chunk in _pre_chunks(r, cpost, dpost):
+        yield from chunk
 
 
 def check_allall(bm: BiModel, j: Judgment) -> JudgeResult:
@@ -130,23 +136,30 @@ def _allall_equational(bm, j, r: PairSpec, s: PairSpec, cpost, dpost) -> bool | 
 
 
 def check_adequacy(bm: BiModel, pre, c: KatTerm, d: KatTerm, b: BiKatTerm) -> JudgeResult:
-    """R;<c|d> <= R;B: the aligned term covers all run pairs from the pre."""
-    from .witness import term_image  # local import: witness builds on oracles' types
+    """R;<c|d> <= R;B: the aligned term covers all run pairs from the pre.
+
+    The pre pairs are taken in chunks (64, 128, ... up to WALK_SOURCES).  For
+    the pairs of a chunk from which both programs have runs, the images of
+    the aligned term come from one compiled pair-state walk
+    (`witness.term_image`), and the check stops at the first run pair that
+    they do not cover."""
+    from . import witness  # local import: witness builds on oracles' types
     r = pair_spec(bm, pre)
     cpost = post_map(bm.base, c)
     dpost = post_map(bm.base, d)
-    sources = r.pairs()
-    images = term_image(bm, b, sources)
-    for (a, b2) in sources:
-        covered = images.get((a, b2), frozenset())
-        for t in cpost[a]:
-            for t2 in dpost[b2]:
-                if (t, t2) not in covered:
-                    return JudgeResult(
-                        "adequacy", False,
-                        Counterexample("adequacy", (a, b2, t, t2),
-                                       f"run pair from {r.render_pair(a, b2)} to "
-                                       f"{r.render_pair(t, t2)} not covered"))
+    for chunk in _pre_chunks(r, cpost, dpost, WALK_SOURCES):
+        sources = [(a, b2) for a, b2 in chunk if cpost[a] and dpost[b2]]
+        images = witness.term_image(bm, b, sources)
+        for (a, b2) in sources:
+            covered = images[(a, b2)]
+            for t in cpost[a]:
+                for t2 in dpost[b2]:
+                    if (t, t2) not in covered:
+                        return JudgeResult(
+                            "adequacy", False,
+                            Counterexample("adequacy", (a, b2, t, t2),
+                                           f"run pair from {r.render_pair(a, b2)} to "
+                                           f"{r.render_pair(t, t2)} not covered"))
     return JudgeResult("adequacy", True)
 
 
@@ -293,19 +306,24 @@ def check_existsexists(bm: BiModel, j: Judgment) -> JudgeResult:
 
 
 def check_incorrectness(bm: BiModel, j: Judgment) -> JudgeResult:
-    """Right-program reachability underapproximation, as backward simulation
-    with a skip left program; cross-checked against direct image computation."""
+    """Incorrectness, decided as backward simulation on the same programs and
+    spec: for every left run a -> t and every t2 post-related to t, some
+    right run ends in t2 from a state pre-related to a.  The result is
+    `check_bsim`'s, with its pointwise and point-free routes; no other route
+    is computed."""
     sub = check_bsim(bm, Judgment("bsim", j.left, j.right, j.spec))
-    res = JudgeResult("incorrectness", sub.holds, sub.counterexample, dict(sub.routes))
-    return res
+    return JudgeResult("incorrectness", sub.holds, sub.counterexample, dict(sub.routes))
+
+
+ORACLES = {
+    "allall": check_allall,
+    "fsim": check_fsim,
+    "bsim": check_bsim,
+    "existsforall": check_existsforall,
+    "existsexists": check_existsexists,
+    "incorrectness": check_incorrectness,
+}
 
 
 def dispatch(bm: BiModel, j: Judgment) -> JudgeResult:
-    return {
-        "allall": check_allall,
-        "fsim": check_fsim,
-        "bsim": check_bsim,
-        "existsforall": check_existsforall,
-        "existsexists": check_existsexists,
-        "incorrectness": check_incorrectness,
-    }[j.kind](bm, j)
+    return ORACLES[j.kind](bm, j)

@@ -1,10 +1,16 @@
-"""Alignment witnesses: source-driven evaluation, validity, and synthesis.
+"""Alignment witnesses: compiled pair-state evaluation, validity, and synthesis.
 
 A witness is either a term (possibly with chooser bitests) or a concrete pair
-relation.  Term evaluation is source-driven and sparse: images are computed
-only from the pairs the validity conditions quantify over (forward from the
-pre-relation, backward from the post-relation), so structured spaces with a
-few thousand states per side stay tractable.
+relation.  A witness term is compiled once per model into closures over pair
+states p = a * n + b, as `models.kmodel` compiles a KAT term over states, and
+one walk carries a batch of up to WALK_SOURCES sources: each reached pair is
+tagged with the bitmask of the sources that reach it.  Tests filter pairs
+through `compile_pred`; an embedded action first fills its `PostMap` with the
+distinct left (or right) states of the frontier, then reads one image per
+pair.  Images are computed only from the pairs the validity conditions
+quantify over (forward from the pre-relation, backward from the
+post-relation), so structured spaces with thousands of states per side stay
+tractable.
 
 Validity conditions, with hav the full relation of the ambient full model:
 
@@ -20,12 +26,10 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-from ..bi.terms import (BEmbL, BEmbR, BiKatTerm, BPlus, BSeq, BStar, BTest)
-from ..kat.terms import KatTerm
-from ..models.bmodel import BiModel, bitest_holds
-from ..models.kmodel import kat_post, kat_pre
-from .core import (Counterexample, Judgment, PairSpec, PostMap, RelSpec,
-                   pair_spec, post_map)
+from ..bi.terms import BEmbL, BEmbR, BiKatTerm, BPlus, BSeq, BTest
+from ..models.bmodel import BiModel
+from ..models.kmodel import Tagged, Walk, walk_plus, walk_seq, walk_sources, walk_star
+from .core import Counterexample, Judgment, compile_pred, pair_spec, post_map
 from .oracles import JudgeResult, RouteDisagreement, check_bsim, check_fsim
 
 Pair = tuple[int, int]
@@ -56,69 +60,73 @@ Witness = BiKatTerm | RelWitness
 
 
 def term_image(bm: BiModel, w: BiKatTerm, sources) -> ImageMap:
-    """Per-source images of a witness term, computed structurally."""
-    cur: ImageMap = {s: frozenset((s,)) for s in sources}
-    return _apply(bm, w, cur, backward=False)
+    """Per-source images of a witness term: a frozenset of pairs for each
+    distinct source pair."""
+    return _pair_images(bm, w, sources, backward=False)
 
 
 def term_preimage(bm: BiModel, w: BiKatTerm, targets) -> ImageMap:
     """Per-target preimages (images under the converse)."""
-    cur: ImageMap = {t: frozenset((t,)) for t in targets}
-    return _apply(bm, w, cur, backward=True)
+    return _pair_images(bm, w, targets, backward=True)
 
 
-def _apply(bm: BiModel, w: BiKatTerm, cur: ImageMap, backward: bool) -> ImageMap:
+def _pair_images(bm: BiModel, w: BiKatTerm, sources, backward: bool) -> ImageMap:
+    n = bm.space.size
+    walk = _pair_walker(bm, w, backward)
+    packed = list(dict.fromkeys(a * n + b for a, b in sources))
+    return {divmod(p, n): frozenset(divmod(q, n) for q in found)
+            for p, found in walk_sources(walk, packed)}
+
+
+def _pair_walker(bm: BiModel, w: BiKatTerm, backward: bool) -> Walk:
+    """The witness term compiled over pair states, once per model."""
+    key = (w, backward)
+    got = bm._walkers.get(key)
+    if got is None:
+        got = bm._walkers[key] = _compile_pairs(bm, w, backward)
+    return got
+
+
+def _compile_pairs(bm: BiModel, w: BiKatTerm, backward: bool) -> Walk:
+    n = bm.space.size
     if isinstance(w, BTest):
-        from .core import compile_pred
         pred = compile_pred(bm, w.test)
-        return {src: kept for src, pairs in cur.items()
-                if (kept := frozenset(p for p in pairs if pred(p[0], p[1])))}
+        return lambda cur: {p: g for p, g in cur.items() if pred(*divmod(p, n))}
     if isinstance(w, BEmbL):
         step = post_map(bm.base, w.arg, backward=backward)
-        return _map_side(cur, step, left=True)
+
+        def left(cur: Tagged) -> Tagged:
+            post = step.fill({p // n for p in cur})
+            out: Tagged = {}
+            get = out.get
+            for p, g in cur.items():
+                a, b = divmod(p, n)
+                for t in post[a]:
+                    q = t * n + b
+                    out[q] = get(q, 0) | g
+            return out
+        return left
     if isinstance(w, BEmbR):
         step = post_map(bm.base, w.arg, backward=backward)
-        return _map_side(cur, step, left=False)
+
+        def right(cur: Tagged) -> Tagged:
+            post = step.fill({p % n for p in cur})
+            out: Tagged = {}
+            get = out.get
+            for p, g in cur.items():
+                b = p % n
+                row = p - b
+                for t in post[b]:
+                    q = row + t
+                    out[q] = get(q, 0) | g
+            return out
+        return right
     if isinstance(w, BPlus):
-        out: dict[Pair, set[Pair]] = {}
-        for a in w.args:
-            for src, pairs in _apply(bm, a, cur, backward).items():
-                out.setdefault(src, set()).update(pairs)
-        return {k: frozenset(v) for k, v in out.items()}
+        return walk_plus([_compile_pairs(bm, a, backward) for a in w.args])
     if isinstance(w, BSeq):
-        args = reversed(w.args) if backward else w.args
-        for a in args:
-            cur = _apply(bm, a, cur, backward)
-            if not cur:
-                break
-        return cur
-    # star: accumulate per-source reachable sets to a fixpoint
-    acc = {src: set(pairs) for src, pairs in cur.items()}
-    frontier = {src: pairs for src, pairs in cur.items()}
-    while frontier:
-        stepped = _apply(bm, w.arg, frontier, backward)
-        nxt: ImageMap = {}
-        for src, pairs in stepped.items():
-            new = pairs - acc.get(src, set())
-            if new:
-                acc.setdefault(src, set()).update(new)
-                nxt[src] = frozenset(new)
-        frontier = nxt
-    return {k: frozenset(v) for k, v in acc.items()}
-
-
-def _map_side(cur: ImageMap, step: PostMap, left: bool) -> ImageMap:
-    out: ImageMap = {}
-    for src, pairs in cur.items():
-        acc: set[Pair] = set()
-        for (a, b) in pairs:
-            if left:
-                acc.update((t, b) for t in step[a])
-            else:
-                acc.update((a, t) for t in step[b])
-        if acc:
-            out[src] = frozenset(acc)
-    return out
+        return walk_seq([_compile_pairs(bm, a, backward)
+                         for a in (reversed(w.args) if backward else w.args)])
+    return walk_star(_compile_pairs(bm, w.arg, backward))
 
 
 def _witness_image(bm: BiModel, w: Witness, sources) -> ImageMap:

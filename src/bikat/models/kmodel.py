@@ -8,6 +8,8 @@ table with one byte per state, both built on first use, and a term is
 compiled once per model into nested closures over those tables.  One walk
 then carries a whole batch of sources, each state tagged with the bitmask of
 the sources that reach it, so sources that meet share the rest of the walk.
+The combinators `walk_plus`, `walk_seq` and `walk_star` and the batch driver
+`walk_sources` are shared with the pair-state walker of BiKAT witness terms.
 `image` returns per-source images; `kat_post`/`kat_pre` are the image and
 preimage of a state set.
 """
@@ -17,7 +19,7 @@ from __future__ import annotations
 import random
 from array import array
 from dataclasses import dataclass, field
-from typing import Callable, Iterable
+from typing import Callable, Iterable, Iterator
 
 from ..kat.terms import (Alphabet, KAct, KatTerm, KPlus, KSeq, KStar, KTest,
                          TAnd, TestTerm, TNot, TOne, TOr, TPrim, TZero)
@@ -259,12 +261,55 @@ def interp_kat(m: KatModel, t: KatTerm) -> Rel:
 
 # A walk maps each reached state to the bitmask of the sources reaching it.
 Tagged = dict[int, int]
+Walk = Callable[[Tagged], Tagged]
 
 # sources per walk: bounds the size of the tag integers
 WALK_SOURCES = 1024
 
 
-def _compile(m: KatModel, t: KatTerm, backward: bool) -> Callable[[Tagged], Tagged]:
+def walk_plus(parts: list[Walk]) -> Walk:
+    """The union of the walks' results, tags ORed per state."""
+    def plus(cur: Tagged) -> Tagged:
+        out: Tagged = {}
+        get = out.get
+        for f in parts:
+            for s, g in f(cur).items():
+                out[s] = get(s, 0) | g
+        return out
+    return plus
+
+
+def walk_seq(parts: list[Walk]) -> Walk:
+    """The walks in order, stopping once nothing is reached."""
+    def seq(cur: Tagged) -> Tagged:
+        for f in parts:
+            cur = f(cur)
+            if not cur:
+                break
+        return cur
+    return seq
+
+
+def walk_star(body: Walk) -> Walk:
+    """The reflexive-transitive closure: only the tags new at a state are
+    walked again."""
+    def star(cur: Tagged) -> Tagged:
+        seen = dict(cur)
+        frontier = cur
+        while frontier:
+            nxt: Tagged = {}
+            for s, g in body(frontier).items():
+                old = seen.get(s, 0)
+                new = g & ~old
+                if new:
+                    seen[s] = old | new
+                    nxt[s] = new
+            frontier = nxt
+        return seen
+    return star
+
+
+def _compile(m: KatModel, t: KatTerm, backward: bool) -> Walk:
     if isinstance(t, KTest):
         table = test_table(m, t.test)
         return lambda cur: {s: g for s, g in cur.items() if table[s]}
@@ -291,46 +336,14 @@ def _compile(m: KatModel, t: KatTerm, backward: bool) -> Callable[[Tagged], Tagg
             return out
         return rel
     if isinstance(t, KPlus):
-        parts = [_compile(m, a, backward) for a in t.args]
-
-        def plus(cur: Tagged) -> Tagged:
-            out: Tagged = {}
-            get = out.get
-            for f in parts:
-                for s, g in f(cur).items():
-                    out[s] = get(s, 0) | g
-            return out
-        return plus
+        return walk_plus([_compile(m, a, backward) for a in t.args])
     if isinstance(t, KSeq):
-        parts = [_compile(m, a, backward)
-                 for a in (reversed(t.args) if backward else t.args)]
-
-        def seq(cur: Tagged) -> Tagged:
-            for f in parts:
-                cur = f(cur)
-                if not cur:
-                    break
-            return cur
-        return seq
-    body = _compile(m, t.arg, backward)
-
-    def star(cur: Tagged) -> Tagged:
-        seen = dict(cur)
-        frontier = cur
-        while frontier:
-            nxt: Tagged = {}
-            for s, g in body(frontier).items():
-                old = seen.get(s, 0)
-                new = g & ~old
-                if new:
-                    seen[s] = old | new
-                    nxt[s] = new
-            frontier = nxt
-        return seen
-    return star
+        return walk_seq([_compile(m, a, backward)
+                         for a in (reversed(t.args) if backward else t.args)])
+    return walk_star(_compile(m, t.arg, backward))
 
 
-def _walker(m: KatModel, t: KatTerm, backward: bool = False) -> Callable[[Tagged], Tagged]:
+def _walker(m: KatModel, t: KatTerm, backward: bool = False) -> Walk:
     """The term compiled over the model's tables, once per model."""
     key = (t, backward)
     got = m._walkers.get(key)
@@ -339,14 +352,9 @@ def _walker(m: KatModel, t: KatTerm, backward: bool = False) -> Callable[[Tagged
     return got
 
 
-def image(m: KatModel, t: KatTerm, sources: Iterable[int],
-          backward: bool = False) -> dict[int, frozenset[int]]:
-    """Per-source images (preimages if `backward`) of distinct sources, from
-    one walk of the term per WALK_SOURCES sources."""
-    walk = _walker(m, t, backward)
-    sources = list(sources)
-    out: dict[int, frozenset[int]] = {}
-    singles: dict[int, frozenset[int]] = {}  # shared one-state images
+def walk_sources(walk: Walk, sources: list[int]) -> Iterator[tuple[int, list[int]]]:
+    """(source, the states the walk reaches from it) for each of `sources`,
+    in order, from one tagged walk per WALK_SOURCES sources."""
     for k in range(0, len(sources), WALK_SOURCES):
         batch = sources[k:k + WALK_SOURCES]
         found: list[list[int]] = [[] for _ in batch]
@@ -359,14 +367,22 @@ def image(m: KatModel, t: KatTerm, sources: Iterable[int],
             while i >= 0:
                 found[i].append(s2)
                 i = bits.find("1", i + 1)
-        for s, f in zip(batch, found):
-            if len(f) == 1:
-                img = singles.get(f[0])
-                if img is None:
-                    img = singles[f[0]] = frozenset(f)
-                out[s] = img
-            else:
-                out[s] = frozenset(f)
+        yield from zip(batch, found)
+
+
+def image(m: KatModel, t: KatTerm, sources: Iterable[int],
+          backward: bool = False) -> dict[int, frozenset[int]]:
+    """Per-source images (preimages if `backward`) of distinct sources."""
+    out: dict[int, frozenset[int]] = {}
+    singles: dict[int, frozenset[int]] = {}  # shared one-state images
+    for s, f in walk_sources(_walker(m, t, backward), list(sources)):
+        if len(f) == 1:
+            img = singles.get(f[0])
+            if img is None:
+                img = singles[f[0]] = frozenset(f)
+            out[s] = img
+        else:
+            out[s] = frozenset(f)
     return out
 
 

@@ -37,6 +37,7 @@ from .bi.terms import (BT1, BiKatTerm, BiTestTerm, band, bembl, bembr, bnot,
                        bor, bplus, bseq, bstar, btest, emb_pair, BEmbLTest,
                        BEmbRTest)
 from .judge.core import ExprBitest, Judgment, RelSpec
+from .judge.oracles import ORACLES
 from .kat.decide import ZeroHypothesis
 from .kat.parse import ParseError
 from .kat.terms import KatTerm, TestTerm, kplus, kseq, kstar, ktest, tnot
@@ -528,6 +529,7 @@ class Problem:
             parse_kat=p.kat,
             parse_bitest=p.bitest,
             parse_test=p.test,
+            model=self.bm.base,
         )
 
 
@@ -645,7 +647,7 @@ def load_problem(text: str, name: str = "<problem>",
     for entry in raw:
         key = entry[0]
         if key == "kind":
-            prob.kind = entry[1]
+            prob.kind = _judgment_kind(entry[1])
         elif key == "expect":
             prob.expects.append(entry[1])
         elif key == "left":
@@ -662,7 +664,7 @@ def load_problem(text: str, name: str = "<problem>",
             prob.zero_hyps[entry[1]] = ZeroHypothesis(entry[1], parser.kat(entry[2]))
         elif key == "relhyp":
             prob.rel_hyps[entry[1]] = RelHypothesis(
-                entry[1], _parse_relhyp(entry[3], entry[2], parser))
+                entry[1], _parse_relhyp(entry[3], _judgment_kind(entry[2]), parser))
         elif key == "implhyp":
             prob.impl_hyps[entry[1]] = ImplicationHypothesis(
                 entry[1], parser.bitest(entry[2]), parser.bitest(entry[3]))
@@ -683,6 +685,12 @@ def load_problem(text: str, name: str = "<problem>",
     for program in programs:
         env.check_block(program)
     return prob
+
+
+def _judgment_kind(word: str) -> str:
+    if word not in ORACLES:
+        raise ParseError(f"unknown kind {word!r}; known kinds: " + ", ".join(ORACLES))
+    return word
 
 
 def _parse_relhyp(blob: str, kind: str, parser: ImpTermParser) -> RhlJudgment:

@@ -1,7 +1,11 @@
 """Embeddings, commutation normal form, laws, encoding, and scripts."""
 
 import random
+import re
+import textwrap
+from pathlib import Path
 
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -14,6 +18,7 @@ from bikat.bi.script import AlignmentScript, ScriptContext
 from bikat.bi.terms import BPrim, btest
 from bikat.kat import Alphabet, ZeroHypothesis, kact, kseq, kstar, ktest, parse_term, tprim
 from bikat.models import interp_bikat, random_bimodel
+from bikat.problem import load_problem
 
 from gen import random_bikat
 
@@ -275,3 +280,80 @@ class TestScripts:
                 if tr.instance is not None:
                     assert interp_bikat(bm, tr.instance.lhs) == \
                         interp_bikat(bm, tr.instance.rhs)
+
+
+CORPUS = Path(__file__).resolve().parent.parent / "src" / "bikat" / "corpus"
+
+
+def with_steps(stem: str, steps: str) -> str:
+    """A corpus problem with its script steps replaced."""
+    text = (CORPUS / f"{stem}.prob").read_text()
+    new, n = re.subn(r"steps \{.*?\n  \}", lambda _: f"steps {{\n    {steps}\n  }}",
+                     text, flags=re.S)
+    assert n == 1
+    return new
+
+
+@pytest.mark.parametrize("step,message", [
+    ("expand-lockstep @ root (at: 0)", "missing parameter 'e'"),
+    ("lrc @ root (at: x)", "parameter 'at' is not an integer"),
+    ("lrc @ 7.3", "no child 7"),
+    ("hom-seq @ 99", "no child 99"),
+])
+def test_bad_step_parameters_reject_the_script(step, message):
+    prob = load_problem(with_steps("factorial-ni", step))
+    res = check_script(prob.script(), prob.script_context())
+    assert not res.accepted and res.failed_step == 0
+    assert res.error.startswith(f"step 1 ({step.split()[0]} @ ")
+    assert message in res.error
+
+
+def test_bad_term_in_step_parameter_rejects_the_script():
+    prob = load_problem(with_steps(
+        "factorial-ni", "expand-lockstep @ root (at: 4, e: [zz != 0], c: skip, "
+        "e2: [i != 0], c2: skip)"))
+    res = check_script(prob.script(), prob.script_context())
+    assert not res.accepted and "undeclared variable or cell 'zz'" in res.error
+
+
+class TestZeroHypotheses:
+    BOGUS = textwrap.dedent("""\
+        width 2; vars x;
+        left  { if (x == 0) { x := 1; } else { skip; } }
+        right { if (x == 0) { x := 1; } else { skip; } }
+        kind allall;
+        pre  { [x == x] }
+        post { [x == x] }
+        hyp bogus { [x == 0] ; x := 1 }
+        script {
+          steps {
+            hom-plus @ 0
+            distrib-right @ root (at: 0)
+            hom-seq @ 1.0
+            hyp @ 0 (at: 0, name: bogus, side: L)
+          }
+          goal { !L[x == 0] ; [![x == 0] + [x == 0] ; x := 1> }
+        }
+    """)
+
+    def test_false_hypothesis_is_rejected_with_an_escaping_state(self):
+        prob = load_problem(self.BOGUS)
+        res = check_script(prob.script(), prob.script_context())
+        assert not res.accepted and res.failed_step == 3
+        assert "hypothesis 'bogus' is not zero" in res.error
+        assert "from {x=0} reaches {x=1}" in res.error
+
+    def test_without_a_model_the_hypothesis_is_a_proviso(self):
+        prob = load_problem(self.BOGUS)
+        ctx = prob.script_context()
+        ctx.model = None
+        res = check_script(prob.script(), ctx)
+        assert res.accepted, res.error
+        assert res.provisos == ["step 4 trusts hypothesis 'bogus' unchecked"]
+
+    def test_true_hypothesis_is_checked_and_used(self):
+        prob = load_problem((CORPUS / "simple-sum.prob").read_text())
+        ctx = prob.script_context()
+        res = check_script(prob.script(), ctx)
+        assert res.accepted and not res.provisos
+        assert ctx._checked == {"init_exits"}

@@ -10,6 +10,7 @@ from bikat.judge import ExprBitest, PairSpec, dispatch
 from bikat.models import (ImpEnv, SAssign, SHavoc, SIf, SSkip, SWhile,
                           bitest_holds, interp_kat, kat_post, kat_pre, compile_imp)
 from bikat.models.kmodel import image
+from bikat.kat.parse import ParseError
 from bikat.models.space import SpaceError, StateSpace, VarDecl, ArrayDecl
 from bikat.problem import Cur, load_problem, parse_block, parse_bool, parse_stmts_text
 from bikat.rhl import rename_program
@@ -261,3 +262,12 @@ class TestProblemFiles:
         with pytest.raises(SpaceError):
             load_problem(f"width 2; {decls}\nleft {{ {left} }} right {{ skip; }}\n"
                          "kind allall; pre { true } post { true }")
+
+    @pytest.mark.parametrize("decl", [
+        "kind foo;",
+        "relhyp h foo { left { skip; } right { skip; } pre { true } post { true } }",
+    ])
+    def test_unknown_kind_refused_at_load(self, decl):
+        with pytest.raises(ParseError, match="unknown kind 'foo'; known kinds: allall, "):
+            load_problem("width 2; vars x;\nleft { skip; } right { skip; }\n"
+                         f"{decl} pre {{ true }} post {{ true }}")

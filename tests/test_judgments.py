@@ -342,3 +342,171 @@ class TestTrikat:
         for bm, j in rand_instances("fsim", 60, size=3):
             check_fsim_via_trikat(bm, j)  # raises on disagreement
             check_bsim_via_trikat(bm, Judgment("bsim", j.left, j.right, j.spec))
+
+
+def reference_image(bm, w, pairs, backward=False):
+    """The pairs a witness term reaches from a set of pairs (from which it
+    is reached if `backward`): a plain set recursion with the bitest
+    interpreter, independent of the compiled pair walker."""
+    from bikat.bi.terms import BEmbL, BEmbR, BPlus, BSeq, BTest
+    from bikat.models import bitest_holds, kat_post, kat_pre
+    step = kat_pre if backward else kat_post
+    if isinstance(w, BTest):
+        return frozenset(p for p in pairs if bitest_holds(bm, w.test, *p))
+    if isinstance(w, BEmbL):
+        return frozenset((t, b) for a, b in pairs for t in step(bm.base, w.arg, (a,)))
+    if isinstance(w, BEmbR):
+        return frozenset((a, t) for a, b in pairs for t in step(bm.base, w.arg, (b,)))
+    if isinstance(w, BPlus):
+        return frozenset().union(*(reference_image(bm, x, pairs, backward)
+                                   for x in w.args))
+    if isinstance(w, BSeq):
+        for x in (reversed(w.args) if backward else w.args):
+            pairs = reference_image(bm, x, pairs, backward)
+        return frozenset(pairs)
+    seen, frontier = set(pairs), set(pairs)
+    while frontier:
+        frontier = set(reference_image(bm, w.arg, frontier, backward)) - seen
+        seen |= frontier
+    return frozenset(seen)
+
+
+class TestPairWalker:
+    """term_image/term_preimage (one compiled pair-state walk per batch of
+    sources) against the dense pair-relation semantics and a per-source
+    reference."""
+
+    @staticmethod
+    def node_kinds(w, out):
+        from bikat.bi.terms import BPlus, BSeq, BStar
+        out.add(type(w).__name__)
+        if isinstance(w, (BPlus, BSeq)):
+            for x in w.args:
+                TestPairWalker.node_kinds(x, out)
+        elif isinstance(w, BStar):
+            TestPairWalker.node_kinds(w.arg, out)
+        return out
+
+    def test_images_match_dense_semantics_on_random_models(self):
+        from bikat.judge import term_image, term_preimage
+        from bikat.models import interp_bikat, pack, unpack
+        rng = random.Random(7)
+        kinds = set()
+        for seed in range(40):
+            size = rng.randint(1, 8)
+            bm = random_bimodel(seed, size, ALPH, ("P", "Q"))
+            w = random_bikat(rng, ALPH, ("P", "Q"), depth=3)
+            self.node_kinds(w, kinds)
+            rel = interp_bikat(bm, w)
+            back = rel.converse()
+            pairs = [(a, b) for a in range(size) for b in range(size)]
+            images, preimages = term_image(bm, w, pairs), term_preimage(bm, w, pairs)
+            assert set(images) == set(preimages) == set(pairs)
+            for a, b in pairs:
+                p = pack(size, a, b)
+                assert images[(a, b)] == {unpack(size, q) for q in rel.targets(p)}, (seed, w)
+                assert preimages[(a, b)] == {unpack(size, q) for q in back.targets(p)}, (seed, w)
+        assert {"BStar", "BPlus", "BSeq", "BTest", "BEmbL", "BEmbR"} <= kinds
+
+    def test_batches_of_sources_give_per_source_images(self, monkeypatch):
+        # tiny walks force several batches per call; images must not change
+        from bikat.judge import term_image
+        from bikat.models import kmodel
+        rng = random.Random(3)
+        bm = random_bimodel(5, 6, ALPH, ("P", "Q"))
+        w = random_bikat(rng, ALPH, ("P", "Q"), depth=3)
+        pairs = [(a, b) for a in range(6) for b in range(6)]
+        whole = term_image(bm, w, pairs)
+        monkeypatch.setattr(kmodel, "WALK_SOURCES", 5)
+        assert term_image(bm, w, pairs) == whole
+
+    @pytest.mark.parametrize("name", ["double-square", "factorial-ni", "simple-sum"])
+    def test_corpus_goals_match_dense_semantics(self, name):
+        from bikat.judge import term_image, term_preimage
+        from bikat.models import interp_bikat, pack, unpack
+        path = Path(__file__).resolve().parent.parent / "src/bikat/corpus" / f"{name}.prob"
+        prob = load_problem(path.read_text(), name, width_override=2)
+        bm, w, n = prob.bm, prob.script_goal, prob.bm.space.size
+        assert n <= 64
+        rel = interp_bikat(bm, w)
+        back = rel.converse()
+        pairs = [(a, b) for a in range(n) for b in range(n)]
+        images, preimages = term_image(bm, w, pairs), term_preimage(bm, w, pairs)
+        for a, b in pairs:
+            p = pack(n, a, b)
+            assert images[(a, b)] == {unpack(n, q) for q in rel.targets(p)}
+            assert preimages[(a, b)] == {unpack(n, q) for q in back.targets(p)}
+
+    @pytest.mark.parametrize("name", ["array-insert", "loop-tiling"])
+    def test_wide_corpus_goals_match_reference(self, name):
+        # these declare field widths, so no width override brings them to 64
+        # states; sampled sources are compared with the per-source reference
+        from bikat.judge import term_image, term_preimage
+        from bikat.judge.core import pair_spec
+        path = Path(__file__).resolve().parent.parent / "src/bikat/corpus" / f"{name}.prob"
+        prob = load_problem(path.read_text(), name)
+        bm, w = prob.bm, prob.script_goal
+        rng = random.Random(11)
+        pre = pair_spec(bm, prob.pre).pairs()
+        sources = rng.sample(pre, min(48, len(pre)))
+        images = term_image(bm, w, sources)
+        for src in sources:
+            assert images[src] == reference_image(bm, w, {src})
+        # a preimage here holds every initial array content, so a few suffice
+        targets = sorted({t for src in sources for t in images[src]})[:3]
+        preimages = term_preimage(bm, w, targets)
+        for t in targets:
+            assert preimages[t] == reference_image(bm, w, {t}, backward=True)
+
+
+class TestAdequacyEarlyStop:
+    PROBLEM = textwrap.dedent("""\
+        width 3; vars x y z;
+        left  { x := x + 1; }
+        right { x := x + 1; }
+        kind allall;
+        pre  { [x == x] & [y == y] & [z == z] }
+        post { [x == x] }
+    """)
+    # covers every run pair except the one from x = 0, y = 7, z = 7
+    GOAL = "(L[x != 0] + L[y != 7] + L[z != 7]) ; <x := x + 1] ; [x := x + 1>"
+
+    def test_uncovered_pair_after_the_first_chunk_replays(self):
+        from bikat.judge.core import pair_spec
+        from bikat.models import kat_post
+        prob = load_problem(self.PROBLEM)
+        bm, j = prob.bm, prob.judgment()
+        goal = prob.parser.bikat(self.GOAL)
+        res = check_adequacy(bm, j.spec.pre, j.left, j.right, goal)
+        assert not res.holds
+        a, b, t, t2 = res.counterexample.states
+        pre = pair_spec(bm, j.spec.pre)
+        assert pre.pairs().index((a, b)) >= 64
+        assert pre.holds(a, b)
+        assert t in kat_post(bm.base, j.left, (a,))
+        assert t2 in kat_post(bm.base, j.right, (b,))
+        assert (t, t2) not in reference_image(bm, goal, {(a, b)})
+        assert bm.space.state_str(a) == bm.space.state_str(b) == "{x=0, y=7, z=7}"
+
+    def test_stops_at_the_first_uncovered_chunk(self, monkeypatch):
+        from bikat.judge import witness
+        prob = load_problem(self.PROBLEM)
+        bm, j = prob.bm, prob.judgment()
+        seen = []
+        image = witness.term_image
+
+        def counting(bm, w, sources):
+            seen.append(len(sources))
+            return image(bm, w, sources)
+
+        monkeypatch.setattr(witness, "term_image", counting)
+        # uncovered only from the first pre pair: one chunk is imaged
+        first = prob.parser.bikat(self.GOAL.replace("7", "0"))
+        res = check_adequacy(bm, j.spec.pre, j.left, j.right, first)
+        assert not res.holds and res.counterexample.states[:2] == (0, 0)
+        assert seen == [64]
+        # an adequate term images every pre pair, in doubling chunks
+        seen.clear()
+        assert check_adequacy(bm, j.spec.pre, j.left, j.right,
+                              emb_pair(j.left, j.right)).holds
+        assert seen == [64, 128, 256, 64]
