@@ -9,5 +9,5 @@ from .laws import LawInstance, expand_conditional, expand_lockstep
 from .script import (AlignmentScript, ScriptContext, ScriptError,
                      ScriptResult, Step, apply_step, check_script,
                      replace_at, subterm_at)
-from .parse import BiAlphabet, parse_bi_declarations, parse_biterm, parse_script_lines, parse_step
+from .parse import BiAlphabet, parse_biterm, parse_path, parse_script_lines, parse_step
 from .decide import BiVerdict, bikat_equiv, biterm_alphabet

@@ -1,84 +1,28 @@
-"""Concrete syntax for two-execution terms and alignment scripts.
+"""Concrete syntax for abstract two-execution terms and for alignment steps.
 
-Term grammar (extends the KAT grammar):
+Terms use the Kleene grammar of `kat.parse` with the atoms
 
-    B := <k] | [k> | <k|k> | bitest-ident | 0 | 1 | !B | B ; B | B + B | B* | (B)
+    atom := <k] | [k> | <k|k> | bitest-name | 0 | 1 | !star | (term)
 
-with `bitests P Q;` declaring primitive bitests.  Script files hold one step
-per line: `law-name @ path (key: value, ...)`, path `root` or dotted child
-indices.
+where `k` is an abstract KAT term over the underlying alphabet, parsed in
+place, and `!` applies to (one-sided embeddings of) tests.
+
+A script step is one line, `law-name @ path (key: value, ...)`, with path
+`root`, `.` or dotted child indices.  Parameters are `key: value` or
+`key = value`, or the flag `rev`; they are split at commas outside `( [ {`.
+`<` and `>` do not nest, because in program-syntax terms they are
+comparisons.  `#` starts a comment in a script file.
 """
 
 from __future__ import annotations
 
 import re
 
-from ..kat.parse import ParseError, parse_term as parse_kat_term
+from ..kat.parse import NAME, Cur, Kleene, ParseError, kat_grammar, parse_all
 from ..kat.terms import Alphabet, KTest
-from .script import AlignmentScript, Step
-from .terms import (B0, B1, BiKatTerm, BPrim, bembl, bembr, bnot, bplus,
-                    bseq, bstar, btest, emb_pair, BTest)
-
-
-class _Cursor:
-    def __init__(self, text: str):
-        self.text = text
-        self.i = 0
-
-    def skip_ws(self):
-        while self.i < len(self.text) and self.text[self.i].isspace():
-            self.i += 1
-
-    def peek(self) -> str:
-        self.skip_ws()
-        return self.text[self.i] if self.i < len(self.text) else ""
-
-    def eat(self, s: str) -> bool:
-        self.skip_ws()
-        if self.text.startswith(s, self.i):
-            self.i += len(s)
-            return True
-        return False
-
-    def expect(self, s: str):
-        if not self.eat(s):
-            raise ParseError(f"expected {s!r}", self.i)
-
-    def ident(self) -> str:
-        self.skip_ws()
-        m = re.match(r"[A-Za-z_][A-Za-z0-9_']*", self.text[self.i:])
-        if not m:
-            raise ParseError("expected identifier", self.i)
-        self.i += m.end()
-        return m.group(0)
-
-    def until_unnested(self, closers: str) -> str:
-        """Consume text until one of `closers` at bracket depth zero."""
-        depth = 0
-        start = self.i
-        while self.i < len(self.text):
-            ch = self.text[self.i]
-            if ch in "(<[":
-                depth += 1
-            elif ch in ")>]" and depth > 0:
-                depth -= 1
-            elif ch in closers and depth == 0:
-                return self.text[start:self.i]
-            self.i += 1
-        return self.text[start:self.i]
-
-
-def _as_bitest(t: BiKatTerm, pos: int):
-    from ..kat.terms import KTest
-    from .rewrite import emb_test
-    from .terms import BEmbL, BEmbR
-    if isinstance(t, BTest):
-        return t.test
-    if isinstance(t, BEmbL) and isinstance(t.arg, KTest):
-        return emb_test("L", t.arg.test)
-    if isinstance(t, BEmbR) and isinstance(t.arg, KTest):
-        return emb_test("R", t.arg.test)
-    raise ParseError("'!' applies to bitests only", pos)
+from .script import Step
+from .terms import (B0, B1, BEmbL, BEmbR, BiKatTerm, BPrim, BTest, bembl,
+                    bembr, bnot, bplus, bseq, bstar, btest, emb_pair, emb_test)
 
 
 class BiAlphabet:
@@ -92,90 +36,60 @@ class BiAlphabet:
         return f"BiAlphabet(kat={self.kat!r}, bitests={self.bitests!r})"
 
 
-def _parse_atom(c: _Cursor, alph: BiAlphabet) -> BiKatTerm:
-    ch = c.peek()
-    if ch == "(":
-        c.expect("(")
-        t = _parse_sum(c, alph)
-        c.expect(")")
-        return t
-    if ch == "!":
-        c.expect("!")
-        inner = _parse_postfix(c, alph)
-        bt = _as_bitest(inner, c.i)
-        return btest(bnot(bt))
-    if ch == "<":
-        c.expect("<")
-        left_src = c.until_unnested("|]")
-        if c.eat("|"):
-            right_src = c.until_unnested(">")
+def _as_bitest(t: BiKatTerm, pos: int):
+    if isinstance(t, BTest):
+        return t.test
+    if isinstance(t, BEmbL) and isinstance(t.arg, KTest):
+        return emb_test("L", t.arg.test)
+    if isinstance(t, BEmbR) and isinstance(t.arg, KTest):
+        return emb_test("R", t.arg.test)
+    raise ParseError("'!' applies to bitests only", pos)
+
+
+def bikat_grammar(alph: BiAlphabet) -> Kleene:
+    kat = kat_grammar(alph.kat)
+
+    def atom(c: Cur) -> BiKatTerm:
+        ch = c.peek()
+        if c.eat("("):
+            t = g.term(c)
+            c.expect(")")
+            return t
+        if c.eat("!"):
+            return btest(bnot(_as_bitest(g.postfix(c), c.i)))
+        if c.eat("<"):
+            left = kat.term(c)
+            if c.eat("|"):
+                right = kat.term(c)
+                c.expect(">")
+                return emb_pair(left, right)
+            c.expect("]")
+            return bembl(left)
+        if c.eat("["):
+            k = kat.term(c)
             c.expect(">")
-            return emb_pair(parse_kat_term(left_src, alph.kat),
-                            parse_kat_term(right_src, alph.kat))
-        c.expect("]")
-        return bembl(parse_kat_term(left_src, alph.kat))
-    if ch == "[":
-        c.expect("[")
-        src = c.until_unnested(">")
-        c.expect(">")
-        return bembr(parse_kat_term(src, alph.kat))
-    if ch == "0":
-        c.expect("0")
-        return B0
-    if ch == "1":
-        c.expect("1")
-        return B1
-    name = c.ident()
-    if name in alph.bitests:
-        return btest(BPrim(name))
-    raise ParseError(f"undeclared bitest {name!r}", c.i)
+            return bembr(k)
+        if ch == "0" or ch == "1":
+            c.i += 1
+            return B0 if ch == "0" else B1
+        name = c.match(NAME, "a term")
+        if name in alph.bitests:
+            return btest(BPrim(name))
+        raise ParseError(f"undeclared bitest {name!r}", c.i)
 
-
-def _parse_postfix(c: _Cursor, alph: BiAlphabet) -> BiKatTerm:
-    t = _parse_atom(c, alph)
-    while c.eat("*"):
-        t = bstar(t)
-    return t
-
-
-def _parse_seq(c: _Cursor, alph: BiAlphabet) -> BiKatTerm:
-    parts = [_parse_postfix(c, alph)]
-    while c.eat(";"):
-        parts.append(_parse_postfix(c, alph))
-    return bseq(*parts)
-
-
-def _parse_sum(c: _Cursor, alph: BiAlphabet) -> BiKatTerm:
-    parts = [_parse_seq(c, alph)]
-    while c.eat("+"):
-        parts.append(_parse_seq(c, alph))
-    return bplus(*parts)
+    g = Kleene(atom, bplus, bseq, bstar)
+    return g
 
 
 def parse_biterm(text: str, alph: BiAlphabet) -> BiKatTerm:
-    c = _Cursor(text)
-    t = _parse_sum(c, alph)
-    c.skip_ws()
-    if c.i != len(c.text):
-        raise ParseError(f"trailing input {c.text[c.i:]!r}", c.i)
-    return t
+    return parse_all(text, bikat_grammar(alph).term)
 
 
-_BI_DECL = re.compile(r"\bbitests\b([^;]*);")
+# --- script steps ---------------------------------------------------------------
 
+_STEP = re.compile(r"\s*([a-z-]+)\s*@\s*([0-9.]+|root|\.)\s*(?:\((.*)\))?\s*$")
+_PARAM = re.compile(r"([A-Za-z0-9_-]+)\s*[:=]\s*(.*)$", re.S)
 
-def parse_bi_declarations(text: str) -> tuple[tuple[str, ...], str]:
-    names: list[str] = []
-
-    def grab(m: re.Match) -> str:
-        names.extend(m.group(1).split())
-        return ""
-
-    rest = _BI_DECL.sub(grab, text)
-    return tuple(names), rest
-
-
-# --- script files ------------------------------------------------------------
 
 def parse_path(text: str) -> tuple[int, ...]:
     text = text.strip()
@@ -187,23 +101,20 @@ def parse_path(text: str) -> tuple[int, ...]:
         raise ParseError(f"bad path {text!r}") from None
 
 
-def _split_params(text: str) -> dict:
+def _split_step_params(text: str) -> dict:
     params: dict = {}
     depth = 0
-    part = []
+    start = 0
     parts: list[str] = []
-    for ch in text:
-        if ch in "(<[":
+    for i, ch in enumerate(text):
+        if ch in "([{":
             depth += 1
-        elif ch in ")>]":
+        elif ch in ")]}":
             depth -= 1
-        if ch == "," and depth == 0:
-            parts.append("".join(part))
-            part = []
-        else:
-            part.append(ch)
-    if part:
-        parts.append("".join(part))
+        elif ch == "," and depth == 0:
+            parts.append(text[start:i])
+            start = i + 1
+    parts.append(text[start:])
     for p in parts:
         p = p.strip()
         if not p:
@@ -211,22 +122,19 @@ def _split_params(text: str) -> dict:
         if p == "rev":
             params["dir"] = "rev"
             continue
-        for sep in (":", "="):
-            if sep in p:
-                k, v = p.split(sep, 1)
-                params[k.strip()] = v.strip()
-                break
-        else:
-            raise ParseError(f"bad parameter {p!r}")
+        m = _PARAM.match(p)
+        if not m:
+            raise ParseError(f"bad step parameter {p!r}")
+        params[m.group(1)] = m.group(2).strip()
     return params
 
 
 def parse_step(line: str) -> Step:
-    m = re.match(r"\s*([a-z-]+)\s*@\s*([0-9.]+|root|\.)\s*(?:\((.*)\))?\s*$", line)
+    m = _STEP.match(line)
     if not m:
         raise ParseError(f"bad script step {line!r}")
-    law, path, params = m.group(1), m.group(2), m.group(3) or ""
-    return Step(law, parse_path(path), _split_params(params), raw=line.strip())
+    law, path, params = m.groups()
+    return Step(law, parse_path(path), _split_step_params(params or ""), raw=line.strip())
 
 
 def parse_script_lines(lines: list[str]) -> list[Step]:

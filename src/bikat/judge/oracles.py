@@ -12,7 +12,7 @@ from dataclasses import dataclass, field
 
 from ..bi.terms import BiKatTerm, bnot, emb_pair
 from ..kat.terms import KatTerm
-from ..models.birel import BiRel, DENSE_SIDE_CAP, pack
+from ..models.birel import DENSE_SIDE_CAP
 from ..models.bmodel import BiModel, bitest_subid, interp_bikat
 from ..models.kmodel import REL_MATRIX_CAP, WALK_SOURCES, interp_kat
 from ..models.rel import Rel

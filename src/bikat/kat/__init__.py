@@ -4,4 +4,4 @@ from .terms import (Alphabet, CapExceeded, KatError, KatTerm, TestTerm,
 from .guarded import atoms, enumerate_guarded_strings, eval_test, gs_str
 from .decide import (Verdict, ZeroHypothesis, eliminate_zero_hypotheses,
                      gs_member, hoare_valid, kat_equiv, kat_leq)
-from .parse import ParseError, parse_declarations, parse_term, parse_test
+from .parse import ParseError, parse_term, parse_test

@@ -1,21 +1,32 @@
-"""Parser for the textual KAT term grammar.
+"""The parser front end of every textual syntax, and the abstract KAT grammar.
 
-    term := sum
-    sum  := seq ('+' seq)*
+`Cur` is the one cursor: whitespace and `#` comments (to the end of the line)
+are skipped before every token.  `Kleene` is the one sum/seq/star grammar,
+
+    term := seq ('+' seq)*
     seq  := star (';' star)*
     star := atom '*'*
+
+so `;` binds tighter than `+` and postfix `*` tightest; each syntax supplies
+its atoms and its three constructors.  `or_and` is the one boolean grammar,
+`or := and (OR and)*` and `and := atom (AND atom)*`.  `parse_all` parses a
+whole input and refuses trailing text.
+
+Abstract KAT terms use the Kleene grammar with
+
     atom := '0' | '1' | ident | '!' atom | '(' term ')'
 
-`;` binds tighter than `+`, postfix `*` tightest.  Identifiers must be
-declared up front (`tests p q; actions a b;`); `!` applies to tests only.
+where identifiers are the tests and actions of the given `Alphabet` and `!`
+applies to tests only.
 """
 
 from __future__ import annotations
 
 import re
+from typing import Callable
 
-from .terms import (Alphabet, KatTerm, KTest, TestTerm, kact, kplus, kseq,
-                    kstar, ktest, tand, tnot, tor, tprim, T0, T1)
+from .terms import (Alphabet, KatTerm, KPlus, KSeq, KTest, TestTerm, kact,
+                    kplus, kseq, kstar, ktest, tand, tnot, tor, tprim, T0, T1)
 
 
 class ParseError(Exception):
@@ -24,132 +35,191 @@ class ParseError(Exception):
         self.pos = pos
 
 
-_TOKEN = re.compile(r"\s*(?:([A-Za-z_][A-Za-z0-9_']*)|([01()+;*!])|(\S))")
+_IDENT = re.compile(r"[A-Za-z_][A-Za-z0-9_]*")
+_NUMBER = re.compile(r"\d+")
+_BLOCK_MARK = re.compile(r"[#{}]")
 
 
-def tokenize(text: str) -> list[tuple[str, str, int]]:
-    out = []
-    for m in _TOKEN.finditer(text):
-        if m.group(1):
-            out.append(("ident", m.group(1), m.start(1)))
-        elif m.group(2):
-            out.append(("sym", m.group(2), m.start(2)))
-        else:
-            raise ParseError(f"unexpected character {m.group(3)!r}", m.start(3))
-    return out
+class Cur:
+    """A position in a text, read token by token."""
+
+    def __init__(self, text: str, pos: int = 0):
+        self.text = text
+        self.i = pos
+
+    def skip_ws(self):
+        text, i, n = self.text, self.i, len(self.text)
+        while i < n:
+            ch = text[i]
+            if ch == "#":
+                nl = text.find("\n", i)
+                i = n if nl < 0 else nl + 1
+            elif ch.isspace():
+                i += 1
+            else:
+                break
+        self.i = i
+
+    def peek(self, k: int = 1) -> str:
+        self.skip_ws()
+        return self.text[self.i:self.i + k]
+
+    def eat(self, s: str) -> bool:
+        self.skip_ws()
+        if self.text.startswith(s, self.i):
+            self.i += len(s)
+            return True
+        return False
+
+    def expect(self, s: str):
+        if not self.eat(s):
+            got = self.text[self.i:self.i + 12]
+            raise ParseError(f"expected {s!r}, found {got!r}", self.i)
+
+    def match(self, pattern: re.Pattern, what: str) -> str:
+        """The next token, which must match `pattern`."""
+        self.skip_ws()
+        m = pattern.match(self.text, self.i)
+        if not m:
+            got = self.text[self.i:self.i + 12]
+            raise ParseError(f"expected {what}, found {got!r}", self.i)
+        self.i = m.end()
+        return m.group()
+
+    def ident(self) -> str:
+        return self.match(_IDENT, "an identifier")
+
+    def number(self) -> int:
+        return int(self.match(_NUMBER, "a number"))
+
+    def at_end(self) -> bool:
+        self.skip_ws()
+        return self.i >= len(self.text)
+
+    def braced(self) -> str:
+        """The text between `{` and its matching `}`; braces inside comments
+        do not count."""
+        self.expect("{")
+        text, start = self.text, self.i
+        depth = 1
+        m = _BLOCK_MARK.search(text, start)
+        while m:
+            pos = m.end()
+            if m.group() == "#":
+                pos = text.find("\n", pos)
+                if pos < 0:
+                    break
+            elif m.group() == "{":
+                depth += 1
+            else:
+                depth -= 1
+                if depth == 0:
+                    self.i = pos
+                    return text[start:m.start()]
+            m = _BLOCK_MARK.search(text, pos)
+        raise ParseError("unclosed '{'", start)
 
 
-class _P:
-    def __init__(self, toks, alphabet: Alphabet):
-        self.toks = toks
-        self.i = 0
-        self.alphabet = alphabet
-
-    def peek(self):
-        return self.toks[self.i] if self.i < len(self.toks) else ("eof", "", -1)
-
-    def take(self):
-        t = self.peek()
-        self.i += 1
-        return t
-
-    def expect(self, val: str):
-        kind, v, pos = self.take()
-        if v != val:
-            raise ParseError(f"expected {val!r}, found {v or 'end of input'!r}", pos)
-
-    def term(self) -> KatTerm:
-        parts = [self.seq()]
-        while self.peek()[1] == "+":
-            self.take()
-            parts.append(self.seq())
-        return kplus(*parts)
-
-    def seq(self) -> KatTerm:
-        parts = [self.star()]
-        while self.peek()[1] == ";":
-            self.take()
-            parts.append(self.star())
-        return kseq(*parts)
-
-    def star(self) -> KatTerm:
-        t = self.atom()
-        while self.peek()[1] == "*":
-            self.take()
-            t = kstar(t)
-        return t
-
-    def atom(self) -> KatTerm:
-        kind, v, pos = self.take()
-        if v == "0":
-            return ktest(T0)
-        if v == "1":
-            return ktest(T1)
-        if v == "(":
-            t = self.term()
-            self.expect(")")
-            return t
-        if v == "!":
-            inner = self.atom()
-            return ktest(tnot(self._as_test(inner, pos)))
-        if kind == "ident":
-            if v in self.alphabet.tests:
-                return ktest(tprim(v))
-            if v in self.alphabet.actions:
-                return kact(v)
-            raise ParseError(f"undeclared identifier {v!r}", pos)
-        raise ParseError(f"unexpected token {v!r}", pos)
-
-    @staticmethod
-    def _as_test(t: KatTerm, pos: int) -> TestTerm:
-        if not isinstance(t, KTest):
-            raise ParseError("'!' applies to tests only", pos)
-        return t.test
-
-    def test(self) -> TestTerm:
-        t = self.term()
-        return _test_of(t, self.i)
-
-
-def _test_of(t: KatTerm, pos: int) -> TestTerm:
-    if isinstance(t, KTest):
-        return t.test
-    from .terms import KPlus, KSeq
-    if isinstance(t, KPlus):
-        return tor(*[_test_of(a, pos) for a in t.args])
-    if isinstance(t, KSeq):
-        return tand(*[_test_of(a, pos) for a in t.args])
-    raise ParseError("expected a test expression", pos)
-
-
-def parse_term(text: str, alphabet: Alphabet) -> KatTerm:
-    p = _P(tokenize(text), alphabet)
-    t = p.term()
-    if p.peek()[0] != "eof":
-        raise ParseError(f"trailing input {p.peek()[1]!r}", p.peek()[2])
+def parse_all(text: str, parse: Callable[[Cur], object]):
+    """`parse` applied to the whole of `text`."""
+    c = Cur(text)
+    try:
+        t = parse(c)
+    except RecursionError:
+        raise ParseError("input nested too deeply") from None
+    if not c.at_end():
+        raise ParseError(f"trailing input {c.text[c.i:c.i + 16]!r}", c.i)
     return t
 
 
+class Kleene:
+    """The sum/seq/star grammar over `atom(cur)`; `plus`, `seq` and `star`
+    build terms, and a single operand of `+` or `;` stands for itself."""
+
+    def __init__(self, atom: Callable[[Cur], object], plus, seq, star):
+        self.atom = atom
+        self.plus, self.seq, self.star = plus, seq, star
+
+    def term(self, c: Cur):
+        parts = [self.product(c)]
+        while c.eat("+"):
+            parts.append(self.product(c))
+        return parts[0] if len(parts) == 1 else self.plus(*parts)
+
+    def product(self, c: Cur):
+        parts = [self.postfix(c)]
+        while c.eat(";"):
+            parts.append(self.postfix(c))
+        return parts[0] if len(parts) == 1 else self.seq(*parts)
+
+    def postfix(self, c: Cur):
+        t = self.atom(c)
+        while c.eat("*"):
+            t = self.star(t)
+        return t
+
+
+def or_and(c: Cur, atom: Callable[[Cur], object], ops: tuple[str, str],
+           disj: Callable[[tuple], object], conj: Callable[[tuple], object]):
+    """A disjunction of conjunctions of `atom`s, with `ops` = (OR, AND).
+    `disj` and `conj` build from a tuple of two or more operands."""
+    or_op, and_op = ops
+    terms = []
+    while True:
+        parts = [atom(c)]
+        while c.eat(and_op):
+            parts.append(atom(c))
+        terms.append(parts[0] if len(parts) == 1 else conj(tuple(parts)))
+        if not c.eat(or_op):
+            return terms[0] if len(terms) == 1 else disj(tuple(terms))
+
+
+# --- abstract KAT terms ---------------------------------------------------------
+
+NAME = re.compile(r"[A-Za-z_][A-Za-z0-9_']*")  # abstract names may carry primes
+
+
+def kat_grammar(alphabet: Alphabet) -> Kleene:
+    def atom(c: Cur) -> KatTerm:
+        c.skip_ws()
+        pos = c.i
+        if c.eat("0"):
+            return ktest(T0)
+        if c.eat("1"):
+            return ktest(T1)
+        if c.eat("("):
+            t = g.term(c)
+            c.expect(")")
+            return t
+        if c.eat("!"):
+            inner = atom(c)
+            if not isinstance(inner, KTest):
+                raise ParseError("'!' applies to tests only", pos)
+            return ktest(tnot(inner.test))
+        name = c.match(NAME, "a test or an action")
+        if name in alphabet.tests:
+            return ktest(tprim(name))
+        if name in alphabet.actions:
+            return kact(name)
+        raise ParseError(f"undeclared identifier {name!r}", pos)
+
+    g = Kleene(atom, kplus, kseq, kstar)
+    return g
+
+
+def _test_of(t: KatTerm) -> TestTerm:
+    if isinstance(t, KTest):
+        return t.test
+    if isinstance(t, KPlus):
+        return tor(*[_test_of(a) for a in t.args])
+    if isinstance(t, KSeq):
+        return tand(*[_test_of(a) for a in t.args])
+    raise ParseError("expected a test expression", 0)
+
+
+def parse_term(text: str, alphabet: Alphabet) -> KatTerm:
+    return parse_all(text, kat_grammar(alphabet).term)
+
+
 def parse_test(text: str, alphabet: Alphabet) -> TestTerm:
-    p = _P(tokenize(text), alphabet)
-    t = p.term()
-    if p.peek()[0] != "eof":
-        raise ParseError(f"trailing input {p.peek()[1]!r}", p.peek()[2])
-    return _test_of(t, 0)
-
-
-_DECL = re.compile(r"\b(tests|actions)\b([^;]*);")
-
-
-def parse_declarations(text: str) -> tuple[Alphabet, str]:
-    """Strip `tests ...;` / `actions ...;` headers, return alphabet and rest."""
-    tests: list[str] = []
-    actions: list[str] = []
-
-    def grab(m: re.Match) -> str:
-        names = m.group(2).split()
-        (tests if m.group(1) == "tests" else actions).extend(names)
-        return ""
-
-    rest = _DECL.sub(grab, text)
-    return Alphabet.make(tests, actions), rest
+    return _test_of(parse_term(text, alphabet))

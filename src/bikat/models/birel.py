@@ -1,17 +1,18 @@
 """Relations on state pairs: the carrier of the two-execution model.
 
-A pair (s, s') is packed as the index s*n + s'.  Small spaces (n <= 64, so at
-most 4096 pair states) use dense bitmask matrices; beyond that the
-representation switches to a sparse source -> targets map with worklist
-closure, because pair-space matrices grow quadratically in the state count.
-Both backends implement the same operations and agree under conversion.
+A pair (s, s') is packed as the index s*n + s', and a pair relation is a
+dense bitmask matrix (`Rel`) over the n*n pair states.  Such matrices grow
+quadratically in the state count, so a side has at most DENSE_SIDE_CAP states
+(4096 pair states); larger models are refused with `CapExceeded`.  Oracles
+over larger spaces work from per-state images instead (`judge.core`).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Iterable, Iterator
+from typing import Iterable, Iterator
 
+from ..kat.terms import CapExceeded
 from .rel import Rel
 
 DENSE_SIDE_CAP = 64
@@ -25,181 +26,79 @@ def unpack(n: int, p: int) -> tuple[int, int]:
     return divmod(p, n)
 
 
-SPARSE_STAR_CAP = 1 << 20
+def _check_side(n: int) -> None:
+    """Refuse a side too large for a pair matrix, before allocating one."""
+    if n > DENSE_SIDE_CAP:
+        raise CapExceeded(f"a pair relation over {n} states a side exceeds "
+                          f"DENSE_SIDE_CAP = {DENSE_SIDE_CAP}")
 
 
-@dataclass(frozen=True, eq=False)
+@dataclass(frozen=True)
 class BiRel:
     n: int  # states per side; pair space has n*n points
-    dense: Rel | None = None
-    sparse: dict | None = None  # src pair-index -> frozenset of target indices
+    rel: Rel
 
     def __post_init__(self):
-        if (self.dense is None) == (self.sparse is None):
-            raise ValueError("exactly one backend required")
-        if self.dense is not None and self.dense.n != self.n * self.n:
-            raise ValueError("dense backend has wrong dimension")
+        _check_side(self.n)
+        if self.rel.n != self.n * self.n:
+            raise ValueError("pair matrix has wrong dimension")
 
     # --- construction ---------------------------------------------------
 
     @staticmethod
     def empty(n: int) -> "BiRel":
-        if n <= DENSE_SIDE_CAP:
-            return BiRel(n, dense=Rel.empty(n * n))
-        return BiRel(n, sparse={})
+        _check_side(n)
+        return BiRel(n, Rel.empty(n * n))
 
     @staticmethod
     def identity(n: int) -> "BiRel":
-        if n <= DENSE_SIDE_CAP:
-            return BiRel(n, dense=Rel.identity(n * n))
-        return BiRel(n, sparse={p: frozenset((p,)) for p in range(n * n)})
+        _check_side(n)
+        return BiRel(n, Rel.identity(n * n))
 
     @staticmethod
     def of_pairs(n: int, pairs: Iterable[tuple[int, int]]) -> "BiRel":
         """Pairs of packed pair-indices (source, target)."""
-        if n <= DENSE_SIDE_CAP:
-            return BiRel(n, dense=Rel.of_pairs(n * n, pairs))
-        d: dict[int, set[int]] = {}
-        for a, b in pairs:
-            d.setdefault(a, set()).add(b)
-        return BiRel(n, sparse={k: frozenset(v) for k, v in d.items()})
+        _check_side(n)
+        return BiRel(n, Rel.of_pairs(n * n, pairs))
 
     @staticmethod
     def subid(n: int, members: Iterable[int]) -> "BiRel":
         """Diagonal on the given pair-indices: the test for a pair relation."""
         return BiRel.of_pairs(n, ((p, p) for p in members))
 
-    def to_sparse(self) -> "BiRel":
-        if self.sparse is not None:
-            return self
-        d: dict[int, frozenset[int]] = {}
-        for i in range(self.dense.n):
-            row = self.dense.rows[i]
-            if row:
-                d[i] = frozenset(self.dense.succ(i))
-        return BiRel(self.n, sparse=d)
-
-    def to_dense(self) -> "BiRel":
-        if self.dense is not None:
-            return self
-        if self.n > DENSE_SIDE_CAP:
-            raise ValueError(f"side size {self.n} too large for a dense pair matrix")
-        rows = [0] * (self.n * self.n)
-        for src, tgts in self.sparse.items():
-            for t in tgts:
-                rows[src] |= 1 << t
-        return BiRel(self.n, dense=Rel(self.n * self.n, tuple(rows)))
-
     # --- queries ----------------------------------------------------------
 
     def has(self, src: int, tgt: int) -> bool:
-        if self.dense is not None:
-            return self.dense.has(src, tgt)
-        return tgt in self.sparse.get(src, ())
+        return self.rel.has(src, tgt)
 
     def targets(self, src: int) -> frozenset[int]:
-        if self.dense is not None:
-            return frozenset(self.dense.succ(src))
-        return self.sparse.get(src, frozenset())
+        return frozenset(self.rel.succ(src))
 
     def items(self) -> Iterator[tuple[int, int]]:
-        if self.dense is not None:
-            yield from self.dense.pairs()
-        else:
-            for src in sorted(self.sparse):
-                for t in sorted(self.sparse[src]):
-                    yield (src, t)
+        return self.rel.pairs()
 
     def count(self) -> int:
-        if self.dense is not None:
-            return self.dense.count()
-        return sum(len(v) for v in self.sparse.values())
+        return self.rel.count()
 
     def is_empty(self) -> bool:
         return self.count() == 0
 
-    def __eq__(self, other) -> bool:
-        if not isinstance(other, BiRel) or self.n != other.n:
-            return NotImplemented
-        if self.dense is not None and other.dense is not None:
-            return self.dense == other.dense
-        return dict(self.to_sparse().sparse) == dict(other.to_sparse().sparse)
-
-    def __hash__(self):
-        return hash((self.n, tuple(sorted(self.items()))))
-
     # --- algebra ----------------------------------------------------------
 
     def union(self, other: "BiRel") -> "BiRel":
-        if self.dense is not None and other.dense is not None:
-            return BiRel(self.n, dense=self.dense.union(other.dense))
-        a, b = self.to_sparse().sparse, other.to_sparse().sparse
-        out = dict(a)
-        for k, v in b.items():
-            out[k] = out.get(k, frozenset()) | v
-        return BiRel(self.n, sparse=out)
+        return BiRel(self.n, self.rel.union(other.rel))
 
     def compose(self, other: "BiRel") -> "BiRel":
-        if self.dense is not None and other.dense is not None:
-            return BiRel(self.n, dense=self.dense.compose(other.dense))
-        a = self.to_sparse().sparse
-        out: dict[int, frozenset[int]] = {}
-        for src, mids in a.items():
-            acc: set[int] = set()
-            for mid in mids:
-                acc |= other.targets(mid)
-            if acc:
-                out[src] = frozenset(acc)
-        return BiRel(self.n, sparse=out)
+        return BiRel(self.n, self.rel.compose(other.rel))
 
     def star(self) -> "BiRel":
-        if self.dense is not None:
-            return BiRel(self.n, dense=self.dense.star())
-        if self.n * self.n > SPARSE_STAR_CAP:
-            raise ValueError(
-                f"materializing a reflexive closure over {self.n * self.n} pair "
-                "points exceeds the sparse cap; use source-driven evaluation")
-        out: dict[int, frozenset[int]] = {}
-        for src in set(self.sparse) | {t for v in self.sparse.values() for t in v}:
-            seen = {src}
-            frontier = {src}
-            while frontier:
-                nxt: set[int] = set()
-                for p in frontier:
-                    nxt |= self.targets(p)
-                nxt -= seen
-                seen |= nxt
-                frontier = nxt
-            out[src] = frozenset(seen)
-        # identity on every pair point
-        for p in range(self.n * self.n):
-            out.setdefault(p, frozenset((p,)))
-        return BiRel(self.n, sparse=out)
+        return BiRel(self.n, self.rel.star())
 
     def converse(self) -> "BiRel":
-        if self.dense is not None:
-            return BiRel(self.n, dense=self.dense.converse())
-        out: dict[int, set[int]] = {}
-        for src, tgts in self.sparse.items():
-            for t in tgts:
-                out.setdefault(t, set()).add(src)
-        return BiRel(self.n, sparse={k: frozenset(v) for k, v in out.items()})
+        return BiRel(self.n, self.rel.converse())
 
     def leq(self, other: "BiRel") -> bool:
-        if self.dense is not None and other.dense is not None:
-            return self.dense.leq(other.dense)
-        for src, tgts in self.to_sparse().sparse.items():
-            if not tgts <= other.targets(src):
-                return False
-        return True
-
-    def filter_targets(self, keep: Callable[[int], bool]) -> "BiRel":
-        if self.dense is not None:
-            pairs = [(a, b) for a, b in self.dense.pairs() if keep(b)]
-            return BiRel(self.n, dense=Rel.of_pairs(self.n * self.n, pairs))
-        return BiRel(self.n, sparse={
-            src: kept for src, tgts in self.sparse.items()
-            if (kept := frozenset(t for t in tgts if keep(t)))})
+        return self.rel.leq(other.rel)
 
 
 # --- structure maps between the two levels ------------------------------
@@ -209,34 +108,23 @@ def tensor(r: Rel, s: Rel) -> BiRel:
     if r.n != s.n:
         raise ValueError(f"dimension mismatch: {r.n} vs {s.n}")
     n = r.n
-    if n <= DENSE_SIDE_CAP:
-        rows = [0] * (n * n)
-        for a in range(n):
-            ra = r.rows[a]
-            if not ra:
-                continue
-            for a2 in range(n):
-                row = 0
-                sa2 = s.rows[a2]
-                if sa2:
-                    t = ra
-                    while t:
-                        low = t & -t
-                        row |= sa2 << ((low.bit_length() - 1) * n)
-                        t ^= low
-                rows[pack(n, a, a2)] = row
-        return BiRel(n, dense=Rel(n * n, tuple(rows)))
-    sparse = {}
+    _check_side(n)
+    rows = [0] * (n * n)
     for a in range(n):
-        bs = list(r.succ(a))
-        if not bs:
+        ra = r.rows[a]
+        if not ra:
             continue
         for a2 in range(n):
-            b2s = list(s.succ(a2))
-            if b2s:
-                sparse[pack(n, a, a2)] = frozenset(
-                    pack(n, b, b2) for b in bs for b2 in b2s)
-    return BiRel(n, sparse=sparse)
+            row = 0
+            sa2 = s.rows[a2]
+            if sa2:
+                t = ra
+                while t:
+                    low = t & -t
+                    row |= sa2 << ((low.bit_length() - 1) * n)
+                    t ^= low
+            rows[pack(n, a, a2)] = row
+    return BiRel(n, Rel(n * n, tuple(rows)))
 
 
 def lift_left(r: Rel) -> BiRel:

@@ -63,7 +63,15 @@ class StateSpace:
 
     @staticmethod
     def structured(vars: list[VarDecl], arrays: list[ArrayDecl] = ()) -> "StateSpace":
-        bits = sum(v.width for v in vars) + sum(a.length * a.width for a in arrays)
+        seen: set[str] = set()
+        for d in [*vars, *arrays]:
+            if d.name in seen:
+                raise SpaceError(f"{d.name!r} is declared twice")
+            seen.add(d.name)
+        for a in arrays:
+            if a.length < 1:
+                raise SpaceError(f"array {a.name!r} has no cells")
+        bits =sum(v.width for v in vars) + sum(a.length * a.width for a in arrays)
         if bits > SIZE_CAP.bit_length() - 1:
             raise SpaceError(
                 f"declared structure needs 2^{bits} states, cap is {SIZE_CAP}")

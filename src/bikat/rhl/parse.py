@@ -6,6 +6,7 @@ Annotation values are either bare words/numbers or `{...}`-braced source
 fragments, parsed by kind: bitests for :inv/:mid/:pre/:post/:q/:r/:first/
 :second, an expression for :variant, a name for :hyp, integers for :lsplit/
 :rsplit, and `hyp=name` for :side.  Comments run from `#` to end of line.
+Every malformed input raises `ParseError`.
 """
 
 from __future__ import annotations
@@ -13,42 +14,13 @@ from __future__ import annotations
 import re
 from typing import Callable
 
-from ..kat.parse import ParseError
+from ..kat.parse import Cur, ParseError, parse_all
 from .proof import ProofTree
 
 _BITEST_KEYS = {"inv", "mid", "pre", "post", "q", "r", "first", "second"}
 _INT_KEYS = {"lsplit", "rsplit"}
-
-
-def _tokens(text: str):
-    text = re.sub(r"#[^\n]*", "", text)
-    i = 0
-    while i < len(text):
-        ch = text[i]
-        if ch.isspace():
-            i += 1
-            continue
-        if ch in "()":
-            yield (ch, ch, i)
-            i += 1
-            continue
-        if ch == "{":
-            depth = 1
-            j = i + 1
-            while j < len(text) and depth:
-                if text[j] == "{":
-                    depth += 1
-                elif text[j] == "}":
-                    depth -= 1
-                j += 1
-            if depth:
-                raise ParseError("unclosed '{'", i)
-            yield ("blob", text[i + 1:j - 1].strip(), i)
-            i = j
-            continue
-        m = re.match(r"[^\s(){}]+", text[i:])
-        yield ("word", m.group(0), i)
-        i += m.end()
+_WORD = re.compile(r"[^\s(){}#]+")
+_COMMENT = re.compile(r"#[^\n]*")
 
 
 def parse_proof(
@@ -56,51 +28,41 @@ def parse_proof(
     parse_bitest: Callable[[str], object],
     parse_expr: Callable[[str], object],
 ) -> ProofTree:
-    toks = list(_tokens(text))
-    pos = 0
-
-    def parse_node() -> ProofTree:
-        nonlocal pos
-        kind, val, off = toks[pos]
-        if kind != "(":
-            raise ParseError("expected '('", off)
-        pos += 1
-        kind, rule, off = toks[pos]
-        if kind != "word":
-            raise ParseError("expected a rule name", off)
-        pos += 1
+    def node(c: Cur) -> ProofTree:
+        c.expect("(")
+        rule = c.match(_WORD, "a rule name")
         ann: dict = {}
         premises: list[ProofTree] = []
-        while pos < len(toks):
-            kind, val, off = toks[pos]
-            if kind == ")":
-                pos += 1
-                return ProofTree(rule, ann, tuple(premises))
-            if kind == "(":
-                premises.append(parse_node())
+        while not c.eat(")"):
+            if c.at_end():
+                raise ParseError("unclosed '('", c.i)
+            if c.peek() == "(":
+                premises.append(node(c))
                 continue
-            if kind == "word" and val.startswith(":"):
-                key = val[1:]
-                pos += 1
-                vkind, vval, voff = toks[pos]
-                if vkind not in ("word", "blob"):
-                    raise ParseError(f"annotation :{key} needs a value", voff)
-                pos += 1
-                if key in _BITEST_KEYS:
-                    ann[key] = parse_bitest(vval)
-                elif key in _INT_KEYS:
-                    ann[key] = int(vval)
-                elif key == "variant":
-                    ann[key] = parse_expr(vval)
-                elif key == "side" and vval.startswith("hyp="):
-                    ann[key] = "hypothesis:" + vval[4:]
-                else:
-                    ann[key] = vval
-                continue
-            raise ParseError(f"unexpected token {val!r} in proof node", off)
-        raise ParseError("unclosed '('", len(text))
+            pos = c.i
+            word = c.match(_WORD, "an annotation or a premise")
+            if not word.startswith(":"):
+                raise ParseError(f"unexpected token {word!r} in proof node", pos)
+            key = word[1:]
+            if c.peek() == "{":
+                value = _COMMENT.sub("", c.braced()).strip()
+            else:
+                value = c.match(_WORD, f"a value for :{key}")
+            ann[key] = annotation(key, value, c.i)
+        return ProofTree(rule, ann, tuple(premises))
 
-    node = parse_node()
-    if pos != len(toks):
-        raise ParseError("trailing input after the proof tree", toks[pos][2])
-    return node
+    def annotation(key: str, value: str, pos: int):
+        if key in _BITEST_KEYS:
+            return parse_bitest(value)
+        if key in _INT_KEYS:
+            try:
+                return int(value)
+            except ValueError:
+                raise ParseError(f":{key} needs an integer, found {value!r}", pos) from None
+        if key == "variant":
+            return parse_expr(value)
+        if key == "side" and value.startswith("hyp="):
+            return "hypothesis:" + value[4:]
+        return value
+
+    return parse_all(text, node)

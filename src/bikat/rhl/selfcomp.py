@@ -74,10 +74,10 @@ def check_selfcomp(ctx: RhlContext, rj: RhlJudgment) -> JudgeResult:
         return JudgeResult("selfcomp", False,
                            notes=["self-composition applies to forall-forall only"])
     space = ctx.env.space
-    for v in space.vars:
-        if v.name.endswith(RENAME_SUFFIX):
+    for d in [*space.vars, *space.arrays]:
+        if d.name.endswith(RENAME_SUFFIX):
             return JudgeResult("selfcomp", False,
-                               notes=[f"variable {v.name} collides with the renaming"])
+                               notes=[f"variable {d.name} collides with the renaming"])
     dvars = list(space.vars) + [VarDecl(v.name + RENAME_SUFFIX, v.width)
                                 for v in space.vars]
     darrs = list(space.arrays) + [ArrayDecl(a.name + RENAME_SUFFIX, a.length, a.width)

@@ -4,12 +4,13 @@ import random
 
 import pytest
 
-from bikat.kat import Alphabet, parse_term
+from bikat.kat import Alphabet, CapExceeded, parse_term
 from bikat.models import (BiRel, Rel, StateSpace, check_projection_axioms,
                           havoc, interp_bikat, interp_kat, interp_kat_bounded,
                           interp_trace_bounded, lift_left, lift_right, pack,
                           proj_left, proj_right, random_bimodel,
                           random_kat_model, tensor)
+from bikat.models.birel import DENSE_SIDE_CAP
 from bikat.bi import BiAlphabet, parse_biterm, lrc_normalize
 
 from gen import random_bikat, random_kat
@@ -86,18 +87,16 @@ class TestBiRel:
             rl = lift_right(s).compose(lift_left(r))
             assert lr == rl == tensor(r, s)
 
-    def test_sparse_dense_agree(self):
-        rng = random.Random(6)
-        for _ in range(10):
-            r, s = rrel(rng, 4, 0.3), rrel(rng, 4, 0.3)
-            a, b = tensor(r, s), tensor(s, r)
-            sa, sb = a.to_sparse(), b.to_sparse()
-            assert a.union(b) == sa.union(sb)
-            assert a.compose(b) == sa.compose(sb)
-            assert a.star() == sa.star()
-            assert a.converse() == sa.converse()
-            assert a.leq(b) == sa.leq(sb)
-            assert sa.to_dense() == a
+    def test_large_side_is_refused(self):
+        n = DENSE_SIDE_CAP + 1
+        for build in (lambda: BiRel.empty(n), lambda: BiRel.identity(n),
+                      lambda: BiRel.subid(n, ()),
+                      lambda: tensor(Rel.identity(n), Rel.identity(n))):
+            with pytest.raises(CapExceeded) as e:
+                build()
+            assert "DENSE_SIDE_CAP = 64" in str(e.value)
+            assert f"over {n} states" in str(e.value)
+        assert BiRel.identity(DENSE_SIDE_CAP).count() == DENSE_SIDE_CAP ** 2
 
     def test_subid_idempotent(self):
         members = [pack(3, 0, 1), pack(3, 2, 2)]

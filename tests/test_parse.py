@@ -1,0 +1,179 @@
+"""The parser front end: refusals, round trips and fuzzing of every syntax."""
+
+import random
+from pathlib import Path
+
+import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
+
+from bikat.bi import BiAlphabet, parse_biterm, parse_step
+from bikat.bi.terms import bembl, bembr, bseq, btest, emb_pair, BPrim
+from bikat.kat import (Alphabet, CapExceeded, ParseError, kact, kat_equiv,
+                       kseq, parse_term)
+from bikat.models.space import SpaceError
+from bikat.problem import Cur, load_problem, parse_expr
+from bikat.rhl import check_selfcomp
+from bikat.rhl.parse import parse_proof
+
+from gen import random_kat
+
+CORPUS = Path(__file__).resolve().parent.parent / "src" / "bikat" / "corpus"
+PROBLEMS = {p.stem: p.read_text() for p in sorted(CORPUS.glob("*.prob"))}
+PROOFS = {p.stem: p.read_text() for p in sorted(CORPUS.glob("*.proof"))}
+ALPH = Alphabet.make(["p", "q", "r"], ["a", "b", "c"])
+
+SMALL = "width 2;\nvars x y;\nleft { x := 1; }\nright { y := 1; }\n"
+
+
+def proof_of(text: str, stem: str = "factorial-ni"):
+    prob = load_problem(PROBLEMS[stem], stem, width_override=2)
+    return parse_proof(text, prob.parser.bitest, lambda s: parse_expr(Cur(s)))
+
+
+# --- proofs -------------------------------------------------------------------
+
+@pytest.mark.parametrize("text", [
+    "(",                      # no rule name
+    "",                       # empty input
+    "(rule :inv",             # annotation without a value
+    "(rule :lsplit x)",       # split that is not an integer
+    "(rule })",               # stray closing brace
+    "(rule :inv {[n == n]}",  # unclosed node after a value
+    "(rule) (rule)",          # trailing tree
+    "({x} :inv {[n == n]})",  # a blob is no rule name
+    "(rule word)",            # a bare word is no annotation
+    "(rule :inv {[n == n])",  # unclosed blob
+])
+def test_bad_proof_raises_parse_error(text):
+    with pytest.raises(ParseError):
+        proof_of(text)
+
+
+def test_proof_values_and_comments():
+    tree = proof_of("# a comment\n(dseq :lsplit 2 :rsplit {3 # three\n} :side hyp=h "
+                    ":variant {n - i} (dprim) (dprim))")
+    assert tree.rule == "dseq"
+    assert tree.ann["lsplit"] == 2 and tree.ann["rsplit"] == 3
+    assert tree.ann["side"] == "hypothesis:h"
+    assert [p.rule for p in tree.premises] == ["dprim", "dprim"]
+
+
+def test_deep_proof_is_a_parse_error():
+    with pytest.raises(ParseError, match="nested too deeply"):
+        proof_of("(r " * 3000 + ")" * 3000)
+
+
+# --- problem files ---------------------------------------------------------------
+
+@pytest.mark.parametrize("decl, message", [
+    ("array a[0];", "no cells"),
+    ("vars x x;", "declared twice"),
+    ("var x:1; array x[2];", "declared twice"),
+])
+def test_bad_declaration_is_refused_on_load(decl, message):
+    with pytest.raises(SpaceError, match=message):
+        load_problem(SMALL.replace("vars x y;", "vars y; " + decl))
+
+
+def test_selfcomp_refuses_an_array_that_collides_with_the_renaming():
+    # the doubled space would declare a_r twice
+    prob = load_problem("width 1;\narray a[1]; array a_r[1];\n"
+                        "left { a[0] := 1; }\nright { a[0] := 1; }\n")
+    res = check_selfcomp(prob.rhl_context(), prob.rhl_judgment())
+    assert not res.holds and "collides with the renaming" in res.notes[0]
+
+
+def test_deep_problem_is_a_parse_error():
+    deep = "(" * 3000 + "x" + ")" * 3000
+    with pytest.raises(ParseError, match="nested too deeply"):
+        load_problem(SMALL.replace("x := 1", "x := " + deep))
+    with pytest.raises(ParseError, match="nested too deeply"):
+        load_problem(SMALL + "pre { " + deep.replace("x", "[x == x]") + " }")
+
+
+@pytest.mark.parametrize("block", [
+    "gcleft { [x == 0] -> { x := 1; } }",
+    "gcright { [y == 0] -> { y := 1; } }",
+    "sel_l { true }", "sel_r { true }", "sel_j { true }",
+])
+def test_guarded_command_blocks_are_unknown(block):
+    with pytest.raises(ParseError, match="unknown problem block"):
+        load_problem(SMALL + block)
+
+
+def test_seeded_table_wider_than_the_space_cap_is_refused():
+    with pytest.raises(SpaceError, match="function table 'f'"):
+        load_problem("width 40;\nvar x:1;\nftable f seed 7;\nleft { x := f(x); }\n")
+
+
+# --- terms and steps ----------------------------------------------------------------
+
+def test_printed_kat_terms_parse_back_to_equivalent_terms():
+    # compared by equivalence: the printer brackets test conjunctions
+    rng = random.Random(11)
+    for _ in range(150):
+        t = random_kat(rng, ALPH, 4)
+        assert kat_equiv(parse_term(str(t), ALPH), t).is_equal, str(t)
+
+
+def test_embeddings_parse_their_kat_operand_in_place():
+    balph = BiAlphabet(ALPH, ("P",))
+    a, b = kact("a"), kact("b")
+    assert parse_biterm("<a ; b | b> ; P", balph) == \
+        bseq(emb_pair(kseq(a, b), b), btest(BPrim("P")))
+    assert parse_biterm("<a] ; [b>", balph) == bseq(bembl(a), bembr(b))
+    for bad in ("<a b]", "<a | b | c>", "[a]", "<(a|b)]", "<]"):
+        with pytest.raises(ParseError):
+            parse_biterm(bad, balph)
+
+
+def test_step_parameters_nest_only_in_round_square_and_curly_brackets():
+    step = parse_step("expand-lockstep @ 2.1 (at: 4, e: [i < n], c: x := f(a, b), rev)")
+    assert step.path == (2, 1)
+    assert step.params == {"at": "4", "e": "[i < n]", "c": "x := f(a, b)", "dir": "rev"}
+    with pytest.raises(ParseError):
+        parse_step("lrc @ root (at 3)")
+
+
+# --- fuzzing ----------------------------------------------------------------------
+
+CHARS = "(){}[]<>|&!;:,=+-*#0123456789 \nxiLR"
+EDIT = st.tuples(st.integers(0, 10**6), st.integers(0, 3),
+                 st.sampled_from(CHARS), st.integers(1, 12))
+
+
+def mutate(text: str, edits) -> str:
+    for pos, op, ch, span in edits:
+        i = pos % (len(text) + 1)
+        if op == 0:
+            text = text[:i] + text[i + span:]
+        elif op == 1:
+            text = text[:i] + ch + text[i:]
+        elif op == 2:
+            text = text[:i] + ch + text[i + 1:]
+        else:
+            text = text[:i] + text[i:i + span] + text[i:]
+    return text
+
+
+FUZZ = settings(max_examples=120, deadline=None, derandomize=True, database=None,
+                suppress_health_check=[HealthCheck.too_slow])
+
+
+@FUZZ
+@given(st.sampled_from(sorted(PROBLEMS)), st.lists(EDIT, min_size=1, max_size=3))
+def test_mutated_problem_loads_or_is_refused(stem, edits):
+    try:
+        load_problem(mutate(PROBLEMS[stem], edits), stem)
+    except (ParseError, SpaceError, CapExceeded):
+        pass
+
+
+@FUZZ
+@given(st.sampled_from(sorted(PROOFS)), st.lists(EDIT, min_size=1, max_size=3))
+def test_mutated_proof_parses_or_is_refused(stem, edits):
+    try:
+        proof_of(mutate(PROOFS[stem], edits), stem)
+    except (ParseError, SpaceError, CapExceeded):
+        pass
