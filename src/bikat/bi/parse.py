@@ -2,10 +2,13 @@
 
 Terms use the Kleene grammar of `kat.parse` with the atoms
 
-    atom := <k] | [k> | <k|k> | bitest-name | 0 | 1 | !star | (term)
+    atom   := <k] | [k> | <k|k> | 0 | 1 | (term) | bitest
+    bitest := name | [name] | L[t] | R[t] | true | false | !atom
 
-where `k` is an abstract KAT term over the underlying alphabet, parsed in
-place, and `!` applies to (one-sided embeddings of) tests.
+where `k` is an abstract KAT term and `t` a KAT test over the underlying
+alphabet, both parsed in place, `name` a declared bitest, and `!` applies to
+(one-sided embeddings of) tests.  Bitest atoms combine with `&` and `|`
+(`&` binding tighter), as the term printer writes them.
 
 A script step is one line, `law-name @ path (key: value, ...)`, with path
 `root`, `.` or dotted child indices.  Parameters are `key: value` or
@@ -18,11 +21,15 @@ from __future__ import annotations
 
 import re
 
-from ..kat.parse import NAME, Cur, Kleene, ParseError, kat_grammar, parse_all
+from ..kat.parse import (NAME, Cur, Kleene, ParseError, kat_grammar, or_and,
+                         parse_all, test_of)
 from ..kat.terms import Alphabet, KTest
 from .script import Step
-from .terms import (B0, B1, BEmbL, BEmbR, BiKatTerm, BPrim, BTest, bembl,
-                    bembr, bnot, bplus, bseq, bstar, btest, emb_pair, emb_test)
+from .terms import (B0, B1, BEmbL, BEmbLTest, BEmbR, BEmbRTest, BiKatTerm,
+                    BPrim, BTest, band, bembl, bembr, bnot, bor, bplus, bseq,
+                    bstar, btest, emb_pair, emb_test)
+
+_BRACKETED_NAME = re.compile(r"(" + NAME.pattern + r")\s*\]")
 
 
 class BiAlphabet:
@@ -43,20 +50,31 @@ def _as_bitest(t: BiKatTerm, pos: int):
         return emb_test("L", t.arg.test)
     if isinstance(t, BEmbR) and isinstance(t.arg, KTest):
         return emb_test("R", t.arg.test)
-    raise ParseError("'!' applies to bitests only", pos)
+    raise ParseError("expected a bitest", pos)
 
 
 def bikat_grammar(alph: BiAlphabet) -> Kleene:
     kat = kat_grammar(alph.kat)
 
     def atom(c: Cur) -> BiKatTerm:
+        t = simple(c)
+        if isinstance(t, BTest) and c.peek() in ("&", "|"):
+            first = [t.test]
+
+            def operand(c: Cur):
+                return first.pop() if first else _as_bitest(simple(c), c.i)
+            t = btest(or_and(c, operand, ("|", "&"),
+                             lambda ts: bor(*ts), lambda ts: band(*ts)))
+        return t
+
+    def simple(c: Cur) -> BiKatTerm:
         ch = c.peek()
         if c.eat("("):
             t = g.term(c)
             c.expect(")")
             return t
         if c.eat("!"):
-            return btest(bnot(_as_bitest(g.postfix(c), c.i)))
+            return btest(bnot(_as_bitest(simple(c), c.i)))
         if c.eat("<"):
             left = kat.term(c)
             if c.eat("|"):
@@ -66,15 +84,27 @@ def bikat_grammar(alph: BiAlphabet) -> Kleene:
             c.expect("]")
             return bembl(left)
         if c.eat("["):
+            m = _BRACKETED_NAME.match(c.text, c.i)
+            if m and m.group(1) in alph.bitests:
+                c.i = m.end()
+                return btest(BPrim(m.group(1)))
             k = kat.term(c)
             c.expect(">")
             return bembr(k)
         if ch == "0" or ch == "1":
             c.i += 1
             return B0 if ch == "0" else B1
+        if c.peek(2) in ("L[", "R["):
+            c.i += 2
+            pos = c.i
+            test = test_of(kat.term(c), pos)
+            c.expect("]")
+            return btest(BEmbLTest(test) if ch == "L" else BEmbRTest(test))
         name = c.match(NAME, "a term")
         if name in alph.bitests:
             return btest(BPrim(name))
+        if name in ("true", "false"):
+            return B1 if name == "true" else B0
         raise ParseError(f"undeclared bitest {name!r}", c.i)
 
     g = Kleene(atom, bplus, bseq, bstar)
@@ -137,10 +167,17 @@ def parse_step(line: str) -> Step:
     return Step(law, parse_path(path), _split_step_params(params or ""), raw=line.strip())
 
 
-def parse_script_lines(lines: list[str]) -> list[Step]:
-    steps = []
-    for ln in lines:
-        ln = ln.split("#", 1)[0].strip()
-        if ln:
-            steps.append(parse_step(ln))
+def parse_script_lines(text: str) -> list[Step]:
+    """One step per line of `text`.  A bad step's `ParseError` carries the
+    offset of the step in `text`."""
+    steps, pos = [], 0
+    for ln in text.splitlines(keepends=True):
+        step = ln.split("#", 1)[0]
+        if step.strip():
+            try:
+                steps.append(parse_step(step.strip()))
+            except ParseError as e:
+                at = pos + len(step) - len(step.lstrip()) + max(e.pos, 0)
+                raise ParseError(e.msg, at) from None
+        pos += len(ln)
     return steps

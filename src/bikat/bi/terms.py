@@ -172,7 +172,8 @@ class BTest:
     test: BiTestTerm
 
     def __str__(self) -> str:
-        return str(self.test)
+        s = str(self.test)
+        return f"({s})" if isinstance(self.test, (BOr, BAnd)) else s
 
 
 @dataclass(frozen=True)

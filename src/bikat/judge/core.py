@@ -1,18 +1,25 @@
 """Judgment data and enumerable views of pair relations.
 
-`PairSpec` turns a bitest into something the oracles can iterate.  It
-analyses conjunctions of one-sided conditions and expression comparisons
-whose right side reads one state field.  On a structured space it computes a
-field layout once per spec: the offsets of the fields an equality pins to a
-left-state value, the value lists of compared fields, one list of bit
-patterns for the free fields, and byte tables for the one-sided conditions.
-A right candidate is then a template ORed with a pattern; the patterns that
-pass the right-side conditions are found once per template.  Anything outside
-that fragment falls back to full-product filtering, which is refused above a
-size cap rather than allowed to run forever.
+`PairSpec` turns a bitest into rows the oracles can iterate: each left state
+with its list of right partners (`rows`, in state order).  `pairs` flattens
+the rows, and `partners_left` reads one row, computing it alone while the
+rows are not yet enumerated.  The rows are the only enumeration a spec
+keeps.  Enumeration is refused above a cap before it starts, never
+truncated.
 
-`PostMap` memoizes per-state images of a program term; `fill` computes the
-missing images of a whole batch of states in one walk of the compiled term.
+To enumerate, `PairSpec` analyses conjunctions of one-sided conditions and
+expression comparisons whose right side reads one state field.  On a
+structured space it computes a field layout once per spec: the offsets of
+the fields an equality pins to a left-state value, the value lists of
+compared fields, one list of bit patterns for the free fields, and byte
+tables for the one-sided conditions.  A right candidate is then a template
+ORed with a pattern; the patterns that pass the right-side conditions are
+found once per template.  Anything outside that fragment falls back to
+full-product filtering, which is refused above a size cap.
+
+`PostMap` memoizes per-state images of a program term in `images`; `fill`
+computes the missing images of a whole batch of states in one walk of the
+compiled term.
 """
 
 from __future__ import annotations
@@ -124,26 +131,27 @@ class Counterexample:
 
 
 class PostMap:
-    """Per-state images of a term, computed on demand and memoized."""
+    """Per-state images of a term, computed on demand and memoized in
+    `images` (state -> image, for the states computed so far)."""
 
     def __init__(self, model, term: KatTerm, backward: bool = False):
         self.model = model
         self.term = term
         self.backward = backward
-        self._cache: dict[int, frozenset[int]] = {}
+        self.images: dict[int, frozenset[int]] = {}
 
     def __getitem__(self, state: int) -> frozenset[int]:
-        got = self._cache.get(state)
+        got = self.images.get(state)
         if got is None:
             f = kat_pre if self.backward else kat_post
             got = f(self.model, self.term, (state,))
-            self._cache[state] = got
+            self.images[state] = got
         return got
 
     def fill(self, states) -> dict[int, frozenset[int]]:
         """Compute the missing images of a batch of states together; the
-        returned cache then holds the image of each of `states`."""
-        cache = self._cache
+        returned `images` then holds the image of each of `states`."""
+        cache = self.images
         missing = [s for s in dict.fromkeys(states) if s not in cache]
         if missing:
             cache.update(image(self.model, self.term, missing, self.backward))
@@ -184,9 +192,11 @@ class PairSpec:
         self.bm = bm
         self.term = term
         self.n = bm.space.size
-        self._pairs: list[tuple[int, int]] | None = None
-        self._left_index: dict[int, list[int]] | None = None
         self._analysis = self._analyse()
+        # left state -> right partners; per state on demand until `rows`
+        # enumerates them all, then the non-empty rows in state order
+        self._rows: dict[int, list[int]] = {}
+        self._complete = self._analysis is not None and self._analysis[3] is None
         self._layout: _Layout | None = None
         self._filtered: dict[int, list[int]] = {}
         self._pred = None
@@ -304,15 +314,14 @@ class PairSpec:
             got = self._filtered[base] = [p for p in lay.patterns if right[base | p]]
         return got
 
-    def pairs(self) -> list[tuple[int, int]]:
-        if self._pairs is not None:
-            return self._pairs
-        out: list[tuple[int, int]] = []
-        n = self.n
+    def rows(self) -> dict[int, list[int]]:
+        """The relation as rows: each left state with a partner, in order,
+        mapped to its right partners.  Refused above the caps before any
+        enumeration."""
+        if self._complete:
+            return self._rows
+        n, known = self.n, self._rows
         if self._analysis is not None:
-            if self._analysis[3] is None:  # provably empty
-                self._pairs = []
-                return self._pairs
             lay = self._get_layout()
             lefts = n if lay.left is None else lay.left.count(1)
             estimated = lefts * len(lay.patterns)
@@ -320,48 +329,48 @@ class PairSpec:
                 raise EnumRefused(
                     f"pair enumeration of ~{estimated} pairs exceeds the cap "
                     f"{PAIR_ENUM_CAP}")
-            for s in range(n):
-                for s2 in self._right_candidates(s):
-                    out.append((s, s2))
-            self._pairs = out
-            return out
-        if n > FULL_PRODUCT_CAP:
+            partners = self._right_candidates
+        elif n > FULL_PRODUCT_CAP:
             raise EnumRefused(
                 f"cannot enumerate an unstructured pair relation over {n} states "
                 f"(cap {FULL_PRODUCT_CAP}); express the relation as a conjunction "
                 "of one-sided tests and expression equalities")
+        else:
+            holds = self.holds
+            states = range(n)
+
+            def partners(s: int) -> list[int]:
+                return [s2 for s2 in states if holds(s, s2)]
+        rows = {}
         for s in range(n):
-            for s2 in range(n):
-                if self.holds(s, s2):
-                    out.append((s, s2))
-        self._pairs = out
-        return out
+            got = known.get(s)
+            if got is None:
+                got = partners(s)
+            if got:
+                rows[s] = got
+        self._rows, self._complete = rows, True
+        return rows
+
+    def pairs(self) -> list[tuple[int, int]]:
+        """The rows flattened into pairs, in order."""
+        return [(s, s2) for s, row in self.rows().items() for s2 in row]
 
     def partners_left(self, s: int) -> list[int]:
-        """All s2 with (s, s2) in the relation; computed per left state when
-        the conjunction analysis applies, otherwise via the full pair index."""
-        if self._analysis is not None:
-            if self._analysis[3] is None:
-                return []
-            if self._left_index is None:
-                self._left_index = {}
-            got = self._left_index.get(s)
-            if got is None:
-                got = self._right_candidates(s)
-                self._left_index[s] = got
+        """All s2 with (s, s2) in the relation: read from the rows once they
+        are enumerated, else computed for `s` alone when the conjunction
+        analysis applies."""
+        got = self._rows.get(s)
+        if got is not None:
             return got
-        if self._left_index is None:
-            idx: dict[int, list[int]] = {}
-            for a, b in self.pairs():
-                idx.setdefault(a, []).append(b)
-            self._left_index = idx
-        return self._left_index.get(s, [])
+        if self._complete:
+            return []
+        if self._analysis is None:
+            return self.rows().get(s, [])
+        got = self._rows[s] = self._right_candidates(s)
+        return got
 
     def as_rel(self) -> Rel:
         return Rel.of_pairs(self.n, self.pairs())
-
-    def is_empty(self) -> bool:
-        return not self.pairs()
 
     def render_pair(self, s: int, s2: int) -> str:
         sp = self.bm.space

@@ -1,14 +1,25 @@
 """Semantic oracles for the relational judgment forms.
 
-Each oracle enumerates pointwise from the pre-relation (worklist over its
-pairs, never the full pair space) and, where the space permits, additionally
-evaluates the equational/point-free formulation and asserts the two routes
-agree.  Counterexamples carry the violating state tuple and replay cleanly.
+The oracles read the pre-relation as rows, a left state with all its right
+partners, never the full pair space.  The rows come a chunk at a time
+(`_pre_chunks`: 64 pairs, then 128, ...), with the images of the chunk's
+states computed in one batch, so a check that stops at an early
+counterexample computes few images.  For ∀∀ and ∃∃ one row costs one union
+D of its partners' right images: every run pair of the row is a pair of
+cpost[a] x D.  Forward simulation keeps its ∃ over the runs of each partner.
+
+Where the space permits, an oracle also evaluates the equational or
+point-free formulation and raises `RouteDisagreement` if the routes differ.
+The ∀∀ equational route is dense up to DENSE_SIDE_CAP states a side and
+factored by rows above it, reading the post through its partner enumeration
+rather than through the predicate the pointwise route uses.  Counterexamples
+carry the violating state tuple and replay cleanly.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from itertools import chain
 
 from ..bi.terms import BiKatTerm, bnot, emb_pair
 from ..kat.terms import KatTerm
@@ -17,7 +28,7 @@ from ..models.bmodel import BiModel, bitest_subid, interp_bikat
 from ..models.kmodel import REL_MATRIX_CAP, WALK_SOURCES, interp_kat
 from ..models.rel import Rel
 from .core import (Counterexample, EnumRefused, Judgment, PairSpec,
-                   PostMap, pair_spec, post_map)
+                   PostMap, compile_pred, pair_spec, post_map)
 
 
 @dataclass
@@ -39,100 +50,124 @@ def _spec_views(bm: BiModel, j: Judgment) -> tuple[PairSpec, PairSpec]:
     return pair_spec(bm, j.spec.pre), pair_spec(bm, j.spec.post)
 
 
-def _pre_chunks(r: PairSpec, cpost: PostMap, dpost: PostMap,
+def _pre_chunks(r: PairSpec, cpost: PostMap, dpost: PostMap | None,
                 most: int | None = None):
-    """The pre pairs in order, a chunk at a time, with the images of their
-    states computed.  Chunks double from 64 pairs (up to `most`), so that a
-    check that stops at an early counterexample computes few images."""
-    pairs, i, size = r.pairs(), 0, 64
-    while i < len(pairs):
-        chunk = pairs[i:i + size]
-        cpost.fill(a for a, _ in chunk)
-        dpost.fill(b for a, b in chunk if cpost[a])
+    """The rows of `r` in state order, a chunk at a time, with the images
+    under `cpost` of their left states and, for the rows whose left state has
+    runs, the images under `dpost` of their partners computed.  A chunk
+    closes once it holds 64 pairs, then 128, ... (at most `most` after the
+    first), so that a check that stops at an early counterexample computes
+    few images."""
+    chunk, count, size = [], 0, 64
+    for row in r.rows().items():
+        chunk.append(row)
+        count += len(row[1])
+        if count >= size:
+            _fill_rows(chunk, cpost, dpost)
+            yield chunk
+            chunk, count = [], 0
+            size = size * 2 if most is None else min(size * 2, most)
+    if chunk:
+        _fill_rows(chunk, cpost, dpost)
         yield chunk
-        i += size
-        size = size * 2 if most is None else min(size * 2, most)
 
 
-def _pre_pairs(r: PairSpec, cpost: PostMap, dpost: PostMap):
+def _fill_rows(chunk, cpost: PostMap, dpost: PostMap | None):
+    cimg = cpost.fill(a for a, _ in chunk)
+    if dpost is not None:
+        dpost.fill(chain.from_iterable(bs for a, bs in chunk if cimg[a]))
+
+
+def _run_rows(r: PairSpec, cpost: PostMap, dpost: PostMap):
+    """(a, partners, cpost[a]) for each pre row whose left state a has runs,
+    with the right images of its partners computed."""
+    cimg = cpost.images
     for chunk in _pre_chunks(r, cpost, dpost):
-        yield from chunk
+        for a, bs in chunk:
+            cs = cimg[a]
+            if cs:
+                yield a, bs, cs
+
+
+def _union(images: dict[int, frozenset[int]], states: list[int]) -> frozenset[int]:
+    """The union of the images of `states`, taken in one set operation."""
+    return frozenset().union(*map(images.__getitem__, states))
+
+
+def _escape(holds, a: int, bs: list[int], cs, d, dimg) -> tuple | None:
+    """The first run pair of a row that ends outside the post, as
+    (a, b, a2, b2) with b the first partner whose image holds b2; or None."""
+    for a2 in cs:
+        for b2 in d:
+            if not holds(a2, b2):
+                return a, next(b for b in bs if b2 in dimg[b]), a2, b2
+    return None
 
 
 def check_allall(bm: BiModel, j: Judgment) -> JudgeResult:
     """Forall-forall: every pair of terminated runs from pre-related states
-    ends post-related.  Pointwise route always runs; the equational form
-    R;<c|d>;!S = 0 runs dense when the space is small, factored otherwise."""
+    ends post-related, i.e. R;<c|d>;!S = 0.
+
+    Both routes take the pre-relation a row at a time: a left state a with
+    runs, and D, the union of the right images of its partners.  The
+    pointwise route tests every (a2, b2) in cpost[a] x D with the post
+    predicate.  The equational route runs dense when the space is small;
+    otherwise it evaluates R;<c|d> as a relation, factored by rows: D must lie
+    inside the S-partners common to every state of cpost[a], read through
+    the post's partner enumeration and cached per distinct left image."""
     r, s = _spec_views(bm, j)
     cpost = post_map(bm.base, j.left)
     dpost = post_map(bm.base, j.right)
-    result = JudgeResult("allall", True)
-
+    holds = compile_pred(bm, j.spec.post)
+    dense = bm.space.size <= DENSE_SIDE_CAP
+    allowed = None if dense else _common_partners(s)
+    equational = True
     cex = None
-    for (a, b) in _pre_pairs(r, cpost, dpost):
-        cs = cpost[a]
-        if not cs:
-            continue
-        for b2 in dpost[b]:
-            for a2 in cs:
-                if not s.holds(a2, b2):
-                    cex = Counterexample(
-                        "allall", (a, b, a2, b2),
-                        f"pre {r.render_pair(a, b)} -> post {r.render_pair(a2, b2)}")
-                    break
-            if cex:
-                break
-        if cex:
+    dimg = dpost.images
+    for a, bs, cs in _run_rows(r, cpost, dpost):
+        d = _union(dimg, bs)
+        if cex is None:
+            cex = _escape(holds, a, bs, cs, d, dimg)
+        if allowed is not None and equational:
+            try:
+                equational = d <= allowed(cs)
+            except EnumRefused:
+                allowed = None
+        if cex is not None and (allowed is None or not equational):
             break
     pointwise = cex is None
+    result = JudgeResult("allall", pointwise)
     result.routes["pointwise"] = pointwise
+    if cex is not None:
+        a, b, a2, b2 = cex
+        result.counterexample = Counterexample(
+            "allall", cex, f"pre {r.render_pair(a, b)} -> post {r.render_pair(a2, b2)}")
 
-    equational = _allall_equational(bm, j, r, s, cpost, dpost)
-    if equational is not None:
-        result.routes["equational"] = equational
-        if equational != pointwise:
-            raise RouteDisagreement(
-                f"allall: pointwise={pointwise} equational={equational}")
-
-    result.holds = pointwise
-    result.counterexample = cex
-    return result
-
-
-def _allall_equational(bm, j, r: PairSpec, s: PairSpec, cpost, dpost) -> bool | None:
-    n = bm.space.size
-    if n <= DENSE_SIDE_CAP:
+    if dense:
         rd = bitest_subid(bm, j.spec.pre)
         sd_neg = bitest_subid(bm, bnot(j.spec.post))
         prod = interp_bikat(bm, emb_pair(j.left, j.right))
-        return rd.compose(prod).compose(sd_neg).is_empty()
-    # factored evaluation of the same equation: for each pre pair (a,b),
-    # d-image of b must land inside the S-partners common to all c-images of a
-    try:
-        allowed_cache: dict[frozenset, frozenset] = {}
-        partner_cache: dict[int, frozenset] = {}
-        for (a, b) in r.pairs():
-            cs = cpost[a]
-            key = cs
-            allowed = allowed_cache.get(key)
-            if allowed is None:
-                allowed, first = None, True
-                for t in cs:
-                    pt = partner_cache.get(t)
-                    if pt is None:
-                        pt = frozenset(s.partners_left(t))
-                        partner_cache[t] = pt
-                    allowed = pt if first else (allowed & pt)
-                    first = False
-                allowed = allowed if allowed is not None else None
-                allowed_cache[key] = allowed
-            if allowed is None:  # no c-run: vacuous
-                continue
-            if any(t2 not in allowed for t2 in dpost[b]):
-                return False
-        return True
-    except EnumRefused:
-        return None
+        equational = rd.compose(prod).compose(sd_neg).is_empty()
+    elif allowed is None:
+        return result
+    result.routes["equational"] = equational
+    if equational != pointwise:
+        raise RouteDisagreement(f"allall: pointwise={pointwise} equational={equational}")
+    return result
+
+
+def _common_partners(s: PairSpec):
+    """cs -> the right states S-related to every state of cs, memoized per
+    distinct cs."""
+    known: dict[frozenset[int], frozenset[int]] = {}
+
+    def allowed(cs: frozenset[int]) -> frozenset[int]:
+        got = known.get(cs)
+        if got is None:
+            got = known[cs] = frozenset.intersection(
+                *(frozenset(s.partners_left(t)) for t in cs))
+        return got
+    return allowed
 
 
 def check_adequacy(bm: BiModel, pre, c: KatTerm, d: KatTerm, b: BiKatTerm) -> JudgeResult:
@@ -147,13 +182,14 @@ def check_adequacy(bm: BiModel, pre, c: KatTerm, d: KatTerm, b: BiKatTerm) -> Ju
     r = pair_spec(bm, pre)
     cpost = post_map(bm.base, c)
     dpost = post_map(bm.base, d)
+    cimg, dimg = cpost.images, dpost.images
     for chunk in _pre_chunks(r, cpost, dpost, WALK_SOURCES):
-        sources = [(a, b2) for a, b2 in chunk if cpost[a] and dpost[b2]]
+        sources = [(a, b2) for a, bs in chunk if cimg[a] for b2 in bs if dimg[b2]]
         images = witness.term_image(bm, b, sources)
         for (a, b2) in sources:
             covered = images[(a, b2)]
-            for t in cpost[a]:
-                for t2 in dpost[b2]:
+            for t in cimg[a]:
+                for t2 in dimg[b2]:
                     if (t, t2) not in covered:
                         return JudgeResult(
                             "adequacy", False,
@@ -169,18 +205,21 @@ def check_fsim(bm: BiModel, j: Judgment) -> JudgeResult:
     r, s = _spec_views(bm, j)
     cpost = post_map(bm.base, j.left)
     dpost = post_map(bm.base, j.right)
+    holds = compile_pred(bm, j.spec.post)
     result = JudgeResult("fsim", True)
+    dimg = dpost.images
     cex = None
-    for (a, b) in _pre_pairs(r, cpost, dpost):
-        ds = None
-        for t in cpost[a]:
-            if ds is None:
-                ds = dpost[b]
-            if not any(s.holds(t, t2) for t2 in ds):
-                cex = Counterexample(
-                    "fsim", (a, b, t),
-                    f"pre {r.render_pair(a, b)}: left run to "
-                    f"{bm.space.state_str(t)} has no post-related right run")
+    for a, bs, cs in _run_rows(r, cpost, dpost):
+        for b in bs:
+            ds = dimg[b]
+            for t in cs:
+                if not any(holds(t, t2) for t2 in ds):
+                    cex = Counterexample(
+                        "fsim", (a, b, t),
+                        f"pre {r.render_pair(a, b)}: left run to "
+                        f"{bm.space.state_str(t)} has no post-related right run")
+                    break
+            if cex:
                 break
         if cex:
             break
@@ -289,19 +328,19 @@ def check_existsforall(bm: BiModel, j: Judgment) -> JudgeResult:
 def check_existsexists(bm: BiModel, j: Judgment) -> JudgeResult:
     """Some pre-related pair has runs ending non-post-related: nonemptiness
     of R;(c x d);!S."""
-    r, s = _spec_views(bm, j)
+    r = pair_spec(bm, j.spec.pre)
     cpost = post_map(bm.base, j.left)
     dpost = post_map(bm.base, j.right)
-    for (a, b) in _pre_pairs(r, cpost, dpost):
-        for t in cpost[a]:
-            for t2 in dpost[b]:
-                if not s.holds(t, t2):
-                    res = JudgeResult("existsexists", True)
-                    res.counterexample = Counterexample(
-                        "existsexists-witness", (a, b, t, t2),
-                        f"pre {r.render_pair(a, b)} runs to non-post-related "
-                        f"{r.render_pair(t, t2)}")
-                    return res
+    holds = compile_pred(bm, j.spec.post)
+    dimg = dpost.images
+    for a, bs, cs in _run_rows(r, cpost, dpost):
+        hit = _escape(holds, a, bs, cs, _union(dimg, bs), dimg)
+        if hit is not None:
+            a, b, t, t2 = hit
+            return JudgeResult("existsexists", True, Counterexample(
+                "existsexists-witness", hit,
+                f"pre {r.render_pair(a, b)} runs to non-post-related "
+                f"{r.render_pair(t, t2)}"))
     return JudgeResult("existsexists", False)
 
 

@@ -10,7 +10,8 @@ distinct left (or right) states of the frontier, then reads one image per
 pair.  Images are computed only from the pairs the validity conditions
 quantify over (forward from the pre-relation, backward from the
 post-relation), so structured spaces with thousands of states per side stay
-tractable.
+tractable.  Those pairs are taken in the oracles' chunks, and a check stops
+at the first chunk after which every one of its conditions has failed.
 
 Validity conditions, with hav the full relation of the ambient full model:
 
@@ -28,9 +29,11 @@ from dataclasses import dataclass, field
 
 from ..bi.terms import BEmbL, BEmbR, BiKatTerm, BPlus, BSeq, BTest
 from ..models.bmodel import BiModel
-from ..models.kmodel import Tagged, Walk, walk_plus, walk_seq, walk_sources, walk_star
+from ..models.kmodel import (WALK_SOURCES, Tagged, Walk, walk_plus, walk_seq,
+                             walk_sources, walk_star)
 from .core import Counterexample, Judgment, compile_pred, pair_spec, post_map
-from .oracles import JudgeResult, RouteDisagreement, check_bsim, check_fsim
+from .oracles import (JudgeResult, RouteDisagreement, _pre_chunks, check_bsim,
+                      check_fsim)
 
 Pair = tuple[int, int]
 ImageMap = dict[Pair, frozenset[Pair]]
@@ -142,6 +145,16 @@ def _witness_preimage(bm: BiModel, w: Witness, targets) -> ImageMap:
     return term_preimage(bm, w, targets)
 
 
+def _chunk_images(chunks, images):
+    """(pair, its image) for the pairs of each chunk of rows, in order; a
+    chunk is imaged, by `images(pairs)`, only when it is reached."""
+    for chunk in chunks:
+        pairs = [(a, b) for a, bs in chunk for b in bs]
+        got = images(pairs)
+        for p in pairs:
+            yield p, got.get(p, frozenset())
+
+
 @dataclass
 class WitnessReport:
     direction: str  # "forward" | "backward"
@@ -155,17 +168,17 @@ class WitnessReport:
 
 
 def check_fvalid(bm: BiModel, w: Witness, j: Judgment) -> WitnessReport:
-    """Forward validity (WC, WO, WU); on success asserts the simulation holds."""
+    """Forward validity (WC, WO, WU); on success asserts the simulation holds.
+    The pre pairs are imaged a chunk at a time, and the check stops once
+    every condition has failed."""
     r, s = pair_spec(bm, j.spec.pre), pair_spec(bm, j.spec.post)
     cpost = post_map(bm.base, j.left)
     dpost = post_map(bm.base, j.right)
-    sources = r.pairs()
-    images = _witness_image(bm, w, sources)
     conds = {"WC": True, "WO": True, "WU": True}
     cexs: dict[str, Counterexample] = {}
 
-    for src in sources:
-        tgts = images.get(src, frozenset())
+    chunks = _pre_chunks(r, cpost, dpost, WALK_SOURCES)
+    for src, tgts in _chunk_images(chunks, lambda ps: _witness_image(bm, w, ps)):
         if conds["WC"]:
             for t in tgts:
                 if not s.holds(*t):
@@ -204,17 +217,22 @@ def check_fvalid(bm: BiModel, w: Witness, j: Judgment) -> WitnessReport:
 
 
 def check_bvalid(bm: BiModel, w: Witness, j: Judgment) -> WitnessReport:
-    """Backward validity (WCb, WOb, WUb), evaluated backward from the post."""
+    """Backward validity (WCb, WOb, WUb), evaluated backward from the post.
+    The post pairs are preimaged a chunk at a time, and the check stops once
+    every condition has failed."""
     r, s = pair_spec(bm, j.spec.pre), pair_spec(bm, j.spec.post)
     cpre = post_map(bm.base, j.left, backward=True)
-    targets = s.pairs()
-    back = _witness_preimage(bm, w, targets)
     dpost = post_map(bm.base, j.right)
     conds = {"WCb": True, "WOb": True, "WUb": True}
     cexs: dict[str, Counterexample] = {}
 
-    for tgt in targets:
-        srcs = back.get(tgt, frozenset())
+    def preimages(targets):
+        back = _witness_preimage(bm, w, targets)
+        dpost.fill({b for srcs in back.values() for _, b in srcs})
+        return back
+
+    chunks = _pre_chunks(s, cpre, None, WALK_SOURCES)
+    for tgt, srcs in _chunk_images(chunks, preimages):
         if conds["WCb"]:
             for u in srcs:
                 if not r.holds(*u):

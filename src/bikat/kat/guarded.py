@@ -58,15 +58,6 @@ def gs_actions(gs: tuple) -> int:
     return len(gs) // 2
 
 
-def _coalesce(x: tuple, y: tuple, max_len: int) -> tuple | None:
-    if x[-1] != y[0]:
-        return None
-    joined = x + y[1:]
-    if gs_actions(joined) > max_len:
-        return None
-    return joined
-
-
 def enumerate_guarded_strings(
     t: KatTerm, max_len: int, alphabet: Alphabet
 ) -> set[tuple]:
@@ -74,10 +65,27 @@ def enumerate_guarded_strings(
 
     Computed by direct language unfolding; independent of the derivative
     construction, so it serves as an oracle for the decision procedure.
+    Catenation is a join stratified by length: the right language is indexed
+    by first atom and action count, and each left string meets only the
+    strings that start with its last atom and fit the bound.  A star adds
+    the strings of its body with at least one action to a frontier until no
+    new string fits, so it takes at most `max_len` rounds.
     """
     if max_len > GS_LEN_CAP:
         raise CapExceeded(f"guarded-string length {max_len} exceeds cap {GS_LEN_CAP}")
     alph_atoms = atoms(alphabet)
+
+    def join(xs: Iterable[tuple], ys: Iterable[tuple]) -> set[tuple]:
+        index: dict[tuple[int, int], list[tuple]] = {}
+        for y in ys:
+            index.setdefault((y[0], len(y) // 2), []).append(y[1:])
+        out: set[tuple] = set()
+        for x in xs:
+            last, room = x[-1], max_len - len(x) // 2
+            for k in range(room + 1):
+                for rest in index.get((last, k), ()):
+                    out.add(x + rest)
+        return out
 
     def go(u: KatTerm) -> set[tuple]:
         if isinstance(u, KTest):
@@ -93,32 +101,18 @@ def enumerate_guarded_strings(
                 out |= go(a)
             return out
         if isinstance(u, KSeq):
-            langs = [go(a) for a in u.args]
-            acc = {(a,) for a in alph_atoms}
-            for lang in langs:
-                nxt: set[tuple] = set()
-                for x in acc:
-                    for y in lang:
-                        j = _coalesce(x, y, max_len)
-                        if j is not None:
-                            nxt.add(j)
-                acc = nxt
+            acc = go(u.args[0])
+            for a in u.args[1:]:
                 if not acc:
                     break
+                acc = join(acc, go(a))
             return acc
-        # star: iterate coalesced catenation to a fixpoint (lengths bounded)
-        base = go(u.arg)
+        steps = [y for y in go(u.arg) if len(y) > 1]
         acc = {(a,) for a in alph_atoms}
-        frontier = set(acc)
+        frontier = acc
         while frontier:
-            new: set[tuple] = set()
-            for x in frontier:
-                for y in base:
-                    j = _coalesce(x, y, max_len)
-                    if j is not None and j not in acc:
-                        new.add(j)
-            acc |= new
-            frontier = new
+            frontier = join(frontier, steps) - acc
+            acc |= frontier
         return acc
 
     return go(t)

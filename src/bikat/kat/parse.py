@@ -32,6 +32,7 @@ from .terms import (Alphabet, KatTerm, KPlus, KSeq, KTest, TestTerm, kact,
 class ParseError(Exception):
     def __init__(self, msg: str, pos: int = -1):
         super().__init__(msg if pos < 0 else f"{msg} (at offset {pos})")
+        self.msg = msg
         self.pos = pos
 
 
@@ -99,6 +100,10 @@ class Cur:
     def braced(self) -> str:
         """The text between `{` and its matching `}`; braces inside comments
         do not count."""
+        return self.braced_at()[1]
+
+    def braced_at(self) -> tuple[int, str]:
+        """`braced`, with the offset in the text where its body starts."""
         self.expect("{")
         text, start = self.text, self.i
         depth = 1
@@ -115,7 +120,7 @@ class Cur:
                 depth -= 1
                 if depth == 0:
                     self.i = pos
-                    return text[start:m.start()]
+                    return start, text[start:m.start()]
             m = _BLOCK_MARK.search(text, pos)
         raise ParseError("unclosed '{'", start)
 
@@ -207,14 +212,16 @@ def kat_grammar(alphabet: Alphabet) -> Kleene:
     return g
 
 
-def _test_of(t: KatTerm) -> TestTerm:
+def test_of(t: KatTerm, pos: int = 0) -> TestTerm:
+    """A term built from tests by `+` and `;` as a test (or, and); `pos` is
+    the offset reported if it is not one."""
     if isinstance(t, KTest):
         return t.test
     if isinstance(t, KPlus):
-        return tor(*[_test_of(a) for a in t.args])
+        return tor(*[test_of(a, pos) for a in t.args])
     if isinstance(t, KSeq):
-        return tand(*[_test_of(a) for a in t.args])
-    raise ParseError("expected a test expression", 0)
+        return tand(*[test_of(a, pos) for a in t.args])
+    raise ParseError("expected a test expression", pos)
 
 
 def parse_term(text: str, alphabet: Alphabet) -> KatTerm:
@@ -222,4 +229,4 @@ def parse_term(text: str, alphabet: Alphabet) -> KatTerm:
 
 
 def parse_test(text: str, alphabet: Alphabet) -> TestTerm:
-    return _test_of(parse_term(text, alphabet))
+    return test_of(parse_term(text, alphabet))

@@ -424,13 +424,13 @@ def _load(text: str, name: str, width_override: int | None) -> Problem:
             hname = c.ident()
             if key == "relhyp":
                 hkind = c.ident()
-                raw.append((key, hname, hkind, c.braced()))
+                raw.append((key, hname, hkind, c.braced_at()))
             elif key == "implhyp":
-                raw.append((key, hname, c.braced(), c.braced()))
+                raw.append((key, hname, c.braced_at(), c.braced_at()))
             else:
-                raw.append((key, hname, c.braced()))
+                raw.append((key, hname, c.braced_at()))
         else:
-            raw.append((key, c.braced()))
+            raw.append((key, c.braced_at()))
 
     if width_override is not None:
         width = width_override
@@ -460,25 +460,30 @@ def _load(text: str, name: str, width_override: int | None) -> Problem:
         elif key == "expect":
             prob.expects.append(entry[1])
         elif key == "left":
-            prob.left = parse_stmts_text(entry[1])
+            prob.left = _within(key, entry[1], parse_stmts_text)
         elif key == "right":
-            prob.right = parse_stmts_text(entry[1])
+            prob.right = _within(key, entry[1], parse_stmts_text)
         elif key == "pre":
-            prob.pre = parser.bitest(entry[1])
+            prob.pre = _within(key, entry[1], parser.bitest)
         elif key == "post":
-            prob.post = parser.bitest(entry[1])
+            prob.post = _within(key, entry[1], parser.bitest)
         elif key == "witness":
-            prob.witness = parser.bikat(entry[1])
+            prob.witness = _within(key, entry[1], parser.bikat)
         elif key == "hyp":
-            prob.zero_hyps[entry[1]] = ZeroHypothesis(entry[1], parser.kat(entry[2]))
+            prob.zero_hyps[entry[1]] = ZeroHypothesis(
+                entry[1], _within(f"hyp {entry[1]}", entry[2], parser.kat))
         elif key == "relhyp":
-            prob.rel_hyps[entry[1]] = RelHypothesis(
-                entry[1], _parse_relhyp(entry[3], _judgment_kind(entry[2]), parser))
+            hkind = _judgment_kind(entry[2])
+            prob.rel_hyps[entry[1]] = RelHypothesis(entry[1], _within(
+                f"relhyp {entry[1]}", entry[3],
+                lambda blob: _parse_relhyp(blob, hkind, parser)))
         elif key == "implhyp":
+            name = f"implhyp {entry[1]}"
             prob.impl_hyps[entry[1]] = ImplicationHypothesis(
-                entry[1], parser.bitest(entry[2]), parser.bitest(entry[3]))
+                entry[1], _within(name, entry[2], parser.bitest),
+                _within(name, entry[3], parser.bitest))
         elif key == "script":
-            _parse_script_block(entry[1], prob, parser)
+            _within(key, entry[1], lambda blob: _parse_script_block(blob, prob, parser))
         else:
             raise ParseError(f"unknown problem block {key!r}")
     # a bad program is refused here rather than in the middle of a check
@@ -488,6 +493,17 @@ def _load(text: str, name: str, width_override: int | None) -> Problem:
     for program in programs:
         env.check_block(program)
     return prob
+
+
+def _within(name: str, block: tuple[int, str], parse):
+    """`parse` applied to the body of a block that starts at `block[0]` in
+    the enclosing text.  A `ParseError` is raised again with its offset in
+    that text (the body's start if it had none) and the block's name."""
+    start, body = block
+    try:
+        return parse(body)
+    except ParseError as e:
+        raise ParseError(f"{name} block: {e.msg}", start + max(e.pos, 0)) from None
 
 
 def _judgment_kind(word: str) -> str:
@@ -502,15 +518,15 @@ def _parse_relhyp(blob: str, kind: str, parser: ImpTermParser) -> RhlJudgment:
     pre = post = BT1
     while not c.at_end():
         key = c.ident()
-        body = c.braced()
+        block = c.braced_at()
         if key == "left":
-            left = parse_stmts_text(body)
+            left = _within(key, block, parse_stmts_text)
         elif key == "right":
-            right = parse_stmts_text(body)
+            right = _within(key, block, parse_stmts_text)
         elif key == "pre":
-            pre = parser.bitest(body)
+            pre = _within(key, block, parser.bitest)
         elif key == "post":
-            post = parser.bitest(body)
+            post = _within(key, block, parser.bitest)
         else:
             raise ParseError(f"unknown relhyp block {key!r}")
     return RhlJudgment(kind, left, right, pre, post)
@@ -520,12 +536,12 @@ def _parse_script_block(blob: str, prob: Problem, parser: ImpTermParser):
     c = Cur(blob)
     while not c.at_end():
         key = c.ident()
-        body = c.braced()
+        block = c.braced_at()
         if key == "start":
-            prob.script_start = parser.bikat(body)
+            prob.script_start = _within(key, block, parser.bikat)
         elif key == "goal":
-            prob.script_goal = parser.bikat(body)
+            prob.script_goal = _within(key, block, parser.bikat)
         elif key == "steps":
-            prob.script_steps = tuple(parse_script_lines(body.splitlines()))
+            prob.script_steps = tuple(_within(key, block, parse_script_lines))
         else:
             raise ParseError(f"unknown script block {key!r}")

@@ -180,7 +180,7 @@ def discharge_side_condition(ctx: RhlContext, sc: SideCondition) -> tuple[bool, 
         spec = pair_spec(ctx.bm, post_spec)
         if havoc_var is None:
             # full-state nondeterminism on the right: need a partner per left state
-            lefts = {a for (a, _) in spec.pairs()}
+            lefts = spec.rows()
             for s in range(sp.size):
                 if s not in lefts:
                     return False, (f"{sc.description}: no partner for "

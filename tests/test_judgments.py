@@ -510,3 +510,139 @@ class TestAdequacyEarlyStop:
         assert check_adequacy(bm, j.spec.pre, j.left, j.right,
                               emb_pair(j.left, j.right)).holds
         assert seen == [64, 128, 256, 64]
+
+
+class TestRowPath:
+    """The ∀∀ and ∃∃ oracles read the pre-relation a row at a time (a left
+    state and all its partners); compare them with a per-pair reference on
+    spaces above DENSE_SIDE_CAP, where havoc gives images of several states
+    and the pre relations give rows of many partners."""
+    DECL = "width 2; vars x y z; var w:1;\n"
+    LEFTS = ["x := any; y := y + 1;",
+             "if (x < 2) { y := any; } else { z := z + 1; }",
+             "w := any; x := x + w;",
+             "skip;"]
+    RIGHTS = ["x := any; y := y + 1;",
+              "y := any; z := any;",
+              "if (w == 0) { x := x + 1; }",
+              "x := x + 1; y := y + 1;"]
+    PRES = ["[x == x]", "[x == x] & L[y <= 1]", "[y <= y] & [w != w]",
+            "R[z == 0] & ![x == y]", "[x == x] & [y == y] & [z == z]"]
+    POSTS = ["[x == x]", "[y <= y] | [z == z]", "[w == w]",
+             "L[y != 3] & [x != y]", "[z == z] & [w == w]"]
+
+    @classmethod
+    def cases(cls):
+        rng = random.Random(5)
+        for _ in range(14):
+            yield (rng.choice(cls.LEFTS), rng.choice(cls.RIGHTS),
+                   rng.choice(cls.PRES), rng.choice(cls.POSTS))
+
+    @staticmethod
+    def reference(prob, pre_pairs):
+        """Every (a, b, a2, b2): a pre pair, a run of each side, and an end
+        outside the post; found pair by pair with the interpreter."""
+        from bikat.models.bmodel import bitest_holds
+        env, n = prob.env, prob.bm.space.size
+        lruns = [env.run(prob.left, frozenset((a,))) for a in range(n)]
+        rruns = [env.run(prob.right, frozenset((b,))) for b in range(n)]
+        post: dict = {}
+        bad = []
+        for a, b in pre_pairs:
+            for a2 in lruns[a]:
+                for b2 in rruns[b]:
+                    ok = post.get((a2, b2))
+                    if ok is None:
+                        ok = post[(a2, b2)] = bitest_holds(prob.bm, prob.post, a2, b2)
+                    if not ok:
+                        bad.append((a, b, a2, b2))
+        return bad
+
+    def test_rows_match_the_per_pair_reference(self):
+        from bikat.models.birel import DENSE_SIDE_CAP
+        from bikat.models.bmodel import bitest_holds
+        pres: dict = {}
+        verdicts, widest = set(), 0
+        for left, right, pre, post in self.cases():
+            prob = load_problem(
+                f"{self.DECL}left {{ {left} }} right {{ {right} }}\n"
+                f"kind allall; pre {{ {pre} }} post {{ {post} }}")
+            bm, j = prob.bm, prob.judgment()
+            n = bm.space.size
+            assert n > DENSE_SIDE_CAP
+            if pre not in pres:
+                pres[pre] = [(a, b) for a in range(n) for b in range(n)
+                             if bitest_holds(bm, prob.pre, a, b)]
+            rows = PairSpec(bm, j.spec.pre).rows()
+            assert sorted((a, b) for a, bs in rows.items() for b in bs) == pres[pre]
+            widest = max([widest] + [len(bs) for bs in rows.values()])
+            bad = self.reference(prob, pres[pre])
+            aa = check_allall(bm, j)
+            ee = check_existsexists(bm, Judgment("existsexists", j.left, j.right, j.spec))
+            case = (left, right, pre, post)
+            assert aa.holds == (not bad), case
+            assert ee.holds == bool(bad), case
+            assert set(aa.routes) == {"pointwise", "equational"}, case
+            assert aa.routes["pointwise"] == aa.routes["equational"], case
+            for res in (aa, ee):
+                if res.counterexample is not None:
+                    assert res.counterexample.states in bad, case
+            assert (aa.counterexample is None) == aa.holds
+            assert (ee.counterexample is None) == (not ee.holds)
+            verdicts.add(aa.holds)
+        assert verdicts == {True, False}
+        assert widest >= 32
+
+
+class TestWitnessEarlyStop:
+    PROBLEM = TestAdequacyEarlyStop.PROBLEM
+    # moves only the right x, by 2: from every pair it leaves the post (WC),
+    # is no right run (WU) and covers no left run (WO); backward likewise
+    BAD = "[x := x + 2>"
+
+    @staticmethod
+    def counting(monkeypatch, name):
+        from bikat.judge import witness
+        seen = []
+        inner = getattr(witness, name)
+
+        def counted(bm, w, pairs):
+            seen.append(len(pairs))
+            return inner(bm, w, pairs)
+
+        monkeypatch.setattr(witness, name, counted)
+        return seen
+
+    def test_failing_forward_witness_images_one_chunk(self, monkeypatch):
+        prob = load_problem(self.PROBLEM)
+        bm, j = prob.bm, prob.judgment()
+        seen = self.counting(monkeypatch, "term_image")
+        rep = check_fvalid(bm, prob.parser.bikat(self.BAD), j)
+        assert rep.conditions == {"WC": False, "WO": False, "WU": False}
+        assert seen == [64]
+        # a valid witness images every pre pair, in doubling chunks
+        seen.clear()
+        rep = check_fvalid(bm, emb_pair(j.left, j.right), j)
+        assert rep.valid and rep.oracle.holds
+        assert seen == [64, 128, 256, 64]
+
+    def test_failing_backward_witness_preimages_one_chunk(self, monkeypatch):
+        prob = load_problem(self.PROBLEM)
+        bm, j = prob.bm, prob.judgment()
+        seen = self.counting(monkeypatch, "term_preimage")
+        rep = check_bvalid(bm, prob.parser.bikat(self.BAD), j)
+        assert rep.conditions == {"WCb": False, "WOb": False, "WUb": False}
+        assert seen == [64]
+        # with the post [x == x] each left state has 64 post partners, so
+        # backward simulation fails; with all fields equal it holds
+        prob = load_problem(self.PROBLEM.replace("post { [x == x] }",
+                                                 "post { [x == x] & [y == y] & [z == z] }"))
+        bm, j = prob.bm, prob.judgment()
+        seen.clear()
+        rep = check_bvalid(bm, prob.parser.bikat(self.BAD), j)
+        assert rep.conditions == {"WCb": False, "WOb": False, "WUb": False}
+        assert seen == [64]
+        seen.clear()
+        rep = check_bvalid(bm, emb_pair(j.left, j.right), j)
+        assert rep.valid and rep.oracle.holds
+        assert seen == [64, 128, 256, 64]

@@ -7,7 +7,7 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from bikat.bi import BiAlphabet, parse_biterm, parse_step
+from bikat.bi import BiAlphabet, bikat_equiv, parse_biterm, parse_step
 from bikat.bi.terms import bembl, bembr, bseq, btest, emb_pair, BPrim
 from bikat.kat import (Alphabet, CapExceeded, ParseError, kact, kat_equiv,
                        kseq, parse_term)
@@ -16,7 +16,7 @@ from bikat.problem import Cur, load_problem, parse_expr
 from bikat.rhl import check_selfcomp
 from bikat.rhl.parse import parse_proof
 
-from gen import random_kat
+from gen import random_bikat, random_kat
 
 CORPUS = Path(__file__).resolve().parent.parent / "src" / "bikat" / "corpus"
 PROBLEMS = {p.stem: p.read_text() for p in sorted(CORPUS.glob("*.prob"))}
@@ -107,6 +107,29 @@ def test_seeded_table_wider_than_the_space_cap_is_refused():
         load_problem("width 40;\nvar x:1;\nftable f seed 7;\nleft { x := f(x); }\n")
 
 
+@pytest.mark.parametrize("block, name, bad", [
+    ("pre { [x == x] & L[x = 1] }", "pre block", "= 1]"),
+    ("post {\n  [x == x] |\n  [y ? y] }", "post block", "? y]"),
+    ("hyp h { x := 1 ; [x ==] }", "hyp h block", "] }"),
+    ("implhyp i { [x == x] } { [x == x] & & [y == y] }", "implhyp i block",
+     "& [y"),
+    ("relhyp r allall { left { x := 1; } pre { [x == x] } post { [x >> x] } }",
+     "relhyp r block: post block", "> x]"),
+    ("script { goal { <x := 1] ; [y := > } }", "script block: goal block", "> }"),
+    ("script {\n steps {\n  hom-seq @ 0\n  lrc @ @ 1 # bad\n }\n}",
+     "script block: steps block", "lrc @ @"),
+])
+def test_block_parse_error_points_into_the_file(block, name, bad):
+    # a comment holding the same text must not be where the offset points
+    text = "# " + block.replace("\n", " ") + f"\n{SMALL}{block}\n"
+    with pytest.raises(ParseError) as err:
+        load_problem(text)
+    assert str(err.value).startswith(name + ":")
+    assert err.value.pos > text.index("\n") + len(SMALL)
+    assert text[err.value.pos:].startswith(bad), text[err.value.pos:]
+    assert f"(at offset {err.value.pos})" in str(err.value)
+
+
 # --- terms and steps ----------------------------------------------------------------
 
 def test_printed_kat_terms_parse_back_to_equivalent_terms():
@@ -115,6 +138,21 @@ def test_printed_kat_terms_parse_back_to_equivalent_terms():
     for _ in range(150):
         t = random_kat(rng, ALPH, 4)
         assert kat_equiv(parse_term(str(t), ALPH), t).is_equal, str(t)
+
+
+def test_printed_bikat_terms_parse_back():
+    # one-sided tests, bracketed bitest names, true/false and bitest | and &
+    # are printed as the parser reads them; only KAT test conjunctions inside
+    # embeddings come back as sequences, so those are compared by equivalence
+    alph = BiAlphabet(ALPH, ("P", "Q"))
+    rng = random.Random(3)
+    same = 0
+    for _ in range(300):
+        t = random_bikat(rng, ALPH, alph.bitests, 3)
+        back = parse_biterm(str(t), alph)
+        same += back == t
+        assert back == t or bikat_equiv(back, t).is_equal, str(t)
+    assert same > 250
 
 
 def test_embeddings_parse_their_kat_operand_in_place():
