@@ -32,7 +32,6 @@ from ..kat.terms import KatTerm, tand
 from ..models.bmodel import BiModel, BitestSem
 from ..models.imp import CMP_OPS, ImpEnv
 from ..models.kmodel import image, kat_post, kat_pre, test_table
-from ..models.rel import Rel
 
 PAIR_ENUM_CAP = 4_000_000
 FULL_PRODUCT_CAP = 1024
@@ -314,13 +313,14 @@ class PairSpec:
             got = self._filtered[base] = [p for p in lay.patterns if right[base | p]]
         return got
 
-    def rows(self) -> dict[int, list[int]]:
-        """The relation as rows: each left state with a partner, in order,
-        mapped to its right partners.  Refused above the caps before any
-        enumeration."""
+    def check_enumerable(self) -> None:
+        """Raise EnumRefused if enumerating the relation would exceed the
+        caps: an estimate of the pairs to build above PAIR_ENUM_CAP, or an
+        unstructured relation over more than FULL_PRODUCT_CAP states.  Nothing
+        is enumerated."""
         if self._complete:
-            return self._rows
-        n, known = self.n, self._rows
+            return
+        n = self.n
         if self._analysis is not None:
             lay = self._get_layout()
             lefts = n if lay.left is None else lay.left.count(1)
@@ -329,12 +329,22 @@ class PairSpec:
                 raise EnumRefused(
                     f"pair enumeration of ~{estimated} pairs exceeds the cap "
                     f"{PAIR_ENUM_CAP}")
-            partners = self._right_candidates
         elif n > FULL_PRODUCT_CAP:
             raise EnumRefused(
                 f"cannot enumerate an unstructured pair relation over {n} states "
                 f"(cap {FULL_PRODUCT_CAP}); express the relation as a conjunction "
                 "of one-sided tests and expression equalities")
+
+    def rows(self) -> dict[int, list[int]]:
+        """The relation as rows: each left state with a partner, in order,
+        mapped to its right partners.  Refused above the caps before any
+        enumeration."""
+        self.check_enumerable()
+        if self._complete:
+            return self._rows
+        n, known = self.n, self._rows
+        if self._analysis is not None:
+            partners = self._right_candidates
         else:
             holds = self.holds
             states = range(n)
@@ -369,8 +379,34 @@ class PairSpec:
         got = self._rows[s] = self._right_candidates(s)
         return got
 
-    def as_rel(self) -> Rel:
-        return Rel.of_pairs(self.n, self.pairs())
+    def partner_sets(self):
+        """t -> the right states related to t, as a set memoized per t.  If
+        the caps refuse the whole relation, None where each state's
+        candidates pass through pair predicates (a negation or disjunction
+        scans the whole space per state) or no layout applies; otherwise the
+        function raises EnumRefused before enumerating a state that would
+        take the candidates built past PAIR_ENUM_CAP."""
+        try:
+            self.check_enumerable()
+            each = 0
+        except EnumRefused:
+            if self._analysis is None or self._layout.preds:
+                return None
+            each = len(self._layout.patterns)
+            for _, width, _ in self._layout.compared:
+                each <<= width
+        known: dict[int, frozenset[int]] = {}
+
+        def partners(t: int) -> frozenset[int]:
+            got = known.get(t)
+            if got is None:
+                if (len(known) + 1) * each > PAIR_ENUM_CAP:
+                    raise EnumRefused(
+                        f"enumerating the partners of {len(known) + 1} states, up to "
+                        f"{each} candidates each, exceeds the cap {PAIR_ENUM_CAP}")
+                got = known[t] = frozenset(self.partners_left(t))
+            return got
+        return partners
 
     def render_pair(self, s: int, s2: int) -> str:
         sp = self.bm.space

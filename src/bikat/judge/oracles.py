@@ -1,34 +1,46 @@
 """Semantic oracles for the relational judgment forms.
 
-The oracles read the pre-relation as rows, a left state with all its right
-partners, never the full pair space.  The rows come a chunk at a time
-(`_pre_chunks`: 64 pairs, then 128, ...), with the images of the chunk's
-states computed in one batch, so a check that stops at an early
+No oracle builds a relation matrix.  Each reads the programs through one
+compiled representation, `PostMap` images over successor tables and test
+bytes, and the pre-relation as rows: a left state with all its right
+partners, a chunk at a time (`_pre_chunks`: 64 pairs, then 128, ...), with
+the chunk's images computed in one batch, so a check that stops at an early
 counterexample computes few images.  For ∀∀ and ∃∃ one row costs one union
-D of its partners' right images: every run pair of the row is a pair of
-cpost[a] x D.  Forward simulation keeps its ∃ over the runs of each partner.
+D of its partners' right images: every run pair of the row is in cpost[a] x D.
 
-Where the space permits, an oracle also evaluates the equational or
-point-free formulation and raises `RouteDisagreement` if the routes differ.
-The ∀∀ equational route is dense up to DENSE_SIDE_CAP states a side and
-factored by rows above it, reading the post through its partner enumeration
-rather than through the predicate the pointwise route uses.  Counterexamples
-carry the violating state tuple and replay cleanly.
+∀∀, forward and backward simulation each run a second route that reads the
+relations another way, and raise `RouteDisagreement` if the routes differ:
+
+- ∀∀ (R;<c|d>;!S = 0): pointwise, cpost[a] x D through the compiled post
+  predicate; equational, D against the states S-related to all of cpost[a],
+  read through the post's partner enumeration.
+- fsim (R°;c <= d;S°): per pre pair (a, b) and end t of a, pointwise, an end
+  of d(b) that the post predicate relates to t; point-free, an end of d(b) in
+  S(t), the enumerated post partners of t.
+- bsim (c;S <= R;d): per left run a -> t and enumerated post partner t2,
+  pointwise, t2 in the D of a's pre row; point-free, a right preimage of t2
+  that the compiled pre predicate relates to a.
+
+The ∀∀ equational and fsim point-free routes read the post through its
+per-state partner sets (`PairSpec.partner_sets`); a route whose enumeration
+the caps refuse, up front or once it has built PAIR_ENUM_CAP candidates, is
+dropped.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import reduce
 from itertools import chain
+from operator import and_
 
-from ..bi.terms import BiKatTerm, bnot, emb_pair
+from ..bi.terms import BiKatTerm, bnot
 from ..kat.terms import KatTerm
-from ..models.birel import DENSE_SIDE_CAP
-from ..models.bmodel import BiModel, bitest_subid, interp_bikat
-from ..models.kmodel import REL_MATRIX_CAP, WALK_SOURCES, interp_kat
-from ..models.rel import Rel
+from ..models.bmodel import BiModel
+# no oracle calls it; perfbench's tracer wraps `oracles.interp_kat` by name
+from ..models.kmodel import WALK_SOURCES, interp_kat  # noqa: F401
 from .core import (Counterexample, EnumRefused, Judgment, PairSpec,
-                   PostMap, compile_pred, pair_spec, post_map)
+                   PostMap, RelSpec, compile_pred, pair_spec, post_map)
 
 
 @dataclass
@@ -48,6 +60,22 @@ class RouteDisagreement(AssertionError):
 
 def _spec_views(bm: BiModel, j: Judgment) -> tuple[PairSpec, PairSpec]:
     return pair_spec(bm, j.spec.pre), pair_spec(bm, j.spec.post)
+
+
+def _two_routes(kind: str, cex: tuple | None, render, route: str,
+                verdict: bool | None) -> JudgeResult:
+    """The result of a check whose pointwise route found `cex` (None if it
+    holds), rendered by `render(*cex)`, and whose second route gave `verdict`
+    (None if dropped)."""
+    pointwise = cex is None
+    result = JudgeResult(kind, pointwise, None if pointwise else
+                         Counterexample(kind, cex, render(*cex)))
+    result.routes["pointwise"] = pointwise
+    if verdict is not None:
+        result.routes[route] = verdict
+        if verdict != pointwise:
+            raise RouteDisagreement(f"{kind}: pointwise={pointwise} {route}={verdict}")
+    return result
 
 
 def _pre_chunks(r: PairSpec, cpost: PostMap, dpost: PostMap | None,
@@ -108,19 +136,15 @@ def check_allall(bm: BiModel, j: Judgment) -> JudgeResult:
     """Forall-forall: every pair of terminated runs from pre-related states
     ends post-related, i.e. R;<c|d>;!S = 0.
 
-    Both routes take the pre-relation a row at a time: a left state a with
-    runs, and D, the union of the right images of its partners.  The
-    pointwise route tests every (a2, b2) in cpost[a] x D with the post
-    predicate.  The equational route runs dense when the space is small;
-    otherwise it evaluates R;<c|d> as a relation, factored by rows: D must lie
-    inside the S-partners common to every state of cpost[a], read through
-    the post's partner enumeration and cached per distinct left image."""
+    Per pre row with runs, the pointwise route tests every (a2, b2) in
+    cpost[a] x D with the post predicate; the equational route evaluates
+    R;<c|d> factored by rows: D must lie inside the S-partners common to every
+    state of cpost[a], cached per distinct left image."""
     r, s = _spec_views(bm, j)
     cpost = post_map(bm.base, j.left)
     dpost = post_map(bm.base, j.right)
     holds = compile_pred(bm, j.spec.post)
-    dense = bm.space.size <= DENSE_SIDE_CAP
-    allowed = None if dense else _common_partners(s)
+    allowed = _common_partners(s)
     equational = True
     cex = None
     dimg = dpost.images
@@ -135,37 +159,25 @@ def check_allall(bm: BiModel, j: Judgment) -> JudgeResult:
                 allowed = None
         if cex is not None and (allowed is None or not equational):
             break
-    pointwise = cex is None
-    result = JudgeResult("allall", pointwise)
-    result.routes["pointwise"] = pointwise
-    if cex is not None:
-        a, b, a2, b2 = cex
-        result.counterexample = Counterexample(
-            "allall", cex, f"pre {r.render_pair(a, b)} -> post {r.render_pair(a2, b2)}")
-
-    if dense:
-        rd = bitest_subid(bm, j.spec.pre)
-        sd_neg = bitest_subid(bm, bnot(j.spec.post))
-        prod = interp_bikat(bm, emb_pair(j.left, j.right))
-        equational = rd.compose(prod).compose(sd_neg).is_empty()
-    elif allowed is None:
-        return result
-    result.routes["equational"] = equational
-    if equational != pointwise:
-        raise RouteDisagreement(f"allall: pointwise={pointwise} equational={equational}")
-    return result
+    return _two_routes(
+        "allall", cex,
+        lambda a, b, a2, b2: f"pre {r.render_pair(a, b)} -> post {r.render_pair(a2, b2)}",
+        "equational", None if allowed is None else equational)
 
 
 def _common_partners(s: PairSpec):
     """cs -> the right states S-related to every state of cs, memoized per
-    distinct cs."""
+    distinct cs; None if the caps refuse S up front."""
+    partners = s.partner_sets()
+    if partners is None:
+        return None
     known: dict[frozenset[int], frozenset[int]] = {}
 
     def allowed(cs: frozenset[int]) -> frozenset[int]:
         got = known.get(cs)
         if got is None:
-            got = known[cs] = frozenset.intersection(
-                *(frozenset(s.partners_left(t)) for t in cs))
+            # reduce keeps a one-state image's set itself, not a copy
+            got = known[cs] = reduce(and_, map(partners, cs))
         return got
     return allowed
 
@@ -201,122 +213,103 @@ def check_adequacy(bm: BiModel, pre, c: KatTerm, d: KatTerm, b: BiKatTerm) -> Ju
 
 def check_fsim(bm: BiModel, j: Judgment) -> JudgeResult:
     """Forward simulation: each left run from a pre-related pair is matched by
-    some right run ending post-related."""
+    some right run ending post-related, R°;c <= d;S°.
+
+    Per pre row, partner b and end t in cpost[a], the pointwise route looks in
+    d(b) for an end that the post predicate relates to t; the point-free route
+    tests that d(b) meets S(t), the post partners of t, memoized per t."""
     r, s = _spec_views(bm, j)
     cpost = post_map(bm.base, j.left)
     dpost = post_map(bm.base, j.right)
     holds = compile_pred(bm, j.spec.post)
-    result = JudgeResult("fsim", True)
-    dimg = dpost.images
+    partners = s.partner_sets()
+    pointfree = True
     cex = None
-    for a, bs, cs in _run_rows(r, cpost, dpost):
-        for b in bs:
-            ds = dimg[b]
-            for t in cs:
-                if not any(holds(t, t2) for t2 in ds):
-                    cex = Counterexample(
-                        "fsim", (a, b, t),
-                        f"pre {r.render_pair(a, b)}: left run to "
-                        f"{bm.space.state_str(t)} has no post-related right run")
-                    break
-            if cex:
-                break
-        if cex:
+    dimg = dpost.images
+    ends = ((a, b, t, dimg[b]) for a, bs, cs in _run_rows(r, cpost, dpost)
+            for b in bs for t in cs)
+    for a, b, t, ds in ends:
+        if cex is None and not any(holds(t, t2) for t2 in ds):
+            cex = (a, b, t)
+        if partners is not None and pointfree:
+            try:
+                pointfree = not ds.isdisjoint(partners(t))
+            except EnumRefused:
+                partners = None
+        if cex is not None and (partners is None or not pointfree):
             break
-    pointwise = cex is None
-    result.routes["pointwise"] = pointwise
-
-    pf = _pointfree_fsim(bm, j, r, s)
-    if pf is not None:
-        result.routes["pointfree"] = pf
-        if pf != pointwise:
-            raise RouteDisagreement(f"fsim: pointwise={pointwise} pointfree={pf}")
-
-    result.holds = pointwise
-    result.counterexample = cex
-    return result
-
-
-def _pointfree_fsim(bm, j, r: PairSpec, s: PairSpec) -> bool | None:
-    # R^o ; c  <=  d ; S^o, on plain state relations
-    if bm.space.size > REL_MATRIX_CAP:
-        return None
-    try:
-        rrel, srel = r.as_rel(), s.as_rel()
-    except EnumRefused:
-        return None
-    c = interp_kat(bm.base, j.left)
-    d = interp_kat(bm.base, j.right)
-    return rrel.converse().compose(c).leq(d.compose(srel.converse()))
+    return _two_routes(
+        "fsim", cex, lambda a, b, t: f"pre {r.render_pair(a, b)}: left run to "
+        f"{bm.space.state_str(t)} has no post-related right run",
+        "pointfree", None if partners is None else pointfree)
 
 
 def check_bsim(bm: BiModel, j: Judgment) -> JudgeResult:
     """Backward simulation: each left run whose end is post-related to some
-    right end is matched by a right run from a pre-related start."""
+    right end is matched by a right run from a pre-related start, c;S <= R;d.
+
+    Every left state is visited, not only the pre rows: a state with runs and
+    no pre partner fails at its first end with a post partner.  For each run
+    a -> t and post partner t2 of t, the pointwise route looks t2 up in D, the
+    union of the right images of a's pre partners; the point-free route looks
+    for a pre partner of a, by the compiled pre predicate, among the right
+    preimages of t2."""
     r, s = _spec_views(bm, j)
+    pre = compile_pred(bm, j.spec.pre)
+    dpre = post_map(bm.base, j.right, backward=True).images
+    pointfree = True
+    cex = None
+    for a, t, t2, d in _post_ends(bm, j, r, s):
+        if cex is None and t2 not in d:
+            cex = (a, t, t2)
+        if pointfree:
+            pointfree = any(pre(a, b) for b in dpre[t2])
+        if cex is not None and not pointfree:
+            break
+    sp = bm.space
+    return _two_routes(
+        "bsim", cex, lambda a, t, t2: f"left run {sp.state_str(a)} -> {sp.state_str(t)} "
+        f"with post partner {sp.state_str(t2)} has no pre-related right run",
+        "pointfree", pointfree)
+
+
+def _post_ends(bm: BiModel, j: Judgment, r: PairSpec, s: PairSpec):
+    """(a, t, t2, D) for each left run a -> t and post partner t2 of t, in
+    state order, with D the union of the right images of a's pre partners.
+    The left states come in batches of 64, then 128, ... (at most
+    WALK_SOURCES), so that a check that stops at an early counterexample
+    computes few images; the images and right preimages a batch needs are
+    computed in one walk each."""
     cpost = post_map(bm.base, j.left)
     dpost = post_map(bm.base, j.right)
-    result = JudgeResult("bsim", True)
-    cex = None
-    n = bm.space.size
-    for a in range(n):
-        ts = cpost[a]
-        if not ts:
-            continue
-        partners = None
-        for t in ts:
-            for t2 in s.partners_left(t):
-                if partners is None:
-                    partners = r.partners_left(a)
-                if not any(t2 in dpost[b] for b in partners):
-                    cex = Counterexample(
-                        "bsim", (a, t, t2),
-                        f"left run {bm.space.state_str(a)} -> {bm.space.state_str(t)} "
-                        f"with post partner {bm.space.state_str(t2)} has no "
-                        "pre-related right run")
-                    break
-            if cex:
-                break
-        if cex:
-            break
-    pointwise = cex is None
-    result.routes["pointwise"] = pointwise
-
-    pf = _pointfree_bsim(bm, j, r, s)
-    if pf is not None:
-        result.routes["pointfree"] = pf
-        if pf != pointwise:
-            raise RouteDisagreement(f"bsim: pointwise={pointwise} pointfree={pf}")
-
-    result.holds = pointwise
-    result.counterexample = cex
-    return result
-
-
-def _pointfree_bsim(bm, j, r: PairSpec, s: PairSpec) -> bool | None:
-    # c ; S  <=  R ; d
-    if bm.space.size > REL_MATRIX_CAP:
-        return None
-    try:
-        rrel, srel = r.as_rel(), s.as_rel()
-    except EnumRefused:
-        return None
-    c = interp_kat(bm.base, j.left)
-    d = interp_kat(bm.base, j.right)
-    return c.compose(srel).leq(rrel.compose(d))
+    dback = post_map(bm.base, j.right, backward=True)
+    cimg, dimg = cpost.images, dpost.images
+    n, k, size = bm.space.size, 0, 64
+    while k < n:
+        batch = range(k, min(k + min(size, WALK_SOURCES), n))
+        k, size = batch.stop, size * 2
+        cpost.fill(batch)
+        rows = [(a, cimg[a]) for a in batch
+                if any(s.partners_left(t) for t in cimg[a])]
+        dpost.fill(chain.from_iterable(r.partners_left(a) for a, _ in rows))
+        ends = frozenset().union(*(cs for _, cs in rows))
+        dback.fill(chain.from_iterable(map(s.partners_left, ends)))
+        for a, cs in rows:
+            d = _union(dimg, r.partners_left(a))
+            for t in cs:
+                for t2 in s.partners_left(t):
+                    yield a, t, t2, d
 
 
 def check_existsforall(bm: BiModel, j: Judgment) -> JudgeResult:
     """There exist a pre-related pair and a left run such that every right run
     ends post-related.  Evaluated as the negation of forward simulation with
-    the negated post."""
-    from dataclasses import replace
-    from .core import RelSpec
+    the negated post; each route of that check is reported negated."""
     neg = Judgment("fsim", j.left, j.right,
                    RelSpec(j.spec.pre, bnot(j.spec.post)))
     sub = check_fsim(bm, neg)
     res = JudgeResult("existsforall", not sub.holds)
-    res.routes["via_fsim_negation"] = not sub.holds
+    res.routes = {route: not v for route, v in sub.routes.items()}
     if sub.counterexample is not None:
         # the fsim counterexample is this property's witness
         res.counterexample = Counterexample(
@@ -348,8 +341,9 @@ def check_incorrectness(bm: BiModel, j: Judgment) -> JudgeResult:
     """Incorrectness, decided as backward simulation on the same programs and
     spec: for every left run a -> t and every t2 post-related to t, some
     right run ends in t2 from a state pre-related to a.  The result is
-    `check_bsim`'s, with its pointwise and point-free routes; no other route
-    is computed."""
+    `check_bsim`'s, with both of its routes: pointwise, the pre read as rows
+    and t2 looked up in the union of the partners' right images; point-free,
+    the compiled pre predicate tried on the right preimages of t2."""
     sub = check_bsim(bm, Judgment("bsim", j.left, j.right, j.spec))
     return JudgeResult("incorrectness", sub.holds, sub.counterexample, dict(sub.routes))
 

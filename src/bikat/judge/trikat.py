@@ -12,13 +12,13 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from ..kat.terms import CapExceeded, KatTerm
-from ..models.birel import BiRel, pack
-from ..models.bmodel import BiModel, bitest_pairs, interp_bikat
+from ..kat.terms import CapExceeded
+from ..models.birel import BiRel, pack, tensor
+from ..models.bmodel import BiModel, bitest_pairs
 from ..models.kmodel import interp_kat
 from ..models.rel import Rel
-from .core import Judgment, PairSpec
-from .oracles import JudgeResult, check_bsim, check_fsim
+from .core import Judgment
+from .oracles import JudgeResult, RouteDisagreement, check_bsim, check_fsim
 
 TRI_SIDE_CAP = 6
 
@@ -110,7 +110,8 @@ def check_fsim_via_trikat(bm: BiModel, j: Judgment) -> JudgeResult:
 
         R. ; <c|hav> ; id.  <=  proj( <R. || id.> ; <c|hav|d> ; <id. || S.> )
 
-    The verdict must agree with the direct oracle; disagreement raises."""
+    The verdict must agree with the direct oracle; disagreement raises
+    `RouteDisagreement`."""
     n = bm.space.size
     _check_cap(n)
     c = interp_kat(bm.base, j.left)
@@ -120,7 +121,6 @@ def check_fsim_via_trikat(bm: BiModel, j: Judgment) -> JudgeResult:
     sdot = _subid_pairs(bitest_pairs(bm, j.spec.post), n)
     iddot = _id_dot(n)
 
-    from ..models.birel import tensor
     lhs = rdot.compose(tensor(c, hav)).compose(iddot)
     tri = tri_embed(rdot, iddot).compose(tricom(c, hav, d)).compose(
         tri_embed(iddot, sdot))
@@ -128,7 +128,7 @@ def check_fsim_via_trikat(bm: BiModel, j: Judgment) -> JudgeResult:
 
     direct = check_fsim(bm, Judgment("fsim", j.left, j.right, j.spec))
     if holds != direct.holds:
-        raise AssertionError(
+        raise RouteDisagreement(
             f"trikat route ({holds}) disagrees with direct fsim ({direct.holds})")
     res = JudgeResult("fsim-trikat", holds)
     res.routes["trikat"] = holds
@@ -150,7 +150,6 @@ def check_bsim_via_trikat(bm: BiModel, j: Judgment) -> JudgeResult:
     sdot = _subid_pairs(bitest_pairs(bm, j.spec.post), n)
     iddot = _id_dot(n)
 
-    from ..models.birel import tensor
     lhs = iddot.compose(tensor(c, hav)).compose(sdot)
     tri = tri_embed(iddot, rdot).compose(tricom(c, hav, d)).compose(
         tri_embed(sdot, iddot))
@@ -158,7 +157,7 @@ def check_bsim_via_trikat(bm: BiModel, j: Judgment) -> JudgeResult:
 
     direct = check_bsim(bm, Judgment("bsim", j.left, j.right, j.spec))
     if holds != direct.holds:
-        raise AssertionError(
+        raise RouteDisagreement(
             f"trikat route ({holds}) disagrees with direct bsim ({direct.holds})")
     res = JudgeResult("bsim-trikat", holds)
     res.routes["trikat"] = holds

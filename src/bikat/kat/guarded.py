@@ -54,10 +54,6 @@ def gs_str(gs: tuple, alphabet: Alphabet) -> str:
     return " ".join(parts)
 
 
-def gs_actions(gs: tuple) -> int:
-    return len(gs) // 2
-
-
 def enumerate_guarded_strings(
     t: KatTerm, max_len: int, alphabet: Alphabet
 ) -> set[tuple]:

@@ -1,10 +1,15 @@
-"""Relations on state pairs: the carrier of the two-execution model.
+"""Relations on state pairs: the dense carrier of the two-execution model.
 
 A pair (s, s') is packed as the index s*n + s', and a pair relation is a
 dense bitmask matrix (`Rel`) over the n*n pair states.  Such matrices grow
 quadratically in the state count, so a side has at most DENSE_SIDE_CAP states
-(4096 pair states); larger models are refused with `CapExceeded`.  Oracles
-over larger spaces work from per-state images instead (`judge.core`).
+(4096 pair states); larger models are refused with `CapExceeded`.
+
+`BiRel` is the reference semantics of BiKAT terms (`interp_bikat`), read by
+tests, by the random models of `bikat_equiv` and by TriKAT.  No judgment
+oracle builds one: the oracles read pair relations as rows of partners
+(`judge.core.PairSpec`) and programs through their compiled per-state images
+(`judge.core.PostMap`), at every size.
 """
 
 from __future__ import annotations

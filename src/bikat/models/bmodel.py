@@ -12,11 +12,11 @@ import random
 from dataclasses import dataclass, field
 from typing import Callable
 
-from ..bi.terms import (BAnd, BEmbL, BEmbLTest, BEmbR, BEmbRTest, BiKatTerm,
-                        BiTestTerm, BNot, BOne, BOr, BPlus, BPrim, BSeq,
-                        BStar, BTest, BZero)
-from ..kat.terms import Alphabet, KatTerm
-from .birel import BiRel, lift_left, lift_right, pack, proj_left, proj_right, tensor
+from ..bi.terms import (BEmbL, BEmbLTest, BEmbR, BEmbRTest, BiKatTerm,
+                        BiTestTerm, BNot, BOne, BOr, BPlus, BPrim, BSeq, BTest,
+                        BZero)
+from ..kat.terms import Alphabet
+from .birel import BiRel, lift_left, lift_right, pack, proj_left, proj_right
 from .kmodel import KatModel, ModelError, interp_kat, random_kat_model, test_holds
 from .rel import Rel
 from .space import StateSpace

@@ -1,17 +1,21 @@
 """Finite relational interpretations of KAT terms.
 
-Action interpretations are either explicit relation matrices (random models,
-small spaces) or successor functions (compiled programs on larger structured
-spaces).  `interp_kat` is the matrix route.  The image route never
-materializes a matrix: each action gets a successor table and each test a
-table with one byte per state, both built on first use, and a term is
-compiled once per model into nested closures over those tables.  One walk
-then carries a whole batch of sources, each state tagged with the bitmask of
-the sources that reach it, so sources that meet share the rest of the walk.
-The combinators `walk_plus`, `walk_seq` and `walk_star` and the batch driver
-`walk_sources` are shared with the pair-state walker of BiKAT witness terms.
-`image` returns per-source images; `kat_post`/`kat_pre` are the image and
-preimage of a state set.
+Action interpretations are either explicit relation matrices (random models)
+or successor functions (compiled programs on structured spaces).  A program
+has one representation that every judgment oracle reads: each action gets a
+successor table (and, for preimages, its converse) and each test a table with
+one byte per state, both built on first use, and a term is compiled once per
+model into nested closures over those tables.  One walk then carries a whole
+batch of sources, each state tagged with the bitmask of the sources that
+reach it, so sources that meet share the rest of the walk.  The combinators
+`walk_plus`, `walk_seq` and `walk_star` and the batch driver `walk_sources`
+are shared with the pair-state walker of BiKAT witness terms.  `image`
+returns per-source images or preimages; `kat_post`/`kat_pre` are the image
+and preimage of a state set.
+
+`interp_kat` is the dense `Rel` semantics, refused above REL_MATRIX_CAP
+states.  No oracle builds it: it is the reference that tests, the random
+models of `bikat_equiv`, `interp_bikat` and TriKAT read.
 """
 
 from __future__ import annotations

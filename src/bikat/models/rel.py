@@ -76,10 +76,6 @@ class Rel:
         self._check(other)
         return Rel(self.n, tuple(a | b for a, b in zip(self.rows, other.rows)))
 
-    def intersect(self, other: "Rel") -> "Rel":
-        self._check(other)
-        return Rel(self.n, tuple(a & b for a, b in zip(self.rows, other.rows)))
-
     def compose(self, other: "Rel") -> "Rel":
         self._check(other)
         out = []
@@ -115,27 +111,6 @@ class Rel:
     def leq(self, other: "Rel") -> bool:
         self._check(other)
         return all(a & ~b == 0 for a, b in zip(self.rows, other.rows))
-
-    def complement_subid(self) -> "Rel":
-        """Complement within the sub-identities: 1 minus this (a test)."""
-        return Rel(self.n, tuple(
-            0 if self.rows[i] >> i & 1 else (1 << i) for i in range(self.n)))
-
-    def domain_mask(self) -> int:
-        out = 0
-        for i, r in enumerate(self.rows):
-            if r:
-                out |= 1 << i
-        return out
-
-    def image_mask(self, sources: int) -> int:
-        out = 0
-        s = sources
-        while s:
-            low = s & -s
-            out |= self.rows[low.bit_length() - 1]
-            s ^= low
-        return out
 
     def _check(self, other: "Rel") -> None:
         if self.n != other.n:

@@ -24,16 +24,14 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-from ..bi.terms import (BAnd, BEmbLTest, BEmbRTest, BiTestTerm, BOne, BOr,
+from ..bi.terms import (BAnd, BEmbLTest, BEmbRTest, BiTestTerm, BOne,
                         BPrim, band, bnot, bor, simplify_bitest)
-from ..judge.core import (ExprBitest, Judgment, PairSpec, PostMap,
-                          RelSpec, pair_spec, post_map)
+from ..judge.core import ExprBitest, Judgment, RelSpec, pair_spec, post_map
 from ..judge.oracles import JudgeResult, dispatch
-from ..models.imp import (BoolExpr, EVar, ImpEnv, Program, SAssign, SHavoc,
-                          SIf, SSkip, SWhile, Stmt, bool_str, expr_str,
-                          stmt_str, subst_expr)
+from ..models.imp import (BoolExpr, ImpEnv, Program, SAssign, SHavoc, SIf,
+                          SSkip, SWhile, Stmt, bool_str, expr_str, stmt_str,
+                          subst_expr)
 from ..models.bmodel import BiModel, bitest_holds
-from ..models.kmodel import test_holds
 
 
 @dataclass(frozen=True)
@@ -99,12 +97,6 @@ class ProofResult:
     accepted: bool
     reports: list[NodeReport]
     root_oracle: JudgeResult | None = None
-
-    def first_failure(self) -> NodeReport | None:
-        for r in self.reports:
-            if not r.ok:
-                return r
-        return None
 
 
 @dataclass
@@ -213,8 +205,6 @@ def discharge_side_condition(ctx: RhlContext, sc: SideCondition) -> tuple[bool, 
 
 
 # --- rule schemas -----------------------------------------------------------
-
-_FAMILY = {"d": "allall", "r": "allall", "s": "allall", "e": "fsim", "b": "bsim"}
 
 _DIAGONAL_SEQ = {"dseq": "allall", "eseq": "fsim", "bseq": "bsim"}
 _DIAGONAL_IF = {"dif": "allall", "eif": "fsim", "bif": "bsim"}

@@ -9,7 +9,7 @@ route to cross-check the pairwise oracle.
 
 from __future__ import annotations
 
-from ..judge.core import PairSpec, pair_spec
+from ..judge.core import pair_spec
 from ..judge.oracles import JudgeResult
 from ..models.bmodel import bitest_holds
 from ..models.imp import (BAndE, BCmp, BConst, BNotE, BOrE, EArr, EBin, ECall,

@@ -1,6 +1,7 @@
 """Corpus regression: every `expect` line of every corpus problem holds at
 the problem's declared width."""
 
+import functools
 from pathlib import Path
 
 import pytest
@@ -13,6 +14,13 @@ from bikat.rhl.proof import check_proof
 
 CORPUS = Path(__file__).resolve().parent.parent / "src" / "bikat" / "corpus"
 PROBLEMS = sorted(CORPUS.glob("*.prob"))
+
+
+@functools.lru_cache(maxsize=None)
+def corpus_problem(name: str):
+    """A corpus problem at its declared width, loaded once per test run, so
+    that the tests that read one large space share its compiled tables."""
+    return load_problem((CORPUS / f"{name}.prob").read_text(), name)
 
 
 def verdict(kind: str, prob, proof_path: Path) -> bool:
@@ -37,7 +45,7 @@ def test_corpus_is_present():
 
 @pytest.mark.parametrize("path", PROBLEMS, ids=lambda p: p.stem)
 def test_expect_lines_hold(path):
-    prob = load_problem(path.read_text(), path.stem)
+    prob = corpus_problem(path.stem)
     assert prob.expects, f"{path.name} has no expect lines"
     for kind in prob.expects:
         assert verdict(kind, prob, path.with_suffix(".proof")), (path.name, kind)

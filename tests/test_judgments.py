@@ -10,7 +10,7 @@ from pathlib import Path
 import pytest
 
 from bikat.bi.terms import B0, BPrim, BT1, BZero, band, bembl, bembr, bnot, btest, emb_pair
-from bikat.judge import (Judgment, PairSpec, RelSpec, RelWitness,
+from bikat.judge import (JudgeResult, Judgment, PairSpec, RelSpec, RelWitness,
                          WitnessRefused, check_adequacy, check_allall,
                          check_bsim, check_bvalid, check_existsexists,
                          check_existsforall, check_fsim, check_fvalid,
@@ -22,6 +22,7 @@ from bikat.models import BiRel, Rel, interp_kat, lift_left, random_bimodel, tens
 from bikat.problem import load_problem
 
 from gen import random_bikat
+from test_corpus import corpus_problem
 
 ALPH = Alphabet.make([], ["a", "b"])
 
@@ -50,9 +51,19 @@ class TestAllAll:
         assert check_allall(bm, j).holds
 
     def test_routes_agree_on_random_instances(self):
+        # both routes read the compiled predicates and images; the reference
+        # is the dense relation algebra R;<c|d>;!S = 0 on BiRel matrices
+        from bikat.models.bmodel import bitest_subid, interp_bikat
+        verdicts = set()
         for bm, j in rand_instances("allall", 60):
             res = check_allall(bm, j)
-            assert res.routes["pointwise"] == res.routes["equational"]
+            assert res.routes == {"pointwise": res.holds, "equational": res.holds}
+            dense = (bitest_subid(bm, j.spec.pre)
+                     .compose(interp_bikat(bm, emb_pair(j.left, j.right)))
+                     .compose(bitest_subid(bm, bnot(j.spec.post))))
+            assert res.holds == dense.is_empty()
+            verdicts.add(res.holds)
+        assert verdicts == {True, False}
 
     def test_counterexample_replays(self):
         for bm, j in rand_instances("allall", 40, start_seed=100):
@@ -132,6 +143,8 @@ class TestSimulations:
             neg = Judgment("fsim", j.left, j.right,
                            RelSpec(j.spec.pre, bnot(j.spec.post)))
             assert ea.holds == (not check_fsim(bm, neg).holds)
+            # both routes of the fsim sub-check, negated
+            assert ea.routes == {"pointwise": ea.holds, "pointfree": ea.holds}
             # independent direct evaluation of the quantifier pattern
             direct = self._direct_ea(bm, j)
             assert ea.holds == direct
@@ -343,6 +356,17 @@ class TestTrikat:
             check_fsim_via_trikat(bm, j)  # raises on disagreement
             check_bsim_via_trikat(bm, Judgment("bsim", j.left, j.right, j.spec))
 
+    @pytest.mark.parametrize("kind", ["fsim", "bsim"])
+    def test_disagreement_with_a_direct_oracle_raises(self, kind, monkeypatch):
+        from bikat.judge import RouteDisagreement, trikat
+        bm, j = next(rand_instances(kind, 1, size=3))
+        direct = getattr(trikat, f"check_{kind}")
+        monkeypatch.setattr(trikat, f"check_{kind}", lambda bm, j: JudgeResult(
+            kind, not direct(bm, j).holds))
+        via = getattr(trikat, f"check_{kind}_via_trikat")
+        with pytest.raises(RouteDisagreement):
+            via(bm, j)
+
 
 def reference_image(bm, w, pairs, backward=False):
     """The pairs a witness term reaches from a set of pairs (from which it
@@ -443,8 +467,7 @@ class TestPairWalker:
         # states; sampled sources are compared with the per-source reference
         from bikat.judge import term_image, term_preimage
         from bikat.judge.core import pair_spec
-        path = Path(__file__).resolve().parent.parent / "src/bikat/corpus" / f"{name}.prob"
-        prob = load_problem(path.read_text(), name)
+        prob = corpus_problem(name)
         bm, w = prob.bm, prob.script_goal
         rng = random.Random(11)
         pre = pair_spec(bm, prob.pre).pairs()
@@ -513,10 +536,11 @@ class TestAdequacyEarlyStop:
 
 
 class TestRowPath:
-    """The ∀∀ and ∃∃ oracles read the pre-relation a row at a time (a left
-    state and all its partners); compare them with a per-pair reference on
-    spaces above DENSE_SIDE_CAP, where havoc gives images of several states
-    and the pre relations give rows of many partners."""
+    """The ∀∀, ∃∃ and forward simulation oracles read the pre-relation a row
+    at a time (a left state and all its partners), backward simulation every
+    left state in batches; compare them with a per-pair reference on spaces
+    above DENSE_SIDE_CAP, where havoc gives images of several states and the
+    pre relations give rows of many partners."""
     DECL = "width 2; vars x y z; var w:1;\n"
     LEFTS = ["x := any; y := y + 1;",
              "if (x < 2) { y := any; } else { z := z + 1; }",
@@ -538,31 +562,56 @@ class TestRowPath:
             yield (rng.choice(cls.LEFTS), rng.choice(cls.RIGHTS),
                    rng.choice(cls.PRES), rng.choice(cls.POSTS))
 
+    class PostPartners(dict):
+        """t -> the set of states the bitest interpreter relates to t,
+        computed on first use."""
+
+        def __init__(self, bm, post):
+            super().__init__()
+            self.bm, self.post = bm, post
+
+        def __missing__(self, t):
+            from bikat.models.bmodel import bitest_holds
+            got = self[t] = {t2 for t2 in range(self.bm.space.size)
+                             if bitest_holds(self.bm, self.post, t, t2)}
+            return got
+
     @staticmethod
-    def reference(prob, pre_pairs):
-        """Every (a, b, a2, b2): a pre pair, a run of each side, and an end
-        outside the post; found pair by pair with the interpreter."""
-        from bikat.models.bmodel import bitest_holds
+    def references(prob, pre_pairs, post_partners):
+        """The failures of each judgment, found pair by pair and state by
+        state with the interpreter; `post_partners[t]` is the set of states
+        the bitest interpreter relates to t.
+        - ∀∀: every (a, b, a2, b2): a pre pair, a run of each side, and an
+          end outside the post;
+        - forward simulation: every (a, b, t): a pre pair and a left run
+          a -> t with no post-related end among the right runs from b;
+        - backward simulation: every (a, t, t2): a left run a -> t and a post
+          partner t2 of t that no right run from a pre partner of a ends in."""
         env, n = prob.env, prob.bm.space.size
         lruns = [env.run(prob.left, frozenset((a,))) for a in range(n)]
         rruns = [env.run(prob.right, frozenset((b,))) for b in range(n)]
-        post: dict = {}
-        bad = []
+        bad = [(a, b, a2, b2) for a, b in pre_pairs for a2 in lruns[a]
+               for b2 in rruns[b] if b2 not in post_partners[a2]]
+        fbad = [(a, b, t) for a, b in pre_pairs for t in lruns[a]
+                if rruns[b].isdisjoint(post_partners[t])]
+        reached_from = [set() for _ in range(n)]
+        for b in range(n):
+            for b2 in rruns[b]:
+                reached_from[b2].add(b)
+        partners = [set() for _ in range(n)]
         for a, b in pre_pairs:
-            for a2 in lruns[a]:
-                for b2 in rruns[b]:
-                    ok = post.get((a2, b2))
-                    if ok is None:
-                        ok = post[(a2, b2)] = bitest_holds(prob.bm, prob.post, a2, b2)
-                    if not ok:
-                        bad.append((a, b, a2, b2))
-        return bad
+            partners[a].add(b)
+        bbad = [(a, t, t2) for a in range(n) for t in lruns[a]
+                for t2 in post_partners[t] if partners[a].isdisjoint(reached_from[t2])]
+        return bad, fbad, bbad
 
     def test_rows_match_the_per_pair_reference(self):
         from bikat.models.birel import DENSE_SIDE_CAP
         from bikat.models.bmodel import bitest_holds
         pres: dict = {}
+        posts: dict = {}
         verdicts, widest = set(), 0
+        sim_verdicts = set()
         for left, right, pre, post in self.cases():
             prob = load_problem(
                 f"{self.DECL}left {{ {left} }} right {{ {right} }}\n"
@@ -576,7 +625,9 @@ class TestRowPath:
             rows = PairSpec(bm, j.spec.pre).rows()
             assert sorted((a, b) for a, bs in rows.items() for b in bs) == pres[pre]
             widest = max([widest] + [len(bs) for bs in rows.values()])
-            bad = self.reference(prob, pres[pre])
+            if post not in posts:
+                posts[post] = self.PostPartners(bm, prob.post)
+            bad, fbad, bbad = self.references(prob, pres[pre], posts[post])
             aa = check_allall(bm, j)
             ee = check_existsexists(bm, Judgment("existsexists", j.left, j.right, j.spec))
             case = (left, right, pre, post)
@@ -590,8 +641,103 @@ class TestRowPath:
             assert (aa.counterexample is None) == aa.holds
             assert (ee.counterexample is None) == (not ee.holds)
             verdicts.add(aa.holds)
+            for kind, sim_bad in (("fsim", fbad), ("bsim", bbad)):
+                res = dispatch(bm, Judgment(kind, j.left, j.right, j.spec))
+                assert res.holds == (not sim_bad), (kind, case)
+                assert set(res.routes) == {"pointwise", "pointfree"}, (kind, case)
+                assert res.routes["pointwise"] == res.routes["pointfree"], (kind, case)
+                assert (res.counterexample is None) == res.holds, (kind, case)
+                if res.counterexample is not None:
+                    assert res.counterexample.states in sim_bad, (kind, case)
+                sim_verdicts.add((kind, res.holds))
         assert verdicts == {True, False}
         assert widest >= 32
+        assert sim_verdicts == {(k, v) for k in ("fsim", "bsim") for v in (True, False)}
+
+    # every field equal; with skip on both sides backward simulation then
+    # fails exactly at the left states the pre drops
+    SAME = "[x == x] & [y == y] & [z == z] & [w == w]"
+    BATCH_CASES = [("skip;", "skip;", SAME, None),
+                   ("skip;", "skip;", SAME + " & L[x != 3 || y != 3 || z != 3 || w != 1]",
+                    "{x=3, y=3, z=3, w=1}"),
+                   ("x := x + 1;", "x := x + 1;", SAME + " & L[z != 2 || w != 1]",
+                    "{x=0, y=0, z=2, w=1}")]
+
+    def test_backward_batches_do_not_change_verdicts(self, monkeypatch):
+        # backward simulation visits the left states WALK_SOURCES at a time;
+        # batches of 5 states, the last one partial, give the same results
+        from bikat.judge import oracles
+        got = []
+        for batch in (oracles.WALK_SOURCES, 5):
+            monkeypatch.setattr(oracles, "WALK_SOURCES", batch)
+            for left, right, pre, first in self.BATCH_CASES:
+                prob = load_problem(
+                    f"{self.DECL}left {{ {left} }} right {{ {right} }}\n"
+                    f"kind bsim; pre {{ {pre} }} post {{ {self.SAME} }}")
+                res = dispatch(prob.bm, prob.judgment())
+                assert set(res.routes) == {"pointwise", "pointfree"}
+                assert res.holds == (first is None), (batch, pre)
+                if first is not None:
+                    a, t, t2 = res.counterexample.states
+                    assert prob.bm.space.state_str(a) == first, (batch, pre)
+                got.append((res.holds, res.counterexample))
+        assert got[:3] == got[3:]
+
+    def test_second_routes_are_dropped_when_the_post_is_not_enumerable(self):
+        # 4096 states a side; a negated or disjunctive post is enumerated as
+        # the whole space per state, about 1.7e7 pairs, above PAIR_ENUM_CAP:
+        # the routes that read the post's partners are refused before any
+        # enumeration, and the pointwise route alone gives the verdict
+        from bikat.bi.terms import bor, emb_test
+        from bikat.judge import EnumRefused
+        prob = corpus_problem("guess-count")
+        bm, base = prob.bm, prob.judgment()
+        post = base.spec.post
+        noisy = bor(post, emb_test("L", prob.parser.test("s == 0")))
+        for p in (bnot(post), noisy):
+            with pytest.raises(EnumRefused):
+                PairSpec(bm, p).check_enumerable()
+        # right runs that guess another trip count end with another s
+        ea = check_existsforall(bm, base)
+        assert ea.routes == {"pointwise": False} and not ea.holds
+        for kind, holds in (("fsim", True), ("allall", False)):
+            res = dispatch(bm, Judgment(kind, base.left, base.right,
+                                        RelSpec(base.spec.pre, noisy)))
+            assert res.routes == {"pointwise": holds}, kind
+            assert res.holds == holds, kind
+
+    def test_second_routes_stop_at_the_candidate_budget(self, monkeypatch):
+        # guess-count's post pins one right field and leaves 512 candidates a
+        # state; the left runs have 512 distinct ends, so with room for 100
+        # states the routes that read the post's partners stop and are dropped
+        from bikat.judge import core
+        prob = corpus_problem("guess-count")
+        bm, base = prob.bm, prob.judgment()
+        monkeypatch.setattr(core, "PAIR_ENUM_CAP", 512 * 100)
+        for kind, right in (("fsim", base.right), ("allall", base.left)):
+            res = dispatch(bm, Judgment(kind, base.left, right, base.spec))
+            assert res.routes == {"pointwise": True}, kind
+            assert res.holds, kind
+
+    def test_simulations_have_both_routes_above_the_matrix_cap(self):
+        # 32768 states a side, above the 8192-state cap of relation matrices:
+        # both routes of each simulation must still run
+        from bikat.models import bitest_holds, kat_post
+        prob = corpus_problem("loop-tiling")
+        bm, base = prob.bm, prob.judgment()
+        assert bm.space.size > 8192
+        # the pre pairs equal states; each left run is matched, but a post
+        # partner of a left end need not be the right end from the same state
+        for kind, holds in (("fsim", True), ("bsim", False)):
+            res = dispatch(bm, Judgment(kind, base.left, base.right, base.spec))
+            assert set(res.routes) == {"pointwise", "pointfree"}, kind
+            assert res.routes["pointwise"] == res.routes["pointfree"] == holds, kind
+            assert res.holds == holds, kind
+        a, t, t2 = res.counterexample.states
+        assert t in kat_post(bm.base, base.left, (a,))
+        assert bitest_holds(bm, base.spec.post, t, t2)
+        assert PairSpec(bm, base.spec.pre).partners_left(a) == [a]
+        assert t2 not in kat_post(bm.base, base.right, (a,))
 
 
 class TestWitnessEarlyStop:
