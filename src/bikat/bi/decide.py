@@ -12,10 +12,9 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from ..kat.decide import ZeroHypothesis, kat_equiv
-from ..kat.terms import Alphabet, CapExceeded, term_alphabet
+from ..kat.terms import Alphabet, CapExceeded, names, term_alphabet
 from .rewrite import encode_to_tagged_kat, lrc_normalize
-from .terms import BiKatTerm, BPrim, BEmbL, BEmbR, BEmbLTest, BEmbRTest, \
-    BPlus, BSeq, BStar, BTest, BNot, BOr, BAnd
+from .terms import BiKatTerm, BPrim
 
 
 @dataclass(frozen=True)
@@ -31,41 +30,7 @@ class BiVerdict:
 
 
 def biterm_alphabet(t: BiKatTerm) -> tuple[Alphabet, tuple[str, ...]]:
-    tests: set[str] = set()
-    actions: set[str] = set()
-    bitests: set[str] = set()
-
-    def walk_bt(bt):
-        if isinstance(bt, BPrim):
-            bitests.add(bt.name)
-        elif isinstance(bt, (BEmbLTest, BEmbRTest)):
-            tests.update(p for p in _test_prims(bt.test))
-        elif isinstance(bt, BNot):
-            walk_bt(bt.arg)
-        elif isinstance(bt, (BOr, BAnd)):
-            for a in bt.args:
-                walk_bt(a)
-
-    def walk(u: BiKatTerm):
-        if isinstance(u, BTest):
-            walk_bt(u.test)
-        elif isinstance(u, (BEmbL, BEmbR)):
-            sub = term_alphabet(u.arg)
-            tests.update(sub.tests)
-            actions.update(sub.actions)
-        elif isinstance(u, BStar):
-            walk(u.arg)
-        elif isinstance(u, (BSeq, BPlus)):
-            for a in u.args:
-                walk(a)
-
-    walk(t)
-    return Alphabet.make(tests, actions), tuple(sorted(bitests))
-
-
-def _test_prims(t):
-    from ..kat.terms import test_prims
-    return test_prims(t)
+    return term_alphabet(t), tuple(sorted(names(t, BPrim)))
 
 
 def bikat_equiv(

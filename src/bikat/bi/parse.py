@@ -25,9 +25,9 @@ from ..kat.parse import (NAME, Cur, Kleene, ParseError, kat_grammar, or_and,
                          parse_all, test_of)
 from ..kat.terms import Alphabet, KTest
 from .script import Step
-from .terms import (B0, B1, BEmbL, BEmbLTest, BEmbR, BEmbRTest, BiKatTerm,
-                    BPrim, BTest, band, bembl, bembr, bnot, bor, bplus, bseq,
-                    bstar, btest, emb_pair, emb_test)
+from .terms import (BIKAT, B0, B1, BEmbL, BEmbLTest, BEmbR, BEmbRTest,
+                    BiKatTerm, BPrim, BTest, band, bembl, bembr, bnot, bor,
+                    btest, emb_pair, emb_test)
 
 _BRACKETED_NAME = re.compile(r"(" + NAME.pattern + r")\s*\]")
 
@@ -107,7 +107,7 @@ def bikat_grammar(alph: BiAlphabet) -> Kleene:
             return B1 if name == "true" else B0
         raise ParseError(f"undeclared bitest {name!r}", c.i)
 
-    g = Kleene(atom, bplus, bseq, bstar)
+    g = Kleene(atom, BIKAT)
     return g
 
 

@@ -6,48 +6,36 @@ so left-side factors precede right-side factors wherever the two sides
 commute; primitive bitests and mixed factors are fixed barriers.  The tagged
 encoding maps the result to a plain KAT term over a renamed alphabet, which
 is sound for equational reasoning but does not itself validate commutation —
-normalize first.
+normalize first.  Each of these is a homomorphism, written as a `bool_map`
+or `kleene_map` of `kat.terms`.
 """
 
 from __future__ import annotations
 
-from ..kat.terms import (Alphabet, KAct, KatTerm, KPlus, KSeq, KStar, KTest,
-                         TAnd, TestTerm, TNot, TOne, TOr, TPrim, TZero, kact,
-                         kplus, kseq, kstar, ktest, tand, tnot, tor, tprim)
-from .terms import (B0, B1, BAnd, BEmbL, BEmbLTest, BEmbR, BEmbRTest, BiKatTerm,
-                    BiTestTerm, BNot, BOne, BOr, BPlus, BPrim, BSeq, BStar,
-                    BTest, BZero, band, bembl, bembr, bisimplify, bnot, bor,
-                    bplus, bseq, bstar, btest, emb_test, seq_chain)
+from ..kat.terms import (KAT, TESTS, BoolOps, KatTerm, KleeneOps, KTest,
+                         TestTerm, bool_map, kact, kleene_map, ktest, tprim)
+from .terms import (BIKAT, BITESTS, BEmbLTest, BEmbRTest, BiKatTerm,
+                    BiTestTerm, BPrim, BTest, bembl, bembr, bisimplify,
+                    bplus, bseq, bstar, btest, emb_test)
 
 L_TAG = "@L"
 R_TAG = "@R"
 B_TAG = "@B"
-
-
-def _distribute_emb(side: str, k: KatTerm) -> BiKatTerm:
-    if isinstance(k, KTest):
-        return btest(emb_test(side, k.test))
-    if isinstance(k, KAct):
-        return BEmbL(k) if side == "L" else BEmbR(k)
-    if isinstance(k, KSeq):
-        return bseq(*[_distribute_emb(side, a) for a in k.args])
-    if isinstance(k, KPlus):
-        return bplus(*[_distribute_emb(side, a) for a in k.args])
-    return bstar(_distribute_emb(side, k.arg))
+_TAGS = {"L": L_TAG, "R": R_TAG}
 
 
 def distribute_bitest(t: BiTestTerm) -> BiTestTerm:
-    if isinstance(t, BEmbLTest):
-        return emb_test("L", t.test)
-    if isinstance(t, BEmbRTest):
-        return emb_test("R", t.test)
-    if isinstance(t, BNot):
-        return bnot(distribute_bitest(t.arg))
-    if isinstance(t, BOr):
-        return bor(*[distribute_bitest(a) for a in t.args])
-    if isinstance(t, BAnd):
-        return band(*[distribute_bitest(a) for a in t.args])
-    return t
+    return bool_map(t, lambda a: a if isinstance(a, BPrim) else emb_test(a.side, a.test),
+                    BITESTS)
+
+
+def _distribute_leaf(u: BiKatTerm) -> BiKatTerm:
+    if isinstance(u, BTest):
+        return btest(distribute_bitest(u.test))
+    # an embedded test becomes a bitest, an embedded action stays embedded
+    return kleene_map(u.arg, lambda k: (btest(emb_test(u.side, k.test))
+                                        if isinstance(k, KTest) else type(u)(k)),
+                      BIKAT)
 
 
 def distribute_embeddings(t: BiKatTerm) -> BiKatTerm:
@@ -56,70 +44,39 @@ def distribute_embeddings(t: BiKatTerm) -> BiKatTerm:
     <a;b] becomes <a];<b], <a+b] becomes <a]+<b], <a*] becomes <a]*, and
     embedded tests become bitests pushed through !, +, ;.
     """
-    if isinstance(t, BTest):
-        return btest(distribute_bitest(t.test))
-    if isinstance(t, BEmbL):
-        return _distribute_emb("L", t.arg)
-    if isinstance(t, BEmbR):
-        return _distribute_emb("R", t.arg)
-    if isinstance(t, BSeq):
-        return bseq(*[distribute_embeddings(a) for a in t.args])
-    if isinstance(t, BPlus):
-        return bplus(*[distribute_embeddings(a) for a in t.args])
-    return bstar(distribute_embeddings(t.arg))
+    return kleene_map(t, _distribute_leaf, BIKAT)
 
 
 # --- sidedness ---------------------------------------------------------------
 
+def _side(*sides: str) -> str:
+    """The side of a node whose arguments are on `sides`."""
+    s = set(sides)
+    s.discard("N")
+    return s.pop() if len(s) == 1 else "B" if s else "N"
+
+
+def _same(side: str) -> str:
+    return side
+
+
+_BITEST_SIDES = BoolOps("N", "N", _same, _side, _side)
+_TERM_SIDES = KleeneOps(_side, _side, _same)
+
+
 def bitest_side(t: BiTestTerm) -> str:
     """'L'/'R' for purely one-sided bitests, 'N' for constants, 'B' otherwise."""
-    if isinstance(t, (BZero, BOne)):
-        return "N"
-    if isinstance(t, BEmbLTest):
-        return "L"
-    if isinstance(t, BEmbRTest):
-        return "R"
-    if isinstance(t, BPrim):
-        return "B"
-    if isinstance(t, BNot):
-        return bitest_side(t.arg)
-    sides = {bitest_side(a) for a in t.args}
-    sides.discard("N")
-    if not sides:
-        return "N"
-    if sides == {"L"}:
-        return "L"
-    if sides == {"R"}:
-        return "R"
-    return "B"
+    return bool_map(t, lambda a: getattr(a, "side", "B"), _BITEST_SIDES)
 
 
 def term_side(t: BiKatTerm) -> str:
     """A term is one-sided when every leaf embeds from the same side; such a
     term denotes an embedded element, so it commutes with the other side."""
-    if isinstance(t, BTest):
-        s = bitest_side(t.test)
-        # a negated one-sided bitest is still one-sided only below And/Or of
-        # the same side; bitest_side already accounts for that
-        return s
-    if isinstance(t, BEmbL):
-        return "L"
-    if isinstance(t, BEmbR):
-        return "R"
-    if isinstance(t, BStar):
-        return term_side(t.arg)
-    sides = {term_side(a) for a in t.args}
-    sides.discard("N")
-    if not sides:
-        return "N"
-    if sides == {"L"}:
-        return "L"
-    if sides == {"R"}:
-        return "R"
-    return "B"
+    return kleene_map(t, lambda u: bitest_side(u.test) if isinstance(u, BTest) else u.side,
+                      _TERM_SIDES)
 
 
-def _normalize_chain(chain: tuple[BiKatTerm, ...]) -> tuple[BiKatTerm, ...]:
+def _normalize_chain(*chain: BiKatTerm) -> BiKatTerm:
     out: list[BiKatTerm] = []
     run: list[BiKatTerm] = []
 
@@ -137,7 +94,10 @@ def _normalize_chain(chain: tuple[BiKatTerm, ...]) -> tuple[BiKatTerm, ...]:
         else:
             run.append(f)
     flush()
-    return tuple(out)
+    return bseq(*out)
+
+
+_CHAINS = KleeneOps(bplus, _normalize_chain, bstar)
 
 
 def lrc_normalize(t: BiKatTerm) -> BiKatTerm:
@@ -149,84 +109,34 @@ def lrc_normalize(t: BiKatTerm) -> BiKatTerm:
     inversions strictly decreases) and idempotent.
     """
     t = bisimplify(distribute_embeddings(bisimplify(t)))
-
-    def go(u: BiKatTerm) -> BiKatTerm:
-        if isinstance(u, (BTest, BEmbL, BEmbR)):
-            return u
-        if isinstance(u, BStar):
-            return bstar(go(u.arg))
-        if isinstance(u, BPlus):
-            return bplus(*[go(a) for a in u.args])
-        chain = tuple(go(a) for a in u.args)
-        return bseq(*_normalize_chain(chain))
-
-    return bisimplify(go(t))
+    return bisimplify(kleene_map(t, _same, _CHAINS))
 
 
 # --- tagged encoding ---------------------------------------------------------
 
 def _tag_test(t: TestTerm, tag: str) -> TestTerm:
-    if isinstance(t, TPrim):
-        return tprim(t.name + tag)
-    if isinstance(t, TNot):
-        return tnot(_tag_test(t.arg, tag))
-    if isinstance(t, TOr):
-        return tor(*[_tag_test(a, tag) for a in t.args])
-    if isinstance(t, TAnd):
-        return tand(*[_tag_test(a, tag) for a in t.args])
-    return t
+    return bool_map(t, lambda p: tprim(p.name + tag), TESTS)
 
 
 def _tag_term(k: KatTerm, tag: str) -> KatTerm:
-    if isinstance(k, KTest):
-        return ktest(_tag_test(k.test, tag))
-    if isinstance(k, KAct):
-        return kact(k.name + tag)
-    if isinstance(k, KSeq):
-        return kseq(*[_tag_term(a, tag) for a in k.args])
-    if isinstance(k, KPlus):
-        return kplus(*[_tag_term(a, tag) for a in k.args])
-    return kstar(_tag_term(k.arg, tag))
+    return kleene_map(k, lambda u: (ktest(_tag_test(u.test, tag)) if isinstance(u, KTest)
+                                    else kact(u.name + tag)), KAT)
 
 
-def _encode_bitest(t: BiTestTerm) -> TestTerm:
-    if isinstance(t, BZero):
-        return TZero()
-    if isinstance(t, BOne):
-        return TOne()
-    if isinstance(t, BPrim):
-        return tprim(t.name + B_TAG)
-    if isinstance(t, BEmbLTest):
-        return _tag_test(t.test, L_TAG)
-    if isinstance(t, BEmbRTest):
-        return _tag_test(t.test, R_TAG)
-    if isinstance(t, BNot):
-        return tnot(_encode_bitest(t.arg))
-    if isinstance(t, BOr):
-        return tor(*[_encode_bitest(a) for a in t.args])
-    return tand(*[_encode_bitest(a) for a in t.args])
+def _encode_atom(a: BiTestTerm) -> TestTerm:
+    if isinstance(a, BPrim):
+        return tprim(a.name + B_TAG)
+    return _tag_test(a.test, _TAGS[a.side])
 
 
 def encode_to_tagged_kat(t: BiKatTerm) -> KatTerm:
     """Inject into plain KAT over a tagged alphabet (a -> a@L / a@R, bitest
     P -> test P@B).  Faithful for KAT-equational reasoning; commutation of the
     two sides is *not* valid in the image, so normalize before encoding."""
-    t = distribute_embeddings(t)
-
-    def go(u: BiKatTerm) -> KatTerm:
-        if isinstance(u, BTest):
-            return ktest(_encode_bitest(u.test))
-        if isinstance(u, BEmbL):
-            return _tag_term(u.arg, L_TAG)
-        if isinstance(u, BEmbR):
-            return _tag_term(u.arg, R_TAG)
-        if isinstance(u, BSeq):
-            return kseq(*[go(a) for a in u.args])
-        if isinstance(u, BPlus):
-            return kplus(*[go(a) for a in u.args])
-        return kstar(go(u.arg))
-
-    return go(t)
+    return kleene_map(
+        distribute_embeddings(t),
+        lambda u: (ktest(bool_map(u.test, _encode_atom, TESTS)) if isinstance(u, BTest)
+                   else _tag_term(u.arg, _TAGS[u.side])), KAT)
 
 
 def _untag(name: str) -> tuple[str, str]:
@@ -236,34 +146,20 @@ def _untag(name: str) -> tuple[str, str]:
     raise ValueError(f"untagged symbol {name!r} in encoded term")
 
 
-def _decode_test(t: TestTerm) -> BiTestTerm:
-    if isinstance(t, TZero):
-        return BZero()
-    if isinstance(t, TOne):
-        return BOne()
-    if isinstance(t, TPrim):
-        base, tag = _untag(t.name)
-        if tag == B_TAG:
-            return BPrim(base)
-        if tag == L_TAG:
-            return BEmbLTest(tprim(base))
-        return BEmbRTest(tprim(base))
-    if isinstance(t, TNot):
-        return bnot(_decode_test(t.arg))
-    if isinstance(t, TOr):
-        return bor(*[_decode_test(a) for a in t.args])
-    return band(*[_decode_test(a) for a in t.args])
+def _decode_atom(p: TestTerm) -> BiTestTerm:
+    base, tag = _untag(p.name)
+    if tag == B_TAG:
+        return BPrim(base)
+    return (BEmbLTest if tag == L_TAG else BEmbRTest)(tprim(base))
+
+
+def _decode_leaf(k: KatTerm) -> BiKatTerm:
+    if isinstance(k, KTest):
+        return btest(bool_map(k.test, _decode_atom, BITESTS))
+    base, tag = _untag(k.name)
+    return bembl(kact(base)) if tag == L_TAG else bembr(kact(base))
 
 
 def decode_tagged_kat(k: KatTerm) -> BiKatTerm:
     """Inverse of the tagged encoding, on images of distributed terms."""
-    if isinstance(k, KTest):
-        return btest(_decode_test(k.test))
-    if isinstance(k, KAct):
-        base, tag = _untag(k.name)
-        return bembl(kact(base)) if tag == L_TAG else bembr(kact(base))
-    if isinstance(k, KSeq):
-        return bseq(*[decode_tagged_kat(a) for a in k.args])
-    if isinstance(k, KPlus):
-        return bplus(*[decode_tagged_kat(a) for a in k.args])
-    return bstar(decode_tagged_kat(k.arg))
+    return kleene_map(k, _decode_leaf, BIKAT)

@@ -13,33 +13,26 @@ from typing import Callable
 
 from ..kat.decide import ZeroHypothesis, kat_equiv
 from ..kat.parse import ParseError
-from ..kat.terms import KatTerm, KPlus, KSeq, KStar, KTest, kplus, kseq, kstar, ktest
+from ..kat.terms import (TESTS, KatTerm, KPlus, KSeq, KStar, bool_map, kplus,
+                         kseq, kstar, ktest)
 from .laws import LawInstance, expand_conditional, expand_lockstep
-from .rewrite import distribute_embeddings, term_side
-from .terms import (B0, B1, BAnd, BEmbL, BEmbLTest, BEmbR, BEmbRTest,
-                    BiKatTerm, BiTestTerm, BNot, BOne, BOr, BPlus, BSeq,
-                    BStar, BTest, BZero, bembl, bembr, bis_one, bisimplify,
-                    bplus, bseq, bstar, btest, seq_chain)
-from ..kat.terms import T0, T1, tand, tnot, tor
+from .rewrite import bitest_side, distribute_embeddings, term_side
+from .terms import (B0, B1, BEmbL, BEmbR, BiKatTerm, BiTestTerm, BPlus, BPrim,
+                    BSeq, BStar, BTest, bembl, bembr, bisimplify, bplus, bseq,
+                    bstar, seq_chain)
 from ..models.kmodel import KatModel, kat_post, kat_pre
 from ..models.space import SpaceError
 
 
+def _strip_atom(a: BiTestTerm):
+    if isinstance(a, BPrim):
+        raise ScriptError(f"bitest {a} is not one-sided")
+    return a.test
+
+
 def _strip_bitest(t: BiTestTerm):
     """Recover the underlying test from a purely one-sided bitest."""
-    if isinstance(t, BZero):
-        return T0
-    if isinstance(t, BOne):
-        return T1
-    if isinstance(t, (BEmbLTest, BEmbRTest)):
-        return t.test
-    if isinstance(t, BNot):
-        return tnot(_strip_bitest(t.arg))
-    if isinstance(t, BOr):
-        return tor(*[_strip_bitest(a) for a in t.args])
-    if isinstance(t, BAnd):
-        return tand(*[_strip_bitest(a) for a in t.args])
-    raise ScriptError(f"bitest {t} is not one-sided")
+    return bool_map(t, _strip_atom, TESTS)
 
 
 class ScriptError(Exception):
@@ -182,24 +175,15 @@ def _match_segment(
 
 
 def _emb_side(t: BiKatTerm) -> str | None:
-    if isinstance(t, BEmbL):
-        return "L"
-    if isinstance(t, BEmbR):
-        return "R"
-    return None
+    return t.side if isinstance(t, (BEmbL, BEmbR)) else None
 
 
 def _factor_side(t: BiKatTerm) -> str | None:
     """Side of an embedded action or one-sided bitest factor."""
-    s = _emb_side(t)
-    if s is not None:
-        return s
     if isinstance(t, BTest):
-        from .rewrite import bitest_side
         s = bitest_side(t.test)
-        if s in ("L", "R"):
-            return s
-    return None
+        return s if s in ("L", "R") else None
+    return _emb_side(t)
 
 
 def _factor_kat(t: BiKatTerm) -> KatTerm:
@@ -342,8 +326,8 @@ def apply_step(t: BiKatTerm, step: Step, ctx: ScriptContext) -> tuple[BiKatTerm,
         else:
             if not isinstance(node, BPlus) or len(node.args) != 2:
                 raise ScriptError("unfold-star rev: expected a two-summand sum")
-            one, rest = (node.args if bis_one(node.args[0]) else (node.args[1], node.args[0]))
-            if not bis_one(one):
+            one, rest = (node.args if node.args[0].const == 1 else (node.args[1], node.args[0]))
+            if one.const != 1:
                 raise ScriptError("unfold-star rev: no unit summand")
             ch = seq_chain(rest)
             if not (isinstance(ch[-1], BStar) and

@@ -313,6 +313,15 @@ class PairSpec:
             got = self._filtered[base] = [p for p in lay.patterns if right[base | p]]
         return got
 
+    def _candidates_each(self) -> int:
+        """A bound on the right candidates of one left state: every free-field
+        pattern with every value of each compared field."""
+        lay = self._get_layout()
+        each = len(lay.patterns)
+        for _, width, _ in lay.compared:
+            each <<= width
+        return each
+
     def check_enumerable(self) -> None:
         """Raise EnumRefused if enumerating the relation would exceed the
         caps: an estimate of the pairs to build above PAIR_ENUM_CAP, or an
@@ -324,7 +333,7 @@ class PairSpec:
         if self._analysis is not None:
             lay = self._get_layout()
             lefts = n if lay.left is None else lay.left.count(1)
-            estimated = lefts * len(lay.patterns)
+            estimated = lefts * self._candidates_each()
             if estimated > PAIR_ENUM_CAP:
                 raise EnumRefused(
                     f"pair enumeration of ~{estimated} pairs exceeds the cap "
@@ -392,9 +401,7 @@ class PairSpec:
         except EnumRefused:
             if self._analysis is None or self._layout.preds:
                 return None
-            each = len(self._layout.patterns)
-            for _, width, _ in self._layout.compared:
-                each <<= width
+            each = self._candidates_each()
         known: dict[int, frozenset[int]] = {}
 
         def partners(t: int) -> frozenset[int]:

@@ -27,10 +27,10 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-from ..bi.terms import BEmbL, BEmbR, BiKatTerm, BPlus, BSeq, BTest
+from ..bi.terms import BEmbL, BiKatTerm, BTest
+from ..kat.terms import kleene_map
 from ..models.bmodel import BiModel
-from ..models.kmodel import (WALK_SOURCES, Tagged, Walk, walk_plus, walk_seq,
-                             walk_sources, walk_star)
+from ..models.kmodel import WALK_SOURCES, WALKS, Tagged, Walk, walk_sources
 from .core import Counterexample, Judgment, compile_pred, pair_spec, post_map
 from .oracles import (JudgeResult, RouteDisagreement, _pre_chunks, check_bsim,
                       check_fsim)
@@ -92,25 +92,24 @@ def _pair_walker(bm: BiModel, w: BiKatTerm, backward: bool) -> Walk:
 
 def _compile_pairs(bm: BiModel, w: BiKatTerm, backward: bool) -> Walk:
     n = bm.space.size
-    if isinstance(w, BTest):
-        pred = compile_pred(bm, w.test)
-        return lambda cur: {p: g for p, g in cur.items() if pred(*divmod(p, n))}
-    if isinstance(w, BEmbL):
-        step = post_map(bm.base, w.arg, backward=backward)
 
-        def left(cur: Tagged) -> Tagged:
-            post = step.fill({p // n for p in cur})
-            out: Tagged = {}
-            get = out.get
-            for p, g in cur.items():
-                a, b = divmod(p, n)
-                for t in post[a]:
-                    q = t * n + b
-                    out[q] = get(q, 0) | g
-            return out
-        return left
-    if isinstance(w, BEmbR):
-        step = post_map(bm.base, w.arg, backward=backward)
+    def leaf(u: BiKatTerm) -> Walk:
+        if isinstance(u, BTest):
+            pred = compile_pred(bm, u.test)
+            return lambda cur: {p: g for p, g in cur.items() if pred(*divmod(p, n))}
+        step = post_map(bm.base, u.arg, backward=backward)
+        if isinstance(u, BEmbL):
+            def left(cur: Tagged) -> Tagged:
+                post = step.fill({p // n for p in cur})
+                out: Tagged = {}
+                get = out.get
+                for p, g in cur.items():
+                    a, b = divmod(p, n)
+                    for t in post[a]:
+                        q = t * n + b
+                        out[q] = get(q, 0) | g
+                return out
+            return left
 
         def right(cur: Tagged) -> Tagged:
             post = step.fill({p % n for p in cur})
@@ -124,12 +123,7 @@ def _compile_pairs(bm: BiModel, w: BiKatTerm, backward: bool) -> Walk:
                     out[q] = get(q, 0) | g
             return out
         return right
-    if isinstance(w, BPlus):
-        return walk_plus([_compile_pairs(bm, a, backward) for a in w.args])
-    if isinstance(w, BSeq):
-        return walk_seq([_compile_pairs(bm, a, backward)
-                         for a in (reversed(w.args) if backward else w.args)])
-    return walk_star(_compile_pairs(bm, w.arg, backward))
+    return kleene_map(w, leaf, WALKS, reverse=backward)
 
 
 def _witness_image(bm: BiModel, w: Witness, sources) -> ImageMap:

@@ -10,20 +10,16 @@ from __future__ import annotations
 
 from typing import Iterable
 
-from .terms import (Alphabet, CapExceeded, KAct, KatTerm, KPlus, KSeq, KStar,
-                    KTest, TAnd, TestTerm, TNot, TOne, TOr, TPrim, TZero)
+from .terms import (Alphabet, CapExceeded, KAct, KatTerm, KPlus, KSeq, KTest,
+                    TestTerm, TNot, TOne, TOr, TPrim, TZero)
 
-ATOM_CAP = 10
 GS_LEN_CAP = 8
 
 
 def atoms(alphabet: Alphabet) -> list[int]:
-    """All 2^n test valuations, in increasing bitmask order."""
-    n = len(alphabet.tests)
-    if n > ATOM_CAP:
-        raise CapExceeded(
-            f"atom enumeration over {n} tests needs 2^{n} valuations; cap is 2^{ATOM_CAP}")
-    return list(range(1 << n))
+    """All 2^n test valuations, in increasing bitmask order (`Alphabet`
+    refuses more than TEST_CAP tests)."""
+    return list(range(1 << len(alphabet.tests)))
 
 
 def eval_test(t: TestTerm, atom: int, alphabet: Alphabet) -> bool:
@@ -38,20 +34,6 @@ def eval_test(t: TestTerm, atom: int, alphabet: Alphabet) -> bool:
     if isinstance(t, TOr):
         return any(eval_test(a, atom, alphabet) for a in t.args)
     return all(eval_test(a, atom, alphabet) for a in t.args)
-
-
-def atom_str(atom: int, alphabet: Alphabet) -> str:
-    if not alphabet.tests:
-        return "<>"
-    bits = [(p if atom >> i & 1 else f"!{p}") for i, p in enumerate(alphabet.tests)]
-    return "<" + " ".join(bits) + ">"
-
-
-def gs_str(gs: tuple, alphabet: Alphabet) -> str:
-    parts = []
-    for i, x in enumerate(gs):
-        parts.append(atom_str(x, alphabet) if i % 2 == 0 else alphabet.actions[x])
-    return " ".join(parts)
 
 
 def enumerate_guarded_strings(

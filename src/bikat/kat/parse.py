@@ -25,8 +25,8 @@ from __future__ import annotations
 import re
 from typing import Callable
 
-from .terms import (Alphabet, KatTerm, KPlus, KSeq, KTest, TestTerm, kact,
-                    kplus, kseq, kstar, ktest, tand, tnot, tor, tprim, T0, T1)
+from .terms import (KAT, Alphabet, KatTerm, KleeneOps, KPlus, KSeq, KTest,
+                    TestTerm, kact, ktest, tand, tnot, tor, tprim, T0, T1)
 
 
 class ParseError(Exception):
@@ -138,12 +138,12 @@ def parse_all(text: str, parse: Callable[[Cur], object]):
 
 
 class Kleene:
-    """The sum/seq/star grammar over `atom(cur)`; `plus`, `seq` and `star`
-    build terms, and a single operand of `+` or `;` stands for itself."""
+    """The sum/seq/star grammar over `atom(cur)`, building terms with `ops`;
+    a single operand of `+` or `;` stands for itself."""
 
-    def __init__(self, atom: Callable[[Cur], object], plus, seq, star):
+    def __init__(self, atom: Callable[[Cur], object], ops: KleeneOps):
         self.atom = atom
-        self.plus, self.seq, self.star = plus, seq, star
+        self.plus, self.seq, self.star = ops
 
     def term(self, c: Cur):
         parts = [self.product(c)]
@@ -208,7 +208,7 @@ def kat_grammar(alphabet: Alphabet) -> Kleene:
             return kact(name)
         raise ParseError(f"undeclared identifier {name!r}", pos)
 
-    g = Kleene(atom, kplus, kseq, kstar)
+    g = Kleene(atom, KAT)
     return g
 
 

@@ -1,15 +1,31 @@
-"""Term syntax for Kleene algebra with tests.
+"""Term syntax for Kleene algebra with tests, and the term structure that
+the two-execution algebra shares.
 
 Tests and actions form two syntactic sorts.  Sums and sequences are n-ary
 (flattened); `simplify` additionally sorts and dedupes sums so that terms
 can be compared modulo associativity, commutativity and idempotence of +.
+
+BiKAT (`bi.terms`) has the same operators over other atoms, so their
+structure is written once, here.  Every term class of either algebra
+extends the marker base of its operator (`Zero`, `One`, `Not`, `Or`, `And`
+for tests and bitests; `Test`, `Plus`, `Seq`, `Star` for terms) or `Term`,
+and code dispatches on those bases, never on the algebra:
+
+- `nary` is the one flattening constructor behind `tor`, `tand`, `kplus`,
+  `kseq` and their bitest and BiKAT twins; `complement` and `closure` build
+  negations and stars;
+- `term_key`, over the one table `RANK`, is the canonical sibling order,
+  and `sort_dedupe` the one normal-form step of `simplify`, `simplify_test`
+  and their BiKAT twins;
+- `bool_map` and `kleene_map` are the one Boolean and the one Kleene
+  homomorphism, given the images of atoms and the target's constructors.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache
-from typing import Iterable, Union
+from typing import Callable, Iterable, NamedTuple, Union
 
 
 class KatError(Exception):
@@ -20,22 +36,242 @@ class CapExceeded(KatError):
     """A configured resource cap was exceeded; the operation refuses."""
 
 
+# --- the shared structure -------------------------------------------------------
+
+class Term:
+    """Base of the term classes of both algebras.  Each class has at most one
+    field: a name, a term, or a tuple of terms.  `const` is 0 or 1 for a
+    constant of either sort, else None."""
+
+    const = None
+
+
+class Zero(Term):
+    const = 0
+
+
+class One(Term):
+    const = 1
+
+
+class Not(Term):
+    """Negation (field `arg`)."""
+
+
+class Or(Term):
+    """n-ary disjunction (field `args`); 1 absorbs it."""
+
+    absorbs = 1
+
+
+class And(Term):
+    """n-ary conjunction (field `args`); 0 absorbs it."""
+
+    absorbs = 0
+
+
+class Test(Term):
+    """A test or bitest (field `test`) as a term; its constants are the
+    term's."""
+
+    @property
+    def const(self):
+        return self.test.const
+
+    def __str__(self) -> str:
+        return f"({self.test})" if isinstance(self.test, (Or, And)) else str(self.test)
+
+
+class Plus(Term):
+    """n-ary sum (field `args`); nothing absorbs it."""
+
+    absorbs = None
+
+    def __str__(self) -> str:
+        return " + ".join(_paren(a, 0) for a in self.args)
+
+
+class Seq(Term):
+    """n-ary sequence (field `args`); 0 absorbs it."""
+
+    absorbs = 0
+
+    def __str__(self) -> str:
+        return " ; ".join(_paren(a, 1) for a in self.args)
+
+
+class Star(Term):
+    """Kleene star (field `arg`)."""
+
+    def __str__(self) -> str:
+        return f"{_paren(self.arg, 2)}*"
+
+
+def _paren(t: Term, level: int) -> str:
+    # level: 0 inside +, 1 inside ;, 2 under *
+    mine = 0 if isinstance(t, Plus) else 1 if isinstance(t, Seq) else 2
+    s = str(t)
+    return f"({s})" if mine < max(level, 1) or (level == 2 and mine < 2) else s
+
+
+def nary(cls: type, unit: Term, ts: Iterable[Term]) -> Term:
+    """The `cls` node over `ts`, flattened: the arguments of a `cls`
+    argument are spliced in, copies of the constant `unit` dropped, and an
+    absorbing constant (`cls.absorbs`) is the result.  No argument left
+    gives `unit`, one gives itself."""
+    flat: list[Term] = []
+    for t in ts:
+        if isinstance(t, cls):
+            flat.extend(t.args)
+        elif t.const is None:
+            flat.append(t)
+        elif t.const == cls.absorbs:
+            return t
+        elif t.const != unit.const:
+            flat.append(t)
+    if not flat:
+        return unit
+    return flat[0] if len(flat) == 1 else cls(tuple(flat))
+
+
+def complement(cls: type, t: Term, zero: Term, one: Term) -> Term:
+    """`cls(t)`, with the constants swapped and a double negation cancelled."""
+    if t.const is not None:
+        return (one, zero)[t.const]
+    return t.arg if isinstance(t, cls) else cls(t)
+
+
+def closure(cls: type, t: Term, one: Term) -> Term:
+    """`cls(t)`; a constant gives `one`, and a star is its own closure."""
+    if t.const is not None:
+        return one
+    return t if isinstance(t, cls) else cls(t)
+
+
+def _field(t: Term):
+    """The value of the one field of `t`: a name, a term or a tuple of
+    terms; None for a constant."""
+    return next(iter(vars(t).values()), None)
+
+
+def _children(t: Term) -> tuple[Term, ...]:
+    v = _field(t)
+    if isinstance(v, tuple):
+        return v
+    return () if v is None or isinstance(v, str) else (v,)
+
+
+def subterms(t: Term) -> Iterable[Term]:
+    """`t` and every term inside it, embedded KAT terms and tests included."""
+    todo = [t]
+    while todo:
+        u = todo.pop()
+        yield u
+        todo.extend(_children(u))
+
+
+# --- canonical order and normal form ---------------------------------------------
+
+# sibling order in canonical forms: constants, atoms, then operators.  A
+# class takes the rank of its marker base; the atoms have entries of their
+# own, which `bi.terms` adds for its atoms when it is imported
+RANK: dict[type, int] = {Zero: 0, One: 1, Not: 5, And: 6, Or: 7,
+                         Test: 0, Star: 3, Seq: 4, Plus: 5}
+
+
+@lru_cache(maxsize=None)
+def _rank(cls: type) -> int:
+    return next(RANK[c] for c in cls.__mro__ if c in RANK)
+
+
+def term_key(t: Term):
+    """The canonical sort key of a term of either algebra: its rank, then its
+    name or the keys of its arguments."""
+    r = _rank(type(t))
+    v = _field(t)
+    if v is None:
+        return (r,)
+    if isinstance(v, str):
+        return (r, v)
+    return (r, tuple(map(term_key, v)) if isinstance(v, tuple) else term_key(v))
+
+
+def sort_dedupe(t: Term) -> Term:
+    """`t`, with the arguments of a sum, disjunction or conjunction sorted by
+    `term_key` and deduplicated: +, \\/ and /\\ are associative, commutative
+    and idempotent."""
+    if not isinstance(t, (Plus, Or, And)):
+        return t
+    uniq = sorted(set(t.args), key=term_key)
+    return type(t)(tuple(uniq)) if len(uniq) > 1 else uniq[0]
+
+
+# --- structural maps ----------------------------------------------------------
+
+class BoolOps(NamedTuple):
+    """The constants and connectives a Boolean map builds with; `join` and
+    `meet` take any number of arguments."""
+
+    zero: object
+    one: object
+    neg: Callable
+    join: Callable
+    meet: Callable
+
+
+class KleeneOps(NamedTuple):
+    """The operators a Kleene map builds with; `plus` and `seq` take any
+    number of arguments."""
+
+    plus: Callable
+    seq: Callable
+    star: Callable
+
+
+def bool_map(t: Term, atom: Callable, ops: BoolOps):
+    """The image of a test or bitest under the Boolean homomorphism that
+    sends each atom `a` to `atom(a)`."""
+    if isinstance(t, Not):
+        return ops.neg(bool_map(t.arg, atom, ops))
+    if isinstance(t, (Or, And)):
+        args = [bool_map(a, atom, ops) for a in t.args]
+        return ops.join(*args) if isinstance(t, Or) else ops.meet(*args)
+    if t.const is None:
+        return atom(t)
+    return ops.one if t.const else ops.zero
+
+
+def kleene_map(t: Term, leaf: Callable, ops: KleeneOps, reverse: bool = False):
+    """The image of a KAT or BiKAT term under the Kleene homomorphism that
+    sends each leaf `u` (a test, an action or an embedding) to `leaf(u)`;
+    with `reverse`, sequences are taken right to left."""
+    def go(u: Term):
+        if not isinstance(u, (Plus, Seq, Star)):
+            return leaf(u)
+        if isinstance(u, Star):
+            return ops.star(go(u.arg))
+        if isinstance(u, Plus):
+            return ops.plus(*map(go, u.args))
+        return ops.seq(*map(go, reversed(u.args) if reverse else u.args))
+    return go(t)
+
+
 # --- test terms -------------------------------------------------------------
 
 @dataclass(frozen=True)
-class TZero:
+class TZero(Zero):
     def __str__(self) -> str:
         return "0"
 
 
 @dataclass(frozen=True)
-class TOne:
+class TOne(One):
     def __str__(self) -> str:
         return "1"
 
 
 @dataclass(frozen=True)
-class TPrim:
+class TPrim(Term):
     name: str
 
     def __str__(self) -> str:
@@ -43,7 +279,7 @@ class TPrim:
 
 
 @dataclass(frozen=True)
-class TNot:
+class TNot(Not):
     arg: "TestTerm"
 
     def __str__(self) -> str:
@@ -51,7 +287,7 @@ class TNot:
 
 
 @dataclass(frozen=True)
-class TOr:
+class TOr(Or):
     args: tuple["TestTerm", ...]
 
     def __str__(self) -> str:
@@ -59,7 +295,7 @@ class TOr:
 
 
 @dataclass(frozen=True)
-class TAnd:
+class TAnd(And):
     args: tuple["TestTerm", ...]
 
     def __str__(self) -> str:
@@ -73,11 +309,7 @@ T1 = TOne()
 
 
 def _paren_test(t: TestTerm, in_sum: bool = False) -> str:
-    if isinstance(t, TOr):
-        return f"({t})"
-    if isinstance(t, TAnd) and not in_sum:
-        return str(t)
-    if isinstance(t, TAnd):
+    if isinstance(t, TOr) or (in_sum and isinstance(t, TAnd)):
         return f"({t})"
     return str(t)
 
@@ -87,61 +319,29 @@ def tprim(name: str) -> TestTerm:
 
 
 def tnot(t: TestTerm) -> TestTerm:
-    if isinstance(t, TZero):
-        return T1
-    if isinstance(t, TOne):
-        return T0
-    if isinstance(t, TNot):
-        return t.arg
-    return TNot(t)
+    return complement(TNot, t, T0, T1)
 
 
 def tor(*ts: TestTerm) -> TestTerm:
-    flat: list[TestTerm] = []
-    for t in ts:
-        if isinstance(t, TOr):
-            flat.extend(t.args)
-        elif isinstance(t, TOne):
-            return T1
-        elif not isinstance(t, TZero):
-            flat.append(t)
-    if not flat:
-        return T0
-    if len(flat) == 1:
-        return flat[0]
-    return TOr(tuple(flat))
+    return nary(TOr, T0, ts)
 
 
 def tand(*ts: TestTerm) -> TestTerm:
-    flat: list[TestTerm] = []
-    for t in ts:
-        if isinstance(t, TAnd):
-            flat.extend(t.args)
-        elif isinstance(t, TZero):
-            return T0
-        elif not isinstance(t, TOne):
-            flat.append(t)
-    if not flat:
-        return T1
-    if len(flat) == 1:
-        return flat[0]
-    return TAnd(tuple(flat))
+    return nary(TAnd, T1, ts)
+
+
+TESTS = BoolOps(T0, T1, tnot, tor, tand)
 
 
 # --- KAT terms ---------------------------------------------------------------
 
 @dataclass(frozen=True)
-class KTest:
+class KTest(Test):
     test: TestTerm
-
-    def __str__(self) -> str:
-        if isinstance(self.test, (TPrim, TZero, TOne)):
-            return str(self.test)
-        return f"({self.test})" if isinstance(self.test, (TOr, TAnd)) else str(self.test)
 
 
 @dataclass(frozen=True)
-class KAct:
+class KAct(Term):
     name: str
 
     def __str__(self) -> str:
@@ -149,27 +349,18 @@ class KAct:
 
 
 @dataclass(frozen=True)
-class KPlus:
+class KPlus(Plus):
     args: tuple["KatTerm", ...]
-
-    def __str__(self) -> str:
-        return " + ".join(_paren_kat(a, 0) for a in self.args)
 
 
 @dataclass(frozen=True)
-class KSeq:
+class KSeq(Seq):
     args: tuple["KatTerm", ...]
-
-    def __str__(self) -> str:
-        return " ; ".join(_paren_kat(a, 1) for a in self.args)
 
 
 @dataclass(frozen=True)
-class KStar:
+class KStar(Star):
     arg: "KatTerm"
-
-    def __str__(self) -> str:
-        return f"{_paren_kat(self.arg, 2)}*"
 
 
 KatTerm = Union[KTest, KAct, KPlus, KSeq, KStar]
@@ -177,12 +368,7 @@ KatTerm = Union[KTest, KAct, KPlus, KSeq, KStar]
 K0 = KTest(T0)
 K1 = KTest(T1)
 
-
-def _paren_kat(t: KatTerm, level: int) -> str:
-    # level: 0 inside +, 1 inside ;, 2 under *
-    mine = 0 if isinstance(t, KPlus) else 1 if isinstance(t, KSeq) else 2
-    s = str(t)
-    return f"({s})" if mine < max(level, 1) or (level == 2 and mine < 2) else s
+RANK.update({TPrim: 2, KAct: 1})
 
 
 def ktest(t: TestTerm) -> KatTerm:
@@ -193,93 +379,30 @@ def kact(name: str) -> KatTerm:
     return KAct(name)
 
 
-def is_zero(t: KatTerm) -> bool:
-    return isinstance(t, KTest) and isinstance(t.test, TZero)
-
-
-def is_one(t: KatTerm) -> bool:
-    return isinstance(t, KTest) and isinstance(t.test, TOne)
-
-
 def kplus(*ts: KatTerm) -> KatTerm:
-    flat: list[KatTerm] = []
-    for t in ts:
-        if isinstance(t, KPlus):
-            flat.extend(t.args)
-        elif not is_zero(t):
-            flat.append(t)
-    if not flat:
-        return K0
-    if len(flat) == 1:
-        return flat[0]
-    return KPlus(tuple(flat))
+    return nary(KPlus, K0, ts)
 
 
 def kseq(*ts: KatTerm) -> KatTerm:
-    flat: list[KatTerm] = []
-    for t in ts:
-        if isinstance(t, KSeq):
-            flat.extend(t.args)
-        elif is_zero(t):
-            return K0
-        elif not is_one(t):
-            flat.append(t)
-    if not flat:
-        return K1
-    if len(flat) == 1:
-        return flat[0]
-    return KSeq(tuple(flat))
+    return nary(KSeq, K1, ts)
 
 
 def kstar(t: KatTerm) -> KatTerm:
-    if is_zero(t) or is_one(t):
-        return K1
-    if isinstance(t, KStar):
-        return t
-    return KStar(t)
+    return closure(KStar, t, K1)
 
 
-# --- canonical ordering and simplification -----------------------------------
-
-_TEST_RANK = {TZero: 0, TOne: 1, TPrim: 2, TNot: 3, TAnd: 4, TOr: 5}
-_KAT_RANK = {KTest: 0, KAct: 1, KStar: 2, KSeq: 3, KPlus: 4}
+KAT = KleeneOps(kplus, kseq, kstar)
 
 
-def _test_key(t: TestTerm):
-    r = _TEST_RANK[type(t)]
-    if isinstance(t, TPrim):
-        return (r, t.name)
-    if isinstance(t, TNot):
-        return (r, _test_key(t.arg))
-    if isinstance(t, (TOr, TAnd)):
-        return (r, tuple(_test_key(a) for a in t.args))
-    return (r,)
+# --- simplification ------------------------------------------------------------
 
-
-def term_key(t: KatTerm):
-    r = _KAT_RANK[type(t)]
-    if isinstance(t, KTest):
-        return (r, _test_key(t.test))
-    if isinstance(t, KAct):
-        return (r, t.name)
-    if isinstance(t, KStar):
-        return (r, term_key(t.arg))
-    return (r, tuple(term_key(a) for a in t.args))
+_NORMAL_TESTS = BoolOps(T0, T1, tnot, lambda *ts: sort_dedupe(tor(*ts)),
+                        lambda *ts: sort_dedupe(tand(*ts)))
 
 
 def simplify_test(t: TestTerm) -> TestTerm:
     """Boolean units, double negation, flat sorted deduped /\\ and \\/."""
-    if isinstance(t, (TZero, TOne, TPrim)):
-        return t
-    if isinstance(t, TNot):
-        return tnot(simplify_test(t.arg))
-    args = [simplify_test(a) for a in t.args]
-    mk = tor if isinstance(t, TOr) else tand
-    flat = mk(*args)
-    if not isinstance(flat, (TOr, TAnd)):
-        return flat
-    uniq = sorted(set(flat.args), key=_test_key)
-    return type(flat)(tuple(uniq)) if len(uniq) > 1 else uniq[0]
+    return bool_map(t, lambda a: a, _NORMAL_TESTS)
 
 
 @lru_cache(maxsize=200_000)
@@ -295,12 +418,8 @@ def simplify(t: KatTerm) -> KatTerm:
     if isinstance(t, KStar):
         return kstar(simplify(t.arg))
     if isinstance(t, KSeq):
-        return kseq(*[simplify(a) for a in t.args])
-    flat = kplus(*[simplify(a) for a in t.args])
-    if not isinstance(flat, KPlus):
-        return flat
-    uniq = sorted(set(flat.args), key=term_key)
-    return KPlus(tuple(uniq)) if len(uniq) > 1 else uniq[0]
+        return kseq(*map(simplify, t.args))
+    return sort_dedupe(kplus(*map(simplify, t.args)))
 
 
 # --- alphabets ---------------------------------------------------------------
@@ -333,36 +452,14 @@ class Alphabet:
         return Alphabet.make(self.tests + other.tests, self.actions + other.actions)
 
 
-def test_prims(t: TestTerm) -> set[str]:
-    if isinstance(t, TPrim):
-        return {t.name}
-    if isinstance(t, TNot):
-        return test_prims(t.arg)
-    if isinstance(t, (TOr, TAnd)):
-        out: set[str] = set()
-        for a in t.args:
-            out |= test_prims(a)
-        return out
-    return set()
+def names(t: Term, cls: type) -> set[str]:
+    """The names of the `cls` atoms inside `t`."""
+    return {u.name for u in subterms(t) if isinstance(u, cls)}
 
 
-def term_alphabet(t: KatTerm) -> Alphabet:
-    tests: set[str] = set()
-    actions: set[str] = set()
-
-    def walk(u: KatTerm) -> None:
-        if isinstance(u, KTest):
-            tests.update(test_prims(u.test))
-        elif isinstance(u, KAct):
-            actions.add(u.name)
-        elif isinstance(u, KStar):
-            walk(u.arg)
-        else:
-            for a in u.args:
-                walk(a)
-
-    walk(t)
-    return Alphabet.make(tests, actions)
+def term_alphabet(t: Term) -> Alphabet:
+    """The primitive tests and actions inside a KAT or BiKAT term."""
+    return Alphabet.make(names(t, TPrim), names(t, KAct))
 
 
 def terms_alphabet(ts: Iterable[KatTerm]) -> Alphabet:

@@ -7,9 +7,10 @@ successor table (and, for preimages, its converse) and each test a table with
 one byte per state, both built on first use, and a term is compiled once per
 model into nested closures over those tables.  One walk then carries a whole
 batch of sources, each state tagged with the bitmask of the sources that
-reach it, so sources that meet share the rest of the walk.  The combinators
-`walk_plus`, `walk_seq` and `walk_star` and the batch driver `walk_sources`
-are shared with the pair-state walker of BiKAT witness terms.  `image`
+reach it, so sources that meet share the rest of the walk.  A term is
+compiled by `kleene_map` into the combinators `WALKS` (`walk_plus`,
+`walk_seq`, `walk_star`), which, with the batch driver `walk_sources`, the
+pair-state walker of BiKAT witness terms shares.  `image`
 returns per-source images or preimages; `kat_post`/`kat_pre` are the image
 and preimage of a state set.
 
@@ -25,8 +26,8 @@ from array import array
 from dataclasses import dataclass, field
 from typing import Callable, Iterable, Iterator
 
-from ..kat.terms import (Alphabet, KAct, KatTerm, KPlus, KSeq, KStar, KTest,
-                         TAnd, TestTerm, TNot, TOne, TOr, TPrim, TZero)
+from ..kat.terms import (Alphabet, KAct, KatTerm, KleeneOps, KPlus, KSeq, KTest,
+                         TestTerm, TNot, TOne, TOr, TPrim, TZero, kleene_map)
 from .rel import Rel
 from .space import StateSpace
 
@@ -271,7 +272,7 @@ Walk = Callable[[Tagged], Tagged]
 WALK_SOURCES = 1024
 
 
-def walk_plus(parts: list[Walk]) -> Walk:
+def walk_plus(*parts: Walk) -> Walk:
     """The union of the walks' results, tags ORed per state."""
     def plus(cur: Tagged) -> Tagged:
         out: Tagged = {}
@@ -283,7 +284,7 @@ def walk_plus(parts: list[Walk]) -> Walk:
     return plus
 
 
-def walk_seq(parts: list[Walk]) -> Walk:
+def walk_seq(*parts: Walk) -> Walk:
     """The walks in order, stopping once nothing is reached."""
     def seq(cur: Tagged) -> Tagged:
         for f in parts:
@@ -313,12 +314,15 @@ def walk_star(body: Walk) -> Walk:
     return star
 
 
+WALKS = KleeneOps(walk_plus, walk_seq, walk_star)
+
+
 def _compile(m: KatModel, t: KatTerm, backward: bool) -> Walk:
-    if isinstance(t, KTest):
-        table = test_table(m, t.test)
-        return lambda cur: {s: g for s, g in cur.items() if table[s]}
-    if isinstance(t, KAct):
-        sem = m.act(t.name)
+    def leaf(u: KatTerm) -> Walk:
+        if isinstance(u, KTest):
+            table = test_table(m, u.test)
+            return lambda cur: {s: g for s, g in cur.items() if table[s]}
+        sem = m.act(u.name)
         succ = sem.pred_table() if backward else sem.succ_table()
         if isinstance(succ, array):
             def det(cur: Tagged) -> Tagged:
@@ -339,12 +343,7 @@ def _compile(m: KatModel, t: KatTerm, backward: bool) -> Walk:
                     out[s2] = get(s2, 0) | g
             return out
         return rel
-    if isinstance(t, KPlus):
-        return walk_plus([_compile(m, a, backward) for a in t.args])
-    if isinstance(t, KSeq):
-        return walk_seq([_compile(m, a, backward)
-                         for a in (reversed(t.args) if backward else t.args)])
-    return walk_star(_compile(m, t.arg, backward))
+    return kleene_map(t, leaf, WALKS, reverse=backward)
 
 
 def _walker(m: KatModel, t: KatTerm, backward: bool = False) -> Walk:

@@ -35,14 +35,13 @@ from dataclasses import dataclass, field
 
 from .bi.parse import parse_script_lines
 from .bi.script import AlignmentScript, ScriptContext, Step
-from .bi.terms import (BT0, BT1, BiKatTerm, BiTestTerm, band, bembl, bembr,
-                       bnot, bor, bplus, bseq, bstar, btest, emb_pair,
-                       BEmbLTest, BEmbRTest)
+from .bi.terms import (BIKAT, BT0, BT1, BiKatTerm, BiTestTerm, band, bembl,
+                       bembr, bnot, bor, btest, emb_pair, BEmbLTest, BEmbRTest)
 from .judge.core import Judgment, RelSpec
 from .judge.oracles import ORACLES
 from .kat.decide import ZeroHypothesis
 from .kat.parse import Cur, Kleene, ParseError, or_and, parse_all
-from .kat.terms import K0, K1, KatTerm, TestTerm, kplus, kseq, kstar, ktest, tnot
+from .kat.terms import KAT, K0, K1, KatTerm, TestTerm, ktest, tnot
 from .models.bmodel import BiModel
 from .models.imp import (BAndE, BCmp, BConst, BNotE, BOrE, EArr, EBin, ECall,
                          EConst, EVar, ImpEnv, Program, SArrAssign, SAssign,
@@ -213,8 +212,8 @@ class ImpTermParser:
     def __init__(self, env: ImpEnv, bm: BiModel):
         self.env = env
         self.bm = bm
-        self._kat = Kleene(self._kat_atom, kplus, kseq, kstar)
-        self._bi = Kleene(self._bi_atom, bplus, bseq, bstar)
+        self._kat = Kleene(self._kat_atom, KAT)
+        self._bi = Kleene(self._bi_atom, BIKAT)
 
     def kat(self, text: str) -> KatTerm:
         return parse_all(text, self._kat.term)

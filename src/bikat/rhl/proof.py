@@ -26,12 +26,13 @@ from dataclasses import dataclass, field
 
 from ..bi.terms import (BAnd, BEmbLTest, BEmbRTest, BiTestTerm, BOne,
                         BPrim, band, bnot, bor, simplify_bitest)
-from ..judge.core import ExprBitest, Judgment, RelSpec, pair_spec, post_map
+from ..judge.core import (ExprBitest, Judgment, RelSpec, compile_pred,
+                          pair_spec, post_map)
 from ..judge.oracles import JudgeResult, dispatch
 from ..models.imp import (BoolExpr, ImpEnv, Program, SAssign, SHavoc, SIf,
                           SSkip, SWhile, Stmt, bool_str, expr_str, stmt_str,
                           subst_expr)
-from ..models.bmodel import BiModel, bitest_holds
+from ..models.bmodel import BiModel
 
 
 @dataclass(frozen=True)
@@ -137,7 +138,6 @@ def _is_skip(p: Program) -> bool:
 
 def check_implication(ctx: RhlContext, lhs: BiTestTerm, rhs: BiTestTerm):
     """All pairs satisfying lhs satisfy rhs; counterexample pair otherwise."""
-    from ..judge.core import compile_pred
     spec = pair_spec(ctx.bm, lhs)
     pred = compile_pred(ctx.bm, rhs)
     for (a, b) in spec.pairs():
@@ -169,36 +169,40 @@ def discharge_side_condition(ctx: RhlContext, sc: SideCondition) -> tuple[bool, 
     if sc.shape == "domain-totality":
         post_spec, havoc_var = sc.payload
         sp = ctx.bm.space
-        spec = pair_spec(ctx.bm, post_spec)
+        rows = pair_spec(ctx.bm, post_spec).rows()
         if havoc_var is None:
             # full-state nondeterminism on the right: need a partner per left state
-            lefts = spec.rows()
             for s in range(sp.size):
-                if s not in lefts:
+                if s not in rows:
                     return False, (f"{sc.description}: no partner for "
                                    f"left={sp.state_str(s)}")
             return True, "by oracle"
-        width = sp.width_of(havoc_var)
+        # s2 has a witnessing value for s iff s2 with the havocked field
+        # cleared is a partner of s with that field cleared
+        off, width = sp.field(havoc_var)
+        keep = ~(((1 << width) - 1) << off)
+        cleared = [s2 for s2 in range(sp.size) if s2 & keep == s2]
         for s in range(sp.size):
-            for s2 in range(sp.size):
-                if not any(bitest_holds(ctx.bm, post_spec, s, sp.set(s2, havoc_var, v))
-                           for v in range(1 << width)):
-                    return False, (f"{sc.description}: no witnessing value of "
-                                   f"{havoc_var} for left={sp.state_str(s)} "
-                                   f"right={sp.state_str(s2)}")
+            got = {t2 & keep for t2 in rows.get(s, ())}
+            if len(got) < len(cleared):
+                s2 = next(c for c in cleared if c not in got)
+                return False, (f"{sc.description}: no witnessing value of "
+                               f"{havoc_var} for left={sp.state_str(s)} "
+                               f"right={sp.state_str(s2)}")
         return True, "by oracle"
 
     if sc.shape == "variant-decrease":
         inv, guard2, body2, variant = sc.payload
-        spec = pair_spec(ctx.bm, band(inv, guard2))
-        post = post_map(ctx.bm.base, ctx.compile(body2))
-        for (a, b) in spec.pairs():
-            bound = ctx.env.eval(variant, b)
-            if not any(bitest_holds(ctx.bm, inv, a, t2) and ctx.env.eval(variant, t2) < bound
-                       for t2 in post[b]):
-                sp = ctx.bm.space
-                return False, (f"{sc.description}: no decreasing right iteration from "
-                               f"left={sp.state_str(a)} right={sp.state_str(b)}")
+        rows = pair_spec(ctx.bm, band(inv, guard2)).rows()
+        images = post_map(ctx.bm.base, ctx.compile(body2)).fill(
+            {b for row in rows.values() for b in row})
+        holds, vals = compile_pred(ctx.bm, inv), ctx.env.values(variant)
+        for a, row in rows.items():
+            for b in row:
+                if not any(vals[t2] < vals[b] and holds(a, t2) for t2 in images[b]):
+                    sp = ctx.bm.space
+                    return False, (f"{sc.description}: no decreasing right iteration from "
+                                   f"left={sp.state_str(a)} right={sp.state_str(b)}")
         return True, "by oracle"
 
     return False, f"unknown side-condition shape {sc.shape!r}"
@@ -515,8 +519,7 @@ def rel_bitest_term(ctx: RhlContext, lexpr, op: str, rexpr) -> BiTestTerm:
     return BPrim(name)
 
 
-def check_proof(ctx: RhlContext, tree: ProofTree, conclusion: RhlJudgment,
-                verify_root: bool = True) -> ProofResult:
+def check_proof(ctx: RhlContext, tree: ProofTree, conclusion: RhlJudgment) -> ProofResult:
     reports: list[NodeReport] = []
 
     def walk(node: ProofTree, rj: RhlJudgment, path: tuple[int, ...]) -> bool:
@@ -559,7 +562,7 @@ def check_proof(ctx: RhlContext, tree: ProofTree, conclusion: RhlJudgment,
 
     ok = walk(tree, conclusion, ())
     result = ProofResult(ok, reports)
-    if ok and verify_root:
+    if ok:
         res = ctx.oracle(conclusion)
         result.root_oracle = res
         if not res.holds:

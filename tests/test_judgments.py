@@ -706,6 +706,22 @@ class TestRowPath:
             assert res.routes == {"pointwise": holds}, kind
             assert res.holds == holds, kind
 
+    def test_compared_fields_count_toward_the_enumeration_cap(self):
+        # 32768 left states; z is pinned and x and y each keep up to 32
+        # values, so the rows hold 528 * 528 * 32 = 8,921,088 pairs, above
+        # PAIR_ENUM_CAP: the estimate must count the compared values and
+        # refuse before any row is built
+        from bikat.judge import EnumRefused
+        from bikat.judge.core import PAIR_ENUM_CAP
+        prob = load_problem("width 5; vars x y z; "
+                            "pre { [x <= x] & [y <= y] & [z == z] }")
+        assert 528 * 528 * 32 > PAIR_ENUM_CAP
+        spec = PairSpec(prob.bm, prob.pre)
+        with pytest.raises(EnumRefused):
+            spec.check_enumerable()
+        with pytest.raises(EnumRefused):
+            spec.rows()
+
     def test_second_routes_stop_at_the_candidate_budget(self, monkeypatch):
         # guess-count's post pins one right field and leaves 512 candidates a
         # state; the left runs have 512 distinct ends, so with room for 100
