@@ -13,31 +13,31 @@ serve both algebras.  An embedding's class carries its `side`, "L" or "R".
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import lru_cache
 from typing import Union
 
 from ..kat.terms import (RANK, And, BoolOps, KatTerm, KleeneOps, KTest, Not,
                          One, Or, Plus, Seq, Star, Term, Test, TestTerm,
                          TPrim, Zero, bool_map, closure, complement, nary,
-                         simplify as kat_simplify, simplify_test, sort_dedupe)
+                         simplify as kat_simplify, simplify_test, sort_dedupe,
+                         term)
 
 
 # --- bitests -----------------------------------------------------------------
 
-@dataclass(frozen=True)
+@term
 class BZero(Zero):
     def __str__(self) -> str:
         return "false"
 
 
-@dataclass(frozen=True)
+@term
 class BOne(One):
     def __str__(self) -> str:
         return "true"
 
 
-@dataclass(frozen=True)
+@term
 class BPrim(Term):
     name: str
 
@@ -45,7 +45,7 @@ class BPrim(Term):
         return f"[{self.name}]"
 
 
-@dataclass(frozen=True)
+@term
 class BEmbLTest(Term):
     test: TestTerm
     side = "L"
@@ -54,7 +54,7 @@ class BEmbLTest(Term):
         return f"L[{self.test}]"
 
 
-@dataclass(frozen=True)
+@term
 class BEmbRTest(Term):
     test: TestTerm
     side = "R"
@@ -63,7 +63,7 @@ class BEmbRTest(Term):
         return f"R[{self.test}]"
 
 
-@dataclass(frozen=True)
+@term
 class BNot(Not):
     arg: "BiTestTerm"
 
@@ -72,7 +72,7 @@ class BNot(Not):
         return f"!({s})" if isinstance(self.arg, (BOr, BAnd)) else f"!{s}"
 
 
-@dataclass(frozen=True)
+@term
 class BOr(Or):
     args: tuple["BiTestTerm", ...]
 
@@ -81,7 +81,7 @@ class BOr(Or):
             f"({a})" if isinstance(a, BOr) else str(a) for a in self.args)
 
 
-@dataclass(frozen=True)
+@term
 class BAnd(And):
     args: tuple["BiTestTerm", ...]
 
@@ -138,12 +138,12 @@ def simplify_bitest(t: BiTestTerm) -> BiTestTerm:
 
 # --- terms -------------------------------------------------------------------
 
-@dataclass(frozen=True)
+@term
 class BTest(Test):
     test: BiTestTerm
 
 
-@dataclass(frozen=True)
+@term
 class BEmbL(Term):
     arg: KatTerm
     side = "L"
@@ -152,7 +152,7 @@ class BEmbL(Term):
         return f"<{self.arg}]"
 
 
-@dataclass(frozen=True)
+@term
 class BEmbR(Term):
     arg: KatTerm
     side = "R"
@@ -161,17 +161,17 @@ class BEmbR(Term):
         return f"[{self.arg}>"
 
 
-@dataclass(frozen=True)
+@term
 class BPlus(Plus):
     args: tuple["BiKatTerm", ...]
 
 
-@dataclass(frozen=True)
+@term
 class BSeq(Seq):
     args: tuple["BiKatTerm", ...]
 
 
-@dataclass(frozen=True)
+@term
 class BStar(Star):
     arg: "BiKatTerm"
 

@@ -1,20 +1,21 @@
 """Judgment data and enumerable views of pair relations.
 
 `PairSpec` turns a bitest into rows the oracles can iterate: each left state
-with its list of right partners (`rows`, in state order).  `pairs` flattens
-the rows, and `partners_left` reads one row, computing it alone while the
-rows are not yet enumerated.  The rows are the only enumeration a spec
-keeps.  Enumeration is refused above a cap before it starts, never
-truncated.
+with its list of right partners (`rows`, in state order, streamed: a row is
+built when it is reached).  `pairs` flattens the rows, and `partners_left`
+builds one row the same way and keeps it.  Enumeration is refused above a
+cap before it starts, never truncated.
 
 To enumerate, `PairSpec` analyses conjunctions of one-sided conditions and
 expression comparisons whose right side reads one state field.  On a
-structured space it computes a field layout once per spec: the offsets of
-the fields an equality pins to a left-state value, the value lists of
-compared fields, one list of bit patterns for the free fields, and byte
-tables for the one-sided conditions.  A right candidate is then a template
-ORed with a pattern; the patterns that pass the right-side conditions are
-found once per template.  Anything outside that fragment falls back to
+structured space it computes a field layout once per spec: the fields an
+equality pins to a left-state value, the value lists of compared fields,
+one list of bit patterns for the free fields, and byte tables for the
+one-sided conditions.  The pinned fields of the right partners of every
+left state are then built at once, as a template column lifted from the
+footprints of the left expressions.  A right candidate is a template ORed
+with a pattern; the patterns that pass the right-side conditions are found
+once per template.  Anything outside that fragment falls back to
 full-product filtering, which is refused above a size cap.
 
 `PostMap` memoizes per-state images of a program term in `images`; `fill`
@@ -25,6 +26,8 @@ compiled term.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import compress
+from typing import Iterator
 
 from ..bi.terms import (BAnd, BEmbLTest, BEmbRTest, BiTestTerm, BNot, BOne,
                         BOr, BPrim, BZero)
@@ -177,7 +180,7 @@ class _Layout:
 
     left: bytes | None  # one-sided left conditions, or None for none
     right: bytes | None  # one-sided right conditions, or None for none
-    forced: list[tuple[int, int, list[int]]]  # (offset, width, left values)
+    forced: list[tuple[int, int, ExprBitest]]  # (offset, width, equality)
     pinned: list[tuple[int, int, object, list[int]]]  # comparisons on forced fields
     compared: list[tuple[int, int, list]]  # (offset, width, [(cmp, left values)])
     patterns: list[int]  # every value of the free fields, as bits
@@ -185,18 +188,19 @@ class _Layout:
 
 
 class PairSpec:
-    """Enumerable view of a bitest's pair relation in a model."""
+    """Enumerable view of a bitest's pair relation in a model: the layout of
+    a conjunction, its template column and the rows built from them."""
 
     def __init__(self, bm: BiModel, term: BiTestTerm):
         self.bm = bm
         self.term = term
         self.n = bm.space.size
         self._analysis = self._analyse()
-        # left state -> right partners; per state on demand until `rows`
-        # enumerates them all, then the non-empty rows in state order
-        self._rows: dict[int, list[int]] = {}
-        self._complete = self._analysis is not None and self._analysis[3] is None
+        self._empty = self._analysis is not None and self._analysis[3] is None
         self._layout: _Layout | None = None
+        self._cols: tuple | None = None
+        self._rows: dict[int, list[int]] = {}  # rows built by partners_left
+        self._all: dict[int, list[int]] | None = None  # rows without a layout
         self._filtered: dict[int, list[int]] = {}
         self._pred = None
 
@@ -268,23 +272,36 @@ class PairSpec:
                                 for p in patterns]
             self._layout = _Layout(
                 conj_table(left_f), conj_table(right_f),
-                [space.field(k) + (sem.lvals(),) for k, sem in forced.items()],
+                [space.field(k) + (sem,) for k, sem in forced.items()],
                 pinned, list(by_field.values()), sorted(patterns),
                 [compile_pred(self.bm, p) for p in pair_f])
         return self._layout
 
-    def _right_candidates(self, s: int) -> list[int]:
-        """Right states paired with `s`: forced fields are pinned, compared
-        fields take their allowed values, the free fields every pattern."""
-        lay = self._get_layout()
-        if lay.left is not None and not lay.left[s]:
-            return []
-        tmpl = 0
-        for off, width, vals in lay.forced:
-            v = vals[s]
-            if v >> width:
-                return []
-            tmpl |= v << off
+    def _columns(self) -> tuple:
+        """(template, open) for every left state at once: the bits its right
+        partners take on the forced fields, as a state array, and one byte
+        per state, 1 where the left conditions hold and every forced value
+        fits its field (None: at every state).  Each forced field's column
+        is lifted from the footprint of its left expression, packed, and
+        the disjoint fields are summed."""
+        if self._cols is None:
+            lay = self._get_layout()
+            space = self.bm.space
+            packed, opened = 0, lay.left
+            for off, width, sem in lay.forced:
+                f, reads = sem.env.compile_expr(sem.lexpr), sem.env.reads(sem.lexpr)
+                packed += space.packed(reads, _placed(f, off, width))
+                fits = space.lift(reads, _fits(f, width), bytes)
+                if 0 in fits:
+                    opened = fits if opened is None else _both(opened, fits)
+            self._cols = (space.unpack(packed), opened)
+        return self._cols
+
+    def _row(self, s: int, tmpl: int) -> list[int]:
+        """The right partners of left state `s`, whose template is `tmpl`:
+        compared fields take their allowed values, the free fields every
+        pattern that passes the right tests, and residual atoms filter."""
+        lay = self._layout
         for off, width, cmp, vals in lay.pinned:
             if not cmp(vals[s], tmpl >> off & ((1 << width) - 1)):
                 return []
@@ -327,7 +344,7 @@ class PairSpec:
         caps: an estimate of the pairs to build above PAIR_ENUM_CAP, or an
         unstructured relation over more than FULL_PRODUCT_CAP states.  Nothing
         is enumerated."""
-        if self._complete:
+        if self._empty:
             return
         n = self.n
         if self._analysis is not None:
@@ -344,48 +361,59 @@ class PairSpec:
                 f"(cap {FULL_PRODUCT_CAP}); express the relation as a conjunction "
                 "of one-sided tests and expression equalities")
 
-    def rows(self) -> dict[int, list[int]]:
-        """The relation as rows: each left state with a partner, in order,
-        mapped to its right partners.  Refused above the caps before any
-        enumeration."""
+    def rows(self) -> Iterator[tuple[int, list[int]]]:
+        """The relation as rows, streamed: each left state with a partner, in
+        order, with its right partners.  Each row is built from the template
+        column when it is reached, so a reader that stops early builds few.
+        Refused above the caps before any row is built."""
         self.check_enumerable()
-        if self._complete:
-            return self._rows
-        n, known = self.n, self._rows
-        if self._analysis is not None:
-            partners = self._right_candidates
-        else:
-            holds = self.holds
-            states = range(n)
+        if self._empty:
+            return iter(())
+        if self._analysis is None:
+            return iter(self._all_rows().items())
+        tmpl, opened = self._columns()
+        lay = self._layout
+        states, ts = range(self.n), tmpl
+        if opened is not None:
+            states, ts = compress(states, opened), compress(tmpl, opened)
+        if lay.patterns == [0] and not (lay.pinned or lay.compared or lay.preds
+                                        or lay.right is not None):
+            # every field forced, nothing to filter: the template alone
+            return zip(states, map(list, zip(ts)))
+        return self._built_rows(states, ts)
 
-            def partners(s: int) -> list[int]:
-                return [s2 for s2 in states if holds(s, s2)]
-        rows = {}
-        for s in range(n):
-            got = known.get(s)
-            if got is None:
-                got = partners(s)
-            if got:
-                rows[s] = got
-        self._rows, self._complete = rows, True
-        return rows
+    def _built_rows(self, states, ts) -> Iterator[tuple[int, list[int]]]:
+        for s, t in zip(states, ts):
+            row = self._row(s, t)
+            if row:
+                yield s, row
+
+    def _all_rows(self) -> dict[int, list[int]]:
+        """Every row of a relation no layout applies to, by the pair
+        predicate, kept; refused above FULL_PRODUCT_CAP states."""
+        if self._all is None:
+            self.check_enumerable()
+            holds, states = self.holds, range(self.n)
+            rows = ((s, [s2 for s2 in states if holds(s, s2)]) for s in states)
+            self._all = {s: row for s, row in rows if row}
+        return self._all
 
     def pairs(self) -> list[tuple[int, int]]:
         """The rows flattened into pairs, in order."""
-        return [(s, s2) for s, row in self.rows().items() for s2 in row]
+        return [(s, s2) for s, row in self.rows() for s2 in row]
 
     def partners_left(self, s: int) -> list[int]:
-        """All s2 with (s, s2) in the relation: read from the rows once they
-        are enumerated, else computed for `s` alone when the conjunction
-        analysis applies."""
-        got = self._rows.get(s)
-        if got is not None:
-            return got
-        if self._complete:
+        """All s2 with (s, s2) in the relation: the row of `s`, built from
+        the template column as `rows` builds it and kept."""
+        if self._empty:
             return []
         if self._analysis is None:
-            return self.rows().get(s, [])
-        got = self._rows[s] = self._right_candidates(s)
+            return self._all_rows().get(s, [])
+        got = self._rows.get(s)
+        if got is None:
+            tmpl, opened = self._columns()
+            got = self._row(s, tmpl[s]) if opened is None or opened[s] else []
+            self._rows[s] = got
         return got
 
     def partner_sets(self):
@@ -418,6 +446,22 @@ class PairSpec:
     def render_pair(self, s: int, s2: int) -> str:
         sp = self.bm.space
         return f"left={sp.state_str(s)} right={sp.state_str(s2)}"
+
+
+def _placed(f, off: int, width: int):
+    """A forced field's bits in the template: the left value at the field's
+    offset, or 0 where it does not fit (the state is then not open)."""
+    return lambda s: 0 if f(s) >> width else f(s) << off
+
+
+def _fits(f, width: int):
+    return lambda s: not f(s) >> width
+
+
+def _both(a: bytes, b: bytes) -> bytes:
+    """The bytewise and of two 0/1 byte tables."""
+    return (int.from_bytes(a, "little") & int.from_bytes(b, "little")).to_bytes(
+        len(a), "little")
 
 
 def pair_spec(bm: BiModel, term: BiTestTerm) -> PairSpec:

@@ -87,7 +87,7 @@ def _pre_chunks(r: PairSpec, cpost: PostMap, dpost: PostMap | None,
     first), so that a check that stops at an early counterexample computes
     few images."""
     chunk, count, size = [], 0, 64
-    for row in r.rows().items():
+    for row in r.rows():
         chunk.append(row)
         count += len(row[1])
         if count >= size:

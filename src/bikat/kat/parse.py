@@ -17,7 +17,8 @@ Abstract KAT terms use the Kleene grammar with
     atom := '0' | '1' | ident | '!' atom | '(' term ')'
 
 where identifiers are the tests and actions of the given `Alphabet` and `!`
-applies to tests only.
+applies to tests only: a test atom, or a parenthesized sum or sequence of
+tests, read as a disjunction or conjunction.
 """
 
 from __future__ import annotations
@@ -197,10 +198,11 @@ def kat_grammar(alphabet: Alphabet) -> Kleene:
             c.expect(")")
             return t
         if c.eat("!"):
-            inner = atom(c)
-            if not isinstance(inner, KTest):
-                raise ParseError("'!' applies to tests only", pos)
-            return ktest(tnot(inner.test))
+            inner = atom(c)  # a test, or a parenthesized sum or sequence of them
+            try:
+                return ktest(tnot(test_of(inner)))
+            except ParseError:
+                raise ParseError("'!' applies to tests only", pos) from None
         name = c.match(NAME, "a test or an action")
         if name in alphabet.tests:
             return ktest(tprim(name))

@@ -23,7 +23,7 @@ and code dispatches on those bases, never on the algebra:
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from functools import lru_cache
 from typing import Callable, Iterable, NamedTuple, Union
 
@@ -41,9 +41,34 @@ class CapExceeded(KatError):
 class Term:
     """Base of the term classes of both algebras.  Each class has at most one
     field: a name, a term, or a tuple of terms.  `const` is 0 or 1 for a
-    constant of either sort, else None."""
+    constant of either sort, else None.
+
+    A term's hash is computed once and kept in the term (`_hash`), so a
+    lookup keyed by a term does not walk it again.  The kept hash is left
+    out of the pickled and copied state: string hashes differ between
+    processes."""
 
     const = None
+    field_name = None  # the name of the one field, set by `term`
+
+    def __hash__(self) -> int:
+        h = self.__dict__.get("_hash")
+        if h is None:
+            h = self.__dict__["_hash"] = hash((type(self), _field(self)))
+        return h
+
+    def __getstate__(self) -> dict:
+        state = dict(self.__dict__)
+        state.pop("_hash", None)
+        return state
+
+
+def term(cls: type) -> type:
+    """A term class: a frozen dataclass that keeps `Term`'s stored hash."""
+    cls = dataclass(frozen=True)(cls)
+    cls.__hash__ = Term.__hash__
+    cls.field_name = next((f.name for f in fields(cls)), None)
+    return cls
 
 
 class Zero(Term):
@@ -151,7 +176,8 @@ def closure(cls: type, t: Term, one: Term) -> Term:
 def _field(t: Term):
     """The value of the one field of `t`: a name, a term or a tuple of
     terms; None for a constant."""
-    return next(iter(vars(t).values()), None)
+    name = t.field_name
+    return None if name is None else getattr(t, name)
 
 
 def _children(t: Term) -> tuple[Term, ...]:
@@ -258,19 +284,19 @@ def kleene_map(t: Term, leaf: Callable, ops: KleeneOps, reverse: bool = False):
 
 # --- test terms -------------------------------------------------------------
 
-@dataclass(frozen=True)
+@term
 class TZero(Zero):
     def __str__(self) -> str:
         return "0"
 
 
-@dataclass(frozen=True)
+@term
 class TOne(One):
     def __str__(self) -> str:
         return "1"
 
 
-@dataclass(frozen=True)
+@term
 class TPrim(Term):
     name: str
 
@@ -278,15 +304,16 @@ class TPrim(Term):
         return self.name
 
 
-@dataclass(frozen=True)
+@term
 class TNot(Not):
     arg: "TestTerm"
 
     def __str__(self) -> str:
-        return f"!{_paren_test(self.arg)}"
+        s = str(self.arg)
+        return f"!({s})" if isinstance(self.arg, (TOr, TAnd)) else f"!{s}"
 
 
-@dataclass(frozen=True)
+@term
 class TOr(Or):
     args: tuple["TestTerm", ...]
 
@@ -294,7 +321,7 @@ class TOr(Or):
         return " + ".join(_paren_test(a, in_sum=True) for a in self.args)
 
 
-@dataclass(frozen=True)
+@term
 class TAnd(And):
     args: tuple["TestTerm", ...]
 
@@ -335,12 +362,12 @@ TESTS = BoolOps(T0, T1, tnot, tor, tand)
 
 # --- KAT terms ---------------------------------------------------------------
 
-@dataclass(frozen=True)
+@term
 class KTest(Test):
     test: TestTerm
 
 
-@dataclass(frozen=True)
+@term
 class KAct(Term):
     name: str
 
@@ -348,17 +375,17 @@ class KAct(Term):
         return self.name
 
 
-@dataclass(frozen=True)
+@term
 class KPlus(Plus):
     args: tuple["KatTerm", ...]
 
 
-@dataclass(frozen=True)
+@term
 class KSeq(Seq):
     args: tuple["KatTerm", ...]
 
 
-@dataclass(frozen=True)
+@term
 class KStar(Star):
     arg: "KatTerm"
 

@@ -5,11 +5,15 @@ additionally wrap at the target's declared width.  Array indices wrap at the
 array length.  `x := any` is nondeterministic choice over the variable's
 range.  Programs compile to KAT terms whose primitive actions are the
 assignment statements and whose primitive tests are the branch conditions.
-Each primitive is bound to a closure over the state's bit offsets, which
-also fills its successor table or test table on first use.  Names, arrays
-and function tables are resolved when a closure is built; `check_block`
-builds them for a whole program, so `load_problem` refuses a bad program
-before any check runs.  `eval`, `holds`, `step` and `run`
+Each primitive is bound to a closure over the state's bit offsets and to its
+footprint (`reads`, computed on first use): the fields it reads, and for an
+assignment the cells it may write.  Its successor table or test table is built on first use by
+running the closure once per value of the footprint and lifting the results
+to the whole space (`StateSpace.lift`); expression value lists (`values`)
+are built the same way.  Havoc keeps one tuple of successors per state.
+Names, arrays and function tables are resolved when a closure is built;
+`check_block` builds them for a whole program, so `load_problem` refuses a
+bad program before any check runs.  `eval`, `holds`, `step` and `run`
 are a direct set-valued interpreter kept as the independent semantics that
 the compiled one is cross-checked against.  Loops that fail to terminate
 from a state simply contribute no final state there.
@@ -313,8 +317,11 @@ class ImpEnv:
             raise SpaceError(f"undeclared array {name!r}")
         return decl
 
+    def _cell_keys(self, decl: ArrayDecl) -> list[tuple[str, int]]:
+        return [(decl.name, i) for i in range(decl.length)]
+
     def _cells(self, decl: ArrayDecl) -> tuple[int, ...]:
-        return tuple(self.space.field((decl.name, i))[0] for i in range(decl.length))
+        return tuple(self.space.field(k)[0] for k in self._cell_keys(decl))
 
     def field_of(self, e: Expr):
         """The field `e` reads when it is one plain read: a variable, or an
@@ -368,15 +375,32 @@ class ImpEnv:
             return x % y if y else x
         return mod
 
+    def reads(self, *nodes) -> set:
+        """The footprint of expressions and conditions: every field they may
+        read.  An array read at a computed index may read any cell."""
+        out: set = set()
+        todo = list(nodes)
+        while todo:
+            e = todo.pop()
+            if isinstance(e, (EVar, EArr)):
+                key = self.field_of(e)
+                if key is not None:
+                    out.add(key)
+                else:
+                    out.update(self._cell_keys(self._array(e.name)))
+                    todo.append(e.index)
+            elif isinstance(e, (EBin, BCmp)):
+                todo += (e.left, e.right)
+            elif isinstance(e, (ECall, BAndE, BOrE)):
+                todo += e.args
+            elif isinstance(e, BNotE):
+                todo.append(e.arg)
+        return out
+
     def values(self, e: Expr) -> list[int]:
-        """The value of `e` in every state, in state order."""
-        key = self.field_of(e)
-        if key is None:
-            return list(map(self.compile_expr(e), range(self.space.size)))
-        # a plain field read is a staircase: each value held for 2^off states
-        off, width = self.space.field(key)
-        period = [v for v in range(1 << width) for _ in range(1 << off)]
-        return period * (self.space.size >> (off + width))
+        """The value of `e` in every state, in state order, evaluated once
+        per value of its footprint."""
+        return self.space.lift(self.reads(e), self.compile_expr(e))
 
     def compile_cond(self, b: BoolExpr) -> Callable[[int], bool]:
         """`b` as a predicate on states; agrees with `holds`."""
@@ -396,7 +420,9 @@ class ImpEnv:
         return lambda s: any(p(s) for p in parts)
 
     def compile_action(self, s: Stmt) -> FnAction:
-        """An assignment as an action; agrees with `step`."""
+        """An assignment as an action; agrees with `step`.  A deterministic
+        one carries its footprint: the fields its value and index read and
+        the cells it may write."""
         if isinstance(s, SArrAssign):
             decl = self._array(s.name)
             idx, val = self.compile_expr(s.index), self.compile_expr(s.value)
@@ -405,7 +431,9 @@ class ImpEnv:
             def store(st: int) -> int:
                 off = offs[idx(st) % n]
                 return (st & ~(m << off)) | ((val(st) & m) << off)
-            return FnAction(self.space, store, det=True)
+            # the cells a store may write are those a read of a[i] may read
+            return FnAction(self.space, store, det=True, footprint=lambda: self.reads(
+                EArr(s.name, s.index), s.value))
         off, width = self.space.field(s.var)
         m = (1 << width) - 1
         keep = ~(m << off)
@@ -414,7 +442,7 @@ class ImpEnv:
                 (st & keep) | (v << off) for v in range(m + 1)))
         val = self.compile_expr(s.expr)
         return FnAction(self.space, lambda st: (st & keep) | ((val(st) & m) << off),
-                        det=True)
+                        det=True, footprint=lambda: self.reads(EVar(s.var), s.expr))
 
     def check_block(self, stmts: Iterable[Stmt]) -> None:
         """Resolve every name, array and function table a program uses,
@@ -437,7 +465,8 @@ class ImpEnv:
     def compile_bool(self, b: BoolExpr):
         name = bool_str(b)
         if name not in self.tests:
-            self.tests[name] = TestSem(self.space, pred=self.compile_cond(b))
+            self.tests[name] = TestSem(self.space, pred=self.compile_cond(b),
+                                       footprint=lambda: self.reads(b))
         return tprim(name)
 
     def _register_act(self, s: Stmt) -> KatTerm:

@@ -5,7 +5,10 @@ or successor functions (compiled programs on structured spaces).  A program
 has one representation that every judgment oracle reads: each action gets a
 successor table (and, for preimages, its converse) and each test a table with
 one byte per state, both built on first use, and a term is compiled once per
-model into nested closures over those tables.  One walk then carries a whole
+model into nested closures over those tables.  A program's deterministic
+actions and its tests carry their footprints, and their tables are lifted
+from one evaluation per footprint value (`StateSpace.lift`); other actions
+fill their tables state by state.  One walk then carries a whole
 batch of sources, each state tagged with the bitmask of the sources that
 reach it, so sources that meet share the rest of the walk.  A term is
 compiled by `kleene_map` into the combinators `WALKS` (`walk_plus`,
@@ -29,7 +32,7 @@ from typing import Callable, Iterable, Iterator
 from ..kat.terms import (Alphabet, KAct, KatTerm, KleeneOps, KPlus, KSeq, KTest,
                          TestTerm, TNot, TOne, TOr, TPrim, TZero, kleene_map)
 from .rel import Rel
-from .space import StateSpace
+from .space import StateSpace, packed_states, state_code
 
 REL_MATRIX_CAP = 8192
 
@@ -39,9 +42,8 @@ class ModelError(Exception):
 
 
 def state_array(size: int, states: Iterable[int]) -> array:
-    """A flat array of states (or -1) over a space of `size` states, two
-    bytes an entry when the states fit."""
-    return array("h" if size <= 1 << 15 else "i", states)
+    """A flat array of states (or -1) over a space of `size` states."""
+    return array(state_code(size), states)
 
 
 class ActionSem:
@@ -105,13 +107,18 @@ class RelAction(ActionSem):
 
 class FnAction(ActionSem):
     """Successor-function action.  `fn` maps a state to an iterable of
-    successors, or with `det` to its one successor."""
+    successors, or with `det` to its one successor.  A deterministic action
+    reads and writes only the fields that `footprint()` gives (no footprint:
+    the whole state), so its table is lifted from one call of `fn` per
+    footprint value."""
 
-    def __init__(self, space: StateSpace, fn: Callable, det: bool = False):
+    def __init__(self, space: StateSpace, fn: Callable, det: bool = False,
+                 footprint: Callable[[], Iterable] | None = None):
         super().__init__(space.size)
         self.space = space
         self.fn = fn
         self.det = det
+        self.footprint = footprint
         self._rel: Rel | None = None
 
     def succ(self, state: int):
@@ -119,7 +126,11 @@ class FnAction(ActionSem):
 
     def succ_table(self):
         if self._succ is None and self.det:
-            self._succ = state_array(self.size, map(self.fn, range(self.size)))
+            # succ(s) = s + fn(r) - r, r the footprint bits of s; the terms
+            # are packed columns and every partial sum fits its slots
+            sp, reads = self.space, _fields(self.footprint)
+            self._succ = sp.unpack(packed_states(self.size) + sp.packed(reads, self.fn)
+                                   - sp.packed(reads, int))
         return super().succ_table()
 
     def rel(self) -> Rel:
@@ -137,6 +148,10 @@ class FnAction(ActionSem):
         return self._rel
 
 
+def _fields(footprint: Callable[[], Iterable] | None) -> Iterable | None:
+    return None if footprint is None else footprint()
+
+
 _BYTE_BITS = bytes.maketrans(b"\x00\x01", b"01")
 _BIT_BYTES = bytes.maketrans(b"01", b"\x00\x01")
 _FLIP = bytes.maketrans(b"\x00\x01", b"\x01\x00")
@@ -149,14 +164,18 @@ def table_mask(table: bytes) -> int:
 
 class TestSem:
     """Interpretation of one primitive test: a subset of the state space,
-    given by a predicate or a bitmask.  `table` holds one byte (0 or 1) per
-    state and is built on first use."""
+    given by a bitmask or by a predicate that reads only the fields that
+    `footprint()` gives (no footprint: the whole state).  `table` holds one
+    byte (0 or 1) per state and is built on first use, from the predicate
+    lifted by `StateSpace.lift`."""
 
     def __init__(self, space: StateSpace, pred: Callable[[int], bool] | None = None,
-                 mask: int | None = None):
+                 mask: int | None = None,
+                 footprint: Callable[[], Iterable] | None = None):
         self.space = space
         self._pred = pred
         self._mask = mask
+        self.footprint = footprint
         self._table: bytes | None = None
 
     def table(self) -> bytes:
@@ -166,7 +185,7 @@ class TestSem:
                 bits = bin(self._mask)[2:].zfill(n)[::-1][:n]
                 self._table = bits.encode().translate(_BIT_BYTES)
             else:
-                self._table = bytes(map(self._pred, range(n)))
+                self._table = self.space.lift(_fields(self.footprint), self._pred, bytes)
         return self._table
 
     def holds(self, state: int) -> bool:

@@ -169,7 +169,7 @@ def discharge_side_condition(ctx: RhlContext, sc: SideCondition) -> tuple[bool, 
     if sc.shape == "domain-totality":
         post_spec, havoc_var = sc.payload
         sp = ctx.bm.space
-        rows = pair_spec(ctx.bm, post_spec).rows()
+        rows = dict(pair_spec(ctx.bm, post_spec).rows())
         if havoc_var is None:
             # full-state nondeterminism on the right: need a partner per left state
             for s in range(sp.size):
@@ -193,7 +193,7 @@ def discharge_side_condition(ctx: RhlContext, sc: SideCondition) -> tuple[bool, 
 
     if sc.shape == "variant-decrease":
         inv, guard2, body2, variant = sc.payload
-        rows = pair_spec(ctx.bm, band(inv, guard2)).rows()
+        rows = dict(pair_spec(ctx.bm, band(inv, guard2)).rows())
         images = post_map(ctx.bm.base, ctx.compile(body2)).fill(
             {b for row in rows.values() for b in row})
         holds, vals = compile_pred(ctx.bm, inv), ctx.env.values(variant)

@@ -9,10 +9,13 @@ import pytest
 from bikat.judge import ExprBitest, PairSpec, dispatch
 from bikat.models import (ImpEnv, SAssign, SHavoc, SIf, SSkip, SWhile,
                           bitest_holds, interp_kat, kat_post, kat_pre, compile_imp)
-from bikat.models.kmodel import image
+from bikat.models.imp import (BAndE, BCmp, BConst, BNotE, BOrE, EArr, EBin,
+                              ECall, EConst, EVar, SArrAssign, SAssume, bool_str)
+from bikat.models.kmodel import image, state_array
 from bikat.kat.parse import ParseError
 from bikat.models.space import SpaceError, StateSpace, VarDecl, ArrayDecl
-from bikat.problem import Cur, load_problem, parse_block, parse_bool, parse_stmts_text
+from bikat.problem import (Cur, load_problem, parse_block, parse_bool, parse_expr,
+                           parse_stmts_text)
 from bikat.rhl import rename_program
 
 CORPUS = Path(__file__).resolve().parent.parent / "src" / "bikat" / "corpus"
@@ -170,6 +173,147 @@ class TestCompilation:
         m = env.kat_model()
         rel = interp_kat(m, term)
         assert all(len(list(rel.succ(s))) == 8 for s in range(m.space.size))
+
+
+def _primitives(stmts):
+    """The assignments and branch conditions of a program, in order."""
+    for s in stmts:
+        if isinstance(s, (SAssign, SHavoc, SArrAssign)):
+            yield s
+        elif isinstance(s, SAssume):
+            yield s.cond
+        elif isinstance(s, SIf):
+            yield s.cond
+            yield from _primitives(s.then + s.els)
+        elif isinstance(s, SWhile):
+            yield s.cond
+            yield from _primitives(s.body)
+
+
+def _random_expr(rng, depth=2):
+    pick = rng.random()
+    if depth == 0 or pick < 0.3:
+        return rng.choice([EConst(rng.randrange(9)), EVar("x"), EVar("y"),
+                           EArr("a", EConst(rng.randrange(5)))])
+    if pick < 0.5:
+        return EArr("a", _random_expr(rng, depth - 1))  # computed index
+    if pick < 0.7:
+        return ECall(rng.choice(["min", "max"]),
+                     (_random_expr(rng, depth - 1), _random_expr(rng, depth - 1)))
+    if pick < 0.8:
+        return ECall("f", (_random_expr(rng, depth - 1),))
+    return EBin(rng.choice("+-*%"), _random_expr(rng, depth - 1),
+                _random_expr(rng, depth - 1))
+
+
+def _random_cond(rng, depth=2):
+    pick = rng.random()
+    if depth == 0 or pick < 0.5:
+        return BCmp(rng.choice(["==", "!=", "<", "<=", ">", ">="]),
+                    _random_expr(rng), _random_expr(rng))
+    if pick < 0.6:
+        return BConst(rng.random() < 0.5)
+    if pick < 0.75:
+        return BNotE(_random_cond(rng, depth - 1))
+    parts = (_random_cond(rng, depth - 1), _random_cond(rng, depth - 1))
+    return BAndE(parts) if pick < 0.9 else BOrE(parts)
+
+
+def _random_primitive(rng):
+    pick = rng.random()
+    if pick < 0.3:
+        return SAssign(rng.choice("xyz"), _random_expr(rng))
+    if pick < 0.55:
+        return SArrAssign("a", _random_expr(rng, 1), _random_expr(rng))
+    if pick < 0.65:
+        return SHavoc(rng.choice("xz"))
+    return _random_cond(rng)
+
+
+class TestFootprintTables:
+    """Successor tables, test tables and value lists are built once per
+    footprint value and lifted to the whole space.  They must equal the
+    tables the compiled closures give state by state, and agree with the
+    direct interpreter (`step`, `holds`, `eval`)."""
+
+    @staticmethod
+    def _check(env, prim, states):
+        n = env.space.size
+        if isinstance(prim, (SAssign, SHavoc, SArrAssign)):
+            act = env.compile_action(prim)
+            table = act.succ_table()
+            if act.det:
+                assert table == state_array(n, map(act.fn, range(n))), prim
+                assert table.tobytes() == state_array(
+                    n, map(act.fn, range(n))).tobytes(), prim
+            for s in states:
+                got = {table[s]} if act.det else set(table[s])
+                assert got == env.step(prim, s), (prim, s)
+        else:
+            env.compile_bool(prim)
+            table = env.tests[bool_str(prim)].table()
+            pred = env.compile_cond(prim)
+            assert table == bytes(map(pred, range(n))), prim
+            for s in states:
+                assert table[s] == env.holds(prim, s), (prim, s)
+
+    @pytest.mark.parametrize("name", sorted(p.stem for p in CORPUS.glob("*.prob")))
+    @pytest.mark.parametrize("width", [None, 2])
+    def test_corpus_programs(self, name, width):
+        prob = load_problem((CORPUS / f"{name}.prob").read_text(), name,
+                            width_override=width)
+        env, n = prob.env, prob.env.space.size
+        states = sorted(random.Random(3).sample(range(n), min(n, 256)))
+        prims = list(_primitives(prob.left + prob.right))
+        assert prims, name
+        for prim in prims:
+            self._check(env, prim, states)
+
+    def test_seeded_random_programs(self):
+        env = env_for({"x": 2, "y": 2, "z": 1}, width=3, arrays=[("a", 3, 2)],
+                      ftables={"f": (3, 1, 4, 1, 5, 2, 6)})
+        rng = random.Random(11)
+        states = sorted(rng.sample(range(env.space.size), 64))
+        forms = set()
+        for _ in range(100):
+            prim = _random_primitive(rng)
+            forms.add(type(prim).__name__)
+            self._check(env, prim, states)
+        assert {"SAssign", "SArrAssign", "SHavoc", "BCmp"} <= forms
+
+    def test_values_of_non_field_expressions(self):
+        env = env_for({"x": 2, "y": 3}, width=3, arrays=[("a", 4, 2)],
+                      ftables={"f": (5, 0, 7)})
+        n = env.space.size
+        rng = random.Random(5)
+        exprs = [parse_expr(Cur(src)) for src in
+                 ("a[x] + y", "min(a[y], x) * 3", "f(a[2 * x + 1])", "7", "a[6]",
+                  "max(y % x, a[x - y])")]
+        exprs += [_random_expr(rng, 3) for _ in range(60)]
+        states = sorted(rng.sample(range(n), 64))
+        for e in exprs:
+            vals = env.values(e)
+            assert vals == list(map(env.compile_expr(e), range(n))), e
+            assert [vals[s] for s in states] == [env.eval(e, s) for s in states], e
+
+    def test_lift_footprint_shapes(self):
+        # one field, separated runs, adjacent fields merged, the empty
+        # footprint and the whole state
+        env = env_for({"x": 2, "y": 3, "z": 1}, arrays=[("a", 2, 2)])
+        sp, n = env.space, env.space.size
+        for fields in ([], ["y"], ["x", "z"], ["y", "x"], [("a", 1), "x"],
+                       ["x", "y", "z", ("a", 0), ("a", 1)], None):
+            offs = [sp.field(f) for f in (fields or [])]
+            mask = sum(((1 << w) - 1) << o for o, w in offs)
+            if fields is None:
+                mask = n - 1
+
+            def fn(s):
+                return (s * 7 + 3) % 11
+            assert sp.lift(fields, lambda s: fn(s & mask)) == \
+                [fn(s & mask) for s in range(n)], fields
+            assert sp.lift(fields, lambda s: fn(s & mask) % 2, bytes) == \
+                bytes(fn(s & mask) % 2 for s in range(n)), fields
 
 
 class TestRename:

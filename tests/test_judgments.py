@@ -22,7 +22,7 @@ from bikat.models import BiRel, Rel, interp_kat, lift_left, random_bimodel, tens
 from bikat.problem import load_problem
 
 from gen import random_bikat
-from test_corpus import corpus_problem
+from test_corpus import CORPUS, corpus_problem
 
 ALPH = Alphabet.make([], ["a", "b"])
 
@@ -622,7 +622,7 @@ class TestRowPath:
             if pre not in pres:
                 pres[pre] = [(a, b) for a in range(n) for b in range(n)
                              if bitest_holds(bm, prob.pre, a, b)]
-            rows = PairSpec(bm, j.spec.pre).rows()
+            rows = dict(PairSpec(bm, j.spec.pre).rows())
             assert sorted((a, b) for a, bs in rows.items() for b in bs) == pres[pre]
             widest = max([widest] + [len(bs) for bs in rows.values()])
             if post not in posts:
@@ -808,3 +808,55 @@ class TestWitnessEarlyStop:
         rep = check_bvalid(bm, emb_pair(j.left, j.right), j)
         assert rep.valid and rep.oracle.holds
         assert seen == [64, 128, 256, 64]
+
+
+class TestStreamedRows:
+    """`PairSpec.rows` builds each row when it is reached, so a check that
+    stops early enumerates few rows; a refusal comes before any row."""
+
+    def test_refutation_enumerates_only_the_rows_it_reaches(self, monkeypatch):
+        # the right program stores f(k) + 1 into 1-bit cells, so the post
+        # fails from the first pre pair on: the check stops in the first chunk
+        text = (CORPUS / "loop-tiling.prob").read_text().replace(
+            "A[2 * i + j] := f(2 * i + j);", "A[2 * i + j] := f(2 * i + j) + 1;")
+        prob = load_problem(text, "loop-tiling~mutant")
+        rows_of = PairSpec.rows
+        reached = []
+
+        def counted(spec):
+            for row in rows_of(spec):
+                reached.append(row[0])
+                yield row
+        monkeypatch.setattr(PairSpec, "rows", counted)
+        res = dispatch(prob.bm, prob.judgment())
+        assert not res.holds and res.counterexample.states[0] == 0
+        n = prob.bm.space.size
+        assert 0 < len(reached) <= 128 and n == 32768
+        assert reached == sorted(reached)
+
+    def test_refusal_comes_before_any_row(self, monkeypatch):
+        # 32768 left states, x pinned and y, z free: 1024 candidates each
+        from bikat.judge import EnumRefused
+        prob = load_problem("width 5; vars x y z; pre { [x == x] }")
+        spec = PairSpec(prob.bm, prob.pre)
+
+        def no_rows(*args):
+            raise AssertionError("a row was built")
+        monkeypatch.setattr(PairSpec, "_columns", no_rows)
+        monkeypatch.setattr(PairSpec, "_row", no_rows)
+        with pytest.raises(EnumRefused):
+            spec.rows()
+        with pytest.raises(EnumRefused):
+            spec.pairs()
+
+    def test_rows_are_the_partners_of_each_left_state(self):
+        # rows and partners_left build a row the same way, from one column
+        prob = load_problem(
+            "width 2; var x:2; var y:2; array a[2]:1;\n"
+            "pre { [x + 1 == y] & [a[0] == a[1]] & L[x != 2] & R[a[1] == 0] }")
+        spec = PairSpec(prob.bm, prob.pre)
+        rows = dict(spec.rows())
+        fresh = PairSpec(prob.bm, prob.pre)
+        for a in range(prob.bm.space.size):
+            assert fresh.partners_left(a) == rows.get(a, []), a
+        assert rows and len(rows) < prob.bm.space.size

@@ -1,6 +1,8 @@
 """The term structure both algebras share: the n-ary constructors and the
 normal form."""
 
+import copy
+import pickle
 import random
 
 import pytest
@@ -8,10 +10,11 @@ import pytest
 from bikat.bi.terms import (B0, B1, BT0, BT1, BAnd, BEmbLTest, BOr, BPlus,
                             BPrim, BSeq, band, bembl, bembr, bisimplify, bor,
                             bplus, bseq, simplify_bitest)
+from bikat.kat.parse import parse_test
 from bikat.kat.terms import (K0, K1, T0, T1, Alphabet, And, KPlus, KSeq, Or,
-                             Plus, Seq, TAnd, TOr, kact, kplus, kseq, simplify,
-                             simplify_test, subterms, tand, term_key, tor,
-                             tprim)
+                             Plus, Seq, TAnd, TOr, kact, kplus, kseq, ktest,
+                             simplify, simplify_test, subterms, tand, term_key,
+                             tnot, tor, tprim)
 
 from gen import random_bikat, random_bitest, random_kat, random_test
 
@@ -76,3 +79,29 @@ def test_normal_form_is_flat_sorted_deduplicated_and_idempotent(name):
                 assert list(u.args) == sorted(set(u.args), key=term_key)
                 sorted_sums += 1
     assert sorted_sums > 50
+
+
+def test_printed_tests_parse_back():
+    # a conjunction or disjunction under ! is printed in parentheses
+    assert str(tnot(tand(P, Q))) == "!(p ; q)"
+    assert str(tnot(tor(P, Q))) == "!(p + q)"
+    rng = random.Random(17)
+    for _ in range(400):
+        t = random_test(rng, A3.tests, 3)
+        assert parse_test(str(t), A3) == t, str(t)
+
+
+def test_terms_keep_their_hash_out_of_copies():
+    def build():
+        return bplus(bseq(bembl(kseq(A, ktest(tnot(tand(P, Q))))),
+                          bembr(kplus(A, B))), bembl(A))
+    t, u = build(), build()
+    assert t == u and t is not u
+    assert hash(t) == hash(u)
+    assert "_hash" in vars(t)
+    for other in (pickle.loads(pickle.dumps(t)), copy.copy(t), copy.deepcopy(t)):
+        assert "_hash" not in vars(other)
+        assert other == t and hash(other) == hash(t)
+    # the state a pickle carries is the term's fields alone
+    assert t.__getstate__() == {"args": t.args}
+    assert str(t) == str(u) and term_key(t) == term_key(u)

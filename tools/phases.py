@@ -1,0 +1,182 @@
+"""Per-phase times of the perfbench workloads, for before-and-after records.
+
+Run from the root of a checkout (its `src/` is imported):
+
+    python3 tools/phases.py --workload judge-large --passes 5 --seed 1
+
+Each pass loads every case of the workload afresh and runs its checks, as
+`perfbench/run.py` does.  The time inside a check is split by exclusive
+time, so nested calls are counted once, into four phases:
+
+- tables: successor, predecessor and test tables, and expression value lists
+  (`ActionSem.succ_table`/`pred_table`, `TestSem.table`, `ImpEnv.values`);
+- rows: pair-relation enumeration (`PairSpec.rows`/`pairs`/`partners_left`
+  and the oracles' chunked row iterator `_pre_chunks`);
+- walks: image computation (`kmodel.image`/`kat_post`/`kat_pre`, and the
+  pair-state walks of `witness.term_image`);
+- check: the rest of the verdict's time: the oracles' own loops, script
+  replay and the proof checker.
+
+The wrappers are installed from outside; their cost lands in the phase they
+wrap, so the numbers compare runs of this script, not runs of perfbench.  The
+last line of standard output is a JSON object: the median over passes of each
+phase's seconds per pass, and of the pass total.
+"""
+
+from __future__ import annotations
+
+import argparse
+import functools
+import gc
+import json
+import statistics
+import sys
+import time
+from pathlib import Path
+
+ROOT = Path.cwd()
+
+
+class Phases:
+    def __init__(self):
+        self.clock = time.perf_counter
+        self.stack: list[list] = []  # [phase, start, child seconds]
+        self.totals: dict[str, float] = {}
+
+    def enter(self, phase: str) -> list:
+        frame = [phase, self.clock(), 0.0]
+        self.stack.append(frame)
+        return frame
+
+    def leave(self, frame: list) -> None:
+        dur = self.clock() - frame[1]
+        self.stack.pop()
+        if self.stack:
+            self.stack[-1][2] += dur
+        self.totals[frame[0]] = self.totals.get(frame[0], 0.0) + dur - frame[2]
+
+    def timed(self, phase: str, fn):
+        @functools.wraps(fn)
+        def wrapper(*args, **kwargs):
+            frame = self.enter(phase)
+            try:
+                return fn(*args, **kwargs)
+            finally:
+                self.leave(frame)
+        return wrapper
+
+    def timed_iter(self, phase: str, fn):
+        """A generator function whose every step is timed in `phase`."""
+        @functools.wraps(fn)
+        def wrapper(*args, **kwargs):
+            it = iter(fn(*args, **kwargs))
+            while True:
+                frame = self.enter(phase)
+                try:
+                    item = next(it)
+                except StopIteration:
+                    return
+                finally:
+                    self.leave(frame)
+                yield item
+        return wrapper
+
+    def timed_rows(self, fn):
+        """`PairSpec.rows`: inside a chunked row iterator the rows are taken
+        lazily and timed with it; any other caller gets them materialized in
+        the rows phase, as every such caller reads all of them."""
+        @functools.wraps(fn)
+        def wrapper(*args, **kwargs):
+            frame = self.enter("rows")
+            try:
+                got = fn(*args, **kwargs)
+                if len(self.stack) < 2 or self.stack[-2][0] != "rows":
+                    if not isinstance(got, dict):
+                        got = iter(list(got))
+                return got
+            finally:
+                self.leave(frame)
+        return wrapper
+
+
+def install(ph: Phases) -> None:
+    import bikat
+    from bikat.judge import core, oracles, witness
+    from bikat.models import imp, kmodel
+
+    for cls in (kmodel.ActionSem, kmodel.FnAction):
+        for attr in ("succ_table", "pred_table"):
+            if attr in vars(cls):
+                setattr(cls, attr, ph.timed("tables", vars(cls)[attr]))
+    kmodel.TestSem.table = ph.timed("tables", kmodel.TestSem.table)
+    imp.ImpEnv.values = ph.timed("tables", imp.ImpEnv.values)
+
+    core.PairSpec.rows = ph.timed_rows(core.PairSpec.rows)
+    for attr in ("pairs", "partners_left"):
+        setattr(core.PairSpec, attr, ph.timed("rows", getattr(core.PairSpec, attr)))
+    chunks = ph.timed_iter("rows", oracles._pre_chunks)
+    oracles._pre_chunks = witness._pre_chunks = chunks
+
+    walks = {f: ph.timed("walks", f) for f in
+             (kmodel.image, kmodel.kat_post, kmodel.kat_pre, witness.term_image)}
+    for mod in list(sys.modules.values()):
+        if getattr(mod, "__name__", "").startswith(bikat.__name__):
+            for name, value in list(vars(mod).items()):
+                if callable(value) and value in walks:
+                    setattr(mod, name, walks[value])
+
+
+def run_pass(ph: Phases, cases, verdict) -> dict[str, float]:
+    from bikat import problem
+    from bikat.rhl import parse as rparse
+    ph.totals = {}
+    wrong = 0
+    start = ph.clock()
+    for case in cases:
+        prob = problem.load_problem(case.text, case.name,
+                                    width_override=case.width_override)
+        tree = None
+        if case.proof is not None:
+            tree = rparse.parse_proof(case.proof, prob.parser.bitest,
+                                      lambda s: problem.parse_expr(problem.Cur(s)))
+        for check in case.checks:
+            frame = ph.enter("check")
+            try:
+                got = verdict(check.kind, prob, tree)
+            finally:
+                ph.leave(frame)
+            wrong += got != check.expected
+    out = {p: ph.totals.get(p, 0.0) for p in ("tables", "rows", "walks", "check")}
+    out["verdicts"] = sum(out.values())
+    out["pass"] = ph.clock() - start
+    out["wrong"] = wrong
+    return out
+
+
+def main() -> None:
+    ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    ap.add_argument("--workload", required=True)
+    ap.add_argument("--passes", type=int, default=5)
+    ap.add_argument("--seed", type=int, default=1)
+    args = ap.parse_args()
+    sys.path[:0] = [str(ROOT / "src"), str(ROOT / "perfbench")]
+    import workloads
+    from run import Bikat
+
+    cases = workloads.build(args.workload, ROOT, args.seed)
+    ph = Phases()
+    install(ph)
+    verdict = Bikat().verdict
+    passes = []
+    for _ in range(args.passes):
+        gc.collect()
+        passes.append(run_pass(ph, cases, verdict))
+    result = {k: statistics.median(p[k] for p in passes) for k in passes[0]}
+    result["wrong"] = max(p["wrong"] for p in passes)
+    result["passes"] = args.passes
+    print(json.dumps({"workload": args.workload,
+                      **{k: round(v, 4) for k, v in result.items()}}))
+
+
+if __name__ == "__main__":
+    main()
