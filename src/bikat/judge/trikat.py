@@ -3,9 +3,10 @@
 `tri_embed(A, B)` glues two pair relations that agree on the shared middle
 execution; `tricom(a, b, c)` runs three programs componentwise.  Projecting
 the left two executions turns the middle existential into relation algebra,
-giving closed forms for forward and backward simulation that this module
-evaluates and cross-checks against the direct oracles.  Triple spaces grow
-with the cube of the state count, so sizes are capped.
+giving a closed form for forward simulation that this module evaluates and
+cross-checks against the direct oracle.  Backward simulation is the same form
+on the converse programs with pre and post swapped.  Triple spaces grow with
+the cube of the state count, so sizes are capped.
 """
 
 from __future__ import annotations
@@ -106,60 +107,49 @@ def _id_dot(n: int) -> BiRel:
 
 
 def check_fsim_via_trikat(bm: BiModel, j: Judgment) -> JudgeResult:
-    """Closed-form forward simulation:
-
-        R. ; <c|hav> ; id.  <=  proj( <R. || id.> ; <c|hav|d> ; <id. || S.> )
-
-    The verdict must agree with the direct oracle; disagreement raises
+    """Closed-form forward simulation (`_forward_closed_form`).  The verdict
+    must agree with the direct oracle; disagreement raises
     `RouteDisagreement`."""
-    n = bm.space.size
-    _check_cap(n)
-    c = interp_kat(bm.base, j.left)
-    d = interp_kat(bm.base, j.right)
-    hav = Rel.full(n)
-    rdot = _subid_pairs(bitest_pairs(bm, j.spec.pre), n)
-    sdot = _subid_pairs(bitest_pairs(bm, j.spec.post), n)
-    iddot = _id_dot(n)
-
-    lhs = rdot.compose(tensor(c, hav)).compose(iddot)
-    tri = tri_embed(rdot, iddot).compose(tricom(c, hav, d)).compose(
-        tri_embed(iddot, sdot))
-    holds = lhs.leq(tri_proj_left2(tri))
-
-    direct = check_fsim(bm, Judgment("fsim", j.left, j.right, j.spec))
-    if holds != direct.holds:
-        raise RouteDisagreement(
-            f"trikat route ({holds}) disagrees with direct fsim ({direct.holds})")
-    res = JudgeResult("fsim-trikat", holds)
-    res.routes["trikat"] = holds
-    res.routes["direct"] = direct.holds
-    return res
+    return _via_trikat(bm, j, backward=False)
 
 
 def check_bsim_via_trikat(bm: BiModel, j: Judgment) -> JudgeResult:
     """Closed-form backward simulation:
 
         id. ; <c|hav> ; S.  <=  proj( <id. || R.> ; <c|hav|d> ; <S. || id.> )
-    """
+
+    which is, taking converses of both sides, the forward closed form for
+    c° and d° with pre S and post R."""
+    return _via_trikat(bm, j, backward=True)
+
+
+def _forward_closed_form(n: int, c: Rel, d: Rel, rdot: BiRel, sdot: BiRel) -> bool:
+    """R. ; <c|hav> ; id.  <=  proj( <R. || id.> ; <c|hav|d> ; <id. || S.> )"""
+    hav = Rel.full(n)
+    iddot = _id_dot(n)
+    lhs = rdot.compose(tensor(c, hav)).compose(iddot)
+    tri = tri_embed(rdot, iddot).compose(tricom(c, hav, d)).compose(
+        tri_embed(iddot, sdot))
+    return lhs.leq(tri_proj_left2(tri))
+
+
+def _via_trikat(bm: BiModel, j: Judgment, backward: bool) -> JudgeResult:
     n = bm.space.size
     _check_cap(n)
     c = interp_kat(bm.base, j.left)
     d = interp_kat(bm.base, j.right)
-    hav = Rel.full(n)
     rdot = _subid_pairs(bitest_pairs(bm, j.spec.pre), n)
     sdot = _subid_pairs(bitest_pairs(bm, j.spec.post), n)
-    iddot = _id_dot(n)
+    if backward:
+        c, d, rdot, sdot = c.converse(), d.converse(), sdot, rdot
+    holds = _forward_closed_form(n, c, d, rdot, sdot)
 
-    lhs = iddot.compose(tensor(c, hav)).compose(sdot)
-    tri = tri_embed(iddot, rdot).compose(tricom(c, hav, d)).compose(
-        tri_embed(sdot, iddot))
-    holds = lhs.leq(tri_proj_left2(tri))
-
-    direct = check_bsim(bm, Judgment("bsim", j.left, j.right, j.spec))
+    kind, check = ("bsim", check_bsim) if backward else ("fsim", check_fsim)
+    direct = check(bm, Judgment(kind, j.left, j.right, j.spec))
     if holds != direct.holds:
         raise RouteDisagreement(
-            f"trikat route ({holds}) disagrees with direct bsim ({direct.holds})")
-    res = JudgeResult("bsim-trikat", holds)
+            f"trikat route ({holds}) disagrees with direct {kind} ({direct.holds})")
+    res = JudgeResult(f"{kind}-trikat", holds)
     res.routes["trikat"] = holds
     res.routes["direct"] = direct.holds
     return res

@@ -18,6 +18,13 @@ Validity conditions, with hav the full relation of the ambient full model:
   forward  (WC)  R;W <= R;W;S     (WO)  R;<c] <= W;[hav>   (WU)  R;W <= <hav|d>
   backward (WCb) W;S <= R;W;S     (WOb) <c];S <= [hav>;W   (WUb) W;S <= <hav|d>
 
+Backward is forward on the converse.  Taking converses, with R and S
+self-converse, WCb is S;W° <= S;W°;R, WOb is S;<c°] <= W°;[hav> and WUb is
+S;W° <= <hav|d°>: the forward conditions of the witness W° for the programs
+c° and d° with pre S and post R.  So one check and one construction serve
+both directions; backward they read the post's rows, both programs'
+preimage maps and the witness's preimages.
+
 Passing forward (backward) validity entails the forward (backward) simulation
 judgment; the checker checks that entailment on every invocation and raises
 `RouteDisagreement` if the oracle disagrees.
@@ -32,8 +39,8 @@ from ..kat.terms import kleene_map
 from ..models.bmodel import BiModel
 from ..models.kmodel import WALK_SOURCES, WALKS, Tagged, Walk, walk_sources
 from .core import Counterexample, Judgment, compile_pred, pair_spec, post_map
-from .oracles import (JudgeResult, RouteDisagreement, _pre_chunks, check_bsim,
-                      check_fsim)
+from .oracles import (JudgeResult, RouteDisagreement, _pre_chunks, _run_rows,
+                      check_bsim, check_fsim)
 
 Pair = tuple[int, int]
 ImageMap = dict[Pair, frozenset[Pair]]
@@ -44,7 +51,9 @@ class RelWitness:
     """A concrete witness relation on state pairs (e.g. a synthesized one)."""
 
     forward: dict[Pair, frozenset[Pair]]
-    _backward: dict[Pair, frozenset[Pair]] | None = None
+    # derived from `forward` on first use: not part of the witness's value
+    _backward: dict[Pair, frozenset[Pair]] | None = field(
+        default=None, compare=False, repr=False)
 
     def backward(self) -> dict[Pair, frozenset[Pair]]:
         if self._backward is None:
@@ -54,6 +63,10 @@ class RelWitness:
                     back.setdefault(t, set()).add(src)
             self._backward = {k: frozenset(v) for k, v in back.items()}
         return self._backward
+
+    def converse(self) -> RelWitness:
+        """The converse relation, sharing this one's maps."""
+        return RelWitness(self.backward(), self.forward)
 
     def count(self) -> int:
         return sum(len(v) for v in self.forward.values())
@@ -126,17 +139,12 @@ def _compile_pairs(bm: BiModel, w: BiKatTerm, backward: bool) -> Walk:
     return kleene_map(w, leaf, WALKS, reverse=backward)
 
 
-def _witness_image(bm: BiModel, w: Witness, sources) -> ImageMap:
+def _witness_images(bm: BiModel, w: Witness, sources, backward: bool) -> ImageMap:
+    """The image of each source under the witness, or under its converse."""
     if isinstance(w, RelWitness):
-        return {s: w.forward.get(s, frozenset()) for s in sources}
-    return term_image(bm, w, sources)
-
-
-def _witness_preimage(bm: BiModel, w: Witness, targets) -> ImageMap:
-    if isinstance(w, RelWitness):
-        back = w.backward()
-        return {t: back.get(t, frozenset()) for t in targets}
-    return term_preimage(bm, w, targets)
+        rel = w.backward() if backward else w.forward
+        return {s: rel.get(s, frozenset()) for s in sources}
+    return (term_preimage if backward else term_image)(bm, w, sources)
 
 
 def _chunk_images(chunks, images):
@@ -165,103 +173,68 @@ def check_fvalid(bm: BiModel, w: Witness, j: Judgment) -> WitnessReport:
     """Forward validity (WC, WO, WU); on success asserts the simulation holds.
     The pre pairs are imaged a chunk at a time, and the check stops once
     every condition has failed."""
-    r, s = pair_spec(bm, j.spec.pre), pair_spec(bm, j.spec.post)
-    cpost = post_map(bm.base, j.left)
-    dpost = post_map(bm.base, j.right)
-    conds = {"WC": True, "WO": True, "WU": True}
-    cexs: dict[str, Counterexample] = {}
-
-    chunks = _pre_chunks(r, cpost, dpost, WALK_SOURCES)
-    for src, tgts in _chunk_images(chunks, lambda ps: _witness_image(bm, w, ps)):
-        if conds["WC"]:
-            for t in tgts:
-                if not s.holds(*t):
-                    conds["WC"] = False
-                    cexs["WC"] = Counterexample("WC", src + t,
-                                                f"witness run {r.render_pair(*src)} -> "
-                                                f"{r.render_pair(*t)} leaves the post")
-                    break
-        if conds["WU"]:
-            for (t, t2) in tgts:
-                if t2 not in dpost[src[1]]:
-                    conds["WU"] = False
-                    cexs["WU"] = Counterexample("WU", src + (t, t2),
-                                                "witness right component is not a "
-                                                "right-program run")
-                    break
-        if conds["WO"]:
-            lefts = {t for (t, _) in tgts}
-            for t in cpost[src[0]]:
-                if t not in lefts:
-                    conds["WO"] = False
-                    cexs["WO"] = Counterexample("WO", src + (t,),
-                                                f"left run to {bm.space.state_str(t)} "
-                                                "is not covered by the witness")
-                    break
-        if not any(conds.values()):
-            break
-
-    report = WitnessReport("forward", conds, cexs)
-    if report.valid:
-        oracle = check_fsim(bm, Judgment("fsim", j.left, j.right, j.spec))
-        report.oracle = oracle
-        if not oracle.holds:
-            raise RouteDisagreement("f-valid witness but forward simulation fails")
-    return report
+    return _check_valid(bm, w, j, backward=False)
 
 
 def check_bvalid(bm: BiModel, w: Witness, j: Judgment) -> WitnessReport:
-    """Backward validity (WCb, WOb, WUb), evaluated backward from the post.
-    The post pairs are preimaged a chunk at a time, and the check stops once
-    every condition has failed."""
+    """Backward validity (WCb, WOb, WUb): forward validity of the converse
+    witness, evaluated backward from the post a chunk at a time."""
+    return _check_valid(bm, w, j, backward=True)
+
+
+def _views(bm: BiModel, j: Judgment, backward: bool):
+    """The pre and post specs of `j` and the image maps of its programs; for
+    the converse judgment if `backward`: the post and pre, and preimages."""
     r, s = pair_spec(bm, j.spec.pre), pair_spec(bm, j.spec.post)
-    cpre = post_map(bm.base, j.left, backward=True)
-    dpost = post_map(bm.base, j.right)
-    conds = {"WCb": True, "WOb": True, "WUb": True}
+    return ((s, r) if backward else (r, s)) + (
+        post_map(bm.base, j.left, backward), post_map(bm.base, j.right, backward))
+
+
+def _check_valid(bm: BiModel, w: Witness, j: Judgment, backward: bool) -> WitnessReport:
+    """WC, WO and WU of `w` for `j`, or of w° for the converse of `j` if
+    `backward`; a backward counterexample lists its parts in state order."""
+    r, s, cpost, dpost = _views(bm, j, backward)
+    wc, wo, wu = names = ("WCb", "WOb", "WUb") if backward else ("WC", "WO", "WU")
+    conds = dict.fromkeys(names, True)
     cexs: dict[str, Counterexample] = {}
 
-    def preimages(targets):
-        back = _witness_preimage(bm, w, targets)
-        dpost.fill({b for srcs in back.values() for _, b in srcs})
-        return back
+    def fail(name: str, src: tuple, tgt: tuple, why: str) -> None:
+        ends = [r.render_pair(*p) if len(p) == 2 else bm.space.state_str(*p)
+                for p in ((tgt, src) if backward else (src, tgt))]
+        conds[name] = False
+        cexs[name] = Counterexample(name, tgt + src if backward else src + tgt,
+                                    f"{ends[0]} -> {ends[1]}: {why}")
 
-    chunks = _pre_chunks(s, cpre, None, WALK_SOURCES)
-    for tgt, srcs in _chunk_images(chunks, preimages):
-        if conds["WCb"]:
-            for u in srcs:
-                if not r.holds(*u):
-                    conds["WCb"] = False
-                    cexs["WCb"] = Counterexample(
-                        "WCb", u + tgt,
-                        f"witness reaches the post from non-pre pair {r.render_pair(*u)}")
+    chunks = _pre_chunks(r, cpost, dpost, WALK_SOURCES)
+    for src, tgts in _chunk_images(chunks, lambda ps: _witness_images(bm, w, ps, backward)):
+        if conds[wc]:
+            for t in tgts:
+                if not s.holds(*t):
+                    fail(wc, src, t, "witness run " + (
+                        "starts outside the pre" if backward else "leaves the post"))
                     break
-        if conds["WUb"]:
-            for (a, b) in srcs:
-                if tgt[1] not in dpost[b]:
-                    conds["WUb"] = False
-                    cexs["WUb"] = Counterexample(
-                        "WUb", (a, b) + tgt,
-                        "witness right component is not a right-program run")
+        if conds[wu]:
+            for t in tgts:
+                if t[1] not in dpost[src[1]]:
+                    fail(wu, src, t, "witness right component is not a right-program run")
                     break
-        if conds["WOb"]:
-            lefts = {a for (a, _) in srcs}
-            for a in cpre[tgt[0]]:
-                if a not in lefts:
-                    conds["WOb"] = False
-                    cexs["WOb"] = Counterexample(
-                        "WOb", (a,) + tgt,
-                        f"left run from {bm.space.state_str(a)} to the post pair "
-                        f"{r.render_pair(*tgt)} is not covered")
+        if conds[wo]:
+            lefts = {t for (t, _) in tgts}
+            for t in cpost[src[0]]:
+                if t not in lefts:
+                    fail(wo, src, (t,), "left run is not covered by the witness")
                     break
         if not any(conds.values()):
             break
 
-    report = WitnessReport("backward", conds, cexs)
+    report = WitnessReport("backward" if backward else "forward", conds, cexs)
     if report.valid:
-        oracle = check_bsim(bm, Judgment("bsim", j.left, j.right, j.spec))
+        kind, check = ("bsim", check_bsim) if backward else ("fsim", check_fsim)
+        oracle = check(bm, Judgment(kind, j.left, j.right, j.spec))
         report.oracle = oracle
         if not oracle.holds:
-            raise RouteDisagreement("b-valid witness but backward simulation fails")
+            raise RouteDisagreement(f"{report.direction}-valid witness but "
+                                    f"{report.direction} simulation fails")
     return report
 
 
@@ -276,37 +249,29 @@ class WitnessRefused(Exception):
 def construct_fwitness(bm: BiModel, j: Judgment) -> RelWitness:
     """The completeness construction for forward simulation: for each
     pre-related pair and left run, keep the least matching right end."""
-    oracle = check_fsim(bm, Judgment("fsim", j.left, j.right, j.spec))
-    if not oracle.holds:
-        raise WitnessRefused(oracle)
-    r, s = pair_spec(bm, j.spec.pre), pair_spec(bm, j.spec.post)
-    cpost = post_map(bm.base, j.left)
-    dpost = post_map(bm.base, j.right)
-    fwd: dict[Pair, frozenset[Pair]] = {}
-    for (a, b) in r.pairs():
-        acc = set()
-        for t in cpost[a]:
-            t2 = min(x for x in dpost[b] if s.holds(t, x))
-            acc.add((t, t2))
-        if acc:
-            fwd[(a, b)] = frozenset(acc)
-    return RelWitness(fwd)
+    return _construct(bm, j, backward=False)
 
 
 def construct_bwitness(bm: BiModel, j: Judgment) -> RelWitness:
-    """Completeness construction for backward simulation: for each left run
-    ending post-related, keep the least pre-related start with a matching
-    right run."""
-    oracle = check_bsim(bm, Judgment("bsim", j.left, j.right, j.spec))
+    """Completeness construction for backward simulation, the converse of
+    the forward one on the converse judgment: for each left run and post
+    partner of its end, keep the least pre-related start with a right run to
+    that partner."""
+    return _construct(bm, j, backward=True).converse()
+
+
+def _construct(bm: BiModel, j: Judgment, backward: bool) -> RelWitness:
+    """The forward construction for `j`, or for its converse if `backward`;
+    refused unless the simulation holds."""
+    kind, check = ("bsim", check_bsim) if backward else ("fsim", check_fsim)
+    oracle = check(bm, Judgment(kind, j.left, j.right, j.spec))
     if not oracle.holds:
         raise WitnessRefused(oracle)
-    r, s = pair_spec(bm, j.spec.pre), pair_spec(bm, j.spec.post)
-    cpost = post_map(bm.base, j.left)
-    dpost = post_map(bm.base, j.right)
-    fwd: dict[Pair, set[Pair]] = {}
-    for a in range(bm.space.size):
-        for t in cpost[a]:
-            for t2 in s.partners_left(t):
-                b = min(x for x in r.partners_left(a) if t2 in dpost[x])
-                fwd.setdefault((a, b), set()).add((t, t2))
-    return RelWitness({k: frozenset(v) for k, v in fwd.items()})
+    r, s, cpost, dpost = _views(bm, j, backward)
+    dimg = dpost.images
+    fwd: dict[Pair, frozenset[Pair]] = {}
+    for a, bs, cs in _run_rows(r, cpost, dpost):
+        for b in bs:
+            fwd[(a, b)] = frozenset(
+                (t, min(x for x in dimg[b] if s.holds(t, x))) for t in cs)
+    return RelWitness(fwd)

@@ -11,9 +11,10 @@ assignment the cells it may write.  Its successor table or test table is built o
 running the closure once per value of the footprint and lifting the results
 to the whole space (`StateSpace.lift`); expression value lists (`values`)
 are built the same way.  Havoc keeps one tuple of successors per state.
-Names, arrays and function tables are resolved when a closure is built;
-`check_block` builds them for a whole program, so `load_problem` refuses a
-bad program before any check runs.  `eval`, `holds`, `step` and `run`
+Names, arrays and function tables are resolved when a closure is built,
+once per primitive when a program is compiled (`compile_block`), so
+`load_problem`, which compiles every program it reads, refuses a bad program
+before any check runs.  `eval`, `holds`, `step` and `run`
 are a direct set-valued interpreter kept as the independent semantics that
 the compiled one is cross-checked against.  Loops that fail to terminate
 from a state simply contribute no final state there.
@@ -443,22 +444,6 @@ class ImpEnv:
         val = self.compile_expr(s.expr)
         return FnAction(self.space, lambda st: (st & keep) | ((val(st) & m) << off),
                         det=True, footprint=lambda: self.reads(EVar(s.var), s.expr))
-
-    def check_block(self, stmts: Iterable[Stmt]) -> None:
-        """Resolve every name, array and function table a program uses,
-        raising SpaceError for the first that is not declared."""
-        for s in stmts:
-            if isinstance(s, (SAssign, SHavoc, SArrAssign)):
-                self.compile_action(s)
-            elif isinstance(s, SAssume):
-                self.compile_cond(s.cond)
-            elif isinstance(s, SIf):
-                self.compile_cond(s.cond)
-                self.check_block(s.then)
-                self.check_block(s.els)
-            elif isinstance(s, SWhile):
-                self.compile_cond(s.cond)
-                self.check_block(s.body)
 
     # compilation to KAT --------------------------------------------------
 

@@ -485,12 +485,13 @@ def _load(text: str, name: str, width_override: int | None) -> Problem:
             _within(key, entry[1], lambda blob: _parse_script_block(blob, prob, parser))
         else:
             raise ParseError(f"unknown problem block {key!r}")
-    # a bad program is refused here rather than in the middle of a check
+    # a bad program is refused here rather than in the middle of a check;
+    # compiling binds each primitive once, and later compiles reuse it
     programs = [prob.left, prob.right]
     for h in prob.rel_hyps.values():
         programs += [h.judgment.left, h.judgment.right]
     for program in programs:
-        env.check_block(program)
+        env.compile_block(program)
     return prob
 
 

@@ -137,12 +137,15 @@ def _is_skip(p: Program) -> bool:
 
 
 def check_implication(ctx: RhlContext, lhs: BiTestTerm, rhs: BiTestTerm):
-    """All pairs satisfying lhs satisfy rhs; counterexample pair otherwise."""
-    spec = pair_spec(ctx.bm, lhs)
+    """All pairs satisfying lhs satisfy rhs; the first counterexample pair
+    otherwise.  The lhs rows are streamed, so a failure stops the
+    enumeration at its row."""
+    rows = pair_spec(ctx.bm, lhs).rows()
     pred = compile_pred(ctx.bm, rhs)
-    for (a, b) in spec.pairs():
-        if not pred(a, b):
-            return (a, b)
+    for a, bs in rows:
+        for b in bs:
+            if not pred(a, b):
+                return (a, b)
     return None
 
 

@@ -8,6 +8,7 @@ import pytest
 
 from bikat.bi.script import check_script
 from bikat.judge.oracles import check_adequacy, dispatch
+from bikat.judge.witness import check_bvalid, check_fvalid
 from bikat.problem import Cur, load_problem, parse_expr
 from bikat.rhl.parse import parse_proof
 from bikat.rhl.proof import check_proof
@@ -32,6 +33,9 @@ def verdict(kind: str, prob, proof_path: Path) -> bool:
         j = prob.judgment()
         return check_adequacy(prob.bm, j.spec.pre, j.left, j.right,
                               prob.script_goal).holds
+    if kind in ("witness_fvalid", "witness_bvalid"):
+        check = check_fvalid if kind == "witness_fvalid" else check_bvalid
+        return check(prob.bm, prob.witness, prob.judgment()).valid
     if kind == "proof_accepted":
         tree = parse_proof(proof_path.read_text(), prob.parser.bitest,
                            lambda s: parse_expr(Cur(s)))

@@ -407,6 +407,24 @@ class TestProblemFiles:
             load_problem(f"width 2; {decls}\nleft {{ {left} }} right {{ skip; }}\n"
                          "kind allall; pre { true } post { true }")
 
+    @pytest.mark.parametrize("name, acts, tests, conds", [
+        ("loop-tiling", 8, 4, 4), ("array-insert", 8, 8, 10), ("double-square", 6, 2, 2)])
+    def test_load_compiles_each_primitive_once(self, monkeypatch, name, acts, tests, conds):
+        # loading binds every primitive of the programs it reads, once, and
+        # the judgment's compile reuses them; `compile_cond` also runs once
+        # per operand of a &&, of which array-insert's search loop has one
+        calls = {"compile_action": 0, "compile_cond": 0}
+        for attr in calls:
+            def counted(env, node, inner=getattr(ImpEnv, attr), attr=attr):
+                calls[attr] += 1
+                return inner(env, node)
+            monkeypatch.setattr(ImpEnv, attr, counted)
+        prob = load_problem((CORPUS / f"{name}.prob").read_text(), name)
+        assert (len(prob.env.acts), len(prob.env.tests)) == (acts, tests)
+        assert calls == {"compile_action": acts, "compile_cond": conds}
+        prob.judgment()
+        assert calls == {"compile_action": acts, "compile_cond": conds}
+
     @pytest.mark.parametrize("decl", [
         "kind foo;",
         "relhyp h foo { left { skip; } right { skip; } pre { true } post { true } }",

@@ -21,7 +21,7 @@ from bikat.kat import Alphabet, K1, parse_term
 from bikat.models import BiRel, Rel, interp_kat, lift_left, random_bimodel, tensor
 from bikat.problem import load_problem
 
-from gen import random_bikat
+from gen import random_bikat, random_bitest, random_kat
 from test_corpus import CORPUS, corpus_problem
 
 ALPH = Alphabet.make([], ["a", "b"])
@@ -274,6 +274,63 @@ class TestWitnesses:
             if removed[0] not in lefts_rest:
                 assert not rep.conditions["WO"]
             made += 1
+
+    def test_equal_witnesses_stay_equal(self):
+        # the preimage map is built on first use and is not part of the value
+        fwd = {(0, 1): frozenset({(1, 1), (2, 0)}), (1, 1): frozenset({(2, 0)})}
+        w, v = RelWitness(dict(fwd)), RelWitness(dict(fwd))
+        assert w.backward() == {(1, 1): {(0, 1)}, (2, 0): {(0, 1), (1, 1)}}
+        assert w == v and v == w
+        c = w.converse()
+        assert c.forward == w.backward() and c == RelWitness(w.backward())
+        assert c.converse() == w == v
+        assert v.converse() == c and v.converse().converse() == w
+        assert "_backward" not in repr(w)
+
+    def test_conditions_match_dense_relation_algebra(self):
+        # the six conditions, as inclusions of BiRel matrices, for random
+        # witness terms and for the constructed witnesses of both directions
+        from bikat.models.bmodel import bitest_subid, interp_bikat
+        from bikat.models import lift_right
+        alph = Alphabet.make(["p"], ["a", "b"])
+        rng = random.Random(11)
+        outcomes, constructed = set(), 0
+        for seed in range(240):
+            n = rng.randint(1, 4)
+            bm = random_bimodel(seed, n, alph, ("P", "Q"), density=rng.choice((0.2, 0.5)))
+            c, d = random_kat(rng, alph, 2), random_kat(rng, alph, 2)
+            pre, post = ((BPrim("P"), BPrim("Q")) if seed % 2 else
+                         (random_bitest(rng, alph.tests, ("P", "Q")),
+                          random_bitest(rng, alph.tests, ("P", "Q"))))
+            j = Judgment("fsim", c, d, RelSpec(pre, post))
+            r, s = bitest_subid(bm, pre), bitest_subid(bm, post)
+            cl = lift_left(interp_kat(bm.base, c))
+            hav_r = lift_right(Rel.full(n))
+            hav_d = tensor(Rel.full(n), interp_kat(bm.base, d))
+            witnesses = [random_bikat(rng, alph, ("P", "Q"))]
+            for construct, kind in ((construct_fwitness, "fsim"), (construct_bwitness, "bsim")):
+                if dispatch(bm, Judgment(kind, c, d, j.spec)).holds:
+                    witnesses.append(construct(bm, j))
+                    constructed += 1
+            for w in witnesses:
+                wr = (interp_bikat(bm, w) if not isinstance(w, RelWitness) else
+                      BiRel.of_pairs(n, ((a * n + b, t * n + t2)
+                                         for (a, b), ts in w.forward.items()
+                                         for t, t2 in ts)))
+                dense = {
+                    "WC": r.compose(wr).leq(r.compose(wr).compose(s)),
+                    "WO": r.compose(cl).leq(wr.compose(hav_r)),
+                    "WU": r.compose(wr).leq(hav_d),
+                    "WCb": wr.compose(s).leq(r.compose(wr).compose(s)),
+                    "WOb": cl.compose(s).leq(hav_r.compose(wr)),
+                    "WUb": wr.compose(s).leq(hav_d),
+                }
+                fwd, bwd = check_fvalid(bm, w, j), check_bvalid(bm, w, j)
+                assert (fwd.direction, bwd.direction) == ("forward", "backward")
+                got = {**fwd.conditions, **bwd.conditions}
+                assert got == dense, (seed, w)
+                outcomes.add(tuple(sorted(got.items())))
+        assert constructed >= 100 and len(outcomes) >= 20
 
 
 # Run under `python -O`: a valid witness whose simulation oracle is made to

@@ -7,7 +7,7 @@ import pytest
 
 from bikat.judge import EnumRefused
 from bikat.problem import Cur, load_problem, parse_expr, parse_stmts_text
-from bikat.rhl.proof import SideCondition, discharge_side_condition
+from bikat.rhl.proof import SideCondition, check_implication, discharge_side_condition
 
 # 4096 states a side; x has offset 0, so state 64 is x=0, y=1
 SPACE = "width 6; vars x y;"
@@ -68,3 +68,31 @@ def test_variant_decrease_reads_the_relation_by_rows(prob, body, variant, verdic
                  parse_stmts_text(body), parse_expr(Cur(variant))))
     with deadline(30):
         assert discharge_side_condition(prob.rhl_context(), sc) == verdict
+
+
+def test_implication_streams_the_rows(prob, monkeypatch):
+    # the pairs of the lhs are read a row at a time and the first failing
+    # pair ends the enumeration; no list of pairs is built
+    from bikat.judge import PairSpec
+    ctx, bitest = prob.rhl_context(), prob.parser.bitest
+    rows_of = PairSpec.rows
+    reached = []
+
+    def counted(spec):
+        for row in rows_of(spec):
+            reached.append(row[0])
+            yield row
+
+    def no_pairs(spec):
+        raise AssertionError("the pair list was built")
+    monkeypatch.setattr(PairSpec, "rows", counted)
+    monkeypatch.setattr(PairSpec, "pairs", no_pairs)
+    assert check_implication(ctx, bitest("[x == x]"), bitest("[y == y]")) == (0, 64)
+    assert reached == [0]
+    reached.clear()
+    assert check_implication(ctx, bitest("[x == x] & [y == y]"), bitest("[x == x]")) is None
+    assert len(reached) == prob.bm.space.size
+    monkeypatch.setattr(PairSpec, "rows", rows_of)
+    # a relation over the caps is refused, not truncated
+    with pytest.raises(EnumRefused):
+        check_implication(ctx, bitest("[x == x] | [y == y]"), bitest("true"))
