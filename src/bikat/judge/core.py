@@ -1,4 +1,16 @@
-"""Judgment data and enumerable views of pair relations.
+"""Judgment data, compiled pair predicates and enumerable views of pair
+relations.
+
+`compile_pred` compiles a bitest to a `PairPred`.  The atoms of a
+conjunction that compare a left and a right expression with `==`, test one
+side only, or are `1` become two key columns over states: `lk[a]` packs the
+left expressions' values into one int (-1 where a left test fails), `rk[b]`
+the right ones (-2 where a right test fails), each lifted from the
+footprint of its expressions.  The keyed atoms hold at (a, b) exactly when
+`lk[a] == rk[b]`; every other atom is a residual closure tested after the
+keys.  So a row of pairs is decided with C-level set operations on keys,
+not one closure call per pair.  `PairSpec.pred` holds the predicate of its
+bitest, built on first use and memoized with the spec by `pair_spec`.
 
 `PairSpec` turns a bitest into rows the oracles can iterate: each left state
 with its list of right partners (`rows`, in state order, streamed: a row is
@@ -31,7 +43,7 @@ from typing import Iterator
 
 from ..bi.terms import (BAnd, BEmbLTest, BEmbRTest, BiTestTerm, BNot, BOne,
                         BOr, BPrim, BZero)
-from ..kat.terms import KatTerm, tand
+from ..kat.terms import KatTerm, TestTerm, tand, tnot, tor
 from ..models.bmodel import BiModel, BitestSem
 from ..models.imp import CMP_OPS, ImpEnv
 from ..models.kmodel import image, kat_post, kat_pre, test_table
@@ -77,9 +89,138 @@ class ExprBitest(BitestSem):
         return self.env.field_of(self.rexpr)
 
 
-def compile_pred(bm: BiModel, t: BiTestTerm):
-    """Compile a bitest to a pair predicate closure; membership tests become
-    list and byte-table lookups instead of term walks."""
+class PairPred:
+    """A bitest compiled to a test on state pairs (see `compile_pred`): key
+    columns `lk` and `rk` (None if no atom is keyed) and the residual
+    conjunction `rest` (None if every atom is keyed).  `holds(a, b)` is
+    `lk[a] == rk[b]`, then `rest(a, b)`; `keyed` is true when the keys alone
+    decide."""
+
+    def __init__(self, lk: list[int] | None, rk: list[int] | None, rest):
+        self.lk, self.rk, self.rest = lk, rk, rest
+        self.keyed = lk is not None and rest is None
+        if lk is None:
+            self.holds = rest or (lambda a, b: True)
+        elif rest is None:
+            self.holds = lambda a, b: lk[a] == rk[b]
+        else:
+            self.holds = lambda a, b: lk[a] == rk[b] and rest(a, b)
+
+    def escape(self, cs, ds) -> tuple[int, int] | None:
+        """The first pair of cs x ds, in iteration order, that fails the
+        predicate; None if every pair holds.  When the keys decide, one pair
+        compares its two keys and a larger product holds when the keys of
+        ds and of cs are one and the same key; otherwise, or when that test
+        fails, the pairs are tested one by one."""
+        if self.keyed:
+            lk, rk = self.lk, self.rk
+            if len(cs) == 1 == len(ds):
+                (a,), (b,) = cs, ds
+                if lk[a] == rk[b]:
+                    return None
+            else:
+                keys = set(map(rk.__getitem__, ds))
+                if len(keys) == 1 and keys == set(map(lk.__getitem__, cs)):
+                    return None
+        holds = self.holds
+        for a in cs:
+            for b in ds:
+                if not holds(a, b):
+                    return a, b
+        return None
+
+    def some(self, a: int, bs) -> bool:
+        """Whether the predicate relates `a` to some state of `bs`."""
+        if self.keyed:
+            return self.lk[a] in map(self.rk.__getitem__, bs)
+        holds = self.holds
+        return any(holds(a, b) for b in bs)
+
+
+def compile_pred(bm: BiModel, t: BiTestTerm) -> PairPred:
+    """Compile a bitest to a pair predicate keyed by two state columns.
+
+    The atoms of a conjunction that are `==` expression bitests, tests of
+    one side (`L[..]`, `R[..]` and Boolean combinations of one side's tests)
+    or `1` are keyed: the left column `lk[a]` packs the values of the left
+    expressions into one int, or is -1 where a left test fails; the right
+    column `rk[b]` packs the right expressions the same way, or is -2 where
+    a right test fails.  So the keyed atoms hold at (a, b) exactly when
+    `lk[a] == rk[b]`.  Each column is lifted from the union footprint of its
+    expressions.  Every other atom (an ordering or `!=` comparison, a
+    negation or disjunction reading both sides, an abstract bitest, `0`)
+    is a residual closure, tested after the keys."""
+    atoms = t.args if isinstance(t, BAnd) else (t,)
+    tests: dict[str, list[TestTerm]] = {"L": [], "R": []}
+    eqs: list[ExprBitest] = []
+    rest = []
+    for a in atoms:
+        if isinstance(a, BOne):
+            continue
+        side = side_test(a)
+        if side is not None:
+            tests[side[0]].append(side[1])
+            continue
+        sem = bm.bitest(a.name) if isinstance(a, BPrim) else None
+        if isinstance(sem, ExprBitest) and sem.op == "==":
+            eqs.append(sem)
+        else:
+            rest.append(_closure(bm, a))
+    residual = (rest[0] if len(rest) == 1 else _all_of(rest)) if rest else None
+    if not (eqs or tests["L"] or tests["R"]):
+        return PairPred(None, None, residual)
+    env = eqs[0].env if eqs else None
+    return PairPred(_key_column(bm, env, [s.lexpr for s in eqs], tests["L"], -1),
+                    _key_column(bm, env, [s.rexpr for s in eqs], tests["R"], -2),
+                    residual)
+
+
+def _key_column(bm: BiModel, env: ImpEnv | None, exprs: list,
+                tests: list[TestTerm], fail: int) -> list[int]:
+    """One key per state: the values of `exprs` packed into one int, each in
+    a slot as wide as the widest value any expression can take (the
+    arithmetic width or the widest field), or `fail` where a test of `tests`
+    fails.  The packed values are lifted from the expressions' union
+    footprint."""
+    space = bm.space
+    if exprs:
+        fs = [env.compile_expr(e) for e in exprs]
+        shift = max([env.width] + [space.field(k)[1] for k in space.fields()])
+
+        def pack(s: int) -> int:
+            key = 0
+            for f in fs:
+                key = key << shift | f(s)
+            return key
+        col = space.lift(env.reads(*exprs), pack)
+    else:
+        col = [0] * space.size
+    if not tests:
+        return col
+    table = test_table(bm.base, tand(*tests))
+    return [k if ok else fail for k, ok in zip(col, table)]
+
+
+def side_test(t: BiTestTerm) -> tuple[str, TestTerm] | None:
+    """("L" or "R", a KAT test) when `t` reads one side of the pair only: a
+    one-sided test or a Boolean combination of one side's tests; else None."""
+    if isinstance(t, (BEmbLTest, BEmbRTest)):
+        return t.side, t.test
+    if isinstance(t, BNot):
+        got = side_test(t.arg)
+        return None if got is None else (got[0], tnot(got[1]))
+    if isinstance(t, (BAnd, BOr)):
+        parts = [side_test(a) for a in t.args]
+        if None in parts or len({side for side, _ in parts}) != 1:
+            return None
+        join = tand if isinstance(t, BAnd) else tor
+        return parts[0][0], join(*(test for _, test in parts))
+    return None
+
+
+def _closure(bm: BiModel, t: BiTestTerm):
+    """A bitest as a closure on pairs, atom by atom: the residual atoms of
+    `compile_pred` and the pair filters of `PairSpec`."""
     if isinstance(t, BZero):
         return lambda a, b: False
     if isinstance(t, BOne):
@@ -97,12 +238,15 @@ def compile_pred(bm: BiModel, t: BiTestTerm):
         table = test_table(bm.base, t.test)
         return lambda a, b: table[b] == 1
     if isinstance(t, BNot):
-        inner = compile_pred(bm, t.arg)
+        inner = _closure(bm, t.arg)
         return lambda a, b: not inner(a, b)
-    subs = [compile_pred(bm, x) for x in t.args]
+    subs = [_closure(bm, x) for x in t.args]
     if isinstance(t, BOr):
         return lambda a, b: any(p(a, b) for p in subs)
+    return _all_of(subs)
 
+
+def _all_of(subs: list):
     def conj(a: int, b: int) -> bool:
         for p in subs:
             if not p(a, b):
@@ -202,12 +346,17 @@ class PairSpec:
         self._rows: dict[int, list[int]] = {}  # rows built by partners_left
         self._all: dict[int, list[int]] | None = None  # rows without a layout
         self._filtered: dict[int, list[int]] = {}
-        self._pred = None
+        self._pred: PairPred | None = None
 
-    def holds(self, s: int, s2: int) -> bool:
+    @property
+    def pred(self) -> PairPred:
+        """The compiled pair predicate, built on first use."""
         if self._pred is None:
             self._pred = compile_pred(self.bm, self.term)
-        return self._pred(s, s2)
+        return self._pred
+
+    def holds(self, s: int, s2: int) -> bool:
+        return self.pred.holds(s, s2)
 
     # --- conjunction analysis -------------------------------------------
 
@@ -274,7 +423,7 @@ class PairSpec:
                 conj_table(left_f), conj_table(right_f),
                 [space.field(k) + (sem,) for k, sem in forced.items()],
                 pinned, list(by_field.values()), sorted(patterns),
-                [compile_pred(self.bm, p) for p in pair_f])
+                [_closure(self.bm, p) for p in pair_f])
         return self._layout
 
     def _columns(self) -> tuple:

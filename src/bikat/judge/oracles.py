@@ -8,23 +8,35 @@ the chunk's images computed in one batch, so a check that stops at an early
 counterexample computes few images.  For ∀∀ and ∃∃ one row costs one union
 D of its partners' right images: every run pair of the row is in cpost[a] x D.
 
+The pointwise routes read a pair predicate through the keys of its
+`PairPred` (`PairSpec.pred`): ∀∀ and ∃∃ test a row's cpost[a] x D at once,
+a single pair by comparing its two keys, a larger product by asking that
+the keys of cpost[a] and of D be one and the same key; fsim and the bsim
+point-free route look a key up among the keys of a set of ends.  Where a
+residual atom remains, or a row fails, the pairs are tested one by one, so
+the first failing pair, and every counterexample, is the one a pair loop
+finds.
+
 ∀∀, forward and backward simulation each run a second route that reads the
 relations another way, and raise `RouteDisagreement` if the routes differ:
 
-- ∀∀ (R;<c|d>;!S = 0): pointwise, cpost[a] x D through the compiled post
-  predicate; equational, D against the states S-related to all of cpost[a],
-  read through the post's partner enumeration.
+- ∀∀ (R;<c|d>;!S = 0): pointwise, cpost[a] x D through the post predicate;
+  equational, D against the states S-related to all of cpost[a], read
+  through the post's partner enumeration.
 - fsim (R°;c <= d;S°): per pre pair (a, b) and end t of a, pointwise, an end
   of d(b) that the post predicate relates to t; point-free, an end of d(b) in
   S(t), the enumerated post partners of t.
 - bsim (c;S <= R;d): per left run a -> t and enumerated post partner t2,
   pointwise, t2 in the D of a's pre row; point-free, a right preimage of t2
-  that the compiled pre predicate relates to a.
+  that the pre predicate relates to a.
 
 The ∀∀ equational and fsim point-free routes read the post through its
 per-state partner sets (`PairSpec.partner_sets`); a route whose enumeration
 the caps refuse, up front or once it has built PAIR_ENUM_CAP candidates, is
 dropped.
+
+Adequacy (`check_adequacy`) walks the aligned term once per chunk of pre
+pairs and reads coverage from the walk's tags (see `witness.term_tags`).
 """
 
 from __future__ import annotations
@@ -39,8 +51,8 @@ from ..kat.terms import KatTerm
 from ..models.bmodel import BiModel
 # no oracle calls it; perfbench's tracer wraps `oracles.interp_kat` by name
 from ..models.kmodel import WALK_SOURCES, interp_kat  # noqa: F401
-from .core import (Counterexample, EnumRefused, Judgment, PairSpec,
-                   PostMap, RelSpec, compile_pred, pair_spec, post_map)
+from .core import (Counterexample, EnumRefused, Judgment, PairPred, PairSpec,
+                   PostMap, RelSpec, pair_spec, post_map)
 
 
 @dataclass
@@ -122,14 +134,14 @@ def _union(images: dict[int, frozenset[int]], states: list[int]) -> frozenset[in
     return frozenset().union(*map(images.__getitem__, states))
 
 
-def _escape(holds, a: int, bs: list[int], cs, d, dimg) -> tuple | None:
+def _escape(post: PairPred, a: int, bs: list[int], cs, d, dimg) -> tuple | None:
     """The first run pair of a row that ends outside the post, as
     (a, b, a2, b2) with b the first partner whose image holds b2; or None."""
-    for a2 in cs:
-        for b2 in d:
-            if not holds(a2, b2):
-                return a, next(b for b in bs if b2 in dimg[b]), a2, b2
-    return None
+    hit = post.escape(cs, d)
+    if hit is None:
+        return None
+    a2, b2 = hit
+    return a, next(b for b in bs if b2 in dimg[b]), a2, b2
 
 
 def check_allall(bm: BiModel, j: Judgment) -> JudgeResult:
@@ -143,7 +155,7 @@ def check_allall(bm: BiModel, j: Judgment) -> JudgeResult:
     r, s = _spec_views(bm, j)
     cpost = post_map(bm.base, j.left)
     dpost = post_map(bm.base, j.right)
-    holds = compile_pred(bm, j.spec.post)
+    post = s.pred
     allowed = _common_partners(s)
     equational = True
     cex = None
@@ -151,7 +163,7 @@ def check_allall(bm: BiModel, j: Judgment) -> JudgeResult:
     for a, bs, cs in _run_rows(r, cpost, dpost):
         d = _union(dimg, bs)
         if cex is None:
-            cex = _escape(holds, a, bs, cs, d, dimg)
+            cex = _escape(post, a, bs, cs, d, dimg)
         if allowed is not None and equational:
             try:
                 equational = d <= allowed(cs)
@@ -185,29 +197,46 @@ def _common_partners(s: PairSpec):
 def check_adequacy(bm: BiModel, pre, c: KatTerm, d: KatTerm, b: BiKatTerm) -> JudgeResult:
     """R;<c|d> <= R;B: the aligned term covers all run pairs from the pre.
 
-    The pre pairs are taken in chunks (64, 128, ... up to WALK_SOURCES).  For
-    the pairs of a chunk from which both programs have runs, the images of
-    the aligned term come from one compiled pair-state walk
-    (`witness.term_image`), and the check stops at the first run pair that
-    they do not cover."""
+    The pre pairs are taken in chunks (64, 128, ... up to WALK_SOURCES).  The
+    pairs (a, b) of a chunk from which both programs have runs are the
+    sources of one compiled pair-state walk of the aligned term
+    (`witness.term_tags`), with pair states packed as p = a * n + b and
+    source i tagged with bit i.  Each run pair q = t * n + t2 the chunk
+    requires gets `need[q]`, the bits of the sources with runs to t and t2;
+    the chunk is covered when every `need[q]` lies within the walk's tag at
+    q.  Otherwise the lowest missing bit names the first uncovered source,
+    and its run pairs, scanned in order, give the counterexample, so the
+    check stops at the first run pair, in pre order, that the term does not
+    cover."""
     from . import witness  # local import: witness builds on oracles' types
     r = pair_spec(bm, pre)
     cpost = post_map(bm.base, c)
     dpost = post_map(bm.base, d)
     cimg, dimg = cpost.images, dpost.images
+    n = bm.space.size
     for chunk in _pre_chunks(r, cpost, dpost, WALK_SOURCES):
         sources = [(a, b2) for a, bs in chunk if cimg[a] for b2 in bs if dimg[b2]]
-        images = witness.term_image(bm, b, sources)
-        for (a, b2) in sources:
-            covered = images[(a, b2)]
+        tag = witness.term_tags(bm, b, [a * n + b2 for a, b2 in sources]).get
+        need: dict[int, int] = {}
+        get = need.get
+        for i, (a, b2) in enumerate(sources):
+            bit, ends = 1 << i, dimg[b2]
             for t in cimg[a]:
-                for t2 in dimg[b2]:
-                    if (t, t2) not in covered:
-                        return JudgeResult(
-                            "adequacy", False,
-                            Counterexample("adequacy", (a, b2, t, t2),
-                                           f"run pair from {r.render_pair(a, b2)} to "
-                                           f"{r.render_pair(t, t2)} not covered"))
+                row = t * n
+                for t2 in ends:
+                    q = row + t2
+                    need[q] = get(q, 0) | bit
+        missing = [g for g in (g & ~tag(q, 0) for q, g in need.items()) if g]
+        if missing:
+            i = min(g & -g for g in missing).bit_length() - 1
+            a, b2 = sources[i]
+            t, t2 = next((t, t2) for t in cimg[a] for t2 in dimg[b2]
+                         if not tag(t * n + t2, 0) >> i & 1)
+            return JudgeResult(
+                "adequacy", False,
+                Counterexample("adequacy", (a, b2, t, t2),
+                               f"run pair from {r.render_pair(a, b2)} to "
+                               f"{r.render_pair(t, t2)} not covered"))
     return JudgeResult("adequacy", True)
 
 
@@ -221,7 +250,7 @@ def check_fsim(bm: BiModel, j: Judgment) -> JudgeResult:
     r, s = _spec_views(bm, j)
     cpost = post_map(bm.base, j.left)
     dpost = post_map(bm.base, j.right)
-    holds = compile_pred(bm, j.spec.post)
+    post = s.pred
     partners = s.partner_sets()
     pointfree = True
     cex = None
@@ -229,7 +258,7 @@ def check_fsim(bm: BiModel, j: Judgment) -> JudgeResult:
     ends = ((a, b, t, dimg[b]) for a, bs, cs in _run_rows(r, cpost, dpost)
             for b in bs for t in cs)
     for a, b, t, ds in ends:
-        if cex is None and not any(holds(t, t2) for t2 in ds):
+        if cex is None and not post.some(t, ds):
             cex = (a, b, t)
         if partners is not None and pointfree:
             try:
@@ -255,7 +284,7 @@ def check_bsim(bm: BiModel, j: Judgment) -> JudgeResult:
     for a pre partner of a, by the compiled pre predicate, among the right
     preimages of t2."""
     r, s = _spec_views(bm, j)
-    pre = compile_pred(bm, j.spec.pre)
+    pre = r.pred
     dpre = post_map(bm.base, j.right, backward=True).images
     pointfree = True
     cex = None
@@ -263,7 +292,7 @@ def check_bsim(bm: BiModel, j: Judgment) -> JudgeResult:
         if cex is None and t2 not in d:
             cex = (a, t, t2)
         if pointfree:
-            pointfree = any(pre(a, b) for b in dpre[t2])
+            pointfree = pre.some(a, dpre[t2])
         if cex is not None and not pointfree:
             break
     sp = bm.space
@@ -324,10 +353,10 @@ def check_existsexists(bm: BiModel, j: Judgment) -> JudgeResult:
     r = pair_spec(bm, j.spec.pre)
     cpost = post_map(bm.base, j.left)
     dpost = post_map(bm.base, j.right)
-    holds = compile_pred(bm, j.spec.post)
+    post = pair_spec(bm, j.spec.post).pred
     dimg = dpost.images
     for a, bs, cs in _run_rows(r, cpost, dpost):
-        hit = _escape(holds, a, bs, cs, _union(dimg, bs), dimg)
+        hit = _escape(post, a, bs, cs, _union(dimg, bs), dimg)
         if hit is not None:
             a, b, t, t2 = hit
             return JudgeResult("existsexists", True, Counterexample(

@@ -3,9 +3,14 @@
 A witness is either a term (possibly with chooser bitests) or a concrete pair
 relation.  A witness term is compiled once per model into closures over pair
 states p = a * n + b, as `models.kmodel` compiles a KAT term over states, and
-one walk carries a batch of up to WALK_SOURCES sources: each reached pair is
-tagged with the bitmask of the sources that reach it.  Tests filter pairs
-through `compile_pred`; an embedded action first fills its `PostMap` with the
+one walk carries a batch of sources: each reached pair is tagged with the
+bitmask of the sources that reach it.  `term_tags` returns that tag dict as
+it is, for a caller that reads coverage from the bits (adequacy);
+`term_image` and `term_preimage` decode it into per-source images, at most
+WALK_SOURCES sources per walk.  A bitest step keeps the pairs that pass it:
+a test of one side reads its byte table at a = p // n or b = p % n, a keyed
+predicate compares `lk[a]` with `rk[b]`, anything else calls the
+`PairPred` closure.  An embedded action first fills its `PostMap` with the
 distinct left (or right) states of the frontier, then reads one image per
 pair.  Images are computed only from the pairs the validity conditions
 quantify over (forward from the pre-relation, backward from the
@@ -34,11 +39,12 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-from ..bi.terms import BEmbL, BiKatTerm, BTest
+from ..bi.terms import BEmbL, BiKatTerm, BiTestTerm, BTest
 from ..kat.terms import kleene_map
 from ..models.bmodel import BiModel
-from ..models.kmodel import WALK_SOURCES, WALKS, Tagged, Walk, walk_sources
-from .core import Counterexample, Judgment, compile_pred, pair_spec, post_map
+from ..models.kmodel import (WALK_SOURCES, WALKS, Tagged, Walk, test_table,
+                             walk_sources)
+from .core import Counterexample, Judgment, pair_spec, post_map, side_test
 from .oracles import (JudgeResult, RouteDisagreement, _pre_chunks, _run_rows,
                       check_bsim, check_fsim)
 
@@ -75,6 +81,13 @@ class RelWitness:
 Witness = BiKatTerm | RelWitness
 
 
+def term_tags(bm: BiModel, w: BiKatTerm, sources: list[int]) -> Tagged:
+    """One walk of a witness term from packed source pairs p = a * n + b:
+    each pair state it reaches, packed, with the bitmask of the sources that
+    reach it (bit i for `sources[i]`)."""
+    return _pair_walker(bm, w, False)({p: 1 << i for i, p in enumerate(sources)})
+
+
 def term_image(bm: BiModel, w: BiKatTerm, sources) -> ImageMap:
     """Per-source images of a witness term: a frozenset of pairs for each
     distinct source pair."""
@@ -87,6 +100,8 @@ def term_preimage(bm: BiModel, w: BiKatTerm, targets) -> ImageMap:
 
 
 def _pair_images(bm: BiModel, w: BiKatTerm, sources, backward: bool) -> ImageMap:
+    """The tagged walk of `term_tags` (of the converse if `backward`), a
+    batch of WALK_SOURCES sources at a time, decoded per source."""
     n = bm.space.size
     walk = _pair_walker(bm, w, backward)
     packed = list(dict.fromkeys(a * n + b for a, b in sources))
@@ -108,8 +123,7 @@ def _compile_pairs(bm: BiModel, w: BiKatTerm, backward: bool) -> Walk:
 
     def leaf(u: BiKatTerm) -> Walk:
         if isinstance(u, BTest):
-            pred = compile_pred(bm, u.test)
-            return lambda cur: {p: g for p, g in cur.items() if pred(*divmod(p, n))}
+            return _pair_filter(bm, u.test)
         step = post_map(bm.base, u.arg, backward=backward)
         if isinstance(u, BEmbL):
             def left(cur: Tagged) -> Tagged:
@@ -137,6 +151,25 @@ def _compile_pairs(bm: BiModel, w: BiKatTerm, backward: bool) -> Walk:
             return out
         return right
     return kleene_map(w, leaf, WALKS, reverse=backward)
+
+
+def _pair_filter(bm: BiModel, t: BiTestTerm) -> Walk:
+    """The pair states of a walk step that pass a bitest: a test of one
+    side reads its byte table at p // n or p % n, a keyed predicate
+    compares the two keys, and any other runs its closure."""
+    n = bm.space.size
+    side = side_test(t)
+    if side is not None:
+        table = test_table(bm.base, side[1])
+        if side[0] == "L":
+            return lambda cur: {p: g for p, g in cur.items() if table[p // n]}
+        return lambda cur: {p: g for p, g in cur.items() if table[p % n]}
+    pred = pair_spec(bm, t).pred
+    if pred.keyed:
+        lk, rk = pred.lk, pred.rk
+        return lambda cur: {p: g for p, g in cur.items() if lk[p // n] == rk[p % n]}
+    holds = pred.holds
+    return lambda cur: {p: g for p, g in cur.items() if holds(p // n, p % n)}
 
 
 def _witness_images(bm: BiModel, w: Witness, sources, backward: bool) -> ImageMap:
@@ -205,11 +238,12 @@ def _check_valid(bm: BiModel, w: Witness, j: Judgment, backward: bool) -> Witnes
         cexs[name] = Counterexample(name, tgt + src if backward else src + tgt,
                                     f"{ends[0]} -> {ends[1]}: {why}")
 
+    s_holds = s.pred.holds
     chunks = _pre_chunks(r, cpost, dpost, WALK_SOURCES)
     for src, tgts in _chunk_images(chunks, lambda ps: _witness_images(bm, w, ps, backward)):
         if conds[wc]:
             for t in tgts:
-                if not s.holds(*t):
+                if not s_holds(*t):
                     fail(wc, src, t, "witness run " + (
                         "starts outside the pre" if backward else "leaves the post"))
                     break
@@ -268,10 +302,10 @@ def _construct(bm: BiModel, j: Judgment, backward: bool) -> RelWitness:
     if not oracle.holds:
         raise WitnessRefused(oracle)
     r, s, cpost, dpost = _views(bm, j, backward)
-    dimg = dpost.images
+    dimg, s_holds = dpost.images, s.pred.holds
     fwd: dict[Pair, frozenset[Pair]] = {}
     for a, bs, cs in _run_rows(r, cpost, dpost):
         for b in bs:
             fwd[(a, b)] = frozenset(
-                (t, min(x for x in dimg[b] if s.holds(t, x))) for t in cs)
+                (t, min(x for x in dimg[b] if s_holds(t, x))) for t in cs)
     return RelWitness(fwd)

@@ -26,8 +26,7 @@ from dataclasses import dataclass, field
 
 from ..bi.terms import (BAnd, BEmbLTest, BEmbRTest, BiTestTerm, BOne,
                         BPrim, band, bnot, bor, simplify_bitest)
-from ..judge.core import (ExprBitest, Judgment, RelSpec, compile_pred,
-                          pair_spec, post_map)
+from ..judge.core import ExprBitest, Judgment, RelSpec, pair_spec, post_map
 from ..judge.oracles import JudgeResult, dispatch
 from ..models.imp import (BoolExpr, ImpEnv, Program, SAssign, SHavoc, SIf,
                           SSkip, SWhile, Stmt, bool_str, expr_str, stmt_str,
@@ -141,11 +140,11 @@ def check_implication(ctx: RhlContext, lhs: BiTestTerm, rhs: BiTestTerm):
     otherwise.  The lhs rows are streamed, so a failure stops the
     enumeration at its row."""
     rows = pair_spec(ctx.bm, lhs).rows()
-    pred = compile_pred(ctx.bm, rhs)
+    rhs_pred = pair_spec(ctx.bm, rhs).pred
     for a, bs in rows:
-        for b in bs:
-            if not pred(a, b):
-                return (a, b)
+        hit = rhs_pred.escape((a,), bs)
+        if hit is not None:
+            return hit
     return None
 
 
@@ -199,7 +198,7 @@ def discharge_side_condition(ctx: RhlContext, sc: SideCondition) -> tuple[bool, 
         rows = dict(pair_spec(ctx.bm, band(inv, guard2)).rows())
         images = post_map(ctx.bm.base, ctx.compile(body2)).fill(
             {b for row in rows.values() for b in row})
-        holds, vals = compile_pred(ctx.bm, inv), ctx.env.values(variant)
+        holds, vals = pair_spec(ctx.bm, inv).pred.holds, ctx.env.values(variant)
         for a, row in rows.items():
             for b in row:
                 if not any(vals[t2] < vals[b] and holds(a, t2) for t2 in images[b]):

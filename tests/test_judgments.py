@@ -573,19 +573,19 @@ class TestAdequacyEarlyStop:
         prob = load_problem(self.PROBLEM)
         bm, j = prob.bm, prob.judgment()
         seen = []
-        image = witness.term_image
+        tags = witness.term_tags
 
         def counting(bm, w, sources):
             seen.append(len(sources))
-            return image(bm, w, sources)
+            return tags(bm, w, sources)
 
-        monkeypatch.setattr(witness, "term_image", counting)
-        # uncovered only from the first pre pair: one chunk is imaged
+        monkeypatch.setattr(witness, "term_tags", counting)
+        # uncovered only from the first pre pair: one chunk is walked
         first = prob.parser.bikat(self.GOAL.replace("7", "0"))
         res = check_adequacy(bm, j.spec.pre, j.left, j.right, first)
         assert not res.holds and res.counterexample.states[:2] == (0, 0)
         assert seen == [64]
-        # an adequate term images every pre pair, in doubling chunks
+        # an adequate term walks every pre pair, in doubling chunks
         seen.clear()
         assert check_adequacy(bm, j.spec.pre, j.left, j.right,
                               emb_pair(j.left, j.right)).holds

@@ -8,12 +8,13 @@ Each pass loads every case of the workload afresh and runs its checks, as
 `perfbench/run.py` does.  The time inside a check is split by exclusive
 time, so nested calls are counted once, into four phases:
 
-- tables: successor, predecessor and test tables, and expression value lists
-  (`ActionSem.succ_table`/`pred_table`, `TestSem.table`, `ImpEnv.values`);
+- tables: successor, predecessor and test tables, expression value lists
+  and the key columns of pair predicates (`ActionSem.succ_table`/
+  `pred_table`, `TestSem.table`, `ImpEnv.values`, `core._key_column`);
 - rows: pair-relation enumeration (`PairSpec.rows`/`pairs`/`partners_left`
   and the oracles' chunked row iterator `_pre_chunks`);
 - walks: image computation (`kmodel.image`/`kat_post`/`kat_pre`, and the
-  pair-state walks of `witness.term_image`);
+  pair-state walks of `witness.term_image` and `witness.term_tags`);
 - check: the rest of the verdict's time: the oracles' own loops, script
   replay and the proof checker.
 
@@ -117,13 +118,16 @@ def install(ph: Phases) -> None:
     chunks = ph.timed_iter("rows", oracles._pre_chunks)
     oracles._pre_chunks = witness._pre_chunks = chunks
 
-    walks = {f: ph.timed("walks", f) for f in
-             (kmodel.image, kmodel.kat_post, kmodel.kat_pre, witness.term_image)}
+    # module functions, replaced under every name a bikat module holds them by
+    funcs = {f: ph.timed(phase, f) for phase, fs in (
+        ("tables", (core._key_column,)),
+        ("walks", (kmodel.image, kmodel.kat_post, kmodel.kat_pre,
+                   witness.term_image, witness.term_tags))) for f in fs}
     for mod in list(sys.modules.values()):
         if getattr(mod, "__name__", "").startswith(bikat.__name__):
             for name, value in list(vars(mod).items()):
-                if callable(value) and value in walks:
-                    setattr(mod, name, walks[value])
+                if callable(value) and value in funcs:
+                    setattr(mod, name, funcs[value])
 
 
 def run_pass(ph: Phases, cases, verdict) -> dict[str, float]:
