@@ -1,14 +1,20 @@
-"""Concrete syntax for abstract two-execution terms and for alignment steps.
+"""Concrete syntax for two-execution terms and for alignment steps.
 
-Terms use the Kleene grammar of `kat.parse` with the atoms
+`bikat_grammar` is the one BiKAT grammar, the Kleene grammar of `kat.parse`
+with the atoms
 
     atom   := <k] | [k> | <k|k> | 0 | 1 | (term) | bitest
-    bitest := name | [name] | L[t] | R[t] | true | false | !atom
+    bitest := compare | L[t] | R[t] | true | false | !atom
 
-where `k` is an abstract KAT term and `t` a KAT test over the underlying
-alphabet, both parsed in place, `name` a declared bitest, and `!` applies to
-(one-sided embeddings of) tests.  Bitest atoms combine with `&` and `|`
-(`&` binding tighter), as the term printer writes them.
+continued by `&` and `|` (`&` binding tighter) from a bitest atom, as the
+term printer writes them; `!` applies to (one-sided embeddings of) tests.
+A syntax gives the grammar three things: its KAT grammar, which parses `k`
+in place; its test parser `side`, which parses `t` inside `L[..]` and
+`R[..]`; and its own bitest atom `compare`.  Abstract terms (`parse_biterm`)
+use the abstract KAT grammar, a KAT test for `t`, and a declared bitest
+`name` or `[name]` for `compare`; program-syntax terms
+(`problem.ImpTermParser`) use the C-like KAT grammar, a program condition
+for `t`, and `[lexpr OP rexpr]` for `compare`.
 
 A script step is one line, `law-name @ path (key: value, ...)`, with path
 `root`, `.` or dotted child indices.  Parameters are `key: value` or
@@ -20,16 +26,17 @@ comparisons.  `#` starts a comment in a script file.
 from __future__ import annotations
 
 import re
+from typing import Callable
 
 from ..kat.parse import (NAME, Cur, Kleene, ParseError, kat_grammar, or_and,
                          parse_all, test_of)
-from ..kat.terms import Alphabet, KTest
+from ..kat.terms import Alphabet, TestTerm
 from .script import Step
-from .terms import (BIKAT, B0, B1, BEmbL, BEmbLTest, BEmbR, BEmbRTest,
-                    BiKatTerm, BPrim, BTest, band, bembl, bembr, bnot, bor,
-                    btest, emb_pair, emb_test)
+from .terms import (BIKAT, B0, B1, BEmbLTest, BEmbRTest, BiKatTerm,
+                    BiTestTerm, BPrim, BTest, band, bembl, bembr, bnot, bor,
+                    btest, emb_pair)
 
-_BRACKETED_NAME = re.compile(r"(" + NAME.pattern + r")\s*\]")
+_DECLARED = re.compile(r"\[(" + NAME.pattern + r")\s*\]|(" + NAME.pattern + r")")
 
 
 class BiAlphabet:
@@ -43,18 +50,21 @@ class BiAlphabet:
         return f"BiAlphabet(kat={self.kat!r}, bitests={self.bitests!r})"
 
 
-def _as_bitest(t: BiKatTerm, pos: int):
+def as_bitest(t: BiKatTerm, pos: int) -> BiTestTerm:
+    """The bitest of a parsed term; `pos` is the offset reported if it is
+    not one.  Embedded tests are kept in bitest form, so a test is a
+    `BTest`."""
     if isinstance(t, BTest):
         return t.test
-    if isinstance(t, BEmbL) and isinstance(t.arg, KTest):
-        return emb_test("L", t.arg.test)
-    if isinstance(t, BEmbR) and isinstance(t.arg, KTest):
-        return emb_test("R", t.arg.test)
     raise ParseError("expected a bitest", pos)
 
 
-def bikat_grammar(alph: BiAlphabet) -> Kleene:
-    kat = kat_grammar(alph.kat)
+def bikat_grammar(kat: Kleene, side: Callable[[Cur], TestTerm],
+                  compare: Callable[[Cur], BiTestTerm | None]) -> Kleene:
+    """The BiKAT grammar of a syntax with the KAT grammar `kat`, the test
+    parser `side` (read up to the `]` of `L[..]` or `R[..]`), and the bitest
+    atom `compare`, which returns None, having read nothing, where it does
+    not apply."""
 
     def atom(c: Cur) -> BiKatTerm:
         t = simple(c)
@@ -62,7 +72,7 @@ def bikat_grammar(alph: BiAlphabet) -> Kleene:
             first = [t.test]
 
             def operand(c: Cur):
-                return first.pop() if first else _as_bitest(simple(c), c.i)
+                return first.pop() if first else as_bitest(simple(c), c.i)
             t = btest(or_and(c, operand, ("|", "&"),
                              lambda ts: bor(*ts), lambda ts: band(*ts)))
         return t
@@ -74,7 +84,7 @@ def bikat_grammar(alph: BiAlphabet) -> Kleene:
             c.expect(")")
             return t
         if c.eat("!"):
-            return btest(bnot(_as_bitest(simple(c), c.i)))
+            return btest(bnot(as_bitest(simple(c), c.i)))
         if c.eat("<"):
             left = kat.term(c)
             if c.eat("|"):
@@ -83,26 +93,22 @@ def bikat_grammar(alph: BiAlphabet) -> Kleene:
                 return emb_pair(left, right)
             c.expect("]")
             return bembl(left)
+        if c.peek(2) in ("L[", "R["):
+            c.i += 2
+            test = side(c)
+            c.expect("]")
+            return btest(BEmbLTest(test) if ch == "L" else BEmbRTest(test))
+        t = compare(c)
+        if t is not None:
+            return btest(t)
         if c.eat("["):
-            m = _BRACKETED_NAME.match(c.text, c.i)
-            if m and m.group(1) in alph.bitests:
-                c.i = m.end()
-                return btest(BPrim(m.group(1)))
             k = kat.term(c)
             c.expect(">")
             return bembr(k)
         if ch == "0" or ch == "1":
             c.i += 1
             return B0 if ch == "0" else B1
-        if c.peek(2) in ("L[", "R["):
-            c.i += 2
-            pos = c.i
-            test = test_of(kat.term(c), pos)
-            c.expect("]")
-            return btest(BEmbLTest(test) if ch == "L" else BEmbRTest(test))
         name = c.match(NAME, "a term")
-        if name in alph.bitests:
-            return btest(BPrim(name))
         if name in ("true", "false"):
             return B1 if name == "true" else B0
         raise ParseError(f"undeclared bitest {name!r}", c.i)
@@ -112,7 +118,22 @@ def bikat_grammar(alph: BiAlphabet) -> Kleene:
 
 
 def parse_biterm(text: str, alph: BiAlphabet) -> BiKatTerm:
-    return parse_all(text, bikat_grammar(alph).term)
+    kat = kat_grammar(alph.kat)
+
+    def side(c: Cur) -> TestTerm:
+        pos = c.i
+        return test_of(kat.term(c), pos)
+
+    def compare(c: Cur) -> BiTestTerm | None:
+        c.skip_ws()
+        m = _DECLARED.match(c.text, c.i)
+        name = m and (m.group(1) or m.group(2))
+        if name not in alph.bitests:
+            return None
+        c.i = m.end()
+        return BPrim(name)
+
+    return parse_all(text, bikat_grammar(kat, side, compare).term)
 
 
 # --- script steps ---------------------------------------------------------------

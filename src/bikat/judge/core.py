@@ -1,13 +1,16 @@
 """Judgment data, compiled pair predicates and enumerable views of pair
 relations.
 
-`compile_pred` compiles a bitest to a `PairPred`.  The atoms of a
-conjunction that compare a left and a right expression with `==`, test one
-side only, or are `1` become two key columns over states: `lk[a]` packs the
+Both readers of a bitest split its conjunction once, with `_split`: the
+tests of each side (`side_test`), the `==` expression bitests, the other
+expression comparisons and the remaining atoms.
+
+`compile_pred` compiles a bitest to a `PairPred`.  The `==` bitests and the
+tests of each side become two key columns over states: `lk[a]` packs the
 left expressions' values into one int (-1 where a left test fails), `rk[b]`
 the right ones (-2 where a right test fails), each lifted from the
 footprint of its expressions.  The keyed atoms hold at (a, b) exactly when
-`lk[a] == rk[b]`; every other atom is a residual closure tested after the
+`lk[a] == rk[b]`; the other atoms are a residual closure tested after the
 keys.  So a row of pairs is decided with C-level set operations on keys,
 not one closure call per pair.  `PairSpec.pred` holds the predicate of its
 bitest, built on first use and memoized with the spec by `pair_spec`.
@@ -15,20 +18,17 @@ bitest, built on first use and memoized with the spec by `pair_spec`.
 `PairSpec` turns a bitest into rows the oracles can iterate: each left state
 with its list of right partners (`rows`, in state order, streamed: a row is
 built when it is reached).  `pairs` flattens the rows, and `partners_left`
-builds one row the same way and keeps it.  Enumeration is refused above a
-cap before it starts, never truncated.
-
-To enumerate, `PairSpec` analyses conjunctions of one-sided conditions and
-expression comparisons whose right side reads one state field.  On a
-structured space it computes a field layout once per spec: the fields an
-equality pins to a left-state value, the value lists of compared fields,
-one list of bit patterns for the free fields, and byte tables for the
-one-sided conditions.  The pinned fields of the right partners of every
-left state are then built at once, as a template column lifted from the
-footprints of the left expressions.  A right candidate is a template ORed
-with a pattern; the patterns that pass the right-side conditions are found
-once per template.  Anything outside that fragment falls back to
-full-product filtering, which is refused above a size cap.
+builds one row the same way and keeps it.  From the split it computes a
+field layout once per spec: byte tables for the tests of each side, the
+fields an `==` bitest pins to a left-state value, the value lists of the
+fields other comparisons read, one list of bit patterns for the free fields
+(one pattern per state on a space without fields) and residual filters for
+the rest.  The pinned fields of the right partners of every left state are
+built at once, as a template column lifted from the footprints of the left
+expressions.  A right candidate is a template ORed with a pattern; the
+patterns that pass the right tests are found once per template.
+Enumeration is refused before it starts, never truncated, when an estimate
+of its candidates exceeds the one cap `PAIR_ENUM_CAP`.
 
 `PostMap` memoizes per-state images of a program term in `images`; `fill`
 computes the missing images of a whole batch of states in one walk of the
@@ -49,7 +49,6 @@ from ..models.imp import CMP_OPS, ImpEnv
 from ..models.kmodel import image, kat_post, kat_pre, test_table
 
 PAIR_ENUM_CAP = 4_000_000
-FULL_PRODUCT_CAP = 1024
 
 
 class EnumRefused(Exception):
@@ -83,10 +82,6 @@ class ExprBitest(BitestSem):
 
     def _holds(self, s: int, s2: int) -> bool:
         return self.cmp(self.lvals()[s], self.rvals()[s2])
-
-    def right_field(self):
-        """The one field the right expression reads, or None."""
-        return self.env.field_of(self.rexpr)
 
 
 class PairPred:
@@ -137,24 +132,19 @@ class PairPred:
         return any(holds(a, b) for b in bs)
 
 
-def compile_pred(bm: BiModel, t: BiTestTerm) -> PairPred:
-    """Compile a bitest to a pair predicate keyed by two state columns.
-
-    The atoms of a conjunction that are `==` expression bitests, tests of
-    one side (`L[..]`, `R[..]` and Boolean combinations of one side's tests)
-    or `1` are keyed: the left column `lk[a]` packs the values of the left
-    expressions into one int, or is -1 where a left test fails; the right
-    column `rk[b]` packs the right expressions the same way, or is -2 where
-    a right test fails.  So the keyed atoms hold at (a, b) exactly when
-    `lk[a] == rk[b]`.  Each column is lifted from the union footprint of its
-    expressions.  Every other atom (an ordering or `!=` comparison, a
-    negation or disjunction reading both sides, an abstract bitest, `0`)
-    is a residual closure, tested after the keys."""
-    atoms = t.args if isinstance(t, BAnd) else (t,)
+def _split(bm: BiModel, t: BiTestTerm):
+    """The atoms of the conjunction `t`, split once for every reader: the
+    tests of the left side and of the right side (`side_test`: `L[..]`,
+    `R[..]` and Boolean combinations of one side's tests, as KAT tests), the
+    `==` expression bitests, the other expression comparisons and the
+    remaining atoms; `1` is dropped.  None if an atom is `0`."""
     tests: dict[str, list[TestTerm]] = {"L": [], "R": []}
     eqs: list[ExprBitest] = []
-    rest = []
-    for a in atoms:
+    cmps: list[ExprBitest] = []
+    rest: list[BiTestTerm] = []
+    for a in t.args if isinstance(t, BAnd) else (t,):
+        if isinstance(a, BZero):
+            return None
         if isinstance(a, BOne):
             continue
         side = side_test(a)
@@ -162,16 +152,36 @@ def compile_pred(bm: BiModel, t: BiTestTerm) -> PairPred:
             tests[side[0]].append(side[1])
             continue
         sem = bm.bitest(a.name) if isinstance(a, BPrim) else None
-        if isinstance(sem, ExprBitest) and sem.op == "==":
-            eqs.append(sem)
+        if isinstance(sem, ExprBitest):
+            (eqs if sem.op == "==" else cmps).append(sem)
         else:
-            rest.append(_closure(bm, a))
-    residual = (rest[0] if len(rest) == 1 else _all_of(rest)) if rest else None
-    if not (eqs or tests["L"] or tests["R"]):
+            rest.append(a)
+    return tests["L"], tests["R"], eqs, cmps, rest
+
+
+def compile_pred(bm: BiModel, t: BiTestTerm) -> PairPred:
+    """Compile a bitest to a pair predicate keyed by two state columns.
+
+    Of the atoms of the conjunction (`_split`), the `==` expression bitests
+    and the tests of one side are keyed: the left column `lk[a]` packs the
+    values of the left expressions into one int, or is -1 where a left test
+    fails; the right column `rk[b]` packs the right expressions the same
+    way, or is -2 where a right test fails.  So the keyed atoms hold at
+    (a, b) exactly when `lk[a] == rk[b]`.  Each column is lifted from the
+    union footprint of its expressions.  The other comparisons and the
+    remaining atoms (a negation or disjunction reading both sides, an
+    abstract bitest) are residual closures, tested after the keys."""
+    split = _split(bm, t)
+    if split is None:
+        return PairPred(None, None, lambda a, b: False)
+    left, right, eqs, cmps, rest = split
+    subs = [_compare(sem) for sem in cmps] + [_closure(bm, a) for a in rest]
+    residual = (subs[0] if len(subs) == 1 else _all_of(subs)) if subs else None
+    if not (eqs or left or right):
         return PairPred(None, None, residual)
     env = eqs[0].env if eqs else None
-    return PairPred(_key_column(bm, env, [s.lexpr for s in eqs], tests["L"], -1),
-                    _key_column(bm, env, [s.rexpr for s in eqs], tests["R"], -2),
+    return PairPred(_key_column(bm, env, [s.lexpr for s in eqs], left, -1),
+                    _key_column(bm, env, [s.rexpr for s in eqs], right, -2),
                     residual)
 
 
@@ -195,9 +205,9 @@ def _key_column(bm: BiModel, env: ImpEnv | None, exprs: list,
         col = space.lift(env.reads(*exprs), pack)
     else:
         col = [0] * space.size
-    if not tests:
+    table = _table(bm, tests)
+    if table is None:
         return col
-    table = test_table(bm.base, tand(*tests))
     return [k if ok else fail for k, ok in zip(col, table)]
 
 
@@ -220,17 +230,14 @@ def side_test(t: BiTestTerm) -> tuple[str, TestTerm] | None:
 
 def _closure(bm: BiModel, t: BiTestTerm):
     """A bitest as a closure on pairs, atom by atom: the residual atoms of
-    `compile_pred` and the pair filters of `PairSpec`."""
+    `compile_pred` and the residual filters of `PairSpec`."""
     if isinstance(t, BZero):
         return lambda a, b: False
     if isinstance(t, BOne):
         return lambda a, b: True
     if isinstance(t, BPrim):
         sem = bm.bitest(t.name)
-        if isinstance(sem, ExprBitest):
-            lv, rv, cmp = sem.lvals(), sem.rvals(), sem.cmp
-            return lambda a, b: cmp(lv[a], rv[b])
-        return sem.holds
+        return _compare(sem) if isinstance(sem, ExprBitest) else sem.holds
     if isinstance(t, BEmbLTest):
         table = test_table(bm.base, t.test)
         return lambda a, b: table[a] == 1
@@ -244,6 +251,11 @@ def _closure(bm: BiModel, t: BiTestTerm):
     if isinstance(t, BOr):
         return lambda a, b: any(p(a, b) for p in subs)
     return _all_of(subs)
+
+
+def _compare(sem: ExprBitest):
+    lv, rv, cmp = sem.lvals(), sem.rvals(), sem.cmp
+    return lambda a, b: cmp(lv[a], rv[b])
 
 
 def _all_of(subs: list):
@@ -333,18 +345,16 @@ class _Layout:
 
 class PairSpec:
     """Enumerable view of a bitest's pair relation in a model: the layout of
-    a conjunction, its template column and the rows built from them."""
+    its conjunction, its template column and the rows built from them."""
 
     def __init__(self, bm: BiModel, term: BiTestTerm):
         self.bm = bm
         self.term = term
         self.n = bm.space.size
-        self._analysis = self._analyse()
-        self._empty = self._analysis is not None and self._analysis[3] is None
+        self._atoms = _split(bm, term)  # None: the relation is empty
         self._layout: _Layout | None = None
         self._cols: tuple | None = None
         self._rows: dict[int, list[int]] = {}  # rows built by partners_left
-        self._all: dict[int, list[int]] | None = None  # rows without a layout
         self._filtered: dict[int, list[int]] = {}
         self._pred: PairPred | None = None
 
@@ -358,52 +368,28 @@ class PairSpec:
     def holds(self, s: int, s2: int) -> bool:
         return self.pred.holds(s, s2)
 
-    # --- conjunction analysis -------------------------------------------
-
-    def _analyse(self):
-        """Split a conjunction into left tests, right tests, residual pair
-        atoms, the expression bitests that pin a right field (first `==` per
-        field), and the other comparisons against one right field.  None if
-        the term is not a conjunction of supported atoms over a structured
-        space; `forced` is None if the relation is provably empty."""
-        space = self.bm.space
-        if not (space.vars or space.arrays):
-            return None
-        atoms = self.term.args if isinstance(self.term, BAnd) else (self.term,)
-        left_f, right_f, pair_f, forced = [], [], [], {}
-        compared: list[tuple] = []  # (field, ExprBitest)
-        for a in atoms:
-            if isinstance(a, BOne):
-                continue
-            if isinstance(a, BZero):
-                return ([], [], [], None, [])
-            if isinstance(a, BEmbLTest):
-                left_f.append(a.test)
-            elif isinstance(a, BEmbRTest):
-                right_f.append(a.test)
-            elif isinstance(a, BPrim):
-                sem = self.bm.bitest(a.name)
-                key = sem.right_field() if isinstance(sem, ExprBitest) else None
+    def _get_layout(self) -> _Layout:
+        """The layout of the conjunction's atoms (`_split`): the tests of
+        each side as a byte table; the first `==` bitest per right field
+        whose right side reads that one field forces the field; every other
+        comparison against one right field is pinned (its field is forced)
+        or compared; all other atoms filter.  Each value of the fields
+        neither forced nor compared is a free pattern; a space without
+        fields has one free pattern per state."""
+        if self._layout is None:
+            bm, space = self.bm, self.bm.space
+            left, right, eqs, cmps, rest = self._atoms
+            forced: dict = {}
+            compared: list[tuple] = []  # (field, ExprBitest)
+            preds = [_closure(bm, a) for a in rest]
+            for sem in eqs + cmps:
+                key = sem.env.field_of(sem.rexpr)
                 if key is None:
-                    pair_f.append(a)
+                    preds.append(_compare(sem))
                 elif sem.op == "==" and key not in forced:
                     forced[key] = sem
                 else:
                     compared.append((key, sem))
-            elif isinstance(a, (BNot, BOr)):
-                pair_f.append(a)
-            else:
-                return None
-        return (left_f, right_f, pair_f, forced, compared)
-
-    def _get_layout(self) -> _Layout:
-        if self._layout is None:
-            space, base = self.bm.space, self.bm.base
-            left_f, right_f, pair_f, forced, compared = self._analysis
-
-            def conj_table(tests) -> bytes | None:
-                return test_table(base, tand(*tests)) if tests else None
-
             by_field: dict = {}
             pinned = []
             for key, sem in compared:
@@ -413,17 +399,16 @@ class PairSpec:
                 else:
                     by_field.setdefault(key, (off, width, []))[2].append(
                         (sem.cmp, sem.lvals()))
-            patterns = [0]
+            patterns = [0] if space.fields() else list(range(self.n))
             for key in space.fields():
                 if key not in forced and key not in by_field:
                     off, width = space.field(key)
                     patterns = [p | v << off for v in range(1 << width)
                                 for p in patterns]
             self._layout = _Layout(
-                conj_table(left_f), conj_table(right_f),
+                _table(bm, left), _table(bm, right),
                 [space.field(k) + (sem,) for k, sem in forced.items()],
-                pinned, list(by_field.values()), sorted(patterns),
-                [_closure(self.bm, p) for p in pair_f])
+                pinned, list(by_field.values()), sorted(patterns), preds)
         return self._layout
 
     def _columns(self) -> tuple:
@@ -489,37 +474,27 @@ class PairSpec:
         return each
 
     def check_enumerable(self) -> None:
-        """Raise EnumRefused if enumerating the relation would exceed the
-        caps: an estimate of the pairs to build above PAIR_ENUM_CAP, or an
-        unstructured relation over more than FULL_PRODUCT_CAP states.  Nothing
+        """Raise EnumRefused if an estimate of the pairs to build, every
+        candidate of every open left state, exceeds PAIR_ENUM_CAP.  Nothing
         is enumerated."""
-        if self._empty:
+        if self._atoms is None:
             return
-        n = self.n
-        if self._analysis is not None:
-            lay = self._get_layout()
-            lefts = n if lay.left is None else lay.left.count(1)
-            estimated = lefts * self._candidates_each()
-            if estimated > PAIR_ENUM_CAP:
-                raise EnumRefused(
-                    f"pair enumeration of ~{estimated} pairs exceeds the cap "
-                    f"{PAIR_ENUM_CAP}")
-        elif n > FULL_PRODUCT_CAP:
+        lay = self._get_layout()
+        lefts = self.n if lay.left is None else lay.left.count(1)
+        estimated = lefts * self._candidates_each()
+        if estimated > PAIR_ENUM_CAP:
             raise EnumRefused(
-                f"cannot enumerate an unstructured pair relation over {n} states "
-                f"(cap {FULL_PRODUCT_CAP}); express the relation as a conjunction "
-                "of one-sided tests and expression equalities")
+                f"pair enumeration of ~{estimated} pairs exceeds the cap "
+                f"{PAIR_ENUM_CAP}")
 
     def rows(self) -> Iterator[tuple[int, list[int]]]:
         """The relation as rows, streamed: each left state with a partner, in
         order, with its right partners.  Each row is built from the template
         column when it is reached, so a reader that stops early builds few.
-        Refused above the caps before any row is built."""
+        Refused above the cap before any row is built."""
         self.check_enumerable()
-        if self._empty:
+        if self._atoms is None:
             return iter(())
-        if self._analysis is None:
-            return iter(self._all_rows().items())
         tmpl, opened = self._columns()
         lay = self._layout
         states, ts = range(self.n), tmpl
@@ -537,16 +512,6 @@ class PairSpec:
             if row:
                 yield s, row
 
-    def _all_rows(self) -> dict[int, list[int]]:
-        """Every row of a relation no layout applies to, by the pair
-        predicate, kept; refused above FULL_PRODUCT_CAP states."""
-        if self._all is None:
-            self.check_enumerable()
-            holds, states = self.holds, range(self.n)
-            rows = ((s, [s2 for s2 in states if holds(s, s2)]) for s in states)
-            self._all = {s: row for s, row in rows if row}
-        return self._all
-
     def pairs(self) -> list[tuple[int, int]]:
         """The rows flattened into pairs, in order."""
         return [(s, s2) for s, row in self.rows() for s2 in row]
@@ -554,10 +519,8 @@ class PairSpec:
     def partners_left(self, s: int) -> list[int]:
         """All s2 with (s, s2) in the relation: the row of `s`, built from
         the template column as `rows` builds it and kept."""
-        if self._empty:
+        if self._atoms is None:
             return []
-        if self._analysis is None:
-            return self._all_rows().get(s, [])
         got = self._rows.get(s)
         if got is None:
             tmpl, opened = self._columns()
@@ -567,16 +530,16 @@ class PairSpec:
 
     def partner_sets(self):
         """t -> the right states related to t, as a set memoized per t.  If
-        the caps refuse the whole relation, None where each state's
-        candidates pass through pair predicates (a negation or disjunction
-        scans the whole space per state) or no layout applies; otherwise the
+        the cap refuses the whole relation, None where each state's
+        candidates pass through residual filters (a negation or disjunction
+        reading both sides filters every state of a space); otherwise the
         function raises EnumRefused before enumerating a state that would
         take the candidates built past PAIR_ENUM_CAP."""
         try:
             self.check_enumerable()
             each = 0
         except EnumRefused:
-            if self._analysis is None or self._layout.preds:
+            if self._layout.preds:
                 return None
             each = self._candidates_each()
         known: dict[int, frozenset[int]] = {}
@@ -605,6 +568,11 @@ def _placed(f, off: int, width: int):
 
 def _fits(f, width: int):
     return lambda s: not f(s) >> width
+
+
+def _table(bm: BiModel, tests: list[TestTerm]) -> bytes | None:
+    """The byte table of a conjunction of tests; None for no test."""
+    return test_table(bm.base, tand(*tests)) if tests else None
 
 
 def _both(a: bytes, b: bytes) -> bytes:

@@ -22,10 +22,13 @@ Any other block is refused.  `#` starts a comment anywhere.
 Bitests: `[lexpr OP rexpr]` compares a left-state expression with a
 right-state one; `L[cond]` / `R[cond]` are one-sided conditions; combine with
 `&`, `|`, `!`, `true`, `false`.  Inside witness/script terms, `<k]`, `[k>`
-and `<k|k>` embed program fragments written in the same C-like syntax.  All
-terms use the one Kleene grammar of `kat.parse`; program conditions and
-bitests use its one boolean grammar; script steps are parsed by
-`bi.parse.parse_step`.
+and `<k|k>` embed program fragments written in the same C-like syntax.
+Witness, script and bitest blocks all use the one BiKAT grammar of
+`bi.parse.bikat_grammar` (a bitest block is a term of it that is a bitest),
+so a script goal may hold any bitest a pre may.  All terms use the one Kleene
+grammar of `kat.parse`; program conditions use its one boolean grammar;
+script steps are parsed by `bi.parse.parse_step`.  The named blocks inside
+`relhyp` and `script` are read by one loop, `_blocks`.
 """
 
 from __future__ import annotations
@@ -33,10 +36,9 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass, field
 
-from .bi.parse import parse_script_lines
+from .bi.parse import as_bitest, bikat_grammar, parse_script_lines
 from .bi.script import AlignmentScript, ScriptContext, Step
-from .bi.terms import (BIKAT, BT0, BT1, BiKatTerm, BiTestTerm, band, bembl,
-                       bembr, bnot, bor, btest, emb_pair, BEmbLTest, BEmbRTest)
+from .bi.terms import BT1, BiKatTerm, BiTestTerm, emb_pair
 from .judge.core import Judgment, RelSpec
 from .judge.oracles import ORACLES
 from .kat.decide import ZeroHypothesis
@@ -206,14 +208,16 @@ def _condition(c: Cur):
 class ImpTermParser:
     """Parses program-syntax terms, registering primitives in an ImpEnv.
 
-    KAT atoms are statements and bracketed conditions; BiKAT atoms are
-    bitests and the embeddings `<k]`, `[k>` and `<k|k>` of KAT terms."""
+    KAT atoms are statements and bracketed conditions; BiKAT terms are those
+    of the one grammar `bi.parse.bikat_grammar`, over this KAT grammar, with
+    program conditions inside `L[..]` and `R[..]` and the comparison
+    `[lexpr OP rexpr]` as the bitest atom."""
 
     def __init__(self, env: ImpEnv, bm: BiModel):
         self.env = env
         self.bm = bm
         self._kat = Kleene(self._kat_atom, KAT)
-        self._bi = Kleene(self._bi_atom, BIKAT)
+        self._bi = bikat_grammar(self._kat, self._side, self._compare)
 
     def kat(self, text: str) -> KatTerm:
         return parse_all(text, self._kat.term)
@@ -222,13 +226,10 @@ class ImpTermParser:
         return self.env.compile_bool(parse_all(text, _condition))
 
     def bitest(self, text: str) -> BiTestTerm:
-        return parse_all(text, self._bitest)
+        return as_bitest(self.bikat(text), 0)
 
     def bikat(self, text: str) -> BiKatTerm:
         return parse_all(text, self._bi.term)
-
-    def rel_bitest(self, lexpr, op: str, rexpr) -> BiTestTerm:
-        return rel_bitest_term(RhlContext(self.env, self.bm), lexpr, op, rexpr)
 
     def _kat_atom(self, c: Cur) -> KatTerm:
         if c.eat("("):
@@ -246,66 +247,28 @@ class ImpTermParser:
             return ktest(tnot(self.env.compile_bool(_closed_bool(c))))
         return self.env.compile_stmt(parse_stmt(c))
 
-    def _bitest(self, c: Cur) -> BiTestTerm:
-        return or_and(c, self._bitest_atom, ("|", "&"),
-                      lambda ts: bor(*ts), lambda ts: band(*ts))
+    def _side(self, c: Cur) -> TestTerm:
+        return self.env.compile_bool(parse_bool(c))
 
-    def _bitest_atom(self, c: Cur) -> BiTestTerm:
-        if c.eat("!"):
-            return bnot(self._bitest_atom(c))
-        if c.eat("("):
-            t = self._bitest(c)
-            c.expect(")")
-            return t
-        if c.eat("true"):
-            return BT1
-        if c.eat("false"):
-            return BT0
-        if c.eat("L["):
-            return BEmbLTest(self.env.compile_bool(_closed_bool(c)))
-        if c.eat("R["):
-            return BEmbRTest(self.env.compile_bool(_closed_bool(c)))
-        c.expect("[")
-        lexpr = parse_expr(c)
+    def _compare(self, c: Cur) -> BiTestTerm | None:
+        """`[lexpr OP rexpr]`, committed once OP is read; None, having read
+        nothing, where no comparison operator follows `[lexpr`, so that the
+        `[` opens a right embedding `[k>`."""
         c.skip_ws()
-        for op in _CMP_OPS:
-            if c.eat(op):
-                rexpr = parse_expr(c)
-                c.expect("]")
-                return self.rel_bitest(lexpr, op, rexpr)
-        raise ParseError("expected a comparison in a bitest", c.i)
-
-    def _bi_atom(self, c: Cur) -> BiKatTerm:
-        if c.eat("("):
-            t = self._bi.term(c)
-            c.expect(")")
-            return t
-        if c.eat("!"):
-            return btest(bnot(self._bitest_atom(c)))
-        if c.peek(2) in ("L[", "R[") or c.peek(5) == "false":
-            return btest(self._bitest_atom(c))
-        if c.eat("<"):
-            left = self._kat.term(c)
-            if c.eat("|"):
-                right = self._kat.term(c)
-                c.expect(">")
-                return emb_pair(left, right)
-            c.expect("]")
-            return bembl(left)
-        if c.peek() == "[":
-            # bitest "[e OP e]" or right embedding "[k>": try the bitest shape
-            save = c.i
-            try:
-                return btest(self._bitest_atom(c))
-            except ParseError:
-                c.i = save
-            c.expect("[")
-            k = self._kat.term(c)
-            c.expect(">")
-            return bembr(k)
-        if c.eat("true"):
-            return btest(BT1)
-        raise ParseError(f"unexpected term at {c.text[c.i:c.i+16]!r}", c.i)
+        start = c.i
+        if not c.eat("["):
+            return None
+        try:
+            lexpr = parse_expr(c)
+            op = next((op for op in _CMP_OPS if c.eat(op)), None)
+        except ParseError:
+            op = None
+        if op is None:
+            c.i = start
+            return None
+        rexpr = parse_expr(c)
+        c.expect("]")
+        return rel_bitest_term(RhlContext(self.env, self.bm), lexpr, op, rexpr)
 
 
 # --- problem files -------------------------------------------------------------
@@ -452,37 +415,34 @@ def _load(text: str, name: str, width_override: int | None) -> Problem:
     parser = ImpTermParser(env, bm)
     prob = Problem(name, width, env, bm, parser=parser)
 
+    blocks = {"left": parse_stmts_text, "right": parse_stmts_text,
+              "pre": parser.bitest, "post": parser.bitest, "witness": parser.bikat}
+    script = {"start": parser.bikat, "goal": parser.bikat,
+              "steps": lambda blob: tuple(parse_script_lines(blob))}
     for entry in raw:
         key = entry[0]
         if key == "kind":
             prob.kind = _judgment_kind(entry[1])
         elif key == "expect":
             prob.expects.append(entry[1])
-        elif key == "left":
-            prob.left = _within(key, entry[1], parse_stmts_text)
-        elif key == "right":
-            prob.right = _within(key, entry[1], parse_stmts_text)
-        elif key == "pre":
-            prob.pre = _within(key, entry[1], parser.bitest)
-        elif key == "post":
-            prob.post = _within(key, entry[1], parser.bitest)
-        elif key == "witness":
-            prob.witness = _within(key, entry[1], parser.bikat)
+        elif key in blocks:
+            setattr(prob, key, _within(key, entry[1], blocks[key]))
         elif key == "hyp":
             prob.zero_hyps[entry[1]] = ZeroHypothesis(
                 entry[1], _within(f"hyp {entry[1]}", entry[2], parser.kat))
         elif key == "relhyp":
             hkind = _judgment_kind(entry[2])
             prob.rel_hyps[entry[1]] = RelHypothesis(entry[1], _within(
-                f"relhyp {entry[1]}", entry[3],
-                lambda blob: _parse_relhyp(blob, hkind, parser)))
+                f"relhyp {entry[1]}", entry[3], lambda blob: _relhyp(blob, hkind, parser)))
         elif key == "implhyp":
             name = f"implhyp {entry[1]}"
             prob.impl_hyps[entry[1]] = ImplicationHypothesis(
                 entry[1], _within(name, entry[2], parser.bitest),
                 _within(name, entry[3], parser.bitest))
         elif key == "script":
-            _within(key, entry[1], lambda blob: _parse_script_block(blob, prob, parser))
+            for part, value in _within(key, entry[1],
+                                       lambda blob: _blocks(blob, "script", script)).items():
+                setattr(prob, f"script_{part}", value)
         else:
             raise ParseError(f"unknown problem block {key!r}")
     # a bad program is refused here rather than in the middle of a check;
@@ -512,36 +472,23 @@ def _judgment_kind(word: str) -> str:
     return word
 
 
-def _parse_relhyp(blob: str, kind: str, parser: ImpTermParser) -> RhlJudgment:
+def _blocks(blob: str, what: str, parsers: dict) -> dict:
+    """The blocks `key { body }` of `blob`, each body parsed by
+    `parsers[key]`; of two blocks with one key, the later is kept."""
     c = Cur(blob)
-    left = right = ()
-    pre = post = BT1
+    got = {}
     while not c.at_end():
         key = c.ident()
         block = c.braced_at()
-        if key == "left":
-            left = _within(key, block, parse_stmts_text)
-        elif key == "right":
-            right = _within(key, block, parse_stmts_text)
-        elif key == "pre":
-            pre = _within(key, block, parser.bitest)
-        elif key == "post":
-            post = _within(key, block, parser.bitest)
-        else:
-            raise ParseError(f"unknown relhyp block {key!r}")
-    return RhlJudgment(kind, left, right, pre, post)
+        if key not in parsers:
+            raise ParseError(f"unknown {what} block {key!r}")
+        got[key] = _within(key, block, parsers[key])
+    return got
 
 
-def _parse_script_block(blob: str, prob: Problem, parser: ImpTermParser):
-    c = Cur(blob)
-    while not c.at_end():
-        key = c.ident()
-        block = c.braced_at()
-        if key == "start":
-            prob.script_start = _within(key, block, parser.bikat)
-        elif key == "goal":
-            prob.script_goal = _within(key, block, parser.bikat)
-        elif key == "steps":
-            prob.script_steps = tuple(_within(key, block, parse_script_lines))
-        else:
-            raise ParseError(f"unknown script block {key!r}")
+def _relhyp(blob: str, kind: str, parser: ImpTermParser) -> RhlJudgment:
+    got = _blocks(blob, "relhyp", {
+        "left": parse_stmts_text, "right": parse_stmts_text,
+        "pre": parser.bitest, "post": parser.bitest})
+    return RhlJudgment(kind, got.get("left", ()), got.get("right", ()),
+                       got.get("pre", BT1), got.get("post", BT1))

@@ -53,3 +53,13 @@ def test_expect_lines_hold(path):
     assert prob.expects, f"{path.name} has no expect lines"
     for kind in prob.expects:
         assert verdict(kind, prob, path.with_suffix(".proof")), (path.name, kind)
+
+
+def test_conditional_alignment_reports_its_proviso():
+    # count-cond's script ends with the conditional alignment law, which
+    # holds in *-continuous models; the replay names that assumption
+    prob = corpus_problem("count-cond")
+    res = check_script(prob.script(), prob.script_context())
+    assert res.accepted, res.error
+    assert res.provisos == [
+        "step 5 uses expand-cond, valid in *-continuous models only"]

@@ -611,6 +611,10 @@ class TestRowPath:
             "R[z == 0] & ![x == y]", "[x == x] & [y == y] & [z == z]"]
     POSTS = ["[x == x]", "[y <= y] | [z == z]", "[w == w]",
              "L[y != 3] & [x != y]", "[z == z] & [w == w]"]
+    # a negated left test and a disjunction of right tests next to a forced
+    # and a compared field: the enumeration reads the one-sided atoms as
+    # tests of one side, as the keyed pair predicate does
+    MIXED = "!L[y == 3] & (R[z == 0] | R[w == 1]) & [x == x] & [y <= z]"
 
     @classmethod
     def cases(cls):
@@ -618,6 +622,8 @@ class TestRowPath:
         for _ in range(14):
             yield (rng.choice(cls.LEFTS), rng.choice(cls.RIGHTS),
                    rng.choice(cls.PRES), rng.choice(cls.POSTS))
+        yield cls.LEFTS[0], cls.RIGHTS[0], cls.MIXED, cls.POSTS[0]
+        yield cls.LEFTS[1], cls.RIGHTS[3], cls.MIXED, cls.POSTS[3]
 
     class PostPartners(dict):
         """t -> the set of states the bitest interpreter relates to t,

@@ -8,13 +8,16 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from bikat.bi import BiAlphabet, bikat_equiv, parse_biterm, parse_step
-from bikat.bi.terms import bembl, bembr, bseq, btest, emb_pair, BPrim
+from bikat.bi.terms import (BT0, BT1, BEmbLTest, BEmbRTest, BPrim, band, bembl,
+                            bembr, bnot, bor, bplus, bseq, bstar, btest, emb_pair)
 from bikat.kat import (Alphabet, CapExceeded, ParseError, kact, kat_equiv,
                        kseq, parse_term)
 from bikat.models.space import SpaceError
-from bikat.problem import Cur, load_problem, parse_expr
+from bikat.problem import (Cur, load_problem, parse_bool, parse_expr,
+                           parse_stmt)
 from bikat.rhl import check_selfcomp
 from bikat.rhl.parse import parse_proof
+from bikat.rhl.proof import rel_bitest_term
 
 from gen import random_bikat, random_kat
 
@@ -153,6 +156,63 @@ def test_printed_bikat_terms_parse_back():
         same += back == t
         assert back == t or bikat_equiv(back, t).is_equal, str(t)
     assert same > 250
+
+
+# atoms of program-syntax BiKAT terms, each printed as the parser reads it
+IMP_ACTIONS = ("x := y + 1", "y := any", "x := x * y", "y := 3 % (x + 1)")
+IMP_CONDS = ("x < 2", "y != x + 1", "x == 0 && y <= 1", "!(x == y) || y > 2")
+IMP_COMPARES = (("x", "==", "y"), ("x + 1", "<=", "y"), ("x * 2", "!=", "y % 3"),
+                ("y", ">", "x"))
+
+
+def random_imp_bitest(rng: random.Random, prob, depth: int):
+    r = rng.randrange(8 if depth else 3)
+    if r == 0:
+        lexpr, op, rexpr = rng.choice(IMP_COMPARES)
+        return rel_bitest_term(prob.rhl_context(), parse_expr(Cur(lexpr)), op,
+                               parse_expr(Cur(rexpr)))
+    if r == 1:
+        test = prob.env.compile_bool(parse_bool(Cur(rng.choice(IMP_CONDS))))
+        return rng.choice((BEmbLTest, BEmbRTest))(test)
+    if r == 2:
+        return rng.choice((BT0, BT1))
+    if r == 3:
+        return bnot(random_imp_bitest(rng, prob, depth - 1))
+    join = band if r < 6 else bor
+    return join(random_imp_bitest(rng, prob, depth - 1),
+                random_imp_bitest(rng, prob, depth - 1))
+
+
+def random_imp_bikat(rng: random.Random, prob, depth: int):
+    def action():
+        return prob.env.compile_stmt(parse_stmt(Cur(rng.choice(IMP_ACTIONS))))
+    r = rng.randrange(4 if depth == 0 else 7)
+    if r < 2:
+        return btest(random_imp_bitest(rng, prob, 3))
+    if r == 2:
+        return rng.choice((bembl, bembr))(action())
+    if r == 3:
+        return emb_pair(action(), action())
+    if r == 6:
+        return bstar(random_imp_bikat(rng, prob, depth - 1))
+    join = bplus if r == 4 else bseq
+    return join(random_imp_bikat(rng, prob, depth - 1),
+                random_imp_bikat(rng, prob, depth - 1))
+
+
+def test_printed_program_syntax_bikat_terms_parse_back():
+    # expression comparisons, one-sided conditions, !, & and |, true and
+    # false, inside and around embedded actions: the one BiKAT grammar reads
+    # them in a program-syntax term as in an abstract one
+    prob = load_problem(SMALL)
+    rng = random.Random(7)
+    conj = 0
+    for _ in range(300):
+        t = random_imp_bikat(rng, prob, 3)
+        text = str(t)
+        conj += "&" in text
+        assert prob.parser.bikat(text) == t, text
+    assert conj > 50
 
 
 def test_embeddings_parse_their_kat_operand_in_place():

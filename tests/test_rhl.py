@@ -11,6 +11,8 @@ from bikat.rhl.proof import SideCondition, check_implication, discharge_side_con
 
 # 4096 states a side; x has offset 0, so state 64 is x=0, y=1
 SPACE = "width 6; vars x y;"
+# the refusal of a relation whose every pair is a candidate
+REFUSED = r"pair enumeration of ~16777216 pairs exceeds the cap 4000000"
 
 
 @contextmanager
@@ -48,9 +50,10 @@ def test_domain_totality_reads_the_relation_by_rows(prob):
         assert discharge_side_condition(ctx, totality(prob, "[x == x] & [y == y]")) == (
             False, "relation is total in the right-hand x: no witnessing value of x "
                    "for left={x=0, y=0} right={x=0, y=1}")
-        # a disjunction is enumerated by filtering the full product, which
-        # is refused above FULL_PRODUCT_CAP states, as in the leaf oracles
-        with pytest.raises(EnumRefused):
+        # a disjunction reading both sides filters every right state of
+        # every left state: the estimate of 4096 * 4096 candidates is above
+        # PAIR_ENUM_CAP, so it is refused before any row, as in the leaf oracles
+        with pytest.raises(EnumRefused, match=REFUSED):
             discharge_side_condition(ctx, totality(prob, "[x == x] | [y == y]"))
 
 
@@ -93,6 +96,6 @@ def test_implication_streams_the_rows(prob, monkeypatch):
     assert check_implication(ctx, bitest("[x == x] & [y == y]"), bitest("[x == x]")) is None
     assert len(reached) == prob.bm.space.size
     monkeypatch.setattr(PairSpec, "rows", rows_of)
-    # a relation over the caps is refused, not truncated
-    with pytest.raises(EnumRefused):
+    # a relation over the cap is refused, not truncated
+    with pytest.raises(EnumRefused, match=REFUSED):
         check_implication(ctx, bitest("[x == x] | [y == y]"), bitest("true"))

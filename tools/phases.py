@@ -18,6 +18,11 @@ time, so nested calls are counted once, into four phases:
 - check: the rest of the verdict's time: the oracles' own loops, script
   replay and the proof checker.
 
+The time of `load_problem` and `parse_proof` is the `load` field, kept
+outside the four phases and their sum `verdicts`, so a change to the parser
+front end shows its cost next to the verdict phases.  As the phases, it is
+exclusive: a wrapped function called while loading counts in its own phase.
+
 The wrappers are installed from outside; their cost lands in the phase they
 wrap, so the numbers compare runs of this script, not runs of perfbench.  The
 last line of standard output is a JSON object: the median over passes of each
@@ -137,12 +142,16 @@ def run_pass(ph: Phases, cases, verdict) -> dict[str, float]:
     wrong = 0
     start = ph.clock()
     for case in cases:
-        prob = problem.load_problem(case.text, case.name,
-                                    width_override=case.width_override)
-        tree = None
-        if case.proof is not None:
-            tree = rparse.parse_proof(case.proof, prob.parser.bitest,
-                                      lambda s: problem.parse_expr(problem.Cur(s)))
+        frame = ph.enter("load")
+        try:
+            prob = problem.load_problem(case.text, case.name,
+                                        width_override=case.width_override)
+            tree = None
+            if case.proof is not None:
+                tree = rparse.parse_proof(case.proof, prob.parser.bitest,
+                                          lambda s: problem.parse_expr(problem.Cur(s)))
+        finally:
+            ph.leave(frame)
         for check in case.checks:
             frame = ph.enter("check")
             try:
@@ -152,6 +161,7 @@ def run_pass(ph: Phases, cases, verdict) -> dict[str, float]:
             wrong += got != check.expected
     out = {p: ph.totals.get(p, 0.0) for p in ("tables", "rows", "walks", "check")}
     out["verdicts"] = sum(out.values())
+    out["load"] = ph.totals.get("load", 0.0)
     out["pass"] = ph.clock() - start
     out["wrong"] = wrong
     return out
