@@ -32,13 +32,21 @@ of its candidates exceeds the one cap `PAIR_ENUM_CAP`.
 
 `PostMap` memoizes per-state images of a program term in `images`; `fill`
 computes the missing images of a whole batch of states in one walk of the
-compiled term.
+compiled term.  A framed term (`kmodel.frame_mask`) is walked only from the
+distinct footprint projections r = s & mask of the batch not walked before,
+and each state gets the image of its projection shifted by s - r; its
+preimages are lifted the same way.  `ends` gives each state's end: its one
+end state, NO_RUN or SEVERAL.  A framed term computes them from its
+projections at C level, with no image per state; any other term decodes
+them from `images` once into an end column, a state array (two bytes a
+state up to 32768 states) with UNKNOWN where not computed.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import compress
+from itertools import compress, repeat
+from operator import add, and_
 from typing import Iterator
 
 from ..bi.terms import (BAnd, BEmbLTest, BEmbRTest, BiTestTerm, BNot, BOne,
@@ -46,7 +54,8 @@ from ..bi.terms import (BAnd, BEmbLTest, BEmbRTest, BiTestTerm, BNot, BOne,
 from ..kat.terms import KatTerm, TestTerm, tand, tnot, tor
 from ..models.bmodel import BiModel, BitestSem
 from ..models.imp import CMP_OPS, ImpEnv
-from ..models.kmodel import image, kat_post, kat_pre, test_table
+from ..models.kmodel import (frame_mask, image, kat_post, kat_pre, state_array,
+                             test_table)
 
 PAIR_ENUM_CAP = 4_000_000
 
@@ -288,15 +297,26 @@ class Counterexample:
     rendered: str = ""
 
 
+# end-column entries that are not an end state
+NO_RUN, SEVERAL, UNKNOWN = -1, -2, -3
+
+
 class PostMap:
     """Per-state images of a term, computed on demand and memoized in
-    `images` (state -> image, for the states computed so far)."""
+    `images` (state -> image, for the states computed so far).  A framed
+    term keeps the images of the footprint projections it walked and, for
+    each projection r with one end e, the shift e - r; any other term keeps
+    the end column that `ends` reads."""
 
     def __init__(self, model, term: KatTerm, backward: bool = False):
         self.model = model
         self.term = term
         self.backward = backward
         self.images: dict[int, frozenset[int]] = {}
+        self._mask = frame_mask(model, term)  # None: not framed
+        self._proj: dict[int, frozenset[int]] = {}
+        self._shift: dict[int, int] = {}
+        self._ends = None  # the end column, made on first use
 
     def __getitem__(self, state: int) -> frozenset[int]:
         got = self.images.get(state)
@@ -312,8 +332,67 @@ class PostMap:
         cache = self.images
         missing = [s for s in dict.fromkeys(states) if s not in cache]
         if missing:
-            cache.update(image(self.model, self.term, missing, self.backward))
+            if self._mask is None:
+                cache.update(image(self.model, self.term, missing, self.backward))
+            else:
+                self._lift(missing)
         return cache
+
+    def _lift(self, states: list[int]) -> None:
+        """The images of `states`, none known yet, shifted from the images of
+        their footprint projections."""
+        ends = self._framed_ends(states)
+        images = self.images
+        if min(ends) >= 0:
+            images.update(zip(states, map(frozenset, zip(ends))))
+            return
+        proj, mask = self._proj, self._mask
+        for s, e in zip(states, ends):
+            if e >= 0:
+                images[s] = frozenset((e,))
+            else:
+                r = s & mask
+                images[s] = frozenset([t + s - r for t in proj[r]])
+
+    def _framed_ends(self, states: list[int]) -> list[int]:
+        """The ends of `states` under a framed term: each projection r not
+        walked before is walked once, and a state s whose projection has
+        one end e ends in s + (e - r), computed at C level."""
+        rs = list(map(and_, states, repeat(self._mask)))
+        distinct = set(rs)
+        proj, shift = self._proj, self._shift
+        new = distinct - proj.keys()
+        if new:
+            got = image(self.model, self.term, sorted(new), self.backward)
+            proj.update(got)
+            shift.update((r, next(iter(img)) - r) for r, img in got.items()
+                         if len(img) == 1)
+        if shift.keys() >= distinct:
+            return list(map(add, states, map(shift.__getitem__, rs)))
+        return [s + shift[r] if r in shift else SEVERAL if proj[r] else NO_RUN
+                for s, r in zip(states, rs)]
+
+    def ends(self, states: list[int]) -> list[int]:
+        """The end of each of `states`: its one end state, NO_RUN or SEVERAL.
+        A framed term computes them from its projections, with no image per
+        state; any other term reads them from the end column, a state array
+        with UNKNOWN where not computed, whose missing entries are decoded
+        from `images` (filled first) and kept."""
+        if self._mask is not None:
+            return self._framed_ends(states)
+        if self._ends is None:
+            n = self.model.space.size
+            self._ends = state_array(n, [UNKNOWN]) * n
+        col = self._ends
+        got = list(map(col.__getitem__, states))
+        if UNKNOWN in got:
+            images = self.fill(states)
+            for i, e in enumerate(got):
+                if e == UNKNOWN:
+                    img = images[states[i]]
+                    got[i] = col[states[i]] = (
+                        next(iter(img)) if len(img) == 1 else SEVERAL if img else NO_RUN)
+        return got
 
 
 def post_map(model, term: KatTerm, backward: bool = False) -> PostMap:

@@ -35,6 +35,15 @@ per-state partner sets (`PairSpec.partner_sets`); a route whose enumeration
 the caps refuse, up front or once it has built PAIR_ENUM_CAP candidates, is
 dropped.
 
+∀∀ takes its rows a chunk at a time without images (`_row_chunks`).  A
+chunk whose rows have one partner each, under a keyed post, with no image
+of several states, is decided in bulk on the programs' ends (`PostMap.ends`),
+with no image per state: pointwise, the keys of the left ends against the
+keys of the right ends, compared as two lists; equational, each right end
+among the post partners of its left end.  Pairs with no run on a side hold.
+Any other chunk, or one that a route does not pass in bulk, gets its images
+and goes through the row loop, so counterexamples do not change.
+
 Adequacy (`check_adequacy`) walks the aligned term once per chunk of pre
 pairs and reads coverage from the walk's tags (see `witness.term_tags`).
 """
@@ -43,16 +52,16 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from functools import reduce
-from itertools import chain
-from operator import and_
+from itertools import chain, compress
+from operator import and_, contains, itemgetter
 
 from ..bi.terms import BiKatTerm, bnot
 from ..kat.terms import KatTerm
 from ..models.bmodel import BiModel
 # no oracle calls it; perfbench's tracer wraps `oracles.interp_kat` by name
 from ..models.kmodel import WALK_SOURCES, interp_kat  # noqa: F401
-from .core import (Counterexample, EnumRefused, Judgment, PairPred, PairSpec,
-                   PostMap, RelSpec, pair_spec, post_map)
+from .core import (NO_RUN, SEVERAL, Counterexample, EnumRefused, Judgment,
+                   PairPred, PairSpec, PostMap, RelSpec, pair_spec, post_map)
 
 
 @dataclass
@@ -92,23 +101,28 @@ def _two_routes(kind: str, cex: tuple | None, render, route: str,
 
 def _pre_chunks(r: PairSpec, cpost: PostMap, dpost: PostMap | None,
                 most: int | None = None):
-    """The rows of `r` in state order, a chunk at a time, with the images
-    under `cpost` of their left states and, for the rows whose left state has
-    runs, the images under `dpost` of their partners computed.  A chunk
-    closes once it holds 64 pairs, then 128, ... (at most `most` after the
-    first), so that a check that stops at an early counterexample computes
-    few images."""
+    """The chunks of `_row_chunks`, with the images under `cpost` of their
+    left states and, for the rows whose left state has runs, the images
+    under `dpost` of their partners computed."""
+    for chunk in _row_chunks(r, most):
+        _fill_rows(chunk, cpost, dpost)
+        yield chunk
+
+
+def _row_chunks(r: PairSpec, most: int | None = None):
+    """The rows of `r` in state order, a chunk at a time.  A chunk closes
+    once it holds 64 pairs, then 128, ... (at most `most` after the first),
+    so that a check that stops at an early counterexample computes few
+    images."""
     chunk, count, size = [], 0, 64
     for row in r.rows():
         chunk.append(row)
         count += len(row[1])
         if count >= size:
-            _fill_rows(chunk, cpost, dpost)
             yield chunk
             chunk, count = [], 0
             size = size * 2 if most is None else min(size * 2, most)
     if chunk:
-        _fill_rows(chunk, cpost, dpost)
         yield chunk
 
 
@@ -151,38 +165,91 @@ def check_allall(bm: BiModel, j: Judgment) -> JudgeResult:
     Per pre row with runs, the pointwise route tests every (a2, b2) in
     cpost[a] x D with the post predicate; the equational route evaluates
     R;<c|d> factored by rows: D must lie inside the S-partners common to every
-    state of cpost[a], cached per distinct left image."""
+    state of cpost[a], cached per distinct left image.  A chunk of rows
+    with one partner and one end each is first tried in bulk (`_single_ends`,
+    `_keys_agree`, `_within`; see the module docstring)."""
     r, s = _spec_views(bm, j)
     cpost = post_map(bm.base, j.left)
     dpost = post_map(bm.base, j.right)
     post = s.pred
-    allowed = _common_partners(s)
+    partners = s.partner_sets()
+    allowed = None if partners is None else _common_partners(partners)
     equational = True
     cex = None
-    dimg = dpost.images
-    for a, bs, cs in _run_rows(r, cpost, dpost):
-        d = _union(dimg, bs)
-        if cex is None:
-            cex = _escape(post, a, bs, cs, d, dimg)
-        if allowed is not None and equational:
-            try:
-                equational = d <= allowed(cs)
-            except EnumRefused:
-                allowed = None
-        if cex is not None and (allowed is None or not equational):
-            break
+    cimg, dimg = cpost.images, dpost.images
+    for chunk in _row_chunks(r):
+        ends = _single_ends(chunk, cpost, dpost) if post.keyed else None
+        if ends is not None:
+            passed = cex is not None or _keys_agree(post, *ends)
+            if passed and allowed is not None and equational:
+                try:
+                    passed = _within(partners, *ends)
+                except EnumRefused:
+                    allowed = None
+            if passed:
+                continue
+        _fill_rows(chunk, cpost, dpost)
+        for a, bs in chunk:
+            cs = cimg[a]
+            if not cs:
+                continue
+            d = _union(dimg, bs)
+            if cex is None:
+                cex = _escape(post, a, bs, cs, d, dimg)
+            if allowed is not None and equational:
+                try:
+                    equational = d <= allowed(cs)
+                except EnumRefused:
+                    allowed = None
+            if cex is not None and (allowed is None or not equational):
+                break
+        else:
+            continue
+        break  # both routes decided
     return _two_routes(
         "allall", cex,
         lambda a, b, a2, b2: f"pre {r.render_pair(a, b)} -> post {r.render_pair(a2, b2)}",
         "equational", None if allowed is None else equational)
 
 
-def _common_partners(s: PairSpec):
-    """cs -> the right states S-related to every state of cs, memoized per
-    distinct cs; None if the caps refuse S up front."""
-    partners = s.partner_sets()
-    if partners is None:
+def _single_ends(chunk, cpost: PostMap, dpost: PostMap):
+    """(left ends, right ends) of a chunk whose rows have one partner each
+    and whose images hold at most one state each: the end of each row's left
+    state that has runs and the end of its partner, which may be NO_RUN
+    (`PostMap.ends`); None for any other chunk."""
+    if set(map(len, map(itemgetter(1), chunk))) != {1}:
         return None
+    cends = cpost.ends(list(map(itemgetter(0), chunk)))
+    if SEVERAL in cends:
+        return None
+    rights = list(map(itemgetter(0), map(itemgetter(1), chunk)))
+    if NO_RUN in cends:
+        runs = list(map(NO_RUN.__ne__, cends))
+        cends, rights = list(compress(cends, runs)), list(compress(rights, runs))
+    dends = dpost.ends(rights)
+    return None if SEVERAL in dends else (cends, dends)
+
+
+def _keys_agree(post: PairPred, cends: list[int], dends: list[int]) -> bool:
+    """Whether the keyed post holds at every pair of ends with a right run."""
+    if NO_RUN in dends:
+        runs = list(map(NO_RUN.__ne__, dends))
+        cends, dends = compress(cends, runs), compress(dends, runs)
+    return list(map(post.lk.__getitem__, cends)) == list(map(post.rk.__getitem__, dends))
+
+
+def _within(partners, cends: list[int], dends: list[int]) -> bool:
+    """Whether each right end lies among the post partners of its left end.
+    The partners are asked for in row order, also where the right side has
+    no run, and no further than the first failure, as the row loop asks."""
+    if NO_RUN in dends:
+        return all(e == NO_RUN or e in p for p, e in zip(map(partners, cends), dends))
+    return all(map(contains, map(partners, cends), dends))
+
+
+def _common_partners(partners):
+    """cs -> the right states S-related to every state of cs, memoized per
+    distinct cs, from `partners`, the post's `PairSpec.partner_sets`."""
     known: dict[frozenset[int], frozenset[int]] = {}
 
     def allowed(cs: frozenset[int]) -> frozenset[int]:

@@ -421,9 +421,9 @@ class ImpEnv:
         return lambda s: any(p(s) for p in parts)
 
     def compile_action(self, s: Stmt) -> FnAction:
-        """An assignment as an action; agrees with `step`.  A deterministic
-        one carries its footprint: the fields its value and index read and
-        the cells it may write."""
+        """An assignment as an action; agrees with `step`.  Each carries its
+        footprint: the fields its value and index read and the cells it may
+        write (for havoc, its variable)."""
         if isinstance(s, SArrAssign):
             decl = self._array(s.name)
             idx, val = self.compile_expr(s.index), self.compile_expr(s.value)
@@ -440,7 +440,8 @@ class ImpEnv:
         keep = ~(m << off)
         if isinstance(s, SHavoc):
             return FnAction(self.space, lambda st: tuple(
-                (st & keep) | (v << off) for v in range(m + 1)))
+                (st & keep) | (v << off) for v in range(m + 1)),
+                footprint=lambda: {s.var})
         val = self.compile_expr(s.expr)
         return FnAction(self.space, lambda st: (st & keep) | ((val(st) & m) << off),
                         det=True, footprint=lambda: self.reads(EVar(s.var), s.expr))

@@ -17,6 +17,14 @@ pair-state walker of BiKAT witness terms shares.  `image`
 returns per-source images or preimages; `kat_post`/`kat_pre` are the image
 and preimage of a state set.
 
+The frame lift: a term reads and writes only the fields its primitives do,
+so the image of a state s is the image of its footprint projection
+r = s & mask shifted by s - r, the bits the term never touches; so is its
+preimage, since the converse is framed too.  `frame_mask` gives that mask
+(None when a primitive has no footprint or the footprint is the whole
+state), and `judge.core.PostMap` walks only the distinct projections of the
+states it is asked for.
+
 `interp_kat` is the dense `Rel` semantics, refused above REL_MATRIX_CAP
 states.  No oracle builds it: it is the reference that tests, the random
 models of `bikat_equiv`, `interp_bikat` and TriKAT read.
@@ -30,7 +38,7 @@ from dataclasses import dataclass, field
 from typing import Callable, Iterable, Iterator
 
 from ..kat.terms import (Alphabet, KAct, KatTerm, KleeneOps, KPlus, KSeq, KTest,
-                         TestTerm, TNot, TOne, TOr, TPrim, TZero, kleene_map)
+                         TestTerm, TNot, TOne, TOr, TPrim, TZero, kleene_map, names)
 from .rel import Rel
 from .space import StateSpace, packed_states, state_code
 
@@ -52,7 +60,10 @@ class ActionSem:
     `succ_table` is built on first use: a flat `state_array` with -1 for "no
     successor" when every state has at most one successor, otherwise one
     tuple of successors per state.  `pred_table` is its converse, one tuple
-    per state, built by one sweep over the successor table."""
+    per state, built by one sweep over the successor table.  `footprint`,
+    when not None, gives the fields the action reads and writes."""
+
+    footprint: Callable[[], Iterable] | None = None
 
     def __init__(self, size: int):
         self.size = size
@@ -107,10 +118,10 @@ class RelAction(ActionSem):
 
 class FnAction(ActionSem):
     """Successor-function action.  `fn` maps a state to an iterable of
-    successors, or with `det` to its one successor.  A deterministic action
-    reads and writes only the fields that `footprint()` gives (no footprint:
-    the whole state), so its table is lifted from one call of `fn` per
-    footprint value."""
+    successors, or with `det` to its one successor.  The action reads and
+    writes only the fields that `footprint()` gives (no footprint: the whole
+    state), so a deterministic action's table is lifted from one call of
+    `fn` per footprint value; other actions keep one tuple per state."""
 
     def __init__(self, space: StateSpace, fn: Callable, det: bool = False,
                  footprint: Callable[[], Iterable] | None = None):
@@ -217,6 +228,21 @@ class KatModel:
             return self.tests[name]
         except KeyError:
             raise ModelError(f"undeclared test {name!r}") from None
+
+
+def frame_mask(m: KatModel, t: KatTerm) -> int | None:
+    """The bits of the fields that the primitives of `t` read and write, the
+    union of their footprints; None when a primitive has none (a relation
+    action, a mask test) or the footprint is the whole state."""
+    sems = [m.act(a) for a in names(t, KAct)] + [m.test(p) for p in names(t, TPrim)]
+    mask = 0
+    for sem in sems:
+        if sem.footprint is None:
+            return None
+        for f in sem.footprint():
+            off, width = m.space.field(f)
+            mask |= (1 << width) - 1 << off
+    return None if mask == m.space.size - 1 else mask
 
 
 def havoc(space: StateSpace) -> Rel:

@@ -1,0 +1,219 @@
+"""Framed images and the bulk ∀∀ chunk path.
+
+A term reads and writes only its primitives' footprint, so `PostMap` lifts
+its images and preimages from those of the footprint projections.  The
+lifted images and the end column must equal the unlifted walk
+(`kmodel.image`).  A ∀∀ chunk of single-partner rows under a keyed post is
+decided from the end columns; its verdict, routes and counterexample must
+equal the per-pair reference and the row loop's."""
+
+import itertools
+import random
+
+import pytest
+
+from bikat.judge import PostMap, core, dispatch, oracles
+from bikat.judge.core import NO_RUN, SEVERAL
+from bikat.kat.terms import KAct, KPlus, KSeq, KStar, KTest, subterms
+from bikat.models import SAssign, SHavoc, SIf, SWhile
+from bikat.models.bmodel import bitest_holds
+from bikat.models.imp import SArrAssign, SAssume
+from bikat.models.kmodel import frame_mask, image
+from bikat.problem import load_problem, parse_stmts_text
+
+from test_imp import CORPUS, _random_cond, _random_primitive, env_for
+
+KAT = (KTest, KAct, KPlus, KSeq, KStar)
+
+
+def _end(img) -> int:
+    return next(iter(img)) if len(img) == 1 else SEVERAL if img else NO_RUN
+
+
+def _check_lifted(m, t, states, backward) -> bool:
+    """The images and ends of a fresh map equal the unlifted walk's, whether
+    the ends are asked before the images or after; whether `t` is framed."""
+    want = image(m, t, states, backward)
+    ends = [_end(want[s]) for s in states]
+    first = PostMap(m, t, backward)
+    assert first.ends(states) == ends, (t, backward)
+    got = first.fill(states)
+    assert {s: got[s] for s in states} == want, (t, backward)
+    second = PostMap(m, t, backward)
+    got = second.fill(states)
+    assert {s: got[s] for s in states} == want, (t, backward)
+    assert second.ends(states) == ends, (t, backward)
+    return first._mask is not None
+
+
+def _sample(rng, n: int) -> list[int]:
+    """States across the space, and above 4096 wherever the space reaches."""
+    states = set(rng.sample(range(n), min(n, 120)))
+    if n > 4096:
+        states |= set(rng.sample(range(4096, n), 120))
+    return sorted(states)
+
+
+class TestLiftedImages:
+    @pytest.mark.parametrize("name", sorted(p.stem for p in CORPUS.glob("*.prob")))
+    @pytest.mark.parametrize("width", [None, 2])
+    def test_corpus_subterms(self, name, width):
+        prob = load_problem((CORPUS / f"{name}.prob").read_text(), name,
+                            width_override=width)
+        j, m = prob.judgment(), prob.bm.base
+        states = _sample(random.Random(7), m.space.size)
+        terms = {u for t in (j.left, j.right) for u in subterms(t) if isinstance(u, KAT)}
+        lifted = [_check_lifted(m, t, states, backward)
+                  for t in sorted(terms, key=str) for backward in (False, True)]
+        assert any(lifted), name
+
+    def test_seeded_random_programs(self):
+        env = env_for({"x": 2, "y": 2, "z": 1}, width=3, arrays=[("a", 3, 2)],
+                      ftables={"f": (3, 1, 4, 1, 5, 2, 6)})
+        rng = random.Random(13)
+        n = env.space.size
+        states = sorted(rng.sample(range(n), 200))
+        terms = [env.compile_block(_random_program(rng)) for _ in range(60)]
+        m = env.kat_model()
+        kinds, lifted = set(), 0
+        for t in terms:
+            for backward in (False, True):
+                lifted += _check_lifted(m, t, states, backward)
+                kinds |= set(PostMap(m, t, backward).ends(states))
+        assert lifted > 60
+        assert {NO_RUN, SEVERAL} <= kinds and max(kinds) >= 0
+
+    def test_havoc_is_framed_by_its_variable(self):
+        # havoc keeps one tuple of successors per state; its footprint, the
+        # variable, frames every term it is in, forward and backward
+        env = env_for({"x": 2, "y": 2, "z": 1}, width=2)
+        n = env.space.size
+        act = env.compile_action(SHavoc("x"))
+        assert set(act.footprint()) == {"x"}
+        assert isinstance(act.succ_table(), list)
+        assert act.succ_table()[5] == tuple(sorted(env.step(SHavoc("x"), 5)))
+        for text in ("x := any;", "x := any; y := y + x;",
+                     "while (x != 3) { x := any; z := z + 1; }"):
+            t = env.compile_block(parse_stmts_text(text))
+            m = env.kat_model()
+            assert frame_mask(m, t) is not None, text
+            for backward in (False, True):
+                assert _check_lifted(m, t, list(range(n)), backward), text
+
+    def test_unframed_terms_keep_the_walk(self):
+        # a footprint that is the whole state, or a primitive without one
+        env = env_for({"x": 2, "y": 1}, width=2)
+        t = env.compile_block(parse_stmts_text("x := x + y; y := x % 2;"))
+        m = env.kat_model()
+        assert frame_mask(m, t) is None
+        assert not _check_lifted(m, t, list(range(env.space.size)), False)
+
+
+def _random_program(rng, depth=2) -> tuple:
+    out = []
+    for _ in range(rng.randint(1, 3)):
+        pick = rng.random()
+        if depth and pick < 0.2:
+            out.append(SIf(_random_cond(rng, 1), _random_program(rng, depth - 1),
+                           _random_program(rng, depth - 1)))
+        elif depth and pick < 0.35:
+            out.append(SWhile(_random_cond(rng, 1), _random_program(rng, depth - 1)))
+        else:
+            prim = _random_primitive(rng)
+            out.append(prim if isinstance(prim, (SAssign, SArrAssign, SHavoc))
+                       else SAssume(prim))
+    return tuple(out)
+
+
+class TestBulkAllall:
+    """Pres that force every right field give one partner per row; programs
+    without a run from some states (end NO_RUN) and with several ends
+    (SEVERAL); keyed posts that hold and fail, and a post with a residual
+    atom."""
+    DECL = "width 2; vars x y z; var w:1;\n"
+    PROGRAMS = ["x := x + 1; y := y + x;",
+                "if (x < 2) { y := y + 1; } else { z := z + 1; }",
+                "while (x != 0) { x := x + 2; }",
+                "w := any; x := x + w;",
+                "skip;"]
+    SAME = "[x == x] & [y == y] & [z == z] & [w == w]"
+    PRES = [SAME,
+            "[x + 1 == x] & [y == z] & [z == y] & [w == w]",
+            "L[y != 3] & " + SAME,
+            "[x == x] & [y == y] & [z == z] & [x + y == w]"]
+    POSTS = [SAME, "[x == x] & [z == z]", "[y == y] & [x <= x]",
+             "[x == x] & R[w == 0]", "[x == x] & [y == y] & [z == z]"]
+
+    @staticmethod
+    def _reference(prob, pre_pairs, runs):
+        """Every (a, b, a2, b2): a pre pair, a run of each side from it, and
+        ends outside the post, by the interpreter, in pre order."""
+        return [(a, b, a2, b2) for a, b in pre_pairs
+                for a2 in sorted(runs[0][a]) for b2 in sorted(runs[1][b])
+                if not bitest_holds(prob.bm, prob.post, a2, b2)]
+
+    def test_bulk_chunks_match_the_reference_and_the_row_loop(self, monkeypatch):
+        seen = {"ends": [], "bulk": [], "keys": []}
+
+        def spy(name, fn):
+            def wrapped(*args):
+                got = fn(*args)
+                seen[name].append(got)
+                return got
+            return wrapped
+        monkeypatch.setattr(PostMap, "ends", spy("ends", PostMap.ends))
+        monkeypatch.setattr(oracles, "_keys_agree", spy("keys", oracles._keys_agree))
+        bulk = spy("bulk", oracles._single_ends)
+
+        rng = random.Random(3)
+        cases = list(itertools.product(self.PROGRAMS, self.PROGRAMS, self.PRES, self.POSTS))
+        cases = [c for c in cases if c[0] == c[1]] + rng.sample(cases, 60)
+        pres, runs, verdicts = {}, {}, set()
+        for case in cases:
+            left, right, pre, post = case
+            prob = load_problem(prob_text(self.DECL, *case))
+            bm, j, n = prob.bm, prob.judgment(), prob.bm.space.size
+            if pre not in pres:
+                pres[pre] = [(a, b) for a in range(n) for b in range(n)
+                             if bitest_holds(bm, prob.pre, a, b)]
+                assert len({a for a, _ in pres[pre]}) == len(pres[pre])
+            for prog, stmts in ((left, prob.left), (right, prob.right)):
+                if prog not in runs:
+                    runs[prog] = [prob.env.run(stmts, frozenset((a,))) for a in range(n)]
+            bad = self._reference(prob, pres[pre], (runs[left], runs[right]))
+            monkeypatch.setattr(oracles, "_single_ends", bulk)
+            res = dispatch(bm, j)
+            monkeypatch.setattr(oracles, "_single_ends", lambda *args: None)
+            rows = dispatch(load_problem(prob_text(self.DECL, *case)).bm, j)
+            assert res.holds == (not bad), case
+            assert res.routes == {"pointwise": res.holds, "equational": res.holds}, case
+            if bad:
+                a, b, a2, b2 = res.counterexample.states
+                assert (a, b, a2, b2) in bad and (a, b) == bad[0][:2], case
+            assert (res.holds, res.routes, res.counterexample) == (
+                rows.holds, rows.routes, rows.counterexample), case
+            verdicts.add(res.holds)
+        assert verdicts == {True, False}
+        # chunks decided in bulk, chunks sent to the row loop by a failing
+        # key comparison, and by an end with several states
+        assert sum(got is not None for got in seen["bulk"]) > 20
+        assert None in seen["bulk"] and False in seen["keys"]
+        assert {NO_RUN, SEVERAL} <= set(itertools.chain.from_iterable(seen["ends"]))
+
+    def test_a_refused_equational_route_is_dropped_as_in_the_row_loop(self, monkeypatch):
+        # a cap that refuses the post up front and then after 31 partner
+        # sets: the bulk chunks ask for them in row order, as the row loop
+        monkeypatch.setattr(core, "PAIR_ENUM_CAP", 1000)
+        text = prob_text(self.DECL, "x := x + 1;", "x := x + 1;", self.SAME, "[x == x]")
+        got = []
+        for ends in (oracles._single_ends, lambda *args: None):
+            monkeypatch.setattr(oracles, "_single_ends", ends)
+            prob = load_problem(text)
+            res = dispatch(prob.bm, prob.judgment())
+            got.append((res.holds, res.routes, res.counterexample))
+        assert got[0] == got[1] == (True, {"pointwise": True}, None)
+
+
+def prob_text(decl, left, right, pre, post) -> str:
+    return (f"{decl}left {{ {left} }} right {{ {right} }}\n"
+            f"kind allall; pre {{ {pre} }} post {{ {post} }}")

@@ -12,9 +12,11 @@ time, so nested calls are counted once, into four phases:
   and the key columns of pair predicates (`ActionSem.succ_table`/
   `pred_table`, `TestSem.table`, `ImpEnv.values`, `core._key_column`);
 - rows: pair-relation enumeration (`PairSpec.rows`/`pairs`/`partners_left`
-  and the oracles' chunked row iterator `_pre_chunks`);
-- walks: image computation (`kmodel.image`/`kat_post`/`kat_pre`, and the
-  pair-state walks of `witness.term_image` and `witness.term_tags`);
+  and the oracles' chunked row iterators `_pre_chunks` and `_row_chunks`);
+- walks: image computation (`kmodel.image`/`kat_post`/`kat_pre`, a
+  framed term's images lifted from its projections and the per-state ends
+  of the end columns, `PostMap._lift`/`ends`, and the pair-state walks of
+  `witness.term_image` and `witness.term_tags`);
 - check: the rest of the verdict's time: the oracles' own loops, script
   replay and the proof checker.
 
@@ -117,11 +119,14 @@ def install(ph: Phases) -> None:
     kmodel.TestSem.table = ph.timed("tables", kmodel.TestSem.table)
     imp.ImpEnv.values = ph.timed("tables", imp.ImpEnv.values)
 
+    for attr in ("_lift", "ends"):
+        setattr(core.PostMap, attr, ph.timed("walks", getattr(core.PostMap, attr)))
     core.PairSpec.rows = ph.timed_rows(core.PairSpec.rows)
     for attr in ("pairs", "partners_left"):
         setattr(core.PairSpec, attr, ph.timed("rows", getattr(core.PairSpec, attr)))
     chunks = ph.timed_iter("rows", oracles._pre_chunks)
     oracles._pre_chunks = witness._pre_chunks = chunks
+    oracles._row_chunks = ph.timed_iter("rows", oracles._row_chunks)
 
     # module functions, replaced under every name a bikat module holds them by
     funcs = {f: ph.timed(phase, f) for phase, fs in (
