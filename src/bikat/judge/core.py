@@ -304,9 +304,9 @@ NO_RUN, SEVERAL, UNKNOWN = -1, -2, -3
 class PostMap:
     """Per-state images of a term, computed on demand and memoized in
     `images` (state -> image, for the states computed so far).  A framed
-    term keeps the images of the footprint projections it walked and, for
-    each projection r with one end e, the shift e - r; any other term keeps
-    the end column that `ends` reads."""
+    term keeps, for each footprint projection r it walked, the shift e - r
+    when r has one end e, and otherwise r's image; any other term keeps the
+    end column that `ends` reads."""
 
     def __init__(self, model, term: KatTerm, backward: bool = False):
         self.model = model
@@ -314,8 +314,8 @@ class PostMap:
         self.backward = backward
         self.images: dict[int, frozenset[int]] = {}
         self._mask = frame_mask(model, term)  # None: not framed
-        self._proj: dict[int, frozenset[int]] = {}
-        self._shift: dict[int, int] = {}
+        self._shift: dict[int, int] = {}  # projection with one end -> shift
+        self._proj: dict[int, frozenset[int]] = {}  # other projections
         self._ends = None  # the end column, made on first use
 
     def __getitem__(self, state: int) -> frozenset[int]:
@@ -342,14 +342,17 @@ class PostMap:
         """The images of `states`, none known yet, shifted from the images of
         their footprint projections."""
         ends = self._framed_ends(states)
+        distinct = set(ends)
+        # one image per distinct end state, shared as `image` shares them
+        one = dict(zip(distinct, map(frozenset, zip(distinct))))
         images = self.images
-        if min(ends) >= 0:
-            images.update(zip(states, map(frozenset, zip(ends))))
+        if min(distinct) >= 0:
+            images.update(zip(states, map(one.__getitem__, ends)))
             return
         proj, mask = self._proj, self._mask
         for s, e in zip(states, ends):
             if e >= 0:
-                images[s] = frozenset((e,))
+                images[s] = one[e]
             else:
                 r = s & mask
                 images[s] = frozenset([t + s - r for t in proj[r]])
@@ -361,12 +364,13 @@ class PostMap:
         rs = list(map(and_, states, repeat(self._mask)))
         distinct = set(rs)
         proj, shift = self._proj, self._shift
-        new = distinct - proj.keys()
+        new = distinct - shift.keys() - proj.keys()
         if new:
-            got = image(self.model, self.term, sorted(new), self.backward)
-            proj.update(got)
-            shift.update((r, next(iter(img)) - r) for r, img in got.items()
-                         if len(img) == 1)
+            for r, img in image(self.model, self.term, sorted(new), self.backward).items():
+                if len(img) == 1:
+                    shift[r] = next(iter(img)) - r
+                else:
+                    proj[r] = img
         if shift.keys() >= distinct:
             return list(map(add, states, map(shift.__getitem__, rs)))
         return [s + shift[r] if r in shift else SEVERAL if proj[r] else NO_RUN

@@ -35,10 +35,12 @@ from __future__ import annotations
 import random
 from array import array
 from dataclasses import dataclass, field
+from functools import reduce
+from operator import or_
 from typing import Callable, Iterable, Iterator
 
 from ..kat.terms import (Alphabet, KAct, KatTerm, KleeneOps, KPlus, KSeq, KTest,
-                         TestTerm, TNot, TOne, TOr, TPrim, TZero, kleene_map, names)
+                         TestTerm, TNot, TOne, TOr, TPrim, TZero, kleene_map, subterms)
 from .rel import Rel
 from .space import StateSpace, packed_states, state_code
 
@@ -216,6 +218,9 @@ class KatModel:
     meta: dict = field(default_factory=dict)
     _walkers: dict = field(default_factory=dict, init=False, repr=False,
                            compare=False)
+    # primitive atom -> the bits of its footprint, or None for none
+    _frames: dict = field(default_factory=dict, init=False, repr=False,
+                          compare=False)
 
     def act(self, name: str) -> ActionSem:
         try:
@@ -234,14 +239,17 @@ def frame_mask(m: KatModel, t: KatTerm) -> int | None:
     """The bits of the fields that the primitives of `t` read and write, the
     union of their footprints; None when a primitive has none (a relation
     action, a mask test) or the footprint is the whole state."""
-    sems = [m.act(a) for a in names(t, KAct)] + [m.test(p) for p in names(t, TPrim)]
-    mask = 0
-    for sem in sems:
-        if sem.footprint is None:
-            return None
-        for f in sem.footprint():
-            off, width = m.space.field(f)
-            mask |= (1 << width) - 1 << off
+    frames, mask = m._frames, 0
+    for u in subterms(t):
+        if isinstance(u, (KAct, TPrim)):
+            if u not in frames:
+                sem = m.act(u.name) if isinstance(u, KAct) else m.test(u.name)
+                frames[u] = None if sem.footprint is None else reduce(or_, (
+                    (1 << width) - 1 << off
+                    for off, width in map(m.space.field, sem.footprint())), 0)
+            if frames[u] is None:
+                return None
+            mask |= frames[u]
     return None if mask == m.space.size - 1 else mask
 
 
