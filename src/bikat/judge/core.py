@@ -297,7 +297,7 @@ class Counterexample:
     rendered: str = ""
 
 
-# end-column entries that are not an end state
+# values of `PostMap.ends` that are not an end state; UNKNOWN: not computed
 NO_RUN, SEVERAL, UNKNOWN = -1, -2, -3
 
 
