@@ -45,14 +45,15 @@ Any other chunk, or one that a route does not pass in bulk, gets its images
 and goes through the row loop, so counterexamples do not change.
 
 Adequacy (`check_adequacy`) walks the aligned term once per chunk of pre
-pairs and reads coverage from the walk's tags (see `witness.term_tags`).
+pairs, as rows of tagged pairs, and reads coverage from the tags of the rows
+it reaches (see `witness.term_tags`).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
 from functools import reduce
-from itertools import chain, compress
+from itertools import chain, compress, repeat
 from operator import and_, contains, itemgetter
 
 from ..bi.terms import BiKatTerm, bnot
@@ -266,44 +267,51 @@ def check_adequacy(bm: BiModel, pre, c: KatTerm, d: KatTerm, b: BiKatTerm) -> Ju
 
     The pre pairs are taken in chunks (64, 128, ... up to WALK_SOURCES).  The
     pairs (a, b) of a chunk from which both programs have runs are the
-    sources of one compiled pair-state walk of the aligned term
-    (`witness.term_tags`), with pair states packed as p = a * n + b and
-    source i tagged with bit i.  Each run pair q = t * n + t2 the chunk
-    requires gets `need[q]`, the bits of the sources with runs to t and t2;
-    the chunk is covered when every `need[q]` lies within the walk's tag at
-    q.  Otherwise the lowest missing bit names the first uncovered source,
-    and its run pairs, scanned in order, give the counterexample, so the
-    check stops at the first run pair, in pre order, that the term does not
-    cover."""
+    sources of one pair-state walk of the aligned term (`witness.term_tags`),
+    given as rows {a: {b: tag}}, source i tagged with bit i in pre order;
+    the walk returns the rows it reaches, {t: {t2: tag}}.  Source i is
+    covered when bit i is in the tag of every (t, t2) with t in cpost[a] and
+    t2 in dpost[b].  A source row whose left state has one end t, and whose
+    right states one end each, is checked along the row at C level, each
+    end's tag in row t ANDed with its source's bit; any other row, or one
+    that fails, is checked source by source.  The first uncovered source in
+    pre order, and its first uncovered run pair in image order, give the
+    counterexample, so the check stops at the first chunk with one."""
     from . import witness  # local import: witness builds on oracles' types
     r = pair_spec(bm, pre)
     cpost = post_map(bm.base, c)
     dpost = post_map(bm.base, d)
     cimg, dimg = cpost.images, dpost.images
-    n = bm.space.size
     for chunk in _pre_chunks(r, cpost, dpost, WALK_SOURCES):
-        sources = [(a, b2) for a, bs in chunk if cimg[a] for b2 in bs if dimg[b2]]
-        tag = witness.term_tags(bm, b, [a * n + b2 for a, b2 in sources]).get
-        need: dict[int, int] = {}
-        get = need.get
-        for i, (a, b2) in enumerate(sources):
-            bit, ends = 1 << i, dimg[b2]
-            for t in cimg[a]:
-                row = t * n
-                for t2 in ends:
-                    q = row + t2
-                    need[q] = get(q, 0) | bit
-        missing = [g for g in (g & ~tag(q, 0) for q, g in need.items()) if g]
-        if missing:
-            i = min(g & -g for g in missing).bit_length() - 1
-            a, b2 = sources[i]
-            t, t2 = next((t, t2) for t in cimg[a] for t2 in dimg[b2]
-                         if not tag(t * n + t2, 0) >> i & 1)
-            return JudgeResult(
-                "adequacy", False,
-                Counterexample("adequacy", (a, b2, t, t2),
-                               f"run pair from {r.render_pair(a, b2)} to "
-                               f"{r.render_pair(t, t2)} not covered"))
+        rows: dict[int, dict[int, int]] = {}
+        k = 0
+        for a, bs in chunk:
+            if cimg[a]:
+                runs = list(compress(bs, map(dimg.__getitem__, bs)))
+                if runs:
+                    rows[a] = dict(zip(runs, map((1).__lshift__, range(k, k + len(runs)))))
+                    k += len(runs)
+        tags = witness.term_tags(bm, b, rows)
+        rights = list(set().union(*rows.values()))
+        end = dict(zip(rights, dpost.ends(rights)))
+        for a, row in rows.items():
+            cs = cimg[a]
+            if len(cs) == 1:
+                ends = list(map(end.__getitem__, row))
+                got = tags.get(next(iter(cs)))
+                if got is not None and SEVERAL not in ends and all(
+                        map(and_, map(got.get, ends, repeat(0)), row.values())):
+                    continue
+            for b2, bit in row.items():
+                for t in cs:
+                    got = tags.get(t, {})
+                    for t2 in dimg[b2]:
+                        if not got.get(t2, 0) & bit:
+                            return JudgeResult(
+                                "adequacy", False,
+                                Counterexample("adequacy", (a, b2, t, t2),
+                                               f"run pair from {r.render_pair(a, b2)} to "
+                                               f"{r.render_pair(t, t2)} not covered"))
     return JudgeResult("adequacy", True)
 
 

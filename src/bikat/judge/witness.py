@@ -1,22 +1,34 @@
-"""Alignment witnesses: compiled pair-state evaluation, validity, and synthesis.
+"""Alignment witnesses: compiled pair-state walks, validity, and synthesis.
 
 A witness is either a term (possibly with chooser bitests) or a concrete pair
-relation.  A witness term is compiled once per model into closures over pair
-states p = a * n + b, as `models.kmodel` compiles a KAT term over states, and
-one walk carries a batch of sources: each reached pair is tagged with the
-bitmask of the sources that reach it.  `term_tags` returns that tag dict as
-it is, for a caller that reads coverage from the bits (adequacy);
-`term_image` and `term_preimage` decode it into per-source images, at most
-WALK_SOURCES sources per walk.  A bitest step keeps the pairs that pass it:
-a test of one side reads its byte table at a = p // n or b = p % n, a keyed
-predicate compares `lk[a]` with `rk[b]`, anything else calls the
-`PairPred` closure.  An embedded action first fills its `PostMap` with the
-distinct left (or right) states of the frontier, then reads one image per
-pair.  Images are computed only from the pairs the validity conditions
-quantify over (forward from the pre-relation, backward from the
-post-relation), so structured spaces with thousands of states per side stay
-tractable.  Those pairs are taken in the oracles' chunks, and a check stops
-at the first chunk after which every one of its conditions has failed.
+relation.  A witness term is compiled once per model into closures over
+frontiers of pair states, as `models.kmodel` compiles a KAT term over
+states, and one walk carries a batch of sources: each reached pair is tagged
+with the bitmask of the sources that reach it.  A frontier is a dict of rows,
+{a: {b: tag}}: each left state a with the right states paired with it and
+their tags.  No row is empty, and no step changes a row it is given, so
+frontiers share rows.  A step pays per row, not per pair:
+
+- a left step `<c]` reads one image per left state and moves the whole row
+  to each of its ends; rows that meet at one end are merged, tags ORed;
+- a right step `[d>` reads the ends of the frontier's distinct right states
+  once (`PostMap.ends`) and maps each row through them at C level; a row in
+  which two right states meet at one end, or one has several ends, is
+  stepped pair by pair;
+- a bitest keeps whole rows by a left test's byte table and filters a row
+  by a right test's byte table or by comparing keys, `lk[a]` against each
+  `rk[b]`, at C level; any other bitest calls its `PairPred` closure per
+  pair.
+
+`term_tags` returns the tagged rows as they are, for a caller that reads
+coverage from the bits (adequacy); `term_image` and `term_preimage` decode
+them into per-source images, at most WALK_SOURCES sources per walk.  Images
+are computed only from the pairs the validity conditions quantify over
+(forward from the pre-relation, backward from the post-relation), so
+structured spaces with thousands of states per side stay tractable.  Those
+pairs are taken in the oracles' chunks, and a check stops at the end of the
+first chunk in which a condition has failed; a condition that has not failed
+by then, with pairs left to visit, is reported as None (not evaluated).
 
 Validity conditions, with hav the full relation of the ambient full model:
 
@@ -38,18 +50,25 @@ judgment; the checker checks that entailment on every invocation and raises
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from itertools import compress, repeat
+from typing import Callable
 
 from ..bi.terms import BEmbL, BiKatTerm, BiTestTerm, BTest
-from ..kat.terms import kleene_map
+from ..kat.terms import KleeneOps, kleene_map
 from ..models.bmodel import BiModel
-from ..models.kmodel import (WALK_SOURCES, WALKS, Tagged, Walk, test_table,
-                             walk_sources)
-from .core import Counterexample, Judgment, pair_spec, post_map, side_test
-from .oracles import (JudgeResult, RouteDisagreement, _pre_chunks, _run_rows,
-                      check_bsim, check_fsim)
+from ..models.kmodel import (WALK_SOURCES, source_batches, split_tags, test_table,
+                             walk_seq)
+from .core import (NO_RUN, SEVERAL, Counterexample, Judgment, PostMap, pair_spec,
+                   post_map, side_test)
+from .oracles import (JudgeResult, RouteDisagreement, _fill_rows, _row_chunks,
+                      _run_rows, check_bsim, check_fsim)
 
 Pair = tuple[int, int]
 ImageMap = dict[Pair, frozenset[Pair]]
+# A frontier of pair states: left state -> {right state: tag}, no row empty.
+Row = dict[int, int]
+Rows = dict[int, Row]
+RowWalk = Callable[[Rows], Rows]
 
 
 @dataclass
@@ -81,11 +100,11 @@ class RelWitness:
 Witness = BiKatTerm | RelWitness
 
 
-def term_tags(bm: BiModel, w: BiKatTerm, sources: list[int]) -> Tagged:
-    """One walk of a witness term from packed source pairs p = a * n + b:
-    each pair state it reaches, packed, with the bitmask of the sources that
-    reach it (bit i for `sources[i]`)."""
-    return _pair_walker(bm, w, False)({p: 1 << i for i, p in enumerate(sources)})
+def term_tags(bm: BiModel, w: BiKatTerm, rows: Rows) -> Rows:
+    """One walk of a witness term from tagged source rows {a: {b: tag}}:
+    each pair state it reaches, as rows, with the bitmask of the sources
+    that reach it (the OR of their tags)."""
+    return _pair_walker(bm, w, False)(rows)
 
 
 def term_image(bm: BiModel, w: BiKatTerm, sources) -> ImageMap:
@@ -102,15 +121,66 @@ def term_preimage(bm: BiModel, w: BiKatTerm, targets) -> ImageMap:
 def _pair_images(bm: BiModel, w: BiKatTerm, sources, backward: bool) -> ImageMap:
     """The tagged walk of `term_tags` (of the converse if `backward`), a
     batch of WALK_SOURCES sources at a time, decoded per source."""
-    n = bm.space.size
     walk = _pair_walker(bm, w, backward)
-    packed = list(dict.fromkeys(a * n + b for a, b in sources))
-    return {divmod(p, n): frozenset(divmod(q, n) for q in found)
-            for p, found in walk_sources(walk, packed)}
+    out: ImageMap = {}
+    for batch in source_batches(list(dict.fromkeys(sources))):
+        rows: Rows = {}
+        for i, (a, b) in enumerate(batch):
+            rows.setdefault(a, {})[b] = 1 << i
+        tagged = (((a, b), g) for a, row in walk(rows).items() for b, g in row.items())
+        out.update(zip(batch, map(frozenset, split_tags(tagged, len(batch)))))
+    return out
 
 
-def _pair_walker(bm: BiModel, w: BiKatTerm, backward: bool) -> Walk:
-    """The witness term compiled over pair states, once per model."""
+def _or_rows(old: Row, row: Row) -> Row:
+    """A new row with the states of both, tags ORed where they meet."""
+    out = old | row
+    if len(out) < len(old) + len(row):
+        for b in old.keys() & row.keys():
+            out[b] |= old[b]
+    return out
+
+
+def rows_plus(*parts: RowWalk) -> RowWalk:
+    """The union of the walks' results, rows merged per left state."""
+    def plus(cur: Rows) -> Rows:
+        out = dict(parts[0](cur))
+        get = out.get
+        for f in parts[1:]:
+            for a, row in f(cur).items():
+                old = get(a)
+                out[a] = row if old is None else _or_rows(old, row)
+        return out
+    return plus
+
+
+def rows_star(body: RowWalk) -> RowWalk:
+    """The reflexive-transitive closure: only the tags new at a pair are
+    walked again."""
+    def star(cur: Rows) -> Rows:
+        seen = dict(cur)
+        frontier = cur
+        while frontier:
+            nxt: Rows = {}
+            for a, row in body(frontier).items():
+                old = seen.get(a)
+                if old is None:
+                    seen[a] = nxt[a] = row
+                    continue
+                new = {b: g for b, g0 in row.items() if (g := g0 & ~old.get(b, 0))}
+                if new:
+                    seen[a] = _or_rows(old, new)
+                    nxt[a] = new
+            frontier = nxt
+        return seen
+    return star
+
+
+ROWS = KleeneOps(rows_plus, walk_seq, rows_star)
+
+
+def _pair_walker(bm: BiModel, w: BiKatTerm, backward: bool) -> RowWalk:
+    """The witness term compiled over pair-state rows, once per model."""
     key = (w, backward)
     got = bm._walkers.get(key)
     if got is None:
@@ -118,58 +188,98 @@ def _pair_walker(bm: BiModel, w: BiKatTerm, backward: bool) -> Walk:
     return got
 
 
-def _compile_pairs(bm: BiModel, w: BiKatTerm, backward: bool) -> Walk:
-    n = bm.space.size
-
-    def leaf(u: BiKatTerm) -> Walk:
+def _compile_pairs(bm: BiModel, w: BiKatTerm, backward: bool) -> RowWalk:
+    def leaf(u: BiKatTerm) -> RowWalk:
         if isinstance(u, BTest):
             return _pair_filter(bm, u.test)
         step = post_map(bm.base, u.arg, backward=backward)
-        if isinstance(u, BEmbL):
-            def left(cur: Tagged) -> Tagged:
-                post = step.fill({p // n for p in cur})
-                out: Tagged = {}
-                get = out.get
-                for p, g in cur.items():
-                    a, b = divmod(p, n)
-                    for t in post[a]:
-                        q = t * n + b
-                        out[q] = get(q, 0) | g
-                return out
-            return left
-
-        def right(cur: Tagged) -> Tagged:
-            post = step.fill({p % n for p in cur})
-            out: Tagged = {}
-            get = out.get
-            for p, g in cur.items():
-                b = p % n
-                row = p - b
-                for t in post[b]:
-                    q = row + t
-                    out[q] = get(q, 0) | g
-            return out
-        return right
-    return kleene_map(w, leaf, WALKS, reverse=backward)
+        return (_left_step if isinstance(u, BEmbL) else _right_step)(step)
+    return kleene_map(w, leaf, ROWS, reverse=backward)
 
 
-def _pair_filter(bm: BiModel, t: BiTestTerm) -> Walk:
-    """The pair states of a walk step that pass a bitest: a test of one
-    side reads its byte table at p // n or p % n, a keyed predicate
-    compares the two keys, and any other runs its closure."""
-    n = bm.space.size
+def _left_step(step: PostMap) -> RowWalk:
+    """<c]: each row moves whole to every end of its left state."""
+    def left(cur: Rows) -> Rows:
+        post = step.fill(cur)
+        out: Rows = {}
+        get = out.get
+        for a, row in cur.items():
+            for t in post[a]:
+                old = get(t)
+                out[t] = row if old is None else _or_rows(old, row)
+        return out
+    return left
+
+
+def _right_step(step: PostMap) -> RowWalk:
+    """[d>: each row mapped through the ends of its right states, read once
+    for the frontier's distinct right states.  A row in which an end is
+    SEVERAL, or two states meet at one end, is stepped pair by pair."""
+    def right(cur: Rows) -> Rows:
+        bs = list(set().union(*cur.values()))
+        ends = step.ends(bs)
+        end = dict(zip(bs, ends))
+        images = step.fill(compress(bs, map(SEVERAL.__eq__, ends))) \
+            if SEVERAL in ends else None
+        out: Rows = {}
+        for a, row in cur.items():
+            es = list(map(end.__getitem__, row))
+            tags = row.values()
+            if NO_RUN in es:
+                runs = list(map(NO_RUN.__ne__, es))
+                es, tags = list(compress(es, runs)), list(compress(tags, runs))
+                if not es:
+                    continue
+            new = dict(zip(es, tags))
+            if SEVERAL in new:
+                new = {}
+                get = new.get
+                for b, g in row.items():
+                    e = end[b]
+                    for t in (images[b] if e == SEVERAL else () if e == NO_RUN else (e,)):
+                        new[t] = get(t, 0) | g
+            elif len(new) < len(es):  # ends met: OR their tags
+                new = {}
+                get = new.get
+                for e, g in zip(es, tags):
+                    new[e] = get(e, 0) | g
+            out[a] = new
+        return out
+    return right
+
+
+def _pair_filter(bm: BiModel, t: BiTestTerm) -> RowWalk:
+    """The pair states of a frontier that pass a bitest: a left test keeps
+    or drops whole rows by its byte table; a right test reads its byte table
+    and a keyed predicate compares `lk[a]` with each `rk[b]`, along a row;
+    any other runs its closure per pair."""
     side = side_test(t)
     if side is not None:
         table = test_table(bm.base, side[1])
         if side[0] == "L":
-            return lambda cur: {p: g for p, g in cur.items() if table[p // n]}
-        return lambda cur: {p: g for p, g in cur.items() if table[p % n]}
+            return lambda cur: {a: row for a, row in cur.items() if table[a]}
+        return _row_filter(lambda a, row: map(table.__getitem__, row))
     pred = pair_spec(bm, t).pred
     if pred.keyed:
         lk, rk = pred.lk, pred.rk
-        return lambda cur: {p: g for p, g in cur.items() if lk[p // n] == rk[p % n]}
+        return _row_filter(lambda a, row: map(lk[a].__eq__, map(rk.__getitem__, row)))
     holds = pred.holds
-    return lambda cur: {p: g for p, g in cur.items() if holds(p // n, p % n)}
+    return _row_filter(lambda a, row: map(holds, repeat(a), row))
+
+
+def _row_filter(keep) -> RowWalk:
+    """Each row cut to the right states b where `keep(a, row)`, one truth
+    value per b, is true; a row that keeps all is kept as it is."""
+    def filt(cur: Rows) -> Rows:
+        out: Rows = {}
+        for a, row in cur.items():
+            ks = list(keep(a, row))
+            if all(ks):
+                out[a] = row
+            elif any(ks):
+                out[a] = dict(compress(row.items(), ks))
+        return out
+    return filt
 
 
 def _witness_images(bm: BiModel, w: Witness, sources, backward: bool) -> ImageMap:
@@ -180,20 +290,10 @@ def _witness_images(bm: BiModel, w: Witness, sources, backward: bool) -> ImageMa
     return (term_preimage if backward else term_image)(bm, w, sources)
 
 
-def _chunk_images(chunks, images):
-    """(pair, its image) for the pairs of each chunk of rows, in order; a
-    chunk is imaged, by `images(pairs)`, only when it is reached."""
-    for chunk in chunks:
-        pairs = [(a, b) for a, bs in chunk for b in bs]
-        got = images(pairs)
-        for p in pairs:
-            yield p, got.get(p, frozenset())
-
-
 @dataclass
 class WitnessReport:
     direction: str  # "forward" | "backward"
-    conditions: dict[str, bool]
+    conditions: dict[str, bool | None]  # None: not evaluated
     counterexamples: dict[str, Counterexample] = field(default_factory=dict)
     oracle: JudgeResult | None = None
 
@@ -204,8 +304,8 @@ class WitnessReport:
 
 def check_fvalid(bm: BiModel, w: Witness, j: Judgment) -> WitnessReport:
     """Forward validity (WC, WO, WU); on success asserts the simulation holds.
-    The pre pairs are imaged a chunk at a time, and the check stops once
-    every condition has failed."""
+    The pre pairs are imaged a chunk at a time, and the check stops at the
+    end of the first chunk in which a condition fails."""
     return _check_valid(bm, w, j, backward=False)
 
 
@@ -228,7 +328,7 @@ def _check_valid(bm: BiModel, w: Witness, j: Judgment, backward: bool) -> Witnes
     `backward`; a backward counterexample lists its parts in state order."""
     r, s, cpost, dpost = _views(bm, j, backward)
     wc, wo, wu = names = ("WCb", "WOb", "WUb") if backward else ("WC", "WO", "WU")
-    conds = dict.fromkeys(names, True)
+    conds: dict[str, bool | None] = dict.fromkeys(names, True)
     cexs: dict[str, Counterexample] = {}
 
     def fail(name: str, src: tuple, tgt: tuple, why: str) -> None:
@@ -239,27 +339,40 @@ def _check_valid(bm: BiModel, w: Witness, j: Judgment, backward: bool) -> Witnes
                                     f"{ends[0]} -> {ends[1]}: {why}")
 
     s_holds = s.pred.holds
-    chunks = _pre_chunks(r, cpost, dpost, WALK_SOURCES)
-    for src, tgts in _chunk_images(chunks, lambda ps: _witness_images(bm, w, ps, backward)):
-        if conds[wc]:
-            for t in tgts:
-                if not s_holds(*t):
-                    fail(wc, src, t, "witness run " + (
-                        "starts outside the pre" if backward else "leaves the post"))
-                    break
-        if conds[wu]:
-            for t in tgts:
-                if t[1] not in dpost[src[1]]:
-                    fail(wu, src, t, "witness right component is not a right-program run")
-                    break
-        if conds[wo]:
-            lefts = {t for (t, _) in tgts}
-            for t in cpost[src[0]]:
-                if t not in lefts:
-                    fail(wo, src, (t,), "left run is not covered by the witness")
-                    break
-        if not any(conds.values()):
+    chunks = _row_chunks(r, WALK_SOURCES)
+    chunk = next(chunks, None)
+    while chunk is not None:
+        _fill_rows(chunk, cpost, dpost)
+        pairs = [(a, b) for a, bs in chunk for b in bs]
+        images = _witness_images(bm, w, pairs, backward)
+        for src in pairs:
+            tgts = images.get(src, frozenset())
+            if conds[wc]:
+                for t in tgts:
+                    if not s_holds(*t):
+                        fail(wc, src, t, "witness run " + (
+                            "starts outside the pre" if backward else "leaves the post"))
+                        break
+            if conds[wu]:
+                for t in tgts:
+                    if t[1] not in dpost[src[1]]:
+                        fail(wu, src, t, "witness right component is not a right-program run")
+                        break
+            if conds[wo]:
+                lefts = {t for (t, _) in tgts}
+                for t in cpost[src[0]]:
+                    if t not in lefts:
+                        fail(wo, src, (t,), "left run is not covered by the witness")
+                        break
+            if not any(conds.values()):
+                break
+        if not all(conds.values()):
+            # decided: a condition that has not failed, with pairs left to
+            # visit, is not evaluated
+            if any(conds.values()) and next(chunks, None) is not None:
+                conds.update((k, None) for k, v in conds.items() if v)
             break
+        chunk = next(chunks, None)
 
     report = WitnessReport("backward" if backward else "forward", conds, cexs)
     if report.valid:

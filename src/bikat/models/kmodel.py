@@ -12,8 +12,10 @@ fill their tables state by state.  One walk then carries a whole
 batch of sources, each state tagged with the bitmask of the sources that
 reach it, so sources that meet share the rest of the walk.  A term is
 compiled by `kleene_map` into the combinators `WALKS` (`walk_plus`,
-`walk_seq`, `walk_star`), which, with the batch driver `walk_sources`, the
-pair-state walker of BiKAT witness terms shares.  `image`
+`walk_seq`, `walk_star`) and driven a batch of sources at a time by
+`walk_sources`; the pair-state walker of BiKAT witness terms shares
+`walk_seq`, the batches and the decoding of tags (`source_batches`,
+`split_tags`).  `image`
 returns per-source images or preimages; `kat_post`/`kat_pre` are the image
 and preimage of a state set.
 
@@ -408,22 +410,34 @@ def _walker(m: KatModel, t: KatTerm, backward: bool = False) -> Walk:
     return got
 
 
+def source_batches(sources: list) -> Iterator[list]:
+    """`sources` in slices of WALK_SOURCES, one tagged walk each."""
+    for k in range(0, len(sources), WALK_SOURCES):
+        yield sources[k:k + WALK_SOURCES]
+
+
+def split_tags(tagged: Iterable[tuple], count: int) -> list[list]:
+    """Per source i < `count`, the states whose tag in `tagged`, pairs of a
+    state and its tag, has bit i."""
+    found: list[list] = [[] for _ in range(count)]
+    for s2, tags in tagged:
+        if not tags & (tags - 1):
+            found[tags.bit_length() - 1].append(s2)
+            continue
+        bits = bin(tags)[:1:-1]  # bit i at position i
+        i = bits.find("1")
+        while i >= 0:
+            found[i].append(s2)
+            i = bits.find("1", i + 1)
+    return found
+
+
 def walk_sources(walk: Walk, sources: list[int]) -> Iterator[tuple[int, list[int]]]:
     """(source, the states the walk reaches from it) for each of `sources`,
     in order, from one tagged walk per WALK_SOURCES sources."""
-    for k in range(0, len(sources), WALK_SOURCES):
-        batch = sources[k:k + WALK_SOURCES]
-        found: list[list[int]] = [[] for _ in batch]
-        for s2, tags in walk({s: 1 << i for i, s in enumerate(batch)}).items():
-            if not tags & (tags - 1):
-                found[tags.bit_length() - 1].append(s2)
-                continue
-            bits = bin(tags)[:1:-1]  # bit i at position i
-            i = bits.find("1")
-            while i >= 0:
-                found[i].append(s2)
-                i = bits.find("1", i + 1)
-        yield from zip(batch, found)
+    for batch in source_batches(sources):
+        tagged = walk({s: 1 << i for i, s in enumerate(batch)}).items()
+        yield from zip(batch, split_tags(tagged, len(batch)))
 
 
 def image(m: KatModel, t: KatTerm, sources: Iterable[int],

@@ -575,9 +575,10 @@ class TestAdequacyEarlyStop:
         seen = []
         tags = witness.term_tags
 
-        def counting(bm, w, sources):
-            seen.append(len(sources))
-            return tags(bm, w, sources)
+        def counting(bm, w, rows):
+            # the sources come as rows {a: {b: tag}}: count their pairs
+            seen.append(sum(map(len, rows.values())))
+            return tags(bm, w, rows)
 
         monkeypatch.setattr(witness, "term_tags", counting)
         # uncovered only from the first pre pair: one chunk is walked
@@ -871,6 +872,20 @@ class TestWitnessEarlyStop:
         rep = check_bvalid(bm, emb_pair(j.left, j.right), j)
         assert rep.valid and rep.oracle.holds
         assert seen == [64, 128, 256, 64]
+
+    def test_decided_backward_check_stops_after_its_chunk(self, monkeypatch):
+        # guess-count's witness fails WCb and WOb within its first post pairs
+        # while WUb holds there: the check stops after the first chunk, one
+        # post row of 512 partners (s pinned, n, i and k free), and WUb,
+        # evaluated on part of the pairs only, is reported as None
+        prob = corpus_problem("guess-count")
+        seen = self.counting(monkeypatch, "term_preimage")
+        rep = check_bvalid(prob.bm, prob.witness, prob.judgment())
+        assert rep.conditions == {"WCb": False, "WOb": False, "WUb": None}
+        assert not rep.valid
+        assert {k: c.states for k, c in rep.counterexamples.items()} == {
+            "WCb": (64, 1216, 0, 0), "WOb": (0, 0, 64)}
+        assert seen == [512]
 
 
 class TestStreamedRows:

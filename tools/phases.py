@@ -16,7 +16,8 @@ time, so nested calls are counted once, into four phases:
 - walks: image computation (`kmodel.image`/`kat_post`/`kat_pre`, a
   framed term's images lifted from its projections and the per-state ends
   of the end columns, `PostMap._lift`/`ends`, and the pair-state walks of
-  `witness.term_image` and `witness.term_tags`);
+  `witness.term_image` and `witness.term_tags`, which step frontiers of
+  rows);
 - check: the rest of the verdict's time: the oracles' own loops, script
   replay and the proof checker.
 
@@ -124,9 +125,9 @@ def install(ph: Phases) -> None:
     core.PairSpec.rows = ph.timed_rows(core.PairSpec.rows)
     for attr in ("pairs", "partners_left"):
         setattr(core.PairSpec, attr, ph.timed("rows", getattr(core.PairSpec, attr)))
-    chunks = ph.timed_iter("rows", oracles._pre_chunks)
-    oracles._pre_chunks = witness._pre_chunks = chunks
-    oracles._row_chunks = ph.timed_iter("rows", oracles._row_chunks)
+    oracles._pre_chunks = ph.timed_iter("rows", oracles._pre_chunks)
+    chunks = ph.timed_iter("rows", oracles._row_chunks)
+    oracles._row_chunks = witness._row_chunks = chunks
 
     # module functions, replaced under every name a bikat module holds them by
     funcs = {f: ph.timed(phase, f) for phase, fs in (
