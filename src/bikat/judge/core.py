@@ -2,16 +2,16 @@
 relations.
 
 Both readers of a bitest split its conjunction once, with `_split`: the
-tests of each side (`side_test`), the `==` expression bitests, the other
-expression comparisons and the remaining atoms.
+tests of each side (`side_test`), the `==` expression bitests and the
+remaining atoms, the other expression comparisons among them.
 
 `compile_pred` compiles a bitest to a `PairPred`.  The `==` bitests and the
 tests of each side become two key columns over states: `lk[a]` packs the
 left expressions' values into one int (-1 where a left test fails), `rk[b]`
 the right ones (-2 where a right test fails), each lifted from the
 footprint of its expressions.  The keyed atoms hold at (a, b) exactly when
-`lk[a] == rk[b]`; the other atoms are a residual closure tested after the
-keys.  So a row of pairs is decided with C-level set operations on keys,
+`lk[a] == rk[b]`; the remaining atoms are a residual closure tested after
+the keys.  So a row of pairs is decided with C-level set operations on keys,
 not one closure call per pair.  `PairSpec.pred` holds the predicate of its
 bitest, built on first use and memoized with the spec by `pair_spec`.
 
@@ -20,13 +20,14 @@ with its list of right partners (`rows`, in state order, streamed: a row is
 built when it is reached).  `pairs` flattens the rows, and `partners_left`
 builds one row the same way and keeps it.  From the split it computes a
 field layout once per spec: byte tables for the tests of each side, the
-fields an `==` bitest pins to a left-state value, the value lists of the
-fields other comparisons read, one list of bit patterns for the free fields
-(one pattern per state on a space without fields) and residual filters for
-the rest.  The pinned fields of the right partners of every left state are
-built at once, as a template column lifted from the footprints of the left
-expressions.  A right candidate is a template ORed with a pattern; the
-patterns that pass the right tests are found once per template.
+fields that an `==` bitest forces to a left-state value (the first `==` per
+right field whose right side is that field), one ascending list of bit
+patterns for the other fields (one pattern per state on a space without
+fields) and residual filters for every other atom.  The forced fields of
+the right partners of every left state are built at once, as a template
+column lifted from the footprints of the left expressions.  A right
+candidate is a template ORed with a pattern, so a row is in state order;
+the patterns that pass the right tests are found once per template.
 Enumeration is refused before it starts, never truncated, when an estimate
 of its candidates exceeds the one cap `PAIR_ENUM_CAP`.
 
@@ -145,11 +146,10 @@ def _split(bm: BiModel, t: BiTestTerm):
     """The atoms of the conjunction `t`, split once for every reader: the
     tests of the left side and of the right side (`side_test`: `L[..]`,
     `R[..]` and Boolean combinations of one side's tests, as KAT tests), the
-    `==` expression bitests, the other expression comparisons and the
-    remaining atoms; `1` is dropped.  None if an atom is `0`."""
+    `==` expression bitests and the remaining atoms, other comparisons
+    among them; `1` is dropped.  None if an atom is `0`."""
     tests: dict[str, list[TestTerm]] = {"L": [], "R": []}
     eqs: list[ExprBitest] = []
-    cmps: list[ExprBitest] = []
     rest: list[BiTestTerm] = []
     for a in t.args if isinstance(t, BAnd) else (t,):
         if isinstance(a, BZero):
@@ -161,11 +161,11 @@ def _split(bm: BiModel, t: BiTestTerm):
             tests[side[0]].append(side[1])
             continue
         sem = bm.bitest(a.name) if isinstance(a, BPrim) else None
-        if isinstance(sem, ExprBitest):
-            (eqs if sem.op == "==" else cmps).append(sem)
+        if isinstance(sem, ExprBitest) and sem.op == "==":
+            eqs.append(sem)
         else:
             rest.append(a)
-    return tests["L"], tests["R"], eqs, cmps, rest
+    return tests["L"], tests["R"], eqs, rest
 
 
 def compile_pred(bm: BiModel, t: BiTestTerm) -> PairPred:
@@ -183,8 +183,8 @@ def compile_pred(bm: BiModel, t: BiTestTerm) -> PairPred:
     split = _split(bm, t)
     if split is None:
         return PairPred(None, None, lambda a, b: False)
-    left, right, eqs, cmps, rest = split
-    subs = [_compare(sem) for sem in cmps] + [_closure(bm, a) for a in rest]
+    left, right, eqs, rest = split
+    subs = [_closure(bm, a) for a in rest]
     residual = (subs[0] if len(subs) == 1 else _all_of(subs)) if subs else None
     if not (eqs or left or right):
         return PairPred(None, None, residual)
@@ -420,9 +420,7 @@ class _Layout:
     left: bytes | None  # one-sided left conditions, or None for none
     right: bytes | None  # one-sided right conditions, or None for none
     forced: list[tuple[int, int, ExprBitest]]  # (offset, width, equality)
-    pinned: list[tuple[int, int, object, list[int]]]  # comparisons on forced fields
-    compared: list[tuple[int, int, list]]  # (offset, width, [(cmp, left values)])
-    patterns: list[int]  # every value of the free fields, as bits
+    patterns: list[int]  # every value of the free fields, as bits, ascending
     preds: list  # residual pair predicates
 
 
@@ -454,44 +452,30 @@ class PairSpec:
     def _get_layout(self) -> _Layout:
         """The layout of the conjunction's atoms (`_split`): the tests of
         each side as a byte table; the first `==` bitest per right field
-        whose right side reads that one field forces the field; every other
-        comparison against one right field is pinned (its field is forced)
-        or compared; all other atoms filter.  Each value of the fields
-        neither forced nor compared is a free pattern; a space without
-        fields has one free pattern per state."""
+        whose right side reads that one field forces the field; all other
+        atoms filter.  Each value of the fields not forced is a free
+        pattern; a space without fields has one free pattern per state."""
         if self._layout is None:
             bm, space = self.bm, self.bm.space
-            left, right, eqs, cmps, rest = self._atoms
+            left, right, eqs, rest = self._atoms
             forced: dict = {}
-            compared: list[tuple] = []  # (field, ExprBitest)
             preds = [_closure(bm, a) for a in rest]
-            for sem in eqs + cmps:
+            for sem in eqs:
                 key = sem.env.field_of(sem.rexpr)
-                if key is None:
+                if key is None or key in forced:
                     preds.append(_compare(sem))
-                elif sem.op == "==" and key not in forced:
+                else:
                     forced[key] = sem
-                else:
-                    compared.append((key, sem))
-            by_field: dict = {}
-            pinned = []
-            for key, sem in compared:
-                off, width = space.field(key)
-                if key in forced:
-                    pinned.append((off, width, sem.cmp, sem.lvals()))
-                else:
-                    by_field.setdefault(key, (off, width, []))[2].append(
-                        (sem.cmp, sem.lvals()))
             patterns = [0] if space.fields() else list(range(self.n))
             for key in space.fields():
-                if key not in forced and key not in by_field:
+                if key not in forced:
                     off, width = space.field(key)
                     patterns = [p | v << off for v in range(1 << width)
                                 for p in patterns]
             self._layout = _Layout(
                 _table(bm, left), _table(bm, right),
                 [space.field(k) + (sem,) for k, sem in forced.items()],
-                pinned, list(by_field.values()), sorted(patterns), preds)
+                sorted(patterns), preds)
         return self._layout
 
     def _columns(self) -> tuple:
@@ -515,22 +499,12 @@ class PairSpec:
         return self._cols
 
     def _row(self, s: int, tmpl: int) -> list[int]:
-        """The right partners of left state `s`, whose template is `tmpl`:
-        compared fields take their allowed values, the free fields every
-        pattern that passes the right tests, and residual atoms filter."""
+        """The right partners of left state `s`, whose template is `tmpl`, in
+        state order: the template with every free pattern that passes the
+        right tests, filtered by the residual atoms."""
         lay = self._layout
-        for off, width, cmp, vals in lay.pinned:
-            if not cmp(vals[s], tmpl >> off & ((1 << width) - 1)):
-                return []
-        bases = [tmpl]
-        for off, width, conds in lay.compared:
-            allowed = [u for u in range(1 << width)
-                       if all(cmp(vals[s], u) for cmp, vals in conds)]
-            bases = [b | u << off for b in bases for u in allowed]
-        if lay.right is None:
-            out = [b | p for b in bases for p in lay.patterns]
-        else:
-            out = [b | p for b in bases for p in self._right_patterns(b)]
+        pats = lay.patterns if lay.right is None else self._right_patterns(tmpl)
+        out = [tmpl | p for p in pats]
         for pred in lay.preds:
             out = [c for c in out if pred(s, c)]
         return out
@@ -547,15 +521,6 @@ class PairSpec:
             got = self._filtered[base] = [p for p in lay.patterns if right[base | p]]
         return got
 
-    def _candidates_each(self) -> int:
-        """A bound on the right candidates of one left state: every free-field
-        pattern with every value of each compared field."""
-        lay = self._get_layout()
-        each = len(lay.patterns)
-        for _, width, _ in lay.compared:
-            each <<= width
-        return each
-
     def check_enumerable(self) -> None:
         """Raise EnumRefused if an estimate of the pairs to build, every
         candidate of every open left state, exceeds PAIR_ENUM_CAP.  Nothing
@@ -564,7 +529,7 @@ class PairSpec:
             return
         lay = self._get_layout()
         lefts = self.n if lay.left is None else lay.left.count(1)
-        estimated = lefts * self._candidates_each()
+        estimated = lefts * len(lay.patterns)
         if estimated > PAIR_ENUM_CAP:
             raise EnumRefused(
                 f"pair enumeration of ~{estimated} pairs exceeds the cap "
@@ -583,8 +548,7 @@ class PairSpec:
         states, ts = range(self.n), tmpl
         if opened is not None:
             states, ts = compress(states, opened), compress(tmpl, opened)
-        if lay.patterns == [0] and not (lay.pinned or lay.compared or lay.preds
-                                        or lay.right is not None):
+        if lay.patterns == [0] and not (lay.preds or lay.right is not None):
             # every field forced, nothing to filter: the template alone
             return zip(states, map(list, zip(ts)))
         return self._built_rows(states, ts)
@@ -614,17 +578,18 @@ class PairSpec:
     def partner_sets(self):
         """t -> the right states related to t, as a set memoized per t.  If
         the cap refuses the whole relation, None where each state's
-        candidates pass through residual filters (a negation or disjunction
-        reading both sides filters every state of a space); otherwise the
-        function raises EnumRefused before enumerating a state that would
-        take the candidates built past PAIR_ENUM_CAP."""
+        candidates pass through residual filters (a comparison other than a
+        forcing `==`, or a negation or disjunction reading both sides, which
+        filters every state of a space); otherwise the function raises
+        EnumRefused before enumerating a state that would take the
+        candidates built past PAIR_ENUM_CAP."""
         try:
             self.check_enumerable()
             each = 0
         except EnumRefused:
             if self._layout.preds:
                 return None
-            each = self._candidates_each()
+            each = len(self._layout.patterns)
         known: dict[int, frozenset[int]] = {}
 
         def partners(t: int) -> frozenset[int]:

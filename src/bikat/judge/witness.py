@@ -7,7 +7,10 @@ states, and one walk carries a batch of sources: each reached pair is tagged
 with the bitmask of the sources that reach it.  A frontier is a dict of rows,
 {a: {b: tag}}: each left state a with the right states paired with it and
 their tags.  No row is empty, and no step changes a row it is given, so
-frontiers share rows.  A step pays per row, not per pair:
+frontiers share rows.  Union, sequence and closure are `ROWS`, built by
+`kmodel.kleene_walks` as `kmodel.WALKS` is: rows that meet at a left state
+are merged, tags ORed, and the closure walks again only the tags new at a
+pair.  A step pays per row, not per pair:
 
 - a left step `<c]` reads one image per left state and moves the whole row
   to each of its ends; rows that meet at one end are merged, tags ORed;
@@ -54,10 +57,10 @@ from itertools import compress, repeat
 from typing import Callable
 
 from ..bi.terms import BEmbL, BiKatTerm, BiTestTerm, BTest
-from ..kat.terms import KleeneOps, kleene_map
+from ..kat.terms import kleene_map
 from ..models.bmodel import BiModel
-from ..models.kmodel import (WALK_SOURCES, source_batches, split_tags, test_table,
-                             walk_seq)
+from ..models.kmodel import (WALK_SOURCES, kleene_walks, source_batches, split_tags,
+                             test_table)
 from .core import (NO_RUN, SEVERAL, Counterexample, Judgment, PostMap, pair_spec,
                    post_map, side_test)
 from .oracles import (JudgeResult, RouteDisagreement, _fill_rows, _row_chunks,
@@ -141,42 +144,13 @@ def _or_rows(old: Row, row: Row) -> Row:
     return out
 
 
-def rows_plus(*parts: RowWalk) -> RowWalk:
-    """The union of the walks' results, rows merged per left state."""
-    def plus(cur: Rows) -> Rows:
-        out = dict(parts[0](cur))
-        get = out.get
-        for f in parts[1:]:
-            for a, row in f(cur).items():
-                old = get(a)
-                out[a] = row if old is None else _or_rows(old, row)
-        return out
-    return plus
+def _new_tags(row: Row, old: Row) -> Row:
+    """The pairs of `row` with the tag bits that `old` lacks, if any."""
+    return {b: g for b, g0 in row.items() if (g := g0 & ~old.get(b, 0))}
 
 
-def rows_star(body: RowWalk) -> RowWalk:
-    """The reflexive-transitive closure: only the tags new at a pair are
-    walked again."""
-    def star(cur: Rows) -> Rows:
-        seen = dict(cur)
-        frontier = cur
-        while frontier:
-            nxt: Rows = {}
-            for a, row in body(frontier).items():
-                old = seen.get(a)
-                if old is None:
-                    seen[a] = nxt[a] = row
-                    continue
-                new = {b: g for b, g0 in row.items() if (g := g0 & ~old.get(b, 0))}
-                if new:
-                    seen[a] = _or_rows(old, new)
-                    nxt[a] = new
-            frontier = nxt
-        return seen
-    return star
-
-
-ROWS = KleeneOps(rows_plus, walk_seq, rows_star)
+# rows merged per left state; the closure walks the tags new at a pair
+ROWS = kleene_walks(_or_rows, _new_tags)
 
 
 def _pair_walker(bm: BiModel, w: BiKatTerm, backward: bool) -> RowWalk:

@@ -500,15 +500,3 @@ def subst_expr(e: Expr, var: str, repl: Expr) -> Expr:
     if isinstance(e, ECall):
         return ECall(e.fn, tuple(subst_expr(a, var, repl) for a in e.args))
     return EBin(e.op, subst_expr(e.left, var, repl), subst_expr(e.right, var, repl))
-
-
-def subst_bool(b: BoolExpr, var: str, repl: Expr) -> BoolExpr:
-    if isinstance(b, BConst):
-        return b
-    if isinstance(b, BCmp):
-        return BCmp(b.op, subst_expr(b.left, var, repl), subst_expr(b.right, var, repl))
-    if isinstance(b, BNotE):
-        return BNotE(subst_bool(b.arg, var, repl))
-    if isinstance(b, BAndE):
-        return BAndE(tuple(subst_bool(a, var, repl) for a in b.args))
-    return BOrE(tuple(subst_bool(a, var, repl) for a in b.args))

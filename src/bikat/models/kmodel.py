@@ -11,11 +11,14 @@ from one evaluation per footprint value (`StateSpace.lift`); other actions
 fill their tables state by state.  One walk then carries a whole
 batch of sources, each state tagged with the bitmask of the sources that
 reach it, so sources that meet share the rest of the walk.  A term is
-compiled by `kleene_map` into the combinators `WALKS` (`walk_plus`,
-`walk_seq`, `walk_star`) and driven a batch of sources at a time by
-`walk_sources`; the pair-state walker of BiKAT witness terms shares
-`walk_seq`, the batches and the decoding of tags (`source_batches`,
-`split_tags`).  `image`
+compiled by `kleene_map` into the combinators `WALKS` and driven a batch of
+sources at a time by `walk_sources`.  `kleene_walks(merge, minus)` builds
+the combinators for any frontier that maps keys to values: the union merges
+the values that meet at a key, `walk_seq` runs the parts in order, and the
+closure walks again only what is new at a key.  `WALKS` merges state tags by
+OR; the pair-state walker of BiKAT witness terms builds its `ROWS` from the
+same function over rows, and shares the batches and the decoding of tags
+(`source_batches`, `split_tags`).  `image`
 returns per-source images or preimages; `kat_post`/`kat_pre` are the image
 and preimage of a state set.
 
@@ -327,18 +330,6 @@ Walk = Callable[[Tagged], Tagged]
 WALK_SOURCES = 1024
 
 
-def walk_plus(*parts: Walk) -> Walk:
-    """The union of the walks' results, tags ORed per state."""
-    def plus(cur: Tagged) -> Tagged:
-        out: Tagged = {}
-        get = out.get
-        for f in parts:
-            for s, g in f(cur).items():
-                out[s] = get(s, 0) | g
-        return out
-    return plus
-
-
 def walk_seq(*parts: Walk) -> Walk:
     """The walks in order, stopping once nothing is reached."""
     def seq(cur: Tagged) -> Tagged:
@@ -350,26 +341,45 @@ def walk_seq(*parts: Walk) -> Walk:
     return seq
 
 
-def walk_star(body: Walk) -> Walk:
-    """The reflexive-transitive closure: only the tags new at a state are
-    walked again."""
-    def star(cur: Tagged) -> Tagged:
-        seen = dict(cur)
-        frontier = cur
-        while frontier:
-            nxt: Tagged = {}
-            for s, g in body(frontier).items():
-                old = seen.get(s, 0)
-                new = g & ~old
-                if new:
-                    seen[s] = old | new
-                    nxt[s] = new
-            frontier = nxt
-        return seen
-    return star
+def kleene_walks(merge: Callable, minus: Callable) -> KleeneOps:
+    """The walk combinators over frontiers that map keys to values: a union
+    that joins the values meeting at a key with `merge(old, new)`, `walk_seq`,
+    and a closure that walks again only `minus(value, old)`, the part of a
+    value not yet seen at its key (falsy when nothing is new).  A frontier
+    holds no falsy value, and no walk changes a value it is given."""
+    def plus(*parts: Callable) -> Callable:
+        def union(cur: dict) -> dict:
+            out = dict(parts[0](cur))
+            get = out.get
+            for f in parts[1:]:
+                for k, v in f(cur).items():
+                    old = get(k)
+                    out[k] = v if old is None else merge(old, v)
+            return out
+        return union
+
+    def star(body: Callable) -> Callable:
+        def closure(cur: dict) -> dict:
+            seen = dict(cur)
+            get = seen.get
+            frontier = cur
+            while frontier:
+                nxt = {}
+                for k, v in body(frontier).items():
+                    old = get(k)
+                    if old is None:
+                        seen[k] = nxt[k] = v
+                    elif new := minus(v, old):
+                        seen[k] = merge(old, new)
+                        nxt[k] = new
+                frontier = nxt
+            return seen
+        return closure
+    return KleeneOps(plus, walk_seq, star)
 
 
-WALKS = KleeneOps(walk_plus, walk_seq, walk_star)
+# tags ORed where states meet; the closure walks the bits new at a state
+WALKS = kleene_walks(or_, lambda g, old: g & ~old)
 
 
 def _compile(m: KatModel, t: KatTerm, backward: bool) -> Walk:

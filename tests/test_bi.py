@@ -281,6 +281,36 @@ class TestScripts:
                     assert interp_bikat(bm, tr.instance.lhs) == \
                         interp_bikat(bm, tr.instance.rhs)
 
+    REV_CASES = [
+        ("<p;a;b] ; [c>", Step("hom-seq", (0,)),
+         Step("hom-seq", (), {"at": 0, "count": 3, "dir": "rev"})),
+        ("<a + b;c] ; [c>", Step("hom-plus", (0,)),
+         Step("hom-plus", (0,), {"dir": "rev"})),
+        ("[(a;b)*> ; <c]", Step("hom-star", (0,)),
+         Step("hom-star", (0,), {"dir": "rev"})),
+        ("<a] ; ([b> + <c])", Step("distrib-left", (), {"at": 1}),
+         Step("distrib-left", (), {"dir": "rev"})),
+        ("(<a] + [b>) ; <c]", Step("distrib-right", ()),
+         Step("distrib-right", (), {"dir": "rev"})),
+        ("(<a] ; [b>)*", Step("unfold-star", ()),
+         Step("unfold-star", (), {"dir": "rev"})),
+        ("<c] ; <a] ; ([b> ; <a])*", Step("slide", (), {"at": 1}),
+         Step("slide", (), {"at": 1, "dir": "rev"})),
+    ]
+
+    @pytest.mark.parametrize("start, forward, rev", REV_CASES,
+                             ids=[case[1].law for case in REV_CASES])
+    def test_rev_undoes_the_forward_step(self, start, forward, rev):
+        # a law applied forward and then in the `dir: rev` direction gives
+        # back the start term, and both recorded instances are sound
+        term = bisimplify(bt(start))
+        res = check_script(AlignmentScript(term, (forward, rev), term), self.ctx())
+        assert res.accepted, res.error
+        assert res.trace[0].after != term
+        for bm in models(12):
+            for tr in res.trace:
+                assert interp_bikat(bm, tr.instance.lhs) == interp_bikat(bm, tr.instance.rhs)
+
 
 CORPUS = Path(__file__).resolve().parent.parent / "src" / "bikat" / "corpus"
 

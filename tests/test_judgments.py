@@ -613,7 +613,7 @@ class TestRowPath:
     POSTS = ["[x == x]", "[y <= y] | [z == z]", "[w == w]",
              "L[y != 3] & [x != y]", "[z == z] & [w == w]"]
     # a negated left test and a disjunction of right tests next to a forced
-    # and a compared field: the enumeration reads the one-sided atoms as
+    # field and a comparison: the enumeration reads the one-sided atoms as
     # tests of one side, as the keyed pair predicate does
     MIXED = "!L[y == 3] & (R[z == 0] | R[w == 1]) & [x == x] & [y <= z]"
 
@@ -771,10 +771,10 @@ class TestRowPath:
             assert res.holds == holds, kind
 
     def test_compared_fields_count_toward_the_enumeration_cap(self):
-        # 32768 left states; z is pinned and x and y each keep up to 32
+        # 32768 left states; z is forced and x and y each keep up to 32
         # values, so the rows hold 528 * 528 * 32 = 8,921,088 pairs, above
-        # PAIR_ENUM_CAP: the estimate must count the compared values and
-        # refuse before any row is built
+        # PAIR_ENUM_CAP: the estimate must count every value of the compared
+        # fields and refuse before any row is built
         from bikat.judge import EnumRefused
         from bikat.judge.core import PAIR_ENUM_CAP
         prob = load_problem("width 5; vars x y z; "

@@ -1,16 +1,18 @@
-"""Project metadata: every console script `pyproject.toml` declares exists."""
+"""Project metadata: every console script `pyproject.toml` declares exists,
+and every Python file parses as the oldest Python it declares."""
 
+import ast
 import importlib
 from pathlib import Path
 
 import pytest
 
-tomllib = pytest.importorskip("tomllib")  # Python 3.11 and later
-
-PYPROJECT = Path(__file__).resolve().parent.parent / "pyproject.toml"
+ROOT = Path(__file__).resolve().parent.parent
+PYPROJECT = ROOT / "pyproject.toml"
 
 
 def test_console_scripts_resolve_to_callables():
+    tomllib = pytest.importorskip("tomllib")  # Python 3.11 and later
     meta = tomllib.loads(PYPROJECT.read_text())
     for name, target in meta["project"].get("scripts", {}).items():
         module, _, attr = target.partition(":")
@@ -18,3 +20,17 @@ def test_console_scripts_resolve_to_callables():
         for part in attr.split("."):
             obj = getattr(obj, part)
         assert callable(obj), name
+
+
+def test_sources_parse_as_python_3_10():
+    # `requires-python` includes 3.10, so no file may use newer syntax (an
+    # `except*`, a type parameter list); library APIs are not checked
+    assert 'requires-python = ">=3.10"' in PYPROJECT.read_text()
+    paths = [p for d in ("src", "tests", "tools", "perfbench")
+             for p in sorted((ROOT / d).rglob("*.py"))]
+    assert len(paths) > 40
+    for path in paths:
+        ast.parse(path.read_text(), str(path), feature_version=(3, 10))
+    with pytest.raises(SyntaxError):
+        ast.parse("try:\n    pass\nexcept* ValueError:\n    pass\n",
+                  feature_version=(3, 10))

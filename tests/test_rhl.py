@@ -1,4 +1,5 @@
-"""Side conditions of the RHL proof checker on spaces of thousands of states."""
+"""Side conditions of the RHL proof checker on spaces of thousands of states,
+and self-composition against the judgment oracles."""
 
 import signal
 from contextlib import contextmanager
@@ -6,8 +7,18 @@ from contextlib import contextmanager
 import pytest
 
 from bikat.judge import EnumRefused
+from bikat.judge.core import pair_spec, post_map
+from bikat.judge.oracles import dispatch
+from bikat.models.bmodel import bitest_holds
+from bikat.models.space import SIZE_CAP, SpaceError
 from bikat.problem import Cur, load_problem, parse_expr, parse_stmts_text
-from bikat.rhl.proof import SideCondition, check_implication, discharge_side_condition
+from bikat.rhl import check_selfcomp
+from bikat.rhl.parse import parse_proof
+from bikat.rhl.proof import (SideCondition, check_implication, check_proof,
+                             discharge_side_condition)
+
+from test_corpus import CORPUS
+from test_refute import WORKLOADS
 
 # 4096 states a side; x has offset 0, so state 64 is x=0, y=1
 SPACE = "width 6; vars x y;"
@@ -99,3 +110,70 @@ def test_implication_streams_the_rows(prob, monkeypatch):
     # a relation over the cap is refused, not truncated
     with pytest.raises(EnumRefused, match=REFUSED):
         check_implication(ctx, bitest("[x == x] | [y == y]"), bitest("true"))
+
+
+# --- self-composition --------------------------------------------------------
+
+def at_width_2(stem: str, mutated: bool = False):
+    """A corpus problem, or its benchmark mutant, at width 2."""
+    text = (CORPUS / f"{stem}.prob").read_text()
+    if mutated:
+        (mutant,) = [m for m in WORKLOADS.MUTANTS if m.source == stem]
+        text = WORKLOADS.apply_mutant(text, mutant)
+    return load_problem(text, stem + "~mutant" * mutated, width_override=2)
+
+
+@pytest.mark.parametrize("stem, mutated", [
+    ("count-cond", False), ("double-square", False), ("factorial-ni", False),
+    ("simple-sum", False),
+    ("double-square", True), ("factorial-ni", True), ("simple-sum", True),
+])
+def test_selfcomp_agrees_with_dispatch(stem, mutated):
+    prob = at_width_2(stem, mutated)
+    res = check_selfcomp(prob.rhl_context(), prob.rhl_judgment())
+    assert res.holds == dispatch(prob.bm, prob.judgment()).holds == (not mutated)
+    if mutated:
+        # the counterexample is a pair of runs from pre-related states whose
+        # ends fail the post
+        j = prob.judgment()
+        a, b, t, t2 = res.counterexample.states
+        assert pair_spec(prob.bm, prob.pre).holds(a, b)
+        assert t in post_map(prob.bm.base, j.left)[a]
+        assert t2 in post_map(prob.bm.base, j.right)[b]
+        assert not bitest_holds(prob.bm, prob.post, t, t2)
+
+
+@pytest.mark.parametrize("mutated", [False, True])
+def test_selfcomp_proof_leaf(mutated):
+    prob = at_width_2("factorial-ni", mutated)
+    tree = parse_proof("(selfcomp)", prob.parser.bitest, lambda s: parse_expr(Cur(s)))
+    res = check_proof(prob.rhl_context(), tree, prob.rhl_judgment())
+    assert res.accepted is not mutated
+    (leaf,) = res.reports
+    assert (leaf.rule, leaf.ok) == ("selfcomp", not mutated)
+    if mutated:
+        assert res.root_oracle is None
+        assert leaf.message.startswith(
+            "oracle refutes the leaf judgment: doubled-state run violates the post: ")
+    else:
+        assert res.root_oracle.holds
+
+
+def test_selfcomp_applies_to_forall_forall_only():
+    prob = at_width_2("guess-count")  # a forward simulation
+    res = check_selfcomp(prob.rhl_context(), prob.rhl_judgment())
+    assert not res.holds and res.counterexample is None
+    assert res.notes == ["self-composition applies to forall-forall only"]
+    tree = parse_proof("(selfcomp)", prob.parser.bitest, lambda s: parse_expr(Cur(s)))
+    got = check_proof(prob.rhl_context(), tree, prob.rhl_judgment())
+    assert not got.accepted
+    assert got.reports[0].message == (
+        "schema: selfcomp applies to allall judgments, not fsim")
+
+
+@pytest.mark.parametrize("stem", ["array-insert", "loop-tiling"])
+def test_selfcomp_refuses_a_doubled_space_over_the_cap(stem):
+    # the doubled state has twice the bits of one side, over SIZE_CAP
+    prob = at_width_2(stem)
+    with pytest.raises(SpaceError, match=f"states, cap is {SIZE_CAP}$"):
+        check_selfcomp(prob.rhl_context(), prob.rhl_judgment())
