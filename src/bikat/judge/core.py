@@ -18,18 +18,19 @@ bitest, built on first use and memoized with the spec by `pair_spec`.
 `PairSpec` turns a bitest into rows the oracles can iterate: each left state
 with its list of right partners (`rows`, in state order, streamed: a row is
 built when it is reached).  `pairs` flattens the rows, and `partners_left`
-builds one row the same way and keeps it.  From the split it computes a
-field layout once per spec: byte tables for the tests of each side, the
-fields that an `==` bitest forces to a left-state value (the first `==` per
-right field whose right side is that field), one ascending list of bit
-patterns for the other fields (one pattern per state on a space without
-fields) and residual filters for every other atom.  The forced fields of
-the right partners of every left state are built at once, as a template
-column lifted from the footprints of the left expressions.  A right
-candidate is a template ORed with a pattern, so a row is in state order;
-the patterns that pass the right tests are found once per template.
-Enumeration is refused before it starts, never truncated, when an estimate
-of its candidates exceeds the one cap `PAIR_ENUM_CAP`.
+builds one row the same way and keeps it.  A row is built once per template
+and kept, one list shared by the left states with that template; residual
+atoms filter it per state into a new list.  No reader changes a row.  From
+the split it computes a field layout once per spec: byte tables for the
+tests of each side, the fields that an `==` bitest forces to a left-state
+value (the first `==` per right field whose right side is that field), one
+ascending list of bit patterns for the other fields (one pattern per state
+on a space without fields) and residual filters for every other atom.  The
+forced fields of the right partners of every left state are built at once,
+as a template column lifted from the footprints of the left expressions.  A
+right candidate is a template ORed with a pattern, so a row is in state
+order.  Enumeration is refused before it starts, never truncated, when an
+estimate of its candidates exceeds the one cap `PAIR_ENUM_CAP`.
 
 `PostMap` memoizes per-state images of a program term in `images`; `fill`
 computes the missing images of a whole batch of states in one walk of the
@@ -436,7 +437,7 @@ class PairSpec:
         self._layout: _Layout | None = None
         self._cols: tuple | None = None
         self._rows: dict[int, list[int]] = {}  # rows built by partners_left
-        self._filtered: dict[int, list[int]] = {}
+        self._shared: dict[int, list[int]] = {}  # template -> its unfiltered row
         self._pred: PairPred | None = None
 
     @property
@@ -501,24 +502,17 @@ class PairSpec:
     def _row(self, s: int, tmpl: int) -> list[int]:
         """The right partners of left state `s`, whose template is `tmpl`, in
         state order: the template with every free pattern that passes the
-        right tests, filtered by the residual atoms."""
+        right tests, built once per template and shared, then filtered by
+        the residual atoms into a new list."""
         lay = self._layout
-        pats = lay.patterns if lay.right is None else self._right_patterns(tmpl)
-        out = [tmpl | p for p in pats]
-        for pred in lay.preds:
-            out = [c for c in out if pred(s, c)]
-        return out
-
-    def _right_patterns(self, base: int) -> list[int]:
-        """The free-field patterns p with base | p passing the right tests;
-        many left states share a base, so each base is filtered once."""
-        lay = self._layout
-        if len(lay.patterns) == 1:
-            return lay.patterns if lay.right[base] else []
-        got = self._filtered.get(base)
+        got = self._shared.get(tmpl)
         if got is None:
-            right = lay.right
-            got = self._filtered[base] = [p for p in lay.patterns if right[base | p]]
+            got = [tmpl | p for p in lay.patterns]
+            if lay.right is not None:
+                got = list(compress(got, map(lay.right.__getitem__, got)))
+            self._shared[tmpl] = got
+        for pred in lay.preds:
+            got = [c for c in got if pred(s, c)]
         return got
 
     def check_enumerable(self) -> None:
@@ -565,7 +559,7 @@ class PairSpec:
 
     def partners_left(self, s: int) -> list[int]:
         """All s2 with (s, s2) in the relation: the row of `s`, built from
-        the template column as `rows` builds it and kept."""
+        the template column as `rows` builds it, so shared, and kept."""
         if self._atoms is None:
             return []
         got = self._rows.get(s)
@@ -576,13 +570,13 @@ class PairSpec:
         return got
 
     def partner_sets(self):
-        """t -> the right states related to t, as a set memoized per t.  If
-        the cap refuses the whole relation, None where each state's
-        candidates pass through residual filters (a comparison other than a
-        forcing `==`, or a negation or disjunction reading both sides, which
-        filters every state of a space); otherwise the function raises
-        EnumRefused before enumerating a state that would take the
-        candidates built past PAIR_ENUM_CAP."""
+        """t -> the right states related to t, as a set memoized per t and
+        made once per distinct row.  If the cap refuses the whole relation,
+        None where each state's candidates pass through residual filters (a
+        comparison other than a forcing `==`, or a negation or disjunction
+        reading both sides, which filters every state of a space); otherwise
+        the function raises EnumRefused before enumerating a state that would
+        take the candidates built past PAIR_ENUM_CAP."""
         try:
             self.check_enumerable()
             each = 0
@@ -591,6 +585,7 @@ class PairSpec:
                 return None
             each = len(self._layout.patterns)
         known: dict[int, frozenset[int]] = {}
+        sets: dict[int, frozenset[int]] = {}  # one per distinct row, by identity
 
         def partners(t: int) -> frozenset[int]:
             got = known.get(t)
@@ -599,7 +594,10 @@ class PairSpec:
                     raise EnumRefused(
                         f"enumerating the partners of {len(known) + 1} states, up to "
                         f"{each} candidates each, exceeds the cap {PAIR_ENUM_CAP}")
-                got = known[t] = frozenset(self.partners_left(t))
+                row = self.partners_left(t)  # kept by the spec: its id is not reused
+                if id(row) not in sets:
+                    sets[id(row)] = frozenset(row)
+                got = known[t] = sets[id(row)]
             return got
         return partners
 

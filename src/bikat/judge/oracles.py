@@ -5,8 +5,10 @@ compiled representation, `PostMap` images over successor tables and test
 bytes, and the pre-relation as rows: a left state with all its right
 partners, a chunk at a time (`_pre_chunks`: 64 pairs, then 128, ...), with
 the chunk's images computed in one batch, so a check that stops at an early
-counterexample computes few images.  For ∀∀ and ∃∃ one row costs one union
-D of its partners' right images: every run pair of the row is in cpost[a] x D.
+counterexample computes few images.  For ∀∀ and ∃∃ every run pair of a row
+is in cpost[a] x D, D the union of its partners' right images, taken once
+per distinct row of a chunk (`_union`): left states share a row
+(`PairSpec`), whose right images are filled once.
 
 The pointwise routes read a pair predicate through the keys of its
 `PairPred` (`PairSpec.pred`): ∀∀ and ∃∃ test a row's cpost[a] x D at once,
@@ -130,7 +132,8 @@ def _row_chunks(r: PairSpec, most: int | None = None):
 def _fill_rows(chunk, cpost: PostMap, dpost: PostMap | None):
     cimg = cpost.fill(a for a, _ in chunk)
     if dpost is not None:
-        dpost.fill(chain.from_iterable(bs for a, bs in chunk if cimg[a]))
+        rows = {id(bs): bs for a, bs in chunk if cimg[a]}  # distinct rows
+        dpost.fill(chain.from_iterable(rows.values()))
 
 
 def _run_rows(r: PairSpec, cpost: PostMap, dpost: PostMap):
@@ -144,9 +147,13 @@ def _run_rows(r: PairSpec, cpost: PostMap, dpost: PostMap):
                 yield a, bs, cs
 
 
-def _union(images: dict[int, frozenset[int]], states: list[int]) -> frozenset[int]:
-    """The union of the images of `states`, taken in one set operation."""
-    return frozenset().union(*map(images.__getitem__, states))
+def _union(images: dict, row: list[int], known: dict) -> frozenset[int]:
+    """The union of the images of the states of `row`, taken in one set
+    operation once per distinct row: `known` maps the id of each row seen to
+    its union, and its caller keeps those rows alive (a chunk's)."""
+    if id(row) not in known:
+        known[id(row)] = frozenset().union(*map(images.__getitem__, row))
+    return known[id(row)]
 
 
 def _escape(post: PairPred, a: int, bs: list[int], cs, d, dimg) -> tuple | None:
@@ -190,11 +197,12 @@ def check_allall(bm: BiModel, j: Judgment) -> JudgeResult:
             if passed:
                 continue
         _fill_rows(chunk, cpost, dpost)
+        known: dict = {}
         for a, bs in chunk:
             cs = cimg[a]
             if not cs:
                 continue
-            d = _union(dimg, bs)
+            d = _union(dimg, bs, known)
             if cex is None:
                 cex = _escape(post, a, bs, cs, d, dimg)
             if allowed is not None and equational:
@@ -398,8 +406,9 @@ def _post_ends(bm: BiModel, j: Judgment, r: PairSpec, s: PairSpec):
         dpost.fill(chain.from_iterable(r.partners_left(a) for a, _ in rows))
         ends = frozenset().union(*(cs for _, cs in rows))
         dback.fill(chain.from_iterable(map(s.partners_left, ends)))
+        known: dict = {}  # the spec keeps the rows
         for a, cs in rows:
-            d = _union(dimg, r.partners_left(a))
+            d = _union(dimg, r.partners_left(a), known)
             for t in cs:
                 for t2 in s.partners_left(t):
                     yield a, t, t2, d
@@ -429,15 +438,18 @@ def check_existsexists(bm: BiModel, j: Judgment) -> JudgeResult:
     cpost = post_map(bm.base, j.left)
     dpost = post_map(bm.base, j.right)
     post = pair_spec(bm, j.spec.post).pred
-    dimg = dpost.images
-    for a, bs, cs in _run_rows(r, cpost, dpost):
-        hit = _escape(post, a, bs, cs, _union(dimg, bs), dimg)
-        if hit is not None:
-            a, b, t, t2 = hit
-            return JudgeResult("existsexists", True, Counterexample(
-                "existsexists-witness", hit,
-                f"pre {r.render_pair(a, b)} runs to non-post-related "
-                f"{r.render_pair(t, t2)}"))
+    cimg, dimg = cpost.images, dpost.images
+    for chunk in _pre_chunks(r, cpost, dpost):
+        known: dict = {}
+        for a, bs in chunk:
+            cs = cimg[a]
+            hit = cs and _escape(post, a, bs, cs, _union(dimg, bs, known), dimg)
+            if hit:
+                a, b, t, t2 = hit
+                return JudgeResult("existsexists", True, Counterexample(
+                    "existsexists-witness", hit,
+                    f"pre {r.render_pair(a, b)} runs to non-post-related "
+                    f"{r.render_pair(t, t2)}"))
     return JudgeResult("existsexists", False)
 
 

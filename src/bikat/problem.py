@@ -15,7 +15,7 @@ One self-contained file per verification problem.  Blocks:
     implhyp name { bitest } { bitest }    # lhs implies rhs
     witness { <x := any | t := any> ; [x - 1 == t] ; ... }
     script { start {...} goal {...} steps { law @ path (params) ... } }
-    expect holds;                         # recorded expectation (corpus run)
+    expect holds;                         # a check that must pass
 
 Any other block is refused.  `#` starts a comment anywhere.
 
@@ -380,8 +380,8 @@ def _load(text: str, name: str, width_override: int | None) -> Problem:
             c.expect(";")
         elif key in ("kind", "expect"):
             word = c.ident()
+            raw.append((key, word, c.i - len(word)))
             c.expect(";")
-            raw.append((key, word))
         elif key in ("hyp", "relhyp", "implhyp"):
             hname = c.ident()
             if key == "relhyp":
@@ -445,6 +445,16 @@ def _load(text: str, name: str, width_override: int | None) -> Problem:
                 setattr(prob, f"script_{part}", value)
         else:
             raise ParseError(f"unknown problem block {key!r}")
+    # an expect line names a check, and the problem has the term it reads
+    reads = {"holds": BT1, "proof_accepted": BT1, "adequate": prob.script_goal,
+             "script_accepted": prob.script_goal, "witness_fvalid": prob.witness,
+             "witness_bvalid": prob.witness}
+    for _, word, at in (entry for entry in raw if entry[0] == "expect"):
+        if word not in reads:
+            raise ParseError(f"unknown expect {word!r}; known: {', '.join(reads)}", at)
+        if reads[word] is None:
+            what = "witness" if word.startswith("witness") else "script goal"
+            raise ParseError(f"expect {word}: the problem has no {what}", at)
     # a bad program is refused here rather than in the middle of a check;
     # compiling binds each primitive once, and later compiles reuse it
     programs = [prob.left, prob.right]

@@ -20,6 +20,7 @@ from bikat.rhl.parse import parse_proof
 from bikat.rhl.proof import rel_bitest_term
 
 from gen import random_bikat, random_kat
+from test_corpus import verdict
 
 CORPUS = Path(__file__).resolve().parent.parent / "src" / "bikat" / "corpus"
 PROBLEMS = {p.stem: p.read_text() for p in sorted(CORPUS.glob("*.prob"))}
@@ -131,6 +132,43 @@ def test_block_parse_error_points_into_the_file(block, name, bad):
     assert err.value.pos > text.index("\n") + len(SMALL)
     assert text[err.value.pos:].startswith(bad), text[err.value.pos:]
     assert f"(at offset {err.value.pos})" in str(err.value)
+
+
+TWO = ("width 1;\nvars x;\nleft { x := 1; }\nright { x := 1; }\n"
+       "kind fsim;\npre { [x == x] }\npost { [x == x] }\n")
+
+
+@pytest.mark.parametrize("expect, extra, message", [
+    ("bogus", "", "unknown expect 'bogus'; known: holds, "),
+    ("adequate", "", "expect adequate: the problem has no script goal"),
+    ("script_accepted", "", "expect script_accepted: the problem has no script goal"),
+    ("adequate", "script { steps { hom-seq @ 0 } }",
+     "expect adequate: the problem has no script goal"),
+    ("witness_fvalid", "", "expect witness_fvalid: the problem has no witness"),
+    ("witness_bvalid", "script { goal { <x := 1 | x := 1> } }",
+     "expect witness_bvalid: the problem has no witness"),
+])
+def test_expect_line_that_cannot_be_checked_is_refused(expect, extra, message):
+    # the terms an expect line reads may come after it in the file
+    text = f"{TWO}expect holds;\nexpect {expect};\n{extra}\n"
+    with pytest.raises(ParseError) as err:
+        load_problem(text)
+    assert err.value.msg.startswith(message), err.value.msg
+    assert text[err.value.pos:].startswith(f"{expect};")
+
+
+def test_expect_lines_with_their_terms_load_and_run():
+    prob = load_problem(TWO + "expect adequate; expect script_accepted;\n"
+                        "expect witness_fvalid; expect witness_bvalid;\n"
+                        "expect proof_accepted;\n"
+                        "script { goal { <x := 1 | x := 1> } }\n"
+                        "witness { <x := 1 | x := 1> }\n")
+    assert prob.expects == ["adequate", "script_accepted", "witness_fvalid",
+                            "witness_bvalid", "proof_accepted"]
+    # the witness runs from (0, 1), outside the pre, to the post pair (1, 1),
+    # so it is not backward-valid (WCb)
+    assert [verdict(kind, prob, None) for kind in prob.expects[:4]] == [
+        True, True, True, False]
 
 
 # --- terms and steps ----------------------------------------------------------------

@@ -8,7 +8,10 @@ from pathlib import Path
 
 import pytest
 
-from bikat.problem import load_problem
+from bikat.judge.oracles import dispatch
+from bikat.problem import Cur, load_problem, parse_expr
+from bikat.rhl.parse import parse_proof
+from bikat.rhl.proof import check_proof
 
 from test_corpus import CORPUS, verdict
 
@@ -27,11 +30,75 @@ def _workloads():
 WORKLOADS = _workloads()
 
 
+def _mutant_problem(m):
+    text = WORKLOADS.apply_mutant((CORPUS / f"{m.source}.prob").read_text(), m)
+    return load_problem(text, f"{m.source}~mutant")
+
+
 @pytest.mark.parametrize("mutant", WORKLOADS.MUTANTS, ids=lambda m: m.source)
 def test_mutant_verdicts(mutant):
-    text = WORKLOADS.apply_mutant((CORPUS / f"{mutant.source}.prob").read_text(),
-                                  mutant)
-    prob = load_problem(text, f"{mutant.source}~mutant")
+    prob = _mutant_problem(mutant)
     for check in mutant.checks:
         got = verdict(check.kind, prob, CORPUS / f"{mutant.source}.proof")
         assert got == check.expected, (mutant.source, check.kind, check.reason)
+
+
+# the ∀∀ counterexample of each mutant, its states and its text: the first
+# failing pair in row order, which sharing rows must not move
+MUTANT_ALLALL = {
+    "loop-tiling": ((0, 0, 4, 30800),
+                    "pre left={x=0, i=0, j=0, a=[0,0,0,0], A=[0,0,0,0]} "
+                    "right={x=0, i=0, j=0, a=[0,0,0,0], A=[0,0,0,0]} -> post "
+                    "left={x=4, i=0, j=0, a=[0,0,0,0], A=[0,0,0,0]} "
+                    "right={x=0, i=2, j=2, a=[0,0,0,0], A=[1,1,1,1]}"),
+    "factorial-ni": ((0, 2, 64, 130),
+                     "pre left={n=0, i=0, r=0} right={n=2, i=0, r=0} -> post "
+                     "left={n=0, i=0, r=1} right={n=2, i=0, r=2}"),
+    "double-square": ((0, 0, 0, 16),
+                      "pre left={x=0, y=0, z=0} right={x=0, y=0, z=0} -> post "
+                      "left={x=0, y=0, z=0} right={x=0, y=1, z=0}"),
+    "simple-sum": ((8, 8, 74, 10),
+                   "pre left={i=0, N=1, x=0} right={i=0, N=1, x=0} -> post "
+                   "left={i=2, N=1, x=1} right={i=2, N=1, x=0}"),
+    "array-insert": ((0, 32, 5, 293),
+                     "pre left={i=0, len=0, h=0, k=0, A=[0,0,0]} "
+                     "right={i=0, len=0, h=1, k=0, A=[0,0,0]} -> post "
+                     "left={i=1, len=1, h=0, k=0, A=[0,0,0]} "
+                     "right={i=1, len=1, h=1, k=0, A=[1,0,0]}"),
+}
+
+
+@pytest.mark.parametrize("mutant", WORKLOADS.MUTANTS, ids=lambda m: m.source)
+def test_mutant_allall_counterexamples_are_pinned(mutant):
+    assert {m.source for m in WORKLOADS.MUTANTS} == set(MUTANT_ALLALL)
+    prob = _mutant_problem(mutant)
+    res = dispatch(prob.bm, prob.judgment())
+    assert not res.holds and res.routes == {"pointwise": False, "equational": False}
+    cex = res.counterexample
+    assert (cex.states, cex.rendered) == MUTANT_ALLALL[mutant.source]
+
+
+# the one failing node of each mutant proof: its path, rule and message
+MUTANT_PROOF = {
+    "factorial-ni": ((), "rconseq",
+                     "side condition failed: conclusion pre implies premise pre: "
+                     "fails at left={n=0, i=0, r=0} right={n=1, i=0, r=0}"),
+    "array-insert": ((1, 1, 1), "dprim",
+                     "oracle refutes the leaf judgment: pre "
+                     "left={i=0, len=0, h=0, k=0, A=[0,0,0]} "
+                     "right={i=0, len=0, h=1, k=1, A=[1,0,1]} -> post "
+                     "left={i=0, len=0, h=0, k=0, A=[0,0,0]} "
+                     "right={i=0, len=0, h=1, k=1, A=[1,0,1]}"),
+}
+
+
+@pytest.mark.parametrize("source", sorted(MUTANT_PROOF))
+def test_mutant_proof_failures_are_pinned(source):
+    mutant = next(m for m in WORKLOADS.MUTANTS if m.source == source)
+    prob = _mutant_problem(mutant)
+    tree = parse_proof((CORPUS / f"{source}.proof").read_text(), prob.parser.bitest,
+                       lambda s: parse_expr(Cur(s)))
+    res = check_proof(prob.rhl_context(), tree, prob.rhl_judgment())
+    assert not res.accepted
+    assert [(n.path, n.rule, n.message) for n in res.reports if not n.ok] == [
+        MUTANT_PROOF[source]]
