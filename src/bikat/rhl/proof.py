@@ -8,42 +8,44 @@ side conditions semantically (or against a named hypothesis), and at the root
 re-verifies the conclusion with the judgment oracle.  A failing node reports
 its path and reason.
 
-Rule inventory:
+Rule inventory, the keys of `RULES` case-folded (a test keeps the two equal):
 
   forall-forall: dSeq dIf dWh caWh rDisj rConseq SeqSk dAss dPrim dCall selfComp
   forward sim:   eSeq eIf eWh eWhL eWhR eHav enAss eDisj eConseq eAss ePrim eCall
   backward sim:  bSeq bIf bWh bnAss bConseq bDisj bPrim bCall
 
-dPrim/ePrim/bPrim discharge a subjudgment directly by the oracle; dCall-
-style leaves discharge against a declared relational hypothesis, the way
-procedure-call specs are axiomatized.  bIf and bWh need no guard-agreement
-side condition.
+An e-rule concludes fsim judgments, a b-rule bsim, every other rule allall;
+the other judgment kinds have no rules.  dPrim/ePrim/bPrim, dAss/eAss and
+selfComp are leaves that an oracle discharges; dCall-style leaves discharge
+against a declared relational hypothesis, the way procedure-call specs are
+axiomatized.  bIf and bWh need no guard-agreement side condition.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
+from functools import partial
 
 from ..bi.terms import (BAnd, BEmbLTest, BEmbRTest, BiTestTerm, BOne,
                         BPrim, band, bnot, bor, simplify_bitest)
 from ..judge.core import ExprBitest, Judgment, RelSpec, pair_spec, post_map
 from ..judge.oracles import JudgeResult, dispatch
 from ..models.imp import (BoolExpr, ImpEnv, Program, SAssign, SHavoc, SIf,
-                          SSkip, SWhile, Stmt, bool_str, expr_str, stmt_str,
-                          subst_expr)
+                          SSkip, SWhile, bool_str, expr_str, stmt_str, subst_expr)
 from ..models.bmodel import BiModel
 
 
 @dataclass(frozen=True)
 class RhlJudgment:
-    kind: str  # "allall" | "fsim" | "bsim"
+    kind: str  # "allall" | "fsim" | "bsim" have rules; oracle kinds have none
     left: Program
     right: Program
     pre: BiTestTerm
     post: BiTestTerm
 
     def describe(self) -> str:
-        arrow = {"allall": "=>>", "fsim": "=E>", "bsim": "<E="}[self.kind]
+        arrow = {"allall": "=>>", "fsim": "=E>", "bsim": "<E="}.get(
+            self.kind, f"={self.kind}=>")
         lp = " ".join(stmt_str(s) + ";" for s in self.left) or "skip"
         rp = " ".join(stmt_str(s) + ";" for s in self.right) or "skip"
         return f"{lp} | {rp} : {self.pre} {arrow} {self.post}"
@@ -131,10 +133,6 @@ def _strip_skips(p: Program) -> Program:
     return tuple(s for s in p if not isinstance(s, SSkip))
 
 
-def _is_skip(p: Program) -> bool:
-    return not _strip_skips(p)
-
-
 def check_implication(ctx: RhlContext, lhs: BiTestTerm, rhs: BiTestTerm):
     """All pairs satisfying lhs satisfy rhs; the first counterexample pair
     otherwise.  The lhs rows are streamed, so a failure stops the
@@ -212,24 +210,24 @@ def discharge_side_condition(ctx: RhlContext, sc: SideCondition) -> tuple[bool, 
 
 # --- rule schemas -----------------------------------------------------------
 
-_DIAGONAL_SEQ = {"dseq": "allall", "eseq": "fsim", "bseq": "bsim"}
-_DIAGONAL_IF = {"dif": "allall", "eif": "fsim", "bif": "bsim"}
-_DIAGONAL_WH = {"dwh": "allall", "ewh": "fsim", "bwh": "bsim"}
-_CONSEQ = {"rconseq": "allall", "econseq": "fsim", "bconseq": "bsim"}
-_DISJ = {"rdisj": "allall", "edisj": "fsim", "bdisj": "bsim"}
-_PRIM = {"dprim": "allall", "eprim": "fsim", "bprim": "bsim"}
-_CALL = {"dcall": "allall", "ecall": "fsim", "bcall": "bsim"}
-_ASS = {"dass": "allall", "eass": "fsim"}
-_NASS = {"enass": "fsim", "bnass": "bsim"}
+# rule -> schema family.  An e-rule concludes fsim judgments, a b-rule bsim,
+# every other rule allall; the backward rules of a family are its `backward`
+# branch.  A node of a LEAVES family has no premises: an oracle discharges it.
+RULES = {
+    "dseq": "seq", "eseq": "seq", "bseq": "seq", "seqsk": "seq",
+    "dif": "if", "eif": "if", "bif": "if",
+    "dwh": "wh", "ewh": "wh", "bwh": "wh", "cawh": "wh", "ewhl": "wh", "ewhr": "wh",
+    "rconseq": "conseq", "econseq": "conseq", "bconseq": "conseq",
+    "rdisj": "disj", "edisj": "disj", "bdisj": "disj",
+    "dass": "ass", "eass": "ass", "enass": "nass", "bnass": "nass", "ehav": "hav",
+    "dprim": "prim", "eprim": "prim", "bprim": "prim", "selfcomp": "selfcomp",
+    "dcall": "call", "ecall": "call", "bcall": "call",
+}
+LEAVES = {"prim", "ass", "selfcomp"}
 
 
 class SchemaError(Exception):
     pass
-
-
-def _expect_kind(rule: str, expected: str, rj: RhlJudgment):
-    if rj.kind != expected:
-        raise SchemaError(f"{rule} applies to {expected} judgments, not {rj.kind}")
 
 
 def _single(p: Program, cls, what: str):
@@ -246,220 +244,134 @@ def _split(p: Program, k: int, what: str) -> tuple[Program, Program]:
     return p[:k], p[k:]
 
 
+def _loops(ctx: RhlContext, ann: dict, rj: RhlJudgment):
+    """The two loops of a loop rule's conclusion, its invariant and the two
+    guard tests, once the conclusion is checked to be pre = inv and
+    post = inv & !e & !e'."""
+    w = _single(rj.left, SWhile, "while loop")
+    w2 = _single(rj.right, SWhile, "while loop")
+    inv = ann["inv"]
+    le, re = ctx.side_test("L", w.cond), ctx.side_test("R", w2.cond)
+    if not _bt_eq(rj.pre, inv):
+        raise SchemaError(f"loop rule needs pre = invariant; pre is {rj.pre}, "
+                          f"invariant is {inv}")
+    want_post = band(inv, bnot(le), bnot(re))
+    if not _bt_eq(rj.post, want_post):
+        raise SchemaError(f"loop rule concludes post {want_post}, node says {rj.post}")
+    return w, w2, inv, le, re
+
+
 def premise_judgments(
     ctx: RhlContext, rule: str, ann: dict, rj: RhlJudgment
 ) -> tuple[list[RhlJudgment], list[SideCondition]]:
     """Instantiate the rule schema at this conclusion: the derived premise
     judgments, in order, plus the side conditions to discharge."""
     r = rule.lower()
-    side_discharge = ann.get("side", "oracle")
+    family = RULES.get(r)
+    if family is None:
+        raise SchemaError(f"unknown rule {rule!r}")
+    kind = {"e": "fsim", "b": "bsim"}.get(r[0], "allall")
+    if rj.kind != kind:
+        raise SchemaError(f"{rule} applies to {kind} judgments, not {rj.kind}")
+    backward = kind == "bsim"
+    prem = partial(RhlJudgment, kind)
 
-    if r in _DIAGONAL_SEQ:
-        _expect_kind(rule, _DIAGONAL_SEQ[r], rj)
-        mid = ann["mid"]
-        lk = int(ann.get("lsplit", 1))
-        rk = int(ann.get("rsplit", 1))
-        l1, l2 = _split(rj.left, lk, "left")
-        r1, r2 = _split(rj.right, rk, "right")
-        return ([RhlJudgment(rj.kind, l1, r1, rj.pre, mid),
-                 RhlJudgment(rj.kind, l2, r2, mid, rj.post)], [])
+    def implies(what: str, lhs: BiTestTerm, rhs: BiTestTerm) -> SideCondition:
+        return SideCondition("implication", what, lhs=lhs, rhs=rhs,
+                             discharge=ann.get("side", "oracle"))
 
-    if r == "seqsk":
-        _expect_kind(rule, "allall", rj)
-        if not _is_skip(rj.right):
+    if family == "seq":
+        if r == "seqsk" and _strip_skips(rj.right):
             raise SchemaError("SeqSk requires a skip right program")
         mid = ann["mid"]
-        lk = int(ann.get("lsplit", 1))
-        l1, l2 = _split(rj.left, lk, "left")
-        return ([RhlJudgment(rj.kind, l1, (), rj.pre, mid),
-                 RhlJudgment(rj.kind, l2, (), mid, rj.post)], [])
+        l1, l2 = _split(rj.left, int(ann.get("lsplit", 1)), "left")
+        r1, r2 = (((), ()) if r == "seqsk"
+                  else _split(rj.right, int(ann.get("rsplit", 1)), "right"))
+        return [prem(l1, r1, rj.pre, mid), prem(l2, r2, mid, rj.post)], []
 
-    if r in _DIAGONAL_IF:
-        _expect_kind(rule, _DIAGONAL_IF[r], rj)
+    if family == "if":
         si = _single(rj.left, SIf, "if statement")
         si2 = _single(rj.right, SIf, "if statement")
         le, re = ctx.side_test("L", si.cond), ctx.side_test("R", si2.cond)
-        prems = [
-            RhlJudgment(rj.kind, si.then, si2.then,
-                        band(rj.pre, le, re), rj.post),
-            RhlJudgment(rj.kind, si.els, si2.els,
-                        band(rj.pre, bnot(le), bnot(re)), rj.post),
-        ]
-        sides = []
-        if r != "bif":  # backward conditionals need no guard agreement
-            sides.append(SideCondition(
-                "implication",
-                f"pre implies guard agreement ({bool_str(si.cond)} vs {bool_str(si2.cond)})",
-                lhs=rj.pre, rhs=ctx.guards_agree(si.cond, si2.cond),
-                discharge=side_discharge))
-        return prems, sides
+        prems = [prem(si.then, si2.then, band(rj.pre, le, re), rj.post),
+                 prem(si.els, si2.els, band(rj.pre, bnot(le), bnot(re)), rj.post)]
+        if backward:  # backward conditionals need no guard agreement
+            return prems, []
+        return prems, [implies(
+            f"pre implies guard agreement ({bool_str(si.cond)} vs {bool_str(si2.cond)})",
+            rj.pre, ctx.guards_agree(si.cond, si2.cond))]
 
-    if r in _DIAGONAL_WH:
-        _expect_kind(rule, _DIAGONAL_WH[r], rj)
-        w = _single(rj.left, SWhile, "while loop")
-        w2 = _single(rj.right, SWhile, "while loop")
-        inv = ann["inv"]
-        le, re = ctx.side_test("L", w.cond), ctx.side_test("R", w2.cond)
-        if not _bt_eq(rj.pre, inv):
-            raise SchemaError(f"loop rule needs pre = invariant; pre is {rj.pre}, "
-                              f"invariant is {inv}")
-        want_post = band(inv, bnot(le), bnot(re))
-        if not _bt_eq(rj.post, want_post):
-            raise SchemaError(f"loop rule concludes post {want_post}, node says {rj.post}")
-        prems = [RhlJudgment(rj.kind, w.body, w2.body, band(inv, le, re), inv)]
-        sides = []
-        if r != "bwh":  # backward loops need no guard agreement
-            sides.append(SideCondition(
-                "implication", "invariant implies guard agreement",
-                lhs=inv, rhs=ctx.guards_agree(w.cond, w2.cond),
-                discharge=side_discharge))
-        return prems, sides
+    if family == "wh":
+        w, w2, inv, le, re = _loops(ctx, ann, rj)
+        lockstep = prem(w.body, w2.body, band(inv, le, re), inv)
+        if r == "cawh":
+            q, rr = ann["q"], ann["r"]
+            return [prem(w.body, w2.body, band(inv, le, re, bnot(q), bnot(rr)), inv),
+                    prem(w.body, (), band(inv, q, le), inv),
+                    prem((), w2.body, band(inv, rr, re), inv)], [implies(
+                "invariant implies guard agreement or an enabled one-sided selector",
+                inv, bor(ctx.guards_agree(w.cond, w2.cond), band(q, le), band(rr, re)))]
+        if r == "ewhl":
+            return [lockstep, prem(w.body, (), band(inv, le), inv)], [implies(
+                "invariant and right guard imply left guard", band(inv, re), le)]
+        if r == "ewhr":
+            variant = ann["variant"]
+            return [lockstep], [
+                implies("invariant implies left-done-or-right-enabled", inv, bor(bnot(le), re)),
+                SideCondition(
+                    "variant-decrease",
+                    f"right iterations decrease {expr_str(variant)} under the invariant",
+                    payload=(inv, re, w2.body, variant))]
+        if backward:  # backward loops need no guard agreement
+            return [lockstep], []
+        return [lockstep], [implies("invariant implies guard agreement",
+                                    inv, ctx.guards_agree(w.cond, w2.cond))]
 
-    if r == "cawh":
-        _expect_kind(rule, "allall", rj)
-        w = _single(rj.left, SWhile, "while loop")
-        w2 = _single(rj.right, SWhile, "while loop")
-        inv, q, rr = ann["inv"], ann["q"], ann["r"]
-        le, re = ctx.side_test("L", w.cond), ctx.side_test("R", w2.cond)
-        if not _bt_eq(rj.pre, inv):
-            raise SchemaError("conditionally aligned loop rule needs pre = invariant")
-        if not _bt_eq(rj.post, band(inv, bnot(le), bnot(re))):
-            raise SchemaError("conditionally aligned loop rule concludes "
-                              "invariant and both guards false")
-        prems = [
-            RhlJudgment("allall", w.body, w2.body,
-                        band(inv, le, re, bnot(q), bnot(rr)), inv),
-            RhlJudgment("allall", w.body, (), band(inv, q, le), inv),
-            RhlJudgment("allall", (), w2.body, band(inv, rr, re), inv),
-        ]
-        sides = [SideCondition(
-            "implication",
-            "invariant implies guard agreement or an enabled one-sided selector",
-            lhs=inv,
-            rhs=bor(ctx.guards_agree(w.cond, w2.cond), band(q, le), band(rr, re)),
-            discharge=side_discharge)]
-        return prems, sides
+    if family == "conseq":
+        pre2, post2 = ann["pre"], ann["post"]
+        prems = [prem(rj.left, rj.right, pre2, post2)]
+        if backward:  # reversed: weaken the pre, strengthen the post
+            return prems, [implies("premise pre implies conclusion pre", pre2, rj.pre),
+                           implies("conclusion post implies premise post", rj.post, post2)]
+        return prems, [implies("conclusion pre implies premise pre", rj.pre, pre2),
+                       implies("premise post implies conclusion post", post2, rj.post)]
 
-    if r == "ewhl":
-        _expect_kind(rule, "fsim", rj)
-        w = _single(rj.left, SWhile, "while loop")
-        w2 = _single(rj.right, SWhile, "while loop")
-        inv = ann["inv"]
-        le, re = ctx.side_test("L", w.cond), ctx.side_test("R", w2.cond)
-        if not _bt_eq(rj.pre, inv) or not _bt_eq(rj.post, band(inv, bnot(le), bnot(re))):
-            raise SchemaError("left-leading loop rule needs pre = invariant and "
-                              "post = invariant with both guards false")
-        prems = [
-            RhlJudgment("fsim", w.body, w2.body, band(inv, le, re), inv),
-            RhlJudgment("fsim", w.body, (), band(inv, le), inv),
-        ]
-        sides = [SideCondition(
-            "implication", "invariant and right guard imply left guard",
-            lhs=band(inv, re), rhs=le, discharge=side_discharge)]
-        return prems, sides
+    if family == "disj":
+        a, b = ann["first"], ann["second"]
+        end = "post" if backward else "pre"  # the end that splits into two cases
+        if not _bt_eq(getattr(rj, end), bor(a, b)):
+            raise SchemaError(f"{end} must be the disjunction of the two cases")
+        return [replace(rj, **{end: a}), replace(rj, **{end: b})], []
 
-    if r == "ewhr":
-        _expect_kind(rule, "fsim", rj)
-        w = _single(rj.left, SWhile, "while loop")
-        w2 = _single(rj.right, SWhile, "while loop")
-        inv, variant = ann["inv"], ann["variant"]
-        le, re = ctx.side_test("L", w.cond), ctx.side_test("R", w2.cond)
-        if not _bt_eq(rj.pre, inv) or not _bt_eq(rj.post, band(inv, bnot(le), bnot(re))):
-            raise SchemaError("right-variant loop rule needs pre = invariant and "
-                              "post = invariant with both guards false")
-        prems = [RhlJudgment("fsim", w.body, w2.body, band(inv, le, re), inv)]
-        sides = [
-            SideCondition(
-                "implication", "invariant implies left-done-or-right-enabled",
-                lhs=inv, rhs=bor(bnot(le), re), discharge=side_discharge),
-            SideCondition(
-                "variant-decrease",
-                f"right iterations decrease {expr_str(variant)} under the invariant",
-                payload=(inv, re, w2.body, variant), discharge="oracle"),
-        ]
-        return prems, sides
+    if family == "nass":
+        _single(rj.left, SHavoc, "nondeterministic assignment")
+        h2 = _single(rj.right, SHavoc, "nondeterministic assignment")
+        # the relation is the post going forward, the pre going backward,
+        # and the other end is true
+        true_end, rel = ("post", rj.pre) if backward else ("pre", rj.post)
+        if not _bt_eq(getattr(rj, true_end), BOne()):
+            raise SchemaError(f"nondeterministic assignment rule needs {true_end} = true")
+        return [], [SideCondition("domain-totality",
+                                  f"relation is total in the right-hand {h2.var}",
+                                  payload=(rel, h2.var))]
 
-    if r == "ehav":
-        _expect_kind(rule, "fsim", rj)
+    if family == "hav":
         _expect_full_havoc(ctx, rj.left, "left")
         _expect_full_havoc(ctx, rj.right, "right")
         if not _bt_eq(rj.pre, BOne()):
             raise SchemaError("havoc rule needs precondition true")
-        sides = [SideCondition(
-            "domain-totality", "post relation is domain-total",
-            payload=(rj.post, None), discharge="oracle")]
-        return [], sides
+        return [], [SideCondition("domain-totality", "post relation is domain-total",
+                                  payload=(rj.post, None))]
 
-    if r in _NASS:
-        _expect_kind(rule, _NASS[r], rj)
-        h = _single(rj.left, SHavoc, "nondeterministic assignment")
-        h2 = _single(rj.right, SHavoc, "nondeterministic assignment")
-        if r == "enass":
-            if not _bt_eq(rj.pre, BOne()):
-                raise SchemaError("nondeterministic assignment rule needs pre = true")
-            rel = rj.post
-        else:
-            if not _bt_eq(rj.post, BOne()):
-                raise SchemaError("backward nondeterministic assignment rule "
-                                  "needs post = true")
-            rel = rj.pre
-        sides = [SideCondition(
-            "domain-totality",
-            f"relation is total in the right-hand {h2.var}",
-            payload=(rel, h2.var), discharge="oracle")]
-        return [], sides
-
-    if r in _CONSEQ:
-        _expect_kind(rule, _CONSEQ[r], rj)
-        pre2, post2 = ann["pre"], ann["post"]
-        prems = [RhlJudgment(rj.kind, rj.left, rj.right, pre2, post2)]
-        if r == "bconseq":  # reversed: weaken the pre, strengthen the post
-            sides = [
-                SideCondition("implication", "premise pre implies conclusion pre",
-                              lhs=pre2, rhs=rj.pre, discharge=side_discharge),
-                SideCondition("implication", "conclusion post implies premise post",
-                              lhs=rj.post, rhs=post2, discharge=side_discharge),
-            ]
-        else:
-            sides = [
-                SideCondition("implication", "conclusion pre implies premise pre",
-                              lhs=rj.pre, rhs=pre2, discharge=side_discharge),
-                SideCondition("implication", "premise post implies conclusion post",
-                              lhs=post2, rhs=rj.post, discharge=side_discharge),
-            ]
-        return prems, sides
-
-    if r in _DISJ:
-        _expect_kind(rule, _DISJ[r], rj)
-        a, b = ann["first"], ann["second"]
-        if r == "bdisj":
-            if not _bt_eq(rj.post, bor(a, b)):
-                raise SchemaError("post must be the disjunction of the two cases")
-            prems = [RhlJudgment(rj.kind, rj.left, rj.right, rj.pre, a),
-                     RhlJudgment(rj.kind, rj.left, rj.right, rj.pre, b)]
-        else:
-            if not _bt_eq(rj.pre, bor(a, b)):
-                raise SchemaError("pre must be the disjunction of the two cases")
-            prems = [RhlJudgment(rj.kind, rj.left, rj.right, a, rj.post),
-                     RhlJudgment(rj.kind, rj.left, rj.right, b, rj.post)]
-        return prems, []
-
-    if r in _ASS:
-        _expect_kind(rule, _ASS[r], rj)
+    if family == "ass":
         a = _single(rj.left, SAssign, "assignment")
         a2 = _single(rj.right, SAssign, "assignment")
         want = substitute_bitest(ctx, rj.post, a.var, a.expr, a2.var, a2.expr)
         if not _bt_eq(rj.pre, want):
             raise SchemaError(
                 f"assignment axiom needs pre = post with substitutions applied: {want}")
-        return [], []
 
-    if r in _PRIM:
-        _expect_kind(rule, _PRIM[r], rj)
-        return [], []
-
-    if r in _CALL:
-        _expect_kind(rule, _CALL[r], rj)
+    if family == "call":
         name = ann["hyp"]
         hyp = ctx.rel_hyps.get(name)
         if hyp is None:
@@ -470,13 +382,7 @@ def premise_judgments(
                 or not _bt_eq(want.pre, rj.pre) or not _bt_eq(want.post, rj.post)):
             raise SchemaError(
                 f"conclusion does not match hypothesis {name}: {want.describe()}")
-        return [], []
-
-    if r == "selfcomp":
-        _expect_kind(rule, "allall", rj)
-        return [], []
-
-    raise SchemaError(f"unknown rule {rule!r}")
+    return [], []
 
 
 def _expect_full_havoc(ctx: RhlContext, p: Program, side: str):
@@ -540,9 +446,13 @@ def check_proof(ctx: RhlContext, tree: ProofTree, conclusion: RhlJudgment) -> Pr
             if not ok:
                 rep.ok, rep.message = False, f"side condition failed: {msg}"
                 return False
-        r = node.rule.lower()
-        if r in _PRIM or r in _ASS or r == "selfcomp":
-            if r == "selfcomp":
+        if len(node.premises) != len(prems):
+            rep.ok, rep.message = False, (
+                f"rule needs {len(prems)} premises, proof has {len(node.premises)}")
+            return False
+        family = RULES[node.rule.lower()]
+        if family in LEAVES:
+            if family == "selfcomp":
                 from .selfcomp import check_selfcomp
                 res = check_selfcomp(ctx, rj)
             else:
@@ -551,16 +461,9 @@ def check_proof(ctx: RhlContext, tree: ProofTree, conclusion: RhlJudgment) -> Pr
                 rep.ok = False
                 rep.message = (f"oracle refutes the leaf judgment: "
                                f"{res.counterexample.rendered if res.counterexample else ''}")
-                return False
-            return True
-        if len(node.premises) != len(prems):
-            rep.ok, rep.message = False, (
-                f"rule needs {len(prems)} premises, proof has {len(node.premises)}")
-            return False
-        for i, (sub, pj) in enumerate(zip(node.premises, prems)):
-            if not walk(sub, pj, path + (i,)):
-                return False
-        return True
+            return res.holds
+        return all(walk(sub, pj, path + (i,))
+                   for i, (sub, pj) in enumerate(zip(node.premises, prems)))
 
     ok = walk(tree, conclusion, ())
     result = ProofResult(ok, reports)

@@ -14,11 +14,12 @@ from bikat.models.space import SIZE_CAP, SpaceError
 from bikat.problem import Cur, load_problem, parse_expr, parse_stmts_text
 from bikat.rhl import check_selfcomp
 from bikat.rhl.parse import parse_proof
-from bikat.rhl.proof import (SideCondition, check_implication, check_proof,
+from bikat.rhl.proof import (RULES, SideCondition, check_implication, check_proof,
                              discharge_side_condition)
 
 from test_corpus import CORPUS
 from test_refute import WORKLOADS
+from test_rules import inventory
 
 # 4096 states a side; x has offset 0, so state 64 is x=0, y=1
 SPACE = "width 6; vars x y;"
@@ -177,3 +178,10 @@ def test_selfcomp_refuses_a_doubled_space_over_the_cap(stem):
     prob = at_width_2(stem)
     with pytest.raises(SpaceError, match=f"states, cap is {SIZE_CAP}$"):
         check_selfcomp(prob.rhl_context(), prob.rhl_judgment())
+
+
+def test_rule_inventory_is_the_rule_table():
+    # a rule added to the schema table without a line in the proof module's
+    # docstring fails here, and test_rules asks each documented rule for an
+    # accepted and a rejected instance
+    assert sorted(inventory()) == sorted(RULES)
