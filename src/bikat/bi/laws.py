@@ -77,10 +77,3 @@ def expand_conditional(
         emb_pair(ne, ne2),
     )
     return LawInstance("expand-cond", lhs, rhs, star_continuous_only=True)
-
-
-LAW_NAMES = (
-    "lrc", "hom-seq", "hom-plus", "hom-star", "hom-test",
-    "distrib-left", "distrib-right", "unfold-star", "slide", "assoc",
-    "comm-plus", "expand-lockstep", "expand-cond", "hyp", "kat-subterm",
-)

@@ -1,38 +1,50 @@
 """Replayable alignment derivations: one law application per step.
 
-A step addresses its redex by an explicit tree path (child indices, root = ()).
-Laws that rewrite a segment of a sequence chain take the start index as the
-`at` parameter.  Terms are kept in canonical simplified form between steps, so
-paths are deterministic; the checker reports the current term on a mismatch.
+A step addresses a node by an explicit tree path (child indices, root = ()).
+Every law rewrites a segment of the node's sequence chain (any other node is
+a chain of one): the segment at index `at` for the laws that read it, else
+the whole chain.  Terms are re-simplified after each step, so paths are
+deterministic; the checker reports the current term on a mismatch.
+
+The laws (the keys of `LAWS`), the parameters a step may give, and those of
+the reverse direction, `rev` (that is, `dir: rev`):
+
+  lrc              (at)                      rev (at)
+  hom-seq          ()                        rev (at, count)
+  hom-plus         ()                        rev ()
+  hom-star         ()                        rev ()
+  hom-test         ()
+  distrib-left     (at)                      rev (at, count)
+  distrib-right    (at)                      rev (at, count)
+  unfold-star      ()                        rev ()
+  slide            (at)                      rev (at)
+  assoc            ()
+  comm-plus        ()
+  expand-lockstep  (at, e, c, e2, c2)
+  expand-cond      (at, e, c, e2, c2, q, r)
+  hyp              (at, name, side)
+  kat-subterm      (to)
+
+hom-test, assoc and comm-plus, which canonical form already applies, record
+no instance.  expand-cond holds in *-continuous models only: a proviso.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Callable
+from functools import cached_property
+from typing import Callable, NamedTuple
 
 from ..kat.decide import ZeroHypothesis, kat_equiv
 from ..kat.parse import ParseError
-from ..kat.terms import (TESTS, KatTerm, KPlus, KSeq, KStar, bool_map, kplus,
+from ..kat.terms import (TESTS, KatTerm, Plus, Seq, Star, bool_map, children, kplus,
                          kseq, kstar, ktest)
 from .laws import LawInstance, expand_conditional, expand_lockstep
 from .rewrite import bitest_side, distribute_embeddings, term_side
-from .terms import (B0, B1, BEmbL, BEmbR, BiKatTerm, BiTestTerm, BPlus, BPrim,
-                    BSeq, BStar, BTest, bembl, bembr, bisimplify, bplus, bseq,
-                    bstar, seq_chain)
+from .terms import (B0, B1, BEmbL, BEmbR, BiKatTerm, BPlus, BSeq, BStar, BTest,
+                    bembl, bembr, bisimplify, bplus, bseq, bstar, seq_chain)
 from ..models.kmodel import KatModel, kat_post, kat_pre
 from ..models.space import SpaceError
-
-
-def _strip_atom(a: BiTestTerm):
-    if isinstance(a, BPrim):
-        raise ScriptError(f"bitest {a} is not one-sided")
-    return a.test
-
-
-def _strip_bitest(t: BiTestTerm):
-    """Recover the underlying test from a purely one-sided bitest."""
-    return bool_map(t, _strip_atom, TESTS)
 
 
 class ScriptError(Exception):
@@ -123,306 +135,275 @@ def subterm_at(t: BiKatTerm, path: tuple[int, ...]) -> BiKatTerm:
 def replace_at(t: BiKatTerm, path: tuple[int, ...], new: BiKatTerm) -> BiKatTerm:
     if not path:
         return new
-    i, rest = path[0], path[1:]
-    if isinstance(t, (BSeq, BPlus)) and 0 <= i < len(t.args):
-        args = list(t.args)
-        args[i] = replace_at(args[i], rest, new)
-        return (bseq if isinstance(t, BSeq) else bplus)(*args)
-    if isinstance(t, BStar) and i == 0:
-        return bstar(replace_at(t.arg, rest, new))
-    raise ScriptError(f"path component {i} does not address a child of {t}")
+    i = path[0]
+    child = replace_at(child_at(t, i), path[1:], new)
+    if isinstance(t, BStar):
+        return bstar(child)
+    return (bseq if isinstance(t, BSeq) else bplus)(*t.args[:i], child, *t.args[i + 1:])
 
 
-def _param(step: Step, key: str) -> str:
-    try:
-        return step.params[key]
-    except KeyError:
-        raise ScriptError(f"missing parameter {key!r}") from None
+class Law(NamedTuple):
+    """A law's function and the parameters a step may give, forward and
+    `rev` (None: the law has no reverse)."""
+
+    apply: Callable  # Redex -> (start, count, factors): a segment and its replacement
+    params: tuple[str, ...] = ()
+    rev: tuple[str, ...] | None = None
+    star_continuous: bool = False  # holds in *-continuous models only
 
 
-def _int_param(step: Step, key: str, default: int) -> int:
-    raw = step.params.get(key, default)
-    try:
-        return int(raw)
-    except ValueError:
-        raise ScriptError(f"parameter {key!r} is not an integer: {raw!r}") from None
+@dataclass
+class Redex:
+    """What a law reads: a step's law, direction and parameters, and the
+    sequence chain of the node the step addresses."""
+
+    law: str
+    rev: bool
+    params: dict
+    chain: tuple[BiKatTerm, ...]
+    ctx: ScriptContext
+
+    @property
+    def name(self) -> str:  # as error messages name the law
+        return f"{self.law} rev" if self.rev else self.law
+
+    @property
+    def node(self) -> BiKatTerm:
+        return bseq(*self.chain)
+
+    @cached_property
+    def at(self) -> int:  # checked when a law reads it: after the terms it parses
+        at = self.int_param("at", 0)
+        if not 0 <= at < len(self.chain):
+            raise ScriptError(f"segment index {at} out of range for chain of {len(self.chain)}")
+        return at
+
+    def param(self, key: str) -> str:
+        try:
+            return self.params[key]
+        except KeyError:
+            raise ScriptError(f"missing parameter {key!r}") from None
+
+    def int_param(self, key: str, default: int) -> int:
+        raw = self.params.get(key, default)
+        try:
+            return int(raw)
+        except ValueError:
+            raise ScriptError(f"parameter {key!r} is not an integer: {raw!r}") from None
 
 
-def _chain_and_at(t: BiKatTerm, step: Step) -> tuple[tuple[BiKatTerm, ...], int]:
-    chain = seq_chain(t)
-    at = _int_param(step, "at", 0)
-    if not 0 <= at < len(chain):
-        raise ScriptError(f"segment index {at} out of range for chain of {len(chain)}")
-    return chain, at
-
-
-def _replace_segment(
-    t: BiKatTerm, chain: tuple[BiKatTerm, ...], at: int, count: int,
-    replacement: tuple[BiKatTerm, ...],
-) -> BiKatTerm:
-    return bseq(*(chain[:at] + replacement + chain[at + count:]))
-
-
-def _match_segment(
-    chain: tuple[BiKatTerm, ...], at: int, expected: tuple[BiKatTerm, ...], what: str
-) -> None:
-    got = chain[at:at + len(expected)]
-    if tuple(bisimplify(g) for g in got) != tuple(bisimplify(e) for e in expected):
-        raise ScriptError(
-            f"{what}: expected segment\n    " +
-            " ; ".join(str(e) for e in expected) +
-            f"\n  at index {at}, found\n    " + " ; ".join(str(g) for g in got))
-
-
-def _emb_side(t: BiKatTerm) -> str | None:
-    return t.side if isinstance(t, (BEmbL, BEmbR)) else None
+_EMB = {"L": bembl, "R": bembr}
 
 
 def _factor_side(t: BiKatTerm) -> str | None:
     """Side of an embedded action or one-sided bitest factor."""
-    if isinstance(t, BTest):
-        s = bitest_side(t.test)
-        return s if s in ("L", "R") else None
-    return _emb_side(t)
+    side = bitest_side(t.test) if isinstance(t, BTest) else getattr(t, "side", None)
+    return side if side in ("L", "R") else None
 
 
 def _factor_kat(t: BiKatTerm) -> KatTerm:
     """The underlying term of an embedded factor (action or bitest)."""
     if isinstance(t, (BEmbL, BEmbR)):
         return t.arg
-    return ktest(_strip_bitest(t.test))
+    return ktest(bool_map(t.test, lambda a: a.test, TESTS))  # atoms embed tests
+
+
+def _lrc(r: Redex):
+    """R ; L  ->  L ; R, and back with rev."""
+    pair = r.chain[r.at:r.at + 2]
+    if len(pair) < 2:
+        raise ScriptError("lrc needs two adjacent factors")
+    a, b = pair
+    want = ("L", "R") if r.rev else ("R", "L")
+    if (term_side(a), term_side(b)) != want:
+        raise ScriptError(
+            f"{r.name}: factors at {r.at} are {term_side(a)}/{term_side(b)}-sided, "
+            f"expected {want[0]}/{want[1]}: {a} ; {b}")
+    return r.at, 2, (b, a)
+
+
+# hom law -> its operator's marker base, KAT and BiKAT constructors, and name
+_HOM = {"hom-seq": (Seq, kseq, bseq, "a sequence"),
+        "hom-plus": (Plus, kplus, bplus, "a sum"),
+        "hom-star": (Star, kstar, bstar, "a star")}
+
+
+def _hom(r: Redex):
+    """<k op k'] -> <k] op <k'], and back with rev from factors that embed
+    from one side.  hom-seq rev folds the `count` factors at `at`."""
+    op, kat_op, bi_op, noun = _HOM[r.law]
+    start, count = ((r.at, r.int_param("count", 2)) if r.law == "hom-seq" and r.rev
+                    else (0, len(r.chain)))
+    found = bseq(*r.chain[start:start + count])
+    if r.rev:
+        parts = children(found) if isinstance(found, op) and start + count <= len(r.chain) else ()
+        sides = {_factor_side(a) for a in parts}
+        if len(sides) != 1 or None in sides:
+            raise ScriptError(f"{r.name}: expected {noun} whose operands all embed "
+                              f"from one side, found {found}")
+        return start, count, (_EMB[sides.pop()](kat_op(*map(_factor_kat, parts))),)
+    if not isinstance(found, (BEmbL, BEmbR)) or not isinstance(found.arg, op):
+        raise ScriptError(f"{r.name}: expected an embedding of {noun}, found {found}")
+    return start, count, (bi_op(*map(_EMB[found.side], children(found.arg))),)
+
+
+# law -> the nodes it applies at, for the laws that canonical form applies
+_CANONICAL = {"hom-test": ("a one-sided test", lambda t: _factor_side(t) is not None),
+              "assoc": ("a node", lambda t: True),
+              "comm-plus": ("a sum", lambda t: isinstance(t, BPlus))}
+
+
+def _canonical(r: Redex):
+    """A law that canonical form already applies: it splices nothing."""
+    what, applies = _CANONICAL[r.law]
+    if not applies(r.node):
+        raise ScriptError(f"{r.law}: path must address {what}, found {r.node}")
+    return 0, 0, ()
+
+
+def _distrib(r: Redex):
+    """x ; (y + z)  ->  x;y + x;z for the sum at `at`, and distrib-right its
+    mirror image; with rev, a `count`-factor prefix (suffix) is factored out."""
+    left, target = r.law == "distrib-left", r.chain[r.at]
+    if not isinstance(target, BPlus):
+        raise ScriptError(f"{r.name}: factor at {r.at} is not a sum: {target}")
+    if not r.rev:
+        if left:
+            return 0, r.at + 1, (bplus(*[bseq(*r.chain[:r.at], a) for a in target.args]),)
+        return r.at, len(r.chain) - r.at, (
+            bplus(*[bseq(a, *r.chain[r.at + 1:]) for a in target.args]),)
+    n = r.int_param("count", 1)
+    # each summand's chain as (the part factored out, the rest)
+    splits = [(a[:n], a[n:]) if left else (a[len(a) - n:], a[:len(a) - n])
+              for a in map(seq_chain, target.args)]
+    if n < 1 or len({common for common, _ in splits}) != 1 or len(splits[0][0]) != n:
+        raise ScriptError(f"{r.name}: summands do not share a {n}-factor "
+                          f"{'prefix' if left else 'suffix'}")
+    common, rest = splits[0][0], bplus(*[bseq(*tail) for _, tail in splits])
+    return r.at, 1, (bseq(*common, rest) if left else bseq(rest, *common),)
+
+
+def _unfold_star(r: Redex):
+    """x*  ->  1 + x;x*, and back with rev."""
+    node = r.node
+    # folding, the star ends the summand that is not 1
+    rest = bplus(*(a for a in node.args if a != B1)) if r.rev and isinstance(node, BPlus) else node
+    star = seq_chain(rest)[-1]
+    unfolded = bplus(B1, bseq(star.arg, star)) if isinstance(star, BStar) else None
+    if unfolded is None or r.rev and bisimplify(node) != bisimplify(unfolded):
+        raise ScriptError(f"{r.name}: expected {'a sum 1 + x;x*' if r.rev else 'a star'}, "
+                          f"found {node}")
+    return 0, len(r.chain), (star if r.rev else unfolded,)
+
+
+def _slide(r: Redex):
+    """a ; (b;a)*  ->  (a;b)* ; a, and back with rev."""
+    pair = r.chain[r.at:r.at + 2]
+    if len(pair) < 2 or not isinstance(pair[0 if r.rev else 1], BStar):
+        raise ScriptError(f"{r.name}: expected " + (
+            "a star followed by a factor" if r.rev else "factor followed by a star"))
+    star, a = pair if r.rev else pair[::-1]
+    body = seq_chain(star.arg)
+    if bisimplify(body[0] if r.rev else body[-1]) != bisimplify(a):
+        raise ScriptError(f"{r.name}: star body does not " + (
+            "begin with the trailing factor" if r.rev else "end with the leading factor"))
+    return r.at, 2, ((a, bstar(bseq(*body[1:], a))) if r.rev
+                     else (bstar(bseq(a, *body[:-1])), a))
+
+
+def _match(r: Redex, what: str, lhs: BiKatTerm, rhs: BiKatTerm):
+    """Rewrite the segment at `at` that matches `lhs` factor by factor to `rhs`."""
+    want = seq_chain(bisimplify(lhs))
+    got = r.chain[r.at:r.at + len(want)]
+    if tuple(map(bisimplify, got)) != tuple(map(bisimplify, want)):
+        raise ScriptError(
+            f"{what}: expected segment\n    " + " ; ".join(map(str, want)) +
+            f"\n  at index {r.at}, found\n    " + " ; ".join(map(str, got)))
+    return r.at, len(want), seq_chain(bisimplify(rhs))
+
+
+def _expand(r: Redex):
+    """The loop expansion laws of `laws`, instantiated by the step."""
+    test, kat, bitest = r.ctx.parse_test, r.ctx.parse_kat, r.ctx.parse_bitest
+    if test is None or kat is None:
+        raise ScriptError(f"{r.law}: no term parser available in this context")
+    loops = test(r.param("e")), kat(r.param("c")), test(r.param("e2")), kat(r.param("c2"))
+    if r.law == "expand-lockstep":
+        law = expand_lockstep(*loops)
+    elif bitest is None:
+        raise ScriptError("expand-cond: no bitest parser available")
+    else:
+        law = expand_conditional(*loops, bitest(r.param("q")), bitest(r.param("r")))
+    return _match(r, r.law, law.lhs, law.rhs)
+
+
+def _hyp(r: Redex):
+    """A zero-hypothesis, embedded on `side`, rewrites to 0."""
+    name, side = r.param("name"), r.params.get("side", "L")
+    if side not in _EMB:
+        raise ScriptError(f"hyp: side must be L or R, found {side!r}")
+    hterm = r.ctx.hypothesis(name).term
+    return _match(r, f"hyp {name}", distribute_embeddings(_EMB[side](hterm)), B0)
+
+
+def _kat_subterm(r: Redex):
+    """<k]  ->  <k'] for KAT terms that `kat_equiv` proves equal."""
+    node = r.node
+    if not isinstance(node, (BEmbL, BEmbR)):
+        raise ScriptError(f"kat-subterm: path must address an embedding, found {node}")
+    if r.ctx.parse_kat is None:
+        raise ScriptError("kat-subterm: no term parser available in this context")
+    to = r.ctx.parse_kat(r.param("to"))
+    verdict = kat_equiv(node.arg, to)
+    if not verdict.is_equal:
+        raise ScriptError(
+            f"kat-subterm: {node.arg} and {to} are not provably equal ({verdict.kind})")
+    return 0, len(r.chain), (_EMB[node.side](to),)
+
+
+LAWS: dict[str, Law] = {
+    "lrc": Law(_lrc, ("at",), ("at",)),
+    "hom-seq": Law(_hom, (), ("at", "count")),
+    "hom-plus": Law(_hom, (), ()),
+    "hom-star": Law(_hom, (), ()),
+    "hom-test": Law(_canonical),
+    "distrib-left": Law(_distrib, ("at",), ("at", "count")),
+    "distrib-right": Law(_distrib, ("at",), ("at", "count")),
+    "unfold-star": Law(_unfold_star, (), ()),
+    "slide": Law(_slide, ("at",), ("at",)),
+    "assoc": Law(_canonical),
+    "comm-plus": Law(_canonical),
+    "expand-lockstep": Law(_expand, ("at", "e", "c", "e2", "c2")),
+    "expand-cond": Law(_expand, ("at", "e", "c", "e2", "c2", "q", "r"), star_continuous=True),
+    "hyp": Law(_hyp, ("at", "name", "side")),
+    "kat-subterm": Law(_kat_subterm, ("to",)),
+}
 
 
 def apply_step(t: BiKatTerm, step: Step, ctx: ScriptContext) -> tuple[BiKatTerm, LawInstance | None]:
-    node = subterm_at(t, step.path)
-    law = step.law
-    instance: LawInstance | None = None
-
-    if law == "lrc":
-        chain, at = _chain_and_at(node, step)
-        if at + 1 >= len(chain):
-            raise ScriptError("lrc needs two adjacent factors")
-        a, b = chain[at], chain[at + 1]
-        rev = step.params.get("dir") == "rev"
-        want = ("L", "R") if rev else ("R", "L")
-        if (term_side(a), term_side(b)) != want:
-            raise ScriptError(
-                f"lrc{' rev' if rev else ''}: factors at {at} are "
-                f"{term_side(a)}/{term_side(b)}-sided, expected {want[0]}/{want[1]}: {a} ; {b}")
-        new = _replace_segment(node, chain, at, 2, (b, a))
-        instance = LawInstance("lrc", bseq(a, b), bseq(b, a))
-
-    elif law in ("hom-seq", "hom-plus", "hom-star"):
-        rev = step.params.get("dir") == "rev"
-        if not rev:
-            side = _emb_side(node)
-            if side is None:
-                raise ScriptError(f"{law}: path must address an embedding, found {node}")
-            emb = bembl if side == "L" else bembr
-            k = node.arg
-            if law == "hom-seq":
-                if not isinstance(k, KSeq):
-                    raise ScriptError(f"hom-seq: embedded term is not a sequence: {k}")
-                new_node = bseq(*[emb(a) for a in k.args])
-            elif law == "hom-plus":
-                if not isinstance(k, KPlus):
-                    raise ScriptError(f"hom-plus: embedded term is not a sum: {k}")
-                new_node = bplus(*[emb(a) for a in k.args])
-            else:
-                if not isinstance(k, KStar):
-                    raise ScriptError(f"hom-star: embedded term is not a star: {k}")
-                new_node = bstar(emb(k.arg))
-            instance = LawInstance(law, node, new_node)
-            new = new_node
-        else:
-            if law == "hom-star":
-                if not (isinstance(node, BStar) and _emb_side(node.arg)):
-                    raise ScriptError(f"hom-star rev: expected a star of an embedding, found {node}")
-                side = _emb_side(node.arg)
-                emb = bembl if side == "L" else bembr
-                new = emb(kstar(node.arg.arg))
-                instance = LawInstance(law, node, new)
-            elif law == "hom-plus":
-                if not isinstance(node, BPlus):
-                    raise ScriptError("hom-plus rev: path must address a sum")
-                sides = {_emb_side(a) for a in node.args}
-                if len(sides) != 1 or None in sides:
-                    raise ScriptError("hom-plus rev: summands must all embed from one side")
-                side = sides.pop()
-                emb = bembl if side == "L" else bembr
-                new = emb(kplus(*[a.arg for a in node.args]))
-                instance = LawInstance(law, node, new)
-            else:  # hom-seq rev folds a run of same-side factors
-                chain, at = _chain_and_at(node, step)
-                n = _int_param(step, "count", 2)
-                seg = chain[at:at + n]
-                if len(seg) < 2:
-                    raise ScriptError("hom-seq rev: segment must have at least two factors")
-                sides = {_factor_side(a) for a in seg}
-                if len(sides) != 1 or None in sides:
-                    raise ScriptError(
-                        "hom-seq rev: segment factors must all embed from one side, found " +
-                        " ; ".join(str(a) for a in seg))
-                side = sides.pop()
-                emb = bembl if side == "L" else bembr
-                folded = emb(kseq(*[_factor_kat(a) for a in seg]))
-                instance = LawInstance(law, bseq(*seg), folded)
-                new = _replace_segment(node, chain, at, n, (folded,))
-
-    elif law == "hom-test":
-        # one-sided tests are kept in bitest form, so both directions of this
-        # law are represented by the same canonical term
-        if _factor_side(node) is None:
-            raise ScriptError(f"hom-test: path must address a one-sided test, found {node}")
-        new = bisimplify(node)
-        instance = None
-
-    elif law in ("distrib-left", "distrib-right"):
-        chain, at = _chain_and_at(node, step)
-        rev = step.params.get("dir") == "rev"
-        if not rev:
-            target = chain[at]
-            if not isinstance(target, BPlus):
-                raise ScriptError(f"{law}: factor at {at} is not a sum: {target}")
-            if law == "distrib-left":
-                prefix, kept = chain[:at], chain[at + 1:]
-                arms = tuple(bseq(*prefix, arm) for arm in target.args)
-                new = bseq(bplus(*arms), *kept)
-                instance = LawInstance(law, bseq(*prefix, target), bplus(*arms))
-            else:
-                kept, suffix = chain[:at], chain[at + 1:]
-                arms = tuple(bseq(arm, *suffix) for arm in target.args)
-                new = bseq(*kept, bplus(*arms))
-                instance = LawInstance(law, bseq(target, *suffix), bplus(*arms))
-        else:
-            # factor a common prefix (left) or suffix (right) out of a sum
-            target = chain[at]
-            if not isinstance(target, BPlus):
-                raise ScriptError(f"{law} rev: factor at {at} is not a sum: {target}")
-            n = _int_param(step, "count", 1)
-            arms = [seq_chain(a) for a in target.args]
-            if law == "distrib-left":
-                common = arms[0][:n]
-                if any(a[:n] != common for a in arms):
-                    raise ScriptError(f"{law} rev: summands do not share a {n}-factor prefix")
-                rest = bplus(*[bseq(*a[n:]) for a in arms])
-                folded = bseq(*common, rest)
-            else:
-                common = arms[0][len(arms[0]) - n:]
-                if any(a[len(a) - n:] != common for a in arms):
-                    raise ScriptError(f"{law} rev: summands do not share a {n}-factor suffix")
-                rest = bplus(*[bseq(*a[:len(a) - n]) for a in arms])
-                folded = bseq(rest, *common)
-            instance = LawInstance(law, target, folded)
-            new = _replace_segment(node, chain, at, 1, (folded,))
-
-    elif law == "unfold-star":
-        rev = step.params.get("dir") == "rev"
-        if not rev:
-            if not isinstance(node, BStar):
-                raise ScriptError(f"unfold-star: path must address a star, found {node}")
-            new = bplus(B1, bseq(node.arg, node))
-            instance = LawInstance(law, node, new)
-        else:
-            if not isinstance(node, BPlus) or len(node.args) != 2:
-                raise ScriptError("unfold-star rev: expected a two-summand sum")
-            one, rest = (node.args if node.args[0].const == 1 else (node.args[1], node.args[0]))
-            if one.const != 1:
-                raise ScriptError("unfold-star rev: no unit summand")
-            ch = seq_chain(rest)
-            if not (isinstance(ch[-1], BStar) and
-                    bisimplify(bseq(*ch[:-1])) == bisimplify(ch[-1].arg)):
-                raise ScriptError("unfold-star rev: sum is not of shape 1 + x;x*")
-            new = ch[-1]
-            instance = LawInstance(law, node, new)
-
-    elif law == "slide":
-        chain, at = _chain_and_at(node, step)
-        rev = step.params.get("dir") == "rev"
-        if not rev:
-            # a ; (b;a)*  ->  (a;b)* ; a
-            if at + 1 >= len(chain) or not isinstance(chain[at + 1], BStar):
-                raise ScriptError("slide: expected factor followed by a star")
-            a = chain[at]
-            body = seq_chain(chain[at + 1].arg)
-            if bisimplify(body[-1]) != bisimplify(a):
-                raise ScriptError("slide: star body does not end with the leading factor")
-            new_star = bstar(bseq(a, *body[:-1]))
-            instance = LawInstance(law, bseq(a, chain[at + 1]), bseq(new_star, a))
-            new = _replace_segment(node, chain, at, 2, (new_star, a))
-        else:
-            # (a;b)* ; a  ->  a ; (b;a)*
-            if at + 1 >= len(chain) or not isinstance(chain[at], BStar):
-                raise ScriptError("slide rev: expected a star followed by a factor")
-            a = chain[at + 1]
-            body = seq_chain(chain[at].arg)
-            if bisimplify(body[0]) != bisimplify(a):
-                raise ScriptError("slide rev: star body does not begin with the trailing factor")
-            new_star = bstar(bseq(*body[1:], a))
-            instance = LawInstance(law, bseq(chain[at], a), bseq(a, new_star))
-            new = _replace_segment(node, chain, at, 2, (a, new_star))
-
-    elif law == "assoc":
-        new = bisimplify(node)
-        instance = None
-
-    elif law == "comm-plus":
-        if not isinstance(node, BPlus):
-            raise ScriptError("comm-plus: path must address a sum")
-        new = bisimplify(node)
-        instance = None
-
-    elif law in ("expand-lockstep", "expand-cond"):
-        if ctx.parse_test is None or ctx.parse_kat is None:
-            raise ScriptError(f"{law}: no term parser available in this context")
-        e = ctx.parse_test(_param(step, "e"))
-        c = ctx.parse_kat(_param(step, "c"))
-        e2 = ctx.parse_test(_param(step, "e2"))
-        c2 = ctx.parse_kat(_param(step, "c2"))
-        if law == "expand-lockstep":
-            instance = expand_lockstep(e, c, e2, c2)
-        else:
-            if ctx.parse_bitest is None:
-                raise ScriptError("expand-cond: no bitest parser available")
-            q = ctx.parse_bitest(_param(step, "q"))
-            r = ctx.parse_bitest(_param(step, "r"))
-            instance = expand_conditional(e, c, e2, c2, q, r)
-        chain, at = _chain_and_at(node, step)
-        lhs_chain = seq_chain(bisimplify(instance.lhs))
-        _match_segment(chain, at, lhs_chain, law)
-        new = _replace_segment(node, chain, at, len(lhs_chain),
-                               seq_chain(bisimplify(instance.rhs)))
-
-    elif law == "hyp":
-        name = step.params.get("name")
-        hterm = ctx.hypothesis(name).term
-        side = step.params.get("side", "L")
-        emb = bembl if side == "L" else bembr
-        expected = seq_chain(bisimplify(distribute_embeddings(emb(hterm))))
-        chain, at = _chain_and_at(node, step)
-        _match_segment(chain, at, expected, f"hyp {name}")
-        new = _replace_segment(node, chain, at, len(expected), (B0,))
-        instance = LawInstance(f"hyp({name})", bseq(*expected), B0)
-
-    elif law == "kat-subterm":
-        side = _emb_side(node)
-        if side is None:
-            raise ScriptError(f"kat-subterm: path must address an embedding, found {node}")
-        if ctx.parse_kat is None:
-            raise ScriptError("kat-subterm: no term parser available in this context")
-        to = ctx.parse_kat(_param(step, "to"))
-        verdict = kat_equiv(node.arg, to)
-        if not verdict.is_equal:
-            raise ScriptError(
-                f"kat-subterm: {node.arg} and {to} are not provably equal "
-                f"({verdict.kind})")
-        new = (bembl if side == "L" else bembr)(to)
-        instance = LawInstance("kat-subterm", node, new)
-
-    else:
-        raise ScriptError(f"unknown law {law!r}")
-
-    return bisimplify(replace_at(t, step.path, new)), instance
+    """Apply one law at the node `step.path` addresses: the law rewrites a
+    segment of the node's chain, and the spliced term is re-simplified.  The
+    instance is the segment and its replacement; None for a law that canonical
+    form already applies."""
+    law = LAWS.get(step.law)
+    if law is None:
+        raise ScriptError(f"unknown law {step.law!r}")
+    direction = step.params.get("dir")
+    reads = {None: law.params, "rev": law.rev}.get(direction)
+    if reads is None:
+        raise ScriptError(f"{step.law} has no direction {direction!r}")
+    r = Redex(step.law, direction == "rev", step.params, seq_chain(subterm_at(t, step.path)), ctx)
+    extra = sorted(set(step.params) - {"dir", *reads})
+    if extra:
+        raise ScriptError(f"{r.name} does not read " + ", ".join(extra))
+    start, count, new = law.apply(r)
+    spliced = bseq(*r.chain[:start], *new, *r.chain[start + count:])
+    after = bisimplify(replace_at(t, step.path, spliced))
+    if not count:
+        return after, None
+    name = f"hyp({step.params['name']})" if step.law == "hyp" else step.law
+    return after, LawInstance(name, bseq(*r.chain[start:start + count]), bseq(*new),
+                              law.star_continuous)
 
 
 def check_script(script: AlignmentScript, ctx: ScriptContext) -> ScriptResult:

@@ -180,7 +180,8 @@ def _field(t: Term):
     return None if name is None else getattr(t, name)
 
 
-def _children(t: Term) -> tuple[Term, ...]:
+def children(t: Term) -> tuple[Term, ...]:
+    """The argument terms of `t`: one for a star, none for an atom."""
     v = _field(t)
     if isinstance(v, tuple):
         return v
@@ -193,7 +194,7 @@ def subterms(t: Term) -> Iterable[Term]:
     while todo:
         u = todo.pop()
         yield u
-        todo.extend(_children(u))
+        todo.extend(children(u))
 
 
 # --- canonical order and normal form ---------------------------------------------

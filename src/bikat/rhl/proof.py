@@ -18,7 +18,10 @@ An e-rule concludes fsim judgments, a b-rule bsim, every other rule allall;
 the other judgment kinds have no rules.  dPrim/ePrim/bPrim, dAss/eAss and
 selfComp are leaves that an oracle discharges; dCall-style leaves discharge
 against a declared relational hypothesis, the way procedure-call specs are
-axiomatized.  bIf and bWh need no guard-agreement side condition.
+axiomatized.  bIf and bWh need no guard-agreement side condition; their
+premises run a left branch or body, as the bsim oracle does, from every
+state, so it first assumes its guard.  A node may carry only the annotations
+its rule reads.
 """
 
 from __future__ import annotations
@@ -30,8 +33,9 @@ from ..bi.terms import (BAnd, BEmbLTest, BEmbRTest, BiTestTerm, BOne,
                         BPrim, band, bnot, bor, simplify_bitest)
 from ..judge.core import ExprBitest, Judgment, RelSpec, pair_spec, post_map
 from ..judge.oracles import JudgeResult, dispatch
-from ..models.imp import (BoolExpr, ImpEnv, Program, SAssign, SHavoc, SIf,
-                          SSkip, SWhile, bool_str, expr_str, stmt_str, subst_expr)
+from ..models.imp import (BNotE, BoolExpr, ImpEnv, Program, SAssign, SAssume,
+                          SHavoc, SIf, SSkip, SWhile, bool_str, expr_str, stmt_str,
+                          subst_expr)
 from ..models.bmodel import BiModel
 
 
@@ -224,6 +228,10 @@ RULES = {
     "dcall": "call", "ecall": "call", "bcall": "call",
 }
 LEAVES = {"prim", "ass", "selfcomp"}
+# rule or family -> the annotations it reads (a rule not listed reads its family's)
+READS = {"seq": "mid lsplit rsplit", "seqsk": "mid lsplit", "if": "side", "bif": "",
+         "wh": "inv side", "bwh": "inv", "cawh": "inv q r side", "ewhr": "inv variant side",
+         "conseq": "pre post side", "disj": "first second", "call": "hyp"}
 
 
 class SchemaError(Exception):
@@ -273,6 +281,9 @@ def premise_judgments(
     kind = {"e": "fsim", "b": "bsim"}.get(r[0], "allall")
     if rj.kind != kind:
         raise SchemaError(f"{rule} applies to {kind} judgments, not {rj.kind}")
+    unread = sorted(set(ann) - set(READS.get(r, READS.get(family, "")).split()))
+    if unread:
+        raise SchemaError(f"{rule} does not read " + ", ".join(f":{k}" for k in unread))
     backward = kind == "bsim"
     prem = partial(RhlJudgment, kind)
 
@@ -293,8 +304,11 @@ def premise_judgments(
         si = _single(rj.left, SIf, "if statement")
         si2 = _single(rj.right, SIf, "if statement")
         le, re = ctx.side_test("L", si.cond), ctx.side_test("R", si2.cond)
-        prems = [prem(si.then, si2.then, band(rj.pre, le, re), rj.post),
-                 prem(si.els, si2.els, band(rj.pre, bnot(le), bnot(re)), rj.post)]
+        then, els = si.then, si.els
+        if backward:  # a left branch runs from every state, so it assumes its guard
+            then, els = (SAssume(si.cond),) + then, (SAssume(BNotE(si.cond)),) + els
+        prems = [prem(then, si2.then, band(rj.pre, le, re), rj.post),
+                 prem(els, si2.els, band(rj.pre, bnot(le), bnot(re)), rj.post)]
         if backward:  # backward conditionals need no guard agreement
             return prems, []
         return prems, [implies(
@@ -322,8 +336,8 @@ def premise_judgments(
                     "variant-decrease",
                     f"right iterations decrease {expr_str(variant)} under the invariant",
                     payload=(inv, re, w2.body, variant))]
-        if backward:  # backward loops need no guard agreement
-            return [lockstep], []
+        if backward:  # no guard agreement; the left body assumes its guard
+            return [prem((SAssume(w.cond),) + w.body, w2.body, band(inv, le, re), inv)], []
         return [lockstep], [implies("invariant implies guard agreement",
                                     inv, ctx.guards_agree(w.cond, w2.cond))]
 

@@ -4,7 +4,9 @@ instance (a wrong conclusion kind, a bad annotation, a failing side condition
 or premise) that it rejects at a named node with a named class of message.
 All instances live on a 2-bit space of two variables, 16 states a side."""
 
+import random
 import re
+from collections import Counter
 from dataclasses import dataclass, replace
 
 import pytest
@@ -173,6 +175,16 @@ INSTANCES = {
 # the rules whose node is discharged by an oracle rather than by premises
 LEAVES = ["dprim", "eprim", "bprim", "dass", "eass", "selfcomp"]
 
+# bIf and bWh instances whose premises hold only because a left branch or
+# body assumes its guard: the bsim oracle runs it from every state
+GUARDED = {
+    "bif": (same("bsim", IF, "[x == x]", BOTH, "(bif (bprim) (bprim))"),
+            ["assume(x == 0); y := 1; | y := 1;", "assume(!(x == 0)); y := 0; | y := 0;"]),
+    "bwh": (same("bsim", DOWN_X, "[x == x]", f"[x == x] & {DONE}",
+                 "(bwh :inv {[x == x]} (bprim))"),
+            ["assume(x != 0); x := x - 1; | x := x - 1;"]),
+}
+
 
 def inventory() -> dict[str, str]:
     """Rule name, case-folded, to the kind it concludes, as the rule
@@ -236,3 +248,72 @@ def test_kinds_without_rules_fail_at_the_root(kind):
     assert (rep.path, rep.rule, rep.ok, rep.message) == (
         (), "dprim", False, f"schema: dprim applies to allall judgments, not {kind}")
     assert kind in rep.judgment
+
+
+@pytest.mark.parametrize("rule", sorted(GUARDED))
+def test_backward_premises_assume_the_left_guard(rule):
+    inst, premises = GUARDED[rule]
+    res = inst.check()
+    assert res.accepted and res.root_oracle.holds, [r.message for r in res.reports]
+    assert [r.judgment.split(" : ")[0] for r in res.reports[1:]] == premises
+
+
+@pytest.mark.parametrize("rule", sorted(INSTANCES))
+def test_an_annotation_the_rule_does_not_read_is_refused(rule):
+    inst = INSTANCES[rule][0]
+    res = replace(inst, proof=inst.proof.replace(f"({rule}", f"({rule} :bogus 3", 1)).check()
+    assert [(r.path, r.ok, r.message) for r in res.reports] == [
+        ((), False, f"schema: {rule} does not read :bogus")]
+
+
+@pytest.mark.parametrize("rule, proof, unread", [
+    ("bif", "(bif :side hyp=nope :inv {false} (bprim) (bprim))", ":inv, :side"),
+    ("dprim", "(dprim :mid {false} :side hyp=nope)", ":mid, :side"),
+    ("seqsk", "(seqsk :mid {L[x == 0]} :rsplit 1 (dprim) (dprim))", ":rsplit"),
+    ("bwh", "(bwh :inv {[x == x]} :side hyp=nope (bprim))", ":side"),
+    ("dwh", f"(dwh :inv {{{INV}}} :q {{true}} (dprim))", ":q"),
+    ("ewh", f"(ewh :inv {{{INV}}} :variant {{y}} (eprim))", ":variant"),
+])
+def test_annotations_of_another_rule_are_refused(rule, proof, unread):
+    # each rule reads its family's annotations but these, which differ
+    res = replace(INSTANCES[rule][0], proof=proof).check()
+    assert [(r.path, r.ok, r.message) for r in res.reports] == [
+        ((), False, f"schema: {rule} does not read {unread}")]
+
+
+CONDS = ["x == 0", "x != 0", "y == 0", "x < 2", "y != 1", "x == y"]
+STMTS = ["x := x + 1;", "y := x;", "x := x - 1;", "y := y + 1;", "skip;", "x := y;", "y := 0;"]
+RELS = ["true", "[x == x]", "[y == y]", BOTH, "[x == y]", "L[x == 0]", "[x == x] & R[y == 0]",
+        "[x == x] & L[y == 0] & R[y == 0]", "[y == y] & L[x != 0]"]
+
+
+def random_backward(rng: random.Random) -> Instance:
+    """A bIf or bWh instance on random programs and relations."""
+    def body():
+        return " ".join(rng.choice(STMTS) for _ in range(rng.randint(1, 2)))
+
+    def same_or(prog, fresh):
+        return prog if rng.random() < 0.5 else fresh()
+
+    if rng.random() < 0.5:
+        def cond():
+            return f"if ({rng.choice(CONDS)}) {{ {body()} }} else {{ {body()} }}"
+        left = cond()
+        return Instance("bsim", left, same_or(left, cond), rng.choice(RELS), rng.choice(RELS),
+                        "(bif (bprim) (bprim))")
+    c1 = rng.choice(CONDS)
+    c2 = same_or(c1, lambda: rng.choice(CONDS))
+    inv = rng.choice(RELS)
+    return Instance("bsim", f"while ({c1}) {{ {body()} }}", f"while ({c2}) {{ {body()} }}",
+                    inv, f"{inv} & !L[{c1}] & !R[{c2}]", f"(bwh :inv {{{inv}}} (bprim))")
+
+
+def test_backward_rules_accept_nothing_the_root_oracle_refutes():
+    # derandomized: whenever bIf or bWh accepts, the conclusion holds
+    rng, accepted = random.Random(0), Counter()
+    for _ in range(300):
+        inst = random_backward(rng)
+        res = inst.check()
+        assert not [r for r in res.reports if r.rule == "(root)"], inst
+        accepted[inst.proof.split()[0][1:]] += res.accepted
+    assert accepted["bif"] >= 5 and accepted["bwh"] >= 10, accepted
