@@ -32,7 +32,7 @@ no instance.  expand-cond holds in *-continuous models only: a proviso.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from functools import cached_property
+from functools import cached_property, partial
 from typing import Callable, NamedTuple
 
 from ..kat.decide import ZeroHypothesis, kat_equiv
@@ -146,10 +146,20 @@ class Law(NamedTuple):
     """A law's function and the parameters a step may give, forward and
     `rev` (None: the law has no reverse)."""
 
-    apply: Callable  # Redex -> (start, count, factors): a segment and its replacement
+    apply: Callable  # Redex -> Rewrite
     params: tuple[str, ...] = ()
     rev: tuple[str, ...] | None = None
-    star_continuous: bool = False  # holds in *-continuous models only
+
+
+class Rewrite(NamedTuple):
+    """The segment of `count` factors at `start` that a law rewrites, its
+    replacement, and the instance's name and proviso when not the law's own."""
+
+    start: int
+    count: int
+    factors: tuple[BiKatTerm, ...]
+    name: str | None = None
+    star_continuous_only: bool = False
 
 
 @dataclass
@@ -208,7 +218,7 @@ def _factor_kat(t: BiKatTerm) -> KatTerm:
     return ktest(bool_map(t.test, lambda a: a.test, TESTS))  # atoms embed tests
 
 
-def _lrc(r: Redex):
+def _lrc(r: Redex) -> Rewrite:
     """R ; L  ->  L ; R, and back with rev."""
     pair = r.chain[r.at:r.at + 2]
     if len(pair) < 2:
@@ -219,59 +229,48 @@ def _lrc(r: Redex):
         raise ScriptError(
             f"{r.name}: factors at {r.at} are {term_side(a)}/{term_side(b)}-sided, "
             f"expected {want[0]}/{want[1]}: {a} ; {b}")
-    return r.at, 2, (b, a)
+    return Rewrite(r.at, 2, (b, a))
 
 
-# hom law -> its operator's marker base, KAT and BiKAT constructors, and name
-_HOM = {"hom-seq": (Seq, kseq, bseq, "a sequence"),
-        "hom-plus": (Plus, kplus, bplus, "a sum"),
-        "hom-star": (Star, kstar, bstar, "a star")}
-
-
-def _hom(r: Redex):
-    """<k op k'] -> <k] op <k'], and back with rev from factors that embed
-    from one side.  hom-seq rev folds the `count` factors at `at`."""
-    op, kat_op, bi_op, noun = _HOM[r.law]
-    start, count = ((r.at, r.int_param("count", 2)) if r.law == "hom-seq" and r.rev
-                    else (0, len(r.chain)))
+def _hom(op: type, kat_op: Callable, bi_op: Callable, noun: str, r: Redex) -> Rewrite:
+    """<k op k'] -> <k] op <k'] for the operator `op` (a marker base of both
+    term languages), and back with rev from factors that embed from one
+    side.  hom-seq rev folds the `count` factors at `at`."""
+    if not r.rev:
+        node = r.node
+        if not isinstance(node, (BEmbL, BEmbR)) or not isinstance(node.arg, op):
+            raise ScriptError(f"{r.law}: expected an embedding of {noun}, found {node}")
+        return Rewrite(0, 1, (bi_op(*map(_EMB[node.side], children(node.arg))),))
+    start, count = (r.at, r.int_param("count", 2)) if op is Seq else (0, len(r.chain))
+    if count < 2 and op is Seq:
+        raise ScriptError(f"{r.name}: count must be at least 2, found {count}")
     found = bseq(*r.chain[start:start + count])
-    if r.rev:
-        parts = children(found) if isinstance(found, op) and start + count <= len(r.chain) else ()
-        sides = {_factor_side(a) for a in parts}
-        if len(sides) != 1 or None in sides:
-            raise ScriptError(f"{r.name}: expected {noun} whose operands all embed "
-                              f"from one side, found {found}")
-        return start, count, (_EMB[sides.pop()](kat_op(*map(_factor_kat, parts))),)
-    if not isinstance(found, (BEmbL, BEmbR)) or not isinstance(found.arg, op):
-        raise ScriptError(f"{r.name}: expected an embedding of {noun}, found {found}")
-    return start, count, (bi_op(*map(_EMB[found.side], children(found.arg))),)
+    sides = {_factor_side(a) for a in children(found)} if isinstance(found, op) else set()
+    if start + count > len(r.chain) or len(sides) != 1 or None in sides:
+        raise ScriptError(f"{r.name}: expected {noun} whose operands all embed "
+                          f"from one side, found {found}")
+    return Rewrite(start, count, (_EMB[sides.pop()](kat_op(*map(_factor_kat, children(found)))),))
 
 
-# law -> the nodes it applies at, for the laws that canonical form applies
-_CANONICAL = {"hom-test": ("a one-sided test", lambda t: _factor_side(t) is not None),
-              "assoc": ("a node", lambda t: True),
-              "comm-plus": ("a sum", lambda t: isinstance(t, BPlus))}
-
-
-def _canonical(r: Redex):
-    """A law that canonical form already applies: it splices nothing."""
-    what, applies = _CANONICAL[r.law]
+def _canonical(what: str, applies: Callable, r: Redex) -> Rewrite:
+    """A law that canonical form already applies at a node of kind `what`:
+    it splices nothing."""
     if not applies(r.node):
         raise ScriptError(f"{r.law}: path must address {what}, found {r.node}")
-    return 0, 0, ()
+    return Rewrite(0, 0, ())
 
 
-def _distrib(r: Redex):
+def _distrib(left: bool, r: Redex) -> Rewrite:
     """x ; (y + z)  ->  x;y + x;z for the sum at `at`, and distrib-right its
     mirror image; with rev, a `count`-factor prefix (suffix) is factored out."""
-    left, target = r.law == "distrib-left", r.chain[r.at]
+    target = r.chain[r.at]
     if not isinstance(target, BPlus):
         raise ScriptError(f"{r.name}: factor at {r.at} is not a sum: {target}")
     if not r.rev:
         if left:
-            return 0, r.at + 1, (bplus(*[bseq(*r.chain[:r.at], a) for a in target.args]),)
-        return r.at, len(r.chain) - r.at, (
-            bplus(*[bseq(a, *r.chain[r.at + 1:]) for a in target.args]),)
+            return Rewrite(0, r.at + 1, (bplus(*[bseq(*r.chain[:r.at], a) for a in target.args]),))
+        return Rewrite(r.at, len(r.chain) - r.at, (
+            bplus(*[bseq(a, *r.chain[r.at + 1:]) for a in target.args]),))
     n = r.int_param("count", 1)
     # each summand's chain as (the part factored out, the rest)
     splits = [(a[:n], a[n:]) if left else (a[len(a) - n:], a[:len(a) - n])
@@ -280,73 +279,76 @@ def _distrib(r: Redex):
         raise ScriptError(f"{r.name}: summands do not share a {n}-factor "
                           f"{'prefix' if left else 'suffix'}")
     common, rest = splits[0][0], bplus(*[bseq(*tail) for _, tail in splits])
-    return r.at, 1, (bseq(*common, rest) if left else bseq(rest, *common),)
+    return Rewrite(r.at, 1, (bseq(*common, rest) if left else bseq(rest, *common),))
 
 
-def _unfold_star(r: Redex):
+def _unfold_star(r: Redex) -> Rewrite:
     """x*  ->  1 + x;x*, and back with rev."""
     node = r.node
-    # folding, the star ends the summand that is not 1
-    rest = bplus(*(a for a in node.args if a != B1)) if r.rev and isinstance(node, BPlus) else node
-    star = seq_chain(rest)[-1]
-    unfolded = bplus(B1, bseq(star.arg, star)) if isinstance(star, BStar) else None
-    if unfolded is None or r.rev and bisimplify(node) != bisimplify(unfolded):
-        raise ScriptError(f"{r.name}: expected {'a sum 1 + x;x*' if r.rev else 'a star'}, "
-                          f"found {node}")
-    return 0, len(r.chain), (star if r.rev else unfolded,)
+    if not r.rev:
+        if not isinstance(node, BStar):
+            raise ScriptError(f"unfold-star: expected a star, found {node}")
+        return Rewrite(0, 1, (bplus(B1, bseq(node.arg, node)),))
+    if isinstance(node, BPlus) and len(node.args) == 2 and B1 in node.args:
+        *x, star = seq_chain(node.args[1] if node.args[0] == B1 else node.args[0])
+        if isinstance(star, BStar) and bisimplify(bseq(*x)) == bisimplify(star.arg):
+            return Rewrite(0, 1, (star,))
+    raise ScriptError(f"unfold-star rev: expected a sum 1 + x;x*, found {node}")
 
 
-def _slide(r: Redex):
+def _slide(r: Redex) -> Rewrite:
     """a ; (b;a)*  ->  (a;b)* ; a, and back with rev."""
     pair = r.chain[r.at:r.at + 2]
-    if len(pair) < 2 or not isinstance(pair[0 if r.rev else 1], BStar):
-        raise ScriptError(f"{r.name}: expected " + (
-            "a star followed by a factor" if r.rev else "factor followed by a star"))
-    star, a = pair if r.rev else pair[::-1]
-    body = seq_chain(star.arg)
-    if bisimplify(body[0] if r.rev else body[-1]) != bisimplify(a):
-        raise ScriptError(f"{r.name}: star body does not " + (
-            "begin with the trailing factor" if r.rev else "end with the leading factor"))
-    return r.at, 2, ((a, bstar(bseq(*body[1:], a))) if r.rev
-                     else (bstar(bseq(a, *body[:-1])), a))
+    if not r.rev:
+        if len(pair) < 2 or not isinstance(pair[1], BStar):
+            raise ScriptError("slide: expected factor followed by a star")
+        a, body = pair[0], seq_chain(pair[1].arg)
+        if bisimplify(body[-1]) != bisimplify(a):
+            raise ScriptError("slide: star body does not end with the leading factor")
+        return Rewrite(r.at, 2, (bstar(bseq(a, *body[:-1])), a))
+    if len(pair) < 2 or not isinstance(pair[0], BStar):
+        raise ScriptError("slide rev: expected a star followed by a factor")
+    body, a = seq_chain(pair[0].arg), pair[1]
+    if bisimplify(body[0]) != bisimplify(a):
+        raise ScriptError("slide rev: star body does not begin with the trailing factor")
+    return Rewrite(r.at, 2, (a, bstar(bseq(*body[1:], a))))
 
 
-def _match(r: Redex, what: str, lhs: BiKatTerm, rhs: BiKatTerm):
-    """Rewrite the segment at `at` that matches `lhs` factor by factor to `rhs`."""
-    want = seq_chain(bisimplify(lhs))
+def _match(r: Redex, what: str, law: LawInstance) -> Rewrite:
+    """Rewrite the segment at `at` that matches `law.lhs` factor by factor to
+    `law.rhs`, under the instance's name and proviso."""
+    want = seq_chain(bisimplify(law.lhs))
     got = r.chain[r.at:r.at + len(want)]
     if tuple(map(bisimplify, got)) != tuple(map(bisimplify, want)):
         raise ScriptError(
             f"{what}: expected segment\n    " + " ; ".join(map(str, want)) +
             f"\n  at index {r.at}, found\n    " + " ; ".join(map(str, got)))
-    return r.at, len(want), seq_chain(bisimplify(rhs))
+    return Rewrite(r.at, len(want), seq_chain(bisimplify(law.rhs)), law.name,
+                   law.star_continuous_only)
 
 
-def _expand(r: Redex):
-    """The loop expansion laws of `laws`, instantiated by the step."""
+def _expand(build: Callable, bitests: tuple[str, ...], r: Redex) -> Rewrite:
+    """A loop expansion law of `laws`, built from the step's loops and bitests."""
     test, kat, bitest = r.ctx.parse_test, r.ctx.parse_kat, r.ctx.parse_bitest
     if test is None or kat is None:
         raise ScriptError(f"{r.law}: no term parser available in this context")
     loops = test(r.param("e")), kat(r.param("c")), test(r.param("e2")), kat(r.param("c2"))
-    if r.law == "expand-lockstep":
-        law = expand_lockstep(*loops)
-    elif bitest is None:
-        raise ScriptError("expand-cond: no bitest parser available")
-    else:
-        law = expand_conditional(*loops, bitest(r.param("q")), bitest(r.param("r")))
-    return _match(r, r.law, law.lhs, law.rhs)
+    if bitests and bitest is None:
+        raise ScriptError(f"{r.law}: no bitest parser available")
+    return _match(r, r.law, build(*loops, *(bitest(r.param(k)) for k in bitests)))
 
 
-def _hyp(r: Redex):
+def _hyp(r: Redex) -> Rewrite:
     """A zero-hypothesis, embedded on `side`, rewrites to 0."""
     name, side = r.param("name"), r.params.get("side", "L")
     if side not in _EMB:
         raise ScriptError(f"hyp: side must be L or R, found {side!r}")
     hterm = r.ctx.hypothesis(name).term
-    return _match(r, f"hyp {name}", distribute_embeddings(_EMB[side](hterm)), B0)
+    return _match(r, f"hyp {name}",
+                  LawInstance(f"hyp({name})", distribute_embeddings(_EMB[side](hterm)), B0))
 
 
-def _kat_subterm(r: Redex):
+def _kat_subterm(r: Redex) -> Rewrite:
     """<k]  ->  <k'] for KAT terms that `kat_equiv` proves equal."""
     node = r.node
     if not isinstance(node, (BEmbL, BEmbR)):
@@ -358,23 +360,24 @@ def _kat_subterm(r: Redex):
     if not verdict.is_equal:
         raise ScriptError(
             f"kat-subterm: {node.arg} and {to} are not provably equal ({verdict.kind})")
-    return 0, len(r.chain), (_EMB[node.side](to),)
+    return Rewrite(0, 1, (_EMB[node.side](to),))
 
 
 LAWS: dict[str, Law] = {
     "lrc": Law(_lrc, ("at",), ("at",)),
-    "hom-seq": Law(_hom, (), ("at", "count")),
-    "hom-plus": Law(_hom, (), ()),
-    "hom-star": Law(_hom, (), ()),
-    "hom-test": Law(_canonical),
-    "distrib-left": Law(_distrib, ("at",), ("at", "count")),
-    "distrib-right": Law(_distrib, ("at",), ("at", "count")),
+    "hom-seq": Law(partial(_hom, Seq, kseq, bseq, "a sequence"), (), ("at", "count")),
+    "hom-plus": Law(partial(_hom, Plus, kplus, bplus, "a sum"), (), ()),
+    "hom-star": Law(partial(_hom, Star, kstar, bstar, "a star"), (), ()),
+    "hom-test": Law(partial(_canonical, "a one-sided test", lambda t: _factor_side(t) is not None)),
+    "distrib-left": Law(partial(_distrib, True), ("at",), ("at", "count")),
+    "distrib-right": Law(partial(_distrib, False), ("at",), ("at", "count")),
     "unfold-star": Law(_unfold_star, (), ()),
     "slide": Law(_slide, ("at",), ("at",)),
-    "assoc": Law(_canonical),
-    "comm-plus": Law(_canonical),
-    "expand-lockstep": Law(_expand, ("at", "e", "c", "e2", "c2")),
-    "expand-cond": Law(_expand, ("at", "e", "c", "e2", "c2", "q", "r"), star_continuous=True),
+    "assoc": Law(partial(_canonical, "a node", lambda t: True)),
+    "comm-plus": Law(partial(_canonical, "a sum", lambda t: isinstance(t, BPlus))),
+    "expand-lockstep": Law(partial(_expand, expand_lockstep, ()), ("at", "e", "c", "e2", "c2")),
+    "expand-cond": Law(partial(_expand, expand_conditional, ("q", "r")),
+                       ("at", "e", "c", "e2", "c2", "q", "r")),
     "hyp": Law(_hyp, ("at", "name", "side")),
     "kat-subterm": Law(_kat_subterm, ("to",)),
 }
@@ -396,14 +399,13 @@ def apply_step(t: BiKatTerm, step: Step, ctx: ScriptContext) -> tuple[BiKatTerm,
     extra = sorted(set(step.params) - {"dir", *reads})
     if extra:
         raise ScriptError(f"{r.name} does not read " + ", ".join(extra))
-    start, count, new = law.apply(r)
-    spliced = bseq(*r.chain[:start], *new, *r.chain[start + count:])
+    rw = law.apply(r)
+    spliced = bseq(*r.chain[:rw.start], *rw.factors, *r.chain[rw.start + rw.count:])
     after = bisimplify(replace_at(t, step.path, spliced))
-    if not count:
+    if not rw.count:
         return after, None
-    name = f"hyp({step.params['name']})" if step.law == "hyp" else step.law
-    return after, LawInstance(name, bseq(*r.chain[start:start + count]), bseq(*new),
-                              law.star_continuous)
+    return after, LawInstance(rw.name or step.law, bseq(*r.chain[rw.start:rw.start + rw.count]),
+                              bseq(*rw.factors), rw.star_continuous_only)
 
 
 def check_script(script: AlignmentScript, ctx: ScriptContext) -> ScriptResult:

@@ -9,7 +9,9 @@ import re
 import pytest
 
 from bikat.bi import parse_step, script
-from bikat.bi.script import AlignmentScript, ScriptContext, check_script
+from bikat.bi.script import (AlignmentScript, ScriptContext, ScriptError, Step, apply_step,
+                              check_script)
+from bikat.bi.terms import BPlus, BSeq, BStar
 from bikat.kat import ZeroHypothesis, parse_term
 from bikat.models import interp_bikat
 from bikat.problem import load_problem
@@ -171,6 +173,8 @@ def test_law_rejects_a_perturbed_step(entry):
     ("[c> ; <a] ; <b]", "hom-seq @ root (at: 1, count: 3, rev)",
      "hom-seq rev: expected a sequence whose operands all embed from one side, "
      "found <a] ; <b]"),
+    ("[c> ; <a] ; <b]", "hom-seq @ root (at: 0, count: -1, rev)",
+     "hom-seq rev: count must be at least 2, found -1"),
 ])
 def test_a_count_past_the_factors_is_refused(start, step, message):
     # a slice would take fewer factors than the step names
@@ -196,3 +200,45 @@ def test_parameters_a_law_does_not_read_are_refused(stem, step, message):
     assert not res.accepted and res.failed_step == 0
     assert res.error.startswith(f"step 1 ({step.split()[0]} @ ")
     assert f"): {message}\n" in res.error
+
+
+def test_unfold_star_refuses_a_sequence_that_ends_in_a_star():
+    # the law addresses a star, not a chain whose last factor is one: [c> would be lost
+    res = replay("[c> ; (<a] ; [b>)*", "unfold-star @ root")
+    assert res.failed_step == 0
+    assert "): unfold-star: expected a star, found [c> ; (<a] ; [b>)*\n" in res.error
+
+
+def node_paths(t, path=()):
+    yield path
+    kids = t.args if isinstance(t, (BSeq, BPlus)) else (t.arg,) if isinstance(t, BStar) else ()
+    for i, kid in enumerate(kids):
+        yield from node_paths(kid, path + (i,))
+
+
+# the laws whose steps need no parameter but a direction and `at`
+STRUCTURAL = [law for law, entry in script.LAWS.items()
+              if set(entry.params) | set(entry.rev or ()) <= {"at", "count"}]
+
+
+@pytest.mark.parametrize("entry", sorted(LAWS))
+def test_every_accepted_structural_step_keeps_the_meaning(entry):
+    # each such law at every node of the entry's start term, in each direction
+    # and at each index of the node's chain: a step it accepts is an equation
+    term = bt(LAWS[entry][0])
+    bms = models(3, size=3)
+    for path in node_paths(term):
+        for law in STRUCTURAL:
+            for rev in (False, True)[:1 + (script.LAWS[law].rev is not None)]:
+                for at in range(len(script.seq_chain(script.subterm_at(term, path)))):
+                    params = {"at": str(at)} if "at" in script.LAWS[law].params else {}
+                    step = Step(law, path, {**params, **({"dir": "rev"} if rev else {})})
+                    try:
+                        after, instance = apply_step(term, step, ctx())
+                    except ScriptError:
+                        continue
+                    sides = [(term, after)] + ([] if instance is None else
+                                               [(instance.lhs, instance.rhs)])
+                    for bm in bms:
+                        for lhs, rhs in sides:
+                            assert interp_bikat(bm, lhs) == interp_bikat(bm, rhs), step
