@@ -368,7 +368,8 @@ LAWS: dict[str, Law] = {
     "hom-seq": Law(partial(_hom, Seq, kseq, bseq, "a sequence"), (), ("at", "count")),
     "hom-plus": Law(partial(_hom, Plus, kplus, bplus, "a sum"), (), ()),
     "hom-star": Law(partial(_hom, Star, kstar, bstar, "a star"), (), ()),
-    "hom-test": Law(partial(_canonical, "a one-sided test", lambda t: _factor_side(t) is not None)),
+    "hom-test": Law(partial(_canonical, "a one-sided test",
+                            lambda t: isinstance(t, BTest) and _factor_side(t) is not None)),
     "distrib-left": Law(partial(_distrib, True), ("at",), ("at", "count")),
     "distrib-right": Law(partial(_distrib, False), ("at",), ("at", "count")),
     "unfold-star": Law(_unfold_star, (), ()),

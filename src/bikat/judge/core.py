@@ -285,7 +285,7 @@ class RelSpec:
 
 @dataclass(frozen=True)
 class Judgment:
-    kind: str  # allall | fsim | bsim | existsforall | existsexists | incorrectness
+    kind: str  # allall | fsim | bsim, or a derived kind of `oracles.DUALS`
     left: KatTerm
     right: KatTerm
     spec: RelSpec

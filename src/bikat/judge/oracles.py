@@ -5,13 +5,13 @@ compiled representation, `PostMap` images over successor tables and test
 bytes, and the pre-relation as rows: a left state with all its right
 partners, a chunk at a time (`_pre_chunks`: 64 pairs, then 128, ...), with
 the chunk's images computed in one batch, so a check that stops at an early
-counterexample computes few images.  For ∀∀ and ∃∃ every run pair of a row
-is in cpost[a] x D, D the union of its partners' right images, taken once
-per distinct row of a chunk (`_union`): left states share a row
-(`PairSpec`), whose right images are filled once.
+counterexample computes few images.  For ∀∀ every run pair of a row is in
+cpost[a] x D, D the union of its partners' right images, taken once per
+distinct row of a chunk (`_union`): left states share a row (`PairSpec`),
+whose right images are filled once.
 
 The pointwise routes read a pair predicate through the keys of its
-`PairPred` (`PairSpec.pred`): ∀∀ and ∃∃ test a row's cpost[a] x D at once,
+`PairPred` (`PairSpec.pred`): ∀∀ tests a row's cpost[a] x D at once,
 a single pair by comparing its two keys, a larger product by asking that
 the keys of cpost[a] and of D be one and the same key; fsim and the bsim
 point-free route look a key up among the keys of a set of ends.  Where a
@@ -46,6 +46,13 @@ among the post partners of its left end.  Pairs with no run on a side hold.
 Any other chunk, or one that a route does not pass in bulk, gets its images
 and goes through the row loop, so counterexamples do not change.
 
+The derived kinds have no oracle of their own: `DUALS` reads each through a
+base oracle on the same programs and pre, and `check_derived` negates the
+post, and the base's verdict and routes, where the table says.  ∃∀ is the
+negation of fsim against the negated post; ∃∃ that of ∀∀, R;<c|d>;!S != 0;
+incorrectness is bsim, c;S <= R;d.  A negated base's counterexample is the
+derived kind's witness, `<kind>-witness`, with the base's states and text.
+
 Adequacy (`check_adequacy`) walks the aligned term once per chunk of pre
 pairs, as rows of tagged pairs, and reads coverage from the tags of the rows
 it reaches (see `witness.term_tags`).
@@ -54,7 +61,7 @@ it reaches (see `witness.term_tags`).
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from functools import reduce
+from functools import partial, reduce
 from itertools import chain, compress, repeat
 from operator import and_, contains, itemgetter
 
@@ -414,55 +421,31 @@ def _post_ends(bm: BiModel, j: Judgment, r: PairSpec, s: PairSpec):
                     yield a, t, t2, d
 
 
-def check_existsforall(bm: BiModel, j: Judgment) -> JudgeResult:
-    """There exist a pre-related pair and a left run such that every right run
-    ends post-related.  Evaluated as the negation of forward simulation with
-    the negated post; each route of that check is reported negated."""
-    neg = Judgment("fsim", j.left, j.right,
-                   RelSpec(j.spec.pre, bnot(j.spec.post)))
-    sub = check_fsim(bm, neg)
-    res = JudgeResult("existsforall", not sub.holds)
-    res.routes = {route: not v for route, v in sub.routes.items()}
-    if sub.counterexample is not None:
-        # the fsim counterexample is this property's witness
-        res.counterexample = Counterexample(
-            "existsforall-witness", sub.counterexample.states,
-            sub.counterexample.rendered)
-    return res
+# derived kind -> (base kind, negate the post?, negate the verdict?)
+DUALS = {
+    "existsforall": ("fsim", True, True),
+    "existsexists": ("allall", False, True),
+    "incorrectness": ("bsim", False, False),
+}
 
 
-def check_existsexists(bm: BiModel, j: Judgment) -> JudgeResult:
-    """Some pre-related pair has runs ending non-post-related: nonemptiness
-    of R;(c x d);!S."""
-    r = pair_spec(bm, j.spec.pre)
-    cpost = post_map(bm.base, j.left)
-    dpost = post_map(bm.base, j.right)
-    post = pair_spec(bm, j.spec.post).pred
-    cimg, dimg = cpost.images, dpost.images
-    for chunk in _pre_chunks(r, cpost, dpost):
-        known: dict = {}
-        for a, bs in chunk:
-            cs = cimg[a]
-            hit = cs and _escape(post, a, bs, cs, _union(dimg, bs, known), dimg)
-            if hit:
-                a, b, t, t2 = hit
-                return JudgeResult("existsexists", True, Counterexample(
-                    "existsexists-witness", hit,
-                    f"pre {r.render_pair(a, b)} runs to non-post-related "
-                    f"{r.render_pair(t, t2)}"))
-    return JudgeResult("existsexists", False)
+def check_derived(kind: str, bm: BiModel, j: Judgment) -> JudgeResult:
+    """A derived judgment of `kind`, read through its base oracle (`DUALS`)
+    on the same programs and pre: each route of the base is reported, negated
+    with the verdict.  A negated base's counterexample is the witness."""
+    base, neg_post, neg_verdict = DUALS[kind]
+    post = bnot(j.spec.post) if neg_post else j.spec.post
+    sub = ORACLES[base](bm, Judgment(base, j.left, j.right, RelSpec(j.spec.pre, post)))
+    cex = sub.counterexample
+    if neg_verdict and cex is not None:
+        cex = Counterexample(f"{kind}-witness", cex.states, cex.rendered)
+    return JudgeResult(kind, sub.holds != neg_verdict, cex,
+                       {route: v != neg_verdict for route, v in sub.routes.items()})
 
 
-def check_incorrectness(bm: BiModel, j: Judgment) -> JudgeResult:
-    """Incorrectness, decided as backward simulation on the same programs and
-    spec: for every left run a -> t and every t2 post-related to t, some
-    right run ends in t2 from a state pre-related to a.  The result is
-    `check_bsim`'s, with both of its routes: pointwise, the pre read as rows
-    and t2 looked up in the union of the partners' right images; point-free,
-    the compiled pre predicate tried on the right preimages of t2."""
-    sub = check_bsim(bm, Judgment("bsim", j.left, j.right, j.spec))
-    return JudgeResult("incorrectness", sub.holds, sub.counterexample, dict(sub.routes))
-
+check_existsforall = partial(check_derived, "existsforall")
+check_existsexists = partial(check_derived, "existsexists")
+check_incorrectness = partial(check_derived, "incorrectness")
 
 ORACLES = {
     "allall": check_allall,

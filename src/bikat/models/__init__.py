@@ -10,6 +10,6 @@ from .bmodel import (AxiomReport, BiModel, BitestSem, bitest_holds,
                      interp_bikat, random_bimodel)
 from .imp import (BCmp, BConst, BAndE, BNotE, BOrE, EArr, EBin, ECall, EConst,
                   EVar, ImpEnv, Program, SArrAssign, SAssign, SAssume, SHavoc,
-                  SIf, SSkip, SWhile, Stmt, block_str, bool_str, compile_imp,
-                  expr_str, stmt_str, subst_expr)
+                  SIf, SSkip, SWhile, Stmt, block_str, bool_str, expr_str,
+                  stmt_str, subst_expr)
 from .traces import BoundedTraceSet, interp_kat_bounded, interp_trace_bounded

@@ -477,17 +477,13 @@ class ImpEnv:
                     ktest(tnot(e)))
 
     def compile_block(self, stmts: Iterable[Stmt]) -> KatTerm:
+        """Translate a program to a KAT term, binding its primitives here:
+        assignments become actions with their exact relational semantics,
+        conditions become tests with their exact state subsets."""
         return kseq(*[self.compile_stmt(s) for s in stmts])
 
-    def kat_model(self, meta: dict | None = None) -> KatModel:
-        return KatModel(self.space, dict(self.acts), dict(self.tests), meta or {})
-
-
-def compile_imp(program: Program, env: ImpEnv) -> KatTerm:
-    """Translate a program to a KAT term, binding primitives in `env`:
-    assignments become actions with their exact relational semantics,
-    conditions become tests with their exact state subsets."""
-    return env.compile_block(program)
+    def kat_model(self) -> KatModel:
+        return KatModel(self.space, dict(self.acts), dict(self.tests))
 
 
 def subst_expr(e: Expr, var: str, repl: Expr) -> Expr:

@@ -220,7 +220,6 @@ class KatModel:
     space: StateSpace
     acts: dict[str, ActionSem]
     tests: dict[str, TestSem]
-    meta: dict = field(default_factory=dict)
     _walkers: dict = field(default_factory=dict, init=False, repr=False,
                            compare=False)
     # primitive atom -> the bits of its footprint, or None for none

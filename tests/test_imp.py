@@ -8,7 +8,7 @@ import pytest
 
 from bikat.judge import ExprBitest, PairSpec, dispatch
 from bikat.models import (ImpEnv, SAssign, SHavoc, SIf, SSkip, SWhile,
-                          bitest_holds, interp_kat, kat_post, kat_pre, compile_imp)
+                          bitest_holds, interp_kat, kat_post, kat_pre)
 from bikat.models.imp import (BAndE, BCmp, BConst, BNotE, BOrE, EArr, EBin,
                               ECall, EConst, EVar, SArrAssign, SAssume, bool_str)
 from bikat.models.kmodel import image, state_array
@@ -87,13 +87,13 @@ class TestCompilation:
     def test_skip_is_unit(self):
         env = env_for({"x": 2})
         from bikat.kat.terms import K1
-        assert compile_imp((SSkip(),), env) == K1
+        assert env.compile_block((SSkip(),)) == K1
 
     def test_factorial_shape(self):
         env = env_for({"n": 3, "i": 3, "r": 3})
         prog = parse_stmts_text(
             "i := n; r := 1; while (i != 0) { r := r * i; i := i - 1; }")
-        term = compile_imp(prog, env)
+        term = env.compile_block(prog)
         assert len(env.acts) == 4  # i:=n, r:=1, r:=r*i, i:=i-1
         assert len(env.tests) == 1
 
@@ -101,7 +101,7 @@ class TestCompilation:
     def _agree(env, prog, states):
         """The compiled term's images, one state at a time and as a batch,
         equal the direct interpreter's."""
-        term = compile_imp(prog, env)
+        term = env.compile_block(prog)
         m = env.kat_model()
         batch = image(m, term, states)
         for s in states:
@@ -138,7 +138,7 @@ class TestCompilation:
         env = env_for({"x": 2, "y": 2}, width=2)
         prog = parse_stmts_text(
             "y := any; while (x != y) { x := x + 1; } if (x == 0) { y := 1; }")
-        term = compile_imp(prog, env)
+        term = env.compile_block(prog)
         m = env.kat_model()
         n = env.space.size
         post = {s: env.run(prog, frozenset((s,))) for s in range(n)}
@@ -160,7 +160,7 @@ class TestCompilation:
     def test_matrix_and_walk_interpretation_agree(self):
         env = env_for({"x": 2, "y": 2}, width=2)
         prog = parse_stmts_text("x := any; while (x != 0) { x := x - 1; y := y + x; }")
-        term = compile_imp(prog, env)
+        term = env.compile_block(prog)
         m = env.kat_model()
         rel = interp_kat(m, term)
         for s in range(env.space.size):
@@ -169,7 +169,7 @@ class TestCompilation:
     def test_havoc_action_counts(self):
         env = env_for({"x": 3, "y": 3})
         prog = parse_stmts_text("x := any;")
-        term = compile_imp(prog, env)
+        term = env.compile_block(prog)
         m = env.kat_model()
         rel = interp_kat(m, term)
         assert all(len(list(rel.succ(s))) == 8 for s in range(m.space.size))

@@ -14,9 +14,11 @@ from bikat.judge import (JudgeResult, Judgment, PairSpec, RelSpec, RelWitness,
                          WitnessRefused, check_adequacy, check_allall,
                          check_bsim, check_bvalid, check_existsexists,
                          check_existsforall, check_fsim, check_fvalid,
+                         check_incorrectness,
                          check_bsim_via_trikat, check_fsim_via_trikat,
                          construct_bwitness, construct_fwitness, dispatch,
                          tri_embed, tri_proj_left2, tricom)
+from bikat.judge.oracles import DUALS, ORACLES
 from bikat.kat import Alphabet, K1, parse_term
 from bikat.models import BiRel, Rel, interp_kat, lift_left, random_bimodel, tensor
 from bikat.problem import load_problem
@@ -170,8 +172,32 @@ class TestSimulations:
             ee = check_existsexists(bm, j)
             aa = check_allall(bm, Judgment("allall", j.left, j.right, j.spec))
             assert ee.holds == (not aa.holds)
+            # both routes of the ∀∀ check, negated; its counterexample is the witness
+            assert ee.routes == {route: not v for route, v in aa.routes.items()}
+            assert set(ee.routes) == {"pointwise", "equational"}
+            if ee.holds:
+                assert ee.counterexample.condition == "existsexists-witness"
+                assert ee.counterexample.states == aa.counterexample.states
+            else:
+                assert ee.counterexample is None
             hits += ee.holds
-        assert 0 < hits
+        assert 0 < hits < 100
+
+    def test_incorrectness_is_backward_simulation(self):
+        verdicts = set()
+        for bm, j in rand_instances("incorrectness", 100):
+            inc = check_incorrectness(bm, j)
+            bs = check_bsim(bm, Judgment("bsim", j.left, j.right, j.spec))
+            assert (inc.kind, inc.holds, inc.routes) == ("incorrectness", bs.holds, bs.routes)
+            assert inc.counterexample == bs.counterexample
+            verdicts.add(inc.holds)
+        assert verdicts == {True, False}
+
+    def test_every_derived_kind_reads_a_base_oracle(self):
+        assert set(ORACLES) == {"allall", "fsim", "bsim"} | set(DUALS)
+        for kind, (base, neg_post, neg_verdict) in DUALS.items():
+            assert base in ORACLES and base not in DUALS, kind
+            assert isinstance(neg_post, bool) and isinstance(neg_verdict, bool), kind
 
     def test_definite_nondeterminism(self):
         prob = load_problem(

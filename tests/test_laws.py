@@ -209,6 +209,13 @@ def test_unfold_star_refuses_a_sequence_that_ends_in_a_star():
     assert "): unfold-star: expected a star, found [c> ; (<a] ; [b>)*\n" in res.error
 
 
+def test_hom_test_refuses_an_embedded_action():
+    # the factor embeds from one side, but it is an action, not a test
+    res = replay("<a] ; [b>", "hom-test @ 0")
+    assert res.failed_step == 0
+    assert "): hom-test: path must address a one-sided test, found <a]\n" in res.error
+
+
 def node_paths(t, path=()):
     yield path
     kids = t.args if isinstance(t, (BSeq, BPlus)) else (t.arg,) if isinstance(t, BStar) else ()
