@@ -53,25 +53,32 @@ negation of fsim against the negated post; ∃∃ that of ∀∀, R;<c|d>;!S != 
 incorrectness is bsim, c;S <= R;d.  A negated base's counterexample is the
 derived kind's witness, `<kind>-witness`, with the base's states and text.
 
-Adequacy (`check_adequacy`) walks the aligned term once per chunk of pre
-pairs, as rows of tagged pairs, and reads coverage from the tags of the rows
-it reaches (see `witness.term_tags`).
+Adequacy (`check_adequacy`) splits the aligned term B at the longest prefix
+of its chain made of one-sided factors, which commute: B = <p|q> ; rest.  A
+pre pair (a, b) with runs is decided by its class, the key (p(a), c(a), q(b),
+d(b)) of the `PostMap` images of the prefix and the programs.  Per chunk of
+pre pairs, rest is walked once, as rows of tagged pairs, from the start pairs
+p(a) x q(b) of the classes that no earlier chunk covered, one tag bit per
+class (see `witness.term_tags`); coverage is read from the tags of the rows
+it reaches, and the counterexample is the first uncovered pre pair in pre
+order and its first uncovered run pair in image order.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
 from functools import partial, reduce
-from itertools import chain, compress, repeat
-from operator import and_, contains, itemgetter
+from itertools import chain, compress, takewhile
+from operator import and_, contains, is_not, itemgetter
 
-from ..bi.terms import BiKatTerm, bnot
-from ..kat.terms import KatTerm
+from ..bi.terms import BEmbL, BEmbR, BiKatTerm, BTest, bnot, bseq, seq_chain
+from ..kat.terms import KatTerm, kseq, ktest
 from ..models.bmodel import BiModel
 # no oracle calls it; perfbench's tracer wraps `oracles.interp_kat` by name
 from ..models.kmodel import WALK_SOURCES, interp_kat  # noqa: F401
 from .core import (NO_RUN, SEVERAL, Counterexample, EnumRefused, Judgment,
-                   PairPred, PairSpec, PostMap, RelSpec, pair_spec, post_map)
+                   PairPred, PairSpec, PostMap, RelSpec, pair_spec, post_map,
+                   side_test)
 
 
 @dataclass
@@ -277,56 +284,79 @@ def _common_partners(partners):
     return allowed
 
 
+def _one_sided_prefix(b: BiKatTerm) -> tuple[KatTerm, KatTerm, BiKatTerm]:
+    """(p, q, rest) with b = <p|q> ; rest: the longest prefix of b's sequence
+    chain made of one-sided factors, `<c]`, `[d>` and one-sided tests, which
+    commute, split into p, the sequence of its left parts, and q, of its
+    right parts; rest is the remainder of the chain."""
+    def side(u: BiKatTerm) -> tuple[str, KatTerm] | None:
+        if isinstance(u, (BEmbL, BEmbR)):
+            return u.side, u.arg
+        got = side_test(u.test) if isinstance(u, BTest) else None
+        return None if got is None else (got[0], ktest(got[1]))
+    factors = seq_chain(b)
+    sides = list(takewhile(partial(is_not, None), map(side, factors)))
+    return (kseq(*(k for s, k in sides if s == "L")),
+            kseq(*(k for s, k in sides if s == "R")), bseq(*factors[len(sides):]))
+
+
+def _uncovered(tags: dict, cs, ds, bit: int) -> tuple[int, int] | None:
+    """The first (t, t2) of cs x ds, in image order, whose tag lacks `bit`."""
+    for t in cs:
+        got = tags.get(t, {})
+        for t2 in ds:
+            if not got.get(t2, 0) & bit:
+                return t, t2
+    return None
+
+
 def check_adequacy(bm: BiModel, pre, c: KatTerm, d: KatTerm, b: BiKatTerm) -> JudgeResult:
     """R;<c|d> <= R;B: the aligned term covers all run pairs from the pre.
 
-    The pre pairs are taken in chunks (64, 128, ... up to WALK_SOURCES).  The
-    pairs (a, b) of a chunk from which both programs have runs are the
-    sources of one pair-state walk of the aligned term (`witness.term_tags`),
-    given as rows {a: {b: tag}}, source i tagged with bit i in pre order;
-    the walk returns the rows it reaches, {t: {t2: tag}}.  Source i is
-    covered when bit i is in the tag of every (t, t2) with t in cpost[a] and
-    t2 in dpost[b].  A source row whose left state has one end t, and whose
-    right states one end each, is checked along the row at C level, each
-    end's tag in row t ANDed with its source's bit; any other row, or one
-    that fails, is checked source by source.  The first uncovered source in
-    pre order, and its first uncovered run pair in image order, give the
-    counterexample, so the check stops at the first chunk with one."""
+    B is split as <p|q> ; rest at its one-sided prefix (`_one_sided_prefix`),
+    so the part of B's image that a source (a, b) reaches is rest's image of
+    p(a) x q(b), and whether it is covered depends only on its class, the key
+    (p(a), c(a), q(b), d(b)) of images that `PostMap` shares.  The pre pairs
+    are taken in chunks (64, 128, ... up to WALK_SOURCES).  The classes of a
+    chunk's sources with runs that no earlier chunk covered get one bit each,
+    set on their start pairs p(a) x q(b), and one pair-state walk of rest
+    (`witness.term_tags`) ORs the bits of every pair state it reaches.  A
+    class is covered when every (t, t2) in c(a) x d(b) carries its bit.  An
+    empty prefix makes every source its own class.  The first source in pre
+    order whose class is not covered, and its first uncovered run pair in
+    image order, give the counterexample, so the check stops at the first
+    chunk with one."""
     from . import witness  # local import: witness builds on oracles' types
     r = pair_spec(bm, pre)
-    cpost = post_map(bm.base, c)
-    dpost = post_map(bm.base, d)
+    p, q, rest = _one_sided_prefix(b)
+    cpost, dpost = post_map(bm.base, c), post_map(bm.base, d)
+    ppost, qpost = post_map(bm.base, p), post_map(bm.base, q)
     cimg, dimg = cpost.images, dpost.images
+    covered: set = set()  # the classes of earlier chunks, all covered
     for chunk in _pre_chunks(r, cpost, dpost, WALK_SOURCES):
-        rows: dict[int, dict[int, int]] = {}
-        k = 0
-        for a, bs in chunk:
-            if cimg[a]:
-                runs = list(compress(bs, map(dimg.__getitem__, bs)))
-                if runs:
-                    rows[a] = dict(zip(runs, map((1).__lshift__, range(k, k + len(runs)))))
-                    k += len(runs)
-        tags = witness.term_tags(bm, b, rows)
-        rights = list(set().union(*rows.values()))
-        end = dict(zip(rights, dpost.ends(rights)))
-        for a, row in rows.items():
-            cs = cimg[a]
-            if len(cs) == 1:
-                ends = list(map(end.__getitem__, row))
-                got = tags.get(next(iter(cs)))
-                if got is not None and SEVERAL not in ends and all(
-                        map(and_, map(got.get, ends, repeat(0)), row.values())):
-                    continue
-            for b2, bit in row.items():
-                for t in cs:
-                    got = tags.get(t, {})
-                    for t2 in dimg[b2]:
-                        if not got.get(t2, 0) & bit:
-                            return JudgeResult(
-                                "adequacy", False,
-                                Counterexample("adequacy", (a, b2, t, t2),
-                                               f"run pair from {r.render_pair(a, b2)} to "
-                                               f"{r.render_pair(t, t2)} not covered"))
+        runs = [(a, bs) for a, bs in chunk if cimg[a]]
+        pimg = ppost.fill(map(itemgetter(0), runs))
+        qimg = qpost.fill(chain.from_iterable({id(bs): bs for _, bs in runs}.values()))
+        new = {(pimg[a], cimg[a], qimg[b2], ds) for a, bs in runs for b2 in bs
+               if (ds := dimg[b2])} - covered
+        bits = dict(zip(new, map((1).__lshift__, range(len(new)))))
+        starts: dict[int, dict[int, int]] = {}
+        for (ps, _, qs, _), bit in bits.items():
+            for s in ps:
+                row = starts.setdefault(s, {})
+                for s2 in qs:
+                    row[s2] = row.get(s2, 0) | bit
+        tags = witness.term_tags(bm, rest, starts) if bits else {}
+        if any(_uncovered(tags, k[1], k[3], bit) for k, bit in bits.items()):
+            for a, bs in runs:
+                for b2 in filter(dimg.__getitem__, bs):
+                    k = pimg[a], cimg[a], qimg[b2], dimg[b2]
+                    hit = k in bits and _uncovered(tags, k[1], k[3], bits[k])
+                    if hit:
+                        return JudgeResult("adequacy", False, Counterexample(
+                            "adequacy", (a, b2) + hit, f"run pair from {r.render_pair(a, b2)} "
+                            f"to {r.render_pair(*hit)} not covered"))
+        covered |= new
     return JudgeResult("adequacy", True)
 
 

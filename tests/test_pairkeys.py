@@ -3,21 +3,23 @@
 `compile_pred` decides the keyed atoms of a conjunction by comparing two
 packed state columns; each bitest is compared here, pair by pair, with a
 reference that evaluates its atoms by `ImpEnv.eval` and `ImpEnv.holds`.
-`check_adequacy` decides coverage on the tags of one walk per chunk; it is
-compared with a decode of every source's image through `term_image`."""
+`check_adequacy` applies a goal's one-sided prefix per state and decides
+coverage on the tags of one walk of the rest per chunk; it is compared with a
+decode of every source's image under the whole goal through `term_image`."""
 
 import random
 import textwrap
 
 import pytest
 
-from bikat.bi.terms import (BAnd, BEmbLTest, BEmbRTest, BNot, BOne, BOr, BPrim,
-                            BZero)
+from bikat.bi.terms import (B1, BAnd, BEmbLTest, BEmbRTest, BNot, BOne, BOr, BPrim,
+                            BZero, bseq, seq_chain)
 from bikat.judge import check_adequacy, term_image
 from bikat.judge.core import ExprBitest, pair_spec, post_map
+from bikat.judge.oracles import _one_sided_prefix
 from bikat.kat import Alphabet
 from bikat.kat.parse import parse_all
-from bikat.kat.terms import TAnd, TNot, TOne, TOr, TPrim, TZero
+from bikat.kat.terms import KPlus, KSeq, KTest, TAnd, TNot, TOne, TOr, TPrim, TZero
 from bikat.models import random_bimodel
 from bikat.models.imp import CMP_OPS
 from bikat.problem import Cur, load_problem, parse_bool, parse_expr
@@ -227,14 +229,63 @@ def _goal_problem(name: str) -> str:
                                              if m.source == source))
 
 
+GOAL_NAMES = GOAL_PROBLEMS + [f"{m.source}~mutant" for m in WORKLOADS.MUTANTS]
+# loop-tiling keeps 32768 states a side at width 2: its dozen variants
+# would take seconds
+VARIANT_NAMES = [n for n in GOAL_NAMES if not n.startswith("loop-tiling")]
+
+
+def _chain_variants(goal):
+    """The goal, and its chain with one factor dropped or two adjacent
+    factors swapped: one-sided prefixes that are empty, partial or whole."""
+    ch = seq_chain(goal)
+    return [goal] + [bseq(*ch[:i], *ch[i + 1:]) for i in range(len(ch))] + [
+        bseq(*ch[:i], ch[i + 1], ch[i], *ch[i + 2:]) for i in range(len(ch) - 1)]
+
+
+def _width_2_goals(name):
+    prob = load_problem(_goal_problem(name), name, width_override=2)
+    assert prob.script_goal is not None
+    return prob, _chain_variants(prob.script_goal)
+
+
 class TestTagAdequacy:
-    @pytest.mark.parametrize("name", GOAL_PROBLEMS + [
-        f"{m.source}~mutant" for m in WORKLOADS.MUTANTS])
+    @pytest.mark.parametrize("name", GOAL_NAMES)
     def test_script_goals_at_width_2(self, name):
         prob = load_problem(_goal_problem(name), name, width_override=2)
         assert prob.script_goal is not None
         j = prob.judgment()
         assert_same_adequacy(prob.bm, j.spec.pre, j.left, j.right, prob.script_goal)
+
+    @pytest.mark.parametrize("name", VARIANT_NAMES)
+    def test_chain_variants_at_width_2(self, name):
+        prob, goals = _width_2_goals(name)
+        j = prob.judgment()
+        for goal in goals:
+            assert_same_adequacy(prob.bm, j.spec.pre, j.left, j.right, goal)
+
+    def test_chain_variants_reach_every_kind_of_prefix(self):
+        """Prefixes that are empty, partial and whole, one with a
+        non-deterministic left part (double-square's `<1 + ...]`) and one
+        that carries a left test (simple-sum's `L[i <= N]`)."""
+        kinds, lefts = set(), {}
+        for name in VARIANT_NAMES:
+            for goal in _width_2_goals(name)[1]:
+                p, q, rest = _one_sided_prefix(goal)
+                kinds.add("whole" if rest == B1 else "empty" if rest == goal else "partial")
+                lefts.setdefault(name, set()).update(
+                    map(type, p.args if isinstance(p, KSeq) else (p,)))
+        assert kinds == {"empty", "partial", "whole"}
+        assert KPlus in lefts["double-square"] and KTest in lefts["simple-sum"]
+
+    @pytest.mark.parametrize("test", ["[n == n]", "[n != n]", "[n == n] & L[r == 0]"])
+    def test_two_sided_test_ends_the_prefix(self, test):
+        prob, goals = _width_2_goals("factorial-ni")
+        j = prob.judgment()
+        goal = bseq(prob.parser.bikat(test), goals[0])
+        assert _one_sided_prefix(goal)[2] == goal
+        assert assert_same_adequacy(prob.bm, j.spec.pre, j.left, j.right, goal) == (
+            test == "[n == n]")
 
     def test_random_bimodels(self):
         alph = Alphabet.make(["p"], ["a", "b"])

@@ -3,14 +3,15 @@ and preimages are compared with the per-pair reference of
 `test_judgments.reference_image`, on sampled sources of the benchmark's
 mutants and of guess-count's witness at declared widths, and on a hand-made
 walk that takes every path of a right step and of a bitest.  The adequacy
-counterexamples of the mutants are pinned."""
+counterexamples of the mutants are pinned, and so are the start pairs that
+adequacy walks once it has applied a goal's one-sided prefix."""
 
 import random
 import textwrap
 
 import pytest
 
-from bikat.bi.terms import BPlus, BStar
+from bikat.bi.terms import B1, BPlus, BStar
 from bikat.judge import check_adequacy, term_image, term_preimage
 from bikat.judge.core import NO_RUN, SEVERAL, pair_spec, post_map
 from bikat.problem import load_problem
@@ -124,3 +125,35 @@ def test_mutant_adequacy_counterexamples_are_pinned(source):
     want = MUTANT_ADEQUACY[source]
     assert res.holds == (want is None)
     assert (None if res.holds else res.counterexample.states) == want
+
+
+# pre pairs and walked start pairs of adequacy at declared width: the goal's
+# one-sided prefix is applied per state, and each class of sources, keyed by
+# the images of the prefix and of the programs, starts one walk of the rest
+QUOTIENT = {
+    "factorial-ni": (32768, 8),
+    "factorial-ni~mutant": (32768, 64),
+}
+
+
+@pytest.mark.parametrize("name", ["factorial-ni", "factorial-ni~mutant", "array-insert"])
+def test_adequacy_walks_one_start_pair_per_class(name, monkeypatch):
+    from bikat.judge import witness
+    prob = load_problem(_goal_problem(name), name)
+    j = prob.judgment()
+    walked = []
+    tags = witness.term_tags
+
+    def counting(bm, w, rows):
+        walked.append((w, sum(map(len, rows.values()))))
+        return tags(bm, w, rows)
+
+    monkeypatch.setattr(witness, "term_tags", counting)
+    assert check_adequacy(prob.bm, j.spec.pre, j.left, j.right, prob.script_goal).holds
+    if name == "array-insert":
+        # one-sided throughout: the rest of the goal is the identity
+        assert walked and {w for w, _ in walked} == {B1}
+        return
+    pre, starts = QUOTIENT[name]
+    assert len(pair_spec(prob.bm, j.spec.pre).pairs()) == pre
+    assert sum(n for _, n in walked) == starts

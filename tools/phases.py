@@ -29,7 +29,10 @@ exclusive: a wrapped function called while loading counts in its own phase.
 The wrappers are installed from outside; their cost lands in the phase they
 wrap, so the numbers compare runs of this script, not runs of perfbench.  The
 last line of standard output is a JSON object: the median over passes of each
-phase's seconds per pass, and of the pass total.
+phase's seconds per pass, and of the pass total.  With `--by-check` it also
+holds `by_check`, the median seconds of each check, keyed "<case> <check>":
+
+    python3 tools/phases.py --workload refute --passes 5 --by-check
 """
 
 from __future__ import annotations
@@ -146,6 +149,7 @@ def run_pass(ph: Phases, cases, verdict) -> dict[str, float]:
     from bikat.rhl import parse as rparse
     ph.totals = {}
     wrong = 0
+    by_check: dict[str, float] = {}
     start = ph.clock()
     for case in cases:
         frame = ph.enter("load")
@@ -164,12 +168,15 @@ def run_pass(ph: Phases, cases, verdict) -> dict[str, float]:
                 got = verdict(check.kind, prob, tree)
             finally:
                 ph.leave(frame)
+            key = f"{case.name} {check.kind}"
+            by_check[key] = by_check.get(key, 0.0) + ph.clock() - frame[1]
             wrong += got != check.expected
     out = {p: ph.totals.get(p, 0.0) for p in ("tables", "rows", "walks", "check")}
     out["verdicts"] = sum(out.values())
     out["load"] = ph.totals.get("load", 0.0)
     out["pass"] = ph.clock() - start
     out["wrong"] = wrong
+    out["by_check"] = by_check
     return out
 
 
@@ -178,6 +185,8 @@ def main() -> None:
     ap.add_argument("--workload", required=True)
     ap.add_argument("--passes", type=int, default=5)
     ap.add_argument("--seed", type=int, default=1)
+    ap.add_argument("--by-check", action="store_true",
+                    help="add the median seconds of each (case, check)")
     args = ap.parse_args()
     sys.path[:0] = [str(ROOT / "src"), str(ROOT / "perfbench")]
     import workloads
@@ -191,11 +200,15 @@ def main() -> None:
     for _ in range(args.passes):
         gc.collect()
         passes.append(run_pass(ph, cases, verdict))
+    checks = [p.pop("by_check") for p in passes]
     result = {k: statistics.median(p[k] for p in passes) for k in passes[0]}
     result["wrong"] = max(p["wrong"] for p in passes)
     result["passes"] = args.passes
-    print(json.dumps({"workload": args.workload,
-                      **{k: round(v, 4) for k, v in result.items()}}))
+    out = {"workload": args.workload, **{k: round(v, 4) for k, v in result.items()}}
+    if args.by_check:
+        out["by_check"] = {k: round(statistics.median(c[k] for c in checks), 4)
+                           for k in checks[0]}
+    print(json.dumps(out))
 
 
 if __name__ == "__main__":
