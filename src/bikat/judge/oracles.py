@@ -342,11 +342,13 @@ def check_adequacy(bm: BiModel, pre, c: KatTerm, d: KatTerm, b: BiKatTerm) -> Ju
         bits = dict(zip(new, map((1).__lshift__, range(len(new)))))
         starts: dict[int, dict[int, int]] = {}
         for (ps, _, qs, _), bit in bits.items():
+            if not qs:  # no start pair: the class stays uncovered
+                continue
             for s in ps:
                 row = starts.setdefault(s, {})
                 for s2 in qs:
                     row[s2] = row.get(s2, 0) | bit
-        tags = witness.term_tags(bm, rest, starts) if bits else {}
+        tags = witness.term_tags(bm, rest, starts) if starts else {}
         if any(_uncovered(tags, k[1], k[3], bit) for k, bit in bits.items()):
             for a, bs in runs:
                 for b2 in filter(dimg.__getitem__, bs):

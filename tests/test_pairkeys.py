@@ -287,6 +287,27 @@ class TestTagAdequacy:
         assert assert_same_adequacy(prob.bm, j.spec.pre, j.left, j.right, goal) == (
             test == "[n == n]")
 
+    @pytest.mark.parametrize("test", ["R[n != 0]", "R[n != n]"])
+    def test_failing_right_test_starts_no_empty_row(self, test, monkeypatch):
+        """A right test at the head of the prefix that fails at some (or
+        every) right state: those classes have no start pair, so they are
+        uncovered, and no row of the walk's frontier is empty."""
+        from bikat.judge import witness
+        prob, goals = _width_2_goals("factorial-ni")
+        j = prob.judgment()
+        frontiers = []
+        tags = witness.term_tags
+
+        def recording(bm, w, rows):
+            frontiers.append(rows)
+            return tags(bm, w, rows)
+
+        monkeypatch.setattr(witness, "term_tags", recording)
+        goal = bseq(prob.parser.bikat(test), goals[0])
+        assert not assert_same_adequacy(prob.bm, j.spec.pre, j.left, j.right, goal)
+        assert all(all(rows.values()) for rows in frontiers)
+        assert bool(frontiers) == (test == "R[n != 0]")
+
     def test_random_bimodels(self):
         alph = Alphabet.make(["p"], ["a", "b"])
         verdicts = set()

@@ -29,10 +29,10 @@ exclusive: a wrapped function called while loading counts in its own phase.
 The wrappers are installed from outside; their cost lands in the phase they
 wrap, so the numbers compare runs of this script, not runs of perfbench.  The
 last line of standard output is a JSON object: the median over passes of each
-phase's seconds per pass, and of the pass total.  With `--by-check` it also
-holds `by_check`, the median seconds of each check, keyed "<case> <check>":
+phase's seconds per pass, and of the pass total, and `by_check`, the median
+seconds of each check, keyed "<case> <check>":
 
-    python3 tools/phases.py --workload refute --passes 5 --by-check
+    python3 tools/phases.py --workload refute --passes 5
 """
 
 from __future__ import annotations
@@ -185,8 +185,6 @@ def main() -> None:
     ap.add_argument("--workload", required=True)
     ap.add_argument("--passes", type=int, default=5)
     ap.add_argument("--seed", type=int, default=1)
-    ap.add_argument("--by-check", action="store_true",
-                    help="add the median seconds of each (case, check)")
     args = ap.parse_args()
     sys.path[:0] = [str(ROOT / "src"), str(ROOT / "perfbench")]
     import workloads
@@ -205,9 +203,8 @@ def main() -> None:
     result["wrong"] = max(p["wrong"] for p in passes)
     result["passes"] = args.passes
     out = {"workload": args.workload, **{k: round(v, 4) for k, v in result.items()}}
-    if args.by_check:
-        out["by_check"] = {k: round(statistics.median(c[k] for c in checks), 4)
-                           for k in checks[0]}
+    out["by_check"] = {k: round(statistics.median(c[k] for c in checks), 4)
+                       for k in checks[0]}
     print(json.dumps(out))
 
 
