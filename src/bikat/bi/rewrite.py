@@ -3,20 +3,21 @@
 `distribute_embeddings` pushes embeddings through the KAT operators so every
 embedded factor is primitive.  `lrc_normalize` then reorders sequence chains
 so left-side factors precede right-side factors wherever the two sides
-commute; primitive bitests and mixed factors are fixed barriers.  The tagged
-encoding maps the result to a plain KAT term over a renamed alphabet, which
-is sound for equational reasoning but does not itself validate commutation —
-normalize first.  Each of these is a homomorphism, written as a `bool_map`
-or `kleene_map` of `kat.terms`.
+commute; primitive bitests and mixed factors are fixed barriers.  Which side
+a factor reads is `bi.terms.term_side`, where sidedness is defined once.
+The tagged encoding maps the result to a plain KAT term over a renamed
+alphabet, which is sound for equational reasoning but does not itself
+validate commutation — normalize first.  Each of these is a homomorphism,
+written as a `bool_map` or `kleene_map` of `kat.terms`.
 """
 
 from __future__ import annotations
 
-from ..kat.terms import (KAT, TESTS, BoolOps, KatTerm, KleeneOps, KTest,
-                         TestTerm, bool_map, kact, kleene_map, ktest, tprim)
+from ..kat.terms import (KAT, TESTS, KatTerm, KleeneOps, KTest, TestTerm,
+                         bool_map, kact, kleene_map, ktest, tprim)
 from .terms import (BIKAT, BITESTS, BEmbLTest, BEmbRTest, BiKatTerm,
                     BiTestTerm, BPrim, BTest, bembl, bembr, bisimplify,
-                    bplus, bseq, bstar, btest, emb_test)
+                    bplus, bseq, bstar, btest, emb_test, term_side)
 
 L_TAG = "@L"
 R_TAG = "@R"
@@ -47,45 +48,13 @@ def distribute_embeddings(t: BiKatTerm) -> BiKatTerm:
     return kleene_map(t, _distribute_leaf, BIKAT)
 
 
-# --- sidedness ---------------------------------------------------------------
-
-def _side(*sides: str) -> str:
-    """The side of a node whose arguments are on `sides`."""
-    s = set(sides)
-    s.discard("N")
-    return s.pop() if len(s) == 1 else "B" if s else "N"
-
-
-def _same(side: str) -> str:
-    return side
-
-
-_BITEST_SIDES = BoolOps("N", "N", _same, _side, _side)
-_TERM_SIDES = KleeneOps(_side, _side, _same)
-
-
-def bitest_side(t: BiTestTerm) -> str:
-    """'L'/'R' for purely one-sided bitests, 'N' for constants, 'B' otherwise."""
-    return bool_map(t, lambda a: getattr(a, "side", "B"), _BITEST_SIDES)
-
-
-def term_side(t: BiKatTerm) -> str:
-    """A term is one-sided when every leaf embeds from the same side; such a
-    term denotes an embedded element, so it commutes with the other side."""
-    return kleene_map(t, lambda u: bitest_side(u.test) if isinstance(u, BTest) else u.side,
-                      _TERM_SIDES)
-
-
 def _normalize_chain(*chain: BiKatTerm) -> BiKatTerm:
     out: list[BiKatTerm] = []
     run: list[BiKatTerm] = []
 
-    def flush():
-        if run:
-            lefts = [f for f in run if term_side(f) in ("L", "N")]
-            rights = [f for f in run if term_side(f) == "R"]
-            out.extend(lefts + rights)
-            run.clear()
+    def flush():  # right factors after the others, each in its order
+        out.extend(sorted(run, key=lambda f: term_side(f) == "R"))
+        run.clear()
 
     for f in chain:
         if term_side(f) == "B":
@@ -109,7 +78,7 @@ def lrc_normalize(t: BiKatTerm) -> BiKatTerm:
     inversions strictly decreases) and idempotent.
     """
     t = bisimplify(distribute_embeddings(bisimplify(t)))
-    return bisimplify(kleene_map(t, _same, _CHAINS))
+    return bisimplify(kleene_map(t, lambda u: u, _CHAINS))
 
 
 # --- tagged encoding ---------------------------------------------------------

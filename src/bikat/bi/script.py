@@ -37,12 +37,12 @@ from typing import Callable, NamedTuple
 
 from ..kat.decide import ZeroHypothesis, kat_equiv
 from ..kat.parse import ParseError
-from ..kat.terms import (TESTS, KatTerm, Plus, Seq, Star, bool_map, children, kplus,
-                         kseq, kstar, ktest)
+from ..kat.terms import KatTerm, Plus, Seq, Star, children, kplus, kseq, kstar
 from .laws import LawInstance, expand_conditional, expand_lockstep
-from .rewrite import bitest_side, distribute_embeddings, term_side
+from .rewrite import distribute_embeddings
 from .terms import (B0, B1, BEmbL, BEmbR, BiKatTerm, BPlus, BSeq, BStar, BTest,
-                    bembl, bembr, bisimplify, bplus, bseq, bstar, seq_chain)
+                    bisimplify, bplus, bseq, bstar, emb, seq_chain, side_test,
+                    term_side, unembed)
 from ..models.kmodel import KatModel, kat_post, kat_pre
 from ..models.space import SpaceError
 
@@ -202,22 +202,6 @@ class Redex:
             raise ScriptError(f"parameter {key!r} is not an integer: {raw!r}") from None
 
 
-_EMB = {"L": bembl, "R": bembr}
-
-
-def _factor_side(t: BiKatTerm) -> str | None:
-    """Side of an embedded action or one-sided bitest factor."""
-    side = bitest_side(t.test) if isinstance(t, BTest) else getattr(t, "side", None)
-    return side if side in ("L", "R") else None
-
-
-def _factor_kat(t: BiKatTerm) -> KatTerm:
-    """The underlying term of an embedded factor (action or bitest)."""
-    if isinstance(t, (BEmbL, BEmbR)):
-        return t.arg
-    return ktest(bool_map(t.test, lambda a: a.test, TESTS))  # atoms embed tests
-
-
 def _lrc(r: Redex) -> Rewrite:
     """R ; L  ->  L ; R, and back with rev."""
     pair = r.chain[r.at:r.at + 2]
@@ -240,16 +224,16 @@ def _hom(op: type, kat_op: Callable, bi_op: Callable, noun: str, r: Redex) -> Re
         node = r.node
         if not isinstance(node, (BEmbL, BEmbR)) or not isinstance(node.arg, op):
             raise ScriptError(f"{r.law}: expected an embedding of {noun}, found {node}")
-        return Rewrite(0, 1, (bi_op(*map(_EMB[node.side], children(node.arg))),))
+        return Rewrite(0, 1, (bi_op(*map(partial(emb, node.side), children(node.arg))),))
     start, count = (r.at, r.int_param("count", 2)) if op is Seq else (0, len(r.chain))
     if count < 2 and op is Seq:
         raise ScriptError(f"{r.name}: count must be at least 2, found {count}")
     found = bseq(*r.chain[start:start + count])
-    sides = {_factor_side(a) for a in children(found)} if isinstance(found, op) else set()
-    if start + count > len(r.chain) or len(sides) != 1 or None in sides:
+    parts = list(map(unembed, children(found))) if isinstance(found, op) else [None]
+    if start + count > len(r.chain) or None in parts or len({s for s, _ in parts}) != 1:
         raise ScriptError(f"{r.name}: expected {noun} whose operands all embed "
                           f"from one side, found {found}")
-    return Rewrite(start, count, (_EMB[sides.pop()](kat_op(*map(_factor_kat, children(found)))),))
+    return Rewrite(start, count, (emb(parts[0][0], kat_op(*(k for _, k in parts))),))
 
 
 def _canonical(what: str, applies: Callable, r: Redex) -> Rewrite:
@@ -341,11 +325,11 @@ def _expand(build: Callable, bitests: tuple[str, ...], r: Redex) -> Rewrite:
 def _hyp(r: Redex) -> Rewrite:
     """A zero-hypothesis, embedded on `side`, rewrites to 0."""
     name, side = r.param("name"), r.params.get("side", "L")
-    if side not in _EMB:
+    if side not in ("L", "R"):
         raise ScriptError(f"hyp: side must be L or R, found {side!r}")
     hterm = r.ctx.hypothesis(name).term
     return _match(r, f"hyp {name}",
-                  LawInstance(f"hyp({name})", distribute_embeddings(_EMB[side](hterm)), B0))
+                  LawInstance(f"hyp({name})", distribute_embeddings(emb(side, hterm)), B0))
 
 
 def _kat_subterm(r: Redex) -> Rewrite:
@@ -360,7 +344,7 @@ def _kat_subterm(r: Redex) -> Rewrite:
     if not verdict.is_equal:
         raise ScriptError(
             f"kat-subterm: {node.arg} and {to} are not provably equal ({verdict.kind})")
-    return Rewrite(0, 1, (_EMB[node.side](to),))
+    return Rewrite(0, 1, (emb(node.side, to),))
 
 
 LAWS: dict[str, Law] = {
@@ -369,7 +353,7 @@ LAWS: dict[str, Law] = {
     "hom-plus": Law(partial(_hom, Plus, kplus, bplus, "a sum"), (), ()),
     "hom-star": Law(partial(_hom, Star, kstar, bstar, "a star"), (), ()),
     "hom-test": Law(partial(_canonical, "a one-sided test",
-                            lambda t: isinstance(t, BTest) and _factor_side(t) is not None)),
+                            lambda t: isinstance(t, BTest) and side_test(t.test) is not None)),
     "distrib-left": Law(partial(_distrib, True), ("at",), ("at", "count")),
     "distrib-right": Law(partial(_distrib, False), ("at",), ("at", "count")),
     "unfold-star": Law(_unfold_star, (), ()),

@@ -9,18 +9,24 @@ in `kat.terms` (`BOr` extends `Or`, `BPlus` extends `Plus`, ...), so the
 n-ary constructor `nary`, the canonical order `term_key`, the normal-form
 step `sort_dedupe` and the maps `bool_map` and `kleene_map` written there
 serve both algebras.  An embedding's class carries its `side`, "L" or "R".
+
+Sidedness is decided here once.  `sides` gives the sides of the pair that a
+bitest or term reads; a factor that reads one side only is an embedded
+element, so it commutes with the other side.  `side_test` reads a one-sided
+bitest as a KAT test, `unembed` a one-sided factor as the KAT term it
+embeds (`emb` embeds one again), and `term_side` names the sides read.
 """
 
 from __future__ import annotations
 
-from functools import lru_cache
+from functools import lru_cache, partial
 from typing import Union
 
-from ..kat.terms import (RANK, And, BoolOps, KatTerm, KleeneOps, KTest, Not,
-                         One, Or, Plus, Seq, Star, Term, Test, TestTerm,
-                         TPrim, Zero, bool_map, closure, complement, nary,
-                         simplify as kat_simplify, simplify_test, sort_dedupe,
-                         term)
+from ..kat.terms import (RANK, TESTS, And, BoolOps, KatTerm, KleeneOps, KTest,
+                         Not, One, Or, Plus, Seq, Star, Term, Test, TestTerm,
+                         TPrim, Zero, bool_map, children, closure, complement,
+                         ktest, nary, simplify as kat_simplify, simplify_test,
+                         sort_dedupe, term)
 
 
 # --- bitests -----------------------------------------------------------------
@@ -188,20 +194,18 @@ def btest(t: BiTestTerm) -> BiKatTerm:
     return BTest(t)
 
 
-def bembl(k: KatTerm) -> BiKatTerm:
+def emb(side: str, k: KatTerm) -> BiKatTerm:
+    """k embedded on `side`: <k] for "L", [k> for "R"."""
     # embedded tests are kept in bitest form, so the two spellings of one
     # one-sided condition compare equal
     k = kat_simplify(k)
     if isinstance(k, KTest):
-        return BTest(emb_test("L", k.test))
-    return BEmbL(k)
+        return BTest(emb_test(side, k.test))
+    return (BEmbL if side == "L" else BEmbR)(k)
 
 
-def bembr(k: KatTerm) -> BiKatTerm:
-    k = kat_simplify(k)
-    if isinstance(k, KTest):
-        return BTest(emb_test("R", k.test))
-    return BEmbR(k)
+bembl = partial(emb, "L")
+bembr = partial(emb, "R")
 
 
 def bplus(*ts: BiKatTerm) -> BiKatTerm:
@@ -243,3 +247,49 @@ def bisimplify(t: BiKatTerm) -> BiKatTerm:
 
 def seq_chain(t: BiKatTerm) -> tuple[BiKatTerm, ...]:
     return t.args if isinstance(t, BSeq) else (t,)
+
+
+# --- sidedness -----------------------------------------------------------------
+
+_BOTH = frozenset("LR")
+
+
+def sides(t: Term) -> frozenset[str]:
+    """The sides of the pair that a bitest or BiKAT term reads: its own side
+    for an embedding, both for an abstract bitest, none for a constant, and
+    for an operator the sides its arguments read."""
+    if isinstance(t, BPrim):
+        return _BOTH
+    side = getattr(t, "side", None)
+    if side is not None:
+        return frozenset(side)
+    return frozenset().union(*map(sides, children(t)))
+
+
+def term_side(t: Term) -> str:
+    """"L" or "R" for a bitest or term that reads one side only, "N" for one
+    that reads neither (a constant), "B" for one that reads both."""
+    read = sides(t)
+    return "B" if len(read) > 1 else next(iter(read), "N")
+
+
+bitest_side = term_side  # the same reader, by the name bitest callers use
+
+
+def side_test(t: BiTestTerm) -> tuple[str, TestTerm] | None:
+    """(side, k) when the bitest t reads one side only: t is the KAT test k
+    embedded on that side (`emb_test`); else None."""
+    read = sides(t)
+    if len(read) != 1:
+        return None
+    return next(iter(read)), bool_map(t, lambda a: a.test, TESTS)
+
+
+def unembed(t: BiKatTerm) -> tuple[str, KatTerm] | None:
+    """(side, k) when the factor t is k embedded on one side, `emb(side, k)`:
+    an embedded term <k] or [k>, or a one-sided test; None for a constant, a
+    composite term or a test that reads both sides."""
+    if isinstance(t, (BEmbL, BEmbR)):
+        return t.side, t.arg
+    got = side_test(t.test) if isinstance(t, BTest) else None
+    return None if got is None else (got[0], ktest(got[1]))

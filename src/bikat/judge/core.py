@@ -2,8 +2,10 @@
 relations.
 
 Both readers of a bitest split its conjunction once, with `_split`: the
-tests of each side (`side_test`), the `==` expression bitests and the
-remaining atoms, the other expression comparisons among them.
+tests of each side, the `==` expression bitests and the remaining atoms,
+the other expression comparisons among them.  Which side an atom reads, and
+the KAT test a one-sided atom embeds, is `bi.terms.side_test`, where
+sidedness is defined once.
 
 `compile_pred` compiles a bitest to a `PairPred`.  The `==` bitests and the
 tests of each side become two key columns over states: `lk[a]` packs the
@@ -51,13 +53,15 @@ from itertools import compress, repeat
 from operator import add, and_
 from typing import Iterator
 
-from ..bi.terms import (BAnd, BEmbLTest, BEmbRTest, BiTestTerm, BNot, BOne,
-                        BOr, BPrim, BZero)
-from ..kat.terms import KatTerm, TestTerm, tand, tnot, tor
+from ..bi.terms import (BAnd, BiTestTerm, BNot, BOne, BOr, BPrim, BZero,
+                        side_test)
+from ..kat.terms import KatTerm, TestTerm, tand
 from ..models.bmodel import BiModel, BitestSem
 from ..models.imp import CMP_OPS, ImpEnv
-from ..models.kmodel import (frame_mask, image, kat_post, kat_pre, state_array,
-                             test_table)
+# PostMap computes no image through them; perfbench's tracer wraps
+# `core.kat_post` and `core.kat_pre` by name
+from ..models.kmodel import (frame_mask, image, kat_post, kat_pre,  # noqa: F401
+                             state_array, test_table)
 
 PAIR_ENUM_CAP = 4_000_000
 
@@ -221,23 +225,6 @@ def _key_column(bm: BiModel, env: ImpEnv | None, exprs: list,
     return [k if ok else fail for k, ok in zip(col, table)]
 
 
-def side_test(t: BiTestTerm) -> tuple[str, TestTerm] | None:
-    """("L" or "R", a KAT test) when `t` reads one side of the pair only: a
-    one-sided test or a Boolean combination of one side's tests; else None."""
-    if isinstance(t, (BEmbLTest, BEmbRTest)):
-        return t.side, t.test
-    if isinstance(t, BNot):
-        got = side_test(t.arg)
-        return None if got is None else (got[0], tnot(got[1]))
-    if isinstance(t, (BAnd, BOr)):
-        parts = [side_test(a) for a in t.args]
-        if None in parts or len({side for side, _ in parts}) != 1:
-            return None
-        join = tand if isinstance(t, BAnd) else tor
-        return parts[0][0], join(*(test for _, test in parts))
-    return None
-
-
 def _closure(bm: BiModel, t: BiTestTerm):
     """A bitest as a closure on pairs, atom by atom: the residual atoms of
     `compile_pred` and the residual filters of `PairSpec`."""
@@ -248,12 +235,10 @@ def _closure(bm: BiModel, t: BiTestTerm):
     if isinstance(t, BPrim):
         sem = bm.bitest(t.name)
         return _compare(sem) if isinstance(sem, ExprBitest) else sem.holds
-    if isinstance(t, BEmbLTest):
-        table = test_table(bm.base, t.test)
-        return lambda a, b: table[a] == 1
-    if isinstance(t, BEmbRTest):
-        table = test_table(bm.base, t.test)
-        return lambda a, b: table[b] == 1
+    side = side_test(t)
+    if side is not None:
+        table, left = test_table(bm.base, side[1]), side[0] == "L"
+        return lambda a, b: table[a if left else b] == 1
     if isinstance(t, BNot):
         inner = _closure(bm, t.arg)
         return lambda a, b: not inner(a, b)
@@ -320,12 +305,7 @@ class PostMap:
         self._ends = None  # the end column, made on first use
 
     def __getitem__(self, state: int) -> frozenset[int]:
-        got = self.images.get(state)
-        if got is None:
-            f = kat_pre if self.backward else kat_post
-            got = f(self.model, self.term, (state,))
-            self.images[state] = got
-        return got
+        return self.fill((state,))[state]
 
     def fill(self, states) -> dict[int, frozenset[int]]:
         """Compute the missing images of a batch of states together; the

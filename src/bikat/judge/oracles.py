@@ -71,14 +71,13 @@ from functools import partial, reduce
 from itertools import chain, compress, takewhile
 from operator import and_, contains, is_not, itemgetter
 
-from ..bi.terms import BEmbL, BEmbR, BiKatTerm, BTest, bnot, bseq, seq_chain
-from ..kat.terms import KatTerm, kseq, ktest
+from ..bi.terms import BiKatTerm, bnot, bseq, seq_chain, unembed
+from ..kat.terms import KatTerm, kseq
 from ..models.bmodel import BiModel
 # no oracle calls it; perfbench's tracer wraps `oracles.interp_kat` by name
 from ..models.kmodel import WALK_SOURCES, interp_kat  # noqa: F401
 from .core import (NO_RUN, SEVERAL, Counterexample, EnumRefused, Judgment,
-                   PairPred, PairSpec, PostMap, RelSpec, pair_spec, post_map,
-                   side_test)
+                   PairPred, PairSpec, PostMap, RelSpec, pair_spec, post_map)
 
 
 @dataclass
@@ -289,13 +288,8 @@ def _one_sided_prefix(b: BiKatTerm) -> tuple[KatTerm, KatTerm, BiKatTerm]:
     chain made of one-sided factors, `<c]`, `[d>` and one-sided tests, which
     commute, split into p, the sequence of its left parts, and q, of its
     right parts; rest is the remainder of the chain."""
-    def side(u: BiKatTerm) -> tuple[str, KatTerm] | None:
-        if isinstance(u, (BEmbL, BEmbR)):
-            return u.side, u.arg
-        got = side_test(u.test) if isinstance(u, BTest) else None
-        return None if got is None else (got[0], ktest(got[1]))
     factors = seq_chain(b)
-    sides = list(takewhile(partial(is_not, None), map(side, factors)))
+    sides = list(takewhile(partial(is_not, None), map(unembed, factors)))
     return (kseq(*(k for s, k in sides if s == "L")),
             kseq(*(k for s, k in sides if s == "R")), bseq(*factors[len(sides):]))
 
@@ -430,7 +424,14 @@ def _post_ends(bm: BiModel, j: Judgment, r: PairSpec, s: PairSpec):
     The left states come in batches of 64, then 128, ... (at most
     WALK_SOURCES), so that a check that stops at an early counterexample
     computes few images; the images and right preimages a batch needs are
-    computed in one walk each."""
+    computed in one walk each.  Both routes read every pair it yields, so
+    it refuses as the pair enumeration does: before the first batch if the
+    pre would build more than PAIR_ENUM_CAP candidates, and once the post
+    partners asked for would (`PairSpec.partner_sets`)."""
+    r.check_enumerable()
+    partners = s.partner_sets()
+    if partners is None:  # refused, with residual filters on every candidate
+        s.check_enumerable()  # raises the refusal
     cpost = post_map(bm.base, j.left)
     dpost = post_map(bm.base, j.right)
     dback = post_map(bm.base, j.right, backward=True)
@@ -440,11 +441,10 @@ def _post_ends(bm: BiModel, j: Judgment, r: PairSpec, s: PairSpec):
         batch = range(k, min(k + min(size, WALK_SOURCES), n))
         k, size = batch.stop, size * 2
         cpost.fill(batch)
-        rows = [(a, cimg[a]) for a in batch
-                if any(s.partners_left(t) for t in cimg[a])]
+        rows = [(a, cimg[a]) for a in batch if any(map(partners, cimg[a]))]
         dpost.fill(chain.from_iterable(r.partners_left(a) for a, _ in rows))
         ends = frozenset().union(*(cs for _, cs in rows))
-        dback.fill(chain.from_iterable(map(s.partners_left, ends)))
+        dback.fill(chain.from_iterable(map(partners, ends)))
         known: dict = {}  # the spec keeps the rows
         for a, cs in rows:
             d = _union(dimg, r.partners_left(a), known)

@@ -56,13 +56,13 @@ from dataclasses import dataclass, field
 from itertools import compress, repeat
 from typing import Callable
 
-from ..bi.terms import BEmbL, BiKatTerm, BiTestTerm, BTest
+from ..bi.terms import BEmbL, BiKatTerm, BiTestTerm, BTest, side_test
 from ..kat.terms import kleene_map
 from ..models.bmodel import BiModel
 from ..models.kmodel import (WALK_SOURCES, kleene_walks, source_batches, split_tags,
                              test_table)
 from .core import (NO_RUN, SEVERAL, Counterexample, Judgment, PostMap, pair_spec,
-                   post_map, side_test)
+                   post_map)
 from .oracles import (JudgeResult, RouteDisagreement, _fill_rows, _row_chunks,
                       _run_rows, check_bsim, check_fsim)
 

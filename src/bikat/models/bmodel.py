@@ -135,17 +135,17 @@ class AxiomReport:
     note: str = ""
 
 
-def check_projection_axioms(bm: BiModel, samples: int = 8, seed: int = 0) -> list[AxiomReport]:
+def check_projection_axioms(bm: BiModel, seed: int = 0) -> list[AxiomReport]:
     """Projection structure on a relational model, plus its consequences.
 
     Checks Inversion, Disjointness and Disjunctivity of the two projections,
     then Unit, Separation, Order-Separation, Injectivity and Order-Injectivity
-    on sampled elements of the underlying model.
+    on the model's actions and eight relations sampled by `seed`.
     """
     n = bm.space.size
     rng = random.Random(seed)
     rels: list[Rel] = [a.rel() for a in bm.base.acts.values()]
-    for _ in range(samples):
+    for _ in range(8):
         rels.append(Rel.of_pairs(n, [(rng.randrange(n), rng.randrange(n))
                                      for _ in range(rng.randrange(1, n * n + 1))]))
     rels += [Rel.empty(n), Rel.identity(n), Rel.full(n)]

@@ -23,7 +23,7 @@ from a state simply contribute no final state there.
 from __future__ import annotations
 
 import operator
-from dataclasses import dataclass
+from dataclasses import dataclass, fields, is_dataclass
 from typing import Callable, Iterable, Union
 
 from ..kat.terms import KatTerm, kact, kplus, kseq, kstar, ktest, tnot, tprim
@@ -486,13 +486,17 @@ class ImpEnv:
         return KatModel(self.space, dict(self.acts), dict(self.tests))
 
 
+def syntax_map(node, f: Callable):
+    """`f` of `node` rebuilt from the images of its parts: the one structural
+    map over expressions, conditions and statements, as `kleene_map` is over
+    terms.  Names, operators and constants are kept as they are."""
+    def part(v):
+        if isinstance(v, tuple):
+            return tuple(map(part, v))
+        return syntax_map(v, f) if is_dataclass(v) else v
+    return f(type(node)(*(part(getattr(node, k.name)) for k in fields(node))))
+
+
 def subst_expr(e: Expr, var: str, repl: Expr) -> Expr:
-    if isinstance(e, EConst):
-        return e
-    if isinstance(e, EVar):
-        return repl if e.name == var else e
-    if isinstance(e, EArr):
-        return EArr(e.name, subst_expr(e.index, var, repl))
-    if isinstance(e, ECall):
-        return ECall(e.fn, tuple(subst_expr(a, var, repl) for a in e.args))
-    return EBin(e.op, subst_expr(e.left, var, repl), subst_expr(e.right, var, repl))
+    """`e` with each occurrence of the variable `var` replaced by `repl`."""
+    return syntax_map(e, lambda n: repl if n == EVar(var) else n)

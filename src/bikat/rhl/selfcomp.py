@@ -9,12 +9,13 @@ route to cross-check the pairwise oracle.
 
 from __future__ import annotations
 
+from dataclasses import replace
+
 from ..judge.core import pair_spec
 from ..judge.oracles import JudgeResult
 from ..models.bmodel import bitest_holds
-from ..models.imp import (BAndE, BCmp, BConst, BNotE, BOrE, EArr, EBin, ECall,
-                          EConst, EVar, ImpEnv, Program, SArrAssign, SAssign,
-                          SAssume, SHavoc, SIf, SSkip, SWhile, Stmt)
+from ..models.imp import (EArr, EVar, ImpEnv, Program, SArrAssign, SAssign,
+                          SHavoc, syntax_map)
 from ..models.space import ArrayDecl, StateSpace, VarDecl
 from ..judge.core import Counterexample
 from .proof import RhlContext, RhlJudgment
@@ -22,49 +23,18 @@ from .proof import RhlContext, RhlJudgment
 RENAME_SUFFIX = "_r"
 
 
-def _rename_expr(e, sfx: str):
-    if isinstance(e, EConst):
-        return e
-    if isinstance(e, EVar):
-        return EVar(e.name + sfx)
-    if isinstance(e, EArr):
-        return EArr(e.name + sfx, _rename_expr(e.index, sfx))
-    if isinstance(e, ECall):
-        return ECall(e.fn, tuple(_rename_expr(a, sfx) for a in e.args))
-    return EBin(e.op, _rename_expr(e.left, sfx), _rename_expr(e.right, sfx))
+def _renamed(n):
+    """A node with the variable or array it names renamed to its copy."""
+    if isinstance(n, (EVar, EArr, SArrAssign)):
+        return replace(n, name=n.name + RENAME_SUFFIX)
+    if isinstance(n, (SAssign, SHavoc)):
+        return replace(n, var=n.var + RENAME_SUFFIX)
+    return n
 
 
-def _rename_bool(b, sfx: str):
-    if isinstance(b, BConst):
-        return b
-    if isinstance(b, BCmp):
-        return BCmp(b.op, _rename_expr(b.left, sfx), _rename_expr(b.right, sfx))
-    if isinstance(b, BNotE):
-        return BNotE(_rename_bool(b.arg, sfx))
-    if isinstance(b, BAndE):
-        return BAndE(tuple(_rename_bool(a, sfx) for a in b.args))
-    return BOrE(tuple(_rename_bool(a, sfx) for a in b.args))
-
-
-def rename_program(p: Program, sfx: str = RENAME_SUFFIX) -> Program:
-    def go(s: Stmt) -> Stmt:
-        if isinstance(s, SSkip):
-            return s
-        if isinstance(s, SAssign):
-            return SAssign(s.var + sfx, _rename_expr(s.expr, sfx))
-        if isinstance(s, SHavoc):
-            return SHavoc(s.var + sfx)
-        if isinstance(s, SArrAssign):
-            return SArrAssign(s.name + sfx, _rename_expr(s.index, sfx),
-                              _rename_expr(s.value, sfx))
-        if isinstance(s, SAssume):
-            return SAssume(_rename_bool(s.cond, sfx))
-        if isinstance(s, SIf):
-            return SIf(_rename_bool(s.cond, sfx), tuple(go(x) for x in s.then),
-                       tuple(go(x) for x in s.els))
-        return SWhile(_rename_bool(s.cond, sfx), tuple(go(x) for x in s.body))
-
-    return tuple(go(s) for s in p)
+def rename_program(p: Program) -> Program:
+    """`p` run on the renamed copy of the variables and arrays."""
+    return tuple(syntax_map(s, _renamed) for s in p)
 
 
 def check_selfcomp(ctx: RhlContext, rj: RhlJudgment) -> JudgeResult:

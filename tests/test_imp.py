@@ -10,7 +10,8 @@ from bikat.judge import ExprBitest, PairSpec, dispatch
 from bikat.models import (ImpEnv, SAssign, SHavoc, SIf, SSkip, SWhile,
                           bitest_holds, interp_kat, kat_post, kat_pre)
 from bikat.models.imp import (BAndE, BCmp, BConst, BNotE, BOrE, EArr, EBin,
-                              ECall, EConst, EVar, SArrAssign, SAssume, bool_str)
+                              ECall, EConst, EVar, SArrAssign, SAssume, block_str,
+                              bool_str, expr_str, subst_expr)
 from bikat.models.kmodel import image, state_array
 from bikat.kat.parse import ParseError
 from bikat.models.space import SpaceError, StateSpace, VarDecl, ArrayDecl
@@ -320,11 +321,28 @@ class TestRename:
     def test_rename_is_disjoint(self):
         prog = parse_stmts_text(
             "x := y + 1; if (x > 0) { a[x] := 1; } while (x != 0) { x := x - 1; }")
-        renamed = rename_program(prog)
-        from bikat.models import block_str
-        s = block_str(renamed)
+        s = block_str(rename_program(prog))
         assert "x_r" in s and "y_r" in s and "a_r" in s
         assert " x " not in s.replace("x_r", "")
+
+    # every statement, expression and condition form; function names,
+    # operators and constants are not renamed
+    EVERY_FORM = ("skip; x := any; assume(!(x < 1) || true); "
+                  "if (x == 0 && y != min(x, 2)) { a[x % 2] := f(y) * 3; } "
+                  "else { y := a[1] - x; } while (false) { x := max(x, y); }")
+
+    def test_rename_maps_every_form(self):
+        renamed = block_str(rename_program(parse_stmts_text(self.EVERY_FORM)))
+        assert renamed == (
+            "skip; x_r := any; assume(!(x_r < 1) || true); "
+            "if (x_r == 0 && y_r != min(x_r, 2)) { a_r[x_r % 2] := f(y_r) * 3; } "
+            "else { y_r := a_r[1] - x_r; }; while (false) { x_r := max(x_r, y_r); };")
+
+    def test_subst_replaces_the_variable_only(self):
+        (stmt,) = parse_stmts_text("y := a[x] + min(x, y) * f(x - y);")
+        got = subst_expr(stmt.expr, "x", stmt.expr.left)
+        assert expr_str(got) == "a[a[x]] + min(a[x], y) * f(a[x] - y)"
+        assert subst_expr(stmt.expr, "z", EConst(1)) == stmt.expr
 
 
 class TestProblemFiles:

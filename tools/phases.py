@@ -13,11 +13,12 @@ time, so nested calls are counted once, into four phases:
   `pred_table`, `TestSem.table`, `ImpEnv.values`, `core._key_column`);
 - rows: pair-relation enumeration (`PairSpec.rows`/`pairs`/`partners_left`
   and the oracles' chunked row iterators `_pre_chunks` and `_row_chunks`);
-- walks: image computation (`kmodel.image`/`kat_post`/`kat_pre`, a
-  framed term's images lifted from its projections and the per-state ends
-  of the end columns, `PostMap._lift`/`ends`, and the pair-state walks of
-  `witness.term_image` and `witness.term_tags`, which step frontiers of
-  rows);
+- walks: image computation (`kmodel.image`, through which every `PostMap`
+  image is computed, a framed term's images lifted from its projections
+  and the per-state ends of the end columns, `PostMap._lift`/`ends`, and
+  the pair-state walks of `witness.term_image` and `witness.term_tags`,
+  which step frontiers of rows; `kat_post`/`kat_pre` are timed too, but
+  only the zero-hypothesis check of script replay calls them);
 - check: the rest of the verdict's time: the oracles' own loops, script
   replay and the proof checker.
 
