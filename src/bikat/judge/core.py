@@ -31,8 +31,11 @@ on a space without fields) and residual filters for every other atom.  The
 forced fields of the right partners of every left state are built at once,
 as a template column lifted from the footprints of the left expressions.  A
 right candidate is a template ORed with a pattern, so a row is in state
-order.  Enumeration is refused before it starts, never truncated, when an
-estimate of its candidates exceeds the one cap `PAIR_ENUM_CAP`.
+order.  With every field forced and no residual atom, a left state has at
+most one partner, its template: `one_partner` gives such a relation as two
+lazy columns, which `rows` reads too.  Enumeration is refused before it
+starts, never truncated, when an estimate of its candidates exceeds the one
+cap `PAIR_ENUM_CAP`.
 
 `PostMap` memoizes per-state images of a program term in `images`; `fill`
 computes the missing images of a whole batch of states in one walk of the
@@ -305,7 +308,8 @@ class PostMap:
         self._ends = None  # the end column, made on first use
 
     def __getitem__(self, state: int) -> frozenset[int]:
-        return self.fill((state,))[state]
+        got = self.images.get(state)
+        return self.fill((state,))[state] if got is None else got
 
     def fill(self, states) -> dict[int, frozenset[int]]:
         """Compute the missing images of a batch of states together; the
@@ -462,10 +466,11 @@ class PairSpec:
     def _columns(self) -> tuple:
         """(template, open) for every left state at once: the bits its right
         partners take on the forced fields, as a state array, and one byte
-        per state, 1 where the left conditions hold and every forced value
-        fits its field (None: at every state).  Each forced field's column
-        is lifted from the footprint of its left expression, packed, and
-        the disjoint fields are summed."""
+        per state, 1 where the left conditions hold, every forced value
+        fits its field and, with every field forced, the template passes the
+        right tests (None: at every state).  Each forced field's column is
+        lifted from the footprint of its left expression, packed, and the
+        disjoint fields are summed."""
         if self._cols is None:
             lay = self._get_layout()
             space = self.bm.space
@@ -476,7 +481,11 @@ class PairSpec:
                 fits = space.lift(reads, _fits(f, width), bytes)
                 if 0 in fits:
                     opened = fits if opened is None else _both(opened, fits)
-            self._cols = (space.unpack(packed), opened)
+            tmpl = space.unpack(packed)
+            if lay.patterns == [0] and lay.right is not None:  # one candidate
+                kept = bytes(map(lay.right.__getitem__, tmpl))
+                opened = kept if opened is None else _both(opened, kept)
+            self._cols = (tmpl, opened)
         return self._cols
 
     def _row(self, s: int, tmpl: int) -> list[int]:
@@ -509,29 +518,32 @@ class PairSpec:
                 f"pair enumeration of ~{estimated} pairs exceeds the cap "
                 f"{PAIR_ENUM_CAP}")
 
+    def one_partner(self) -> tuple | None:
+        """(left states with a partner, that partner) as lazy columns, when
+        every field is forced and no residual atom filters, so a left state's
+        one candidate is its template; else None.  Refused as `rows`."""
+        self.check_enumerable()
+        if self._atoms is None:
+            return (), ()
+        lay = self._get_layout()
+        return None if lay.patterns != [0] or lay.preds else self._open()
+
+    def _open(self) -> tuple:
+        """(the open left states, their templates), lazy, in state order."""
+        tmpl, opened = self._columns()
+        if opened is None:
+            return range(self.n), tmpl
+        return compress(range(self.n), opened), compress(tmpl, opened)
+
     def rows(self) -> Iterator[tuple[int, list[int]]]:
         """The relation as rows, streamed: each left state with a partner, in
         order, with its right partners.  Each row is built from the template
         column when it is reached, so a reader that stops early builds few.
         Refused above the cap before any row is built."""
-        self.check_enumerable()
-        if self._atoms is None:
-            return iter(())
-        tmpl, opened = self._columns()
-        lay = self._layout
-        states, ts = range(self.n), tmpl
-        if opened is not None:
-            states, ts = compress(states, opened), compress(tmpl, opened)
-        if lay.patterns == [0] and not (lay.preds or lay.right is not None):
-            # every field forced, nothing to filter: the template alone
-            return zip(states, map(list, zip(ts)))
-        return self._built_rows(states, ts)
-
-    def _built_rows(self, states, ts) -> Iterator[tuple[int, list[int]]]:
-        for s, t in zip(states, ts):
-            row = self._row(s, t)
-            if row:
-                yield s, row
+        cols = self.one_partner()
+        if cols is not None:
+            return zip(cols[0], map(list, zip(cols[1])))
+        return ((s, row) for s, t in zip(*self._open()) if (row := self._row(s, t)))
 
     def pairs(self) -> list[tuple[int, int]]:
         """The rows flattened into pairs, in order."""

@@ -37,14 +37,16 @@ per-state partner sets (`PairSpec.partner_sets`); a route whose enumeration
 the caps refuse, up front or once it has built PAIR_ENUM_CAP candidates, is
 dropped.
 
-∀∀ takes its rows a chunk at a time without images (`_row_chunks`).  A
-chunk whose rows have one partner each, under a keyed post, with no image
-of several states, is decided in bulk on the programs' ends (`PostMap.ends`),
-with no image per state: pointwise, the keys of the left ends against the
-keys of the right ends, compared as two lists; equational, each right end
-among the post partners of its left end.  Pairs with no run on a side hold.
-Any other chunk, or one that a route does not pass in bulk, gets its images
-and goes through the row loop, so counterexamples do not change.
+∀∀ reads a pre with at most one partner per left state as two lazy columns
+(`PairSpec.one_partner`), sliced into chunks with no row per state
+(`_column_chunks`).  Under a keyed post, a chunk with no image of several
+states is decided in bulk on the programs' ends (`PostMap.ends`): pointwise,
+the keys of the left ends against those of the right ends, as two lists;
+equational, each right end among the post partners of its left end, asked
+once per distinct left end.  Pairs with no run on a side hold.  A chunk that
+a route does not pass in bulk becomes rows, gets its images and goes through
+the row loop, as every chunk of any other pre does (`_row_chunks`), so
+counterexamples do not change.
 
 The derived kinds have no oracle of their own: `DUALS` reads each through a
 base oracle on the same programs and pre, and `check_derived` negates the
@@ -68,7 +70,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from functools import partial, reduce
-from itertools import chain, compress, takewhile
+from itertools import chain, compress, islice, takewhile
 from operator import and_, contains, is_not, itemgetter
 
 from ..bi.terms import BiKatTerm, bnot, bseq, seq_chain, unembed
@@ -186,9 +188,9 @@ def check_allall(bm: BiModel, j: Judgment) -> JudgeResult:
     Per pre row with runs, the pointwise route tests every (a2, b2) in
     cpost[a] x D with the post predicate; the equational route evaluates
     R;<c|d> factored by rows: D must lie inside the S-partners common to every
-    state of cpost[a], cached per distinct left image.  A chunk of rows
-    with one partner and one end each is first tried in bulk (`_single_ends`,
-    `_keys_agree`, `_within`; see the module docstring)."""
+    state of cpost[a], cached per distinct left image.  A chunk of a pre
+    read as columns is first tried in bulk (`_single_ends`, `_keys_agree`,
+    `_within`; see the module docstring)."""
     r, s = _spec_views(bm, j)
     cpost = post_map(bm.base, j.left)
     dpost = post_map(bm.base, j.right)
@@ -198,17 +200,20 @@ def check_allall(bm: BiModel, j: Judgment) -> JudgeResult:
     equational = True
     cex = None
     cimg, dimg = cpost.images, dpost.images
-    for chunk in _row_chunks(r):
-        ends = _single_ends(chunk, cpost, dpost) if post.keyed else None
-        if ends is not None:
-            passed = cex is not None or _keys_agree(post, *ends)
-            if passed and allowed is not None and equational:
-                try:
-                    passed = _within(partners, *ends)
-                except EnumRefused:
-                    allowed = None
-            if passed:
-                continue
+    cols = r.one_partner()
+    for chunk in _row_chunks(r) if cols is None else _column_chunks(*cols):
+        if cols is not None:
+            ends = _single_ends(*chunk, cpost, dpost) if post.keyed else None
+            if ends is not None:
+                passed = cex is not None or _keys_agree(post, *ends)
+                if passed and allowed is not None and equational:
+                    try:
+                        passed = _within(partners, *ends)
+                    except EnumRefused:
+                        allowed = None
+                if passed:
+                    continue
+            chunk = list(zip(chunk[0], map(list, zip(chunk[1]))))
         _fill_rows(chunk, cpost, dpost)
         known: dict = {}
         for a, bs in chunk:
@@ -234,17 +239,23 @@ def check_allall(bm: BiModel, j: Judgment) -> JudgeResult:
         "equational", None if allowed is None else equational)
 
 
-def _single_ends(chunk, cpost: PostMap, dpost: PostMap):
-    """(left ends, right ends) of a chunk whose rows have one partner each
-    and whose images hold at most one state each: the end of each row's left
-    state that has runs and the end of its partner, which may be NO_RUN
-    (`PostMap.ends`); None for any other chunk."""
-    if set(map(len, map(itemgetter(1), chunk))) != {1}:
-        return None
-    cends = cpost.ends(list(map(itemgetter(0), chunk)))
+def _column_chunks(lefts, rights):
+    """(left states, partners) lists sliced from the lazy columns of
+    `PairSpec.one_partner`: 64 pairs, then 128, ..., as `_row_chunks`."""
+    lefts, rights, size = iter(lefts), iter(rights), 64
+    while chunk := list(islice(lefts, size)):
+        yield chunk, list(islice(rights, size))
+        size *= 2
+
+
+def _single_ends(lefts: list[int], rights: list[int], cpost: PostMap, dpost: PostMap):
+    """(left ends, right ends) of a column chunk whose images hold at most one
+    state each: the end of each left state that has runs and the end of its
+    partner, which may be NO_RUN (`PostMap.ends`); None for any other
+    chunk."""
+    cends = cpost.ends(lefts)
     if SEVERAL in cends:
         return None
-    rights = list(map(itemgetter(0), map(itemgetter(1), chunk)))
     if NO_RUN in cends:
         runs = list(map(NO_RUN.__ne__, cends))
         cends, rights = list(compress(cends, runs)), list(compress(rights, runs))
@@ -262,11 +273,18 @@ def _keys_agree(post: PairPred, cends: list[int], dends: list[int]) -> bool:
 
 def _within(partners, cends: list[int], dends: list[int]) -> bool:
     """Whether each right end lies among the post partners of its left end.
-    The partners are asked for in row order, also where the right side has
-    no run, and no further than the first failure, as the row loop asks."""
+    The partners are asked for once per distinct left end, in order of first
+    occurrence.  If the cap refuses one, they are asked again in row order,
+    also where the right side has no run: the ends before it are known, so
+    this meets the first failure or the refusal that the row loop meets."""
+    distinct = dict.fromkeys(cends)
+    try:
+        get = dict(zip(distinct, map(partners, distinct))).__getitem__
+    except EnumRefused:
+        get = partners
     if NO_RUN in dends:
-        return all(e == NO_RUN or e in p for p, e in zip(map(partners, cends), dends))
-    return all(map(contains, map(partners, cends), dends))
+        return all(e == NO_RUN or e in p for p, e in zip(map(get, cends), dends))
+    return all(map(contains, map(get, cends), dends))
 
 
 def _common_partners(partners):

@@ -3,9 +3,10 @@
 A term reads and writes only its primitives' footprint, so `PostMap` lifts
 its images and preimages from those of the footprint projections.  The
 lifted images and the end column must equal the unlifted walk
-(`kmodel.image`).  A ∀∀ chunk of single-partner rows under a keyed post is
-decided from the end columns; its verdict, routes and counterexample must
-equal the per-pair reference and the row loop's."""
+(`kmodel.image`).  A ∀∀ pre with at most one partner per left state is read
+as two columns, and a chunk of them under a keyed post is decided from the
+end columns; its verdict, routes and counterexample must equal the per-pair
+reference and those of the row loop over rows built one by one."""
 
 import itertools
 import random
@@ -108,6 +109,20 @@ class TestLiftedImages:
         assert frame_mask(m, t) is None
         assert not _check_lifted(m, t, list(range(env.space.size)), False)
 
+    @pytest.mark.parametrize("text", ["x := x + y; y := x % 2;", "y := y + 1;"])
+    def test_a_cached_image_is_read_without_a_fill(self, text, monkeypatch):
+        # witness validity reads one image per target: a hit builds nothing
+        env = env_for({"x": 2, "y": 1}, width=2)
+        t = env.compile_block(parse_stmts_text(text))
+        post = PostMap(env.kat_model(), t)
+        got = post[3]
+        assert got == post.fill((3,))[3]
+
+        def no_fill(states):
+            raise AssertionError("fill called on a cached image")
+        monkeypatch.setattr(post, "fill", no_fill)
+        assert post[3] is got
+
 
 def _random_program(rng, depth=2) -> tuple:
     out = []
@@ -126,10 +141,13 @@ def _random_program(rng, depth=2) -> tuple:
 
 
 class TestBulkAllall:
-    """Pres that force every right field give one partner per row; programs
+    """Pres that force every right field give one partner per row, one of
+    them with left and right tests that filter the columns; programs
     without a run from some states (end NO_RUN) and with several ends
     (SEVERAL); keyed posts that hold and fail, and a post with a residual
-    atom."""
+    atom.  The reference reads the pre through rows built one by one
+    (`PairSpec.one_partner` patched to None), so every chunk goes through
+    the row loop."""
     DECL = "width 2; vars x y z; var w:1;\n"
     PROGRAMS = ["x := x + 1; y := y + x;",
                 "if (x < 2) { y := y + 1; } else { z := z + 1; }",
@@ -140,7 +158,8 @@ class TestBulkAllall:
     PRES = [SAME,
             "[x + 1 == x] & [y == z] & [z == y] & [w == w]",
             "L[y != 3] & " + SAME,
-            "[x == x] & [y == y] & [z == z] & [x + y == w]"]
+            "[x == x] & [y == y] & [z == z] & [x + y == w]",
+            "L[z != 1] & R[y != 2] & R[x + z != 3] & " + SAME]
     POSTS = [SAME, "[x == x] & [z == z]", "[y == y] & [x <= x]",
              "[x == x] & R[w == 0]", "[x == x] & [y == y] & [z == z]"]
 
@@ -177,14 +196,17 @@ class TestBulkAllall:
                 pres[pre] = [(a, b) for a in range(n) for b in range(n)
                              if bitest_holds(bm, prob.pre, a, b)]
                 assert len({a for a, _ in pres[pre]}) == len(pres[pre])
+                # the columns read whole are the pre pairs, in order
+                assert list(zip(*core.PairSpec(bm, prob.pre).one_partner())) == pres[pre]
             for prog, stmts in ((left, prob.left), (right, prob.right)):
                 if prog not in runs:
                     runs[prog] = [prob.env.run(stmts, frozenset((a,))) for a in range(n)]
             bad = self._reference(prob, pres[pre], (runs[left], runs[right]))
             monkeypatch.setattr(oracles, "_single_ends", bulk)
             res = dispatch(bm, j)
-            monkeypatch.setattr(oracles, "_single_ends", lambda *args: None)
-            rows = dispatch(load_problem(prob_text(self.DECL, *case)).bm, j)
+            with monkeypatch.context() as m:
+                m.setattr(core.PairSpec, "one_partner", lambda spec: None)
+                rows = dispatch(load_problem(prob_text(self.DECL, *case)).bm, j)
             assert res.holds == (not bad), case
             assert res.routes == {"pointwise": res.holds, "equational": res.holds}, case
             if bad:
@@ -206,12 +228,77 @@ class TestBulkAllall:
         monkeypatch.setattr(core, "PAIR_ENUM_CAP", 1000)
         text = prob_text(self.DECL, "x := x + 1;", "x := x + 1;", self.SAME, "[x == x]")
         got = []
-        for ends in (oracles._single_ends, lambda *args: None):
-            monkeypatch.setattr(oracles, "_single_ends", ends)
+        for columns in (core.PairSpec.one_partner, lambda spec: None):
+            monkeypatch.setattr(core.PairSpec, "one_partner", columns)
             prob = load_problem(text)
             res = dispatch(prob.bm, prob.judgment())
             got.append((res.holds, res.routes, res.counterexample))
         assert got[0] == got[1] == (True, {"pointwise": True}, None)
+
+    @pytest.mark.parametrize("right, routes", [
+        # fails from state 4 (y = 1), before the 32nd end: both routes fail
+        ("if (y == 1) { x := x + 1; }", {"pointwise": False, "equational": False}),
+        # fails from state 32 (z = 2), after it: the route is dropped
+        ("if (z == 2) { x := x + 1; }", {"pointwise": False})])
+    def test_the_capped_route_fails_or_drops_as_in_the_row_loop(self, monkeypatch,
+                                                                 right, routes):
+        monkeypatch.setattr(core, "PAIR_ENUM_CAP", 1000)
+        text = prob_text(self.DECL, "skip;", right, self.SAME, "[x == x]")
+        got = []
+        for columns in (core.PairSpec.one_partner, lambda spec: None):
+            monkeypatch.setattr(core.PairSpec, "one_partner", columns)
+            prob = load_problem(text)
+            res = dispatch(prob.bm, prob.judgment())
+            got.append((res.holds, res.routes, res.counterexample))
+        assert got[0] == got[1] and got[0][:2] == (False, routes)
+
+    def test_within_asks_each_end_once_and_meets_the_cap_in_row_order(self, monkeypatch):
+        # post [x == x] is refused up front (128 states x 32 candidates), so
+        # its partner sets refuse the 32nd distinct state they are asked for
+        monkeypatch.setattr(core, "PAIR_ENUM_CAP", 1000)
+        prob = load_problem(prob_text(self.DECL, "skip;", "skip;", self.SAME, "[x == x]"))
+        post = prob.judgment().spec.post
+
+        def partners(asked):
+            sets = core.PairSpec(prob.bm, post).partner_sets()
+            return lambda t: asked.append(t) or sets(t)
+
+        def outcome(within, cends, dends):
+            asked = []
+            try:
+                got = within(partners(asked), cends, dends)
+            except core.EnumRefused:
+                got = "refused"
+            return got, asked
+
+        def row_order(p, cends, dends):
+            return all(e == NO_RUN or e in s for s, e in zip(map(p, cends), dends))
+
+        # 64 ends of 8 distinct states: each is asked for once, in order
+        cends = [3, 9, 3, 40, 9, 17, 100, 5, 6, 40] * 6 + [3, 9, 3, 40]
+        assert outcome(oracles._within, cends, cends) == (True, list(dict.fromkeys(cends)))
+        wrong = {t: t ^ 1 for t in range(128)}  # x differs: not a post partner
+        rng = random.Random(5)
+        seen = set()
+        for _ in range(200):
+            pool = rng.sample(range(128), rng.randrange(4, 60))
+            cends = [rng.choice(pool) for _ in range(64)]
+            dends = list(cends)
+            if rng.random() < 0.8:
+                k = rng.randrange(64)
+                dends[k] = wrong[cends[k]]
+            if rng.random() < 0.3:
+                dends[rng.randrange(64)] = NO_RUN
+            got = outcome(oracles._within, cends, dends)[0]
+            assert got == outcome(row_order, cends, dends)[0], (cends, dends)
+            seen.add(got)
+        # the failure before the cap is False, the cap before a failure refuses
+        first = [t for t in range(128) if t % 3][:40]
+        early, late = list(first), list(first)
+        early[5], late[35] = wrong[first[5]], wrong[first[35]]
+        assert outcome(oracles._within, first, early)[0] is False
+        assert outcome(oracles._within, first, late)[0] == "refused"
+        assert seen == {True, False, "refused"}
 
 
 def prob_text(decl, left, right, pre, post) -> str:

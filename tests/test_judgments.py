@@ -915,23 +915,34 @@ class TestWitnessEarlyStop:
 
 
 class TestStreamedRows:
-    """`PairSpec.rows` builds each row when it is reached, so a check that
-    stops early enumerates few rows; a refusal comes before any row."""
+    """`PairSpec.rows` builds each row when it is reached, and
+    `PairSpec.one_partner` gives lazy columns, so a check that stops early
+    enumerates few rows; a refusal comes before any row."""
 
     def test_refutation_enumerates_only_the_rows_it_reaches(self, monkeypatch):
         # the right program stores f(k) + 1 into 1-bit cells, so the post
-        # fails from the first pre pair on: the check stops in the first chunk
+        # fails from the first pre pair on: the check stops in the first chunk.
+        # The pre has one partner per left state: ∀∀ reads its columns and
+        # builds no row through `rows`
         text = (CORPUS / "loop-tiling.prob").read_text().replace(
             "A[2 * i + j] := f(2 * i + j);", "A[2 * i + j] := f(2 * i + j) + 1;")
         prob = load_problem(text, "loop-tiling~mutant")
-        rows_of = PairSpec.rows
+        one_partner = PairSpec.one_partner
         reached = []
 
         def counted(spec):
-            for row in rows_of(spec):
-                reached.append(row[0])
-                yield row
-        monkeypatch.setattr(PairSpec, "rows", counted)
+            lefts, rights = one_partner(spec)
+
+            def states():
+                for s in lefts:
+                    reached.append(s)
+                    yield s
+            return states(), rights
+
+        def no_rows(spec):
+            raise AssertionError("rows were built")
+        monkeypatch.setattr(PairSpec, "one_partner", counted)
+        monkeypatch.setattr(PairSpec, "rows", no_rows)
         res = dispatch(prob.bm, prob.judgment())
         assert not res.holds and res.counterexample.states[0] == 0
         n = prob.bm.space.size

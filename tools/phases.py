@@ -11,8 +11,10 @@ time, so nested calls are counted once, into four phases:
 - tables: successor, predecessor and test tables, expression value lists
   and the key columns of pair predicates (`ActionSem.succ_table`/
   `pred_table`, `TestSem.table`, `ImpEnv.values`, `core._key_column`);
-- rows: pair-relation enumeration (`PairSpec.rows`/`pairs`/`partners_left`
-  and the oracles' chunked row iterators `_pre_chunks` and `_row_chunks`);
+- rows: pair-relation enumeration (`PairSpec.rows`/`pairs`/`partners_left`,
+  the columns of `PairSpec.one_partner`, and the oracles' chunked iterators
+  `_pre_chunks`, `_row_chunks` and `_column_chunks`, which slices those
+  columns);
 - walks: image computation (`kmodel.image`, through which every `PostMap`
   image is computed, a framed term's images lifted from its projections
   and the per-state ends of the end columns, `PostMap._lift`/`ends`, and
@@ -127,11 +129,12 @@ def install(ph: Phases) -> None:
     for attr in ("_lift", "ends"):
         setattr(core.PostMap, attr, ph.timed("walks", getattr(core.PostMap, attr)))
     core.PairSpec.rows = ph.timed_rows(core.PairSpec.rows)
-    for attr in ("pairs", "partners_left"):
+    for attr in ("pairs", "partners_left", "one_partner"):
         setattr(core.PairSpec, attr, ph.timed("rows", getattr(core.PairSpec, attr)))
     oracles._pre_chunks = ph.timed_iter("rows", oracles._pre_chunks)
     chunks = ph.timed_iter("rows", oracles._row_chunks)
     oracles._row_chunks = witness._row_chunks = chunks
+    oracles._column_chunks = ph.timed_iter("rows", oracles._column_chunks)
 
     # module functions, replaced under every name a bikat module holds them by
     funcs = {f: ph.timed(phase, f) for phase, fs in (
