@@ -31,11 +31,13 @@ on a space without fields) and residual filters for every other atom.  The
 forced fields of the right partners of every left state are built at once,
 as a template column lifted from the footprints of the left expressions.  A
 right candidate is a template ORed with a pattern, so a row is in state
-order.  With every field forced and no residual atom, a left state has at
-most one partner, its template: `one_partner` gives such a relation as two
-lazy columns, which `rows` reads too.  Enumeration is refused before it
-starts, never truncated, when an estimate of its candidates exceeds the one
-cap `PAIR_ENUM_CAP`.
+order.  With every field forced, a left state has at most one partner, its
+template: `one_partner` gives such a relation as two lazy columns, filtered
+by the residual atoms, which `rows` reads too.  `shares_rows` says whether
+each row `rows` yields is a kept template row, or one made for its left
+state (a one-partner list, or a row filtered by residual atoms).
+Enumeration is refused before it starts, never truncated, when an estimate
+of its candidates exceeds the one cap `PAIR_ENUM_CAP`.
 
 `PostMap` memoizes per-state images of a program term in `images`; `fill`
 computes the missing images of a whole batch of states in one walk of the
@@ -52,7 +54,7 @@ state up to 32768 states) with UNKNOWN where not computed.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import compress, repeat
+from itertools import compress, repeat, tee
 from operator import add, and_
 from typing import Iterator
 
@@ -520,13 +522,33 @@ class PairSpec:
 
     def one_partner(self) -> tuple | None:
         """(left states with a partner, that partner) as lazy columns, when
-        every field is forced and no residual atom filters, so a left state's
-        one candidate is its template; else None.  Refused as `rows`."""
+        every field is forced, so a left state's one candidate is its
+        template; else None.  Residual atoms filter the open states, one
+        closure call per open state, as `_row` calls them.  Refused as
+        `rows`."""
         self.check_enumerable()
         if self._atoms is None:
             return (), ()
         lay = self._get_layout()
-        return None if lay.patterns != [0] or lay.preds else self._open()
+        if lay.patterns != [0]:
+            return None
+        if not lay.preds:
+            return self._open()
+        pred = lay.preds[0] if len(lay.preds) == 1 else _all_of(lay.preds)
+        keep = tee(map(pred, *self._open()))
+        return tuple(map(compress, self._open(), keep))
+
+    @property
+    def shares_rows(self) -> bool:
+        """Whether each row `rows` yields is its template's list, kept by the
+        spec and shared by the left states of that template, so that its id
+        names it while the spec lives; false where a row is made for one
+        left state: the one-partner lists and rows filtered by residual
+        atoms."""
+        if self._atoms is None:
+            return True
+        lay = self._get_layout()
+        return lay.patterns != [0] and not lay.preds
 
     def _open(self) -> tuple:
         """(the open left states, their templates), lazy, in state order."""

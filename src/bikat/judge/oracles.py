@@ -3,12 +3,22 @@
 No oracle builds a relation matrix.  Each reads the programs through one
 compiled representation, `PostMap` images over successor tables and test
 bytes, and the pre-relation as rows: a left state with all its right
-partners, a chunk at a time (`_pre_chunks`: 64 pairs, then 128, ...), with
-the chunk's images computed in one batch, so a check that stops at an early
-counterexample computes few images.  For ∀∀ every run pair of a row is in
-cpost[a] x D, D the union of its partners' right images, taken once per
-distinct row of a chunk (`_union`): left states share a row (`PairSpec`),
-whose right images are filled once.
+partners, a chunk at a time (`_row_chunks`: 64 pairs, then 128, ...), with
+the left images of a chunk computed in one batch, so a check that stops at
+an early counterexample computes few images.
+
+The rows are read through one row reader per check (`_PreRows`), which does
+the right-side work of each distinct row once: it fills the right images of
+the row's partners, takes D, the union of those images, and for adequacy
+the row's right class keys.  R;<c|d> factors through the rows of R, so a
+row's work serves every left state that shares it.  The reader keeps a row
+by its id for the whole check only where the id cannot be reused: the
+template rows that `PairSpec` builds once and shares (`shares_rows`).  A
+row made for one left state, a one-partner list or a row filtered by
+residual atoms, is filled with its chunk and kept in no memo.  ∀∀ decides
+each class (cpost[a], D) of a shared row once per check, at the first left
+state in pre order that reaches it, so the counterexample is the one a pair
+loop finds.
 
 The pointwise routes read a pair predicate through the keys of its
 `PairPred` (`PairSpec.pred`): ∀∀ tests a row's cpost[a] x D at once,
@@ -37,8 +47,9 @@ per-state partner sets (`PairSpec.partner_sets`); a route whose enumeration
 the caps refuse, up front or once it has built PAIR_ENUM_CAP candidates, is
 dropped.
 
-∀∀ reads a pre with at most one partner per left state as two lazy columns
-(`PairSpec.one_partner`), sliced into chunks with no row per state
+∀∀ reads a pre whose fields are all forced, so that a left state has at
+most one partner, as two lazy columns (`PairSpec.one_partner`; residual
+atoms filter them), sliced into chunks with no row per state
 (`_column_chunks`).  Under a keyed post, a chunk with no image of several
 states is decided in bulk on the programs' ends (`PostMap.ends`): pointwise,
 the keys of the left ends against those of the right ends, as two lists;
@@ -58,12 +69,14 @@ derived kind's witness, `<kind>-witness`, with the base's states and text.
 Adequacy (`check_adequacy`) splits the aligned term B at the longest prefix
 of its chain made of one-sided factors, which commute: B = <p|q> ; rest.  A
 pre pair (a, b) with runs is decided by its class, the key (p(a), c(a), q(b),
-d(b)) of the `PostMap` images of the prefix and the programs.  Per chunk of
-pre pairs, rest is walked once, as rows of tagged pairs, from the start pairs
-p(a) x q(b) of the classes that no earlier chunk covered, one tag bit per
-class (see `witness.term_tags`); coverage is read from the tags of the rows
-it reaches, and the counterexample is the first uncovered pre pair in pre
-order and its first uncovered run pair in image order.
+d(b)) of the `PostMap` images of the prefix and the programs.  The classes
+of a chunk are (p(a), c(a)) x the right class keys (q(b), d(b)) of a's row,
+which the row reader makes once per shared row.  Per chunk, rest is walked
+once, as rows of tagged pairs, from the start pairs p(a) x q(b) of the
+classes that no earlier chunk covered, one tag bit per class (see
+`witness.term_tags`); coverage is read from the tags of the rows it reaches,
+and the counterexample is the first uncovered pre pair in pre order and its
+first uncovered run pair in image order.
 """
 
 from __future__ import annotations
@@ -117,16 +130,6 @@ def _two_routes(kind: str, cex: tuple | None, render, route: str,
     return result
 
 
-def _pre_chunks(r: PairSpec, cpost: PostMap, dpost: PostMap | None,
-                most: int | None = None):
-    """The chunks of `_row_chunks`, with the images under `cpost` of their
-    left states and, for the rows whose left state has runs, the images
-    under `dpost` of their partners computed."""
-    for chunk in _row_chunks(r, most):
-        _fill_rows(chunk, cpost, dpost)
-        yield chunk
-
-
 def _row_chunks(r: PairSpec, most: int | None = None):
     """The rows of `r` in state order, a chunk at a time.  A chunk closes
     once it holds 64 pairs, then 128, ... (at most `most` after the first),
@@ -144,31 +147,71 @@ def _row_chunks(r: PairSpec, most: int | None = None):
         yield chunk
 
 
-def _fill_rows(chunk, cpost: PostMap, dpost: PostMap | None):
-    cimg = cpost.fill(a for a, _ in chunk)
-    if dpost is not None:
-        rows = {id(bs): bs for a, bs in chunk if cimg[a]}  # distinct rows
-        dpost.fill(chain.from_iterable(rows.values()))
+class _PreRows:
+    """The row reader of one check (see the module docstring): `fill` fills
+    a chunk's left images under `cpost` and `fill_right` the right images,
+    under `dpost` and `qpost` if given, of rows whose left state has runs;
+    `union` gives a row's D and `keys` its right class keys (q(b), d(b)).
+    A shared row is filled, and its D and keys made, once per check."""
+
+    def __init__(self, r: PairSpec, cpost: PostMap | None, dpost: PostMap,
+                 qpost: PostMap | None = None):
+        self.r, self.cpost, self.dpost, self.qpost = r, cpost, dpost, qpost
+        shared = r.shares_rows  # else no memo (None): rows made per left state
+        self.filled: set[int] | None = set() if shared else None
+        self.unions: dict[int, frozenset[int]] | None = {} if shared else None
+        self.classes: dict[int, set] | None = {} if shared else None
+
+    def chunks(self, most: int | None = None):
+        """The chunks of `_row_chunks`, each filled."""
+        return map(self.fill, _row_chunks(self.r, most))
+
+    def fill(self, chunk: list) -> list:
+        """`chunk`, with the left images of its states computed, and the
+        right images of its rows whose left state has runs."""
+        cimg = self.cpost.fill(a for a, _ in chunk)
+        self.fill_right(bs for a, bs in chunk if cimg[a])
+        return chunk
+
+    def fill_right(self, rows) -> None:
+        """Compute the right images of `rows` not filled before."""
+        if self.filled is not None:
+            rows = {id(bs): bs for bs in rows if id(bs) not in self.filled}
+            self.filled.update(rows)
+            rows = rows.values()
+        states = list(chain.from_iterable(rows))
+        self.dpost.fill(states)
+        if self.qpost is not None:
+            self.qpost.fill(states)
+
+    def union(self, row: list[int]) -> frozenset[int]:
+        """D, the union of the right images of `row`."""
+        memo = self.unions
+        got = None if memo is None else memo.get(id(row))
+        if got is None:
+            got = frozenset().union(*map(self.dpost.images.__getitem__, row))
+            if memo is not None:
+                memo[id(row)] = got
+        return got
+
+    def keys(self, row: list[int]) -> set:
+        """The right class keys (q(b), d(b)) of a shared row."""
+        got = self.classes.get(id(row))
+        if got is None:
+            qimg, dimg = self.qpost.images, self.dpost.images
+            got = self.classes[id(row)] = {(qimg[b], ds) for b in row if (ds := dimg[b])}
+        return got
 
 
 def _run_rows(r: PairSpec, cpost: PostMap, dpost: PostMap):
     """(a, partners, cpost[a]) for each pre row whose left state a has runs,
     with the right images of its partners computed."""
     cimg = cpost.images
-    for chunk in _pre_chunks(r, cpost, dpost):
+    for chunk in _PreRows(r, cpost, dpost).chunks():
         for a, bs in chunk:
             cs = cimg[a]
             if cs:
                 yield a, bs, cs
-
-
-def _union(images: dict, row: list[int], known: dict) -> frozenset[int]:
-    """The union of the images of the states of `row`, taken in one set
-    operation once per distinct row: `known` maps the id of each row seen to
-    its union, and its caller keeps those rows alive (a chunk's)."""
-    if id(row) not in known:
-        known[id(row)] = frozenset().union(*map(images.__getitem__, row))
-    return known[id(row)]
 
 
 def _escape(post: PairPred, a: int, bs: list[int], cs, d, dimg) -> tuple | None:
@@ -188,9 +231,11 @@ def check_allall(bm: BiModel, j: Judgment) -> JudgeResult:
     Per pre row with runs, the pointwise route tests every (a2, b2) in
     cpost[a] x D with the post predicate; the equational route evaluates
     R;<c|d> factored by rows: D must lie inside the S-partners common to every
-    state of cpost[a], cached per distinct left image.  A chunk of a pre
-    read as columns is first tried in bulk (`_single_ends`, `_keys_agree`,
-    `_within`; see the module docstring)."""
+    state of cpost[a], cached per distinct left image.  Both routes read
+    only cpost[a] and D, so where the pre shares its rows each class
+    (cpost[a], D) is decided once per check, at its first left state.  A
+    chunk of a pre read as columns is first tried in bulk (`_single_ends`,
+    `_keys_agree`, `_within`; see the module docstring)."""
     r, s = _spec_views(bm, j)
     cpost = post_map(bm.base, j.left)
     dpost = post_map(bm.base, j.right)
@@ -200,6 +245,8 @@ def check_allall(bm: BiModel, j: Judgment) -> JudgeResult:
     equational = True
     cex = None
     cimg, dimg = cpost.images, dpost.images
+    rows = _PreRows(r, cpost, dpost)
+    seen: set | None = set() if r.shares_rows else None  # (cpost[a], D) decided
     cols = r.one_partner()
     for chunk in _row_chunks(r) if cols is None else _column_chunks(*cols):
         if cols is not None:
@@ -214,13 +261,15 @@ def check_allall(bm: BiModel, j: Judgment) -> JudgeResult:
                 if passed:
                     continue
             chunk = list(zip(chunk[0], map(list, zip(chunk[1]))))
-        _fill_rows(chunk, cpost, dpost)
-        known: dict = {}
-        for a, bs in chunk:
+        for a, bs in rows.fill(chunk):
             cs = cimg[a]
             if not cs:
                 continue
-            d = _union(dimg, bs, known)
+            d = rows.union(bs)
+            if seen is not None:
+                if (cs, d) in seen:
+                    continue
+                seen.add((cs, d))
             if cex is None:
                 cex = _escape(post, a, bs, cs, d, dimg)
             if allowed is not None and equational:
@@ -329,8 +378,10 @@ def check_adequacy(bm: BiModel, pre, c: KatTerm, d: KatTerm, b: BiKatTerm) -> Ju
     so the part of B's image that a source (a, b) reaches is rest's image of
     p(a) x q(b), and whether it is covered depends only on its class, the key
     (p(a), c(a), q(b), d(b)) of images that `PostMap` shares.  The pre pairs
-    are taken in chunks (64, 128, ... up to WALK_SOURCES).  The classes of a
-    chunk's sources with runs that no earlier chunk covered get one bit each,
+    are taken in chunks (64, 128, ... up to WALK_SOURCES); a chunk's classes
+    are (p(a), c(a)) x the right class keys (q(b), d(b)) of a's row, which
+    `_PreRows.keys` makes once per shared row.  The classes of a chunk's
+    sources with runs that no earlier chunk covered get one bit each,
     set on their start pairs p(a) x q(b), and one pair-state walk of rest
     (`witness.term_tags`) ORs the bits of every pair state it reaches.  A
     class is covered when every (t, t2) in c(a) x d(b) carries its bit.  An
@@ -343,14 +394,18 @@ def check_adequacy(bm: BiModel, pre, c: KatTerm, d: KatTerm, b: BiKatTerm) -> Ju
     p, q, rest = _one_sided_prefix(b)
     cpost, dpost = post_map(bm.base, c), post_map(bm.base, d)
     ppost, qpost = post_map(bm.base, p), post_map(bm.base, q)
-    cimg, dimg = cpost.images, dpost.images
+    cimg, dimg, qimg = cpost.images, dpost.images, qpost.images
+    rows = _PreRows(r, cpost, dpost, qpost)
     covered: set = set()  # the classes of earlier chunks, all covered
-    for chunk in _pre_chunks(r, cpost, dpost, WALK_SOURCES):
+    for chunk in rows.chunks(WALK_SOURCES):
         runs = [(a, bs) for a, bs in chunk if cimg[a]]
         pimg = ppost.fill(map(itemgetter(0), runs))
-        qimg = qpost.fill(chain.from_iterable({id(bs): bs for _, bs in runs}.values()))
-        new = {(pimg[a], cimg[a], qimg[b2], ds) for a, bs in runs for b2 in bs
-               if (ds := dimg[b2])} - covered
+        if not r.shares_rows:  # a row per left state: its keys pair by pair
+            new = {(pimg[a], cimg[a], qimg[b2], ds) for a, bs in runs for b2 in bs
+                   if (ds := dimg[b2])}
+        else:
+            new = {(pimg[a], cimg[a]) + k for a, bs in runs for k in rows.keys(bs)}
+        new -= covered
         bits = dict(zip(new, map((1).__lshift__, range(len(new)))))
         starts: dict[int, dict[int, int]] = {}
         for (ps, _, qs, _), bit in bits.items():
@@ -451,21 +506,20 @@ def _post_ends(bm: BiModel, j: Judgment, r: PairSpec, s: PairSpec):
     if partners is None:  # refused, with residual filters on every candidate
         s.check_enumerable()  # raises the refusal
     cpost = post_map(bm.base, j.left)
-    dpost = post_map(bm.base, j.right)
+    pre = _PreRows(r, None, post_map(bm.base, j.right))
     dback = post_map(bm.base, j.right, backward=True)
-    cimg, dimg = cpost.images, dpost.images
+    cimg = cpost.images
     n, k, size = bm.space.size, 0, 64
     while k < n:
         batch = range(k, min(k + min(size, WALK_SOURCES), n))
         k, size = batch.stop, size * 2
         cpost.fill(batch)
         rows = [(a, cimg[a]) for a in batch if any(map(partners, cimg[a]))]
-        dpost.fill(chain.from_iterable(r.partners_left(a) for a, _ in rows))
+        pre.fill_right(r.partners_left(a) for a, _ in rows)
         ends = frozenset().union(*(cs for _, cs in rows))
         dback.fill(chain.from_iterable(map(partners, ends)))
-        known: dict = {}  # the spec keeps the rows
         for a, cs in rows:
-            d = _union(dimg, r.partners_left(a), known)
+            d = pre.union(r.partners_left(a))
             for t in cs:
                 for t2 in s.partners_left(t):
                     yield a, t, t2, d

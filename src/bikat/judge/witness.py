@@ -63,8 +63,8 @@ from ..models.kmodel import (WALK_SOURCES, kleene_walks, source_batches, split_t
                              test_table)
 from .core import (NO_RUN, SEVERAL, Counterexample, Judgment, PostMap, pair_spec,
                    post_map)
-from .oracles import (JudgeResult, RouteDisagreement, _fill_rows, _row_chunks,
-                      _run_rows, check_bsim, check_fsim)
+from .oracles import (JudgeResult, RouteDisagreement, _PreRows, _row_chunks, _run_rows,
+                      check_bsim, check_fsim)
 
 Pair = tuple[int, int]
 ImageMap = dict[Pair, frozenset[Pair]]
@@ -313,10 +313,11 @@ def _check_valid(bm: BiModel, w: Witness, j: Judgment, backward: bool) -> Witnes
                                     f"{ends[0]} -> {ends[1]}: {why}")
 
     s_holds = s.pred.holds
+    rows = _PreRows(r, cpost, dpost)
     chunks = _row_chunks(r, WALK_SOURCES)
     chunk = next(chunks, None)
     while chunk is not None:
-        _fill_rows(chunk, cpost, dpost)
+        rows.fill(chunk)
         pairs = [(a, b) for a, bs in chunk for b in bs]
         images = _witness_images(bm, w, pairs, backward)
         for src in pairs:

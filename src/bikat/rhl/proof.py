@@ -140,10 +140,18 @@ def _strip_skips(p: Program) -> Program:
 def check_implication(ctx: RhlContext, lhs: BiTestTerm, rhs: BiTestTerm):
     """All pairs satisfying lhs satisfy rhs; the first counterexample pair
     otherwise.  The lhs rows are streamed, so a failure stops the
-    enumeration at its row."""
-    rows = pair_spec(ctx.bm, lhs).rows()
+    enumeration at its row.  A keyed rhs decides a row by the left state's
+    key alone, so where the lhs shares its rows (`PairSpec.shares_rows`)
+    each (left key, row) is tested once, at its first left state."""
+    spec = pair_spec(ctx.bm, lhs)
+    rows = spec.rows()
     rhs_pred = pair_spec(ctx.bm, rhs).pred
+    lk, seen = rhs_pred.lk, set() if rhs_pred.keyed and spec.shares_rows else None
     for a, bs in rows:
+        if seen is not None:
+            if (lk[a], id(bs)) in seen:
+                continue
+            seen.add((lk[a], id(bs)))
         hit = rhs_pred.escape((a,), bs)
         if hit is not None:
             return hit

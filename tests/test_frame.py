@@ -222,6 +222,50 @@ class TestBulkAllall:
         assert None in seen["bulk"] and False in seen["keys"]
         assert {NO_RUN, SEVERAL} <= set(itertools.chain.from_iterable(seen["ends"]))
 
+    # every field forced, and a residual atom that filters the columns
+    RESIDUAL = SAME + " & [x == y]"
+
+    def test_a_residual_atom_filters_the_columns(self, monkeypatch):
+        """The whole product with the residual pre added, 750 cases: each
+        matches the row loop, and the residual pre's cases match the
+        reference too.  They take a bulk chunk wherever both programs have
+        at most one end and the post is keyed: 4 x 4 x 4 = 64 cases."""
+        bulk = []
+        single = oracles._single_ends
+        monkeypatch.setattr(oracles, "_single_ends",
+                            lambda *a: bulk.append(single(*a)) or bulk[-1])
+        pres = self.PRES + [self.RESIDUAL]
+        runs, took, pre = {}, set(), None
+        for case in itertools.product(self.PROGRAMS, self.PROGRAMS, pres, self.POSTS):
+            bulk.clear()
+            prob = load_problem(prob_text(self.DECL, *case))
+            res = dispatch(prob.bm, prob.judgment())
+            with monkeypatch.context() as m:
+                m.setattr(core.PairSpec, "one_partner", lambda spec: None)
+                rows = dispatch(load_problem(prob_text(self.DECL, *case)).bm, prob.judgment())
+            assert (res.holds, res.routes, res.counterexample) == (
+                rows.holds, rows.routes, rows.counterexample), case
+            if case[2] != self.RESIDUAL:
+                continue
+            if any(got is not None for got in bulk):
+                took.add(case)
+            n = prob.bm.space.size
+            for prog, stmts in ((case[0], prob.left), (case[1], prob.right)):
+                if prog not in runs:
+                    runs[prog] = [prob.env.run(stmts, frozenset((a,))) for a in range(n)]
+            if pre is None:
+                pre = [(a, b) for a in range(n) for b in range(n)
+                       if bitest_holds(prob.bm, prob.pre, a, b)]
+            bad = self._reference(prob, pre, (runs[case[0]], runs[case[1]]))
+            assert res.holds == (not bad), case
+            if bad:
+                assert res.counterexample.states[:2] == bad[0][:2], case
+        several = self.PROGRAMS[3]  # w := any: two ends
+        assert took == {c for c in itertools.product(
+            self.PROGRAMS, self.PROGRAMS, [self.RESIDUAL], self.POSTS)
+            if several not in c[:2] and c[3] != self.POSTS[2]}
+        assert len(took) == 64
+
     def test_a_refused_equational_route_is_dropped_as_in_the_row_loop(self, monkeypatch):
         # a cap that refuses the post up front and then after 31 partner
         # sets: the bulk chunks ask for them in row order, as the row loop

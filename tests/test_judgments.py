@@ -619,6 +619,27 @@ class TestAdequacyEarlyStop:
         assert seen == [64, 128, 256, 64]
 
 
+    def test_right_class_keys_are_made_once_per_distinct_row(self, monkeypatch):
+        # factorial-ni's pre [n == n]: 512 left states in 8 rows of 64
+        # partners, one per value of n, read in chunks of at most 1024
+        # pairs; each row's right class keys (q(b), d(b)) are made once for
+        # the check, not once per chunk
+        from bikat.judge import oracles
+        made = []
+        keys = oracles._PreRows.keys
+
+        def counted(self, row):
+            if id(row) not in self.classes:
+                made.append(row)
+            return keys(self, row)
+        monkeypatch.setattr(oracles._PreRows, "keys", counted)
+        prob = load_problem((CORPUS / "factorial-ni.prob").read_text(), "factorial-ni")
+        j = prob.judgment()
+        assert check_adequacy(prob.bm, j.spec.pre, j.left, j.right, prob.script_goal).holds
+        assert len(made) == len({id(r) for r in made}) == 8
+        assert all(len(r) == 64 for r in made)
+
+
 class TestRowPath:
     """The ∀∀, ∃∃ and forward simulation oracles read the pre-relation a row
     at a time (a left state and all its partners), backward simulation every

@@ -8,7 +8,8 @@ from pathlib import Path
 
 import pytest
 
-from bikat.judge.oracles import dispatch
+from bikat.judge.core import Judgment
+from bikat.judge.oracles import check_adequacy, dispatch
 from bikat.problem import Cur, load_problem, parse_expr
 from bikat.rhl.parse import parse_proof
 from bikat.rhl.proof import check_proof
@@ -102,3 +103,56 @@ def test_mutant_proof_failures_are_pinned(source):
     assert not res.accepted
     assert [(n.path, n.rule, n.message) for n in res.reports if not n.ok] == [
         MUTANT_PROOF[source]]
+
+
+# every refute mutant at its declared width and every corpus file at width
+# 2: the counterexample states of ∀∀ and fsim, and of adequacy where the
+# problem has a script goal, None where the check holds; then the first
+# failing node of its proof, (path, rule), where it has one (None: accepted)
+PINNED = {
+    "loop-tiling~mutant": ((0, 0, 4, 30800), (0, 0, 4), (0, 0, 4, 30800)),
+    "factorial-ni~mutant": ((0, 2, 64, 130), (0, 2, 64), None, ((), "rconseq")),
+    "double-square~mutant": ((0, 0, 0, 16), (0, 0, 0), (0, 0, 0, 16)),
+    "simple-sum~mutant": ((8, 8, 74, 10), (8, 8, 74), (0, 0, 1, 2)),
+    "array-insert~mutant": ((0, 32, 5, 293), (0, 32, 5), None, ((1, 1, 1), "dprim")),
+    "array-insert": ((12, 44, 0, 483), (12, 44, 0), None, ((), "(root)")),
+    "count-cond": (None, None, None),
+    "double-square": (None, None, None),
+    "factorial-ni": (None, None, None, None),
+    "guess-count": ((0, 0, 0, 81), None),
+    "guess-double": ((0, 0, 0, 2), None),
+    "loop-tiling": ((0, 0, 0, 6224), (0, 0, 0), None),
+    "simple-sum": (None, None, None),
+}
+
+
+def _pinned_problem(name: str):
+    if name.endswith("~mutant"):
+        source = name.removesuffix("~mutant")
+        return _mutant_problem(next(m for m in WORKLOADS.MUTANTS if m.source == source)), source
+    return load_problem((CORPUS / f"{name}.prob").read_text(), name, width_override=2), name
+
+
+@pytest.mark.parametrize("name", sorted(PINNED))
+def test_counterexamples_and_failing_proof_nodes_are_pinned(name):
+    assert {n.removesuffix("~mutant") for n in PINNED if n.endswith("~mutant")} == set(
+        MUTANT_ALLALL)
+    assert {n for n in PINNED if "~" not in n} == {p.stem for p in CORPUS.glob("*.prob")}
+    prob, source = _pinned_problem(name)
+    j = prob.judgment()
+    got = []
+    for kind in ("allall", "fsim"):
+        res = dispatch(prob.bm, Judgment(kind, j.left, j.right, j.spec))
+        assert set(res.routes.values()) == {res.holds}, (name, kind, res.routes)
+        got.append(None if res.holds else res.counterexample.states)
+    if prob.script_goal is not None:
+        res = check_adequacy(prob.bm, j.spec.pre, j.left, j.right, prob.script_goal)
+        got.append(None if res.holds else res.counterexample.states)
+    proof = CORPUS / f"{source}.proof"
+    if proof.exists():
+        tree = parse_proof(proof.read_text(), prob.parser.bitest, lambda s: parse_expr(Cur(s)))
+        res = check_proof(prob.rhl_context(), tree, prob.rhl_judgment())
+        bad = [(n.path, n.rule) for n in res.reports if not n.ok]
+        assert res.accepted == (not bad)
+        got.append(bad[0] if bad else None)
+    assert tuple(got) == PINNED[name]

@@ -6,10 +6,11 @@ changes a shared row."""
 import pytest
 
 from bikat.judge import oracles
-from bikat.judge.core import EnumRefused, Judgment, PairSpec, pair_spec
-from bikat.judge.oracles import ORACLES, dispatch
+from bikat.judge.core import EnumRefused, Judgment, PairPred, PairSpec, pair_spec
+from bikat.judge.oracles import ORACLES, check_adequacy, dispatch
 from bikat.models.bmodel import bitest_holds
 from bikat.problem import load_problem
+from bikat.rhl.proof import check_implication
 
 from test_corpus import PROBLEMS, verdict
 
@@ -73,19 +74,103 @@ def test_allall_takes_one_union_per_distinct_row(monkeypatch):
         "width 2; vars x y z;\nleft { y := 0; } right { z := 1; }\n"
         "kind allall;\npre { [x == x] }\npost { [x == x] }")
     rows = []
-    union = oracles._union
+    union = oracles._PreRows.union
 
-    def counted(images, row, known):
-        if id(row) not in known:
+    def counted(self, row):
+        if id(row) not in self.unions:
             rows.append(row)
-        return union(images, row, known)
-    monkeypatch.setattr(oracles, "_union", counted)
+        return union(self, row)
+    monkeypatch.setattr(oracles._PreRows, "union", counted)
     res = dispatch(prob.bm, prob.judgment())
     assert res.holds and res.routes == {"pointwise": True, "equational": True}
-    # 64 left states of 4 templates (x), each row 16 partners: chunks of
-    # 64, 128, 256, 512 and 64 pairs, each with the 4 distinct rows, take 20
-    # unions for 64 rows
-    assert len(rows) == 5 * 4 and all(len(r) == 16 for r in rows)
+    # 64 left states of 4 templates (x), each row 16 partners, in chunks of
+    # 64, 128, 256, 512 and 64 pairs: one union per distinct row for the
+    # whole check
+    assert len(rows) == 4 and all(len(r) == 16 for r in rows)
+    assert len({id(r) for r in rows}) == 4
+
+
+def test_allall_decides_each_class_of_a_shared_row_once(monkeypatch):
+    # the left program ends every state in one of 4 states (x kept, y and z
+    # cleared): 64 left states with runs, 4 classes (cpost[a], D)
+    text = ("width 2; vars x y z;\nleft { y := 0; z := 0; } right { z := 1; }\n"
+            "kind allall;\npre { [x == x] }\npost { %s }")
+    lefts = []
+    escape = oracles._escape
+
+    def counted(post, a, *args):
+        lefts.append(a)
+        return escape(post, a, *args)
+    monkeypatch.setattr(oracles, "_escape", counted)
+    for post, holds in (("[x == x]", True), ("[x == x] & [y == y]", False)):
+        lefts.clear()
+        prob = load_problem(text % post)
+        res = dispatch(prob.bm, prob.judgment())
+        assert res.holds == holds
+        assert res.routes == {"pointwise": holds, "equational": holds}
+        # a failing check tests its first class at its first left state,
+        # the state of the counterexample
+        assert lefts == ([0, 1, 2, 3] if holds else [0]), post
+        if not holds:
+            a, b, a2, b2 = res.counterexample.states
+            assert a == 0 and not bitest_holds(prob.bm, prob.post, a2, b2)
+
+
+def test_implication_tests_each_left_key_and_row_once(monkeypatch):
+    prob = load_problem("width 2; vars x y z;")
+    ctx, bitest, n = prob.rhl_context(), prob.parser.bitest, prob.bm.space.size
+    tested = []
+    escape = PairPred.escape
+
+    def counted(pred, cs, ds):
+        tested.append((pred.lk[next(iter(cs))], id(ds)))
+        return escape(pred, cs, ds)
+    monkeypatch.setattr(PairPred, "escape", counted)
+    for lhs, rhs, tests in (
+            # 16 rows, one per (x, y), each of one key under the rhs, x
+            ("[x == x] & [y == y]", "[x == x]", 16),
+            # 4 rows, one per x; the first left state with z = 2 fails
+            ("[x == x]", "[x == x] & L[z != 2]", 5),
+            # a residual atom makes a row per left state, each tested
+            ("[x == x] & [y < y]", "[x == x]", 48)):
+        tested.clear()
+        lt, rt = bitest(lhs), bitest(rhs)
+        holds = PairSpec(prob.bm, rt).holds
+        want = next(((a, b) for a in range(n) for b in range(n)
+                     if bitest_holds(prob.bm, lt, a, b) and not holds(a, b)), None)
+        assert check_implication(ctx, lt, rt) == want, lhs
+        assert len(tested) == tests, lhs
+        if pair_spec(prob.bm, lt).shares_rows:
+            assert len(set(tested)) == tests, lhs
+
+
+@pytest.mark.parametrize("pre, kept", [
+    ("[x == x]", 4),  # shared rows, one per value of x
+    ("[x == x] & [y == y] & [z == z]", 0),  # one partner per left state
+    ("[x == x] & [y < z]", 0)])  # a residual atom filters each row
+def test_only_shared_rows_are_kept_for_the_check(monkeypatch, pre, kept):
+    readers = []
+    init = oracles._PreRows.__init__
+
+    def made(self, *args):
+        init(self, *args)
+        readers.append(self)
+    monkeypatch.setattr(oracles._PreRows, "__init__", made)
+    prob = load_problem("width 2; vars x y z;\nleft { y := y + 1; } right { z := 0; }\n"
+                        "kind allall;\npre { %s }\npost { [x == x] }" % pre)
+    j = prob.judgment()
+    for kind in ("allall", "fsim", "bsim"):
+        dispatch(prob.bm, Judgment(kind, j.left, j.right, j.spec))
+    goal = prob.parser.bikat("<y := y + 1] ; [z := 0>")
+    assert check_adequacy(prob.bm, j.spec.pre, j.left, j.right, goal).holds
+    assert len(readers) == 4
+    for reader in readers:
+        memos = (reader.filled, reader.unions, reader.classes)
+        if kept:
+            assert len(reader.filled) == kept
+            assert set(reader.unions) <= reader.filled and set(reader.classes) <= reader.filled
+        else:
+            assert memos == (None, None, None)
 
 
 def run_everything(prob, path):

@@ -12,9 +12,10 @@ time, so nested calls are counted once, into four phases:
   and the key columns of pair predicates (`ActionSem.succ_table`/
   `pred_table`, `TestSem.table`, `ImpEnv.values`, `core._key_column`);
 - rows: pair-relation enumeration (`PairSpec.rows`/`pairs`/`partners_left`,
-  the columns of `PairSpec.one_partner`, and the oracles' chunked iterators
-  `_pre_chunks`, `_row_chunks` and `_column_chunks`, which slices those
-  columns);
+  the columns of `PairSpec.one_partner`, the oracles' chunked iterators
+  `_row_chunks` and `_column_chunks`, which slices those columns) and the
+  oracles' row reader `_PreRows`: its fills, a row's union D and its right
+  class keys, done once per distinct shared row of a check;
 - walks: image computation (`kmodel.image`, through which every `PostMap`
   image is computed, a framed term's images lifted from its projections
   and the per-state ends of the end columns, `PostMap._lift`/`ends`, and
@@ -131,7 +132,8 @@ def install(ph: Phases) -> None:
     core.PairSpec.rows = ph.timed_rows(core.PairSpec.rows)
     for attr in ("pairs", "partners_left", "one_partner"):
         setattr(core.PairSpec, attr, ph.timed("rows", getattr(core.PairSpec, attr)))
-    oracles._pre_chunks = ph.timed_iter("rows", oracles._pre_chunks)
+    for attr in ("fill", "fill_right", "union", "keys"):
+        setattr(oracles._PreRows, attr, ph.timed("rows", getattr(oracles._PreRows, attr)))
     chunks = ph.timed_iter("rows", oracles._row_chunks)
     oracles._row_chunks = witness._row_chunks = chunks
     oracles._column_chunks = ph.timed_iter("rows", oracles._column_chunks)
