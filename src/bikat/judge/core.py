@@ -21,8 +21,10 @@ bitest, built on first use and memoized with the spec by `pair_spec`.
 with its list of right partners (`rows`, in state order, streamed: a row is
 built when it is reached).  `pairs` flattens the rows, and `partners_left`
 builds one row the same way and keeps it.  A row is built once per template
-and kept, one list shared by the left states with that template; residual
-atoms filter it per state into a new list.  No reader changes a row.  From
+and kept, one list shared by the left states with that template: `rows`
+maps the template column through a dict whose `__missing__` builds a new
+template's row (`_TemplateRows`), so Python runs per state only where
+residual atoms filter a row into a new list.  No reader changes a row.  From
 the split it computes a field layout once per spec: byte tables for the
 tests of each side, the fields that an `==` bitest forces to a left-state
 value (the first `==` per right field whose right side is that field), one
@@ -41,21 +43,28 @@ of its candidates exceeds the one cap `PAIR_ENUM_CAP`.
 
 `PostMap` memoizes per-state images of a program term in `images`; `fill`
 computes the missing images of a whole batch of states in one walk of the
-compiled term.  A framed term (`kmodel.frame_mask`) is walked only from the
-distinct footprint projections r = s & mask of the batch not walked before,
-and each state gets the image of its projection shifted by s - r; its
-preimages are lifted the same way.  `ends` gives each state's end: its one
-end state, NO_RUN or SEVERAL.  A framed term computes them from its
-projections at C level, with no image per state; any other term decodes
-them from `images` once into an end column, a state array (two bytes a
-state up to 32768 states) with UNKNOWN where not computed.
+compiled term.  `ends` gives each state's end: its one end state, NO_RUN or
+SEVERAL.  A framed term (`kmodel.frame_mask`) reads and writes only its
+footprint, so a state s ends where its projection r = s & mask ends, moved
+by s - r; its preimages are lifted the same way.  At first its ends come
+from the projections: a batch walks only the projections not walked before,
+and the ends are computed at C level, with no image per state.  Once the
+states asked of the map reach its projection count, and a `COLUMN_SHARE` of
+the space, it walks every projection and keeps one end column,
+s -> s + e(r) - r, built as a successor table is (`StateSpace.moved`);
+ends are then one lookup a state, and the images `fill` makes come from
+the same column.  So the column never walks more projections than states
+were asked, and a check that stops early pays for no column over the whole
+space.  Any other term decodes its ends from `images` once into an end
+column, a state array (two bytes a state up to 32768 states) with UNKNOWN
+where not computed.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from itertools import compress, repeat, tee
-from operator import add, and_
+from operator import add, and_, itemgetter
 from typing import Iterator
 
 from ..bi.terms import (BAnd, BiTestTerm, BNot, BOne, BOr, BPrim, BZero,
@@ -125,24 +134,33 @@ class PairPred:
         """The first pair of cs x ds, in iteration order, that fails the
         predicate; None if every pair holds.  When the keys decide, one pair
         compares its two keys and a larger product holds when the keys of
-        ds and of cs are one and the same key; otherwise, or when that test
-        fails, the pairs are tested one by one."""
+        ds and of cs are one and the same key (`right_key`, `keyed_by`);
+        otherwise, or when that test fails, the pairs are tested one by
+        one."""
         if self.keyed:
-            lk, rk = self.lk, self.rk
             if len(cs) == 1 == len(ds):
                 (a,), (b,) = cs, ds
-                if lk[a] == rk[b]:
+                if self.lk[a] == self.rk[b]:
                     return None
-            else:
-                keys = set(map(rk.__getitem__, ds))
-                if len(keys) == 1 and keys == set(map(lk.__getitem__, cs)):
-                    return None
+            elif self.keyed_by(cs, self.right_key(ds)):
+                return None
         holds = self.holds
         for a in cs:
             for b in ds:
                 if not holds(a, b):
                     return a, b
         return None
+
+    def right_key(self, ds) -> int | None:
+        """The one right key of every state of `ds`, for keys that decide;
+        None if they have several."""
+        keys = set(map(self.rk.__getitem__, ds))
+        return keys.pop() if len(keys) == 1 else None
+
+    def keyed_by(self, cs, key: int | None) -> bool:
+        """Whether every state of `cs` has the left key `key`, so that the
+        predicate holds on cs x ds for any ds whose one right key it is."""
+        return key is not None and all(map(key.__eq__, map(self.lk.__getitem__, cs)))
 
     def some(self, a: int, bs) -> bool:
         """Whether the predicate relates `a` to some state of `bs`."""
@@ -288,6 +306,16 @@ class Counterexample:
     rendered: str = ""
 
 
+# A framed `PostMap` builds its end column once the states asked of it reach
+# its projection count and also this share of the space.  At 32768 states
+# (2 vCPU Xeon, Python 3.11) the column of a loop-tiling side, 128 or 256
+# projections, took 0.4-1.1 ms to build, and asking 4032 states by their
+# projections 0.6-1.2 ms: about an eighth of the space costs what the
+# column does.  Built on the projection count alone, the column of
+# loop-tiling~mutant's ∀∀, which stops after 128 states, raised peak RSS by
+# about 1 MB over a refute run for states nobody asks.
+COLUMN_SHARE = 8
+
 # values of `PostMap.ends` that are not an end state; UNKNOWN: not computed
 NO_RUN, SEVERAL, UNKNOWN = -1, -2, -3
 
@@ -296,8 +324,11 @@ class PostMap:
     """Per-state images of a term, computed on demand and memoized in
     `images` (state -> image, for the states computed so far).  A framed
     term keeps, for each footprint projection r it walked, the shift e - r
-    when r has one end e, and otherwise r's image; any other term keeps the
-    end column that `ends` reads."""
+    when r has one end e, and otherwise r's image; once the states asked of
+    it reach its projection count and a `COLUMN_SHARE` of the space, it
+    walks every projection and reads ends from its end column instead
+    (`_column`).  Any other term keeps an end column decoded from
+    `images`."""
 
     def __init__(self, model, term: KatTerm, backward: bool = False):
         self.model = model
@@ -308,6 +339,9 @@ class PostMap:
         self._shift: dict[int, int] = {}  # projection with one end -> shift
         self._proj: dict[int, frozenset[int]] = {}  # other projections
         self._ends = None  # the end column, made on first use
+        if self._mask is not None:  # states to ask before the column is built
+            self._due = max(1 << self._mask.bit_count(),
+                            model.space.size // COLUMN_SHARE)
 
     def __getitem__(self, state: int) -> frozenset[int]:
         got = self.images.get(state)
@@ -345,23 +379,54 @@ class PostMap:
                 images[s] = frozenset([t + s - r for t in proj[r]])
 
     def _framed_ends(self, states: list[int]) -> list[int]:
-        """The ends of `states` under a framed term: each projection r not
-        walked before is walked once, and a state s whose projection has
-        one end e ends in s + (e - r), computed at C level."""
+        """The ends of `states` under a framed term: from their projections
+        until the states asked reach the build rule of the end column
+        (`COLUMN_SHARE`), then from the column, one lookup a state."""
+        if self._ends is None:
+            self._due -= len(states)
+            if self._due > 0:
+                return self._projected_ends(states)
+            self._column()
+        return list(map(self._ends.__getitem__, states))
+
+    def _projected_ends(self, states: list[int]) -> list[int]:
+        """Each projection r of `states` not walked before is walked once,
+        and a state s whose projection has one end e ends in s + (e - r),
+        computed at C level."""
         rs = list(map(and_, states, repeat(self._mask)))
         distinct = set(rs)
         proj, shift = self._proj, self._shift
         new = distinct - shift.keys() - proj.keys()
         if new:
-            for r, img in image(self.model, self.term, sorted(new), self.backward).items():
-                if len(img) == 1:
-                    shift[r] = next(iter(img)) - r
-                else:
-                    proj[r] = img
+            self._walk(sorted(new))
         if shift.keys() >= distinct:
             return list(map(add, states, map(shift.__getitem__, rs)))
         return [s + shift[r] if r in shift else SEVERAL if proj[r] else NO_RUN
                 for s, r in zip(states, rs)]
+
+    def _walk(self, rs: list[int]) -> None:
+        """Walk the projections `rs` and keep what each gives."""
+        proj, shift = self._proj, self._shift
+        for r, img in image(self.model, self.term, rs, self.backward).items():
+            if len(img) == 1:
+                shift[r] = next(iter(img)) - r
+            else:
+                proj[r] = img
+
+    def _column(self) -> None:
+        """Build the end column of a framed term: every projection not
+        walked before is walked in one batch, and the column maps s to
+        s + e(r) - r where r has one end e(r), else to NO_RUN or SEVERAL, by
+        the construction of a successor table (`StateSpace.moved`)."""
+        space, mask, proj, shift = self.model.space, self._mask, self._proj, self._shift
+        new = [r for r in space.footprint_values(mask) if r not in shift and r not in proj]
+        if new:
+            self._walk(new)
+
+        def end(r: int) -> int:
+            d = shift.get(r)
+            return r + d if d is not None else SEVERAL if proj[r] else NO_RUN
+        self._ends = space.moved(mask, end)
 
     def ends(self, states: list[int]) -> list[int]:
         """The end of each of `states`: its one end state, NO_RUN or SEVERAL.
@@ -423,7 +488,7 @@ class PairSpec:
         self._layout: _Layout | None = None
         self._cols: tuple | None = None
         self._rows: dict[int, list[int]] = {}  # rows built by partners_left
-        self._shared: dict[int, list[int]] = {}  # template -> its unfiltered row
+        self._shared: _TemplateRows | None = None  # made with the layout
         self._pred: PairPred | None = None
 
     @property
@@ -463,6 +528,7 @@ class PairSpec:
                 _table(bm, left), _table(bm, right),
                 [space.field(k) + (sem,) for k, sem in forced.items()],
                 sorted(patterns), preds)
+            self._shared = _TemplateRows(self._layout)
         return self._layout
 
     def _columns(self) -> tuple:
@@ -490,21 +556,12 @@ class PairSpec:
             self._cols = (tmpl, opened)
         return self._cols
 
-    def _row(self, s: int, tmpl: int) -> list[int]:
-        """The right partners of left state `s`, whose template is `tmpl`, in
-        state order: the template with every free pattern that passes the
-        right tests, built once per template and shared, then filtered by
-        the residual atoms into a new list."""
-        lay = self._layout
-        got = self._shared.get(tmpl)
-        if got is None:
-            got = [tmpl | p for p in lay.patterns]
-            if lay.right is not None:
-                got = list(compress(got, map(lay.right.__getitem__, got)))
-            self._shared[tmpl] = got
-        for pred in lay.preds:
-            got = [c for c in got if pred(s, c)]
-        return got
+    def _row(self, s: int, row: list[int]) -> list[int]:
+        """The right partners of left state `s`: `row`, the shared row of its
+        template, filtered by the residual atoms into a new list."""
+        for pred in self._layout.preds:
+            row = [c for c in row if pred(s, c)]
+        return row
 
     def check_enumerable(self) -> None:
         """Raise EnumRefused if an estimate of the pairs to build, every
@@ -565,7 +622,10 @@ class PairSpec:
         cols = self.one_partner()
         if cols is not None:
             return zip(cols[0], map(list, zip(cols[1])))
-        return ((s, row) for s, t in zip(*self._open()) if (row := self._row(s, t)))
+        rows = map(self._shared.__getitem__, self._open()[1])
+        if self._layout.preds:
+            rows = map(self._row, self._open()[0], rows)
+        return filter(itemgetter(1), zip(self._open()[0], rows))
 
     def pairs(self) -> list[tuple[int, int]]:
         """The rows flattened into pairs, in order."""
@@ -579,7 +639,7 @@ class PairSpec:
         got = self._rows.get(s)
         if got is None:
             tmpl, opened = self._columns()
-            got = self._row(s, tmpl[s]) if opened is None or opened[s] else []
+            got = self._row(s, self._shared[tmpl[s]]) if opened is None or opened[s] else []
             self._rows[s] = got
         return got
 
@@ -618,6 +678,24 @@ class PairSpec:
     def render_pair(self, s: int, s2: int) -> str:
         sp = self.bm.space
         return f"left={sp.state_str(s)} right={sp.state_str(s2)}"
+
+
+class _TemplateRows(dict):
+    """template -> its unfiltered row, built on first use and shared: the
+    template with every free pattern that passes the right tests, in state
+    order."""
+
+    def __init__(self, layout: _Layout):
+        super().__init__()
+        self.layout = layout
+
+    def __missing__(self, tmpl: int) -> list[int]:
+        lay = self.layout
+        row = [tmpl | p for p in lay.patterns]
+        if lay.right is not None:
+            row = list(compress(row, map(lay.right.__getitem__, row)))
+        self[tmpl] = row
+        return row
 
 
 def _placed(f, off: int, width: int):

@@ -23,7 +23,8 @@ loop finds.
 The pointwise routes read a pair predicate through the keys of its
 `PairPred` (`PairSpec.pred`): ∀∀ tests a row's cpost[a] x D at once,
 a single pair by comparing its two keys, a larger product by asking that
-the keys of cpost[a] and of D be one and the same key; fsim and the bsim
+the keys of cpost[a] and of D be one and the same key (where the pre
+shares its rows, D's one key is made once per row); fsim and the bsim
 point-free route look a key up among the keys of a set of ends.  Where a
 residual atom remains, or a row fails, the pairs are tested one by one, so
 the first failing pair, and every counterexample, is the one a pair loop
@@ -233,7 +234,9 @@ def check_allall(bm: BiModel, j: Judgment) -> JudgeResult:
     R;<c|d> factored by rows: D must lie inside the S-partners common to every
     state of cpost[a], cached per distinct left image.  Both routes read
     only cpost[a] and D, so where the pre shares its rows each class
-    (cpost[a], D) is decided once per check, at its first left state.  A
+    (cpost[a], D) is decided once per check, at its first left state; the
+    one post key of D is then made once per row, and D's inclusion in the
+    allowed set of cpost[a] tested once per (row, allowed set).  A
     chunk of a pre read as columns is first tried in bulk (`_single_ends`,
     `_keys_agree`, `_within`; see the module docstring)."""
     r, s = _spec_views(bm, j)
@@ -247,6 +250,10 @@ def check_allall(bm: BiModel, j: Judgment) -> JudgeResult:
     cimg, dimg = cpost.images, dpost.images
     rows = _PreRows(r, cpost, dpost)
     seen: set | None = set() if r.shares_rows else None  # (cpost[a], D) decided
+    # per shared row, kept by id: the one post key of its D (None: several),
+    # and whether D lies within an allowed set, by (row, allowed set)
+    dkeys: dict[int, int | None] | None = {} if seen is not None and post.keyed else None
+    inside: dict[tuple[int, int], bool] | None = {} if seen is not None else None
     cols = r.one_partner()
     for chunk in _row_chunks(r) if cols is None else _column_chunks(*cols):
         if cols is not None:
@@ -271,12 +278,23 @@ def check_allall(bm: BiModel, j: Judgment) -> JudgeResult:
                     continue
                 seen.add((cs, d))
             if cex is None:
-                cex = _escape(post, a, bs, cs, d, dimg)
+                if dkeys is not None and id(bs) not in dkeys:
+                    dkeys[id(bs)] = post.right_key(d)
+                if dkeys is None or not post.keyed_by(cs, dkeys[id(bs)]):
+                    cex = _escape(post, a, bs, cs, d, dimg)
             if allowed is not None and equational:
                 try:
-                    equational = d <= allowed(cs)
+                    within = allowed(cs)
                 except EnumRefused:
                     allowed = None
+                else:
+                    if inside is None:
+                        equational = d <= within
+                    else:
+                        key = id(bs), id(within)  # allowed sets live for the check
+                        if key not in inside:
+                            inside[key] = d <= within
+                        equational = inside[key]
             if cex is not None and (allowed is None or not equational):
                 break
         else:

@@ -28,7 +28,10 @@ r = s & mask shifted by s - r, the bits the term never touches; so is its
 preimage, since the converse is framed too.  `frame_mask` gives that mask
 (None when a primitive has no footprint or the footprint is the whole
 state), and `judge.core.PostMap` walks only the distinct projections of the
-states it is asked for.
+states it is asked for.  A deterministic action's successor table and a
+framed term's end column are one construction, `StateSpace.moved`: the
+column s -> s + e(r) - r, lifted from the end e(r) of every projection r
+and added to the frame bits s - r as packed columns, at C speed.
 
 `interp_kat` is the dense `Rel` semantics, refused above REL_MATRIX_CAP
 states.  No oracle builds it: it is the reference that tests, the random
@@ -40,14 +43,13 @@ from __future__ import annotations
 import random
 from array import array
 from dataclasses import dataclass, field
-from functools import reduce
 from operator import or_
 from typing import Callable, Iterable, Iterator
 
 from ..kat.terms import (Alphabet, KAct, KatTerm, KleeneOps, KPlus, KSeq, KTest,
                          TestTerm, TNot, TOne, TOr, TPrim, TZero, kleene_map, subterms)
 from .rel import Rel
-from .space import StateSpace, packed_states, state_code
+from .space import StateSpace, state_code
 
 REL_MATRIX_CAP = 8192
 
@@ -144,11 +146,9 @@ class FnAction(ActionSem):
 
     def succ_table(self):
         if self._succ is None and self.det:
-            # succ(s) = s + fn(r) - r, r the footprint bits of s; the terms
-            # are packed columns and every partial sum fits its slots
-            sp, reads = self.space, _fields(self.footprint)
-            self._succ = sp.unpack(packed_states(self.size) + sp.packed(reads, self.fn)
-                                   - sp.packed(reads, int))
+            # succ(s) = s + fn(r) - r, r the footprint bits of s
+            sp = self.space
+            self._succ = sp.moved(sp.bits(_fields(self.footprint)), self.fn)
         return super().succ_table()
 
     def rel(self) -> Rel:
@@ -248,9 +248,7 @@ def frame_mask(m: KatModel, t: KatTerm) -> int | None:
         if isinstance(u, (KAct, TPrim)):
             if u not in frames:
                 sem = m.act(u.name) if isinstance(u, KAct) else m.test(u.name)
-                frames[u] = None if sem.footprint is None else reduce(or_, (
-                    (1 << width) - 1 << off
-                    for off, width in map(m.space.field, sem.footprint())), 0)
+                frames[u] = m.space.bits(_fields(sem.footprint))
             if frames[u] is None:
                 return None
             mask |= frames[u]

@@ -95,22 +95,36 @@ def test_allall_decides_each_class_of_a_shared_row_once(monkeypatch):
     # cleared): 64 left states with runs, 4 classes (cpost[a], D)
     text = ("width 2; vars x y z;\nleft { y := 0; z := 0; } right { z := 1; }\n"
             "kind allall;\npre { [x == x] }\npost { %s }")
-    lefts = []
-    escape = oracles._escape
+    lefts, keys, tests = [], [], []
+    escape, right_key, keyed_by = oracles._escape, PairPred.right_key, PairPred.keyed_by
 
     def counted(post, a, *args):
         lefts.append(a)
         return escape(post, a, *args)
+
+    def keyed(pred, ds):
+        keys.append(ds)
+        return right_key(pred, ds)
+
+    def tested(pred, cs, key):
+        tests.append(cs)
+        return keyed_by(pred, cs, key)
     monkeypatch.setattr(oracles, "_escape", counted)
+    monkeypatch.setattr(PairPred, "right_key", keyed)
+    monkeypatch.setattr(PairPred, "keyed_by", tested)
     for post, holds in (("[x == x]", True), ("[x == x] & [y == y]", False)):
-        lefts.clear()
+        lefts.clear(), keys.clear(), tests.clear()
         prob = load_problem(text % post)
         res = dispatch(prob.bm, prob.judgment())
         assert res.holds == holds
         assert res.routes == {"pointwise": holds, "equational": holds}
-        # a failing check tests its first class at its first left state,
-        # the state of the counterexample
-        assert lefts == ([0, 1, 2, 3] if holds else [0]), post
+        # each class is tested once against the one post key of its row's
+        # D, made once per row (here each row has one class), and a holding
+        # class calls no _escape; a failing check escapes at its first class
+        # and left state, the state of the counterexample
+        if holds:
+            assert len(tests) == 4 == len(keys) == len(set(map(id, keys)))
+        assert lefts == ([] if holds else [0]), post
         if not holds:
             a, b, a2, b2 = res.counterexample.states
             assert a == 0 and not bitest_holds(prob.bm, prob.post, a2, b2)

@@ -10,15 +10,18 @@ time, so nested calls are counted once, into four phases:
 
 - tables: successor, predecessor and test tables, expression value lists
   and the key columns of pair predicates (`ActionSem.succ_table`/
-  `pred_table`, `TestSem.table`, `ImpEnv.values`, `core._key_column`);
+  `pred_table`, `TestSem.table`, `ImpEnv.values`, `core._key_column`); a
+  deterministic action's table is `StateSpace.moved`, whose footprint bits
+  are the packed states masked (`StateSpace.packed` of `int`);
 - rows: pair-relation enumeration (`PairSpec.rows`/`pairs`/`partners_left`,
   the columns of `PairSpec.one_partner`, the oracles' chunked iterators
   `_row_chunks` and `_column_chunks`, which slices those columns) and the
   oracles' row reader `_PreRows`: its fills, a row's union D and its right
   class keys, done once per distinct shared row of a check;
 - walks: image computation (`kmodel.image`, through which every `PostMap`
-  image is computed, a framed term's images lifted from its projections
-  and the per-state ends of the end columns, `PostMap._lift`/`ends`, and
+  image is computed, a framed term's images lifted from its projections,
+  the per-state ends and the build of a framed term's end column by the
+  same `StateSpace.moved`, `PostMap._lift`/`ends`/`_column`, and
   the pair-state walks of `witness.term_image` and `witness.term_tags`,
   which step frontiers of rows; `kat_post`/`kat_pre` are timed too, but
   only the zero-hypothesis check of script replay calls them);
@@ -127,7 +130,7 @@ def install(ph: Phases) -> None:
     kmodel.TestSem.table = ph.timed("tables", kmodel.TestSem.table)
     imp.ImpEnv.values = ph.timed("tables", imp.ImpEnv.values)
 
-    for attr in ("_lift", "ends"):
+    for attr in ("_lift", "ends", "_column"):
         setattr(core.PostMap, attr, ph.timed("walks", getattr(core.PostMap, attr)))
     core.PairSpec.rows = ph.timed_rows(core.PairSpec.rows)
     for attr in ("pairs", "partners_left", "one_partner"):
