@@ -55,9 +55,9 @@ s -> s + e(r) - r, built as a successor table is (`StateSpace.moved`);
 ends are then one lookup a state, and the images `fill` makes come from
 the same column.  So the column never walks more projections than states
 were asked, and a check that stops early pays for no column over the whole
-space.  Any other term decodes its ends from `images` once into an end
-column, a state array (two bytes a state up to 32768 states) with UNKNOWN
-where not computed.
+space.  Any other term decodes its ends from the images `fill` returns.
+`post_map` keeps one map per term and direction, and `pair_spec` one spec
+per bitest, in the model's store (`kmodel.compiled`).
 """
 
 from __future__ import annotations
@@ -74,8 +74,8 @@ from ..models.bmodel import BiModel, BitestSem
 from ..models.imp import CMP_OPS, ImpEnv
 # PostMap computes no image through them; perfbench's tracer wraps
 # `core.kat_post` and `core.kat_pre` by name
-from ..models.kmodel import (frame_mask, image, kat_post, kat_pre,  # noqa: F401
-                             state_array, test_table)
+from ..models.kmodel import (compiled, frame_mask, image, kat_post,  # noqa: F401
+                             kat_pre, test_table)
 
 PAIR_ENUM_CAP = 4_000_000
 
@@ -316,8 +316,8 @@ class Counterexample:
 # about 1 MB over a refute run for states nobody asks.
 COLUMN_SHARE = 8
 
-# values of `PostMap.ends` that are not an end state; UNKNOWN: not computed
-NO_RUN, SEVERAL, UNKNOWN = -1, -2, -3
+# values of `PostMap.ends` that are not an end state
+NO_RUN, SEVERAL = -1, -2
 
 
 class PostMap:
@@ -327,8 +327,7 @@ class PostMap:
     when r has one end e, and otherwise r's image; once the states asked of
     it reach its projection count and a `COLUMN_SHARE` of the space, it
     walks every projection and reads ends from its end column instead
-    (`_column`).  Any other term keeps an end column decoded from
-    `images`."""
+    (`_column`)."""
 
     def __init__(self, model, term: KatTerm, backward: bool = False):
         self.model = model
@@ -338,7 +337,7 @@ class PostMap:
         self._mask = frame_mask(model, term)  # None: not framed
         self._shift: dict[int, int] = {}  # projection with one end -> shift
         self._proj: dict[int, frozenset[int]] = {}  # other projections
-        self._ends = None  # the end column, made on first use
+        self._ends = None  # a framed term's end column, made when due
         if self._mask is not None:  # states to ask before the column is built
             self._due = max(1 << self._mask.bit_count(),
                             model.space.size // COLUMN_SHARE)
@@ -431,38 +430,18 @@ class PostMap:
     def ends(self, states: list[int]) -> list[int]:
         """The end of each of `states`: its one end state, NO_RUN or SEVERAL.
         A framed term computes them from its projections, with no image per
-        state; any other term reads them from the end column, a state array
-        with UNKNOWN where not computed, whose missing entries are decoded
-        from `images` (filled first) and kept."""
+        state; any other term decodes them from the images `fill` returns."""
         if self._mask is not None:
             return self._framed_ends(states)
-        if self._ends is None:
-            n = self.model.space.size
-            self._ends = state_array(n, [UNKNOWN]) * n
-        col = self._ends
-        got = list(map(col.__getitem__, states))
-        if UNKNOWN in got:
-            images = self.fill(states)
-            for i, e in enumerate(got):
-                if e == UNKNOWN:
-                    img = images[states[i]]
-                    got[i] = col[states[i]] = (
-                        next(iter(img)) if len(img) == 1 else SEVERAL if img else NO_RUN)
-        return got
+        images = self.fill(states)
+        return [next(iter(img)) if len(img) == 1 else SEVERAL if img else NO_RUN
+                for img in map(images.__getitem__, states)]
 
 
 def post_map(model, term: KatTerm, backward: bool = False) -> PostMap:
-    """Memoized per-state image maps, shared across oracle invocations."""
-    cache = getattr(model, "_postmap_cache", None)
-    if cache is None:
-        cache = {}
-        model._postmap_cache = cache
-    key = (term, backward)
-    got = cache.get(key)
-    if got is None:
-        got = PostMap(model, term, backward)
-        cache[key] = got
-    return got
+    """The per-state image map of a term, kept in the model's store and so
+    shared across oracle invocations."""
+    return compiled(model, PostMap, term, backward)
 
 
 @dataclass
@@ -720,14 +699,6 @@ def _both(a: bytes, b: bytes) -> bytes:
 
 
 def pair_spec(bm: BiModel, term: BiTestTerm) -> PairSpec:
-    """Memoized PairSpec per model instance: premise specs recur across a
-    proof tree, and enumeration work is the dominant cost."""
-    cache = getattr(bm, "_pairspec_cache", None)
-    if cache is None:
-        cache = {}
-        bm._pairspec_cache = cache
-    got = cache.get(term)
-    if got is None:
-        got = PairSpec(bm, term)
-        cache[term] = got
-    return got
+    """The PairSpec of a bitest, kept in the model's store: premise specs
+    recur across a proof tree, and enumeration work is the dominant cost."""
+    return compiled(bm, PairSpec, term)

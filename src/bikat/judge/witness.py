@@ -59,8 +59,8 @@ from typing import Callable
 from ..bi.terms import BEmbL, BiKatTerm, BiTestTerm, BTest, side_test
 from ..kat.terms import kleene_map
 from ..models.bmodel import BiModel
-from ..models.kmodel import (WALK_SOURCES, kleene_walks, source_batches, split_tags,
-                             test_table)
+from ..models.kmodel import (WALK_SOURCES, compiled, kleene_walks, source_batches,
+                             split_tags, test_table)
 from .core import (NO_RUN, SEVERAL, Counterexample, Judgment, PostMap, pair_spec,
                    post_map)
 from .oracles import (JudgeResult, RouteDisagreement, _PreRows, _row_chunks, _run_rows,
@@ -107,7 +107,7 @@ def term_tags(bm: BiModel, w: BiKatTerm, rows: Rows) -> Rows:
     """One walk of a witness term from tagged source rows {a: {b: tag}}:
     each pair state it reaches, as rows, with the bitmask of the sources
     that reach it (the OR of their tags)."""
-    return _pair_walker(bm, w, False)(rows)
+    return compiled(bm, _compile_pairs, w, False)(rows)
 
 
 def term_image(bm: BiModel, w: BiKatTerm, sources) -> ImageMap:
@@ -124,7 +124,7 @@ def term_preimage(bm: BiModel, w: BiKatTerm, targets) -> ImageMap:
 def _pair_images(bm: BiModel, w: BiKatTerm, sources, backward: bool) -> ImageMap:
     """The tagged walk of `term_tags` (of the converse if `backward`), a
     batch of WALK_SOURCES sources at a time, decoded per source."""
-    walk = _pair_walker(bm, w, backward)
+    walk = compiled(bm, _compile_pairs, w, backward)
     out: ImageMap = {}
     for batch in source_batches(list(dict.fromkeys(sources))):
         rows: Rows = {}
@@ -153,16 +153,8 @@ def _new_tags(row: Row, old: Row) -> Row:
 ROWS = kleene_walks(_or_rows, _new_tags)
 
 
-def _pair_walker(bm: BiModel, w: BiKatTerm, backward: bool) -> RowWalk:
-    """The witness term compiled over pair-state rows, once per model."""
-    key = (w, backward)
-    got = bm._walkers.get(key)
-    if got is None:
-        got = bm._walkers[key] = _compile_pairs(bm, w, backward)
-    return got
-
-
 def _compile_pairs(bm: BiModel, w: BiKatTerm, backward: bool) -> RowWalk:
+    """The witness term compiled over pair-state rows (kept by `compiled`)."""
     def leaf(u: BiKatTerm) -> RowWalk:
         if isinstance(u, BTest):
             return _pair_filter(bm, u.test)

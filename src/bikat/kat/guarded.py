@@ -8,10 +8,11 @@ beginning and ending with an atom; actions are encoded by their index in
 
 from __future__ import annotations
 
+from operator import not_
 from typing import Iterable
 
-from .terms import (Alphabet, CapExceeded, KAct, KatTerm, KPlus, KSeq, KTest,
-                    TestTerm, TNot, TOne, TOr, TPrim, TZero)
+from .terms import (Alphabet, BoolOps, CapExceeded, KAct, KatTerm, KPlus, KSeq, KTest,
+                    TestTerm, bool_map)
 
 GS_LEN_CAP = 8
 
@@ -22,18 +23,12 @@ def atoms(alphabet: Alphabet) -> list[int]:
     return list(range(1 << len(alphabet.tests)))
 
 
+_TRUTH = BoolOps(False, True, not_, lambda *vs: any(vs), lambda *vs: all(vs))
+
+
 def eval_test(t: TestTerm, atom: int, alphabet: Alphabet) -> bool:
-    if isinstance(t, TZero):
-        return False
-    if isinstance(t, TOne):
-        return True
-    if isinstance(t, TPrim):
-        return bool(atom >> alphabet.tests.index(t.name) & 1)
-    if isinstance(t, TNot):
-        return not eval_test(t.arg, atom, alphabet)
-    if isinstance(t, TOr):
-        return any(eval_test(a, atom, alphabet) for a in t.args)
-    return all(eval_test(a, atom, alphabet) for a in t.args)
+    """Whether `t` holds at `atom`."""
+    return bool_map(t, lambda p: bool(atom >> alphabet.tests.index(p.name) & 1), _TRUTH)
 
 
 def enumerate_guarded_strings(

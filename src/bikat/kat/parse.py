@@ -26,7 +26,7 @@ from __future__ import annotations
 import re
 from typing import Callable
 
-from .terms import (KAT, Alphabet, KatTerm, KleeneOps, KPlus, KSeq, KTest,
+from .terms import (KAT, Alphabet, KatTerm, KleeneOps, KTest, kleene_map,
                     TestTerm, kact, ktest, tand, tnot, tor, tprim, T0, T1)
 
 
@@ -217,13 +217,10 @@ def kat_grammar(alphabet: Alphabet) -> Kleene:
 def test_of(t: KatTerm, pos: int = 0) -> TestTerm:
     """A term built from tests by `+` and `;` as a test (or, and); `pos` is
     the offset reported if it is not one."""
-    if isinstance(t, KTest):
-        return t.test
-    if isinstance(t, KPlus):
-        return tor(*[test_of(a, pos) for a in t.args])
-    if isinstance(t, KSeq):
-        return tand(*[test_of(a, pos) for a in t.args])
-    raise ParseError("expected a test expression", pos)
+    def refuse(_):
+        raise ParseError("expected a test expression", pos)
+    return kleene_map(t, lambda u: u.test if isinstance(u, KTest) else refuse(u),
+                      KleeneOps(tor, tand, refuse))
 
 
 def parse_term(text: str, alphabet: Alphabet) -> KatTerm:

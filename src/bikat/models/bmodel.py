@@ -48,9 +48,6 @@ class BitestSem:
 class BiModel:
     base: KatModel
     bitests: dict[str, BitestSem] = field(default_factory=dict)
-    # compiled pair-state walkers of witness terms (see judge.witness)
-    _walkers: dict = field(default_factory=dict, init=False, repr=False,
-                           compare=False)
 
     @property
     def space(self) -> StateSpace:

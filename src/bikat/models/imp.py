@@ -483,7 +483,8 @@ class ImpEnv:
         return kseq(*[self.compile_stmt(s) for s in stmts])
 
     def kat_model(self) -> KatModel:
-        return KatModel(self.space, dict(self.acts), dict(self.tests))
+        """A model over this env's registries: it sees later primitives."""
+        return KatModel(self.space, self.acts, self.tests)
 
 
 def syntax_map(node, f: Callable):

@@ -5,7 +5,10 @@ or successor functions (compiled programs on structured spaces).  A program
 has one representation that every judgment oracle reads: each action gets a
 successor table (and, for preimages, its converse) and each test a table with
 one byte per state, both built on first use, and a term is compiled once per
-model into nested closures over those tables.  A program's deterministic
+model into nested closures over those tables.  What a model compiles (these
+walkers, the pair-state walkers of witness terms, `judge.core`'s image maps
+and pair specs, footprint bits) is kept in one store per model, read
+through `compiled`.  A program's deterministic
 actions and its tests carry their footprints, and their tables are lifted
 from one evaluation per footprint value (`StateSpace.lift`); other actions
 fill their tables state by state.  One walk then carries a whole
@@ -42,7 +45,7 @@ from __future__ import annotations
 
 import random
 from array import array
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from operator import or_
 from typing import Callable, Iterable, Iterator
 
@@ -220,11 +223,6 @@ class KatModel:
     space: StateSpace
     acts: dict[str, ActionSem]
     tests: dict[str, TestSem]
-    _walkers: dict = field(default_factory=dict, init=False, repr=False,
-                           compare=False)
-    # primitive atom -> the bits of its footprint, or None for none
-    _frames: dict = field(default_factory=dict, init=False, repr=False,
-                          compare=False)
 
     def act(self, name: str) -> ActionSem:
         try:
@@ -239,20 +237,34 @@ class KatModel:
             raise ModelError(f"undeclared test {name!r}") from None
 
 
+def compiled(model, make: Callable, *args):
+    """`make(model, *args)`, built once per model and kept: the one store of
+    what a model compiles (term walkers, image maps, pair specs, footprint
+    bits), a dict on the model keyed by `make` and `args`."""
+    store = vars(model).setdefault("_compiled", {})
+    key = (make, *args)
+    if key not in store:
+        store[key] = make(model, *args)
+    return store[key]
+
+
 def frame_mask(m: KatModel, t: KatTerm) -> int | None:
     """The bits of the fields that the primitives of `t` read and write, the
     union of their footprints; None when a primitive has none (a relation
     action, a mask test) or the footprint is the whole state."""
-    frames, mask = m._frames, 0
+    mask = 0
     for u in subterms(t):
         if isinstance(u, (KAct, TPrim)):
-            if u not in frames:
-                sem = m.act(u.name) if isinstance(u, KAct) else m.test(u.name)
-                frames[u] = m.space.bits(_fields(sem.footprint))
-            if frames[u] is None:
+            bits = compiled(m, _footprint_bits, u)
+            if bits is None:
                 return None
-            mask |= frames[u]
+            mask |= bits
     return None if mask == m.space.size - 1 else mask
+
+
+def _footprint_bits(m: KatModel, u: KAct | TPrim) -> int | None:
+    sem = m.act(u.name) if isinstance(u, KAct) else m.test(u.name)
+    return m.space.bits(_fields(sem.footprint))
 
 
 def havoc(space: StateSpace) -> Rel:
@@ -380,6 +392,7 @@ WALKS = kleene_walks(or_, lambda g, old: g & ~old)
 
 
 def _compile(m: KatModel, t: KatTerm, backward: bool) -> Walk:
+    """The term compiled over the model's tables (kept by `compiled`)."""
     def leaf(u: KatTerm) -> Walk:
         if isinstance(u, KTest):
             table = test_table(m, u.test)
@@ -406,15 +419,6 @@ def _compile(m: KatModel, t: KatTerm, backward: bool) -> Walk:
             return out
         return rel
     return kleene_map(t, leaf, WALKS, reverse=backward)
-
-
-def _walker(m: KatModel, t: KatTerm, backward: bool = False) -> Walk:
-    """The term compiled over the model's tables, once per model."""
-    key = (t, backward)
-    got = m._walkers.get(key)
-    if got is None:
-        got = m._walkers[key] = _compile(m, t, backward)
-    return got
 
 
 def source_batches(sources: list) -> Iterator[list]:
@@ -452,7 +456,7 @@ def image(m: KatModel, t: KatTerm, sources: Iterable[int],
     """Per-source images (preimages if `backward`) of distinct sources."""
     out: dict[int, frozenset[int]] = {}
     singles: dict[int, frozenset[int]] = {}  # shared one-state images
-    for s, f in walk_sources(_walker(m, t, backward), list(sources)):
+    for s, f in walk_sources(compiled(m, _compile, t, backward), list(sources)):
         if len(f) == 1:
             img = singles.get(f[0])
             if img is None:
@@ -465,12 +469,12 @@ def image(m: KatModel, t: KatTerm, sources: Iterable[int],
 
 def kat_post(m: KatModel, t: KatTerm, states: Iterable[int]) -> frozenset[int]:
     """Image of a state set under a term."""
-    return frozenset(_walker(m, t)(dict.fromkeys(states, 1)))
+    return frozenset(compiled(m, _compile, t, False)(dict.fromkeys(states, 1)))
 
 
 def kat_pre(m: KatModel, t: KatTerm, states: Iterable[int]) -> frozenset[int]:
     """Preimage of a state set under a term (image under the converse)."""
-    return frozenset(_walker(m, t, True)(dict.fromkeys(states, 1)))
+    return frozenset(compiled(m, _compile, t, True)(dict.fromkeys(states, 1)))
 
 
 def random_kat_model(

@@ -409,9 +409,6 @@ def _load(text: str, name: str, width_override: int | None) -> Problem:
             ftables[fname] = tuple(rng.randrange(1 << width) for _ in range(1 << width))
     env = ImpEnv(space, width, ftables)
     bm = BiModel(env.kat_model())
-    # the model shares the env registries so later-compiled prims are visible
-    bm.base.acts = env.acts
-    bm.base.tests = env.tests
     parser = ImpTermParser(env, bm)
     prob = Problem(name, width, env, bm, parser=parser)
 

@@ -7,7 +7,8 @@ column from that one sequence; `StateSpace.moved` builds a successor table
 and, for `PostMap`, a framed term's end column, once the states asked of the
 map reach its build rule.  Each must equal its reference: the per-value
 assembly that `lift` used before, kept here, and the unlifted walk
-(`kmodel.image`)."""
+(`kmodel.image`).  An unframed term keeps no column: its ends are its
+images decoded."""
 
 import itertools
 import random
@@ -221,6 +222,31 @@ def test_corpus_end_columns_equal_the_walk(name, width, monkeypatch):
         for backward in (False, True):
             _ask_every_way(traffic, m, t, backward, states,
                            image(m, t, states, backward))
+
+
+def test_corpus_unframed_ends_decode_the_walk():
+    # an unframed term's ends are its images decoded: one end, NO_RUN or
+    # SEVERAL, asked at once and in two overlapping batches
+    marks, asked = set(), 0
+    for path in sorted(CORPUS.glob("*.prob")):
+        prob = load_problem(path.read_text(), path.stem, width_override=2)
+        j, m = prob.judgment(), prob.bm.base
+        states = list(range(m.space.size))
+        third = len(states) // 3
+        terms = {u for t in (j.left, j.right) for u in subterms(t)
+                 if isinstance(u, KAT) and frame_mask(m, u) is None}
+        for t in sorted(terms, key=str):
+            for backward in (False, True):
+                want = image(m, t, states, backward)
+                ends = [_end(want[s]) for s in states]
+                assert PostMap(m, t, backward).ends(states) == ends, (t, backward)
+                post = PostMap(m, t, backward)
+                for part in (slice(0, 2 * third), slice(third, None)):
+                    assert post.ends(states[part]) == ends[part], (t, backward)
+                assert post.fill(states) == want
+                marks |= set(ends) & {NO_RUN, SEVERAL}
+                asked += 1
+    assert asked == 28 and marks == {NO_RUN, SEVERAL}
 
 
 def test_havoc_and_blocking_assumes_give_no_run_and_several(monkeypatch):

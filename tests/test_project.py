@@ -1,8 +1,11 @@
 """Project metadata: every console script `pyproject.toml` declares exists,
-and every Python file parses as the oldest Python it declares."""
+every Python file parses as the oldest Python it declares, and every name
+the benchmark's tracer and the phase timer wrap exists."""
 
 import ast
 import importlib
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -34,3 +37,16 @@ def test_sources_parse_as_python_3_10():
     with pytest.raises(SyntaxError):
         ast.parse("try:\n    pass\nexcept* ValueError:\n    pass\n",
                   feature_version=(3, 10))
+
+
+def test_benchmark_wrappers_find_every_name_they_wrap():
+    # the tracer and tools/phases.py look up each function they wrap by name,
+    # so a renamed or deleted one fails here as in the CI smokes; run apart,
+    # since both patch the bikat modules in place
+    code = ("import sys; sys.path[:0] = ['src', 'perfbench', 'tools']\n"
+            "import tracing, phases\n"
+            "t = tracing.Tracer(); t.install(); t.uninstall()\n"
+            "phases.install(phases.Phases())\n")
+    done = subprocess.run([sys.executable, "-c", code], cwd=ROOT,
+                          capture_output=True, text=True, timeout=60)
+    assert done.returncode == 0, done.stderr

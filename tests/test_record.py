@@ -1,0 +1,42 @@
+"""The kept verdict record: at width 2, every check of the corpus and of the
+benchmark's mutants finds what `tests/record_w2.jsonl` says.  The record is
+written by `tools/record.py`; a change that alters a record on purpose
+rewrites it."""
+
+import importlib.util
+import json
+import re
+from pathlib import Path
+
+from bikat.judge.oracles import ORACLES
+
+ROOT = Path(__file__).resolve().parent.parent
+
+
+def _recorder():
+    spec = importlib.util.spec_from_file_location("tools_record", ROOT / "tools" / "record.py")
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+RECORDER = _recorder()
+
+
+def test_width_2_record_is_unchanged():
+    kept = RECORDER.RECORD.read_text().splitlines()
+    got = RECORDER.records(2)
+    for i, (old, new) in enumerate(zip(kept, got), 1):
+        assert new == old, f"record line {i} changed"
+    assert len(got) == len(kept)
+
+
+def test_record_covers_every_problem_and_expectation():
+    recs = [json.loads(line) for line in RECORDER.RECORD.read_text().splitlines()]
+    problems = list(RECORDER.problems())
+    assert len(problems) == 13  # eight corpus files and five mutants
+    for name, *_ in problems:
+        assert [r["check"] for r in recs if r["problem"] == name][:6] == list(ORACLES)
+    expects = sum(len(exp) if exp else len(re.findall(r"^\s*expect\s", text, re.M))
+                  for _, text, _, exp in problems)
+    assert sum("expect" in r for r in recs) == expects == 41

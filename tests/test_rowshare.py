@@ -208,8 +208,9 @@ def pairs_or_refusal(spec):
 def test_no_check_changes_a_shared_row(path):
     prob = load_problem(path.read_text(), path.stem, width_override=2)
     run_everything(prob, path)
-    cache = prob.bm._pairspec_cache
-    assert cache
-    for term, spec in cache.items():
+    specs = {key[1]: spec for key, spec in vars(prob.bm)["_compiled"].items()
+             if key[0] is PairSpec}
+    assert specs
+    for term, spec in specs.items():
         assert pairs_or_refusal(spec) == pairs_or_refusal(PairSpec(prob.bm, term)), str(term)
         assert spec is pair_spec(prob.bm, term)

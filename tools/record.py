@@ -1,0 +1,169 @@
+"""The verdict record: what every check of the corpus and of the benchmark's
+mutants finds, one JSON line a record.
+
+Run from anywhere; the checkout's `src/` is imported:
+
+    python3 tools/record.py              # rewrite tests/record_w2.jsonl
+    python3 tools/record.py --declared   # the same checks at declared width,
+                                         # to standard output
+
+The problems are the corpus files, in name order, then the mutants of
+`perfbench/workloads.py` (read, never changed), in its order.  Per problem
+the checks are the six judgment kinds on its programs, pre and post; if it
+has a script goal, adequacy of the goal and the script's replay; if it has a
+witness, forward and backward witness validity; and if it has a proof, the
+proof.  A record names the problem and the check, and the verdict that an
+`expect` line of the file or the mutant's table expects of it, if any.  It
+holds what the check found: an oracle's verdict, routes, notes and
+counterexample (condition, states and text); a witness check's conditions,
+counterexamples and oracle; a script's acceptance, error, failed step,
+provisos, final term and steps; a proof's acceptance, node reports and root
+oracle; or the refusal that stopped the check, its class and message.
+
+`tests/test_record.py` recomputes the width-2 record and compares it line by
+line.  A change that alters a record on purpose rewrites the file, and the
+diff of the file shows what changed.
+"""
+
+from __future__ import annotations
+
+import argparse
+import importlib.util
+import json
+import sys
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parent.parent
+RECORD = ROOT / "tests" / "record_w2.jsonl"
+CORPUS = ROOT / "src" / "bikat" / "corpus"
+
+
+def _workloads():
+    spec = importlib.util.spec_from_file_location(
+        "perfbench_workloads", ROOT / "perfbench" / "workloads.py")
+    module = importlib.util.module_from_spec(spec)
+    sys.modules[spec.name] = module  # its dataclasses look their module up
+    spec.loader.exec_module(module)
+    return module
+
+
+def problems():
+    """(name, problem text, proof text or None, {check: expected verdict})
+    for each corpus file, then each mutant.  A corpus file expects what its
+    `expect` lines say; its kind stands for `holds`."""
+    for path in sorted(CORPUS.glob("*.prob")):
+        proof = path.with_suffix(".proof")
+        yield (path.stem, path.read_text(),
+               proof.read_text() if proof.is_file() else None, None)
+    wl = _workloads()
+    for m in wl.MUTANTS:
+        path = CORPUS / f"{m.source}.prob"
+        proof = path.with_suffix(".proof")
+        yield (f"{m.source}~mutant", wl.apply_mutant(path.read_text(), m),
+               proof.read_text() if proof.is_file() else None,
+               {c.kind: c.expected for c in m.checks})
+
+
+def _judge(res) -> dict:
+    cex = res.counterexample
+    return {"holds": res.holds, "routes": res.routes, "notes": res.notes,
+            "counterexample": None if cex is None else _cex(cex)}
+
+
+def _cex(cex) -> list:
+    return [cex.condition, list(cex.states), cex.rendered]
+
+
+def _witness(rep) -> dict:
+    return {"valid": rep.valid, "conditions": rep.conditions,
+            "counterexamples": {k: _cex(c) for k, c in rep.counterexamples.items()},
+            "oracle": None if rep.oracle is None else _judge(rep.oracle)}
+
+
+def _script(res) -> dict:
+    return {"accepted": res.accepted, "error": res.error,
+            "failed_step": res.failed_step, "provisos": res.provisos,
+            "final": str(res.final), "steps": [str(t.after) for t in res.trace]}
+
+
+def _proof(res) -> dict:
+    return {"accepted": res.accepted,
+            "reports": [[list(r.path), r.rule, r.judgment, r.ok, r.message]
+                        for r in res.reports],
+            "root": None if res.root_oracle is None else _judge(res.root_oracle)}
+
+
+def _checks(prob, proof: str | None):
+    """(check name, a function giving its record fields), in record order."""
+    from bikat.bi.script import check_script
+    from bikat.judge.core import Judgment
+    from bikat.judge.oracles import ORACLES, check_adequacy, dispatch
+    from bikat.judge.witness import check_bvalid, check_fvalid
+    from bikat.problem import Cur, parse_expr
+    from bikat.rhl.parse import parse_proof
+    from bikat.rhl.proof import check_proof
+
+    bm, j = prob.bm, prob.judgment()
+    for kind in ORACLES:
+        yield kind, lambda kind=kind: _judge(
+            dispatch(bm, Judgment(kind, j.left, j.right, j.spec)))
+    if prob.script_goal is not None:
+        yield "adequate", lambda: _judge(
+            check_adequacy(bm, j.spec.pre, j.left, j.right, prob.script_goal))
+        yield "script_accepted", lambda: _script(
+            check_script(prob.script(), prob.script_context()))
+    if prob.witness is not None:
+        for name, check in (("witness_fvalid", check_fvalid),
+                            ("witness_bvalid", check_bvalid)):
+            yield name, lambda check=check: _witness(check(bm, prob.witness, j))
+    if proof is not None:
+        def proved():
+            tree = parse_proof(proof, prob.parser.bitest, lambda s: parse_expr(Cur(s)))
+            return _proof(check_proof(prob.rhl_context(), tree, prob.rhl_judgment()))
+        yield "proof_accepted", proved
+
+
+def records(width: int | None = 2) -> list[str]:
+    """The record at `width` (None: each problem's declared width), one JSON
+    text a record."""
+    from bikat.judge.core import EnumRefused
+    from bikat.judge.oracles import RouteDisagreement
+    from bikat.kat.terms import CapExceeded
+    from bikat.models.kmodel import ModelError
+    from bikat.models.space import SpaceError
+    from bikat.problem import load_problem
+
+    refusals = (RouteDisagreement, EnumRefused, CapExceeded, SpaceError, ModelError)
+    out = []
+    for name, text, proof, expects in problems():
+        prob = load_problem(text, name, width_override=width)
+        if expects is None:
+            expects = dict.fromkeys(prob.expects, True)
+        if "holds" in expects:
+            expects[prob.kind] = expects.pop("holds")
+        for check, run in _checks(prob, proof):
+            rec = {"problem": name, "check": check}
+            if check in expects:
+                rec["expect"] = expects[check]
+            try:
+                rec.update(run())
+            except refusals as e:
+                rec["refused"] = [type(e).__name__, str(e)]
+            out.append(json.dumps(rec))
+    return out
+
+
+def main() -> None:
+    ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    ap.add_argument("--declared", action="store_true",
+                    help="check at declared width and print, not write, the record")
+    args = ap.parse_args()
+    sys.path.insert(0, str(ROOT / "src"))
+    if args.declared:
+        print("\n".join(records(None)))
+    else:
+        RECORD.write_text("\n".join(records()) + "\n")
+
+
+if __name__ == "__main__":
+    main()
