@@ -29,13 +29,15 @@ the split it computes a field layout once per spec: byte tables for the
 tests of each side, the fields that an `==` bitest forces to a left-state
 value (the first `==` per right field whose right side is that field), one
 ascending list of bit patterns for the other fields (one pattern per state
-on a space without fields) and residual filters for every other atom.  The
-forced fields of the right partners of every left state are built at once,
-as a template column lifted from the footprints of the left expressions.  A
-right candidate is a template ORed with a pattern, so a row is in state
-order.  With every field forced, a left state has at most one partner, its
-template: `one_partner` gives such a relation as two lazy columns, filtered
-by the residual atoms, which `rows` reads too.  `shares_rows` says whether
+on a space without fields), filtered once by the right tests that read no
+forced field, and residual filters for every other atom.  The forced fields
+of the right partners of every left state are built at once, as a template
+column lifted from the footprints of the left expressions; the identity
+relation's template column is `range(n)`, with nothing lifted.  A right
+candidate is a template ORed with a pattern, so a row is in state order.
+With one pattern, 0, a left state has at most one partner, its template:
+`one_partner` gives such a relation as two columns, filtered by the residual
+atoms, which `rows` reads too.  `shares_rows` says whether
 each row `rows` yields is a kept template row, or one made for its left
 state (a one-partner list, or a row filtered by residual atoms).
 Enumeration is refused before it starts, never truncated, when an estimate
@@ -55,7 +57,10 @@ s -> s + e(r) - r, built as a successor table is (`StateSpace.moved`);
 ends are then one lookup a state, and the images `fill` makes come from
 the same column.  So the column never walks more projections than states
 were asked, and a check that stops early pays for no column over the whole
-space.  Any other term decodes its ends from the images `fill` returns.
+space.  Ends asked for a range of states are then one slice of the
+column, and `keep_ends` makes the images of states whose ends are known
+from those ends, so that they are not asked again.  Any other term decodes
+its ends from the images `fill` returns.
 `post_map` keeps one map per term and direction, and `pair_spec` one spec
 per bitest, in the model's store (`kmodel.compiled`).
 """
@@ -361,31 +366,45 @@ class PostMap:
     def _lift(self, states: list[int]) -> None:
         """The images of `states`, none known yet, shifted from the images of
         their footprint projections."""
-        ends = self._framed_ends(states)
+        self.keep_ends(states, self._framed_ends(states))
+
+    def keep_ends(self, states, ends) -> None:
+        """Keep the images of `states` made from `ends`, their ends as `ends`
+        gave them, so that a state whose end was asked is not asked again
+        for its image: one end state is a one-state image, NO_RUN the empty
+        image, and SEVERAL the image of the state's projection, which the
+        ends walked, shifted.  An unframed term keeps nothing: its ends were
+        decoded from images it keeps."""
+        if self._mask is None:
+            return
         distinct = set(ends)
         # one image per distinct end state, shared as `image` shares them
         one = dict(zip(distinct, map(frozenset, zip(distinct))))
+        one[NO_RUN] = frozenset()
         images = self.images
-        if min(distinct) >= 0:
+        if SEVERAL not in distinct:
             images.update(zip(states, map(one.__getitem__, ends)))
             return
         proj, mask = self._proj, self._mask
         for s, e in zip(states, ends):
-            if e >= 0:
+            if e != SEVERAL:
                 images[s] = one[e]
             else:
                 r = s & mask
                 images[s] = frozenset([t + s - r for t in proj[r]])
 
-    def _framed_ends(self, states: list[int]) -> list[int]:
+    def _framed_ends(self, states):
         """The ends of `states` under a framed term: from their projections
         until the states asked reach the build rule of the end column
-        (`COLUMN_SHARE`), then from the column, one lookup a state."""
+        (`COLUMN_SHARE`), then from the column, one slice for a run of
+        consecutive states (a range) and else one lookup a state."""
         if self._ends is None:
             self._due -= len(states)
             if self._due > 0:
                 return self._projected_ends(states)
             self._column()
+        if isinstance(states, range) and states.step == 1:
+            return self._ends[states.start:states.stop]
         return list(map(self._ends.__getitem__, states))
 
     def _projected_ends(self, states: list[int]) -> list[int]:
@@ -427,10 +446,12 @@ class PostMap:
             return r + d if d is not None else SEVERAL if proj[r] else NO_RUN
         self._ends = space.moved(mask, end)
 
-    def ends(self, states: list[int]) -> list[int]:
-        """The end of each of `states`: its one end state, NO_RUN or SEVERAL.
-        A framed term computes them from its projections, with no image per
-        state; any other term decodes them from the images `fill` returns."""
+    def ends(self, states):
+        """The end of each of `states`, a list or a range: its one end state,
+        NO_RUN or SEVERAL, as a sequence of ints.  A framed term computes
+        them from its projections, with no image per state, or slices them
+        from its end column; any other term decodes them from the images
+        `fill` returns."""
         if self._mask is not None:
             return self._framed_ends(states)
         images = self.fill(states)
@@ -449,9 +470,10 @@ class _Layout:
     """How to enumerate the right partners of a left state."""
 
     left: bytes | None  # one-sided left conditions, or None for none
-    right: bytes | None  # one-sided right conditions, or None for none
+    right: bytes | None  # right conditions reading a forced field, or None
     forced: list[tuple[int, int, ExprBitest]]  # (offset, width, equality)
-    patterns: list[int]  # every value of the free fields, as bits, ascending
+    patterns: list[int]  # the values of the free fields that pass the other
+    # right conditions, as bits, ascending
     preds: list  # residual pair predicates
 
 
@@ -481,11 +503,13 @@ class PairSpec:
         return self.pred.holds(s, s2)
 
     def _get_layout(self) -> _Layout:
-        """The layout of the conjunction's atoms (`_split`): the tests of
-        each side as a byte table; the first `==` bitest per right field
-        whose right side reads that one field forces the field; all other
-        atoms filter.  Each value of the fields not forced is a free
-        pattern; a space without fields has one free pattern per state."""
+        """The layout of the conjunction's atoms (`_split`): the first `==`
+        bitest per right field whose right side reads that one field forces
+        the field; each value of the fields not forced is a free pattern (a
+        space without fields has one free pattern per state).  The right
+        tests whose footprint (`frame_mask`) misses every forced field filter
+        the patterns once; the tests of the left side, and the right tests
+        that read a forced field, are byte tables; all other atoms filter."""
         if self._layout is None:
             bm, space = self.bm, self.bm.space
             left, right, eqs, rest = self._atoms
@@ -498,15 +522,27 @@ class PairSpec:
                 else:
                     forced[key] = sem
             patterns = [0] if space.fields() else list(range(self.n))
+            held = 0  # the bits of the forced fields
             for key in space.fields():
-                if key not in forced:
-                    off, width = space.field(key)
+                off, width = space.field(key)
+                if key in forced:
+                    held |= (1 << width) - 1 << off
+                else:
                     patterns = [p | v << off for v in range(1 << width)
                                 for p in patterns]
+            patterns.sort()
+            reading: list[TestTerm] = []  # right tests that read a forced bit
+            free: list[TestTerm] = []  # the others hold at tmpl | p as at p
+            for t in right:
+                mask = frame_mask(bm.base, t)
+                (reading if held & (held if mask is None else mask) else free).append(t)
+            if free:
+                table = _table(bm, free)
+                patterns = list(compress(patterns, map(table.__getitem__, patterns)))
             self._layout = _Layout(
-                _table(bm, left), _table(bm, right),
+                _table(bm, left), _table(bm, reading),
                 [space.field(k) + (sem,) for k, sem in forced.items()],
-                sorted(patterns), preds)
+                patterns, preds)
             self._shared = _TemplateRows(self._layout)
         return self._layout
 
@@ -517,10 +553,15 @@ class PairSpec:
         fits its field and, with every field forced, the template passes the
         right tests (None: at every state).  Each forced field's column is
         lifted from the footprint of its left expression, packed, and the
-        disjoint fields are summed."""
+        disjoint fields are summed.  The identity, every field forced by an
+        `==` whose two sides read that field and no other atom, has the
+        template column `range(n)`, with nothing lifted."""
         if self._cols is None:
             lay = self._get_layout()
             space = self.bm.space
+            if self._identity(lay):
+                self._cols = (range(self.n), None)
+                return self._cols
             packed, opened = 0, lay.left
             for off, width, sem in lay.forced:
                 f, reads = sem.env.compile_expr(sem.lexpr), sem.env.reads(sem.lexpr)
@@ -534,6 +575,17 @@ class PairSpec:
                 opened = kept if opened is None else _both(opened, kept)
             self._cols = (tmpl, opened)
         return self._cols
+
+    def _identity(self, lay: _Layout) -> bool:
+        """Whether the layout relates each state to itself alone: a space
+        with fields, every field forced to its own left value, and no other
+        atom (a right test that reads no field left the one pattern, 0, in
+        place)."""
+        fields = self.bm.space.fields()
+        return (lay.patterns == [0] and 0 < len(fields) == len(lay.forced)
+                and lay.left is None is lay.right and not lay.preds and all(
+                    sem.env.field_of(sem.lexpr) == sem.env.field_of(sem.rexpr)
+                    for *_, sem in lay.forced))
 
     def _row(self, s: int, row: list[int]) -> list[int]:
         """The right partners of left state `s`: `row`, the shared row of its
@@ -557,9 +609,11 @@ class PairSpec:
                 f"{PAIR_ENUM_CAP}")
 
     def one_partner(self) -> tuple | None:
-        """(left states with a partner, that partner) as lazy columns, when
-        every field is forced, so a left state's one candidate is its
-        template; else None.  Residual atoms filter the open states, one
+        """(left states with a partner, that partner) as columns, when the
+        one free pattern is 0, so a left state's one candidate is its
+        template; else None.  The columns are a range and the template
+        column where every left state is open (two ranges for the identity),
+        and lazy otherwise.  Residual atoms filter the open states, one
         closure call per open state, as `_row` calls them.  Refused as
         `rows`."""
         self.check_enumerable()
@@ -661,8 +715,8 @@ class PairSpec:
 
 class _TemplateRows(dict):
     """template -> its unfiltered row, built on first use and shared: the
-    template with every free pattern that passes the right tests, in state
-    order."""
+    template ORed with each free pattern (`_Layout.patterns`), kept where
+    the right tests that read a forced field pass, in state order."""
 
     def __init__(self, layout: _Layout):
         super().__init__()

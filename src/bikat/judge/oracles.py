@@ -48,16 +48,18 @@ per-state partner sets (`PairSpec.partner_sets`); a route whose enumeration
 the caps refuse, up front or once it has built PAIR_ENUM_CAP candidates, is
 dropped.
 
-∀∀ reads a pre whose fields are all forced, so that a left state has at
-most one partner, as two lazy columns (`PairSpec.one_partner`; residual
-atoms filter them), sliced into chunks with no row per state
-(`_column_chunks`).  Under a keyed post, a chunk with no image of several
-states is decided in bulk on the programs' ends (`PostMap.ends`): pointwise,
-the keys of the left ends against those of the right ends, as two lists;
-equational, each right end among the post partners of its left end, asked
-once per distinct left end.  Pairs with no run on a side hold.  A chunk that
-a route does not pass in bulk becomes rows, gets its images and goes through
-the row loop, as every chunk of any other pre does (`_row_chunks`), so
+∀∀ reads a pre whose left states have at most one partner each as two
+columns (`PairSpec.one_partner`; residual atoms filter them), sliced into
+chunks with no row per state (`_column_chunks`); the identity pre's chunks
+are two ranges, whose ends a framed `PostMap` slices from its end column.
+Under a keyed post, a chunk with no image of several states is decided in
+bulk on the programs' ends (`PostMap.ends`): pointwise, the keys of the left
+ends against those of the right ends, as two lists; equational, each right
+end among the post partners of its left end, asked once per distinct left
+end.  Pairs with no run on a side hold.  A chunk that a route does not pass
+in bulk becomes rows, gets its images from the ends already asked
+(`PostMap.keep_ends`), so that no state is asked twice, and goes through the
+row loop, as every chunk of any other pre does (`_row_chunks`), so
 counterexamples do not change.
 
 The derived kinds have no oracle of their own: `DUALS` reads each through a
@@ -257,17 +259,23 @@ def check_allall(bm: BiModel, j: Judgment) -> JudgeResult:
     cols = r.one_partner()
     for chunk in _row_chunks(r) if cols is None else _column_chunks(*cols):
         if cols is not None:
-            ends = _single_ends(*chunk, cpost, dpost) if post.keyed else None
-            if ends is not None:
-                passed = cex is not None or _keys_agree(post, *ends)
-                if passed and allowed is not None and equational:
-                    try:
-                        passed = _within(partners, *ends)
-                    except EnumRefused:
-                        allowed = None
-                if passed:
-                    continue
-            chunk = list(zip(chunk[0], map(list, zip(chunk[1]))))
+            lefts, rights = chunk
+            if post.keyed:
+                cends, lends, runs, dends = _single_ends(lefts, rights, cpost, dpost)
+                if dends is not None and SEVERAL not in dends:
+                    passed = cex is not None or _keys_agree(post, lends, dends)
+                    if passed and allowed is not None and equational:
+                        try:
+                            passed = _within(partners, lends, dends)
+                        except EnumRefused:
+                            allowed = None
+                    if passed:
+                        continue
+                # the row loop's images, made from the ends asked
+                cpost.keep_ends(lefts, cends)
+                if dends is not None:
+                    dpost.keep_ends(runs, dends)
+            chunk = list(zip(lefts, map(list, zip(rights))))
         for a, bs in rows.fill(chunk):
             cs = cimg[a]
             if not cs:
@@ -307,27 +315,36 @@ def check_allall(bm: BiModel, j: Judgment) -> JudgeResult:
 
 
 def _column_chunks(lefts, rights):
-    """(left states, partners) lists sliced from the lazy columns of
-    `PairSpec.one_partner`: 64 pairs, then 128, ..., as `_row_chunks`."""
-    lefts, rights, size = iter(lefts), iter(rights), 64
+    """(left states, partners) sliced from the columns of
+    `PairSpec.one_partner`: 64 pairs, then 128, ..., as `_row_chunks`.  Where
+    every left state is open, the left column is a range and the partners a
+    range or an array: each chunk is a slice of both, so the identity gives
+    ranges; other columns are lazy, and each chunk is two lists."""
+    k, size = 0, 64
+    if isinstance(lefts, range):
+        while k < len(lefts):
+            yield lefts[k:k + size], rights[k:k + size]
+            k, size = k + size, size * 2
+        return
+    lefts, rights = iter(lefts), iter(rights)
     while chunk := list(islice(lefts, size)):
         yield chunk, list(islice(rights, size))
         size *= 2
 
 
-def _single_ends(lefts: list[int], rights: list[int], cpost: PostMap, dpost: PostMap):
-    """(left ends, right ends) of a column chunk whose images hold at most one
-    state each: the end of each left state that has runs and the end of its
-    partner, which may be NO_RUN (`PostMap.ends`); None for any other
-    chunk."""
+def _single_ends(lefts, rights, cpost: PostMap, dpost: PostMap):
+    """The ends of a column chunk (`PostMap.ends`): (the ends of its left
+    states, the ends of those with runs, their partners, the partners'
+    ends).  The last three are None, and no partner is asked, when a left
+    end is SEVERAL."""
     cends = cpost.ends(lefts)
     if SEVERAL in cends:
-        return None
+        return cends, None, None, None
+    lends = cends
     if NO_RUN in cends:
         runs = list(map(NO_RUN.__ne__, cends))
-        cends, rights = list(compress(cends, runs)), list(compress(rights, runs))
-    dends = dpost.ends(rights)
-    return None if SEVERAL in dends else (cends, dends)
+        lends, rights = list(compress(cends, runs)), list(compress(rights, runs))
+    return cends, lends, rights, dpost.ends(rights)
 
 
 def _keys_agree(post: PairPred, cends: list[int], dends: list[int]) -> bool:
