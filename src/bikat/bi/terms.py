@@ -57,7 +57,7 @@ class BEmbLTest(Term):
     side = "L"
 
     def __str__(self) -> str:
-        return f"L[{self.test}]"
+        return f"L[{_inner(self.test)}]"
 
 
 @term
@@ -66,7 +66,7 @@ class BEmbRTest(Term):
     side = "R"
 
     def __str__(self) -> str:
-        return f"R[{self.test}]"
+        return f"R[{_inner(self.test)}]"
 
 
 @term
@@ -97,6 +97,12 @@ class BAnd(And):
 
 
 BiTestTerm = Union[BZero, BOne, BPrim, BEmbLTest, BEmbRTest, BNot, BOr, BAnd]
+
+
+def _inner(t: TestTerm) -> str:
+    """An embedded test inside the brackets of `L[..]` or `R[..]`: a
+    primitive by its name, with no brackets of its own."""
+    return t.name if isinstance(t, TPrim) else str(t)
 
 BT0 = BZero()
 BT1 = BOne()

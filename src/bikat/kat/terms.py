@@ -299,10 +299,14 @@ class TOne(One):
 
 @term
 class TPrim(Term):
+    """A primitive test: an abstract identifier, printed bare, or a program
+    condition, printed in brackets, `[x < 4]`, as a program-syntax term
+    writes it, so that a printed term parses back."""
+
     name: str
 
     def __str__(self) -> str:
-        return self.name
+        return self.name if self.name.isidentifier() else f"[{self.name}]"
 
 
 @term

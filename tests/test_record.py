@@ -40,3 +40,23 @@ def test_record_covers_every_problem_and_expectation():
     expects = sum(len(exp) if exp else len(re.findall(r"^\s*expect\s", text, re.M))
                   for _, text, _, exp in problems)
     assert sum("expect" in r for r in recs) == expects == 41
+
+
+def test_printed_script_terms_parse_back():
+    # every script goal, and every term a script replay reaches, its final
+    # term among them, prints as text that the problem's parser reads back
+    # to an equal term: program conditions inside embedded KAT terms print
+    # in brackets
+    from bikat.bi.script import check_script
+    from bikat.problem import load_problem
+
+    failing = 0
+    for name, text, _, _ in RECORDER.problems():
+        prob = load_problem(text, name, width_override=2)
+        if prob.script_goal is None:
+            continue
+        res = check_script(prob.script(), prob.script_context())
+        failing += not res.accepted
+        for t in [prob.script_goal, res.final, *(step.after for step in res.trace)]:
+            assert prob.parser.bikat(str(t)) == t, (name, str(t))
+    assert failing == 3

@@ -105,3 +105,15 @@ def test_terms_keep_their_hash_out_of_copies():
     # the state a pickle carries is the term's fields alone
     assert t.__getstate__() == {"args": t.args}
     assert str(t) == str(u) and term_key(t) == term_key(u)
+
+
+def test_program_conditions_print_in_brackets_and_identifiers_bare():
+    from bikat.bi.terms import BEmbLTest, BEmbR, bnot
+    from bikat.kat.terms import KAct, KSeq, KTest, TNot, TPrim, tand
+
+    cond = TPrim("i < 3")
+    assert str(KSeq((KTest(cond), KAct("i := i + 1")))) == "[i < 3] ; i := i + 1"
+    assert str(BEmbR(KTest(TNot(cond)))) == "[![i < 3]>"
+    assert str(bnot(BEmbLTest(cond))) == "!L[i < 3]"
+    assert str(KTest(tand(TPrim("p"), TNot(TPrim("q"))))) == "(p ; !q)"
+    assert str(BEmbLTest(TPrim("p"))) == "L[p]"
