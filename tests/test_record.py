@@ -36,7 +36,9 @@ def test_record_covers_every_problem_and_expectation():
     problems = list(RECORDER.problems())
     assert len(problems) == 13  # eight corpus files and five mutants
     for name, *_ in problems:
-        assert [r["check"] for r in recs if r["problem"] == name][:6] == list(ORACLES)
+        checks = [r["check"] for r in recs if r["problem"] == name]
+        assert checks[:6] == list(ORACLES)
+        assert checks[-2:] == ["pairs_pre", "pairs_post"]
     expects = sum(len(exp) if exp else len(re.findall(r"^\s*expect\s", text, re.M))
                   for _, text, _, exp in problems)
     assert sum("expect" in r for r in recs) == expects == 41

@@ -6,28 +6,34 @@ Run from anywhere; the checkout's `src/` is imported:
     python3 tools/record.py              # rewrite tests/record_w2.jsonl
     python3 tools/record.py --declared   # the same checks at declared width,
                                          # to standard output
+    python3 tools/record.py --declared > tests/record_declared.jsonl
 
 The problems are the corpus files, in name order, then the mutants of
 `perfbench/workloads.py` (read, never changed), in its order.  Per problem
 the checks are the six judgment kinds on its programs, pre and post; if it
 has a script goal, adequacy of the goal and the script's replay; if it has a
-witness, forward and backward witness validity; and if it has a proof, the
-proof.  A record names the problem and the check, and the verdict that an
+witness, forward and backward witness validity; if it has a proof, the
+proof; and last the pair enumeration of its pre and of its post.  A record
+names the problem and the check, and the verdict that an
 `expect` line of the file or the mutant's table expects of it, if any.  It
 holds what the check found: an oracle's verdict, routes, notes and
 counterexample (condition, states and text); a witness check's conditions,
 counterexamples and oracle; a script's acceptance, error, failed step,
 provisos, final term and steps; a proof's acceptance, node reports and root
-oracle; or the refusal that stopped the check, its class and message.
+oracle; a pair relation's count and SHA-256 hash of the pairs of
+`PairSpec.pairs()`, in order, and whether `PairSpec.one_partner` reads it as
+columns; or the refusal that stopped the check, its class and message.
 
 `tests/test_record.py` recomputes the width-2 record and compares it line by
-line.  A change that alters a record on purpose rewrites the file, and the
-diff of the file shows what changed.
+line; CI compares the declared-width record with `tests/record_declared.jsonl`.
+A change that alters a record on purpose rewrites the files, and their diff
+shows what changed.
 """
 
 from __future__ import annotations
 
 import argparse
+import hashlib
 import importlib.util
 import json
 import sys
@@ -93,10 +99,22 @@ def _proof(res) -> dict:
             "root": None if res.root_oracle is None else _judge(res.root_oracle)}
 
 
+def _pairs(spec) -> dict:
+    """The pairs of `spec.pairs()`, counted and hashed in order as `rows`
+    streams them (no list of pairs is built), and whether `one_partner`
+    reads the relation as columns."""
+    digest, count = hashlib.sha256(), 0
+    for a, row in spec.rows():
+        digest.update(f"{a}:{','.join(map(str, row))};".encode())
+        count += len(row)
+    return {"pairs": count, "sha256": digest.hexdigest(),
+            "columns": spec.one_partner() is not None}
+
+
 def _checks(prob, proof: str | None):
     """(check name, a function giving its record fields), in record order."""
     from bikat.bi.script import check_script
-    from bikat.judge.core import Judgment
+    from bikat.judge.core import Judgment, PairSpec
     from bikat.judge.oracles import ORACLES, check_adequacy, dispatch
     from bikat.judge.witness import check_bvalid, check_fvalid
     from bikat.problem import Cur, parse_expr
@@ -121,6 +139,8 @@ def _checks(prob, proof: str | None):
             tree = parse_proof(proof, prob.parser.bitest, lambda s: parse_expr(Cur(s)))
             return _proof(check_proof(prob.rhl_context(), tree, prob.rhl_judgment()))
         yield "proof_accepted", proved
+    for side in ("pre", "post"):  # a fresh spec: enumerated from nothing
+        yield f"pairs_{side}", lambda t=getattr(j.spec, side): _pairs(PairSpec(bm, t))
 
 
 def records(width: int | None = 2) -> list[str]:
