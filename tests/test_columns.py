@@ -16,7 +16,7 @@ from array import array
 
 import pytest
 
-from bikat.judge import core
+from bikat.judge import core, dispatch
 from bikat.judge.core import NO_RUN, SEVERAL, PostMap
 from bikat.kat.terms import KAct, KPlus, KSeq, KStar, KTest, subterms
 from bikat.models.kmodel import frame_mask, image
@@ -24,6 +24,7 @@ from bikat.models.space import ArrayDecl, StateSpace, VarDecl, packed_states, st
 from bikat.problem import load_problem, parse_stmts_text
 
 from test_imp import CORPUS, env_for
+from test_refute import WORKLOADS, _mutant_problem
 
 KAT = (KTest, KAct, KPlus, KSeq, KStar)
 
@@ -266,3 +267,50 @@ def test_havoc_and_blocking_assumes_give_no_run_and_several(monkeypatch):
                                   image(m, t, states, backward))
             marks |= set(post._ends) & {NO_RUN, SEVERAL}
     assert marks == {NO_RUN, SEVERAL}
+
+
+@pytest.mark.parametrize("name", sorted(p.stem for p in CORPUS.glob("*.prob")))
+def test_ends_of_a_range_equal_the_ends_of_its_list(name):
+    # a range of states is read from the projections before the end column
+    # is built, and as one slice of the column after; either way its ends
+    # are those of the same states as a list
+    prob = load_problem((CORPUS / f"{name}.prob").read_text(), name, width_override=2)
+    j, m = prob.judgment(), prob.bm.base
+    n = m.space.size
+    terms = sorted({u for t in (j.left, j.right) for u in subterms(t)
+                    if isinstance(u, KAT) and frame_mask(m, u) is not None}, key=str)
+    for t in terms:
+        for backward in (False, True):
+            images = image(m, t, range(n), backward)
+            want = [_end(images[s]) for s in range(n)]
+            post = PostMap(m, t, backward)
+            run = range(n // 3, n // 3 + min(8, (post._due - 1) // 2))
+            assert list(post.ends(run)) == post.ends(list(run)) == want[run.start:run.stop]
+            assert post._ends is None, (t, backward)
+            assert list(post.ends(range(n))) == want and post._ends is not None
+            for run in (range(0), range(5, 6), range(n // 2, n), range(1, n - 1)):
+                got = post.ends(run)
+                assert list(got) == post.ends(list(run)) == want[run.start:run.stop]
+                assert isinstance(got, array), (t, backward)  # one slice
+
+
+def test_a_failing_bulk_chunk_asks_each_state_once(monkeypatch):
+    # the loop-tiling mutant's ∀∀ fails in its first column chunk, states
+    # 0..63: their ends are asked once of each program's map, and the row
+    # loop's images are made from those ends, so no state is asked again
+    prob = _mutant_problem(next(m for m in WORKLOADS.MUTANTS if m.source == "loop-tiling"))
+    asked: dict = {}
+    framed = PostMap._framed_ends
+
+    def counting(post, states):
+        counts = asked.setdefault(post.term, {})
+        for s in states:
+            counts[s] = counts.get(s, 0) + 1
+        return framed(post, states)
+    monkeypatch.setattr(PostMap, "_framed_ends", counting)
+    j = prob.judgment()
+    res = dispatch(prob.bm, j)
+    assert not res.holds and res.counterexample.states[0] < 64
+    assert set(asked) == {j.left, j.right}
+    for counts in asked.values():
+        assert set(counts) == set(range(64)) and set(counts.values()) == {1}

@@ -14,15 +14,17 @@ time, so nested calls are counted once, into four phases:
   deterministic action's table is `StateSpace.moved`, whose footprint bits
   are the packed states masked (`StateSpace.packed` of `int`);
 - rows: pair-relation enumeration (`PairSpec.rows`/`pairs`/`partners_left`,
-  the columns of `PairSpec.one_partner`, the oracles' chunked iterators
-  `_row_chunks` and `_column_chunks`, which slices those columns) and the
-  oracles' row reader `_PreRows`: its fills, a row's union D and its right
-  class keys, done once per distinct shared row of a check;
+  the columns of `PairSpec.one_partner`, ranges for the identity relation,
+  the oracles' chunked iterators `_row_chunks` and `_column_chunks`, which
+  slices those columns) and the oracles' row reader `_PreRows`: its fills,
+  a row's union D and its right class keys, done once per distinct shared
+  row of a check;
 - walks: image computation (`kmodel.image`, through which every `PostMap`
   image is computed, a framed term's images lifted from its projections,
-  the per-state ends and the build of a framed term's end column by the
-  same `StateSpace.moved`, `PostMap._lift`/`ends`/`_column`, and
-  the pair-state walks of `witness.term_image` and `witness.term_tags`,
+  the per-state ends, sliced from a framed term's end column for a range of
+  states, the build of that column by the same `StateSpace.moved`, and the
+  images made from known ends, `PostMap._lift`/`ends`/`_column`/`keep_ends`,
+  and the pair-state walks of `witness.term_image` and `witness.term_tags`,
   which step frontiers of rows; `kat_post`/`kat_pre` are timed too, but
   only the zero-hypothesis check of script replay calls them);
 - check: the rest of the verdict's time: the oracles' own loops, script
@@ -130,7 +132,7 @@ def install(ph: Phases) -> None:
     kmodel.TestSem.table = ph.timed("tables", kmodel.TestSem.table)
     imp.ImpEnv.values = ph.timed("tables", imp.ImpEnv.values)
 
-    for attr in ("_lift", "ends", "_column"):
+    for attr in ("_lift", "ends", "_column", "keep_ends"):
         setattr(core.PostMap, attr, ph.timed("walks", getattr(core.PostMap, attr)))
     core.PairSpec.rows = ph.timed_rows(core.PairSpec.rows)
     for attr in ("pairs", "partners_left", "one_partner"):
