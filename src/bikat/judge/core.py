@@ -359,14 +359,9 @@ class PostMap:
         if missing:
             if self._mask is None:
                 cache.update(image(self.model, self.term, missing, self.backward))
-            else:
-                self._lift(missing)
+            else:  # shifted from the images of their footprint projections
+                self.keep_ends(missing, self._framed_ends(missing))
         return cache
-
-    def _lift(self, states: list[int]) -> None:
-        """The images of `states`, none known yet, shifted from the images of
-        their footprint projections."""
-        self.keep_ends(states, self._framed_ends(states))
 
     def keep_ends(self, states, ends) -> None:
         """Keep the images of `states` made from `ends`, their ends as `ends`

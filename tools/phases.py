@@ -23,10 +23,11 @@ time, so nested calls are counted once, into four phases:
   image is computed, a framed term's images lifted from its projections,
   the per-state ends, sliced from a framed term's end column for a range of
   states, the build of that column by the same `StateSpace.moved`, and the
-  images made from known ends, `PostMap._lift`/`ends`/`_column`/`keep_ends`,
-  and the pair-state walks of `witness.term_image` and `witness.term_tags`,
-  which step frontiers of rows; `kat_post`/`kat_pre` are timed too, but
-  only the zero-hypothesis check of script replay calls them);
+  images made from known ends, `PostMap.ends`/`_framed_ends`/`_column`/
+  `keep_ends`, and the pair-state walks of `witness.term_image` and
+  `witness.term_tags`, which step frontiers of rows; `kat_post`/`kat_pre`
+  are timed too, but only the zero-hypothesis check of script replay calls
+  them);
 - check: the rest of the verdict's time: the oracles' own loops, script
   replay and the proof checker.
 
@@ -132,7 +133,7 @@ def install(ph: Phases) -> None:
     kmodel.TestSem.table = ph.timed("tables", kmodel.TestSem.table)
     imp.ImpEnv.values = ph.timed("tables", imp.ImpEnv.values)
 
-    for attr in ("_lift", "ends", "_column", "keep_ends"):
+    for attr in ("ends", "_framed_ends", "_column", "keep_ends"):
         setattr(core.PostMap, attr, ph.timed("walks", getattr(core.PostMap, attr)))
     core.PairSpec.rows = ph.timed_rows(core.PairSpec.rows)
     for attr in ("pairs", "partners_left", "one_partner"):
