@@ -545,8 +545,8 @@ class PairSpec:
         """(template, open) for every left state at once: the bits its right
         partners take on the forced fields, as a state array, and one byte
         per state, 1 where the left conditions hold, every forced value
-        fits its field and, with every field forced, the template passes the
-        right tests (None: at every state).  Each forced field's column is
+        fits its field and, with one free pattern, 0, the template passes the
+        right tests that read a forced field (None: at every state).  Each forced field's column is
         lifted from the footprint of its left expression, packed, and the
         disjoint fields are summed.  The identity, every field forced by an
         `==` whose two sides read that field and no other atom, has the
@@ -574,8 +574,8 @@ class PairSpec:
     def _identity(self, lay: _Layout) -> bool:
         """Whether the layout relates each state to itself alone: a space
         with fields, every field forced to its own left value, and no other
-        atom (a right test that reads no field left the one pattern, 0, in
-        place)."""
+        atom (a right test that reads no field may have been folded into the
+        patterns, if it kept the one pattern, 0)."""
         fields = self.bm.space.fields()
         return (lay.patterns == [0] and 0 < len(fields) == len(lay.forced)
                 and lay.left is None is lay.right and not lay.preds and all(

@@ -74,10 +74,9 @@ def check(bm, t):
     return cols
 
 
-@pytest.mark.parametrize("name, text", [(name, text) for name, text, *_ in
-                                        RECORDER.problems()],
-                         ids=lambda v: v if len(v) < 40 else "")
-def test_corpus_pres_and_posts_equal_the_reference(name, text):
+@pytest.mark.parametrize("problem", list(RECORDER.problems()), ids=lambda p: p[0])
+def test_corpus_pres_and_posts_equal_the_reference(problem):
+    name, text, *_ = problem
     prob = load_problem(text, name, width_override=2)
     got = [check(prob.bm, t) for t in (prob.pre, prob.post)]
     if name.startswith("loop-tiling"):
