@@ -34,11 +34,14 @@ script steps are parsed by `bi.parse.parse_step`.  The named blocks inside
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
+from functools import partial
 
+from .bi import script
 from .bi.parse import as_bitest, bikat_grammar, parse_script_lines
 from .bi.script import AlignmentScript, ScriptContext, Step
 from .bi.terms import BT1, BiKatTerm, BiTestTerm, emb_pair
+from .judge import oracles, witness
 from .judge.core import Judgment, RelSpec
 from .judge.oracles import ORACLES
 from .kat.decide import ZeroHypothesis
@@ -49,6 +52,7 @@ from .models.imp import (BAndE, BCmp, BConst, BNotE, BOrE, EArr, EBin, ECall,
                          EConst, EVar, ImpEnv, Program, SArrAssign, SAssign,
                          SAssume, SHavoc, SIf, SSkip, SWhile, Stmt)
 from .models.space import SIZE_CAP, ArrayDecl, SpaceError, StateSpace, VarDecl
+from .rhl import proof
 from .rhl.proof import (ImplicationHypothesis, RelHypothesis, RhlContext,
                         RhlJudgment, rel_bitest_term)
 
@@ -273,6 +277,28 @@ class ImpTermParser:
 
 # --- problem files -------------------------------------------------------------
 
+# The checks of a problem after the six judgment kinds, in record order: the
+# term each reads (a problem attribute, or "tree": a parsed proof given with
+# it) and its call on the problem, that term and the problem's judgment.  Each
+# call looks its function up in the module as it runs: a later wrapper is seen.
+CHECKS = {
+    "adequate": ("script_goal", lambda p, goal, j: oracles.check_adequacy(
+        p.bm, j.spec.pre, j.left, j.right, goal)),
+    "script_accepted": ("script_goal", lambda p, goal, j: script.check_script(
+        p.script(), p.script_context())),
+    "witness_fvalid": ("witness", lambda p, w, j: witness.check_fvalid(p.bm, w, j)),
+    "witness_bvalid": ("witness", lambda p, w, j: witness.check_bvalid(p.bm, w, j)),
+    "proof_accepted": ("tree", lambda p, tree, j: proof.check_proof(
+        p.rhl_context(), tree, p.rhl_judgment())),
+}
+
+
+def passed(result) -> bool:
+    """The verdict of a check's result: a judgment's `holds`, a witness
+    report's `valid`, a script's or a proof's `accepted`."""
+    return next(getattr(result, v) for v in ("holds", "valid", "accepted") if hasattr(result, v))
+
+
 @dataclass
 class Problem:
     name: str
@@ -323,6 +349,24 @@ class Problem:
             parse_test=p.test,
             model=self.bm.base,
         )
+
+    def checks(self, tree: proof.ProofTree | None = None) -> dict:
+        """Each check of this problem, by name, as a call of no arguments:
+        the judgment kinds of `ORACLES` on its programs, pre and post, then
+        each entry of `CHECKS` whose term it has; `proof_accepted` only given
+        a parsed proof `tree`."""
+        j = self.judgment()
+        out = {kind: partial(lambda jk: oracles.dispatch(self.bm, jk), replace(j, kind=kind))
+               for kind in ORACLES}
+        for name, (reads, run) in CHECKS.items():
+            term = tree if reads == "tree" else getattr(self, reads)
+            if term is not None:
+                out[name] = partial(run, self, term, j)
+        return out
+
+    def check_of(self, expect: str) -> str:
+        """The check that an expect line names: `holds` is the kind's."""
+        return self.kind if expect == "holds" else expect
 
 
 def load_problem(text: str, name: str = "<problem>",
@@ -414,8 +458,8 @@ def _load(text: str, name: str, width_override: int | None) -> Problem:
 
     blocks = {"left": parse_stmts_text, "right": parse_stmts_text,
               "pre": parser.bitest, "post": parser.bitest, "witness": parser.bikat}
-    script = {"start": parser.bikat, "goal": parser.bikat,
-              "steps": lambda blob: tuple(parse_script_lines(blob))}
+    parts = {"start": parser.bikat, "goal": parser.bikat,
+             "steps": lambda blob: tuple(parse_script_lines(blob))}
     for entry in raw:
         key = entry[0]
         if key == "kind":
@@ -438,20 +482,18 @@ def _load(text: str, name: str, width_override: int | None) -> Problem:
                 _within(name, entry[3], parser.bitest))
         elif key == "script":
             for part, value in _within(key, entry[1],
-                                       lambda blob: _blocks(blob, "script", script)).items():
+                                       lambda blob: _blocks(blob, "script", parts)).items():
                 setattr(prob, f"script_{part}", value)
         else:
             raise ParseError(f"unknown problem block {key!r}")
-    # an expect line names a check, and the problem has the term it reads
-    reads = {"holds": BT1, "proof_accepted": BT1, "adequate": prob.script_goal,
-             "script_accepted": prob.script_goal, "witness_fvalid": prob.witness,
-             "witness_bvalid": prob.witness}
+    # an expect line names a check, and the problem has the term it reads;
+    # `holds` reads none, and a proof tree is given with a problem, not in it
     for _, word, at in (entry for entry in raw if entry[0] == "expect"):
-        if word not in reads:
-            raise ParseError(f"unknown expect {word!r}; known: {', '.join(reads)}", at)
-        if reads[word] is None:
-            what = "witness" if word.startswith("witness") else "script goal"
-            raise ParseError(f"expect {word}: the problem has no {what}", at)
+        if word != "holds" and word not in CHECKS:
+            raise ParseError(f"unknown expect {word!r}; known: holds, {', '.join(CHECKS)}", at)
+        reads = CHECKS[word][0] if word in CHECKS else None
+        if reads not in (None, "tree") and getattr(prob, reads) is None:
+            raise ParseError(f"expect {word}: the problem has no {reads.replace('_', ' ')}", at)
     # a bad program is refused here rather than in the middle of a check;
     # compiling binds each primitive once, and later compiles reuse it
     programs = [prob.left, prob.right]

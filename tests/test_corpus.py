@@ -7,11 +7,8 @@ from pathlib import Path
 import pytest
 
 from bikat.bi.script import check_script
-from bikat.judge.oracles import check_adequacy, dispatch
-from bikat.judge.witness import check_bvalid, check_fvalid
-from bikat.problem import Cur, load_problem, parse_expr
+from bikat.problem import Cur, load_problem, parse_expr, passed
 from bikat.rhl.parse import parse_proof
-from bikat.rhl.proof import check_proof
 
 CORPUS = Path(__file__).resolve().parent.parent / "src" / "bikat" / "corpus"
 PROBLEMS = sorted(CORPUS.glob("*.prob"))
@@ -24,23 +21,17 @@ def corpus_problem(name: str):
     return load_problem((CORPUS / f"{name}.prob").read_text(), name)
 
 
-def verdict(kind: str, prob, proof_path: Path) -> bool:
-    if kind == "holds":
-        return dispatch(prob.bm, prob.judgment()).holds
-    if kind == "script_accepted":
-        return check_script(prob.script(), prob.script_context()).accepted
-    if kind == "adequate":
-        j = prob.judgment()
-        return check_adequacy(prob.bm, j.spec.pre, j.left, j.right,
-                              prob.script_goal).holds
-    if kind in ("witness_fvalid", "witness_bvalid"):
-        check = check_fvalid if kind == "witness_fvalid" else check_bvalid
-        return check(prob.bm, prob.witness, prob.judgment()).valid
-    if kind == "proof_accepted":
-        tree = parse_proof(proof_path.read_text(), prob.parser.bitest,
-                           lambda s: parse_expr(Cur(s)))
-        return check_proof(prob.rhl_context(), tree, prob.rhl_judgment()).accepted
-    raise AssertionError(f"unknown expect line {kind!r}")
+def proof_tree(prob, path: Path | None):
+    """The proof at `path` parsed for `prob`; None if there is no such file."""
+    if path is None or not path.is_file():
+        return None
+    return parse_proof(path.read_text(), prob.parser.bitest, lambda s: parse_expr(Cur(s)))
+
+
+def verdict(kind: str, prob, proof_path: Path | None) -> bool:
+    """Whether the check that the expect line `kind` names passes."""
+    tree = proof_tree(prob, proof_path) if kind == "proof_accepted" else None
+    return passed(prob.checks(tree)[prob.check_of(kind)]())
 
 
 def test_corpus_is_present():

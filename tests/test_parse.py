@@ -7,15 +7,17 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from bikat.bi import BiAlphabet, bikat_equiv, parse_biterm, parse_step
+from bikat.bi import BiAlphabet, bikat_equiv, parse_biterm, parse_step, script
 from bikat.bi.terms import (BT0, BT1, BEmbLTest, BEmbRTest, BPrim, band, bembl,
                             bembr, bnot, bor, bplus, bseq, bstar, btest, emb_pair)
+from bikat.judge import oracles, witness
+from bikat.judge.oracles import ORACLES
 from bikat.kat import (Alphabet, CapExceeded, ParseError, kact, kat_equiv,
                        kseq, parse_term)
 from bikat.models.space import SpaceError
-from bikat.problem import (Cur, load_problem, parse_bool, parse_expr,
+from bikat.problem import (CHECKS, Cur, load_problem, parse_bool, parse_expr,
                            parse_stmt)
-from bikat.rhl import check_selfcomp
+from bikat.rhl import check_selfcomp, proof
 from bikat.rhl.parse import parse_proof
 from bikat.rhl.proof import rel_bitest_term
 
@@ -139,7 +141,8 @@ TWO = ("width 1;\nvars x;\nleft { x := 1; }\nright { x := 1; }\n"
 
 
 @pytest.mark.parametrize("expect, extra, message", [
-    ("bogus", "", "unknown expect 'bogus'; known: holds, "),
+    ("bogus", "", "unknown expect 'bogus'; known: holds, adequate, script_accepted, "
+     "witness_fvalid, witness_bvalid, proof_accepted"),
     ("adequate", "", "expect adequate: the problem has no script goal"),
     ("script_accepted", "", "expect script_accepted: the problem has no script goal"),
     ("adequate", "script { steps { hom-seq @ 0 } }",
@@ -153,7 +156,7 @@ def test_expect_line_that_cannot_be_checked_is_refused(expect, extra, message):
     text = f"{TWO}expect holds;\nexpect {expect};\n{extra}\n"
     with pytest.raises(ParseError) as err:
         load_problem(text)
-    assert err.value.msg.startswith(message), err.value.msg
+    assert err.value.msg == message
     assert text[err.value.pos:].startswith(f"{expect};")
 
 
@@ -169,6 +172,32 @@ def test_expect_lines_with_their_terms_load_and_run():
     # so it is not backward-valid (WCb)
     assert [verdict(kind, prob, None) for kind in prob.expects[:4]] == [
         True, True, True, False]
+
+
+def test_each_check_looks_its_function_up_when_it_runs(monkeypatch):
+    # a wrapper put on a check's module attribute after the table is built,
+    # as a tracer's is, sees the one call of that check
+    prob = load_problem(TWO + "script { goal { <x := 1 | x := 1> } }\n"
+                        "witness { <x := 1 | x := 1> }\n")
+    checks = prob.checks(parse_proof("(dprim)", prob.parser.bitest,
+                                     lambda s: parse_expr(Cur(s))))
+    assert list(checks) == [*ORACLES, *CHECKS]
+    called_by = {**dict.fromkeys(ORACLES, (oracles, "dispatch")),
+                 "adequate": (oracles, "check_adequacy"),
+                 "script_accepted": (script, "check_script"),
+                 "witness_fvalid": (witness, "check_fvalid"),
+                 "witness_bvalid": (witness, "check_bvalid"),
+                 "proof_accepted": (proof, "check_proof")}
+    calls = []
+    for module, name in set(called_by.values()):
+        def counting(*args, name=name, f=getattr(module, name)):
+            calls.append(name)
+            return f(*args)
+        monkeypatch.setattr(module, name, counting)
+    for check, run in checks.items():
+        calls.clear()
+        run()
+        assert calls == [called_by[check][1]], check
 
 
 # --- terms and steps ----------------------------------------------------------------

@@ -8,7 +8,8 @@ import json
 import re
 from pathlib import Path
 
-from bikat.judge.oracles import ORACLES
+from bikat.problem import Cur, load_problem, parse_expr
+from bikat.rhl.parse import parse_proof
 
 ROOT = Path(__file__).resolve().parent.parent
 
@@ -35,10 +36,13 @@ def test_record_covers_every_problem_and_expectation():
     recs = [json.loads(line) for line in RECORDER.RECORD.read_text().splitlines()]
     problems = list(RECORDER.problems())
     assert len(problems) == 13  # eight corpus files and five mutants
-    for name, *_ in problems:
+    for name, text, proof, _ in problems:
+        # the checks of the problem's table, in its order, then its pairs
+        prob = load_problem(text, name, width_override=2)
+        tree = None if proof is None else parse_proof(
+            proof, prob.parser.bitest, lambda s: parse_expr(Cur(s)))
         checks = [r["check"] for r in recs if r["problem"] == name]
-        assert checks[:6] == list(ORACLES)
-        assert checks[-2:] == ["pairs_pre", "pairs_post"]
+        assert checks == [*prob.checks(tree), "pairs_pre", "pairs_post"]
     expects = sum(len(exp) if exp else len(re.findall(r"^\s*expect\s", text, re.M))
                   for _, text, _, exp in problems)
     assert sum("expect" in r for r in recs) == expects == 41
@@ -50,7 +54,6 @@ def test_printed_script_terms_parse_back():
     # to an equal term: program conditions inside embedded KAT terms print
     # in brackets
     from bikat.bi.script import check_script
-    from bikat.problem import load_problem
 
     failing = 0
     for name, text, _, _ in RECORDER.problems():

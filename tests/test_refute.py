@@ -2,33 +2,15 @@
 `MUTANTS` holds on the mutated corpus file.  Their refutations are the
 checks that stop at a first counterexample."""
 
-import importlib.util
-import sys
-from pathlib import Path
-
 import pytest
 
-from bikat.judge.core import Judgment
-from bikat.judge.oracles import check_adequacy, dispatch
-from bikat.problem import Cur, load_problem, parse_expr
-from bikat.rhl.parse import parse_proof
-from bikat.rhl.proof import check_proof
+from bikat.judge.oracles import dispatch
+from bikat.problem import load_problem
 
-from test_corpus import CORPUS, verdict
+from test_corpus import CORPUS, proof_tree, verdict
+from test_record import RECORDER
 
-ROOT = Path(__file__).resolve().parent.parent
-
-
-def _workloads():
-    spec = importlib.util.spec_from_file_location(
-        "perfbench_workloads", ROOT / "perfbench" / "workloads.py")
-    module = importlib.util.module_from_spec(spec)
-    sys.modules[spec.name] = module  # its dataclasses look their module up
-    spec.loader.exec_module(module)
-    return module
-
-
-WORKLOADS = _workloads()
+WORKLOADS = RECORDER._workloads()
 
 
 def _mutant_problem(m):
@@ -97,9 +79,7 @@ MUTANT_PROOF = {
 def test_mutant_proof_failures_are_pinned(source):
     mutant = next(m for m in WORKLOADS.MUTANTS if m.source == source)
     prob = _mutant_problem(mutant)
-    tree = parse_proof((CORPUS / f"{source}.proof").read_text(), prob.parser.bitest,
-                       lambda s: parse_expr(Cur(s)))
-    res = check_proof(prob.rhl_context(), tree, prob.rhl_judgment())
+    res = prob.checks(proof_tree(prob, CORPUS / f"{source}.proof"))["proof_accepted"]()
     assert not res.accepted
     assert [(n.path, n.rule, n.message) for n in res.reports if not n.ok] == [
         MUTANT_PROOF[source]]
@@ -139,19 +119,17 @@ def test_counterexamples_and_failing_proof_nodes_are_pinned(name):
         MUTANT_ALLALL)
     assert {n for n in PINNED if "~" not in n} == {p.stem for p in CORPUS.glob("*.prob")}
     prob, source = _pinned_problem(name)
-    j = prob.judgment()
+    checks = prob.checks(proof_tree(prob, CORPUS / f"{source}.proof"))
     got = []
     for kind in ("allall", "fsim"):
-        res = dispatch(prob.bm, Judgment(kind, j.left, j.right, j.spec))
+        res = checks[kind]()
         assert set(res.routes.values()) == {res.holds}, (name, kind, res.routes)
         got.append(None if res.holds else res.counterexample.states)
-    if prob.script_goal is not None:
-        res = check_adequacy(prob.bm, j.spec.pre, j.left, j.right, prob.script_goal)
+    if "adequate" in checks:
+        res = checks["adequate"]()
         got.append(None if res.holds else res.counterexample.states)
-    proof = CORPUS / f"{source}.proof"
-    if proof.exists():
-        tree = parse_proof(proof.read_text(), prob.parser.bitest, lambda s: parse_expr(Cur(s)))
-        res = check_proof(prob.rhl_context(), tree, prob.rhl_judgment())
+    if "proof_accepted" in checks:
+        res = checks["proof_accepted"]()
         bad = [(n.path, n.rule) for n in res.reports if not n.ok]
         assert res.accepted == (not bad)
         got.append(bad[0] if bad else None)

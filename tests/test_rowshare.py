@@ -7,12 +7,12 @@ import pytest
 
 from bikat.judge import oracles
 from bikat.judge.core import EnumRefused, Judgment, PairPred, PairSpec, pair_spec
-from bikat.judge.oracles import ORACLES, check_adequacy, dispatch
+from bikat.judge.oracles import check_adequacy, dispatch
 from bikat.models.bmodel import bitest_holds
 from bikat.problem import load_problem
 from bikat.rhl.proof import check_implication
 
-from test_corpus import PROBLEMS, verdict
+from test_corpus import PROBLEMS, proof_tree
 
 # x is forced from the left state, y and z are free: a row per value of x
 FREE = "width 2; vars x y z;\npre { [x == x] & R[z != 3] }"
@@ -188,13 +188,10 @@ def test_only_shared_rows_are_kept_for_the_check(monkeypatch, pre, kept):
 
 
 def run_everything(prob, path):
-    """Every expect line and proof of a corpus problem, then every judgment
-    kind; a check that is false at this width is run all the same."""
-    for kind in prob.expects:
-        verdict(kind, prob, path.with_suffix(".proof"))
-    j = prob.judgment()
-    for kind in ORACLES:
-        dispatch(prob.bm, Judgment(kind, j.left, j.right, j.spec))
+    """Every check of a corpus problem, its proof's among them; a check that
+    is false at this width is run all the same."""
+    for run in prob.checks(proof_tree(prob, path.with_suffix(".proof"))).values():
+        run()
 
 
 def pairs_or_refusal(spec):

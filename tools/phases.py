@@ -4,8 +4,8 @@ Run from the root of a checkout (its `src/` is imported):
 
     python3 tools/phases.py --workload judge-large --passes 5 --seed 1
 
-Each pass loads every case of the workload afresh and runs its checks, as
-`perfbench/run.py` does.  The time inside a check is split by exclusive
+Each pass loads every case of the workload afresh and runs its checks
+through `Problem.checks`.  The time inside a check is split by exclusive
 time, so nested calls are counted once, into four phases:
 
 - tables: successor, predecessor and test tables, expression value lists
@@ -156,7 +156,7 @@ def install(ph: Phases) -> None:
                     setattr(mod, name, funcs[value])
 
 
-def run_pass(ph: Phases, cases, verdict) -> dict[str, float]:
+def run_pass(ph: Phases, cases) -> dict[str, float]:
     from bikat import problem
     from bikat.rhl import parse as rparse
     ph.totals = {}
@@ -177,7 +177,7 @@ def run_pass(ph: Phases, cases, verdict) -> dict[str, float]:
         for check in case.checks:
             frame = ph.enter("check")
             try:
-                got = verdict(check.kind, prob, tree)
+                got = problem.passed(prob.checks(tree)[prob.check_of(check.kind)]())
             finally:
                 ph.leave(frame)
             key = f"{case.name} {check.kind}"
@@ -200,16 +200,14 @@ def main() -> None:
     args = ap.parse_args()
     sys.path[:0] = [str(ROOT / "src"), str(ROOT / "perfbench")]
     import workloads
-    from run import Bikat
 
     cases = workloads.build(args.workload, ROOT, args.seed)
     ph = Phases()
     install(ph)
-    verdict = Bikat().verdict
     passes = []
     for _ in range(args.passes):
         gc.collect()
-        passes.append(run_pass(ph, cases, verdict))
+        passes.append(run_pass(ph, cases))
     checks = [p.pop("by_check") for p in passes]
     result = {k: statistics.median(p[k] for p in passes) for k in passes[0]}
     result["wrong"] = max(p["wrong"] for p in passes)

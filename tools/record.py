@@ -10,11 +10,12 @@ Run from anywhere; the checkout's `src/` is imported:
 
 The problems are the corpus files, in name order, then the mutants of
 `perfbench/workloads.py` (read, never changed), in its order.  Per problem
-the checks are the six judgment kinds on its programs, pre and post; if it
-has a script goal, adequacy of the goal and the script's replay; if it has a
-witness, forward and backward witness validity; if it has a proof, the
-proof; and last the pair enumeration of its pre and of its post.  A record
-names the problem and the check, and the verdict that an
+the checks are those of `Problem.checks`, in the order of its table
+(`bikat.problem.CHECKS`): the six judgment kinds on its programs, pre and
+post; if it has a script goal, adequacy of the goal and the script's replay;
+if it has a witness, forward and backward witness validity; if it has a
+proof, the proof; and last the pair enumeration of its pre and of its post.
+A record names the problem and the check, and the verdict that an
 `expect` line of the file or the mutant's table expects of it, if any.  It
 holds what the check found: an oracle's verdict, routes, notes and
 counterexample (condition, states and text); a witness check's conditions,
@@ -99,6 +100,12 @@ def _proof(res) -> dict:
             "root": None if res.root_oracle is None else _judge(res.root_oracle)}
 
 
+def _fields(res) -> dict:
+    """The record fields of a check's result, chosen by its type."""
+    return {"JudgeResult": _judge, "WitnessReport": _witness, "ScriptResult": _script,
+            "ProofResult": _proof}[type(res).__name__](res)
+
+
 def _pairs(spec) -> dict:
     """The pairs of `spec.pairs()`, counted and hashed in order as `rows`
     streams them (no list of pairs is built), and whether `one_partner`
@@ -111,36 +118,15 @@ def _pairs(spec) -> dict:
             "columns": spec.one_partner() is not None}
 
 
-def _checks(prob, proof: str | None):
-    """(check name, a function giving its record fields), in record order."""
-    from bikat.bi.script import check_script
-    from bikat.judge.core import Judgment, PairSpec
-    from bikat.judge.oracles import ORACLES, check_adequacy, dispatch
-    from bikat.judge.witness import check_bvalid, check_fvalid
-    from bikat.problem import Cur, parse_expr
-    from bikat.rhl.parse import parse_proof
-    from bikat.rhl.proof import check_proof
+def _checks(prob, tree):
+    """(check name, a function giving its record fields), in record order:
+    the checks of `prob.checks(tree)`, then the pair enumerations."""
+    from bikat.judge.core import PairSpec
 
-    bm, j = prob.bm, prob.judgment()
-    for kind in ORACLES:
-        yield kind, lambda kind=kind: _judge(
-            dispatch(bm, Judgment(kind, j.left, j.right, j.spec)))
-    if prob.script_goal is not None:
-        yield "adequate", lambda: _judge(
-            check_adequacy(bm, j.spec.pre, j.left, j.right, prob.script_goal))
-        yield "script_accepted", lambda: _script(
-            check_script(prob.script(), prob.script_context()))
-    if prob.witness is not None:
-        for name, check in (("witness_fvalid", check_fvalid),
-                            ("witness_bvalid", check_bvalid)):
-            yield name, lambda check=check: _witness(check(bm, prob.witness, j))
-    if proof is not None:
-        def proved():
-            tree = parse_proof(proof, prob.parser.bitest, lambda s: parse_expr(Cur(s)))
-            return _proof(check_proof(prob.rhl_context(), tree, prob.rhl_judgment()))
-        yield "proof_accepted", proved
+    for name, run in prob.checks(tree).items():
+        yield name, lambda run=run: _fields(run())
     for side in ("pre", "post"):  # a fresh spec: enumerated from nothing
-        yield f"pairs_{side}", lambda t=getattr(j.spec, side): _pairs(PairSpec(bm, t))
+        yield f"pairs_{side}", lambda t=getattr(prob, side): _pairs(PairSpec(prob.bm, t))
 
 
 def records(width: int | None = 2) -> list[str]:
@@ -151,17 +137,19 @@ def records(width: int | None = 2) -> list[str]:
     from bikat.kat.terms import CapExceeded
     from bikat.models.kmodel import ModelError
     from bikat.models.space import SpaceError
-    from bikat.problem import load_problem
+    from bikat.problem import Cur, load_problem, parse_expr
+    from bikat.rhl.parse import parse_proof
 
     refusals = (RouteDisagreement, EnumRefused, CapExceeded, SpaceError, ModelError)
     out = []
     for name, text, proof, expects in problems():
         prob = load_problem(text, name, width_override=width)
+        tree = None if proof is None else parse_proof(
+            proof, prob.parser.bitest, lambda s: parse_expr(Cur(s)))
         if expects is None:
             expects = dict.fromkeys(prob.expects, True)
-        if "holds" in expects:
-            expects[prob.kind] = expects.pop("holds")
-        for check, run in _checks(prob, proof):
+        expects = {prob.check_of(check): v for check, v in expects.items()}
+        for check, run in _checks(prob, tree):
             rec = {"problem": name, "check": check}
             if check in expects:
                 rec["expect"] = expects[check]
