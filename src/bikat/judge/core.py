@@ -90,11 +90,13 @@ class EnumRefused(Exception):
 
 
 class ExprBitest(BitestSem):
-    """Bitest comparing a left-state expression with a right-state one.
-    The per-state value lists of both sides are filled on first use, so a
-    membership test costs two list lookups."""
+    """Bitest comparing a left-state expression with a right-state one,
+    both compiled when it is built, so that a name the space lacks is
+    refused then, as in a program.  The per-state value lists of both sides
+    are filled on first use, so a membership test costs two list lookups."""
 
     def __init__(self, env: ImpEnv, lexpr, op: str, rexpr):
+        env.compile_expr(lexpr), env.compile_expr(rexpr)
         super().__init__(env.space, pred=self._holds)
         self.env = env
         self.lexpr = lexpr

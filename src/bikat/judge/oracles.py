@@ -9,7 +9,7 @@ an early counterexample computes few images.
 
 The rows are read through one row reader per check (`_PreRows`), which does
 the right-side work of each distinct row once: it fills the right images of
-the row's partners, takes D, the union of those images, and for adequacy
+the row's partners, takes D, the union of those images, and for the class walk
 the row's right class keys.  R;<c|d> factors through the rows of R, so a
 row's work serves every left state that shares it.  The reader keeps a row
 by its id for the whole check only where the id cannot be reused: the
@@ -69,24 +69,21 @@ negation of fsim against the negated post; ∃∃ that of ∀∀, R;<c|d>;!S != 
 incorrectness is bsim, c;S <= R;d.  A negated base's counterexample is the
 derived kind's witness, `<kind>-witness`, with the base's states and text.
 
-Adequacy (`check_adequacy`) splits the aligned term B at the longest prefix
-of its chain made of one-sided factors, which commute: B = <p|q> ; rest.  A
-pre pair (a, b) with runs is decided by its class, the key (p(a), c(a), q(b),
-d(b)) of the `PostMap` images of the prefix and the programs.  The classes
-of a chunk are (p(a), c(a)) x the right class keys (q(b), d(b)) of a's row,
-which the row reader makes once per shared row.  Per chunk, rest is walked
-once, as rows of tagged pairs, from the start pairs p(a) x q(b) of the
-classes that no earlier chunk covered, one tag bit per class (see
-`witness.term_tags`); coverage is read from the tags of the rows it reaches,
-and the counterexample is the first uncovered pre pair in pre order and its
-first uncovered run pair in image order.
+One class walk (`_class_walks`) serves adequacy and witness validity.  A
+term split at its longest prefix of one-sided factors, which commute, is
+<p|q> ; rest, so a source (a, b) is decided by its class, the `PostMap`
+images (p(a), c(a), q(b), d(b)).  Per chunk, rest is walked once, as rows of
+tagged pairs (`witness.term_tags`), from the start pairs p(a) x q(b) of the
+classes new in the chunk, one tag bit per class.  Adequacy reads coverage of
+c(a) x d(b) from the tags, and validity its conditions; a failing class
+names its first source in pre order, and that its first failing pair.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
 from functools import partial, reduce
-from itertools import chain, compress, islice, takewhile
+from itertools import chain, compress, islice, repeat, takewhile
 from operator import and_, contains, is_not, itemgetter
 
 from ..bi.terms import BiKatTerm, bnot, bseq, seq_chain, unembed
@@ -113,8 +110,10 @@ class RouteDisagreement(AssertionError):
     simulation oracle.  Raised explicitly, so `python -O` keeps it."""
 
 
-def _spec_views(bm: BiModel, j: Judgment) -> tuple[PairSpec, PairSpec]:
-    return pair_spec(bm, j.spec.pre), pair_spec(bm, j.spec.post)
+def _spec_views(bm: BiModel, j: Judgment, backward: bool = False) -> tuple[PairSpec, PairSpec]:
+    """The pre and post specs of `j`; of its converse, post and pre, if `backward`."""
+    r, s = pair_spec(bm, j.spec.pre), pair_spec(bm, j.spec.post)
+    return (s, r) if backward else (r, s)
 
 
 def _two_routes(kind: str, cex: tuple | None, render, route: str,
@@ -165,10 +164,6 @@ class _PreRows:
         self.unions: dict[int, frozenset[int]] | None = {} if shared else None
         self.classes: dict[int, set] | None = {} if shared else None
 
-    def chunks(self, most: int | None = None):
-        """The chunks of `_row_chunks`, each filled."""
-        return map(self.fill, _row_chunks(self.r, most))
-
     def fill(self, chunk: list) -> list:
         """`chunk`, with the left images of its states computed, and the
         right images of its rows whose left state has runs."""
@@ -202,7 +197,8 @@ class _PreRows:
         got = self.classes.get(id(row))
         if got is None:
             qimg, dimg = self.qpost.images, self.dpost.images
-            got = self.classes[id(row)] = {(qimg[b], ds) for b in row if (ds := dimg[b])}
+            got = self.classes[id(row)] = set(zip(map(qimg.__getitem__, row),
+                                                  map(dimg.__getitem__, row)))
         return got
 
 
@@ -210,7 +206,7 @@ def _run_rows(r: PairSpec, cpost: PostMap, dpost: PostMap):
     """(a, partners, cpost[a]) for each pre row whose left state a has runs,
     with the right images of its partners computed."""
     cimg = cpost.images
-    for chunk in _PreRows(r, cpost, dpost).chunks():
+    for chunk in map(_PreRows(r, cpost, dpost).fill, _row_chunks(r)):
         for a, bs in chunk:
             cs = cimg[a]
             if cs:
@@ -385,82 +381,95 @@ def _common_partners(partners):
     return allowed
 
 
-def _one_sided_prefix(b: BiKatTerm) -> tuple[KatTerm, KatTerm, BiKatTerm]:
+def _one_sided_prefix(b: BiKatTerm, backward: bool = False
+                      ) -> tuple[KatTerm, KatTerm, BiKatTerm]:
     """(p, q, rest) with b = <p|q> ; rest: the longest prefix of b's sequence
     chain made of one-sided factors, `<c]`, `[d>` and one-sided tests, which
     commute, split into p, the sequence of its left parts, and q, of its
-    right parts; rest is the remainder of the chain."""
-    factors = seq_chain(b)
+    right parts; rest is the remainder of the chain.  With `backward`, the
+    longest such suffix: b = rest ; <p|q>."""
+    step = -1 if backward else 1
+    factors = seq_chain(b)[::step]
     sides = list(takewhile(partial(is_not, None), map(unembed, factors)))
-    return (kseq(*(k for s, k in sides if s == "L")),
-            kseq(*(k for s, k in sides if s == "R")), bseq(*factors[len(sides):]))
+    return (kseq(*(k for s, k in sides[::step] if s == "L")),
+            kseq(*(k for s, k in sides[::step] if s == "R")),
+            bseq(*factors[len(sides):][::step]))
 
 
-def _uncovered(tags: dict, cs, ds, bit: int) -> tuple[int, int] | None:
-    """The first (t, t2) of cs x ds, in image order, whose tag lacks `bit`."""
-    for t in cs:
-        got = tags.get(t, {})
-        for t2 in ds:
-            if not got.get(t2, 0) & bit:
-                return t, t2
-    return None
+def _class_walks(bm: BiModel, r: PairSpec, c: KatTerm, d: KatTerm, p: KatTerm,
+                 q: KatTerm, walk, backward: bool = False, every: bool = True):
+    """The class walk (see the module docstring) of the pairs of `r`, in
+    chunks of 64, 128, ... up to WALK_SOURCES, keyed by the images (the
+    preimages if `backward`) of p, c, q and d; a class with no run on a side
+    is walked only if `every`.  Per chunk: (bits, tags, sources, more), a
+    bit per new class, the rows `walk` reaches from their start pairs with
+    those bits, `sources()`, the chunk's ((a, b), class) in pre order, and
+    `more()`, whether pairs are left after the chunk."""
+    cpost, dpost, ppost, qpost = (post_map(bm.base, t, backward) for t in (c, d, p, q))
+    cimg, dimg, qimg = cpost.images, dpost.images, qpost.images
+    rows = _PreRows(r, cpost, dpost, qpost)
+    seen: set = set()  # the classes of earlier chunks
+    chunks = _row_chunks(r, WALK_SOURCES)
+    for chunk in chunks:
+        cpost.fill(map(itemgetter(0), chunk))
+        if not every:  # no class of a source with no left run is walked
+            chunk = [(a, bs) for a, bs in chunk if cimg[a]]
+        rows.fill_right(map(itemgetter(1), chunk))
+        pimg = ppost.fill(map(itemgetter(0), chunk))
+        if r.shares_rows:
+            new = {(pimg[a], cimg[a]) + k for a, bs in chunk for k in rows.keys(bs)}
+        else:  # a row per left state: its keys pair by pair
+            new = {(pimg[a], cimg[a], qimg[b], dimg[b]) for a, bs in chunk for b in bs}
+        new -= seen
+        seen |= new
+        bits = dict(zip(new, map((1).__lshift__, range(len(new)))))
+        starts: dict[int, dict[int, int]] = {}
+        for (ps, cs, qs, ds), bit in bits.items():
+            for s in ps if qs and (every or cs and ds) else ():
+                row = starts.setdefault(s, {})
+                for s2 in qs:
+                    row[s2] = row.get(s2, 0) | bit
+
+        def sources(chunk=chunk, pimg=pimg):
+            for a, bs in chunk:
+                for b in bs:
+                    yield (a, b), (pimg[a], cimg[a], qimg[b], dimg[b])
+        yield bits, walk(starts) if starts else {}, sources, \
+            lambda: next(chunks, None) is not None
+
+
+def _grouped(pairs) -> dict:
+    """Each key of `pairs`, (key, bit), with the OR of its bits."""
+    out: dict = {}
+    for k, bit in pairs:
+        out[k] = out.get(k, 0) | bit
+    return out
 
 
 def check_adequacy(bm: BiModel, pre, c: KatTerm, d: KatTerm, b: BiKatTerm) -> JudgeResult:
     """R;<c|d> <= R;B: the aligned term covers all run pairs from the pre.
-
-    B is split as <p|q> ; rest at its one-sided prefix (`_one_sided_prefix`),
-    so the part of B's image that a source (a, b) reaches is rest's image of
-    p(a) x q(b), and whether it is covered depends only on its class, the key
-    (p(a), c(a), q(b), d(b)) of images that `PostMap` shares.  The pre pairs
-    are taken in chunks (64, 128, ... up to WALK_SOURCES); a chunk's classes
-    are (p(a), c(a)) x the right class keys (q(b), d(b)) of a's row, which
-    `_PreRows.keys` makes once per shared row.  The classes of a chunk's
-    sources with runs that no earlier chunk covered get one bit each,
-    set on their start pairs p(a) x q(b), and one pair-state walk of rest
-    (`witness.term_tags`) ORs the bits of every pair state it reaches.  A
-    class is covered when every (t, t2) in c(a) x d(b) carries its bit.  An
-    empty prefix makes every source its own class.  The first source in pre
-    order whose class is not covered, and its first uncovered run pair in
-    image order, give the counterexample, so the check stops at the first
-    chunk with one."""
+    The class walk (`_class_walks`) reads the pre pairs at the one-sided
+    prefix of B, rest walked by `witness.term_tags`; a class is covered when
+    every (t, t2) in c(a) x d(b) carries its bit.  The check stops at the
+    first chunk with an uncovered class."""
     from . import witness  # local import: witness builds on oracles' types
     r = pair_spec(bm, pre)
     p, q, rest = _one_sided_prefix(b)
-    cpost, dpost = post_map(bm.base, c), post_map(bm.base, d)
-    ppost, qpost = post_map(bm.base, p), post_map(bm.base, q)
-    cimg, dimg, qimg = cpost.images, dpost.images, qpost.images
-    rows = _PreRows(r, cpost, dpost, qpost)
-    covered: set = set()  # the classes of earlier chunks, all covered
-    for chunk in rows.chunks(WALK_SOURCES):
-        runs = [(a, bs) for a, bs in chunk if cimg[a]]
-        pimg = ppost.fill(map(itemgetter(0), runs))
-        if not r.shares_rows:  # a row per left state: its keys pair by pair
-            new = {(pimg[a], cimg[a], qimg[b2], ds) for a, bs in runs for b2 in bs
-                   if (ds := dimg[b2])}
-        else:
-            new = {(pimg[a], cimg[a]) + k for a, bs in runs for k in rows.keys(bs)}
-        new -= covered
-        bits = dict(zip(new, map((1).__lshift__, range(len(new)))))
-        starts: dict[int, dict[int, int]] = {}
-        for (ps, _, qs, _), bit in bits.items():
-            if not qs:  # no start pair: the class stays uncovered
-                continue
-            for s in ps:
-                row = starts.setdefault(s, {})
-                for s2 in qs:
-                    row[s2] = row.get(s2, 0) | bit
-        tags = witness.term_tags(bm, rest, starts) if starts else {}
-        if any(_uncovered(tags, k[1], k[3], bit) for k, bit in bits.items()):
-            for a, bs in runs:
-                for b2 in filter(dimg.__getitem__, bs):
-                    k = pimg[a], cimg[a], qimg[b2], dimg[b2]
-                    hit = k in bits and _uncovered(tags, k[1], k[3], bits[k])
-                    if hit:
-                        return JudgeResult("adequacy", False, Counterexample(
-                            "adequacy", (a, b2) + hit, f"run pair from {r.render_pair(a, b2)} "
-                            f"to {r.render_pair(*hit)} not covered"))
-        covered |= new
+    for bits, tags, sources, _ in _class_walks(
+            bm, r, c, d, p, q, lambda rows: witness.term_tags(bm, rest, rows), every=False):
+        failing = 0
+        for (cs, ds), mask in _grouped(((k[1], k[3]), bit) for k, bit in bits.items()).items():
+            got = mask  # the classes whose bit every pair of cs x ds has
+            for t in cs:
+                got = reduce(and_, map(tags.get(t, {}).get, ds, repeat(0)), got)
+            failing |= mask & ~got
+        if failing:
+            (a, b2), k = next(x for x in sources() if bits.get(x[1], 0) & failing)
+            hit = next((t, t2) for t in k[1] for t2 in k[3]
+                       if not tags.get(t, {}).get(t2, 0) & bits[k])
+            return JudgeResult("adequacy", False, Counterexample(
+                "adequacy", (a, b2) + hit, f"run pair from {r.render_pair(a, b2)} "
+                f"to {r.render_pair(*hit)} not covered"))
     return JudgeResult("adequacy", True)
 
 

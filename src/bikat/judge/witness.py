@@ -23,13 +23,14 @@ pair.  A step pays per row, not per pair:
   `rk[b]`, at C level; any other bitest calls its `PairPred` closure per
   pair.
 
-`term_tags` returns the tagged rows as they are, for a caller that reads
-coverage from the bits (adequacy); `term_image` and `term_preimage` decode
-them into per-source images, at most WALK_SOURCES sources per walk.  Images
-are computed only from the pairs the validity conditions quantify over
-(forward from the pre-relation, backward from the post-relation), so
-structured spaces with thousands of states per side stay tractable.  Those
-pairs are taken in the oracles' chunks, and a check stops at the end of the
+`term_tags` returns the tagged rows as they are; `term_image` and
+`term_preimage` decode them into per-source images.  Validity reads the
+oracles' class walk (`oracles._class_walks`), as adequacy does: forward from
+the pre at the witness's one-sided prefix, backward from the post at its
+one-sided suffix; a relation witness is a row walk with an empty prefix.
+Per class, WC reads the reached pairs that the post rejects, WU the reached
+right states outside d(b), WO the left coverage of c(a); only a failing
+source is decoded, for its counterexample.  A check stops at the end of the
 first chunk in which a condition has failed; a condition that has not failed
 by then, with pairs left to visit, is reported as None (not evaluated).
 
@@ -53,18 +54,19 @@ judgment; the checker checks that entailment on every invocation and raises
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import lru_cache, partial, reduce
 from itertools import compress, repeat
+from operator import and_, not_, or_
 from typing import Callable
 
 from ..bi.terms import BEmbL, BiKatTerm, BiTestTerm, BTest, side_test
-from ..kat.terms import kleene_map
+from ..kat.terms import K1, kleene_map
 from ..models.bmodel import BiModel
-from ..models.kmodel import (WALK_SOURCES, compiled, kleene_walks, source_batches,
-                             split_tags, test_table)
-from .core import (NO_RUN, SEVERAL, Counterexample, Judgment, PostMap, pair_spec,
-                   post_map)
-from .oracles import (JudgeResult, RouteDisagreement, _PreRows, _row_chunks, _run_rows,
-                      check_bsim, check_fsim)
+from ..models.kmodel import compiled, kleene_walks, test_table, walk_sources
+from .core import (NO_RUN, SEVERAL, Counterexample, Judgment, PairPred, PostMap,
+                   pair_spec, post_map)
+from .oracles import (JudgeResult, RouteDisagreement, _class_walks, _grouped, _one_sided_prefix,
+                      _run_rows, _spec_views, check_bsim, check_fsim)
 
 Pair = tuple[int, int]
 ImageMap = dict[Pair, frozenset[Pair]]
@@ -103,11 +105,11 @@ class RelWitness:
 Witness = BiKatTerm | RelWitness
 
 
-def term_tags(bm: BiModel, w: BiKatTerm, rows: Rows) -> Rows:
-    """One walk of a witness term from tagged source rows {a: {b: tag}}:
-    each pair state it reaches, as rows, with the bitmask of the sources
-    that reach it (the OR of their tags)."""
-    return compiled(bm, _compile_pairs, w, False)(rows)
+def term_tags(bm: BiModel, w: BiKatTerm, rows: Rows, backward: bool = False) -> Rows:
+    """One walk of a witness term (of its converse if `backward`) from
+    tagged source rows {a: {b: tag}}: each pair state it reaches, as rows,
+    with the bitmask of the sources that reach it (the OR of their tags)."""
+    return compiled(bm, _compile_pairs, w, backward)(rows)
 
 
 def term_image(bm: BiModel, w: BiKatTerm, sources) -> ImageMap:
@@ -122,17 +124,16 @@ def term_preimage(bm: BiModel, w: BiKatTerm, targets) -> ImageMap:
 
 
 def _pair_images(bm: BiModel, w: BiKatTerm, sources, backward: bool) -> ImageMap:
-    """The tagged walk of `term_tags` (of the converse if `backward`), a
-    batch of WALK_SOURCES sources at a time, decoded per source."""
+    """The tagged walk of `term_tags` (of the converse if `backward`),
+    decoded per source by `kmodel.walk_sources`."""
     walk = compiled(bm, _compile_pairs, w, backward)
-    out: ImageMap = {}
-    for batch in source_batches(list(dict.fromkeys(sources))):
+
+    def pairs(tagged: dict[Pair, int]) -> dict[Pair, int]:
         rows: Rows = {}
-        for i, (a, b) in enumerate(batch):
-            rows.setdefault(a, {})[b] = 1 << i
-        tagged = (((a, b), g) for a, row in walk(rows).items() for b, g in row.items())
-        out.update(zip(batch, map(frozenset, split_tags(tagged, len(batch)))))
-    return out
+        for (a, b), g in tagged.items():
+            rows.setdefault(a, {})[b] = g
+        return {(a, b): g for a, row in walk(rows).items() for b, g in row.items()}
+    return {s: frozenset(f) for s, f in walk_sources(pairs, list(dict.fromkeys(sources)))}
 
 
 def _or_rows(old: Row, row: Row) -> Row:
@@ -225,12 +226,16 @@ def _pair_filter(bm: BiModel, t: BiTestTerm) -> RowWalk:
         if side[0] == "L":
             return lambda cur: {a: row for a, row in cur.items() if table[a]}
         return _row_filter(lambda a, row: map(table.__getitem__, row))
-    pred = pair_spec(bm, t).pred
+    return _row_filter(_keep(pair_spec(bm, t).pred))
+
+
+def _keep(pred: PairPred):
+    """keep(a, row): whether `pred` holds at (a, b) for each b of a row."""
     if pred.keyed:
         lk, rk = pred.lk, pred.rk
-        return _row_filter(lambda a, row: map(lk[a].__eq__, map(rk.__getitem__, row)))
+        return lambda a, row: map(lk[a].__eq__, map(rk.__getitem__, row))
     holds = pred.holds
-    return _row_filter(lambda a, row: map(holds, repeat(a), row))
+    return lambda a, row: map(holds, repeat(a), row)
 
 
 def _row_filter(keep) -> RowWalk:
@@ -248,12 +253,17 @@ def _row_filter(keep) -> RowWalk:
     return filt
 
 
-def _witness_images(bm: BiModel, w: Witness, sources, backward: bool) -> ImageMap:
-    """The image of each source under the witness, or under its converse."""
-    if isinstance(w, RelWitness):
-        rel = w.backward() if backward else w.forward
-        return {s: rel.get(s, frozenset()) for s in sources}
-    return (term_preimage if backward else term_image)(bm, w, sources)
+def _relation_walk(rel: ImageMap) -> RowWalk:
+    """A witness relation as a row walk: each tagged source to its targets."""
+    def walk(cur: Rows) -> Rows:
+        out: Rows = {}
+        for a, row in cur.items():
+            for b, g in row.items():
+                for t, t2 in rel.get((a, b), ()):
+                    got = out.setdefault(t, {})
+                    got[t2] = got.get(t2, 0) | g
+        return out
+    return walk
 
 
 @dataclass
@@ -268,79 +278,62 @@ class WitnessReport:
         return all(self.conditions.values())
 
 
-def check_fvalid(bm: BiModel, w: Witness, j: Judgment) -> WitnessReport:
-    """Forward validity (WC, WO, WU); on success asserts the simulation holds.
-    The pre pairs are imaged a chunk at a time, and the check stops at the
-    end of the first chunk in which a condition fails."""
-    return _check_valid(bm, w, j, backward=False)
-
-
-def check_bvalid(bm: BiModel, w: Witness, j: Judgment) -> WitnessReport:
-    """Backward validity (WCb, WOb, WUb): forward validity of the converse
-    witness, evaluated backward from the post a chunk at a time."""
-    return _check_valid(bm, w, j, backward=True)
-
-
-def _views(bm: BiModel, j: Judgment, backward: bool):
-    """The pre and post specs of `j` and the image maps of its programs; for
-    the converse judgment if `backward`: the post and pre, and preimages."""
-    r, s = pair_spec(bm, j.spec.pre), pair_spec(bm, j.spec.post)
-    return ((s, r) if backward else (r, s)) + (
-        post_map(bm.base, j.left, backward), post_map(bm.base, j.right, backward))
-
-
 def _check_valid(bm: BiModel, w: Witness, j: Judgment, backward: bool) -> WitnessReport:
     """WC, WO and WU of `w` for `j`, or of w° for the converse of `j` if
     `backward`; a backward counterexample lists its parts in state order."""
-    r, s, cpost, dpost = _views(bm, j, backward)
+    r, s = _spec_views(bm, j, backward)
     wc, wo, wu = names = ("WCb", "WOb", "WUb") if backward else ("WC", "WO", "WU")
+    why = {wc: "witness run " + ("starts outside the pre" if backward else "leaves the post"),
+           wu: "witness right component is not a right-program run",
+           wo: "left run is not covered by the witness"}
     conds: dict[str, bool | None] = dict.fromkeys(names, True)
     cexs: dict[str, Counterexample] = {}
-
-    def fail(name: str, src: tuple, tgt: tuple, why: str) -> None:
-        ends = [r.render_pair(*p) if len(p) == 2 else bm.space.state_str(*p)
-                for p in ((tgt, src) if backward else (src, tgt))]
-        conds[name] = False
-        cexs[name] = Counterexample(name, tgt + src if backward else src + tgt,
-                                    f"{ends[0]} -> {ends[1]}: {why}")
-
-    s_holds = s.pred.holds
-    rows = _PreRows(r, cpost, dpost)
-    chunks = _row_chunks(r, WALK_SOURCES)
-    chunk = next(chunks, None)
-    while chunk is not None:
-        rows.fill(chunk)
-        pairs = [(a, b) for a, bs in chunk for b in bs]
-        images = _witness_images(bm, w, pairs, backward)
-        for src in pairs:
-            tgts = images.get(src, frozenset())
-            if conds[wc]:
-                for t in tgts:
-                    if not s_holds(*t):
-                        fail(wc, src, t, "witness run " + (
-                            "starts outside the pre" if backward else "leaves the post"))
-                        break
-            if conds[wu]:
-                for t in tgts:
-                    if t[1] not in dpost[src[1]]:
-                        fail(wu, src, t, "witness right component is not a right-program run")
-                        break
-            if conds[wo]:
-                lefts = {t for (t, _) in tgts}
-                for t in cpost[src[0]]:
-                    if t not in lefts:
-                        fail(wo, src, (t,), "left run is not covered by the witness")
-                        break
-            if not any(conds.values()):
+    if isinstance(w, RelWitness):  # every source its own class
+        rel = w.backward() if backward else w.forward
+        p = q = K1
+        walk, image = _relation_walk(rel), lambda src: rel.get(src, frozenset())
+    else:
+        p, q, rest = _one_sided_prefix(w, backward)
+        walk = lambda rows: term_tags(bm, rest, rows, backward)  # noqa: E731
+        image = lru_cache(1)(lambda src: _pair_images(bm, w, [src], backward)[src])
+    keep = _keep(s.pred)
+    for bits, tags, sources, more in _class_walks(bm, r, j.left, j.right, p, q, walk, backward):
+        lefts = {t: reduce(or_, row.values()) for t, row in tags.items()}
+        by_d = _grouped((k[3], bit) for k, bit in bits.items())
+        inside = _grouped((t2, mask) for ds, mask in by_d.items() for t2 in ds)
+        by_c = _grouped((k[1], bit) for k, bit in bits.items())
+        failing = {  # the bits of the classes that fail each condition
+            wc: reduce(or_, (g for t, row in tags.items()
+                             for g in compress(row.values(), map(not_, keep(t, row)))), 0),
+            wu: reduce(or_, (g & ~inside.get(t2, 0)
+                             for row in tags.values() for t2, g in row.items()), 0),
+            wo: reduce(or_, (mask & ~reduce(and_, map(lefts.get, cs, repeat(0)), mask)
+                             for cs, mask in by_c.items()), 0)}
+        if not any(failing.values()):
+            continue
+        # the first failing source of each condition, in pre order
+        for src, k in sources():
+            bit = bits.get(k, 0)
+            for name in (wc, wu, wo):
+                if not failing[name] & bit:
+                    continue
+                failing[name] = conds[name] = False
+                if name == wo:  # its first uncovered left run
+                    tgt = (next(t for t in k[1] if not lefts.get(t, 0) & bit),)
+                else:  # its first failing target, in the order of its image
+                    tgt = next(t for t in image(src) if (
+                        t[1] not in k[3] if name == wu else not s.pred.holds(*t)))
+                ends = [r.render_pair(*e) if len(e) == 2 else bm.space.state_str(*e)
+                        for e in ((tgt, src) if backward else (src, tgt))]
+                cexs[name] = Counterexample(name, tgt + src if backward else src + tgt,
+                                            f"{ends[0]} -> {ends[1]}: {why[name]}")
+            if not any(failing.values()):
                 break
-        if not all(conds.values()):
-            # decided: a condition that has not failed, with pairs left to
-            # visit, is not evaluated
-            if any(conds.values()) and next(chunks, None) is not None:
-                conds.update((k, None) for k, v in conds.items() if v)
-            break
-        chunk = next(chunks, None)
-
+        # decided: a condition that has not failed, with pairs left to
+        # visit, is not evaluated
+        if any(conds.values()) and more():
+            conds.update((k, None) for k, v in conds.items() if v)
+        break
     report = WitnessReport("backward" if backward else "forward", conds, cexs)
     if report.valid:
         kind, check = ("bsim", check_bsim) if backward else ("fsim", check_fsim)
@@ -350,6 +343,12 @@ def _check_valid(bm: BiModel, w: Witness, j: Judgment, backward: bool) -> Witnes
             raise RouteDisagreement(f"{report.direction}-valid witness but "
                                     f"{report.direction} simulation fails")
     return report
+
+
+# forward (WC, WO, WU) and backward validity (WCb, WOb, WUb), forward validity
+# of the converse witness; on success each asserts the simulation holds
+check_fvalid = partial(_check_valid, backward=False)
+check_bvalid = partial(_check_valid, backward=True)
 
 
 class WitnessRefused(Exception):
@@ -381,7 +380,8 @@ def _construct(bm: BiModel, j: Judgment, backward: bool) -> RelWitness:
     oracle = check(bm, Judgment(kind, j.left, j.right, j.spec))
     if not oracle.holds:
         raise WitnessRefused(oracle)
-    r, s, cpost, dpost = _views(bm, j, backward)
+    r, s = _spec_views(bm, j, backward)
+    cpost, dpost = post_map(bm.base, j.left, backward), post_map(bm.base, j.right, backward)
     dimg, s_holds = dpost.images, s.pred.holds
     fwd: dict[Pair, frozenset[Pair]] = {}
     for a, bs, cs in _run_rows(r, cpost, dpost):

@@ -21,7 +21,7 @@ the values that meet at a key, `walk_seq` runs the parts in order, and the
 closure walks again only what is new at a key.  `WALKS` merges state tags by
 OR; the pair-state walker of BiKAT witness terms builds its `ROWS` from the
 same function over rows, and shares the batches and the decoding of tags
-(`source_batches`, `split_tags`).  `image`
+(`walk_sources`).  `image`
 returns per-source images or preimages; `kat_post`/`kat_pre` are the image
 and preimage of a state set.
 
@@ -421,34 +421,23 @@ def _compile(m: KatModel, t: KatTerm, backward: bool) -> Walk:
     return kleene_map(t, leaf, WALKS, reverse=backward)
 
 
-def source_batches(sources: list) -> Iterator[list]:
-    """`sources` in slices of WALK_SOURCES, one tagged walk each."""
-    for k in range(0, len(sources), WALK_SOURCES):
-        yield sources[k:k + WALK_SOURCES]
-
-
-def split_tags(tagged: Iterable[tuple], count: int) -> list[list]:
-    """Per source i < `count`, the states whose tag in `tagged`, pairs of a
-    state and its tag, has bit i."""
-    found: list[list] = [[] for _ in range(count)]
-    for s2, tags in tagged:
-        if not tags & (tags - 1):
-            found[tags.bit_length() - 1].append(s2)
-            continue
-        bits = bin(tags)[:1:-1]  # bit i at position i
-        i = bits.find("1")
-        while i >= 0:
-            found[i].append(s2)
-            i = bits.find("1", i + 1)
-    return found
-
-
-def walk_sources(walk: Walk, sources: list[int]) -> Iterator[tuple[int, list[int]]]:
+def walk_sources(walk: Walk, sources: list) -> Iterator[tuple]:
     """(source, the states the walk reaches from it) for each of `sources`,
-    in order, from one tagged walk per WALK_SOURCES sources."""
-    for batch in source_batches(sources):
-        tagged = walk({s: 1 << i for i, s in enumerate(batch)}).items()
-        yield from zip(batch, split_tags(tagged, len(batch)))
+    in order, from one tagged walk per WALK_SOURCES sources: a reached state
+    goes to the source of each bit of its tag."""
+    for k in range(0, len(sources), WALK_SOURCES):
+        batch = sources[k:k + WALK_SOURCES]
+        found: list[list] = [[] for _ in batch]
+        for s2, tags in walk({s: 1 << i for i, s in enumerate(batch)}).items():
+            if not tags & (tags - 1):
+                found[tags.bit_length() - 1].append(s2)
+                continue
+            bits = bin(tags)[:1:-1]  # bit i at position i
+            i = bits.find("1")
+            while i >= 0:
+                found[i].append(s2)
+                i = bits.find("1", i + 1)
+        yield from zip(batch, found)
 
 
 def image(m: KatModel, t: KatTerm, sources: Iterable[int],

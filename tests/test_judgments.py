@@ -874,26 +874,29 @@ class TestWitnessEarlyStop:
     BAD = "[x := x + 2>"
 
     @staticmethod
-    def counting(monkeypatch, name):
+    def counting(monkeypatch):
+        # each walk of the class walk: the start pairs of its rows
         from bikat.judge import witness
         seen = []
-        inner = getattr(witness, name)
+        inner = witness.term_tags
 
-        def counted(bm, w, pairs):
-            seen.append(len(pairs))
-            return inner(bm, w, pairs)
+        def counted(bm, w, rows, *args):
+            seen.append(sum(map(len, rows.values())))
+            return inner(bm, w, rows, *args)
 
-        monkeypatch.setattr(witness, name, counted)
+        monkeypatch.setattr(witness, "term_tags", counted)
         return seen
 
     def test_failing_forward_witness_images_one_chunk(self, monkeypatch):
+        # on the identity pre every source is its own class, with one start
+        # pair: a chunk of 64 sources walks 64 start pairs
         prob = load_problem(self.PROBLEM)
         bm, j = prob.bm, prob.judgment()
-        seen = self.counting(monkeypatch, "term_image")
+        seen = self.counting(monkeypatch)
         rep = check_fvalid(bm, prob.parser.bikat(self.BAD), j)
         assert rep.conditions == {"WC": False, "WO": False, "WU": False}
         assert seen == [64]
-        # a valid witness images every pre pair, in doubling chunks
+        # a valid witness walks every pre pair, in doubling chunks
         seen.clear()
         rep = check_fvalid(bm, emb_pair(j.left, j.right), j)
         assert rep.valid and rep.oracle.holds
@@ -902,7 +905,7 @@ class TestWitnessEarlyStop:
     def test_failing_backward_witness_preimages_one_chunk(self, monkeypatch):
         prob = load_problem(self.PROBLEM)
         bm, j = prob.bm, prob.judgment()
-        seen = self.counting(monkeypatch, "term_preimage")
+        seen = self.counting(monkeypatch)
         rep = check_bvalid(bm, prob.parser.bikat(self.BAD), j)
         assert rep.conditions == {"WCb": False, "WOb": False, "WUb": False}
         assert seen == [64]
@@ -924,15 +927,144 @@ class TestWitnessEarlyStop:
         # guess-count's witness fails WCb and WOb within its first post pairs
         # while WUb holds there: the check stops after the first chunk, one
         # post row of 512 partners (s pinned, n, i and k free), and WUb,
-        # evaluated on part of the pairs only, is reported as None
+        # evaluated on part of the pairs only, is reported as None.  The
+        # witness ends in the one-sided tests !L[i < n] ; !R[i < k], so the
+        # converse walk starts only from the 288 partners with i >= k
         prob = corpus_problem("guess-count")
-        seen = self.counting(monkeypatch, "term_preimage")
+        seen = self.counting(monkeypatch)
         rep = check_bvalid(prob.bm, prob.witness, prob.judgment())
         assert rep.conditions == {"WCb": False, "WOb": False, "WUb": None}
         assert not rep.valid
         assert {k: c.states for k, c in rep.counterexamples.items()} == {
             "WCb": (64, 1216, 0, 0), "WOb": (0, 0, 64)}
-        assert seen == [512]
+        assert seen == [288]
+
+
+def reference_validity(bm, w, j, backward):
+    """Witness validity by the per-source loop: each source's image decoded
+    from a walk of its chunk (`term_image`/`term_preimage`, or the relation's
+    own image), each condition tested target by target.  (conditions,
+    counterexample states), in the order a source loop finds them."""
+    from bikat.judge import term_image, term_preimage
+    from bikat.judge.core import post_map
+    from bikat.judge.oracles import _row_chunks, _spec_views
+    from bikat.models.kmodel import WALK_SOURCES
+    r, s = _spec_views(bm, j, backward)
+    cpost, dpost = post_map(bm.base, j.left, backward), post_map(bm.base, j.right, backward)
+    wc, wo, wu = names = ("WCb", "WOb", "WUb") if backward else ("WC", "WO", "WU")
+    conds, cexs = dict.fromkeys(names, True), {}
+
+    def fail(name, src, tgt):
+        conds[name] = False
+        cexs[name] = tgt + src if backward else src + tgt
+
+    chunks = _row_chunks(r, WALK_SOURCES)
+    for chunk in chunks:
+        pairs = [(a, b) for a, bs in chunk for b in bs]
+        if isinstance(w, RelWitness):
+            rel = w.backward() if backward else w.forward
+            images = {p: rel.get(p, frozenset()) for p in pairs}
+        else:
+            images = (term_preimage if backward else term_image)(bm, w, pairs)
+        for src in pairs:
+            tgts = images[src]
+            if conds[wc]:
+                bad = [t for t in tgts if not s.holds(*t)]
+                if bad:
+                    fail(wc, src, bad[0])
+            if conds[wu]:
+                bad = [t for t in tgts if t[1] not in dpost[src[1]]]
+                if bad:
+                    fail(wu, src, bad[0])
+            if conds[wo]:
+                lefts = {t for t, _ in tgts}
+                bad = [t for t in cpost[src[0]] if t not in lefts]
+                if bad:
+                    fail(wo, src, (bad[0],))
+        if not all(conds.values()):
+            if any(conds.values()) and next(chunks, None) is not None:
+                conds.update((k, None) for k, v in conds.items() if v)
+            break
+    return conds, list(cexs.items())
+
+
+class TestValidityReference:
+    """check_fvalid/check_bvalid, read per class from the class walk,
+    against the per-source reference, condition by condition and
+    counterexample by counterexample."""
+
+    @staticmethod
+    def agree(bm, w, j):
+        for check, backward in ((check_fvalid, False), (check_bvalid, True)):
+            rep = check(bm, w, j)
+            got = rep.conditions, [(k, c.states) for k, c in rep.counterexamples.items()]
+            assert got == reference_validity(bm, w, j, backward), (w, backward)
+            yield rep
+
+    @staticmethod
+    def mutants(rng, w, n):
+        """`w` with one target dropped, and with one target added."""
+        src = rng.choice(sorted(w.forward))
+        tgts = sorted(w.forward[src])
+        dropped = dict(w.forward)
+        dropped[src] = frozenset(tgts[1:])
+        added = dict(w.forward)
+        extra = (rng.randrange(n), rng.randrange(n))
+        added[src] = w.forward[src] | {extra}
+        return RelWitness(dropped), RelWitness(added)
+
+    def test_random_bimodels(self):
+        alph = Alphabet.make(["p"], ["a", "b"])
+        rng = random.Random(23)
+        outcomes, relations = set(), 0
+        for seed in range(160):
+            n = rng.randint(1, 5)
+            bm = random_bimodel(seed, n, alph, ("P", "Q"), density=rng.choice((0.2, 0.5)))
+            c, d = random_kat(rng, alph, 2), random_kat(rng, alph, 2)
+            pre, post = ((BPrim("P"), BPrim("Q")) if seed % 2 else
+                         (random_bitest(rng, alph.tests, ("P", "Q")),
+                          random_bitest(rng, alph.tests, ("P", "Q"))))
+            j = Judgment("fsim", c, d, RelSpec(pre, post))
+            witnesses = [random_bikat(rng, alph, ("P", "Q")), emb_pair(c, d)]
+            for construct, kind in ((construct_fwitness, "fsim"), (construct_bwitness, "bsim")):
+                if dispatch(bm, Judgment(kind, c, d, j.spec)).holds:
+                    w = construct(bm, j)
+                    witnesses.append(w)
+                    if w.forward:
+                        witnesses += self.mutants(rng, w, n)
+                        relations += 1
+            for w in witnesses:
+                for rep in self.agree(bm, w, j):
+                    outcomes.add(tuple(sorted(rep.conditions.items())))
+        assert relations >= 45 and len(outcomes) >= 12
+
+    @pytest.mark.parametrize("name, edits", [
+        ("guess-count", []),
+        ("guess-count", [("[n == k]", "[n == n]")]),
+        ("guess-count", [("<i := 0 | i := 0>", "<i := 0 | i := 1>")]),
+        ("guess-double", []),
+        ("guess-double", [("[x == y]", "[x == x]")]),
+        ("guess-double", [("[x := y ; y := y + x + z>", "[x := y ; y := y + x>")]),
+    ])
+    def test_corpus_witnesses_at_width_2(self, name, edits):
+        text = (CORPUS / f"{name}.prob").read_text()
+        for old, new in edits:
+            assert old in text
+            text = text.replace(old, new)
+        prob = load_problem(text, name, width_override=2)
+        bm, j = prob.bm, prob.judgment()
+        reports = list(self.agree(bm, prob.witness, j))
+        if not edits:
+            assert any(rep.valid for rep in reports)
+        else:
+            assert not all(rep.valid for rep in reports)
+        # the constructed relation of the simulation that holds, and mutants
+        rng = random.Random(5)
+        for construct, kind in ((construct_fwitness, "fsim"), (construct_bwitness, "bsim")):
+            if dispatch(bm, Judgment(kind, j.left, j.right, j.spec)).holds:
+                w = construct(bm, j)
+                for v in (w,) + self.mutants(rng, w, bm.space.size):
+                    list(self.agree(bm, v, j))
 
 
 class TestStreamedRows:

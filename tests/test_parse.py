@@ -140,6 +140,33 @@ TWO = ("width 1;\nvars x;\nleft { x := 1; }\nright { x := 1; }\n"
        "kind fsim;\npre { [x == x] }\npost { [x == x] }\n")
 
 
+BAD_COMPARISONS = [("[q == y]", "undeclared variable or cell 'q'"),
+                   ("[g(x) == y]", "unknown function 'g'"),
+                   ("[a[0] == y]", "undeclared array 'a'")]
+
+
+@pytest.mark.parametrize("bad, message", BAD_COMPARISONS)
+@pytest.mark.parametrize("block", [
+    "pre { %s }",
+    "post { [x == x] & %s }",
+    "witness { <x := 1] ; %s ; [y := 1> }",
+    "implhyp i { [x == x] } { %s }",
+    "relhyp r allall { left { x := 1; } right { y := 1; } pre { %s } post { [x == x] } }",
+    "relhyp r allall { left { x := 1; } right { y := 1; } pre { [x == x] } post { !%s } }",
+    "script { goal { <x := 1] ; (%s + 1) ; [y := 1> } }",
+])
+def test_comparison_naming_what_the_space_lacks_is_refused_on_load(block, bad, message):
+    # the same names in a program are refused on load; so they are in a bitest
+    with pytest.raises(SpaceError, match=message):
+        load_problem(SMALL + block % bad)
+
+
+@pytest.mark.parametrize("bad, message", BAD_COMPARISONS)
+def test_comparison_naming_what_the_space_lacks_is_refused_in_a_proof(bad, message):
+    with pytest.raises(SpaceError, match=message):
+        proof_of("(rconseq :pre {%s} (dprim))" % bad.replace("x", "n").replace("y", "n"))
+
+
 @pytest.mark.parametrize("expect, extra, message", [
     ("bogus", "", "unknown expect 'bogus'; known: holds, adequate, script_accepted, "
      "witness_fvalid, witness_bvalid, proof_accepted"),

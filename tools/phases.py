@@ -24,10 +24,12 @@ time, so nested calls are counted once, into four phases:
   the per-state ends, sliced from a framed term's end column for a range of
   states, the build of that column by the same `StateSpace.moved`, and the
   images made from known ends, `PostMap.ends`/`_framed_ends`/`_column`/
-  `keep_ends`, and the pair-state walks of `witness.term_image` and
-  `witness.term_tags`, which step frontiers of rows; `kat_post`/`kat_pre`
-  are timed too, but only the zero-hypothesis check of script replay calls
-  them);
+  `keep_ends`, and the pair-state walks, which step frontiers of rows:
+  `witness.term_tags`, the one class walk of adequacy and witness validity,
+  and `witness._pair_images`, which decodes per-source images (in
+  validity, of the one failing source a counterexample names);
+  `kat_post`/`kat_pre` are timed too, but only the zero-hypothesis check of
+  script replay calls them);
 - check: the rest of the verdict's time: the oracles' own loops, script
   replay and the proof checker.
 
@@ -141,14 +143,14 @@ def install(ph: Phases) -> None:
     for attr in ("fill", "fill_right", "union", "keys"):
         setattr(oracles._PreRows, attr, ph.timed("rows", getattr(oracles._PreRows, attr)))
     chunks = ph.timed_iter("rows", oracles._row_chunks)
-    oracles._row_chunks = witness._row_chunks = chunks
+    oracles._row_chunks = chunks
     oracles._column_chunks = ph.timed_iter("rows", oracles._column_chunks)
 
     # module functions, replaced under every name a bikat module holds them by
     funcs = {f: ph.timed(phase, f) for phase, fs in (
         ("tables", (core._key_column,)),
         ("walks", (kmodel.image, kmodel.kat_post, kmodel.kat_pre,
-                   witness.term_image, witness.term_tags))) for f in fs}
+                   witness._pair_images, witness.term_tags))) for f in fs}
     for mod in list(sys.modules.values()):
         if getattr(mod, "__name__", "").startswith(bikat.__name__):
             for name, value in list(vars(mod).items()):
