@@ -37,7 +37,7 @@ from typing import Callable, NamedTuple
 
 from ..kat.decide import ZeroHypothesis, kat_equiv
 from ..kat.parse import ParseError
-from ..kat.terms import KatTerm, Plus, Seq, Star, children, kplus, kseq, kstar
+from ..kat.terms import CapExceeded, KatTerm, Plus, Seq, Star, children, kplus, kseq, kstar
 from .laws import LawInstance, expand_conditional, expand_lockstep
 from .rewrite import distribute_embeddings
 from .terms import (B0, B1, BEmbL, BEmbR, BiKatTerm, BPlus, BSeq, BStar, BTest,
@@ -340,10 +340,13 @@ def _kat_subterm(r: Redex) -> Rewrite:
     if r.ctx.parse_kat is None:
         raise ScriptError("kat-subterm: no term parser available in this context")
     to = r.ctx.parse_kat(r.param("to"))
-    verdict = kat_equiv(node.arg, to)
-    if not verdict.is_equal:
-        raise ScriptError(
-            f"kat-subterm: {node.arg} and {to} are not provably equal ({verdict.kind})")
+    try:
+        verdict = kat_equiv(node.arg, to)
+        reason = None if verdict.is_equal else verdict.kind
+    except CapExceeded as e:  # a term over a cap is not proved equal either
+        reason = str(e)
+    if reason is not None:
+        raise ScriptError(f"kat-subterm: {node.arg} and {to} are not provably equal ({reason})")
     return Rewrite(0, 1, (emb(node.side, to),))
 
 

@@ -13,7 +13,7 @@ from collections import deque
 from dataclasses import dataclass, field
 
 from .guarded import atoms, eval_test
-from .terms import (Alphabet, K0, K1, KAct, KatTerm, KPlus, KSeq, KStar,
+from .terms import (Alphabet, K0, K1, KAct, KatTerm, KPlus, KStar,
                     KTest, TestTerm, kact, kplus, kseq, kstar, ktest,
                     simplify, terms_alphabet, tnot)
 

@@ -28,7 +28,7 @@ from typing import Callable, Iterable, Union
 
 from ..kat.terms import KatTerm, kact, kplus, kseq, kstar, ktest, tnot, tprim
 from .kmodel import FnAction, KatModel, TestSem
-from .space import ArrayDecl, SpaceError, StateSpace, VarDecl
+from .space import ArrayDecl, SpaceError, StateSpace
 
 
 # --- expressions -------------------------------------------------------------
@@ -240,9 +240,7 @@ class ImpEnv:
                 return min(args)
             if e.fn == "max":
                 return max(args)
-            table = self.ftables.get(e.fn)
-            if table is None:
-                raise SpaceError(f"unknown function {e.fn!r} (no table declared)")
+            table = self._table(e)
             return table[args[0] % len(table)] & self.mask
         a, b = self.eval(e.left, state), self.eval(e.right, state)
         if e.op == "+":
@@ -252,6 +250,15 @@ class ImpEnv:
         if e.op == "*":
             return (a * b) & self.mask
         return a % b if b else a  # x % 0 = x, keeping % total
+
+    def _table(self, e: ECall) -> tuple[int, ...]:
+        """The table of `e`, a call of a declared function on one argument."""
+        table = self.ftables.get(e.fn)
+        if table is None:
+            raise SpaceError(f"unknown function {e.fn!r} (no table declared)")
+        if len(e.args) != 1:
+            raise SpaceError(f"function {e.fn!r} takes one argument, not {len(e.args)}")
+        return table
 
     def holds(self, b: BoolExpr, state: int) -> bool:
         if isinstance(b, BConst):
@@ -357,10 +364,7 @@ class ImpEnv:
             if e.fn in ("min", "max"):
                 pick = min if e.fn == "min" else max
                 return lambda s: pick([a(s) for a in args])
-            table = self.ftables.get(e.fn)
-            if table is None:
-                raise SpaceError(f"unknown function {e.fn!r} (no table declared)")
-            vals, arg = tuple(v & mask for v in table), args[0]
+            vals, arg = tuple(v & mask for v in self._table(e)), args[0]
             n = len(vals)
             return lambda s: vals[arg(s) % n]
         a, b = self.compile_expr(e.left), self.compile_expr(e.right)

@@ -11,8 +11,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from ..kat.terms import (CapExceeded, KAct, KatTerm, KPlus, KSeq, KStar,
-                         KTest)
+from ..kat.terms import CapExceeded, KAct, KatTerm, KPlus, KSeq, KTest
 from .kmodel import KatModel, test_holds
 
 TRACE_LEN_CAP = 8

@@ -6,7 +6,7 @@ import random
 
 from bikat.bi.terms import (BEmbLTest, BEmbRTest, BiKatTerm, BPrim, BT1, band,
                             bembl, bembr, bnot, bor, bplus, bseq, bstar,
-                            btest, emb_pair)
+                            btest)
 from bikat.kat.terms import (Alphabet, KatTerm, TestTerm, kact, kplus, kseq,
                              kstar, ktest, tand, tnot, tor, tprim, T0, T1)
 

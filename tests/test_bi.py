@@ -9,18 +9,19 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from bikat.bi import (B0, B1, BiAlphabet, Step, apply_step, bembl, bembr,
-                      bikat_equiv, bisimplify, check_script, decode_tagged_kat,
+from bikat.bi import (B0, B1, BiAlphabet, Step, bembl, bembr, bikat_equiv,
+                      bisimplify, check_script, decode_tagged_kat,
                       distribute_embeddings, emb_pair, encode_to_tagged_kat,
                       expand_conditional, expand_lockstep, lrc_normalize,
                       parse_biterm, term_side)
 from bikat.bi.script import AlignmentScript, ScriptContext
-from bikat.bi.terms import BPrim, btest
-from bikat.kat import Alphabet, ZeroHypothesis, kact, kseq, kstar, ktest, parse_term, tprim
+from bikat.bi.terms import BPrim
+from bikat.kat import Alphabet, ZeroHypothesis, kact, ktest, parse_term, tprim
 from bikat.models import interp_bikat, random_bimodel
 from bikat.problem import load_problem
 
 from gen import random_bikat
+from test_record import problem_at
 
 ALPH = Alphabet.make(["p", "q"], ["a", "b", "c"])
 BALPH = BiAlphabet(ALPH, ("P", "Q"))
@@ -254,6 +255,18 @@ class TestScripts:
             bt("<(b;a)*;b]"))
         assert not check_script(bad, self.ctx()).accepted
 
+    def test_kat_subterm_over_a_cap_fails_the_step(self):
+        # 13 tests exceed TEST_CAP: the step fails, as one over the pair
+        # budget does, and the cap's refusal does not escape the replay
+        tests = " ; ".join(f"[x != {k}]" for k in range(1, 13))
+        prob = load_problem(f"""width 4; vars x;
+            script {{ start {{ <[x == 0] ; {tests} ; x := 0] }}
+                      steps {{ kat-subterm @ root (to: [x == 0] ; x := 0) }}
+                      goal {{ <[x == 0] ; x := 0] }} }}""")
+        res = check_script(prob.script(), prob.script_context())
+        assert not res.accepted and res.failed_step == 0
+        assert "are not provably equal (13 primitive tests exceed the cap of 10" in res.error
+
     def test_expand_lockstep_step(self):
         start = bt("<(p;a)*|(q;b)*> ; <!p|!q>")
         law = expand_lockstep(tprim("p"), kact("a"), tprim("q"), kact("b"))
@@ -382,7 +395,7 @@ class TestZeroHypotheses:
         assert res.provisos == ["step 4 trusts hypothesis 'bogus' unchecked"]
 
     def test_true_hypothesis_is_checked_and_used(self):
-        prob = load_problem((CORPUS / "simple-sum.prob").read_text())
+        prob = problem_at("simple-sum")
         ctx = prob.script_context()
         res = check_script(prob.script(), ctx)
         assert res.accepted and not res.provisos

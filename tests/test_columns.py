@@ -21,10 +21,10 @@ from bikat.judge.core import NO_RUN, SEVERAL, PostMap
 from bikat.kat.terms import KAct, KPlus, KSeq, KStar, KTest, subterms
 from bikat.models.kmodel import frame_mask, image
 from bikat.models.space import ArrayDecl, StateSpace, VarDecl, packed_states, state_code
-from bikat.problem import load_problem, parse_stmts_text
+from bikat.problem import parse_stmts_text
 
 from test_imp import CORPUS, env_for
-from test_refute import WORKLOADS, _mutant_problem
+from test_record import problem_at
 
 KAT = (KTest, KAct, KPlus, KSeq, KStar)
 
@@ -209,8 +209,7 @@ def _ask_every_way(traffic, m, t, backward, states, want) -> PostMap:
 @pytest.mark.parametrize("name", sorted(p.stem for p in CORPUS.glob("*.prob")))
 @pytest.mark.parametrize("width", [None, 2])
 def test_corpus_end_columns_equal_the_walk(name, width, monkeypatch):
-    prob = load_problem((CORPUS / f"{name}.prob").read_text(), name,
-                        width_override=width)
+    prob = problem_at(name, width)
     j, m = prob.judgment(), prob.bm.base
     n = m.space.size
     # at least an eighth of the space, and every state of a small one
@@ -230,7 +229,7 @@ def test_corpus_unframed_ends_decode_the_walk():
     # SEVERAL, asked at once and in two overlapping batches
     marks, asked = set(), 0
     for path in sorted(CORPUS.glob("*.prob")):
-        prob = load_problem(path.read_text(), path.stem, width_override=2)
+        prob = problem_at(path.stem, 2)
         j, m = prob.judgment(), prob.bm.base
         states = list(range(m.space.size))
         third = len(states) // 3
@@ -274,7 +273,7 @@ def test_ends_of_a_range_equal_the_ends_of_its_list(name):
     # a range of states is read from the projections before the end column
     # is built, and as one slice of the column after; either way its ends
     # are those of the same states as a list
-    prob = load_problem((CORPUS / f"{name}.prob").read_text(), name, width_override=2)
+    prob = problem_at(name, 2)
     j, m = prob.judgment(), prob.bm.base
     n = m.space.size
     terms = sorted({u for t in (j.left, j.right) for u in subterms(t)
@@ -298,7 +297,7 @@ def test_a_failing_bulk_chunk_asks_each_state_once(monkeypatch):
     # the loop-tiling mutant's ∀∀ fails in its first column chunk, states
     # 0..63: their ends are asked once of each program's map, and the row
     # loop's images are made from those ends, so no state is asked again
-    prob = _mutant_problem(next(m for m in WORKLOADS.MUTANTS if m.source == "loop-tiling"))
+    prob = problem_at("loop-tiling~mutant")
     asked: dict = {}
     framed = PostMap._framed_ends
 

@@ -1,14 +1,15 @@
-"""Corpus regression: every `expect` line of every corpus problem holds at
-the problem's declared width."""
+"""Loaders of the corpus files that the tests share, and the corpus `expect`
+lines, each checked in the declared-width verdict record (`test_record`)."""
 
 import functools
 from pathlib import Path
 
 import pytest
 
-from bikat.bi.script import check_script
-from bikat.problem import Cur, load_problem, parse_expr, passed
+from bikat.problem import Cur, load_problem, parse_expr
 from bikat.rhl.parse import parse_proof
+
+from test_record import assert_expects_hold
 
 CORPUS = Path(__file__).resolve().parent.parent / "src" / "bikat" / "corpus"
 PROBLEMS = sorted(CORPUS.glob("*.prob"))
@@ -28,29 +29,6 @@ def proof_tree(prob, path: Path | None):
     return parse_proof(path.read_text(), prob.parser.bitest, lambda s: parse_expr(Cur(s)))
 
 
-def verdict(kind: str, prob, proof_path: Path | None) -> bool:
-    """Whether the check that the expect line `kind` names passes."""
-    tree = proof_tree(prob, proof_path) if kind == "proof_accepted" else None
-    return passed(prob.checks(tree)[prob.check_of(kind)]())
-
-
-def test_corpus_is_present():
-    assert len(PROBLEMS) >= 5
-
-
-@pytest.mark.parametrize("path", PROBLEMS, ids=lambda p: p.stem)
-def test_expect_lines_hold(path):
-    prob = corpus_problem(path.stem)
-    assert prob.expects, f"{path.name} has no expect lines"
-    for kind in prob.expects:
-        assert verdict(kind, prob, path.with_suffix(".proof")), (path.name, kind)
-
-
-def test_conditional_alignment_reports_its_proviso():
-    # count-cond's script ends with the conditional alignment law, which
-    # holds in *-continuous models; the replay names that assumption
-    prob = corpus_problem("count-cond")
-    res = check_script(prob.script(), prob.script_context())
-    assert res.accepted, res.error
-    assert res.provisos == [
-        "step 5 uses expand-cond, valid in *-continuous models only"]
+@pytest.mark.parametrize("name", [p.stem for p in PROBLEMS])
+def test_expect_lines_hold(name):
+    assert_expects_hold(name)

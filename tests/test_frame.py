@@ -23,6 +23,7 @@ from bikat.models.kmodel import frame_mask, image
 from bikat.problem import load_problem, parse_stmts_text
 
 from test_imp import CORPUS, _random_cond, _random_primitive, env_for
+from test_record import problem_at
 
 KAT = (KTest, KAct, KPlus, KSeq, KStar)
 
@@ -59,8 +60,7 @@ class TestLiftedImages:
     @pytest.mark.parametrize("name", sorted(p.stem for p in CORPUS.glob("*.prob")))
     @pytest.mark.parametrize("width", [None, 2])
     def test_corpus_subterms(self, name, width):
-        prob = load_problem((CORPUS / f"{name}.prob").read_text(), name,
-                            width_override=width)
+        prob = problem_at(name, width)
         j, m = prob.judgment(), prob.bm.base
         states = _sample(random.Random(7), m.space.size)
         terms = {u for t in (j.left, j.right) for u in subterms(t) if isinstance(u, KAT)}

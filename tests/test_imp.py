@@ -1,6 +1,5 @@
 """The imperative frontend: parsing, semantics, compilation agreement."""
 
-import itertools
 import random
 from pathlib import Path
 
@@ -15,9 +14,10 @@ from bikat.models.imp import (BAndE, BCmp, BConst, BNotE, BOrE, EArr, EBin,
 from bikat.models.kmodel import image, state_array
 from bikat.kat.parse import ParseError
 from bikat.models.space import SpaceError, StateSpace, VarDecl, ArrayDecl
-from bikat.problem import (Cur, load_problem, parse_block, parse_bool, parse_expr,
-                           parse_stmts_text)
+from bikat.problem import Cur, load_problem, parse_bool, parse_expr, parse_stmts_text
 from bikat.rhl import rename_program
+
+from test_record import problem_at
 
 CORPUS = Path(__file__).resolve().parent.parent / "src" / "bikat" / "corpus"
 
@@ -127,8 +127,7 @@ class TestCompilation:
         ("array-insert", None), ("double-square", 3), ("factorial-ni", None),
         ("simple-sum", None), ("loop-tiling", None)])
     def test_corpus_programs_agree_with_interpreter(self, name, width):
-        prob = load_problem((CORPUS / f"{name}.prob").read_text(), name,
-                            width_override=width)
+        prob = problem_at(name, width)
         n = prob.env.space.size
         states = (range(n) if n <= 4096
                   else sorted(random.Random(7).sample(range(n), 512)))
@@ -261,8 +260,7 @@ class TestFootprintTables:
     @pytest.mark.parametrize("name", sorted(p.stem for p in CORPUS.glob("*.prob")))
     @pytest.mark.parametrize("width", [None, 2])
     def test_corpus_programs(self, name, width):
-        prob = load_problem((CORPUS / f"{name}.prob").read_text(), name,
-                            width_override=width)
+        prob = problem_at(name, width)
         env, n = prob.env, prob.env.space.size
         states = sorted(random.Random(3).sample(range(n), min(n, 256)))
         prims = list(_primitives(prob.left + prob.right))
@@ -437,7 +435,7 @@ class TestProblemFiles:
                 calls[attr] += 1
                 return inner(env, node)
             monkeypatch.setattr(ImpEnv, attr, counted)
-        prob = load_problem((CORPUS / f"{name}.prob").read_text(), name)
+        prob = problem_at(name)
         assert (len(prob.env.acts), len(prob.env.tests)) == (acts, tests)
         assert calls == {"compile_action": acts, "compile_cond": conds}
         prob.judgment()

@@ -9,7 +9,7 @@ from pathlib import Path
 
 import pytest
 
-from bikat.bi.terms import B0, BPrim, BT1, BZero, band, bembl, bembr, bnot, btest, emb_pair
+from bikat.bi.terms import B0, BPrim, BT1, BZero, bnot, emb_pair
 from bikat.judge import (JudgeResult, Judgment, PairSpec, RelSpec, RelWitness,
                          WitnessRefused, check_adequacy, check_allall,
                          check_bsim, check_bvalid, check_existsexists,
@@ -19,12 +19,13 @@ from bikat.judge import (JudgeResult, Judgment, PairSpec, RelSpec, RelWitness,
                          construct_bwitness, construct_fwitness, dispatch,
                          tri_embed, tri_proj_left2, tricom)
 from bikat.judge.oracles import DUALS, ORACLES
-from bikat.kat import Alphabet, K1, parse_term
+from bikat.kat import Alphabet, parse_term
 from bikat.models import BiRel, Rel, interp_kat, lift_left, random_bimodel, tensor
 from bikat.problem import load_problem
 
 from gen import random_bikat, random_bitest, random_kat
 from test_corpus import CORPUS, corpus_problem
+from test_record import problem_at
 
 ALPH = Alphabet.make([], ["a", "b"])
 
@@ -478,6 +479,32 @@ def reference_image(bm, w, pairs, backward=False):
     return frozenset(seen)
 
 
+def assert_refutes(prob, condition, states, goal=None):
+    """`states` refute the check `condition` (allall, fsim or adequacy of
+    `goal`, by default the script goal) of `prob`, replayed from the
+    semantics apart from the oracles: the first pair is pre-related, the
+    ends are runs of the programs from it, and the post fails on the two
+    ends (∀∀), relates no right end to the left one (fsim), or the goal's
+    reference image misses them (adequacy)."""
+    from bikat.models import bitest_holds, kat_post
+    bm, j = prob.bm, prob.judgment()
+    a, b, c, *d = states
+    assert bitest_holds(bm, j.spec.pre, a, b)
+    assert c in kat_post(bm.base, j.left, (a,))
+    rights = kat_post(bm.base, j.right, (b,))
+    if condition == "fsim":
+        assert not any(bitest_holds(bm, j.spec.post, c, e) for e in rights)
+        return
+    (d,) = d
+    assert d in rights
+    if condition == "allall":
+        assert not bitest_holds(bm, j.spec.post, c, d)
+    else:
+        assert condition == "adequacy"
+        goal = prob.script_goal if goal is None else goal
+        assert (c, d) not in reference_image(bm, goal, {(a, b)})
+
+
 class TestPairWalker:
     """term_image/term_preimage (one compiled pair-state walk per batch of
     sources) against the dense pair-relation semantics and a per-source
@@ -531,8 +558,7 @@ class TestPairWalker:
     def test_corpus_goals_match_dense_semantics(self, name):
         from bikat.judge import term_image, term_preimage
         from bikat.models import interp_bikat, pack, unpack
-        path = Path(__file__).resolve().parent.parent / "src/bikat/corpus" / f"{name}.prob"
-        prob = load_problem(path.read_text(), name, width_override=2)
+        prob = problem_at(name, 2)
         bm, w, n = prob.bm, prob.script_goal, prob.bm.space.size
         assert n <= 64
         rel = interp_bikat(bm, w)
@@ -579,19 +605,14 @@ class TestAdequacyEarlyStop:
 
     def test_uncovered_pair_after_the_first_chunk_replays(self):
         from bikat.judge.core import pair_spec
-        from bikat.models import kat_post
         prob = load_problem(self.PROBLEM)
         bm, j = prob.bm, prob.judgment()
         goal = prob.parser.bikat(self.GOAL)
         res = check_adequacy(bm, j.spec.pre, j.left, j.right, goal)
         assert not res.holds
-        a, b, t, t2 = res.counterexample.states
-        pre = pair_spec(bm, j.spec.pre)
-        assert pre.pairs().index((a, b)) >= 64
-        assert pre.holds(a, b)
-        assert t in kat_post(bm.base, j.left, (a,))
-        assert t2 in kat_post(bm.base, j.right, (b,))
-        assert (t, t2) not in reference_image(bm, goal, {(a, b)})
+        assert_refutes(prob, "adequacy", res.counterexample.states, goal)
+        a, b, _, _ = res.counterexample.states
+        assert pair_spec(bm, j.spec.pre).pairs().index((a, b)) >= 64
         assert bm.space.state_str(a) == bm.space.state_str(b) == "{x=0, y=7, z=7}"
 
     def test_stops_at_the_first_uncovered_chunk(self, monkeypatch):
@@ -633,7 +654,7 @@ class TestAdequacyEarlyStop:
                 made.append(row)
             return keys(self, row)
         monkeypatch.setattr(oracles._PreRows, "keys", counted)
-        prob = load_problem((CORPUS / "factorial-ni.prob").read_text(), "factorial-ni")
+        prob = problem_at("factorial-ni")
         j = prob.judgment()
         assert check_adequacy(prob.bm, j.spec.pre, j.left, j.right, prob.script_goal).holds
         assert len(made) == len({id(r) for r in made}) == 8

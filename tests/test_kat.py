@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from bikat.kat import (Alphabet, CapExceeded, K0, K1, Verdict, ZeroHypothesis,
+from bikat.kat import (Alphabet, CapExceeded, K0, K1, ZeroHypothesis,
                        atoms, eliminate_zero_hypotheses,
                        enumerate_guarded_strings, gs_member, hoare_valid,
                        kact, kat_equiv, kat_leq, kplus, kseq, kstar, ktest,

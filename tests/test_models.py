@@ -11,7 +11,7 @@ from bikat.models import (BiRel, Rel, StateSpace, check_projection_axioms,
                           proj_left, proj_right, random_bimodel,
                           random_kat_model, tensor)
 from bikat.models.birel import DENSE_SIDE_CAP
-from bikat.bi import BiAlphabet, parse_biterm, lrc_normalize
+from bikat.bi import BiAlphabet, lrc_normalize
 
 from gen import random_bikat, random_kat
 

@@ -26,8 +26,8 @@ from bikat.problem import Cur, load_problem, parse_bool, parse_expr
 from bikat.rhl.parse import parse_proof
 
 from gen import random_bikat, random_kat
-from test_corpus import CORPUS, PROBLEMS
-from test_refute import WORKLOADS
+from test_corpus import PROBLEMS
+from test_record import TEXTS, problem_at
 
 
 class Reference:
@@ -217,19 +217,7 @@ def assert_same_adequacy(bm, pre, c, d, goal):
     return res.holds
 
 
-GOAL_PROBLEMS = [p.stem for p in PROBLEMS if "goal {" in p.read_text()]
-
-
-def _goal_problem(name: str) -> str:
-    source, mutant = name.split("~") if "~" in name else (name, None)
-    text = (CORPUS / f"{source}.prob").read_text()
-    if mutant is None:
-        return text
-    return WORKLOADS.apply_mutant(text, next(m for m in WORKLOADS.MUTANTS
-                                             if m.source == source))
-
-
-GOAL_NAMES = GOAL_PROBLEMS + [f"{m.source}~mutant" for m in WORKLOADS.MUTANTS]
+GOAL_NAMES = [name for name, text in TEXTS.items() if "goal {" in text]
 # loop-tiling keeps 32768 states a side at width 2: its dozen variants
 # would take seconds
 VARIANT_NAMES = [n for n in GOAL_NAMES if not n.startswith("loop-tiling")]
@@ -244,7 +232,7 @@ def _chain_variants(goal):
 
 
 def _width_2_goals(name):
-    prob = load_problem(_goal_problem(name), name, width_override=2)
+    prob = problem_at(name, 2)
     assert prob.script_goal is not None
     return prob, _chain_variants(prob.script_goal)
 
@@ -252,7 +240,7 @@ def _width_2_goals(name):
 class TestTagAdequacy:
     @pytest.mark.parametrize("name", GOAL_NAMES)
     def test_script_goals_at_width_2(self, name):
-        prob = load_problem(_goal_problem(name), name, width_override=2)
+        prob = problem_at(name, 2)
         assert prob.script_goal is not None
         j = prob.judgment()
         assert_same_adequacy(prob.bm, j.spec.pre, j.left, j.right, prob.script_goal)

@@ -23,7 +23,7 @@ from bikat.models.bmodel import bitest_holds
 from bikat.problem import load_problem
 
 from gen import random_bitest
-from test_record import RECORDER
+from test_record import RECORDER, problem_at
 
 SMALL = 64  # spaces whose predicate is checked against bitest_holds
 PAIRS_LIST = 1 << 17  # pairs() is compared where it has at most this many
@@ -85,7 +85,7 @@ def test_corpus_pres_and_posts_equal_the_reference(problem):
 
 
 def test_the_identity_pre_reads_as_ranges():
-    prob = load_problem((RECORDER.CORPUS / "loop-tiling.prob").read_text())
+    prob = problem_at("loop-tiling")
     spec, n = PairSpec(prob.bm, prob.pre), prob.bm.space.size
     assert spec._columns() == (range(n), None)
     assert spec.one_partner() == (range(n), range(n))

@@ -16,13 +16,12 @@ from bikat.kat import (Alphabet, CapExceeded, ParseError, kact, kat_equiv,
                        kseq, parse_term)
 from bikat.models.space import SpaceError
 from bikat.problem import (CHECKS, Cur, load_problem, parse_bool, parse_expr,
-                           parse_stmt)
+                           parse_stmt, passed)
 from bikat.rhl import check_selfcomp, proof
 from bikat.rhl.parse import parse_proof
 from bikat.rhl.proof import rel_bitest_term
 
 from gen import random_bikat, random_kat
-from test_corpus import verdict
 
 CORPUS = Path(__file__).resolve().parent.parent / "src" / "bikat" / "corpus"
 PROBLEMS = {p.stem: p.read_text() for p in sorted(CORPUS.glob("*.prob"))}
@@ -161,6 +160,13 @@ def test_comparison_naming_what_the_space_lacks_is_refused_on_load(block, bad, m
         load_problem(SMALL + block % bad)
 
 
+@pytest.mark.parametrize("block", ["left { x := f(x, y); }", "pre { [f(x, y) == y] }"])
+def test_table_call_on_two_arguments_is_refused_on_load(block):
+    # a table function reads one argument: a second is refused, not ignored
+    with pytest.raises(SpaceError, match="function 'f' takes one argument, not 2$"):
+        load_problem("width 2; vars x y; ftable f 1 2 3 0;\n" + block)
+
+
 @pytest.mark.parametrize("bad, message", BAD_COMPARISONS)
 def test_comparison_naming_what_the_space_lacks_is_refused_in_a_proof(bad, message):
     with pytest.raises(SpaceError, match=message):
@@ -197,8 +203,8 @@ def test_expect_lines_with_their_terms_load_and_run():
                             "witness_bvalid", "proof_accepted"]
     # the witness runs from (0, 1), outside the pre, to the post pair (1, 1),
     # so it is not backward-valid (WCb)
-    assert [verdict(kind, prob, None) for kind in prob.expects[:4]] == [
-        True, True, True, False]
+    checks = prob.checks(None)
+    assert [passed(checks[kind]()) for kind in prob.expects[:4]] == [True, True, True, False]
 
 
 def test_each_check_looks_its_function_up_when_it_runs(monkeypatch):

@@ -12,6 +12,8 @@ import pytest
 
 ROOT = Path(__file__).resolve().parent.parent
 PYPROJECT = ROOT / "pyproject.toml"
+SOURCES = [p for d in ("src", "tests", "tools", "perfbench")
+           for p in sorted((ROOT / d).rglob("*.py"))]
 
 
 def test_console_scripts_resolve_to_callables():
@@ -29,14 +31,34 @@ def test_sources_parse_as_python_3_10():
     # `requires-python` includes 3.10, so no file may use newer syntax (an
     # `except*`, a type parameter list); library APIs are not checked
     assert 'requires-python = ">=3.10"' in PYPROJECT.read_text()
-    paths = [p for d in ("src", "tests", "tools", "perfbench")
-             for p in sorted((ROOT / d).rglob("*.py"))]
-    assert len(paths) > 40
-    for path in paths:
+    assert len(SOURCES) > 40
+    for path in SOURCES:
         ast.parse(path.read_text(), str(path), feature_version=(3, 10))
     with pytest.raises(SyntaxError):
         ast.parse("try:\n    pass\nexcept* ValueError:\n    pass\n",
                   feature_version=(3, 10))
+
+
+def test_no_module_level_import_goes_unused():
+    # an `__init__.py` imports to re-export, and a `# noqa: F401` line keeps
+    # a name that a wrapper looks up in the module (the tracer's targets)
+    unused = []
+    for path in SOURCES:
+        if path.name == "__init__.py":
+            continue
+        text = path.read_text()
+        tree, lines = ast.parse(text), text.splitlines()
+        read = {n.id for n in ast.walk(tree) if isinstance(n, ast.Name)}
+        for node in tree.body:
+            if (not isinstance(node, (ast.Import, ast.ImportFrom))
+                    or getattr(node, "module", None) == "__future__"
+                    or "# noqa: F401" in lines[node.lineno - 1]):
+                continue
+            for alias in node.names:
+                name = alias.asname or alias.name.partition(".")[0]
+                if name not in read:
+                    unused.append(f"{path.relative_to(ROOT)}:{node.lineno} {name}")
+    assert not unused
 
 
 def test_benchmark_wrappers_find_every_name_they_wrap():

@@ -7,9 +7,7 @@ from contextlib import contextmanager
 import pytest
 
 from bikat.judge import EnumRefused
-from bikat.judge.core import pair_spec, post_map
 from bikat.judge.oracles import dispatch
-from bikat.models.bmodel import bitest_holds
 from bikat.models.space import SIZE_CAP, SpaceError
 from bikat.problem import Cur, load_problem, parse_expr, parse_stmts_text
 from bikat.rhl import check_selfcomp
@@ -17,8 +15,8 @@ from bikat.rhl.parse import parse_proof
 from bikat.rhl.proof import (RULES, SideCondition, check_implication, check_proof,
                              discharge_side_condition)
 
-from test_corpus import CORPUS
-from test_refute import WORKLOADS
+from test_judgments import assert_refutes
+from test_record import problem_at
 from test_rules import inventory
 
 # 4096 states a side; x has offset 0, so state 64 is x=0, y=1
@@ -115,38 +113,24 @@ def test_implication_streams_the_rows(prob, monkeypatch):
 
 # --- self-composition --------------------------------------------------------
 
-def at_width_2(stem: str, mutated: bool = False):
-    """A corpus problem, or its benchmark mutant, at width 2."""
-    text = (CORPUS / f"{stem}.prob").read_text()
-    if mutated:
-        (mutant,) = [m for m in WORKLOADS.MUTANTS if m.source == stem]
-        text = WORKLOADS.apply_mutant(text, mutant)
-    return load_problem(text, stem + "~mutant" * mutated, width_override=2)
-
-
 @pytest.mark.parametrize("stem, mutated", [
     ("count-cond", False), ("double-square", False), ("factorial-ni", False),
     ("simple-sum", False),
     ("double-square", True), ("factorial-ni", True), ("simple-sum", True),
 ])
 def test_selfcomp_agrees_with_dispatch(stem, mutated):
-    prob = at_width_2(stem, mutated)
+    prob = problem_at(stem + "~mutant" * mutated, 2)
     res = check_selfcomp(prob.rhl_context(), prob.rhl_judgment())
     assert res.holds == dispatch(prob.bm, prob.judgment()).holds == (not mutated)
     if mutated:
         # the counterexample is a pair of runs from pre-related states whose
         # ends fail the post
-        j = prob.judgment()
-        a, b, t, t2 = res.counterexample.states
-        assert pair_spec(prob.bm, prob.pre).holds(a, b)
-        assert t in post_map(prob.bm.base, j.left)[a]
-        assert t2 in post_map(prob.bm.base, j.right)[b]
-        assert not bitest_holds(prob.bm, prob.post, t, t2)
+        assert_refutes(prob, "allall", res.counterexample.states)
 
 
 @pytest.mark.parametrize("mutated", [False, True])
 def test_selfcomp_proof_leaf(mutated):
-    prob = at_width_2("factorial-ni", mutated)
+    prob = problem_at("factorial-ni" + "~mutant" * mutated, 2)
     tree = parse_proof("(selfcomp)", prob.parser.bitest, lambda s: parse_expr(Cur(s)))
     res = check_proof(prob.rhl_context(), tree, prob.rhl_judgment())
     assert res.accepted is not mutated
@@ -161,7 +145,7 @@ def test_selfcomp_proof_leaf(mutated):
 
 
 def test_selfcomp_applies_to_forall_forall_only():
-    prob = at_width_2("guess-count")  # a forward simulation
+    prob = problem_at("guess-count", 2)  # a forward simulation
     res = check_selfcomp(prob.rhl_context(), prob.rhl_judgment())
     assert not res.holds and res.counterexample is None
     assert res.notes == ["self-composition applies to forall-forall only"]
@@ -175,7 +159,7 @@ def test_selfcomp_applies_to_forall_forall_only():
 @pytest.mark.parametrize("stem", ["array-insert", "loop-tiling"])
 def test_selfcomp_refuses_a_doubled_space_over_the_cap(stem):
     # the doubled state has twice the bits of one side, over SIZE_CAP
-    prob = at_width_2(stem)
+    prob = problem_at(stem, 2)
     with pytest.raises(SpaceError, match=f"states, cap is {SIZE_CAP}$"):
         check_selfcomp(prob.rhl_context(), prob.rhl_judgment())
 

@@ -2,9 +2,10 @@
 and preimages are compared with the per-pair reference of
 `test_judgments.reference_image`, on sampled sources of the benchmark's
 mutants and of guess-count's witness at declared widths, and on a hand-made
-walk that takes every path of a right step and of a bitest.  The adequacy
-counterexamples of the mutants are pinned, and so are the start pairs that
-adequacy walks once it has applied a goal's one-sided prefix."""
+walk that takes every path of a right step and of a bitest.  The mutants'
+declared-width adequacy records are replayed against the reference, and the
+start pairs that adequacy walks once it has applied a goal's one-sided prefix
+are pinned."""
 
 import random
 import textwrap
@@ -14,12 +15,13 @@ import pytest
 from bikat.bi.terms import B1, BPlus, BStar
 from bikat.judge import check_adequacy, term_image, term_preimage
 from bikat.judge.core import NO_RUN, SEVERAL, pair_spec, post_map
+from bikat.models import kat_post
 from bikat.problem import load_problem
 
 from test_corpus import corpus_problem
-from test_judgments import reference_image
-from test_pairkeys import _goal_problem
-from test_refute import WORKLOADS
+from test_judgments import assert_refutes, reference_image
+from test_record import DECLARED, problem_at, record
+from test_refute import MUTANTS
 
 
 def assert_walks_match(bm, w, sources, targets=3):
@@ -36,7 +38,7 @@ def assert_walks_match(bm, w, sources, targets=3):
 
 @pytest.mark.parametrize("name", ["factorial-ni~mutant", "loop-tiling~mutant"])
 def test_mutant_goals_match_reference(name):
-    prob = load_problem(_goal_problem(name), name)
+    prob = problem_at(name)
     pre = pair_spec(prob.bm, prob.pre).pairs()
     sources = random.Random(13).sample(pre, min(32, len(pre)))
     assert_walks_match(prob.bm, prob.script_goal, sources)
@@ -104,27 +106,21 @@ def test_hand_walk_adequacy_matches_images():
     assert ((a, b), (t, t2)) == first
 
 
-# the declared-width adequacy verdicts of the benchmark's mutants: the
-# states of each counterexample, None where the goal is adequate
-MUTANT_ADEQUACY = {
-    "loop-tiling": (0, 0, 4, 30800),
-    "factorial-ni": None,
-    "double-square": (0, 0, 0, 16),
-    "simple-sum": (0, 0, 1, 2),
-    "array-insert": None,
-}
-
-
-@pytest.mark.parametrize("source", sorted(MUTANT_ADEQUACY))
+@pytest.mark.parametrize("source", MUTANTS)
 def test_mutant_adequacy_counterexamples_are_pinned(source):
-    assert {m.source for m in WORKLOADS.MUTANTS} == set(MUTANT_ADEQUACY)
+    # the record's run pair is one the goal misses; where the goal is
+    # adequate, sampled sources' run pairs are in its reference image
     name = f"{source}~mutant"
-    prob = load_problem(_goal_problem(name), name)
-    j = prob.judgment()
-    res = check_adequacy(prob.bm, j.spec.pre, j.left, j.right, prob.script_goal)
-    want = MUTANT_ADEQUACY[source]
-    assert res.holds == (want is None)
-    assert (None if res.holds else res.counterexample.states) == want
+    prob, rec = problem_at(name), record(DECLARED, name, "adequate")
+    if rec["counterexample"]:
+        assert_refutes(prob, *rec["counterexample"][:2])
+        return
+    bm, j = prob.bm, prob.judgment()
+    pre = pair_spec(bm, j.spec.pre).pairs()
+    for a, b in random.Random(19).sample(pre, min(16, len(pre))):
+        runs = {(c, d) for c in kat_post(bm.base, j.left, (a,))
+                for d in kat_post(bm.base, j.right, (b,))}
+        assert runs <= reference_image(bm, prob.script_goal, {(a, b)}), (a, b)
 
 
 # pre pairs and walked start pairs of adequacy at declared width: the goal's
@@ -139,7 +135,7 @@ QUOTIENT = {
 @pytest.mark.parametrize("name", ["factorial-ni", "factorial-ni~mutant", "array-insert"])
 def test_adequacy_walks_one_start_pair_per_class(name, monkeypatch):
     from bikat.judge import witness
-    prob = load_problem(_goal_problem(name), name)
+    prob = problem_at(name)
     j = prob.judgment()
     walked = []
     tags = witness.term_tags

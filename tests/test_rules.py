@@ -17,6 +17,7 @@ from bikat.rhl.parse import parse_proof
 from bikat.rhl.proof import check_proof
 
 from test_corpus import CORPUS
+from test_record import problem_at
 
 SPACE = "width 2; vars x y;"
 
@@ -228,8 +229,7 @@ def test_leaf_rules_refuse_premises():
         assert [(r.path, r.rule, r.ok, r.message) for r in res.reports] == [
             ((), rule, False, "rule needs 0 premises, proof has 2")]
     # factorial-ni's proof with premises under the leaf of its loop body
-    prob = load_problem((CORPUS / "factorial-ni.prob").read_text(), "factorial-ni",
-                        width_override=2)
+    prob = problem_at("factorial-ni", 2)
     text = (CORPUS / "factorial-ni.proof").read_text().replace(
         "(dprim))))", "(dprim (bogus) (dseq)))))")
     tree = parse_proof(text, prob.parser.bitest, lambda s: parse_expr(Cur(s)))

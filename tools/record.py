@@ -25,10 +25,11 @@ oracle; a pair relation's count and SHA-256 hash of the pairs of
 `PairSpec.pairs()`, in order, and whether `PairSpec.one_partner` reads it as
 columns; or the refusal that stopped the check, its class and message.
 
-`tests/test_record.py` recomputes the width-2 record and compares it line by
-line; CI compares the declared-width record with `tests/record_declared.jsonl`.
-A change that alters a record on purpose rewrites the files, and their diff
-shows what changed.
+`tests/test_record.py` recomputes both records and compares each with its
+kept file line by line, in tier-1.  The tests read the expected verdicts and
+the counterexamples of the corpus and the mutants from the records, not from
+copies, and `problems()` is their list of problems and texts.  A change that alters a record on purpose rewrites the files, and
+their diff shows what changed.
 """
 
 from __future__ import annotations
