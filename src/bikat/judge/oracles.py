@@ -67,7 +67,9 @@ base oracle on the same programs and pre, and `check_derived` negates the
 post, and the base's verdict and routes, where the table says.  ∃∀ is the
 negation of fsim against the negated post; ∃∃ that of ∀∀, R;<c|d>;!S != 0;
 incorrectness is bsim, c;S <= R;d.  A negated base's counterexample is the
-derived kind's witness, `<kind>-witness`, with the base's states and text.
+derived kind's witness, `<kind>-witness`, with the base's states and text;
+∃∀'s (a, b, t) is told of its own post: a left run from a to t, to which
+every right run from b ends post-related.
 
 One class walk (`_class_walks`) serves adequacy and witness validity.  A
 term split at its longest prefix of one-sided factors, which commute, is
@@ -580,13 +582,19 @@ DUALS = {
 def check_derived(kind: str, bm: BiModel, j: Judgment) -> JudgeResult:
     """A derived judgment of `kind`, read through its base oracle (`DUALS`)
     on the same programs and pre: each route of the base is reported, negated
-    with the verdict.  A negated base's counterexample is the witness."""
+    with the verdict.  A negated base's counterexample is the witness, told
+    of the judgment's own post."""
     base, neg_post, neg_verdict = DUALS[kind]
     post = bnot(j.spec.post) if neg_post else j.spec.post
     sub = ORACLES[base](bm, Judgment(base, j.left, j.right, RelSpec(j.spec.pre, post)))
     cex = sub.counterexample
     if neg_verdict and cex is not None:
-        cex = Counterexample(f"{kind}-witness", cex.states, cex.rendered)
+        text = cex.rendered
+        if neg_post:  # fsim's text speaks of the negated post
+            a, b, t = cex.states
+            text = (f"pre {pair_spec(bm, j.spec.pre).render_pair(a, b)}: left run to "
+                    f"{bm.space.state_str(t)}, every right run post-related to it")
+        cex = Counterexample(f"{kind}-witness", cex.states, text)
     return JudgeResult(kind, sub.holds != neg_verdict, cex,
                        {route: v != neg_verdict for route, v in sub.routes.items()})
 

@@ -15,13 +15,14 @@ Rule inventory, the keys of `RULES` case-folded (a test keeps the two equal):
   backward sim:  bSeq bIf bWh bnAss bConseq bDisj bPrim bCall
 
 An e-rule concludes fsim judgments, a b-rule bsim, every other rule allall;
-the other judgment kinds have no rules.  dPrim/ePrim/bPrim, dAss/eAss and
-selfComp are leaves that an oracle discharges; dCall-style leaves discharge
-against a declared relational hypothesis, the way procedure-call specs are
-axiomatized.  bIf and bWh need no guard-agreement side condition; their
-premises run a left branch or body, as the bsim oracle does, from every
-state, so it first assumes its guard.  A node may carry only the annotations
-its rule reads.
+the other judgment kinds have no rules.  dPrim/ePrim/bPrim and dAss/eAss
+are leaves that the judgment oracle discharges, and selfComp a leaf that the
+walk of the sequential alignment <c] ; [d> discharges (`selfcomp`);
+dCall-style leaves discharge against a declared relational hypothesis, the
+way procedure-call specs are axiomatized.  bIf and bWh need no
+guard-agreement side condition; their premises run a left branch or body, as
+the bsim oracle does, from every state, so it first assumes its guard.  A
+node may carry only the annotations its rule reads.
 """
 
 from __future__ import annotations

@@ -3,7 +3,6 @@
 import random
 import re
 import textwrap
-from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
@@ -21,7 +20,7 @@ from bikat.models import interp_bikat, random_bimodel
 from bikat.problem import load_problem
 
 from gen import random_bikat
-from test_record import problem_at
+from test_record import TEXTS, problem_at
 
 ALPH = Alphabet.make(["p", "q"], ["a", "b", "c"])
 BALPH = BiAlphabet(ALPH, ("P", "Q"))
@@ -325,14 +324,10 @@ class TestScripts:
                 assert interp_bikat(bm, tr.instance.lhs) == interp_bikat(bm, tr.instance.rhs)
 
 
-CORPUS = Path(__file__).resolve().parent.parent / "src" / "bikat" / "corpus"
-
-
 def with_steps(stem: str, steps: str) -> str:
     """A corpus problem with its script steps replaced."""
-    text = (CORPUS / f"{stem}.prob").read_text()
     new, n = re.subn(r"steps \{.*?\n  \}", lambda _: f"steps {{\n    {steps}\n  }}",
-                     text, flags=re.S)
+                     TEXTS[stem], flags=re.S)
     assert n == 1
     return new
 

@@ -23,7 +23,8 @@ from bikat.models.kmodel import frame_mask, image
 from bikat.models.space import ArrayDecl, StateSpace, VarDecl, packed_states, state_code
 from bikat.problem import parse_stmts_text
 
-from test_imp import CORPUS, env_for
+from test_corpus import NAMES
+from test_imp import env_for
 from test_record import problem_at
 
 KAT = (KTest, KAct, KPlus, KSeq, KStar)
@@ -206,7 +207,7 @@ def _ask_every_way(traffic, m, t, backward, states, want) -> PostMap:
     return post
 
 
-@pytest.mark.parametrize("name", sorted(p.stem for p in CORPUS.glob("*.prob")))
+@pytest.mark.parametrize("name", NAMES)
 @pytest.mark.parametrize("width", [None, 2])
 def test_corpus_end_columns_equal_the_walk(name, width, monkeypatch):
     prob = problem_at(name, width)
@@ -228,8 +229,8 @@ def test_corpus_unframed_ends_decode_the_walk():
     # an unframed term's ends are its images decoded: one end, NO_RUN or
     # SEVERAL, asked at once and in two overlapping batches
     marks, asked = set(), 0
-    for path in sorted(CORPUS.glob("*.prob")):
-        prob = problem_at(path.stem, 2)
+    for name in NAMES:
+        prob = problem_at(name, 2)
         j, m = prob.judgment(), prob.bm.base
         states = list(range(m.space.size))
         third = len(states) // 3
@@ -268,7 +269,7 @@ def test_havoc_and_blocking_assumes_give_no_run_and_several(monkeypatch):
     assert marks == {NO_RUN, SEVERAL}
 
 
-@pytest.mark.parametrize("name", sorted(p.stem for p in CORPUS.glob("*.prob")))
+@pytest.mark.parametrize("name", NAMES)
 def test_ends_of_a_range_equal_the_ends_of_its_list(name):
     # a range of states is read from the projections before the end column
     # is built, and as one slice of the column after; either way its ends

@@ -13,6 +13,7 @@ from test_record import assert_expects_hold
 
 CORPUS = Path(__file__).resolve().parent.parent / "src" / "bikat" / "corpus"
 PROBLEMS = sorted(CORPUS.glob("*.prob"))
+NAMES = [p.stem for p in PROBLEMS]  # the corpus problems, in name order
 
 
 @functools.lru_cache(maxsize=None)
@@ -29,6 +30,6 @@ def proof_tree(prob, path: Path | None):
     return parse_proof(path.read_text(), prob.parser.bitest, lambda s: parse_expr(Cur(s)))
 
 
-@pytest.mark.parametrize("name", [p.stem for p in PROBLEMS])
+@pytest.mark.parametrize("name", NAMES)
 def test_expect_lines_hold(name):
     assert_expects_hold(name)

@@ -22,7 +22,8 @@ from bikat.models.imp import SArrAssign, SAssume
 from bikat.models.kmodel import frame_mask, image
 from bikat.problem import load_problem, parse_stmts_text
 
-from test_imp import CORPUS, _random_cond, _random_primitive, env_for
+from test_corpus import NAMES
+from test_imp import _random_cond, _random_primitive, env_for
 from test_record import problem_at
 
 KAT = (KTest, KAct, KPlus, KSeq, KStar)
@@ -57,7 +58,7 @@ def _sample(rng, n: int) -> list[int]:
 
 
 class TestLiftedImages:
-    @pytest.mark.parametrize("name", sorted(p.stem for p in CORPUS.glob("*.prob")))
+    @pytest.mark.parametrize("name", NAMES)
     @pytest.mark.parametrize("width", [None, 2])
     def test_corpus_subterms(self, name, width):
         prob = problem_at(name, width)

@@ -1,7 +1,6 @@
 """The imperative frontend: parsing, semantics, compilation agreement."""
 
 import random
-from pathlib import Path
 
 import pytest
 
@@ -9,17 +8,14 @@ from bikat.judge import ExprBitest, PairSpec, dispatch
 from bikat.models import (ImpEnv, SAssign, SHavoc, SIf, SSkip, SWhile,
                           bitest_holds, interp_kat, kat_post, kat_pre)
 from bikat.models.imp import (BAndE, BCmp, BConst, BNotE, BOrE, EArr, EBin,
-                              ECall, EConst, EVar, SArrAssign, SAssume, block_str,
+                              ECall, EConst, EVar, SArrAssign, SAssume,
                               bool_str, expr_str, subst_expr)
 from bikat.models.kmodel import image, state_array
 from bikat.kat.parse import ParseError
 from bikat.models.space import SpaceError, StateSpace, VarDecl, ArrayDecl
 from bikat.problem import Cur, load_problem, parse_bool, parse_expr, parse_stmts_text
-from bikat.rhl import rename_program
-
+from test_corpus import NAMES
 from test_record import problem_at
-
-CORPUS = Path(__file__).resolve().parent.parent / "src" / "bikat" / "corpus"
 
 
 def env_for(widths: dict[str, int], width: int = 3, arrays=(), ftables=None):
@@ -257,7 +253,7 @@ class TestFootprintTables:
             for s in states:
                 assert table[s] == env.holds(prim, s), (prim, s)
 
-    @pytest.mark.parametrize("name", sorted(p.stem for p in CORPUS.glob("*.prob")))
+    @pytest.mark.parametrize("name", NAMES)
     @pytest.mark.parametrize("width", [None, 2])
     def test_corpus_programs(self, name, width):
         prob = problem_at(name, width)
@@ -316,26 +312,6 @@ class TestFootprintTables:
 
 
 class TestRename:
-    def test_rename_is_disjoint(self):
-        prog = parse_stmts_text(
-            "x := y + 1; if (x > 0) { a[x] := 1; } while (x != 0) { x := x - 1; }")
-        s = block_str(rename_program(prog))
-        assert "x_r" in s and "y_r" in s and "a_r" in s
-        assert " x " not in s.replace("x_r", "")
-
-    # every statement, expression and condition form; function names,
-    # operators and constants are not renamed
-    EVERY_FORM = ("skip; x := any; assume(!(x < 1) || true); "
-                  "if (x == 0 && y != min(x, 2)) { a[x % 2] := f(y) * 3; } "
-                  "else { y := a[1] - x; } while (false) { x := max(x, y); }")
-
-    def test_rename_maps_every_form(self):
-        renamed = block_str(rename_program(parse_stmts_text(self.EVERY_FORM)))
-        assert renamed == (
-            "skip; x_r := any; assume(!(x_r < 1) || true); "
-            "if (x_r == 0 && y_r != min(x_r, 2)) { a_r[x_r % 2] := f(y_r) * 3; } "
-            "else { y_r := a_r[1] - x_r; }; while (false) { x_r := max(x_r, y_r); };")
-
     def test_subst_replaces_the_variable_only(self):
         (stmt,) = parse_stmts_text("y := a[x] + min(x, y) * f(x - y);")
         got = subst_expr(stmt.expr, "x", stmt.expr.left)

@@ -154,6 +154,20 @@ class TestSimulations:
             hits += ea.holds
         assert 0 < hits < 100
 
+    def test_existsforall_witness_says_what_it_shows(self):
+        # the only right run from b = 0 ends post-related to the left end
+        prob = problem_at("array-insert", 2)
+        j = prob.judgment()
+        ea = check_existsforall(prob.bm, Judgment("existsforall", j.left, j.right, j.spec))
+        cex = ea.counterexample
+        assert ea.holds and cex.condition == "existsforall-witness"
+        assert cex.states == (0, 0, 5)
+        assert cex.rendered == (
+            "pre left={i=0, len=0, h=0, k=0, A=[0,0,0]} "
+            "right={i=0, len=0, h=0, k=0, A=[0,0,0]}: left run to "
+            "{i=1, len=1, h=0, k=0, A=[0,0,0]}, every right run post-related to it")
+        assert_refutes(prob, cex.condition, cex.states)
+
     @staticmethod
     def _direct_ea(bm, j):
         from bikat.judge.core import PostMap
@@ -480,25 +494,36 @@ def reference_image(bm, w, pairs, backward=False):
 
 
 def assert_refutes(prob, condition, states, goal=None):
-    """`states` refute the check `condition` (allall, fsim or adequacy of
-    `goal`, by default the script goal) of `prob`, replayed from the
-    semantics apart from the oracles: the first pair is pre-related, the
-    ends are runs of the programs from it, and the post fails on the two
-    ends (∀∀), relates no right end to the left one (fsim), or the goal's
-    reference image misses them (adequacy)."""
-    from bikat.models import bitest_holds, kat_post
+    """`states` refute the check `condition` of `prob`, or witness it for a
+    `-witness` condition, replayed from the semantics apart from the oracles.
+    bsim's (a, t, t2): t is a left end from a, post-related to t2, and no
+    right run from a state pre-related to a ends in t2.  Any other's first
+    pair is pre-related and the ends are runs of the programs from it; the
+    post fails on the two ends (∀∀, and the ∃∃ witness), relates no right end
+    to the left one (fsim) or every one (the ∃∀ witness), or the reference
+    image of `goal`, by default the script goal, misses them (adequacy)."""
+    from bikat.models import bitest_holds, kat_post, kat_pre
     bm, j = prob.bm, prob.judgment()
+    pre, post = j.spec.pre, j.spec.post
+    if condition == "bsim":
+        a, t, t2 = states
+        assert t in kat_post(bm.base, j.left, (a,))
+        assert bitest_holds(bm, post, t, t2)
+        starts = kat_pre(bm.base, j.right, (t2,))
+        assert not any(bitest_holds(bm, pre, a, b) for b in starts)
+        return
     a, b, c, *d = states
-    assert bitest_holds(bm, j.spec.pre, a, b)
+    assert bitest_holds(bm, pre, a, b)
     assert c in kat_post(bm.base, j.left, (a,))
     rights = kat_post(bm.base, j.right, (b,))
-    if condition == "fsim":
-        assert not any(bitest_holds(bm, j.spec.post, c, e) for e in rights)
+    if condition in ("fsim", "existsforall-witness"):
+        related = [bitest_holds(bm, post, c, e) for e in rights]
+        assert all(related) if condition == "existsforall-witness" else not any(related)
         return
     (d,) = d
     assert d in rights
-    if condition == "allall":
-        assert not bitest_holds(bm, j.spec.post, c, d)
+    if condition in ("allall", "existsexists-witness"):
+        assert not bitest_holds(bm, post, c, d)
     else:
         assert condition == "adequacy"
         goal = prob.script_goal if goal is None else goal

@@ -1,7 +1,8 @@
 """The benchmark's mutants and the corpus in the kept verdict records: every
 check of the mutants' table finds its expected verdict at declared width, and
-the counterexamples that the records pin are replayed from the semantics,
-apart from the oracles that found them (`test_judgments.assert_refutes`)."""
+every counterexample that the records pin, at both widths, is replayed from
+the semantics, apart from the oracles that found them
+(`test_judgments.assert_refutes`)."""
 
 import pytest
 
@@ -25,12 +26,18 @@ def test_mutant_allall_counterexamples_are_pinned(source):
     assert_refutes(problem_at(name), *rec["counterexample"][:2])
 
 
+def _counterexamples(rec: dict):
+    """The (condition, states) of each judgment counterexample that a record
+    keeps: its own, its proof's root oracle's and its witness's oracle's."""
+    for found in (rec, rec.get("root"), rec.get("oracle")):
+        if found and found.get("counterexample"):
+            yield found["counterexample"][:2]
+
+
 @pytest.mark.parametrize("name", TEXTS)
 def test_counterexamples_and_failing_proof_nodes_are_pinned(name):
-    # at width 2: the routes agree with the verdict, a proof is accepted iff
-    # none of its nodes fails, and each ∀∀, fsim and adequacy counterexample
-    # refutes its check
-    prob = problem_at(name, 2)
+    # at width 2 the routes agree with the verdict and a proof is accepted
+    # iff none of its nodes fails
     for rec in kept(RECORDER.RECORD):
         if rec["problem"] != name:
             continue
@@ -38,5 +45,11 @@ def test_counterexamples_and_failing_proof_nodes_are_pinned(name):
             assert set(rec["routes"].values()) <= {rec["holds"]}, rec["check"]
         if "reports" in rec:
             assert rec["accepted"] == all(ok for _, _, _, ok, _ in rec["reports"])
-        if rec["check"] in ("allall", "fsim", "adequate") and rec.get("counterexample"):
-            assert_refutes(prob, *rec["counterexample"][:2])
+    # at both widths each kept counterexample, whatever its check, replays
+    for path, width in ((RECORDER.RECORD, 2), (DECLARED, None)):
+        found = [cex for rec in kept(path) if rec["problem"] == name
+                 for cex in _counterexamples(rec)]
+        if found:
+            prob = problem_at(name, width)
+            for condition, states in found:
+                assert_refutes(prob, condition, states)
