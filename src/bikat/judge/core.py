@@ -40,8 +40,12 @@ With one pattern, 0, a left state has at most one partner, its template:
 atoms, which `rows` reads too.  `shares_rows` says whether
 each row `rows` yields is a kept template row, or one made for its left
 state (a one-partner list, or a row filtered by residual atoms).
-Enumeration is refused before it starts, never truncated, when an estimate
-of its candidates exceeds the one cap `PAIR_ENUM_CAP`.
+Enumeration is never truncated.  One rule refuses it (`rows`,
+`partner_sets`): within an estimate of `PAIR_ENUM_CAP` candidates nothing is
+charged; above it, residual atoms refuse it up front, and otherwise each
+left state's candidates are charged before its row is built, so a reader
+that stops early within the cap gets its verdict.  `pairs` reads every
+pair, so it is refused up front.
 
 `PostMap` memoizes per-state images of a program term in `images`; `fill`
 computes the missing images of a whole batch of states in one walk of the
@@ -68,7 +72,7 @@ per bitest, in the model's store (`kmodel.compiled`).
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import compress, repeat, tee
+from itertools import compress, count, repeat, tee
 from operator import add, and_, itemgetter
 from typing import Iterator
 
@@ -605,15 +609,26 @@ class PairSpec:
                 f"pair enumeration of ~{estimated} pairs exceeds the cap "
                 f"{PAIR_ENUM_CAP}")
 
+    def _each(self) -> int:
+        """The candidates that an enumeration charges per left state: 0
+        within the estimate of `check_enumerable`, else the free patterns;
+        above it, EnumRefused where residual atoms filter every candidate."""
+        try:
+            self.check_enumerable()
+        except EnumRefused:
+            if self._layout.preds:
+                raise
+            return len(self._layout.patterns)
+        return 0
+
     def one_partner(self) -> tuple | None:
         """(left states with a partner, that partner) as columns, when the
         one free pattern is 0, so a left state's one candidate is its
         template; else None.  The columns are a range and the template
         column where every left state is open (two ranges for the identity),
         and lazy otherwise.  Residual atoms filter the open states, one
-        closure call per open state, as `_row` calls them.  Refused as
-        `rows`."""
-        self.check_enumerable()
+        closure call per open state, as `_row` calls them.  Never refused:
+        it has at most one pair per state, fewer than PAIR_ENUM_CAP."""
         if self._atoms is None:
             return (), ()
         lay = self._get_layout()
@@ -648,17 +663,25 @@ class PairSpec:
         """The relation as rows, streamed: each left state with a partner, in
         order, with its right partners.  Each row is built from the template
         column when it is reached, so a reader that stops early builds few.
-        Refused above the cap before any row is built."""
+        Above the cap, refused before any row where residual atoms filter
+        the rows, and otherwise before the row whose candidates would pass
+        it (`_each`)."""
         cols = self.one_partner()
         if cols is not None:
             return zip(cols[0], map(list, zip(cols[1])))
-        rows = map(self._shared.__getitem__, self._open()[1])
+        each = self._each()
+        lefts, tmpls = self._open()
+        if each:  # each left state charged before its row is built
+            lefts = map(_charge, count(1), repeat(each), lefts)
+        rows = map(self._shared.__getitem__, tmpls)
         if self._layout.preds:
             rows = map(self._row, self._open()[0], rows)
-        return filter(itemgetter(1), zip(self._open()[0], rows))
+        return filter(itemgetter(1), zip(lefts, rows))
 
     def pairs(self) -> list[tuple[int, int]]:
-        """The rows flattened into pairs, in order."""
+        """The rows flattened into pairs, in order; refused above the cap
+        before any row, as it reads every pair."""
+        self.check_enumerable()
         return [(s, s2) for s, row in self.rows() for s2 in row]
 
     def partners_left(self, s: int) -> list[int]:
@@ -675,29 +698,23 @@ class PairSpec:
 
     def partner_sets(self):
         """t -> the right states related to t, as a set memoized per t and
-        made once per distinct row.  If the cap refuses the whole relation,
-        None where each state's candidates pass through residual filters (a
+        made once per distinct row.  Refused as `rows` is, per state asked:
+        None where the relation is refused up front (residual filters: a
         comparison other than a forcing `==`, or a negation or disjunction
         reading both sides, which filters every state of a space); otherwise
         the function raises EnumRefused before enumerating a state that would
         take the candidates built past PAIR_ENUM_CAP."""
         try:
-            self.check_enumerable()
-            each = 0
+            each = self._each()
         except EnumRefused:
-            if self._layout.preds:
-                return None
-            each = len(self._layout.patterns)
+            return None
         known: dict[int, frozenset[int]] = {}
         sets: dict[int, frozenset[int]] = {}  # one per distinct row, by identity
 
         def partners(t: int) -> frozenset[int]:
             got = known.get(t)
             if got is None:
-                if (len(known) + 1) * each > PAIR_ENUM_CAP:
-                    raise EnumRefused(
-                        f"enumerating the partners of {len(known) + 1} states, up to "
-                        f"{each} candidates each, exceeds the cap {PAIR_ENUM_CAP}")
+                _charge(len(known) + 1, each)
                 row = self.partners_left(t)  # kept by the spec: its id is not reused
                 if id(row) not in sets:
                     sets[id(row)] = frozenset(row)
@@ -726,6 +743,15 @@ class _TemplateRows(dict):
             row = list(compress(row, map(lay.right.__getitem__, row)))
         self[tmpl] = row
         return row
+
+
+def _charge(k: int, each: int, s: int | None = None) -> int | None:
+    """`s`, the `k`-th left state of an enumeration that charges `each`
+    candidates a state; refused if they take it past PAIR_ENUM_CAP."""
+    if k * each > PAIR_ENUM_CAP:
+        raise EnumRefused(f"enumerating the partners of {k} states, up to {each} "
+                          f"candidates each, exceeds the cap {PAIR_ENUM_CAP}")
+    return s
 
 
 def _placed(f, off: int, width: int):

@@ -2,10 +2,10 @@
 
 No oracle builds a relation matrix.  Each reads the programs through one
 compiled representation, `PostMap` images over successor tables and test
-bytes, and the pre-relation as rows: a left state with all its right
-partners, a chunk at a time (`_row_chunks`: 64 pairs, then 128, ...), with
-the left images of a chunk computed in one batch, so a check that stops at
-an early counterexample computes few images.
+bytes, and the pre-relation (bsim's post) as rows: a left state with all
+its right partners, a chunk at a time (`_row_chunks`: 64 pairs, then 128,
+...), with the left images of a chunk computed in one batch, so a check
+that stops at an early counterexample computes few images.
 
 The rows are read through one row reader per check (`_PreRows`), which does
 the right-side work of each distinct row once: it fills the right images of
@@ -24,11 +24,10 @@ The pointwise routes read a pair predicate through the keys of its
 `PairPred` (`PairSpec.pred`): ∀∀ tests a row's cpost[a] x D at once,
 a single pair by comparing its two keys, a larger product by asking that
 the keys of cpost[a] and of D be one and the same key (where the pre
-shares its rows, D's one key is made once per row); fsim and the bsim
-point-free route look a key up among the keys of a set of ends.  Where a
-residual atom remains, or a row fails, the pairs are tested one by one, so
-the first failing pair, and every counterexample, is the one a pair loop
-finds.
+shares its rows, D's one key is made once per row); fsim and bsim look a
+key up among the keys of a set of ends.  Where a residual atom remains, or
+a row fails, the pairs are tested one by one, so the first failing pair,
+and every counterexample, is the one a pair loop finds.
 
 ∀∀, forward and backward simulation each run a second route that reads the
 relations another way, and raise `RouteDisagreement` if the routes differ:
@@ -39,14 +38,21 @@ relations another way, and raise `RouteDisagreement` if the routes differ:
 - fsim (R°;c <= d;S°): per pre pair (a, b) and end t of a, pointwise, an end
   of d(b) that the post predicate relates to t; point-free, an end of d(b) in
   S(t), the enumerated post partners of t.
-- bsim (c;S <= R;d): per left run a -> t and enumerated post partner t2,
-  pointwise, t2 in the D of a's pre row; point-free, a right preimage of t2
-  that the pre predicate relates to a.
+- bsim (c;S <= R;d) is fsim of the converse, S°;c° <= d°;R°, one loop
+  with fsim (`_check_sim`): per post row t, partner t2 and left start a, a
+  preimage of t, pointwise, a right preimage of t2 that the pre predicate
+  relates to a; point-free, a right preimage of t2 among the pre partners
+  of a.  Its first counterexample is the first in that order (post row,
+  then partner, then left start), told as (a, t, t2).
 
 The ∀∀ equational and fsim point-free routes read the post through its
-per-state partner sets (`PairSpec.partner_sets`); a route whose enumeration
-the caps refuse, up front or once it has built PAIR_ENUM_CAP candidates, is
-dropped.
+per-state partner sets (`PairSpec.partner_sets`), and bsim's the pre.  The
+rows a check reads, and those partner sets, are refused by one rule
+(`PairSpec.rows`): above the cap PAIR_ENUM_CAP, up front where residual
+atoms filter every candidate, and otherwise once the candidates built would
+pass it.  So a counterexample found within the cap is reported, and a check
+that holds refuses after reading the cap's worth; a second route whose
+enumeration is refused is dropped.
 
 ∀∀ reads a pre whose left states have at most one partner each as two
 columns (`PairSpec.one_partner`; residual atoms filter them), sliced into
@@ -158,7 +164,7 @@ class _PreRows:
     `union` gives a row's D and `keys` its right class keys (q(b), d(b)).
     A shared row is filled, and its D and keys made, once per check."""
 
-    def __init__(self, r: PairSpec, cpost: PostMap | None, dpost: PostMap,
+    def __init__(self, r: PairSpec, cpost: PostMap, dpost: PostMap,
                  qpost: PostMap | None = None):
         self.r, self.cpost, self.dpost, self.qpost = r, cpost, dpost, qpost
         shared = r.shares_rows  # else no memo (None): rows made per left state
@@ -475,16 +481,22 @@ def check_adequacy(bm: BiModel, pre, c: KatTerm, d: KatTerm, b: BiKatTerm) -> Ju
     return JudgeResult("adequacy", True)
 
 
-def check_fsim(bm: BiModel, j: Judgment) -> JudgeResult:
+def _check_sim(bm: BiModel, j: Judgment, backward: bool = False) -> JudgeResult:
     """Forward simulation: each left run from a pre-related pair is matched by
-    some right run ending post-related, R°;c <= d;S°.
+    some right run ending post-related, R°;c <= d;S°.  Backward simulation,
+    c;S <= R;d: each left run a -> t whose end is post-related to some t2
+    is matched by a right run to t2 from a pre partner of a; it is forward
+    simulation of the converse, S°;c° <= d°;R°, read with the pre and post
+    swapped and the programs' preimage maps.
 
-    Per pre row, partner b and end t in cpost[a], the pointwise route looks in
-    d(b) for an end that the post predicate relates to t; the point-free route
-    tests that d(b) meets S(t), the post partners of t, memoized per t."""
-    r, s = _spec_views(bm, j)
-    cpost = post_map(bm.base, j.left)
-    dpost = post_map(bm.base, j.right)
+    Per row of the pre (of the post, if `backward`), partner b and end t in
+    cpost[a] (a left start, if `backward`), the pointwise route looks in
+    d(b) for an end that the post predicate relates to t; the point-free
+    route tests that d(b) meets S(t), the post partners of t, memoized per
+    t.  A backward counterexample (t, t2, a) is told as (a, t, t2)."""
+    r, s = _spec_views(bm, j, backward)
+    cpost = post_map(bm.base, j.left, backward)
+    dpost = post_map(bm.base, j.right, backward)
     post = s.pred
     partners = s.partner_sets()
     pointfree = True
@@ -502,73 +514,21 @@ def check_fsim(bm: BiModel, j: Judgment) -> JudgeResult:
                 partners = None
         if cex is not None and (partners is None or not pointfree):
             break
-    return _two_routes(
-        "fsim", cex, lambda a, b, t: f"pre {r.render_pair(a, b)}: left run to "
-        f"{bm.space.state_str(t)} has no post-related right run",
-        "pointfree", None if partners is None else pointfree)
-
-
-def check_bsim(bm: BiModel, j: Judgment) -> JudgeResult:
-    """Backward simulation: each left run whose end is post-related to some
-    right end is matched by a right run from a pre-related start, c;S <= R;d.
-
-    Every left state is visited, not only the pre rows: a state with runs and
-    no pre partner fails at its first end with a post partner.  For each run
-    a -> t and post partner t2 of t, the pointwise route looks t2 up in D, the
-    union of the right images of a's pre partners; the point-free route looks
-    for a pre partner of a, by the compiled pre predicate, among the right
-    preimages of t2."""
-    r, s = _spec_views(bm, j)
-    pre = r.pred
-    dpre = post_map(bm.base, j.right, backward=True).images
-    pointfree = True
-    cex = None
-    for a, t, t2, d in _post_ends(bm, j, r, s):
-        if cex is None and t2 not in d:
-            cex = (a, t, t2)
-        if pointfree:
-            pointfree = pre.some(a, dpre[t2])
-        if cex is not None and not pointfree:
-            break
     sp = bm.space
-    return _two_routes(
-        "bsim", cex, lambda a, t, t2: f"left run {sp.state_str(a)} -> {sp.state_str(t)} "
-        f"with post partner {sp.state_str(t2)} has no pre-related right run",
-        "pointfree", pointfree)
+    if backward:
+        kind, cex = "bsim", None if cex is None else (cex[2], *cex[:2])
+        render = (lambda a, t, t2: f"left run {sp.state_str(a)} -> {sp.state_str(t)} "
+                  f"with post partner {sp.state_str(t2)} has no pre-related right run")
+    else:
+        kind = "fsim"
+        render = (lambda a, b, t: f"pre {r.render_pair(a, b)}: left run to "
+                  f"{sp.state_str(t)} has no post-related right run")
+    return _two_routes(kind, cex, render, "pointfree",
+                       None if partners is None else pointfree)
 
 
-def _post_ends(bm: BiModel, j: Judgment, r: PairSpec, s: PairSpec):
-    """(a, t, t2, D) for each left run a -> t and post partner t2 of t, in
-    state order, with D the union of the right images of a's pre partners.
-    The left states come in batches of 64, then 128, ... (at most
-    WALK_SOURCES), so that a check that stops at an early counterexample
-    computes few images; the images and right preimages a batch needs are
-    computed in one walk each.  Both routes read every pair it yields, so
-    it refuses as the pair enumeration does: before the first batch if the
-    pre would build more than PAIR_ENUM_CAP candidates, and once the post
-    partners asked for would (`PairSpec.partner_sets`)."""
-    r.check_enumerable()
-    partners = s.partner_sets()
-    if partners is None:  # refused, with residual filters on every candidate
-        s.check_enumerable()  # raises the refusal
-    cpost = post_map(bm.base, j.left)
-    pre = _PreRows(r, None, post_map(bm.base, j.right))
-    dback = post_map(bm.base, j.right, backward=True)
-    cimg = cpost.images
-    n, k, size = bm.space.size, 0, 64
-    while k < n:
-        batch = range(k, min(k + min(size, WALK_SOURCES), n))
-        k, size = batch.stop, size * 2
-        cpost.fill(batch)
-        rows = [(a, cimg[a]) for a in batch if any(map(partners, cimg[a]))]
-        pre.fill_right(r.partners_left(a) for a, _ in rows)
-        ends = frozenset().union(*(cs for _, cs in rows))
-        dback.fill(chain.from_iterable(map(partners, ends)))
-        for a, cs in rows:
-            d = pre.union(r.partners_left(a))
-            for t in cs:
-                for t2 in s.partners_left(t):
-                    yield a, t, t2, d
+check_fsim = partial(_check_sim, backward=False)
+check_bsim = partial(_check_sim, backward=True)
 
 
 # derived kind -> (base kind, negate the post?, negate the verdict?)

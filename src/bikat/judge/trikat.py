@@ -19,7 +19,7 @@ from ..models.bmodel import BiModel, bitest_pairs
 from ..models.kmodel import interp_kat
 from ..models.rel import Rel
 from .core import Judgment
-from .oracles import JudgeResult, RouteDisagreement, check_bsim, check_fsim
+from .oracles import JudgeResult, RouteDisagreement, _check_sim
 
 TRI_SIDE_CAP = 6
 
@@ -144,12 +144,11 @@ def _via_trikat(bm: BiModel, j: Judgment, backward: bool) -> JudgeResult:
         c, d, rdot, sdot = c.converse(), d.converse(), sdot, rdot
     holds = _forward_closed_form(n, c, d, rdot, sdot)
 
-    kind, check = ("bsim", check_bsim) if backward else ("fsim", check_fsim)
-    direct = check(bm, Judgment(kind, j.left, j.right, j.spec))
+    direct = _check_sim(bm, j, backward)
     if holds != direct.holds:
         raise RouteDisagreement(
-            f"trikat route ({holds}) disagrees with direct {kind} ({direct.holds})")
-    res = JudgeResult(f"{kind}-trikat", holds)
+            f"trikat route ({holds}) disagrees with direct {direct.kind} ({direct.holds})")
+    res = JudgeResult(f"{direct.kind}-trikat", holds)
     res.routes["trikat"] = holds
     res.routes["direct"] = direct.holds
     return res

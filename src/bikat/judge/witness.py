@@ -65,8 +65,8 @@ from ..models.bmodel import BiModel
 from ..models.kmodel import compiled, kleene_walks, test_table, walk_sources
 from .core import (NO_RUN, SEVERAL, Counterexample, Judgment, PairPred, PostMap,
                    pair_spec, post_map)
-from .oracles import (JudgeResult, RouteDisagreement, _class_walks, _grouped, _one_sided_prefix,
-                      _run_rows, _spec_views, check_bsim, check_fsim)
+from .oracles import (JudgeResult, RouteDisagreement, _check_sim, _class_walks, _grouped,
+                      _one_sided_prefix, _run_rows, _spec_views)
 
 Pair = tuple[int, int]
 ImageMap = dict[Pair, frozenset[Pair]]
@@ -336,8 +336,7 @@ def _check_valid(bm: BiModel, w: Witness, j: Judgment, backward: bool) -> Witnes
         break
     report = WitnessReport("backward" if backward else "forward", conds, cexs)
     if report.valid:
-        kind, check = ("bsim", check_bsim) if backward else ("fsim", check_fsim)
-        oracle = check(bm, Judgment(kind, j.left, j.right, j.spec))
+        oracle = _check_sim(bm, j, backward)
         report.oracle = oracle
         if not oracle.holds:
             raise RouteDisagreement(f"{report.direction}-valid witness but "
@@ -376,8 +375,7 @@ def construct_bwitness(bm: BiModel, j: Judgment) -> RelWitness:
 def _construct(bm: BiModel, j: Judgment, backward: bool) -> RelWitness:
     """The forward construction for `j`, or for its converse if `backward`;
     refused unless the simulation holds."""
-    kind, check = ("bsim", check_bsim) if backward else ("fsim", check_fsim)
-    oracle = check(bm, Judgment(kind, j.left, j.right, j.spec))
+    oracle = _check_sim(bm, j, backward)
     if not oracle.holds:
         raise WitnessRefused(oracle)
     r, s = _spec_views(bm, j, backward)

@@ -3,12 +3,12 @@
 Action interpretations are either explicit relation matrices (random models)
 or successor functions (compiled programs on structured spaces).  A program
 has one representation that every judgment oracle reads: each action gets a
-successor table (and, for preimages, its converse) and each test a table with
-one byte per state, both built on first use, and a term is compiled once per
-model into nested closures over those tables.  What a model compiles (these
-walkers, the pair-state walkers of witness terms, `judge.core`'s image maps
-and pair specs, footprint bits) is kept in one store per model, read
-through `compiled`.  A program's deterministic
+successor table (and, for preimages, its converse, a state at a time) and
+each test a table with one byte per state, both built on first use, and a
+term is compiled once per model into nested closures over those tables.
+What a model compiles (these walkers, the pair-state walkers of witness
+terms, `judge.core`'s image maps and pair specs, footprint bits) is kept in
+one store per model, read through `compiled`.  A program's deterministic
 actions and its tests carry their footprints, and their tables are lifted
 from one evaluation per footprint value (`StateSpace.lift`); other actions
 fill their tables state by state.  One walk then carries a whole
@@ -72,7 +72,8 @@ class ActionSem:
     `succ_table` is built on first use: a flat `state_array` with -1 for "no
     successor" when every state has at most one successor, otherwise one
     tuple of successors per state.  `pred_table` is its converse, one tuple
-    per state, built by one sweep over the successor table.  `footprint`,
+    per state in ascending order, each built on first use from the inverse
+    of the action on its footprint values (`_Preds`).  `footprint`,
     when not None, gives the fields the action reads and writes."""
 
     footprint: Callable[[], Iterable] | None = None
@@ -80,7 +81,7 @@ class ActionSem:
     def __init__(self, size: int):
         self.size = size
         self._succ: array | list[tuple[int, ...]] | None = None
-        self._preds: list[tuple[int, ...]] | None = None
+        self._preds: _Preds | None = None
 
     def succ(self, state: int) -> Iterable[int]:
         raise NotImplementedError
@@ -97,23 +98,15 @@ class ActionSem:
                 self._succ = rows
         return self._succ
 
-    def pred_table(self) -> list[tuple[int, ...]]:
+    def pred_table(self) -> _Preds:
         if self._preds is None:
-            preds: list[list[int]] = [[] for _ in range(self.size)]
-            table = self.succ_table()
-            if isinstance(table, array):
-                for s, t in enumerate(table):
-                    if t >= 0:
-                        preds[t].append(s)
-            else:
-                for s, ts in enumerate(table):
-                    for t in ts:
-                        preds[t].append(s)
-            self._preds = [tuple(p) for p in preds]
+            mask = None if self.footprint is None else self.space.bits(self.footprint())
+            inverse: dict[int, list[int]] = {}
+            for r in range(self.size) if mask is None else self.space.footprint_values(mask):
+                for e in self.succ(r):
+                    inverse.setdefault(e, []).append(r)
+            self._preds = _Preds(-1 if mask is None else mask, inverse)
         return self._preds
-
-    def pred(self, state: int) -> Iterable[int]:
-        return self.pred_table()[state]
 
 
 class RelAction(ActionSem):
@@ -171,6 +164,22 @@ class FnAction(ActionSem):
 
 def _fields(footprint: Callable[[], Iterable] | None) -> Iterable | None:
     return None if footprint is None else footprint()
+
+
+class _Preds(dict):
+    """state t -> its predecessors, ascending, built on first use, under an
+    action that reads and writes only the bits of `mask` (-1: the whole
+    state): t - r | r0, r = t & mask, for each r0 of `inverse[r]`, the
+    footprint values, ascending, that the action takes to r."""
+
+    def __init__(self, mask: int, inverse: dict[int, list[int]]):
+        super().__init__()
+        self.mask, self.inverse = mask, inverse
+
+    def __missing__(self, t: int) -> tuple[int, ...]:
+        r = t & self.mask
+        got = self[t] = tuple(t - r | r0 for r0 in self.inverse.get(r, ()))
+        return got
 
 
 _BYTE_BITS = bytes.maketrans(b"\x00\x01", b"01")

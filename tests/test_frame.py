@@ -102,6 +102,24 @@ class TestLiftedImages:
             for backward in (False, True):
                 assert _check_lifted(m, t, list(range(n)), backward), text
 
+    @pytest.mark.parametrize("width", [None, 2])
+    def test_predecessors_invert_the_successor_table(self, width):
+        # an action's predecessors of a state, built from the inverse of the
+        # action on its footprint values, are those its successor table
+        # gives, ascending: framed or not, deterministic or havoc
+        rng = random.Random(3)
+        for name in NAMES:
+            m = problem_at(name, width).bm.base
+            states = set(_sample(rng, m.space.size))
+            for act in m.acts.values():
+                table, want = act.succ_table(), {t: [] for t in states}
+                for s in range(m.space.size):
+                    for t in (table[s],) if isinstance(table[s], int) else table[s]:
+                        if t in want:
+                            want[t].append(s)
+                assert {t: act.pred_table()[t] for t in states} == {
+                    t: tuple(ss) for t, ss in want.items()}, name
+
     def test_unframed_terms_keep_the_walk(self):
         # a footprint that is the whole state, or a primitive without one
         env = env_for({"x": 2, "y": 1}, width=2)

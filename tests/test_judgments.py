@@ -385,9 +385,9 @@ _UNSOUND_WITNESS_SCRIPT = textwrap.dedent("""
     from bikat.models import random_bimodel
 
     kind = sys.argv[1]
-    check, construct, validate = {
-        "fsim": ("check_fsim", witness.construct_fwitness, witness.check_fvalid),
-        "bsim": ("check_bsim", witness.construct_bwitness, witness.check_bvalid),
+    construct, validate = {
+        "fsim": (witness.construct_fwitness, witness.check_fvalid),
+        "bsim": (witness.construct_bwitness, witness.check_bvalid),
     }[kind]
     alph = Alphabet.make([], ["a", "b"])
     j = Judgment(kind, parse_term("a", alph), parse_term("b", alph),
@@ -395,11 +395,12 @@ _UNSOUND_WITNESS_SCRIPT = textwrap.dedent("""
     seed = 0
     while True:
         bm = random_bimodel(seed, 4, alph, ("P", "Q"), density=0.5)
-        if getattr(witness, check)(bm, j).holds:
+        if witness._check_sim(bm, j, kind == "bsim").holds:
             break
         seed += 1
     w = construct(bm, j)
-    setattr(witness, check, lambda bm, j: JudgeResult(kind, False))
+    # the one simulation oracle that validity cross-checks with
+    witness._check_sim = lambda bm, j, backward: JudgeResult(kind, False)
     try:
         validate(bm, w, j)
     except RouteDisagreement as e:
@@ -458,9 +459,9 @@ class TestTrikat:
     def test_disagreement_with_a_direct_oracle_raises(self, kind, monkeypatch):
         from bikat.judge import RouteDisagreement, trikat
         bm, j = next(rand_instances(kind, 1, size=3))
-        direct = getattr(trikat, f"check_{kind}")
-        monkeypatch.setattr(trikat, f"check_{kind}", lambda bm, j: JudgeResult(
-            kind, not direct(bm, j).holds))
+        direct = trikat._check_sim  # the one simulation oracle, both directions
+        monkeypatch.setattr(trikat, "_check_sim", lambda bm, j, backward: JudgeResult(
+            kind, not direct(bm, j, backward).holds))
         via = getattr(trikat, f"check_{kind}_via_trikat")
         with pytest.raises(RouteDisagreement):
             via(bm, j)
@@ -688,10 +689,10 @@ class TestAdequacyEarlyStop:
 
 class TestRowPath:
     """The ∀∀, ∃∃ and forward simulation oracles read the pre-relation a row
-    at a time (a left state and all its partners), backward simulation every
-    left state in batches; compare them with a per-pair reference on spaces
-    above DENSE_SIDE_CAP, where havoc gives images of several states and the
-    pre relations give rows of many partners."""
+    at a time (a left state and all its partners), backward simulation the
+    post-relation; compare them with a per-pair reference on spaces above
+    DENSE_SIDE_CAP, where havoc gives images of several states and the pre
+    relations give rows of many partners."""
     DECL = "width 2; vars x y z; var w:1;\n"
     LEFTS = ["x := any; y := y + 1;",
              "if (x < 2) { y := any; } else { z := z + 1; }",
@@ -812,31 +813,36 @@ class TestRowPath:
         assert sim_verdicts == {(k, v) for k in ("fsim", "bsim") for v in (True, False)}
 
     # every field equal; with skip on both sides backward simulation then
-    # fails exactly at the left states the pre drops
+    # fails exactly at the left states the pre drops.  The first
+    # counterexample is that of the first post row (t, in state order) whose
+    # left start, a preimage of t, has no pre partner: with x := x + 1, t
+    # has x = 0 and its start x = 3
     SAME = "[x == x] & [y == y] & [z == z] & [w == w]"
     BATCH_CASES = [("skip;", "skip;", SAME, None),
                    ("skip;", "skip;", SAME + " & L[x != 3 || y != 3 || z != 3 || w != 1]",
                     "{x=3, y=3, z=3, w=1}"),
                    ("x := x + 1;", "x := x + 1;", SAME + " & L[z != 2 || w != 1]",
-                    "{x=0, y=0, z=2, w=1}")]
+                    "{x=3, y=0, z=2, w=1}")]
 
     def test_backward_batches_do_not_change_verdicts(self, monkeypatch):
-        # backward simulation visits the left states WALK_SOURCES at a time;
-        # batches of 5 states, the last one partial, give the same results
+        # backward simulation reads the post's rows in chunks of 64 pairs,
+        # then 128, ... (`_row_chunks`); chunks of one row give the same
+        # results
         from bikat.judge import oracles
         got = []
-        for batch in (oracles.WALK_SOURCES, 5):
-            monkeypatch.setattr(oracles, "WALK_SOURCES", batch)
+        for chunks in (oracles._row_chunks, lambda r, most=None: ([row] for row in r.rows())):
+            monkeypatch.setattr(oracles, "_row_chunks", chunks)
             for left, right, pre, first in self.BATCH_CASES:
                 prob = load_problem(
                     f"{self.DECL}left {{ {left} }} right {{ {right} }}\n"
                     f"kind bsim; pre {{ {pre} }} post {{ {self.SAME} }}")
                 res = dispatch(prob.bm, prob.judgment())
                 assert set(res.routes) == {"pointwise", "pointfree"}
-                assert res.holds == (first is None), (batch, pre)
+                assert res.holds == (first is None), pre
                 if first is not None:
                     a, t, t2 = res.counterexample.states
-                    assert prob.bm.space.state_str(a) == first, (batch, pre)
+                    assert prob.bm.space.state_str(a) == first, pre
+                    assert_refutes(prob, "bsim", res.counterexample.states)
                 got.append((res.holds, res.counterexample))
         assert got[:3] == got[3:]
 
@@ -1116,7 +1122,9 @@ class TestValidityReference:
 class TestStreamedRows:
     """`PairSpec.rows` builds each row when it is reached, and
     `PairSpec.one_partner` gives lazy columns, so a check that stops early
-    enumerates few rows; a refusal comes before any row."""
+    enumerates few rows.  Above the cap, a refusal comes before any row
+    where every row is read or residual atoms filter the rows, and
+    otherwise before the row that would pass the cap."""
 
     def test_refutation_enumerates_only_the_rows_it_reaches(self, monkeypatch):
         # the right program stores f(k) + 1 into 1-bit cells, so the post
@@ -1149,19 +1157,34 @@ class TestStreamedRows:
         assert reached == sorted(reached)
 
     def test_refusal_comes_before_any_row(self, monkeypatch):
-        # 32768 left states, x pinned and y, z free: 1024 candidates each
+        # 32768 left states, x pinned and y, z free: 1024 candidates each.
+        # `pairs` reads every pair; `[y < y]` filters every candidate
         from bikat.judge import EnumRefused
         prob = load_problem("width 5; vars x y z; pre { [x == x] }")
-        spec = PairSpec(prob.bm, prob.pre)
+        residual = prob.parser.bitest("[x == x] & [y < y]")
 
         def no_rows(*args):
             raise AssertionError("a row was built")
         monkeypatch.setattr(PairSpec, "_columns", no_rows)
         monkeypatch.setattr(PairSpec, "_row", no_rows)
         with pytest.raises(EnumRefused):
-            spec.rows()
+            PairSpec(prob.bm, prob.pre).pairs()
         with pytest.raises(EnumRefused):
-            spec.pairs()
+            PairSpec(prob.bm, residual).rows()
+
+    def test_rows_within_the_cap_come_before_the_refusal(self):
+        # the same relation's rows: the first PAIR_ENUM_CAP // 1024 left
+        # states, every one open, each with its 1024 partners, then a refusal
+        from bikat.judge import EnumRefused
+        from bikat.judge.core import PAIR_ENUM_CAP
+        prob = load_problem("width 5; vars x y z; pre { [x == x] }")
+        spec, fresh = PairSpec(prob.bm, prob.pre), PairSpec(prob.bm, prob.pre)
+        got = []
+        with pytest.raises(EnumRefused, match=f"partners of {PAIR_ENUM_CAP // 1024 + 1} states"):
+            for a, row in spec.rows():
+                got.append(a)
+                assert len(row) == 1024 and row == fresh.partners_left(a), a
+        assert got == list(range(PAIR_ENUM_CAP // 1024))
 
     def test_rows_are_the_partners_of_each_left_state(self):
         # rows and partners_left build a row the same way, from one column

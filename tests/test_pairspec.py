@@ -16,7 +16,7 @@ import random
 
 import pytest
 
-from bikat.judge.core import EnumRefused, PairSpec
+from bikat.judge.core import PAIR_ENUM_CAP, EnumRefused, PairSpec
 from bikat.kat import Alphabet
 from bikat.models import random_bimodel
 from bikat.models.bmodel import bitest_holds
@@ -29,32 +29,34 @@ SMALL = 64  # spaces whose predicate is checked against bitest_holds
 PAIRS_LIST = 1 << 17  # pairs() is compared where it has at most this many
 
 
-def reference(bm, t) -> list[list[int]]:
-    """The partners of each left state: every b with pred.holds(a, b)."""
+def reference(bm, t, lefts=None) -> list[list[int]]:
+    """The partners of each left state (of each of `lefts`, if given): every
+    b with pred.holds(a, b)."""
     pred, n = PairSpec(bm, t).pred, bm.space.size
+    lefts = range(n) if lefts is None else lefts
     if n <= SMALL:
         for a in range(n):
             for b in range(n):
                 assert pred.holds(a, b) == bitest_holds(bm, t, a, b), (str(t), a, b)
     if pred.lk is None:
-        return [[b for b in range(n) if pred.holds(a, b)] for a in range(n)]
+        return [[b for b in range(n) if pred.holds(a, b)] for a in lefts]
     keyed: dict[int, list[int]] = {}
     for b, key in enumerate(pred.rk):
         keyed.setdefault(key, []).append(b)
     return [[b for b in keyed.get(pred.lk[a], ()) if pred.holds(a, b)]
-            for a in range(n)]
+            for a in lefts]
 
 
 def check(bm, t):
-    """Every enumeration of a fresh spec of `t` equals the reference, or all
-    of them refuse; the one-partner columns, or None, or "refused"."""
+    """Every enumeration of a fresh spec of `t` equals the reference; or,
+    above the cap, `pairs` refuses and `rows` gives the reference's rows
+    until the next would pass the cap, and then refuses.  The one-partner
+    columns, or None, or "refused"."""
     try:
-        rows = list(PairSpec(bm, t).rows())
+        PairSpec(bm, t).check_enumerable()
     except EnumRefused:
-        for enumerate_ in (PairSpec.pairs, PairSpec.one_partner):
-            with pytest.raises(EnumRefused):
-                enumerate_(PairSpec(bm, t))
-        return "refused"
+        return over_the_cap(bm, t)
+    rows = list(PairSpec(bm, t).rows())
     want = reference(bm, t)
     assert rows == [(a, row) for a, row in enumerate(want) if row], str(t)
     count = sum(map(len, want))
@@ -72,6 +74,30 @@ def check(bm, t):
         assert spec.partners_left(a) == row, (str(t), a)
         assert partners(a) == frozenset(row), (str(t), a)
     return cols
+
+
+def over_the_cap(bm, t):
+    """`check` of a relation above the cap: `pairs` refuses; where residual
+    atoms filter the rows, so do `rows` and `partner_sets`, before any row,
+    and otherwise `rows` gives as many rows, in state order, as the cap
+    holds of their candidates, the first and last equal to the reference."""
+    with pytest.raises(EnumRefused):
+        PairSpec(bm, t).pairs()
+    spec = PairSpec(bm, t)
+    rows = []
+    with pytest.raises(EnumRefused):
+        for row in spec.rows():
+            rows.append(row)
+    if spec._get_layout().preds:
+        assert rows == [] and spec.partner_sets() is None, str(t)
+        return "refused"
+    each = len(spec._get_layout().patterns)
+    assert len(rows) == PAIR_ENUM_CAP // each, str(t)
+    assert [a for a, _ in rows] == sorted(a for a, _ in rows)
+    sample = rows[:8] + rows[-1:]
+    assert [r for _, r in sample] == reference(bm, t, [a for a, _ in sample]), str(t)
+    assert spec.one_partner() is None and spec.partner_sets() is not None
+    return "refused"
 
 
 @pytest.mark.parametrize("problem", list(RECORDER.problems()), ids=lambda p: p[0])

@@ -178,10 +178,14 @@ def test_only_shared_rows_are_kept_for_the_check(monkeypatch, pre, kept):
     goal = prob.parser.bikat("<y := y + 1] ; [z := 0>")
     assert check_adequacy(prob.bm, j.spec.pre, j.left, j.right, goal).holds
     assert len(readers) == 4
+    # bsim reads the rows of the post, [x == x]: shared, one per value of x
+    assert [reader.r.term for reader in readers] == [j.spec.pre, j.spec.pre,
+                                                     j.spec.post, j.spec.pre]
     for reader in readers:
         memos = (reader.filled, reader.unions, reader.classes)
-        if kept:
-            assert len(reader.filled) == kept
+        want = 4 if reader.r.term == j.spec.post else kept
+        if want:
+            assert len(reader.filled) == want
             assert set(reader.unions) <= reader.filled and set(reader.classes) <= reader.filled
         else:
             assert memos == (None, None, None)

@@ -18,6 +18,7 @@ from bikat.kat.terms import children, kact, ktest, tnot, tor, tprim
 from bikat.problem import load_problem
 
 from gen import random_bikat
+from test_judgments import assert_refutes
 
 ALPH = Alphabet.make(["p", "q"], ["a", "b", "c"])
 BALPH = BiAlphabet(ALPH, ("P", "Q"))
@@ -117,16 +118,19 @@ LOOP = "y := 0; z := 2 * x; while (z > 0) { z := z - 1; y := y + x; }"
 KEYED = "[x == x] & [y == y] & [z == z]"
 
 
-def above_cap(pre: str, post: str):
-    """The loop on both sides, 4096 states a side.  `<=` is no key, so a
-    relation `[x <= x]` has every right state as a candidate partner of
-    every left state: about 1.7e7 pairs, above PAIR_ENUM_CAP."""
-    return load_problem(f"width 4;\nvars x y z;\nleft {{ {LOOP} }}\nright {{ {LOOP} }}\n"
-                        f"kind bsim;\npre {{ {pre} }}\npost {{ {post} }}\n", "above-cap")
+def above_cap(pre: str, post: str, width: int = 4):
+    """The loop on both sides, 4096 states a side (32768 at width 5).  `<=`
+    is no key, so a relation `[x <= x]` has every right state as a
+    candidate partner of every left state: about 1.7e7 pairs, above
+    PAIR_ENUM_CAP."""
+    return load_problem(f"width {width};\nvars x y z;\nleft {{ {LOOP} }}\n"
+                        f"right {{ {LOOP} }}\nkind bsim;\npre {{ {pre} }}\n"
+                        f"post {{ {post} }}\n", "above-cap")
 
 
-@pytest.mark.parametrize("kind", ["fsim", "bsim", "incorrectness"])
+@pytest.mark.parametrize("kind", ["fsim", "existsforall"])
 def test_simulations_refuse_a_pre_above_the_cap(kind):
+    # forward simulation reads the pre's rows, which a residual atom filters
     prob = above_cap("[x <= x]", KEYED)
     base = prob.judgment()
     with deadline(5), pytest.raises(EnumRefused):
@@ -134,10 +138,41 @@ def test_simulations_refuse_a_pre_above_the_cap(kind):
 
 
 @pytest.mark.parametrize("kind", ["bsim", "incorrectness"])
+@pytest.mark.parametrize("pre, holds", [("[x <= x]", True), ("[x < x]", False)])
+def test_backward_simulations_decide_on_a_pre_above_the_cap(pre, holds, kind):
+    # backward simulation is forward simulation of the converse: it reads
+    # the post's rows and the pre through its predicate, so only its
+    # point-free route, which reads the pre's partners, is dropped.  Each
+    # left run a -> t matches the right run from a itself when a is pre-
+    # related to a, and none when the pre relates x only to a larger x
+    prob = above_cap(pre, KEYED)
+    base = prob.judgment()
+    with deadline(5):
+        res = dispatch(prob.bm, Judgment(kind, base.left, base.right, base.spec))
+    assert res.holds == holds and res.routes == {"pointwise": holds}
+    if not holds:
+        assert_refutes(prob, "bsim", res.counterexample.states)
+
+
+@pytest.mark.parametrize("kind", ["bsim", "incorrectness"])
 def test_backward_simulations_refuse_a_post_above_the_cap(kind):
-    # both routes of bsim read every post partner of a left end (fsim keeps
-    # its pointwise route, which reads the post's keys)
+    # bsim reads the post's rows, which a residual atom filters: refused
+    # before any row (fsim keeps its pointwise route, which reads the
+    # post's keys)
     prob = above_cap(KEYED, "[x <= x]")
     base = prob.judgment()
     with deadline(5), pytest.raises(EnumRefused):
         dispatch(prob.bm, Judgment(kind, base.left, base.right, base.spec))
+
+
+def test_forward_simulation_fails_within_the_cap():
+    # 32768 states a side; the pre `[y == y]` leaves x and z free, 1024
+    # candidates a left state, above the cap, and residual atoms filter
+    # none of them, so its rows are charged as they are built: the first
+    # pair whose x differ fails the post, long before the cap
+    prob = above_cap("[y == y]", KEYED, width=5)
+    base = prob.judgment()
+    with deadline(5):
+        res = dispatch(prob.bm, Judgment("fsim", base.left, base.right, base.spec))
+    assert not res.holds and res.routes == {"pointwise": False, "pointfree": False}
+    assert_refutes(prob, "fsim", res.counterexample.states)

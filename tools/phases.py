@@ -12,7 +12,8 @@ time, so nested calls are counted once, into four phases:
   and the key columns of pair predicates (`ActionSem.succ_table`/
   `pred_table`, `TestSem.table`, `ImpEnv.values`, `core._key_column`); a
   deterministic action's table is `StateSpace.moved`, whose footprint bits
-  are the packed states masked (`StateSpace.packed` of `int`);
+  are the packed states masked (`StateSpace.packed` of `int`); an action's
+  predecessors are built a state at a time, on first use (`kmodel._Preds`);
 - rows: pair-relation enumeration (`PairSpec.rows`/`pairs`/`partners_left`,
   the columns of `PairSpec.one_partner`, ranges for the identity relation,
   the oracles' chunked iterators `_row_chunks` and `_column_chunks`, which
@@ -132,6 +133,7 @@ def install(ph: Phases) -> None:
         for attr in ("succ_table", "pred_table"):
             if attr in vars(cls):
                 setattr(cls, attr, ph.timed("tables", vars(cls)[attr]))
+    kmodel._Preds.__missing__ = ph.timed("tables", kmodel._Preds.__missing__)
     kmodel.TestSem.table = ph.timed("tables", kmodel.TestSem.table)
     imp.ImpEnv.values = ph.timed("tables", imp.ImpEnv.values)
 

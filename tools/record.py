@@ -110,7 +110,8 @@ def _fields(res) -> dict:
 def _pairs(spec) -> dict:
     """The pairs of `spec.pairs()`, counted and hashed in order as `rows`
     streams them (no list of pairs is built), and whether `one_partner`
-    reads the relation as columns."""
+    reads the relation as columns; refused up front, as `pairs()` is."""
+    spec.check_enumerable()
     digest, count = hashlib.sha256(), 0
     for a, row in spec.rows():
         digest.update(f"{a}:{','.join(map(str, row))};".encode())
