@@ -85,6 +85,7 @@ from ..models.imp import CMP_OPS, ImpEnv
 # `core.kat_post` and `core.kat_pre` by name
 from ..models.kmodel import (compiled, frame_mask, image, kat_post,  # noqa: F401
                              kat_pre, test_table)
+from ..stats import phase
 
 PAIR_ENUM_CAP = 4_000_000
 
@@ -241,22 +242,23 @@ def _key_column(bm: BiModel, env: ImpEnv | None, exprs: list,
     fails.  The packed values are lifted from the expressions' union
     footprint."""
     space = bm.space
-    if exprs:
-        fs = [env.compile_expr(e) for e in exprs]
-        shift = max([env.width] + [space.field(k)[1] for k in space.fields()])
+    with phase("tables"):
+        if exprs:
+            fs = [env.compile_expr(e) for e in exprs]
+            shift = max([env.width] + [space.field(k)[1] for k in space.fields()])
 
-        def pack(s: int) -> int:
-            key = 0
-            for f in fs:
-                key = key << shift | f(s)
-            return key
-        col = space.lift(env.reads(*exprs), pack)
-    else:
-        col = [0] * space.size
-    table = _table(bm, tests)
-    if table is None:
-        return col
-    return [k if ok else fail for k, ok in zip(col, table)]
+            def pack(s: int) -> int:
+                key = 0
+                for f in fs:
+                    key = key << shift | f(s)
+                return key
+            col = space.lift(env.reads(*exprs), pack)
+        else:
+            col = [0] * space.size
+        table = _table(bm, tests)
+        if table is None:
+            return col
+        return [k if ok else fail for k, ok in zip(col, table)]
 
 
 def _closure(bm: BiModel, t: BiTestTerm):
@@ -378,35 +380,37 @@ class PostMap:
         decoded from images it keeps."""
         if self._mask is None:
             return
-        distinct = set(ends)
-        # one image per distinct end state, shared as `image` shares them
-        one = dict(zip(distinct, map(frozenset, zip(distinct))))
-        one[NO_RUN] = frozenset()
-        images = self.images
-        if SEVERAL not in distinct:
-            images.update(zip(states, map(one.__getitem__, ends)))
-            return
-        proj, mask = self._proj, self._mask
-        for s, e in zip(states, ends):
-            if e != SEVERAL:
-                images[s] = one[e]
-            else:
-                r = s & mask
-                images[s] = frozenset([t + s - r for t in proj[r]])
+        with phase("walks"):
+            distinct = set(ends)
+            # one image per distinct end state, shared as `image` shares them
+            one = dict(zip(distinct, map(frozenset, zip(distinct))))
+            one[NO_RUN] = frozenset()
+            images = self.images
+            if SEVERAL not in distinct:
+                images.update(zip(states, map(one.__getitem__, ends)))
+                return
+            proj, mask = self._proj, self._mask
+            for s, e in zip(states, ends):
+                if e != SEVERAL:
+                    images[s] = one[e]
+                else:
+                    r = s & mask
+                    images[s] = frozenset([t + s - r for t in proj[r]])
 
     def _framed_ends(self, states):
         """The ends of `states` under a framed term: from their projections
         until the states asked reach the build rule of the end column
         (`COLUMN_SHARE`), then from the column, one slice for a run of
         consecutive states (a range) and else one lookup a state."""
-        if self._ends is None:
-            self._due -= len(states)
-            if self._due > 0:
-                return self._projected_ends(states)
-            self._column()
-        if isinstance(states, range) and states.step == 1:
-            return self._ends[states.start:states.stop]
-        return list(map(self._ends.__getitem__, states))
+        with phase("walks"):
+            if self._ends is None:
+                self._due -= len(states)
+                if self._due > 0:
+                    return self._projected_ends(states)
+                self._column()
+            if isinstance(states, range) and states.step == 1:
+                return self._ends[states.start:states.stop]
+            return list(map(self._ends.__getitem__, states))
 
     def _projected_ends(self, states: list[int]) -> list[int]:
         """Each projection r of `states` not walked before is walked once,
@@ -563,18 +567,19 @@ class PairSpec:
             if self._identity(lay):
                 self._cols = (range(self.n), None)
                 return self._cols
-            packed, opened = 0, lay.left
-            for off, width, sem in lay.forced:
-                f, reads = sem.env.compile_expr(sem.lexpr), sem.env.reads(sem.lexpr)
-                packed += space.packed(reads, _placed(f, off, width))
-                fits = space.lift(reads, _fits(f, width), bytes)
-                if 0 in fits:
-                    opened = fits if opened is None else _both(opened, fits)
-            tmpl = space.unpack(packed)
-            if lay.patterns == [0] and lay.right is not None:  # one candidate
-                kept = bytes(map(lay.right.__getitem__, tmpl))
-                opened = kept if opened is None else _both(opened, kept)
-            self._cols = (tmpl, opened)
+            with phase("rows"):
+                packed, opened = 0, lay.left
+                for off, width, sem in lay.forced:
+                    f, reads = sem.env.compile_expr(sem.lexpr), sem.env.reads(sem.lexpr)
+                    packed += space.packed(reads, _placed(f, off, width))
+                    fits = space.lift(reads, _fits(f, width), bytes)
+                    if 0 in fits:
+                        opened = fits if opened is None else _both(opened, fits)
+                tmpl = space.unpack(packed)
+                if lay.patterns == [0] and lay.right is not None:  # one candidate
+                    kept = bytes(map(lay.right.__getitem__, tmpl))
+                    opened = kept if opened is None else _both(opened, kept)
+                self._cols = (tmpl, opened)
         return self._cols
 
     def _identity(self, lay: _Layout) -> bool:
@@ -631,14 +636,15 @@ class PairSpec:
         it has at most one pair per state, fewer than PAIR_ENUM_CAP."""
         if self._atoms is None:
             return (), ()
-        lay = self._get_layout()
-        if lay.patterns != [0]:
-            return None
-        if not lay.preds:
-            return self._open()
-        pred = lay.preds[0] if len(lay.preds) == 1 else _all_of(lay.preds)
-        keep = tee(map(pred, *self._open()))
-        return tuple(map(compress, self._open(), keep))
+        with phase("rows"):
+            lay = self._get_layout()
+            if lay.patterns != [0]:
+                return None
+            if not lay.preds:
+                return self._open()
+            pred = lay.preds[0] if len(lay.preds) == 1 else _all_of(lay.preds)
+            keep = tee(map(pred, *self._open()))
+            return tuple(map(compress, self._open(), keep))
 
     @property
     def shares_rows(self) -> bool:
@@ -681,8 +687,9 @@ class PairSpec:
     def pairs(self) -> list[tuple[int, int]]:
         """The rows flattened into pairs, in order; refused above the cap
         before any row, as it reads every pair."""
-        self.check_enumerable()
-        return [(s, s2) for s, row in self.rows() for s2 in row]
+        with phase("rows"):
+            self.check_enumerable()
+            return [(s, s2) for s, row in self.rows() for s2 in row]
 
     def partners_left(self, s: int) -> list[int]:
         """All s2 with (s, s2) in the relation: the row of `s`, built from

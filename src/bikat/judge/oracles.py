@@ -99,6 +99,7 @@ from ..kat.terms import KatTerm, kseq
 from ..models.bmodel import BiModel
 # no oracle calls it; perfbench's tracer wraps `oracles.interp_kat` by name
 from ..models.kmodel import WALK_SOURCES, interp_kat  # noqa: F401
+from ..stats import phase
 from .core import (NO_RUN, SEVERAL, Counterexample, EnumRefused, Judgment,
                    PairPred, PairSpec, PostMap, RelSpec, pair_spec, post_map)
 
@@ -144,17 +145,21 @@ def _row_chunks(r: PairSpec, most: int | None = None):
     """The rows of `r` in state order, a chunk at a time.  A chunk closes
     once it holds 64 pairs, then 128, ... (at most `most` after the first),
     so that a check that stops at an early counterexample computes few
-    images."""
-    chunk, count, size = [], 0, 64
-    for row in r.rows():
-        chunk.append(row)
-        count += len(row[1])
-        if count >= size:
-            yield chunk
-            chunk, count = [], 0
-            size = size * 2 if most is None else min(size * 2, most)
-    if chunk:
+    images.  Each chunk's rows are pulled in phase "rows", which is never
+    open across a yield."""
+    rows, size = r.rows(), 64
+    while True:
+        chunk, count = [], 0
+        with phase("rows"):
+            for row in rows:
+                chunk.append(row)
+                count += len(row[1])
+                if count >= size:
+                    break
+        if not chunk:
+            return
         yield chunk
+        size = size * 2 if most is None else min(size * 2, most)
 
 
 class _PreRows:
@@ -175,8 +180,9 @@ class _PreRows:
     def fill(self, chunk: list) -> list:
         """`chunk`, with the left images of its states computed, and the
         right images of its rows whose left state has runs."""
-        cimg = self.cpost.fill(a for a, _ in chunk)
-        self.fill_right(bs for a, bs in chunk if cimg[a])
+        with phase("rows"):
+            cimg = self.cpost.fill(a for a, _ in chunk)
+            self.fill_right(bs for a, bs in chunk if cimg[a])
         return chunk
 
     def fill_right(self, rows) -> None:
@@ -323,7 +329,8 @@ def _column_chunks(lefts, rights):
     `PairSpec.one_partner`: 64 pairs, then 128, ..., as `_row_chunks`.  Where
     every left state is open, the left column is a range and the partners a
     range or an array: each chunk is a slice of both, so the identity gives
-    ranges; other columns are lazy, and each chunk is two lists."""
+    ranges; other columns are lazy, and each chunk is two lists, pulled in
+    phase "rows"."""
     k, size = 0, 64
     if isinstance(lefts, range):
         while k < len(lefts):
@@ -331,8 +338,12 @@ def _column_chunks(lefts, rights):
             k, size = k + size, size * 2
         return
     lefts, rights = iter(lefts), iter(rights)
-    while chunk := list(islice(lefts, size)):
-        yield chunk, list(islice(rights, size))
+    while True:
+        with phase("rows"):
+            chunk = list(islice(lefts, size)), list(islice(rights, size))
+        if not chunk[0]:
+            return
+        yield chunk
         size *= 2
 
 
@@ -419,11 +430,12 @@ def _class_walks(bm: BiModel, r: PairSpec, c: KatTerm, d: KatTerm, p: KatTerm,
     seen: set = set()  # the classes of earlier chunks
     chunks = _row_chunks(r, WALK_SOURCES)
     for chunk in chunks:
-        cpost.fill(map(itemgetter(0), chunk))
-        if not every:  # no class of a source with no left run is walked
-            chunk = [(a, bs) for a, bs in chunk if cimg[a]]
-        rows.fill_right(map(itemgetter(1), chunk))
-        pimg = ppost.fill(map(itemgetter(0), chunk))
+        with phase("rows"):
+            cpost.fill(map(itemgetter(0), chunk))
+            if not every:  # no class of a source with no left run is walked
+                chunk = [(a, bs) for a, bs in chunk if cimg[a]]
+            rows.fill_right(map(itemgetter(1), chunk))
+            pimg = ppost.fill(map(itemgetter(0), chunk))
         if r.shares_rows:
             new = {(pimg[a], cimg[a]) + k for a, bs in chunk for k in rows.keys(bs)}
         else:  # a row per left state: its keys pair by pair

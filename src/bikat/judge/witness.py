@@ -63,6 +63,7 @@ from ..bi.terms import BEmbL, BiKatTerm, BiTestTerm, BTest, side_test
 from ..kat.terms import K1, kleene_map
 from ..models.bmodel import BiModel
 from ..models.kmodel import compiled, kleene_walks, test_table, walk_sources
+from ..stats import phase
 from .core import (NO_RUN, SEVERAL, Counterexample, Judgment, PairPred, PostMap,
                    pair_spec, post_map)
 from .oracles import (JudgeResult, RouteDisagreement, _check_sim, _class_walks, _grouped,
@@ -109,7 +110,8 @@ def term_tags(bm: BiModel, w: BiKatTerm, rows: Rows, backward: bool = False) -> 
     """One walk of a witness term (of its converse if `backward`) from
     tagged source rows {a: {b: tag}}: each pair state it reaches, as rows,
     with the bitmask of the sources that reach it (the OR of their tags)."""
-    return compiled(bm, _compile_pairs, w, backward)(rows)
+    with phase("walks"):
+        return compiled(bm, _compile_pairs, w, backward)(rows)
 
 
 def term_image(bm: BiModel, w: BiKatTerm, sources) -> ImageMap:
@@ -133,7 +135,8 @@ def _pair_images(bm: BiModel, w: BiKatTerm, sources, backward: bool) -> ImageMap
         for (a, b), g in tagged.items():
             rows.setdefault(a, {})[b] = g
         return {(a, b): g for a, row in walk(rows).items() for b, g in row.items()}
-    return {s: frozenset(f) for s, f in walk_sources(pairs, list(dict.fromkeys(sources)))}
+    with phase("walks"):
+        return {s: frozenset(f) for s, f in walk_sources(pairs, list(dict.fromkeys(sources)))}
 
 
 def _or_rows(old: Row, row: Row) -> Row:

@@ -27,6 +27,7 @@ from dataclasses import dataclass, fields, is_dataclass
 from typing import Callable, Iterable, Union
 
 from ..kat.terms import KatTerm, kact, kplus, kseq, kstar, ktest, tnot, tprim
+from ..stats import phase
 from .kmodel import FnAction, KatModel, TestSem
 from .space import ArrayDecl, SpaceError, StateSpace
 
@@ -405,7 +406,8 @@ class ImpEnv:
     def values(self, e: Expr) -> list[int]:
         """The value of `e` in every state, in state order, evaluated once
         per value of its footprint."""
-        return self.space.lift(self.reads(e), self.compile_expr(e))
+        with phase("tables"):
+            return self.space.lift(self.reads(e), self.compile_expr(e))
 
     def compile_cond(self, b: BoolExpr) -> Callable[[int], bool]:
         """`b` as a predicate on states; agrees with `holds`."""

@@ -51,6 +51,7 @@ from typing import Callable, Iterable, Iterator
 
 from ..kat.terms import (Alphabet, KAct, KatTerm, KleeneOps, KPlus, KSeq, KTest,
                          TestTerm, TNot, TOne, TOr, TPrim, TZero, kleene_map, subterms)
+from ..stats import phase
 from .rel import Rel
 from .space import StateSpace, state_code
 
@@ -91,21 +92,23 @@ class ActionSem:
 
     def succ_table(self) -> array | list[tuple[int, ...]]:
         if self._succ is None:
-            rows = [tuple(self.succ(s)) for s in range(self.size)]
-            if all(len(r) <= 1 for r in rows):
-                self._succ = state_array(self.size, [r[0] if r else -1 for r in rows])
-            else:
-                self._succ = rows
+            with phase("tables"):
+                rows = [tuple(self.succ(s)) for s in range(self.size)]
+                if all(len(r) <= 1 for r in rows):
+                    self._succ = state_array(self.size, [r[0] if r else -1 for r in rows])
+                else:
+                    self._succ = rows
         return self._succ
 
     def pred_table(self) -> _Preds:
         if self._preds is None:
-            mask = None if self.footprint is None else self.space.bits(self.footprint())
-            inverse: dict[int, list[int]] = {}
-            for r in range(self.size) if mask is None else self.space.footprint_values(mask):
-                for e in self.succ(r):
-                    inverse.setdefault(e, []).append(r)
-            self._preds = _Preds(-1 if mask is None else mask, inverse)
+            with phase("tables"):
+                mask = None if self.footprint is None else self.space.bits(self.footprint())
+                inverse: dict[int, list[int]] = {}
+                for r in range(self.size) if mask is None else self.space.footprint_values(mask):
+                    for e in self.succ(r):
+                        inverse.setdefault(e, []).append(r)
+                self._preds = _Preds(-1 if mask is None else mask, inverse)
         return self._preds
 
 
@@ -144,7 +147,8 @@ class FnAction(ActionSem):
         if self._succ is None and self.det:
             # succ(s) = s + fn(r) - r, r the footprint bits of s
             sp = self.space
-            self._succ = sp.moved(sp.bits(_fields(self.footprint)), self.fn)
+            with phase("tables"):
+                self._succ = sp.moved(sp.bits(_fields(self.footprint)), self.fn)
         return super().succ_table()
 
     def rel(self) -> Rel:
@@ -177,8 +181,9 @@ class _Preds(dict):
         self.mask, self.inverse = mask, inverse
 
     def __missing__(self, t: int) -> tuple[int, ...]:
-        r = t & self.mask
-        got = self[t] = tuple(t - r | r0 for r0 in self.inverse.get(r, ()))
+        with phase("tables"):
+            r = t & self.mask
+            got = self[t] = tuple(t - r | r0 for r0 in self.inverse.get(r, ()))
         return got
 
 
@@ -210,12 +215,13 @@ class TestSem:
 
     def table(self) -> bytes:
         if self._table is None:
-            n = self.space.size
-            if self._mask is not None:
-                bits = bin(self._mask)[2:].zfill(n)[::-1][:n]
-                self._table = bits.encode().translate(_BIT_BYTES)
-            else:
-                self._table = self.space.lift(_fields(self.footprint), self._pred, bytes)
+            with phase("tables"):
+                n = self.space.size
+                if self._mask is not None:
+                    bits = bin(self._mask)[2:].zfill(n)[::-1][:n]
+                    self._table = bits.encode().translate(_BIT_BYTES)
+                else:
+                    self._table = self.space.lift(_fields(self.footprint), self._pred, bytes)
         return self._table
 
     def holds(self, state: int) -> bool:
@@ -454,25 +460,28 @@ def image(m: KatModel, t: KatTerm, sources: Iterable[int],
     """Per-source images (preimages if `backward`) of distinct sources."""
     out: dict[int, frozenset[int]] = {}
     singles: dict[int, frozenset[int]] = {}  # shared one-state images
-    for s, f in walk_sources(compiled(m, _compile, t, backward), list(sources)):
-        if len(f) == 1:
-            img = singles.get(f[0])
-            if img is None:
-                img = singles[f[0]] = frozenset(f)
-            out[s] = img
-        else:
-            out[s] = frozenset(f)
+    with phase("walks"):
+        for s, f in walk_sources(compiled(m, _compile, t, backward), list(sources)):
+            if len(f) == 1:
+                img = singles.get(f[0])
+                if img is None:
+                    img = singles[f[0]] = frozenset(f)
+                out[s] = img
+            else:
+                out[s] = frozenset(f)
     return out
 
 
 def kat_post(m: KatModel, t: KatTerm, states: Iterable[int]) -> frozenset[int]:
     """Image of a state set under a term."""
-    return frozenset(compiled(m, _compile, t, False)(dict.fromkeys(states, 1)))
+    with phase("walks"):
+        return frozenset(compiled(m, _compile, t, False)(dict.fromkeys(states, 1)))
 
 
 def kat_pre(m: KatModel, t: KatTerm, states: Iterable[int]) -> frozenset[int]:
     """Preimage of a state set under a term (image under the converse)."""
-    return frozenset(compiled(m, _compile, t, True)(dict.fromkeys(states, 1)))
+    with phase("walks"):
+        return frozenset(compiled(m, _compile, t, True)(dict.fromkeys(states, 1)))
 
 
 def random_kat_model(

@@ -1,6 +1,6 @@
 """Project metadata: every console script `pyproject.toml` declares exists,
 every Python file parses as the oldest Python it declares, and every name
-the benchmark's tracer and the phase timer wrap exists."""
+the benchmark's tracer wraps exists."""
 
 import ast
 import importlib
@@ -62,13 +62,12 @@ def test_no_module_level_import_goes_unused():
 
 
 def test_benchmark_wrappers_find_every_name_they_wrap():
-    # the tracer and tools/phases.py look up each function they wrap by name,
-    # so a renamed or deleted one fails here as in the CI smokes; run apart,
-    # since both patch the bikat modules in place
-    code = ("import sys; sys.path[:0] = ['src', 'perfbench', 'tools']\n"
-            "import tracing, phases\n"
-            "t = tracing.Tracer(); t.install(); t.uninstall()\n"
-            "phases.install(phases.Phases())\n")
+    # the tracer looks up each function it wraps by name, so a renamed or
+    # deleted one fails here as in the CI smoke; run apart, since it patches
+    # the bikat modules in place
+    code = ("import sys; sys.path[:0] = ['src', 'perfbench']\n"
+            "import tracing\n"
+            "t = tracing.Tracer(); t.install(); t.uninstall()\n")
     done = subprocess.run([sys.executable, "-c", code], cwd=ROOT,
                           capture_output=True, text=True, timeout=60)
     assert done.returncode == 0, done.stderr

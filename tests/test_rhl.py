@@ -1,9 +1,6 @@
 """Side conditions of the RHL proof checker on spaces of thousands of states,
 and self-composition against the judgment oracles."""
 
-import signal
-from contextlib import contextmanager
-
 import pytest
 
 from bikat.judge import EnumRefused
@@ -17,25 +14,12 @@ from bikat.rhl.proof import (RULES, SideCondition, check_implication, check_proo
 from test_judgments import assert_refutes
 from test_record import TEXTS, problem_at
 from test_rules import inventory
+from test_sides import deadline
 
 # 4096 states a side; x has offset 0, so state 64 is x=0, y=1
 SPACE = "width 6; vars x y;"
 # the refusal of a relation whose every pair is a candidate
 REFUSED = r"pair enumeration of ~16777216 pairs exceeds the cap 4000000"
-
-
-@contextmanager
-def deadline(seconds: int):
-    """Fail, rather than hang, when the body takes longer than `seconds`."""
-    def expire(signum, frame):
-        raise TimeoutError(f"no verdict within {seconds} s")
-    old = signal.signal(signal.SIGALRM, expire)
-    signal.alarm(seconds)
-    try:
-        yield
-    finally:
-        signal.alarm(0)
-        signal.signal(signal.SIGALRM, old)
 
 
 def totality(prob, post: str) -> SideCondition:

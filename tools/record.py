@@ -110,11 +110,18 @@ def _fields(res) -> dict:
 def _pairs(spec) -> dict:
     """The pairs of `spec.pairs()`, counted and hashed in order as `rows`
     streams them (no list of pairs is built), and whether `one_partner`
-    reads the relation as columns; refused up front, as `pairs()` is."""
+    reads the relation as columns; refused up front, as `pairs()` is.  A
+    shared row is joined once, kept by its id while the spec keeps the row."""
     spec.check_enumerable()
     digest, count = hashlib.sha256(), 0
+    joined: dict[int, str] | None = {} if spec.shares_rows else None
     for a, row in spec.rows():
-        digest.update(f"{a}:{','.join(map(str, row))};".encode())
+        text = None if joined is None else joined.get(id(row))
+        if text is None:
+            text = ",".join(map(str, row))
+            if joined is not None:
+                joined[id(row)] = text
+        digest.update(f"{a}:{text};".encode())
         count += len(row)
     return {"pairs": count, "sha256": digest.hexdigest(),
             "columns": spec.one_partner() is not None}
